@@ -1,7 +1,11 @@
-"""Discrete adjoint state: gradient kernel and backward equation.
+"""Conditioning on F_{t_n}, the adjoints L*, Lhat*, the gradient kernel and
+the backward equation.
 
-Two closely related objects are computed from a state process X by the
-shared backward recursion of :mod:`slqheat.forward`:
+Every object here is a shared pathwise backward recursion of
+:mod:`slqheat.forward` followed by one conditioning per slice:
+
+* ``apply_L_adjoint`` / ``apply_Lhat_adjoint`` -- the adjoints of the
+  control-to-state and control-to-terminal-state maps;
 
 * ``k_htau`` -- the kernel K X = -L*(X) - alpha Lhat*(X_N) appearing in
   the discrete optimality condition U = K X (noise multipliers start two
@@ -16,28 +20,16 @@ shared backward recursion of :mod:`slqheat.forward`:
   differ by O(tau) uniformly in time, which the adjoint-gap study
   measures.
 
-Conditioning on F_{t_n} is exact on the scenario tree (subtree means) and
-estimated by ridge-regularized least squares on Monte Carlo ensembles
-(features: constant, leading eigenbasis coordinates of the state, and the
-Brownian value at t_n).
+All conditioning goes through :func:`condexp`: exact subtree means on the
+scenario tree, and ridge-regularized least squares on Monte Carlo
+ensembles (features: constant, leading eigenbasis coordinates of the
+state, and the Brownian value at t_n).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import AdaptedProcess, a0_apply, backward_kernel
+from .forward import AdaptedProcess, backward_kernel
 from .noise import tree_condexp
-
-
-@dataclass
-class TreeExact:
-    """Exact conditional expectations by subtree averaging (trees only)."""
-
-    def condexp(self, driver, targets, n, state=None):
-        if driver.kind != "tree":
-            raise ValueError("TreeExact only conditions scenario-tree data")
-        return tree_condexp(targets, driver.grid.n_steps, n)
 
 
 def regression_condexp(features, targets, ridge=1e-10):
@@ -58,64 +50,63 @@ def regression_condexp(features, targets, ridge=1e-10):
     return beta, F @ beta
 
 
-@dataclass
-class RegressionCondexp:
-    """Least-squares Monte Carlo conditioning for Gaussian ensembles.
+def condexp(data, driver, values, level, n, state=None):
+    """E[values | F_{t_n}] for per-scenario values living at time index ``level``.
 
-    The regression basis at time t_n is [1, xhat_1, ..., xhat_m, W(t_n)]
-    where xhat_i are the leading eigenbasis coordinates of the state slice
-    (m = min(n_modes, d)).  The exact conditional expectations of this
-    problem are affine in the state coordinates, so the linear basis is
-    adequate; the small ridge keeps degenerate slices (e.g. t_0, where all
-    paths coincide) solvable.
+    On a scenario tree this is the exact subtree average of the
+    level-``level`` node values over the level-``n`` nodes.  On an
+    ensemble it is the least-squares regression (ridge 1e-10, which keeps
+    degenerate slices such as t_0, where all paths coincide, solvable) on
+    [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the leading
+    m = min(4, d) eigenbasis coordinates of ``state`` at t_n.
+
+    Raises
+    ------
+    ValueError
+        On an ensemble without ``state``: the regression features need it.
     """
-
-    n_modes: int = 4
-    ridge: float = 1e-10
-    include_brownian: bool = True
-
-    def features(self, driver, state, n):
-        cols = [np.ones(driver.n_scenarios(n))]
-        if state is not None:
-            # the process does not carry its space, so it is wired in once
-            # through bind_space before use
-            if getattr(self, "_space", None) is None:
-                raise ValueError("RegressionCondexp needs bind_space(space) before use")
-            m = min(self.n_modes, self._space.dim)
-            coords = self._space.to_eigen(state.at(n))[:, :m]
-            cols.extend(coords.T)
-        if self.include_brownian:
-            cols.append(driver.brownian(n))
-        return np.column_stack(cols)
-
-    def bind_space(self, space):
-        self._space = space
-        return self
-
-    def condexp(self, driver, targets, n, state=None):
-        F = self.features(driver, state, n)
-        _, pred = regression_condexp(F, targets, self.ridge)
-        return pred
+    if driver.kind == "tree":
+        return tree_condexp(values, level, n)
+    if state is None:
+        raise ValueError("conditioning on an ensemble regresses on the state; pass state")
+    # the exact conditional expectations are affine in the state
+    # coordinates, so a linear basis in a few leading modes is adequate
+    m = min(4, data.space.dim)
+    coords = data.space.to_eigen(state.at(n))[:, :m]
+    features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
+    return regression_condexp(features, values)[1]
 
 
-@dataclass
-class AdjointOutput:
-    """Bundle of the gradient kernel and backward-equation solutions."""
+def apply_L_adjoint(data, driver, xi):
+    """Adjoint of the control-to-state map in the tau-weighted pairing.
 
-    q: AdaptedProcess
-    y0: AdaptedProcess
-    zbar0: AdaptedProcess
+    ``xi`` must cover time indices 1..N.  Returns the process with slices
+    (L* xi)(t_n) = tau E[ sum_{j>n} A0^{j-n} prod m (xi_j) | F_n ] for
+    n = 0..N-1, computed by the shared backward kernel followed by one
+    conditioning per slice (exact trees only: there is no state to
+    regress on).
+    """
+    N, tau = data.grid.n_steps, data.grid.tau
+    out = [None] * N
+    for n, G in backward_kernel(data, driver, xi.at, None, product_offset=2):
+        out[n] = tau * condexp(data, driver, G, N, n)
+    return AdaptedProcess(driver, 0, out)
 
 
-def _condition(driver, est, pathwise, n, state):
-    if est is not None:
-        return est.condexp(driver, pathwise, n, state=state)
-    if driver.kind != "tree":
-        raise ValueError("ensemble drivers need an explicit conditional-expectation estimator")
-    return driver.condexp(pathwise, n)
+def apply_Lhat_adjoint(data, driver, eta):
+    """Adjoint of the terminal-value map U -> (L U)(t_N).
+
+    ``eta`` is a terminal (time t_N) array; slices run over n = 0..N-1
+    without the tau weight.
+    """
+    N = data.grid.n_steps
+    out = [None] * N
+    for n, G in backward_kernel(data, driver, None, eta, product_offset=2):
+        out[n] = condexp(data, driver, G, N, n)
+    return AdaptedProcess(driver, 0, out)
 
 
-def k_htau_sweep(data, driver, state, est=None):
+def k_htau_sweep(data, driver, state):
     """Yield (n, Q_n) slices of the gradient kernel from n = N-1 down to 0.
 
     Q_n = -E[ tau sum_{j>n} A0^{j-n} prod m (X_j) | F_n ]
@@ -130,18 +121,18 @@ def k_htau_sweep(data, driver, state, est=None):
     v_at = lambda n: -tau * state.at(n)
     eta = -alpha * np.asarray(state.at(N))
     for n, G in backward_kernel(data, driver, v_at, eta, product_offset=2):
-        yield n, _condition(driver, est, G, n, state)
+        yield n, condexp(data, driver, G, N, n, state)
 
 
-def k_htau(data, driver, state, est=None):
+def k_htau(data, driver, state):
     """Gradient kernel K X as an adapted process over n = 0..N-1."""
     out = [None] * data.grid.n_steps
-    for n, q in k_htau_sweep(data, driver, state, est):
+    for n, q in k_htau_sweep(data, driver, state):
         out[n] = q
     return AdaptedProcess(driver, 0, out)
 
 
-def implicit_euler_bsde(data, driver, state, est=None):
+def implicit_euler_bsde(data, driver, state):
     """Implicit Euler solution (Y0, Zbar0) of the backward equation.
 
     Y0 satisfies Y0(t_N) = -alpha X(T) and, slice by slice,
@@ -167,30 +158,18 @@ def implicit_euler_bsde(data, driver, state, est=None):
     y_vals = [None] * (N + 1)
     y_vals[N] = np.array(terminal)
     for n, G in backward_kernel(data, driver, v_at, terminal, product_offset=1):
-        y_vals[n] = _condition(driver, est, G, n, state)
+        y_vals[n] = condexp(data, driver, G, N, n, state)
     y0 = AdaptedProcess(driver, 0, y_vals)
 
     z_vals = [None] * N
     for n in range(N):
         mart = y_vals[n + 1] - tau * np.asarray(state.at(n + 1))
         dw = driver.increments_at(n + 1)[:, None]
-        target = mart * dw
-        if driver.kind == "tree" and est is None:
-            z = tree_condexp(target, n + 1, n)
-        else:
-            z = _condition(driver, est, driver.to_pathwise(target, n + 1), n, state)
-        z_vals[n] = z / tau
+        z_vals[n] = condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return y0, AdaptedProcess(driver, 0, z_vals)
 
 
-def solve_adjoint(data, driver, state, est=None):
-    """Convenience wrapper computing the kernel and the backward solution."""
-    q = k_htau(data, driver, state, est)
-    y0, zbar0 = implicit_euler_bsde(data, driver, state, est)
-    return AdjointOutput(q=q, y0=y0, zbar0=zbar0)
-
-
-def bsde_residual(data, driver, state, y0, zbar0, est=None):
+def bsde_residual(data, driver, state, y0, zbar0):
     """Largest martingale-identity residual of a backward-equation solution.
 
     For each n the identity
@@ -207,29 +186,23 @@ def bsde_residual(data, driver, state, y0, zbar0, est=None):
     worst = 0.0
     for n in range(N):
         lhs = y0.at(n) + tau * space.mass_solve(np.asarray(y0.at(n)) @ space.stiffness)
-        nxt = np.asarray(y0.at(n + 1))
-        xnxt = np.asarray(state.at(n + 1))
-        if driver.kind == "tree" and est is None:
-            e_y = tree_condexp(nxt, n + 1, n)
-            e_x = tree_condexp(xnxt, n + 1, n)
-        else:
-            e_y = _condition(driver, est, driver.to_pathwise(nxt, n + 1), n, state)
-            e_x = _condition(driver, est, driver.to_pathwise(xnxt, n + 1), n, state)
+        e_y = condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
+        e_x = condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
         defect = lhs - e_y + tau * e_x - tau * np.asarray(zbar0.at(n))
         norms = np.sqrt(((defect @ space.mass) * defect).sum(axis=1))
         worst = max(worst, float(norms.max()))
     return worst
 
 
-def adjoint_gap(data, driver, state, est=None):
+def adjoint_gap(data, driver, state):
     """Gap sup_n (E ||Y0(t_n) - Q(t_n)||_M^2)^{1/2} between the two objects.
 
     First order in tau for admissible state processes, which the
     adjoint-gap study confirms empirically.
     """
     space = data.space
-    q = k_htau(data, driver, state, est)
-    y0, _ = implicit_euler_bsde(data, driver, state, est)
+    q = k_htau(data, driver, state)
+    y0, _ = implicit_euler_bsde(data, driver, state)
     worst = 0.0
     for n in range(data.grid.n_steps):
         diff = np.asarray(y0.at(n)) - np.asarray(q.at(n))

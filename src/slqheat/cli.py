@@ -9,27 +9,21 @@ configuration.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .experiments import ExperimentConfig, STUDIES, resolve_config, run_study
 
-_INT_KEYS = {"n_elems", "time_steps", "mesh_ref", "n_ref", "n_paths", "seed", "max_iters", "k_fine"}
-_FLOAT_KEYS = {"horizon", "alpha", "sigma_scale", "kappa", "tol_grad"}
-_TUPLE_KEYS = {"mesh_levels", "time_levels"}
-_STR_KEYS = {"study", "noise", "driver", "kappa_mode", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _TUPLE_KEYS | _STR_KEYS
+# config key -> annotated type (int, float, str, or tuple of ints)
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _coerce(key, raw):
     raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _TUPLE_KEYS:
+    if _FIELD_TYPES[key] is tuple:
         parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
         return tuple(int(p) for p in parts)
-    return raw
+    return _FIELD_TYPES[key](raw)
 
 
 def parse_config_text(text):
@@ -47,7 +41,7 @@ def parse_config_text(text):
             raise ValueError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: repeated config key {key!r}")
@@ -120,11 +114,9 @@ def main(argv=None):
         values = load_config(args.config) if args.config else {}
     except ValueError as exc:
         parser.error(str(exc))
-    values["study"] = args.study
-    for key in ("n_elems", "time_steps", "driver", "n_paths", "seed", "alpha",
-                "horizon", "kappa", "max_iters", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
+    # flags (and the positional study) override config values
+    for key, flag in vars(args).items():
+        if key in _FIELD_TYPES and flag is not None:
             values[key] = flag
     try:
         cfg = resolve_config(ExperimentConfig(**values))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .adjoint import RegressionCondexp, adjoint_gap
+from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
 from .mesh import build_fem_space, l2_norm_sq_batch, prolongation_matrix, ritz_project
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
@@ -128,6 +128,8 @@ def resolve_config(cfg):
             if list(levels) != sorted(levels):
                 raise ValueError(f"{name} must be sorted ascending, got {levels}")
             cfg = replace(cfg, **{name: levels})
+    if cfg.driver == "mc" and cfg.n_paths is not None and cfg.n_paths < 2:
+        raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
     if cfg.driver == "tree":
         steps = max(
             [cfg.time_steps or 0]
@@ -230,23 +232,48 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _ensure_out(cfg):
+def _write_outputs(cfg, started, tables, summary):
+    """Write the named CSV texts, then the manifest with the wall time since ``started``."""
     os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    for name, text in tables.items():
+        _write_text_atomic(os.path.join(cfg.out, name), text)
+    _write_manifest(cfg.out, cfg, time.perf_counter() - started, extra=summary)
 
 
-def _gd_config(cfg, data, driver, est=None):
+def _write_rate_tables(cfg, started, ctrl_rows, state_rows):
+    """Write the control (rates.csv) and state (rates_state.csv) tables."""
+    ctrl_table, state_table = RateTable(ctrl_rows), RateTable(state_rows)
+    _write_outputs(
+        cfg,
+        started,
+        {"rates.csv": ctrl_table.to_csv(), "rates_state.csv": state_table.to_csv()},
+        {"eoc_control": ctrl_table.eocs()[1:], "eoc_state": state_table.eocs()[1:]},
+    )
+    return ctrl_table, state_table
+
+
+def _problem(cfg, space, grid):
+    """The study's problem data (default data functions scaled by sigma_scale)."""
+    return make_problem(
+        space,
+        grid,
+        alpha=cfg.alpha,
+        sigma_spec=default_sigma_spec(scale=cfg.sigma_scale),
+        noise=cfg.noise,
+    )
+
+
+def _gd_config(cfg, data, driver):
     kappa = cfg.kappa
     allow_low = cfg.kappa is not None
     if kappa is None and cfg.kappa_mode == "estimate":
         # power iteration converges from below; keep a safety margin
-        kappa = 1.01 * estimate_operator_norm(data, driver, est=est, n_iters=30, seed=cfg.seed)
+        kappa = 1.01 * estimate_operator_norm(data, driver, n_iters=30, seed=cfg.seed)
         allow_low = True
     return GdConfig(
         kappa=kappa,
         max_iters=cfg.max_iters if cfg.max_iters is not None else 60,
         tol_grad=cfg.tol_grad,
-        est=est,
         allow_low_kappa=allow_low,
     )
 
@@ -358,17 +385,7 @@ def run_spatial_rate(cfg):
             ctrl_sq, grad_sq = _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c)
         ctrl_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(ctrl_sq, 0.0))), None))
         state_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(grad_sq, 0.0))), None))
-    ctrl_table, state_table = RateTable(ctrl_rows), RateTable(state_rows)
-    out = _ensure_out(cfg)
-    _write_text_atomic(os.path.join(out, "rates.csv"), ctrl_table.to_csv())
-    _write_text_atomic(os.path.join(out, "rates_state.csv"), state_table.to_csv())
-    _write_manifest(
-        out,
-        cfg,
-        time.perf_counter() - started,
-        extra={"eoc_control": ctrl_table.eocs()[1:], "eoc_state": state_table.eocs()[1:]},
-    )
-    return ctrl_table, state_table
+    return _write_rate_tables(cfg, started, ctrl_rows, state_rows)
 
 
 # ----------------------------------------------------------- temporal rate
@@ -384,11 +401,8 @@ def _coarsen_to(driver, n_steps):
 
 
 def _solve_on_paths(cfg, data, driver):
-    est = RegressionCondexp(n_modes=4)
-    est.bind_space(data.space)
-    u, _ = gradient_descent(data, driver, _gd_config(cfg, data, driver, est=est))
-    state = solve_forward(data, driver, u)
-    return u, state
+    u, _ = gradient_descent(data, driver, _gd_config(cfg, data, driver))
+    return u, solve_forward(data, driver, u)
 
 
 def run_temporal_rate(cfg):
@@ -410,13 +424,7 @@ def run_temporal_rate(cfg):
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
     grid_ref = make_time_grid(cfg.horizon, cfg.n_ref)
-    data_ref = make_problem(
-        space,
-        grid_ref,
-        alpha=cfg.alpha,
-        sigma_spec=default_sigma_spec(scale=cfg.sigma_scale),
-        noise=cfg.noise,
-    )
+    data_ref = _problem(cfg, space, grid_ref)
     if cfg.driver != "mc":
         raise ValueError("temporal study uses common-path ensembles; set driver=mc")
     fine_driver = gaussian_driver(grid_ref, cfg.n_paths, cfg.seed)
@@ -453,17 +461,7 @@ def run_temporal_rate(cfg):
         state_rows.append((lvl, tau_lvl, err_state, se_state))
         u_lvl = x_lvl = None
 
-    ctrl_table, state_table = RateTable(ctrl_rows), RateTable(state_rows)
-    out = _ensure_out(cfg)
-    _write_text_atomic(os.path.join(out, "rates.csv"), ctrl_table.to_csv())
-    _write_text_atomic(os.path.join(out, "rates_state.csv"), state_table.to_csv())
-    _write_manifest(
-        out,
-        cfg,
-        time.perf_counter() - started,
-        extra={"eoc_control": ctrl_table.eocs()[1:], "eoc_state": state_table.eocs()[1:]},
-    )
-    return ctrl_table, state_table
+    return _write_rate_tables(cfg, started, ctrl_rows, state_rows)
 
 
 # ---------------------------------------------------------- gd convergence
@@ -485,13 +483,7 @@ def run_gd_convergence(cfg):
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
-    data = make_problem(
-        space,
-        grid,
-        alpha=cfg.alpha,
-        sigma_spec=default_sigma_spec(scale=cfg.sigma_scale),
-        noise=cfg.noise,
-    )
+    data = _problem(cfg, space, grid)
     driver = TreeDriver(grid)
     u_star = direct_solve(data, driver)
     j_star = cost(data, solve_forward(data, driver, u_star), u_star)
@@ -508,13 +500,11 @@ def run_gd_convergence(cfg):
         lines.append(
             ",".join([str(i), _fmt(c), _fmt(g), _fmt(e), _fmt(ratio), _fmt(env[i])])
         )
-    out = _ensure_out(cfg)
-    _write_text_atomic(os.path.join(out, "trace.csv"), "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
+    _write_outputs(
         cfg,
-        time.perf_counter() - started,
-        extra={
+        started,
+        {"trace.csv": "\n".join(lines) + "\n"},
+        {
             "kappa": trace.kappa,
             "iterations": len(trace.cost),
             "j_star": j_star,
@@ -544,10 +534,10 @@ def run_riccati_crosscheck(cfg):
     cfg = resolve_config(cfg)
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
-    spec = default_sigma_spec(scale=cfg.sigma_scale)
-    ric = solve_phi(space, solve_riccati(space, cfg.horizon, cfg.alpha, k_fine=cfg.k_fine), spec)
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
-    data = make_problem(space, grid, alpha=cfg.alpha, sigma_spec=spec, noise=cfg.noise)
+    data = _problem(cfg, space, grid)
+    ric = solve_riccati(space, cfg.horizon, cfg.alpha, k_fine=cfg.k_fine)
+    ric = solve_phi(space, ric, data.sigma_spec)
 
     entries = []
     v = value_function(ric, data.x0)
@@ -594,13 +584,11 @@ def run_riccati_crosscheck(cfg):
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
 
     lines = ["name,value"] + [f"{name},{_fmt(val)}" for name, val in entries]
-    out = _ensure_out(cfg)
-    _write_text_atomic(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
+    _write_outputs(
         cfg,
-        time.perf_counter() - started,
-        extra={
+        started,
+        {"report.csv": "\n".join(lines) + "\n"},
+        {
             "rel_diff_value_vs_moments": rel,
             "mc_within_3se": bool(abs(v - j_mc) <= 3.0 * se),
             "gap_monotone": bool(monotone),
@@ -630,25 +618,17 @@ def run_adjoint_gap(cfg):
     rows = []
     for lvl in cfg.time_levels:
         grid = make_time_grid(cfg.horizon, lvl)
-        data = make_problem(
-            space,
-            grid,
-            alpha=cfg.alpha,
-            sigma_spec=default_sigma_spec(scale=cfg.sigma_scale),
-            noise=cfg.noise,
-        )
+        data = _problem(cfg, space, grid)
         driver = TreeDriver(grid)
         state = solve_forward(data, driver)
         gap = adjoint_gap(data, driver, state)
         rows.append((lvl, cfg.horizon / lvl, gap * gap, None))
     table = RateTable(rows)
-    out = _ensure_out(cfg)
-    _write_text_atomic(os.path.join(out, "rates.csv"), table.to_csv())
-    _write_manifest(
-        out,
+    _write_outputs(
         cfg,
-        time.perf_counter() - started,
-        extra={"eoc": table.eocs()[1:], "positive": bool(min(r[2] for r in rows) > 0)},
+        started,
+        {"rates.csv": table.to_csv()},
+        {"eoc": table.eocs()[1:], "positive": bool(min(r[2] for r in rows) > 0)},
     )
     return table
 

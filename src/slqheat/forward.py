@@ -16,7 +16,7 @@ propagates the initial datum, L the control, and f the inhomogeneous
 noise; all three are the same recursion with parts of the data masked
 out, so one kernel drives everything.
 
-The adjoints L* and Lhat* (and the gradient kernel built on them in
+The adjoints L* and Lhat* and the gradient kernel (all in
 :mod:`slqheat.adjoint`) share a single pathwise backward recursion: with
 V a process, eta a terminal value and multipliers m_k = 1 + dW_k (linear
 noise; m_k = 1 for additive),
@@ -25,17 +25,17 @@ noise; m_k = 1 for additive),
     G_n = A0 (V_{n+1} + m_{n+2} G_{n+1}),   products starting two past n,
     G_n = A0 m_{n+1} (V_{n+1} + G_{n+1}),   products starting one past n,
 
-after which conditioning G_n on time t_n yields the adjoint slice.  The
-two product offsets distinguish the gradient/adjoint operators from the
-implicit-Euler backward-equation solution.
+after which conditioning G_n on time t_n (done in :mod:`slqheat.adjoint`)
+yields the adjoint slice.  The two product offsets distinguish the
+gradient/adjoint operators from the implicit-Euler backward-equation
+solution.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mesh import l2_project, ritz_project
-from .noise import make_time_grid
 
 
 @dataclass
@@ -131,6 +131,8 @@ class ProblemData:
 
     ``sigma`` has N + 1 slots (slice n is sigma(t_n)); the forward scheme
     reads slots 0..N-1 and the terminal slot rides along for diagnostics.
+    ``profile`` is the scaled projected noise profile, sigma(t_n) =
+    time_factor(t_n) * profile.
     """
 
     space: object
@@ -138,15 +140,14 @@ class ProblemData:
     alpha: float
     x0: np.ndarray
     sigma: np.ndarray
+    profile: np.ndarray
     sigma_spec: SigmaSpec
     noise: str = "linear"
 
     def with_grid(self, grid):
         """Same problem on another time grid (sigma re-sampled in time)."""
         tf = np.array([self.sigma_spec.time_factor(t) for t in grid.nodes])
-        profile = self.sigma[0] / self.sigma_spec.time_factor(self.grid.nodes[0]) \
-            if self.sigma_spec.scale != 0 else np.zeros_like(self.x0)
-        return replace(self, grid=grid, sigma=np.outer(tf, profile))
+        return replace(self, grid=grid, sigma=np.outer(tf, self.profile))
 
 
 def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projection="ritz"):
@@ -188,7 +189,8 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projec
     tf = np.array([sigma_spec.time_factor(t) for t in grid.nodes])
     sigma = sigma_spec.scale * np.outer(tf, prof)
     return ProblemData(
-        space=space, grid=grid, alpha=alpha, x0=x0, sigma=sigma, sigma_spec=sigma_spec, noise=noise
+        space=space, grid=grid, alpha=alpha, x0=x0, sigma=sigma,
+        profile=sigma_spec.scale * prof, sigma_spec=sigma_spec, noise=noise,
     )
 
 
@@ -318,41 +320,3 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
                 G = G * (1.0 + driver.pathwise_increment(n + 1))[:, None]
         G = a0_apply(space, tau, G)
         yield n, G
-
-
-def _condition(driver, est, pathwise, n, state=None):
-    """Condition a pathwise slice on time t_n, exactly or via regression."""
-    if est is not None:
-        return est.condexp(driver, pathwise, n, state=state)
-    if driver.kind != "tree":
-        raise ValueError(
-            "ensemble drivers need an explicit conditional-expectation estimator"
-        )
-    return driver.condexp(pathwise, n)
-
-
-def apply_L_adjoint(data, driver, xi, est=None):
-    """Adjoint of the control-to-state map in the tau-weighted pairing.
-
-    ``xi`` must cover time indices 1..N.  Returns the process with slices
-    (L* xi)(t_n) = tau E[ sum_{j>n} A0^{j-n} prod m (xi_j) | F_n ] for
-    n = 0..N-1, computed by the shared backward kernel followed by one
-    conditioning per slice.
-    """
-    tau = data.grid.tau
-    out = [None] * data.grid.n_steps
-    for n, G in backward_kernel(data, driver, xi.at, None, product_offset=2):
-        out[n] = tau * _condition(driver, est, G, n)
-    return AdaptedProcess(driver, 0, out)
-
-
-def apply_Lhat_adjoint(data, driver, eta, est=None):
-    """Adjoint of the terminal-value map U -> (L U)(t_N).
-
-    ``eta`` is a terminal (time t_N) array; slices run over n = 0..N-1
-    without the tau weight.
-    """
-    out = [None] * data.grid.n_steps
-    for n, G in backward_kernel(data, driver, None, eta, product_offset=2):
-        out[n] = _condition(driver, est, G, n)
-    return AdaptedProcess(driver, 0, out)

@@ -7,16 +7,18 @@ scheme:
   Level n holds 2^n nodes; node s at level n has children 2s and 2s+1 at
   level n+1, and the step-(n+1) increment attached to a child is read off
   its last bit (odd child -> +sqrt(tau), even child -> -sqrt(tau)).
-  Conditional expectations are exact subtree averages, so every quantity
-  computed on the tree is free of sampling error.
+  Conditional expectations are exact subtree averages (``tree_condexp``),
+  so every quantity computed on the tree is free of sampling error.
 
 * ``EnsembleDriver`` -- Monte Carlo paths of Gaussian increments with a
   counter-based generator, so path p is the same no matter how many paths
   are drawn or in which chunks.
 
-Both expose the same small protocol (``n_scenarios``, ``increments_at``,
-``child_expand``, ``to_pathwise``, ``pathwise_increment``, ``brownian``)
-consumed by the forward and adjoint recursions.
+Both expose the same small protocol (``kind``, ``n_scenarios``,
+``increments_at``, ``child_expand``, ``to_pathwise``,
+``pathwise_increment``, ``brownian``) consumed by the forward and adjoint
+recursions; ``kind`` ("tree" or "ensemble") tells
+:func:`slqheat.adjoint.condexp` whether to average subtrees or regress.
 """
 
 from dataclasses import dataclass, field
@@ -121,10 +123,6 @@ class TreeDriver:
                 prev = self._brownian_cache[k - 1]
                 self._brownian_cache.append(np.repeat(prev, 2) + self.increments_at(k))
         return self._brownian_cache[level]
-
-    def condexp(self, pathwise_values, level):
-        """Condition leaf-level data on the level-``level`` nodes (exact)."""
-        return tree_condexp(pathwise_values, self.grid.n_steps, level)
 
 
 @dataclass

@@ -92,10 +92,10 @@ def cost_with_stderr(data, state, control):
     return value, se
 
 
-def gradient(data, driver, control, est=None):
+def gradient(data, driver, control):
     """DJ(U) = U - K X(U) as an adapted process over 0..N-1."""
     state = solve_forward(data, driver, control)
-    return control - k_htau(data, driver, state, est)
+    return control - k_htau(data, driver, state)
 
 
 def kappa_bound(horizon, alpha):
@@ -121,7 +121,6 @@ class GdConfig:
     kappa: float = None
     max_iters: int = 200
     tol_grad: float = None
-    est: object = None
     u0: AdaptedProcess = None
     allow_low_kappa: bool = False
 
@@ -208,7 +207,7 @@ def gradient_descent(data, driver, cfg, reference=None):
         # fused kernel sweep and update: g_n = u_n - Q_n, u_n -= g_n / kappa
         grad_sq = 0.0
         per_path = None
-        for n, q in k_htau_sweep(data, driver, state, cfg.est):
+        for n, q in k_htau_sweep(data, driver, state):
             g = u.at(n) - q
             rows = l2_norm_sq_batch(space, g)
             grad_sq += tau * float(rows.mean())
@@ -228,7 +227,7 @@ def gradient_descent(data, driver, cfg, reference=None):
     return u, trace
 
 
-def direct_solve(data, driver, est=None, tol=1e-12, return_info=False):
+def direct_solve(data, driver, tol=1e-12, return_info=False):
     """Conjugate-gradient solve of the discrete optimality system.
 
     The optimal control satisfies (1 + L*L + alpha Lhat*Lhat) U = K X^0,
@@ -254,10 +253,10 @@ def direct_solve(data, driver, est=None, tol=1e-12, return_info=False):
         raise ValueError(f"optimality system too large ({n_unknowns} unknowns)")
 
     def apply_n(v):
-        return v - k_htau(data, driver, apply_L(data, driver, v), est)
+        return v - k_htau(data, driver, apply_L(data, driver, v))
 
     x0_state = solve_forward(data, driver, control=None)
-    rhs = k_htau(data, driver, x0_state, est)
+    rhs = k_htau(data, driver, x0_state)
     rhs_norm = float(np.sqrt(control_norm_sq(data, rhs)))
     u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
     if rhs_norm == 0.0:
@@ -282,7 +281,7 @@ def direct_solve(data, driver, est=None, tol=1e-12, return_info=False):
     )
 
 
-def estimate_operator_norm(data, driver, est=None, n_iters=30, seed=0):
+def estimate_operator_norm(data, driver, n_iters=30, seed=0):
     """Power-iteration estimate of the cost Hessian norm ||1 + L*L + alpha Lhat*Lhat||.
 
     A tighter kappa than kappa_bound (pass it with allow_low_kappa=True;
@@ -296,7 +295,7 @@ def estimate_operator_norm(data, driver, est=None, n_iters=30, seed=0):
     v = AdaptedProcess(driver, 0, vals)
 
     def apply_n(w):
-        return w - k_htau(data, driver, apply_L(data, driver, w), est)
+        return w - k_htau(data, driver, apply_L(data, driver, w))
 
     v = (1.0 / np.sqrt(control_norm_sq(data, v))) * v
     rayleigh = 1.0

@@ -128,3 +128,26 @@ def pairing_state(space, driver, proc_a_path, proc_b_path, tau):
         inner = ((proc_a_path[n] @ space.mass) * proc_b_path[n]).sum(axis=1)
         total += tau * inner.mean()
     return total
+
+
+def regression_features(space, driver, state, n, n_modes=4):
+    """Regression basis [1, xhat_1, ..., xhat_m, W(t_n)] on an ensemble slice.
+
+    Verbatim copy of the basis of the former ``RegressionCondexp``
+    estimator (m = min(n_modes, d) leading eigenbasis coordinates of the
+    state), kept as the equivalence oracle for ``adjoint.condexp``.
+    """
+    cols = [np.ones(driver.n_scenarios(n))]
+    m = min(n_modes, space.dim)
+    coords = space.to_eigen(state.at(n))[:, :m]
+    cols.extend(coords.T)
+    cols.append(driver.brownian(n))
+    return np.column_stack(cols)
+
+
+def regression_condexp(space, driver, state, targets, n, ridge=1e-10):
+    """Ensemble E[targets | F_n]: ridge normal equations on regression_features."""
+    F = regression_features(space, driver, state, n)
+    Y = np.asarray(targets, dtype=float)
+    gram = F.T @ F + ridge * np.eye(F.shape[1])
+    return F @ np.linalg.solve(gram, F.T @ Y)

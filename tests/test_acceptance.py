@@ -19,12 +19,10 @@ import time
 import numpy as np
 
 import oracles
-from slqheat.adjoint import k_htau
+from slqheat.adjoint import apply_L_adjoint, apply_Lhat_adjoint, k_htau
 from slqheat.forward import (
     AdaptedProcess,
     apply_L,
-    apply_L_adjoint,
-    apply_Lhat_adjoint,
     default_sigma_spec,
     make_problem,
     solve_forward,

@@ -4,21 +4,20 @@ from numpy.testing import assert_allclose
 
 import oracles
 from slqheat.adjoint import (
-    RegressionCondexp,
-    TreeExact,
     adjoint_gap,
+    apply_L_adjoint,
+    apply_Lhat_adjoint,
     bsde_residual,
+    condexp,
     implicit_euler_bsde,
     k_htau,
     k_htau_sweep,
     regression_condexp,
-    solve_adjoint,
 )
 from slqheat.forward import (
     AdaptedProcess,
     a0_apply,
-    apply_L_adjoint,
-    apply_Lhat_adjoint,
+    backward_kernel,
     make_problem,
     solve_forward,
 )
@@ -138,24 +137,12 @@ def test_adjoint_gap_nonzero_with_terminal_weight():
     assert adjoint_gap(data, drv, X) > 1e-8
 
 
-def test_solve_adjoint_bundles_components():
+def test_condexp_is_exact_subtree_average_on_tree():
     space, grid, data, drv = tree_setup()
-    X = solve_forward(data, drv)
-    out = solve_adjoint(data, drv, X)
-    assert_allclose(out.q.at(0), k_htau(data, drv, X).at(0), atol=1e-14)
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
-    assert_allclose(out.y0.at(2), y0.at(2), atol=1e-14)
-    assert_allclose(out.zbar0.at(1), zbar0.at(1), atol=1e-14)
-
-
-def test_tree_exact_estimator_validates_driver():
-    space, grid, data, drv = tree_setup()
-    est = TreeExact()
     vals = np.arange(8.0)[:, None]
-    assert_allclose(est.condexp(drv, vals, 1), tree_condexp(vals, 3, 1))
-    ens = gaussian_driver(grid, 4, seed=0)
-    with pytest.raises(ValueError):
-        est.condexp(ens, vals, 1)
+    assert_allclose(condexp(data, drv, vals, 3, 1), tree_condexp(vals, 3, 1))
+    # data living at an intermediate level condition the same way
+    assert_allclose(condexp(data, drv, vals[:4], 2, 0), [[1.5]])
 
 
 def test_regression_condexp_recovers_affine_targets():
@@ -182,11 +169,10 @@ def test_regression_estimator_exact_for_affine_functionals():
     data = make_problem(space, grid)
     drv = gaussian_driver(grid, 300, seed=4)
     X = solve_forward(data, drv)
-    est = RegressionCondexp(n_modes=3).bind_space(space)
     n = 3
-    coords = space.to_eigen(X.at(n))[:, :3]
-    target = 2.0 + coords @ np.array([1.0, -1.0, 0.5]) + 0.25 * drv.brownian(n)
-    pred = est.condexp(drv, target[:, None], n, state=X)
+    coords = space.to_eigen(X.at(n))[:, :4]
+    target = 2.0 + coords @ np.array([1.0, -1.0, 0.5, 2.0]) + 0.25 * drv.brownian(n)
+    pred = condexp(data, drv, target[:, None], n, n, X)
     assert_allclose(pred[:, 0], target, atol=1e-6)
 
 
@@ -197,23 +183,20 @@ def test_regression_estimator_constant_slice_at_time_zero():
     data = make_problem(space, grid)
     drv = gaussian_driver(grid, 500, seed=5)
     X = solve_forward(data, drv)
-    est = RegressionCondexp().bind_space(space)
     rng = np.random.default_rng(6)
     targets = rng.standard_normal((500, space.dim))
-    pred = est.condexp(drv, targets, 0, state=X)
+    pred = condexp(data, drv, targets, 0, 0, X)
     assert np.abs(pred - pred[0]).max() < 1e-8
     assert_allclose(pred[0], targets.mean(axis=0), atol=1e-6)
 
 
-def test_regression_estimator_requires_space_binding():
+def test_regression_estimator_requires_state():
     space = build_fem_space(5)
     grid = make_time_grid(1.0, 4)
     data = make_problem(space, grid)
     drv = gaussian_driver(grid, 50, seed=7)
-    X = solve_forward(data, drv)
-    est = RegressionCondexp()
-    with pytest.raises(ValueError, match="bind_space"):
-        est.condexp(drv, np.ones((50, space.dim)), 1, state=X)
+    with pytest.raises(ValueError, match="state"):
+        condexp(data, drv, np.ones((50, space.dim)), 1, 1)
 
 
 def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():
@@ -228,9 +211,53 @@ def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():
 
     drv = gaussian_driver(grid, 4000, seed=8)
     X = solve_forward(data, drv)
-    est = RegressionCondexp().bind_space(space)
-    q_mc = k_htau(data, drv, X, est=est).at(0)
+    q_mc = k_htau(data, drv, X).at(0)
     # the slice is constant across paths (features are degenerate at t_0)
     assert np.abs(q_mc - q_mc[0]).max() < 1e-8
     err = np.abs(q_mc[0] - q_tree).max()
     assert err < 0.02, f"MC kernel at t=0 off by {err}"
+
+
+def ensemble_setup(alpha=0.8, noise="linear"):
+    space = build_fem_space(9)
+    grid = make_time_grid(1.0, 6)
+    data = make_problem(space, grid, alpha=alpha, noise=noise)
+    drv = gaussian_driver(grid, 200, seed=11)
+    return space, grid, data, drv, solve_forward(data, drv)
+
+
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_k_htau_on_ensemble_matches_regression_oracle(noise):
+    space, grid, data, drv, X = ensemble_setup(noise=noise)
+    N, tau = grid.n_steps, grid.tau
+    Q = k_htau(data, drv, X)
+    v_at = lambda n: -tau * X.at(n)
+    eta = -data.alpha * X.at(N)
+    for n, G in backward_kernel(data, drv, v_at, eta, product_offset=2):
+        expected = oracles.regression_condexp(space, drv, X, G, n)
+        assert_allclose(Q.at(n), expected, rtol=0, atol=1e-12)
+
+
+def test_bsde_on_ensemble_matches_regression_oracle():
+    space, grid, data, drv, X = ensemble_setup()
+    N, tau = grid.n_steps, grid.tau
+    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y_ref = [None] * (N + 1)
+    y_ref[N] = -data.alpha * X.at(N)
+    v_at = lambda n: -tau * X.at(n)
+    for n, G in backward_kernel(data, drv, v_at, y_ref[N], product_offset=1):
+        y_ref[n] = oracles.regression_condexp(space, drv, X, G, n)
+    worst = 0.0
+    for n in range(N):
+        target = (y_ref[n + 1] - tau * X.at(n + 1)) * drv.increments_at(n + 1)[:, None]
+        z_ref = oracles.regression_condexp(space, drv, X, target, n) / tau
+        assert_allclose(y0.at(n), y_ref[n], rtol=0, atol=1e-12)
+        assert_allclose(zbar0.at(n), z_ref, rtol=0, atol=1e-12)
+        # martingale-identity defect with the oracle conditioning
+        lhs = y0.at(n) + tau * space.mass_solve(y0.at(n) @ space.stiffness)
+        e_y = oracles.regression_condexp(space, drv, X, y0.at(n + 1), n)
+        e_x = oracles.regression_condexp(space, drv, X, X.at(n + 1), n)
+        defect = lhs - e_y + tau * e_x - tau * zbar0.at(n)
+        worst = max(worst, float(np.sqrt(((defect @ space.mass) * defect).sum(axis=1)).max()))
+    assert worst > 0.0  # regression is not exact, so the identity has a defect
+    assert abs(bsde_residual(data, drv, X, y0, zbar0) - worst) <= 1e-12

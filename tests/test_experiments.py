@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -58,6 +59,8 @@ def test_resolve_config_rejects_bad_input():
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(8, 4)))
     with pytest.raises(ValueError, match="depth cap"):
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 40)))
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        resolve_config(ExperimentConfig(study="temporal_rate", n_paths=1))
 
 
 # -------------------------------------------------------------- rate table
@@ -120,6 +123,24 @@ def test_parse_config_text_types_and_comments():
         "mesh_levels": (4, 8, 16),
         "driver": "tree",
     }
+
+    # every ExperimentConfig field parses to its annotated type
+    every = {
+        "study": "temporal_rate", "horizon": 0.5, "alpha": 1.5, "noise": "additive",
+        "sigma_scale": 2.0, "n_elems": 8, "time_steps": 4, "mesh_levels": (4, 8),
+        "mesh_ref": 16, "time_levels": (2, 4), "n_ref": 8, "driver": "mc", "n_paths": 10,
+        "seed": 3, "kappa": 12.5, "kappa_mode": "estimate", "max_iters": 7,
+        "tol_grad": 1e-06, "k_fine": 32, "out": "res",
+    }
+    fields = dataclasses.fields(ExperimentConfig)
+    assert set(every) == {f.name for f in fields}
+    text = "\n".join(
+        f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}" for k, v in every.items()
+    )
+    parsed = parse_config_text(text)
+    assert parsed == every
+    for f in fields:
+        assert type(parsed[f.name]) is f.type is type(every[f.name])
 
 
 def test_parse_config_text_rejects_unknown_and_malformed():

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from slqheat.adjoint import apply_L_adjoint, apply_Lhat_adjoint
 from slqheat.forward import (
     AdaptedProcess,
+    SigmaSpec,
     a0_apply,
     apply_Gamma,
     apply_L,
-    apply_L_adjoint,
-    apply_Lhat_adjoint,
     compute_f,
     default_sigma_spec,
     make_problem,
@@ -41,6 +41,26 @@ def test_make_problem_projects_data():
     for n, t in enumerate(grid.nodes):
         assert_allclose(data.sigma[n], np.exp(-t) * prof, rtol=1e-12)
     assert_allclose(data.x0, prof, rtol=1e-12)
+
+
+def test_with_grid_matches_make_problem_when_time_factor_vanishes_at_zero():
+    # sigma(t, x) = t sin(pi x) is zero at t_0, so the profile cannot be
+    # recovered from the first sigma slice
+    space = build_fem_space(8)
+    spec = SigmaSpec(
+        x0=lambda x: np.sin(np.pi * x),
+        x0_dx=lambda x: np.pi * np.cos(np.pi * x),
+        profile=lambda x: np.sin(np.pi * x),
+        profile_dx=lambda x: np.pi * np.cos(np.pi * x),
+        time_factor=lambda t: t,
+    )
+    fine = make_problem(space, make_time_grid(1.0, 8), sigma_spec=spec)
+    coarse_grid = make_time_grid(1.0, 4)
+    coarse = make_problem(space, coarse_grid, sigma_spec=spec)
+    resampled = fine.with_grid(coarse_grid)
+    assert resampled.grid is coarse_grid
+    assert np.isfinite(resampled.sigma).all()
+    assert_allclose(resampled.sigma, coarse.sigma, rtol=0, atol=1e-14)
 
 
 def test_make_problem_validates_input():

@@ -367,11 +367,7 @@ def test_gd_warns_on_divergence():
 def test_gd_ensemble_runs_and_reduces_gradient():
     data, _ = tiny_problem()
     driver = gaussian_driver(data.grid, 300, seed=7)
-    from slqheat.adjoint import RegressionCondexp
-
-    est = RegressionCondexp(n_modes=3)
-    est.bind_space(data.space)
-    u, trace = gradient_descent(data, driver, GdConfig(max_iters=25, est=est))
+    u, trace = gradient_descent(data, driver, GdConfig(max_iters=25))
     assert trace.grad_norm[-1] < trace.grad_norm[0]
     assert (np.diff(np.array(trace.cost)) <= 1e-12).all()
 
