@@ -23,7 +23,8 @@ Every object here is a shared pathwise backward recursion of
 All conditioning goes through :func:`condexp`: exact subtree means on the
 scenario tree, and ridge-regularized least squares on Monte Carlo
 ensembles (features: constant, leading eigenbasis coordinates of the
-state, and the Brownian value at t_n).
+state, and the Brownian value at t_n).  Processes hold eigen coordinates
+(see :mod:`slqheat.forward`), so L2 norms are euclidean row norms.
 """
 
 import numpy as np
@@ -72,7 +73,7 @@ def condexp(data, driver, values, level, n, state=None):
     # the exact conditional expectations are affine in the state
     # coordinates, so a linear basis in a few leading modes is adequate
     m = min(4, data.space.dim)
-    coords = data.space.to_eigen(state.at(n))[:, :m]
+    coords = state.at(n)[:, :m]
     features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
     return regression_condexp(features, values)[1]
 
@@ -177,19 +178,21 @@ def bsde_residual(data, driver, state, y0, zbar0):
         (I - tau Laplace_h) Y0(t_n) = E[Y0(t_{n+1}) | F_n]
                                       - tau E[X(t_{n+1}) | F_n] + tau Zbar0(t_n)
 
-    must hold; the maximum M-norm of its defect over all scenarios and
+    must hold; the maximum L2 norm of its defect over all scenarios and
     times is returned (exactly zero up to roundoff for exact
-    conditioning).
+    conditioning).  In eigen coordinates I - tau Laplace_h is the
+    diagonal 1 + tau lambda_i.
     """
-    space, grid = data.space, data.grid
+    grid = data.grid
     N, tau = grid.n_steps, grid.tau
+    shift = 1.0 + tau * data.space.eigvals
     worst = 0.0
     for n in range(N):
-        lhs = y0.at(n) + tau * space.mass_solve(np.asarray(y0.at(n)) @ space.stiffness)
+        lhs = np.asarray(y0.at(n)) * shift
         e_y = condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
         e_x = condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
         defect = lhs - e_y + tau * e_x - tau * np.asarray(zbar0.at(n))
-        norms = np.sqrt(((defect @ space.mass) * defect).sum(axis=1))
+        norms = np.sqrt(np.einsum("ij,ij->i", defect, defect))
         worst = max(worst, float(norms.max()))
     return worst
 
@@ -200,13 +203,12 @@ def adjoint_gap(data, driver, state):
     First order in tau for admissible state processes, which the
     adjoint-gap study confirms empirically.
     """
-    space = data.space
     q = k_htau(data, driver, state)
     y0, _ = implicit_euler_bsde(data, driver, state)
     worst = 0.0
     for n in range(data.grid.n_steps):
         diff = np.asarray(y0.at(n)) - np.asarray(q.at(n))
-        sq = ((diff @ space.mass) * diff).sum(axis=1)
+        sq = np.einsum("ij,ij->i", diff, diff)
         # scenario weights are uniform within a tree level and across paths
         worst = max(worst, float(sq.mean()))
     return float(np.sqrt(worst))

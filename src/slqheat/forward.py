@@ -29,6 +29,13 @@ after which conditioning G_n on time t_n (done in :mod:`slqheat.adjoint`)
 yields the adjoint slice.  The two product offsets distinguish the
 gradient/adjoint operators from the implicit-Euler backward-equation
 solution.
+
+Both sweeps run in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
+where A0 = diag(1 / (1 + tau lambda_i)) is an elementwise scale and the
+L2 inner product is the euclidean one.  Every process slice holds eigen
+coordinates c = V^T M v; the projected data of :class:`ProblemData` stay
+nodal and are converted once per sweep, and ``space.from_eigen`` gives
+nodal values back.
 """
 
 from dataclasses import dataclass, replace
@@ -44,7 +51,8 @@ class AdaptedProcess:
 
     ``values[k]`` holds the slice at global time index ``start + k`` with
     shape (n_scenarios(start + k), d): one row per tree node at that level,
-    or one row per Monte Carlo path.
+    or one row per Monte Carlo path.  Rows are eigen coordinates
+    c = V^T M v; ``space.from_eigen`` turns a slice into nodal values.
     """
 
     driver: object
@@ -129,6 +137,7 @@ def default_sigma_spec(scale=1.0):
 class ProblemData:
     """Discretized problem: space, grid, cost weight and projected data.
 
+    ``x0``, ``sigma`` and ``profile`` are nodal coefficient vectors.
     ``sigma`` has N + 1 slots (slice n is sigma(t_n)); the forward scheme
     reads slots 0..N-1 and the terminal slot rides along for diagnostics.
     ``profile`` is the scaled projected noise profile, sigma(t_n) =
@@ -194,10 +203,14 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projec
     )
 
 
-def a0_apply(space, tau, v):
-    """One implicit Euler smoothing step A0 v = (M + tau A)^{-1} M v."""
-    v = np.asarray(v, dtype=float)
-    return space.shifted_solve(tau, v @ space.mass)
+def a0_scale(space, tau):
+    """Diagonal of the implicit Euler step A0 = (M + tau A)^{-1} M in eigen coordinates."""
+    return 1.0 / (1.0 + tau * space.eigvals)
+
+
+def a0_apply(space, tau, c):
+    """One implicit Euler smoothing step A0 c on eigen coordinates."""
+    return np.asarray(c, dtype=float) * a0_scale(space, tau)
 
 
 def _control_slice(control, n, t, x_slice):
@@ -210,14 +223,19 @@ def _control_slice(control, n, t, x_slice):
 
 
 def _forward(data, driver, x0, control, sigma, return_control=False):
-    """Shared forward recursion; x0/control/sigma may be masked to zero."""
+    """Shared forward recursion; x0/control/sigma may be masked to zero.
+
+    ``x0`` and ``sigma`` are nodal; the recursion runs in eigen coordinates.
+    """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
     linear = data.noise == "linear"
+    scale = a0_scale(space, tau)
+    x0 = np.zeros(d) if x0 is None else space.to_eigen(x0)
+    sigma = None if sigma is None else space.to_eigen(sigma)
 
-    first = np.broadcast_to(np.zeros(d) if x0 is None else x0, (driver.n_scenarios(0), d))
-    values = [np.array(first, dtype=float)]
+    values = [np.array(np.broadcast_to(x0, (driver.n_scenarios(0), d)), dtype=float)]
     realized = [] if return_control else None
     for n in range(N):
         xn = values[n]
@@ -237,7 +255,8 @@ def _forward(data, driver, x0, control, sigma, return_control=False):
             rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape), n)
         if sigma is not None:
             rhs += sigma[n] * dw
-        values.append(a0_apply(space, tau, rhs))
+        rhs *= scale
+        values.append(rhs)
     proc = AdaptedProcess(driver, 0, values)
     if return_control:
         return proc, AdaptedProcess(driver, 0, realized)
@@ -254,7 +273,8 @@ def solve_forward(data, driver, control=None, return_control=False):
     control : None, AdaptedProcess, or callable
         A stored control is read slice by slice; a callable is sampled at
         the left node of each step as control(t_n, x_slice) and may depend
-        on the current state (feedback).  None means zero control.
+        on the current state (feedback).  Both take and return eigen
+        coordinates.  None means zero control.
     return_control : bool
         Also return the realized control as an AdaptedProcess (useful for
         feedback runs).
@@ -268,7 +288,7 @@ def solve_forward(data, driver, control=None, return_control=False):
 
 
 def apply_Gamma(data, driver, x0=None):
-    """Propagate an initial datum with zero control and zero noise data."""
+    """Propagate a nodal initial datum with zero control and zero noise data."""
     return _forward(data, driver, data.x0 if x0 is None else x0, None, None)
 
 
@@ -286,9 +306,9 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
     """Pathwise backward recursion shared by all adjoint-type operators.
 
     Yields (n, G_n) for n = N-1 down to 0 where G_n is a pathwise array of
-    shape (n_leaves, d).  ``v_at(n)`` returns the running-source slice at
-    time index n (or None for zero); ``eta`` is the terminal value (array
-    at the finest level, or None).  ``product_offset`` selects where the
+    eigen coordinates, shape (n_leaves, d).  ``v_at(n)`` returns the
+    running-source slice at time index n (or None for zero); ``eta`` is
+    the terminal value (array at the finest level, or None).  ``product_offset`` selects where the
     noise multipliers start relative to the conditioning time: offset 2
     gives the adjoint/gradient kernel, offset 1 the implicit-Euler
     backward equation.  For additive noise the multipliers collapse to 1.
@@ -297,6 +317,7 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
     N, tau = grid.n_steps, grid.tau
     d = space.dim
     linear = data.noise == "linear"
+    scale = a0_scale(space, tau)
     if product_offset not in (1, 2):
         raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
 
@@ -318,5 +339,5 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
                 G = G + driver.to_pathwise(vn1, n + 1)
             if linear:
                 G = G * (1.0 + driver.pathwise_increment(n + 1))[:, None]
-        G = a0_apply(space, tau, G)
+        G = G * scale
         yield n, G

@@ -2,19 +2,21 @@
 
 Everything the space-time scheme needs from the spatial side lives here:
 mass and stiffness matrices, the generalized eigenpairs that diagonalize
-the discrete Laplacian, L2 and Ritz projections, and cached solvers for
-the shifted systems (M + tau*A) that realize the implicit Euler step.
+the discrete Laplacian, and the L2 and Ritz projections.
 
-A function in the FE space V_h is represented by its vector of interior
-nodal values (length d = n_elems - 1); boundary values are identically
-zero.  Batches of coefficient vectors are stacked along the first axis,
-shape (n_scenarios, d).
+A function in the FE space V_h has two coefficient vectors of length
+d = n_elems - 1: its interior nodal values v (boundary values are
+identically zero) and its coordinates c = V^T M v in the M-orthonormal
+eigenbasis.  Projections return nodal values; the space-time scheme works
+in eigen coordinates, where the implicit Euler step is diagonal and the
+L2 norm is the euclidean norm of c.  Batches of coefficient vectors are
+stacked along the first axis, shape (n_scenarios, d).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import eigh
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -51,10 +53,7 @@ class FemSpace:
     stiffness: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    _mass_band: np.ndarray = field(repr=False, default=None)
-    _mass_chol: np.ndarray = field(repr=False, default=None)
     _vt_mass: np.ndarray = field(repr=False, default=None)
-    _shift_cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def dim(self):
@@ -69,43 +68,6 @@ class FemSpace:
     def from_eigen(self, c):
         """Nodal coefficients from eigenbasis coefficients: v = V c."""
         return np.asarray(c) @ self.eigvecs.T
-
-    # -- linear solves ------------------------------------------------------
-
-    def mass_solve(self, b):
-        """Solve M x = b for one vector (d,) or a batch (n, d)."""
-        b = np.asarray(b, dtype=float)
-        return cho_solve_banded((self._mass_chol, False), b.T).T
-
-    def shifted_solve(self, tau, b):
-        """Solve (M + tau A) x = b; the Cholesky factor is cached per tau."""
-        fac = self._shift_cache.get(tau)
-        if fac is None:
-            band = self._mass_band + tau * _stiffness_band(self.n_elems)
-            fac = cholesky_banded(band, lower=False)
-            self._shift_cache[tau] = fac
-        b = np.asarray(b, dtype=float)
-        return cho_solve_banded((fac, False), b.T).T
-
-
-def _mass_band(n_elems):
-    """Upper banded storage (2, d) of M = (h/6) tridiag(1, 4, 1)."""
-    d = n_elems - 1
-    h = 1.0 / n_elems
-    band = np.zeros((2, d))
-    band[0, 1:] = h / 6.0
-    band[1, :] = 4.0 * h / 6.0
-    return band
-
-
-def _stiffness_band(n_elems):
-    """Upper banded storage (2, d) of A = (1/h) tridiag(-1, 2, -1)."""
-    d = n_elems - 1
-    h = 1.0 / n_elems
-    band = np.zeros((2, d))
-    band[0, 1:] = -1.0 / h
-    band[1, :] = 2.0 / h
-    return band
 
 
 def build_fem_space(n_elems):
@@ -149,8 +111,6 @@ def build_fem_space(n_elems):
         eigvals=eigvals,
         eigvecs=eigvecs,
     )
-    space._mass_band = _mass_band(n_elems)
-    space._mass_chol = cholesky_banded(space._mass_band, lower=False)
     space._vt_mass = eigvecs.T @ mass
     return space
 
@@ -169,8 +129,8 @@ def l2_project(space, f):
     """L2-orthogonal projection of a function onto V_h.
 
     The load vector b_j = (f, phi_j) is assembled with 5-point Gauss
-    quadrature per element and the mass system M c = b is solved with the
-    cached Cholesky factor.
+    quadrature per element and the mass system M c = b is solved as
+    c = V V^T b, since M^{-1} = V V^T for the M-orthonormal eigenvectors.
 
     Parameters
     ----------
@@ -195,7 +155,7 @@ def l2_project(space, f):
     # n_elems are boundary and dropped
     b += contrib_left[1:]
     b += contrib_right[:-1]
-    return space.mass_solve(b)
+    return (b @ space.eigvecs) @ space.eigvecs.T
 
 
 def ritz_project(space, f_prime):
@@ -225,46 +185,6 @@ def ritz_project(space, f_prime):
     b += per_elem[:-1] / h
     b -= per_elem[1:] / h
     return np.linalg.solve(space.stiffness, b)
-
-
-def discrete_laplacian_apply(space, v):
-    """Apply Laplace_h = -M^{-1} A to nodal coefficients (single or batch)."""
-    v = np.asarray(v, dtype=float)
-    return -space.mass_solve(v @ space.stiffness)
-
-
-def l2_norm(space, v):
-    """Discrete L2 norm sqrt(v^T M v) of one coefficient vector."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(v @ space.mass @ v))
-
-
-def l2_norm_sq_batch(space, v):
-    """Squared L2 norms of a batch of coefficient vectors, shape (n,)."""
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    return ((v @ space.mass) * v).sum(axis=1)
-
-
-def l2_inner(space, u, v):
-    """M-inner product of two coefficient vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(u @ space.mass @ v)
-
-
-def h1_seminorm(space, v):
-    """Discrete H1 seminorm sqrt(v^T A v)."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(v @ space.stiffness @ v))
-
-
-def eval_fem(space, v, x):
-    """Evaluate the P1 function with interior coefficients v at points x."""
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    full = np.concatenate(([0.0], v, [0.0]))
-    grid = np.linspace(0.0, 1.0, space.n_elems + 1)
-    return np.interp(x, grid, full)
 
 
 def prolongation_matrix(coarse, fine):

@@ -16,6 +16,9 @@ gradient descent U <- U - (1/kappa) DJ(U) with the operator-norm bound
 kappa = 1 + alpha T e^T + T^2 e^T, and a conjugate-gradient solve of the
 optimality system (exact conditional expectations, scenario trees only)
 that serves as the reference in tests and convergence studies.
+
+States and controls hold eigen coordinates (see :mod:`slqheat.forward`),
+so every L2 norm and inner product here is a euclidean row dot product.
 """
 
 import warnings
@@ -25,23 +28,25 @@ import numpy as np
 
 from .adjoint import k_htau, k_htau_sweep
 from .forward import AdaptedProcess, apply_L, solve_forward, zeros_process
-from .mesh import l2_norm_sq_batch
 
 
-def _slice_mean_sq(space, values):
+def _row_sq(values):
+    """Per-scenario squared L2 norms of a slice of eigen coordinates."""
+    values = np.asarray(values)
+    return np.einsum("ij,ij->i", values, values)
+
+
+def _slice_mean_sq(values):
     # E ||v||^2 over scenarios; slices carry uniform weights on both drivers
-    return float(l2_norm_sq_batch(space, np.asarray(values)).mean())
+    return float(_row_sq(values).mean())
 
 
 def control_inner(data, u, v):
     """tau-weighted inner product tau sum_n E <u_n, v_n>_{L^2}."""
-    space, tau = data.space, data.grid.tau
-    M = space.mass
     total = 0.0
     for n in range(u.start, u.stop + 1):
-        a, b = np.asarray(u.at(n)), np.asarray(v.at(n))
-        total += float((a @ M * b).sum(axis=1).mean())
-    return tau * total
+        total += float(np.einsum("ij,ij->i", u.at(n), v.at(n)).mean())
+    return data.grid.tau * total
 
 
 def control_norm_sq(data, u):
@@ -63,11 +68,11 @@ def cost(data, state, control):
     float; expectations are exact on scenario trees and sample means on
     Monte Carlo ensembles (see cost_with_stderr for the standard error).
     """
-    space, tau, alpha = data.space, data.grid.tau, data.alpha
+    tau, alpha = data.grid.tau, data.alpha
     N = data.grid.n_steps
-    state_sq = sum(_slice_mean_sq(space, state.at(n)) for n in range(1, N + 1))
-    ctrl_sq = sum(_slice_mean_sq(space, control.at(n)) for n in range(N))
-    terminal = _slice_mean_sq(space, state.at(N))
+    state_sq = sum(_slice_mean_sq(state.at(n)) for n in range(1, N + 1))
+    ctrl_sq = sum(_slice_mean_sq(control.at(n)) for n in range(N))
+    terminal = _slice_mean_sq(state.at(N))
     return 0.5 * tau * (state_sq + ctrl_sq) + 0.5 * alpha * terminal
 
 
@@ -76,18 +81,28 @@ def cost_with_stderr(data, state, control):
 
     On a scenario tree the expectation is exact and the standard error is
     reported as 0.
+
+    Raises
+    ------
+    ValueError
+        On an ensemble of fewer than two paths, which has no sample
+        standard error.
     """
+    if state.driver.kind != "tree" and state.driver.n_paths < 2:
+        raise ValueError(
+            f"a standard error needs at least 2 paths, got {state.driver.n_paths}"
+        )
     value = cost(data, state, control)
     if state.driver.kind == "tree":
         return value, 0.0
-    space, tau, alpha = data.space, data.grid.tau, data.alpha
+    tau, alpha = data.grid.tau, data.alpha
     N = data.grid.n_steps
     samples = np.zeros(state.driver.n_paths)
     for n in range(1, N + 1):
-        samples += 0.5 * tau * l2_norm_sq_batch(space, state.at(n))
+        samples += 0.5 * tau * _row_sq(state.at(n))
     for n in range(N):
-        samples += 0.5 * tau * l2_norm_sq_batch(space, control.at(n))
-    samples += 0.5 * alpha * l2_norm_sq_batch(space, state.at(N))
+        samples += 0.5 * tau * _row_sq(control.at(n))
+    samples += 0.5 * alpha * _row_sq(state.at(N))
     se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
     return value, se
 
@@ -209,7 +224,7 @@ def gradient_descent(data, driver, cfg, reference=None):
         per_path = None
         for n, q in k_htau_sweep(data, driver, state):
             g = u.at(n) - q
-            rows = l2_norm_sq_batch(space, g)
+            rows = _row_sq(g)
             grad_sq += tau * float(rows.mean())
             if adaptive_tol:
                 per_path = rows * tau if per_path is None else per_path + rows * tau

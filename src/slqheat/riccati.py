@@ -259,20 +259,19 @@ def solve_phi(space, riccati, sigma_spec, k_fine=None):
     )
 
 
-def feedback_control(riccati, x, t):
-    """Feedback law u = -P(t) x - phi(t) in nodal coefficients.
+def feedback_control(riccati, c, t):
+    """Feedback law u = -P(t) x - phi(t) in eigen coordinates.
 
-    Accepts a single coefficient vector (d,) or a batch (n, d); p is
-    evaluated in closed form and phi by linear interpolation.
+    Accepts the eigen coordinates of a single state (d,) or of a batch
+    (n, d) and returns the control in the same coordinates, as
+    :func:`slqheat.forward.solve_forward` expects of a callable control;
+    p is evaluated in closed form and phi by linear interpolation.
     """
     if t < -1e-12 or t > riccati.horizon + 1e-12:
         raise ValueError(f"time {t} outside [0, {riccati.horizon}]")
-    space = riccati.space
     p = riccati.p_at(t)
-    phi = riccati.phi_at(t) if riccati.phi_half is not None else np.zeros(space.dim)
-    coords = space.to_eigen(x)
-    u_eig = -p * coords - phi
-    return space.from_eigen(u_eig)
+    phi = riccati.phi_at(t) if riccati.phi_half is not None else 0.0
+    return -p * np.asarray(c) - phi
 
 
 def value_function(riccati, x0):

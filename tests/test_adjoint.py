@@ -17,7 +17,6 @@ from slqheat.adjoint import (
 from slqheat.forward import (
     AdaptedProcess,
     a0_apply,
-    backward_kernel,
     make_problem,
     solve_forward,
 )
@@ -36,10 +35,10 @@ def test_k_htau_matches_literal_sums():
     space, grid, data, drv = tree_setup(alpha=0.7)
     X = solve_forward(data, drv)
     Q = k_htau(data, drv, X)
-    ref = oracles.literal_k_htau(space, drv, data.alpha, X)
+    ref = oracles.literal_k_htau(space, drv, data.alpha, oracles.nodal(space, X))
     assert Q.start == 0 and Q.stop == grid.n_steps - 1
     for n in range(grid.n_steps):
-        assert_allclose(Q.at(n), ref[n], atol=1e-12)
+        assert_allclose(space.from_eigen(Q.at(n)), ref[n], atol=1e-12)
 
 
 @pytest.mark.parametrize("noise", ["linear", "additive"])
@@ -170,7 +169,7 @@ def test_regression_estimator_exact_for_affine_functionals():
     drv = gaussian_driver(grid, 300, seed=4)
     X = solve_forward(data, drv)
     n = 3
-    coords = space.to_eigen(X.at(n))[:, :4]
+    coords = X.at(n)[:, :4]
     target = 2.0 + coords @ np.array([1.0, -1.0, 0.5, 2.0]) + 0.25 * drv.brownian(n)
     pred = condexp(data, drv, target[:, None], n, n, X)
     assert_allclose(pred[:, 0], target, atol=1e-6)
@@ -229,35 +228,49 @@ def ensemble_setup(alpha=0.8, noise="linear"):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 def test_k_htau_on_ensemble_matches_regression_oracle(noise):
     space, grid, data, drv, X = ensemble_setup(noise=noise)
-    N, tau = grid.n_steps, grid.tau
     Q = k_htau(data, drv, X)
-    v_at = lambda n: -tau * X.at(n)
-    eta = -data.alpha * X.at(N)
-    for n, G in backward_kernel(data, drv, v_at, eta, product_offset=2):
-        expected = oracles.regression_condexp(space, drv, X, G, n)
-        assert_allclose(Q.at(n), expected, rtol=0, atol=1e-12)
+    ref = oracles.nodal_k_htau(data, drv, oracles.nodal_solve_forward(data, drv))
+    for n in range(grid.n_steps):
+        assert_allclose(space.from_eigen(Q.at(n)), ref[n], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_k_htau_on_tree_matches_nodal_oracle(noise):
+    space, grid, data, drv = tree_setup(n_elems=9, n_steps=6, alpha=0.8, noise=noise)
+    Q = k_htau(data, drv, solve_forward(data, drv))
+    ref = oracles.nodal_k_htau(data, drv, oracles.nodal_solve_forward(data, drv))
+    for n in range(grid.n_steps):
+        assert_allclose(space.from_eigen(Q.at(n)), ref[n], rtol=0, atol=1e-12)
+
+
+def assert_bsde_matches_nodal_oracle(space, data, drv, X):
+    """implicit_euler_bsde and bsde_residual against the nodal sweep oracle."""
+    N = data.grid.n_steps
+    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    X_nodal = oracles.nodal_solve_forward(data, drv)
+    y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, X_nodal)
+    for n in range(N + 1):
+        assert_allclose(space.from_eigen(y0.at(n)), y_ref[n], rtol=0, atol=1e-12)
+    for n in range(N):
+        assert_allclose(space.from_eigen(zbar0.at(n)), z_ref[n], rtol=0, atol=1e-12)
+    worst = oracles.nodal_bsde_residual(data, drv, X_nodal, y_ref, z_ref)
+    assert abs(bsde_residual(data, drv, X, y0, zbar0) - worst) <= 1e-12
+    return worst
 
 
 def test_bsde_on_ensemble_matches_regression_oracle():
     space, grid, data, drv, X = ensemble_setup()
-    N, tau = grid.n_steps, grid.tau
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
-    y_ref = [None] * (N + 1)
-    y_ref[N] = -data.alpha * X.at(N)
-    v_at = lambda n: -tau * X.at(n)
-    for n, G in backward_kernel(data, drv, v_at, y_ref[N], product_offset=1):
-        y_ref[n] = oracles.regression_condexp(space, drv, X, G, n)
-    worst = 0.0
-    for n in range(N):
-        target = (y_ref[n + 1] - tau * X.at(n + 1)) * drv.increments_at(n + 1)[:, None]
-        z_ref = oracles.regression_condexp(space, drv, X, target, n) / tau
-        assert_allclose(y0.at(n), y_ref[n], rtol=0, atol=1e-12)
-        assert_allclose(zbar0.at(n), z_ref, rtol=0, atol=1e-12)
-        # martingale-identity defect with the oracle conditioning
-        lhs = y0.at(n) + tau * space.mass_solve(y0.at(n) @ space.stiffness)
-        e_y = oracles.regression_condexp(space, drv, X, y0.at(n + 1), n)
-        e_x = oracles.regression_condexp(space, drv, X, X.at(n + 1), n)
-        defect = lhs - e_y + tau * e_x - tau * zbar0.at(n)
-        worst = max(worst, float(np.sqrt(((defect @ space.mass) * defect).sum(axis=1)).max()))
+    worst = assert_bsde_matches_nodal_oracle(space, data, drv, X)
     assert worst > 0.0  # regression is not exact, so the identity has a defect
-    assert abs(bsde_residual(data, drv, X, y0, zbar0) - worst) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, noise", [("tree", "linear"), ("tree", "additive"), ("ensemble", "additive")]
+)
+def test_bsde_matches_nodal_oracle(kind, noise):
+    if kind == "tree":
+        space, grid, data, drv = tree_setup(n_elems=9, n_steps=6, alpha=0.8, noise=noise)
+        X = solve_forward(data, drv)
+    else:
+        space, grid, data, drv, X = ensemble_setup(noise=noise)
+    assert_bsde_matches_nodal_oracle(space, data, drv, X)

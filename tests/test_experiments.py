@@ -22,7 +22,8 @@ from slqheat.experiments import (
     run_temporal_rate,
 )
 from slqheat.forward import make_problem, default_sigma_spec, solve_forward
-from slqheat.mesh import build_fem_space, l2_norm_sq_batch, prolongation_matrix
+from oracles import l2_norm_sq_batch
+from slqheat.mesh import build_fem_space, prolongation_matrix
 from slqheat.noise import gaussian_driver, make_time_grid
 from slqheat.riccati import feedback_control
 
@@ -205,7 +206,7 @@ def test_spatial_control_error_matches_monte_carlo(tmp_path):
     prolong = prolongation_matrix(space_c, space_r)
     samples = np.zeros(n_paths)
     for n in range(n_steps):
-        diff = np.asarray(u_r.at(n)) - np.asarray(u_c.at(n)) @ prolong.T
+        diff = space_r.from_eigen(u_r.at(n)) - space_c.from_eigen(u_c.at(n)) @ prolong.T
         samples += grid.tau * l2_norm_sq_batch(space_r, diff)
     mc = samples.mean()
     se = samples.std(ddof=1) / np.sqrt(n_paths)

@@ -16,7 +16,7 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from slqheat.mesh import build_fem_space, l2_norm, ritz_project
+from slqheat.mesh import build_fem_space, ritz_project
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, tree_condexp
 
 
@@ -89,7 +89,8 @@ def test_a0_apply_matches_dense():
     tau = 0.2
     rng = np.random.default_rng(0)
     v = rng.standard_normal((3, space.dim))
-    assert_allclose(a0_apply(space, tau, v), v @ oracles.dense_a0(space, tau).T, atol=1e-12)
+    step = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
+    assert_allclose(step, v @ oracles.dense_a0(space, tau).T, atol=1e-12)
 
 
 def test_state_slices_follow_tree_levels():
@@ -122,11 +123,11 @@ def test_forward_matches_literal_products_on_tree():
     drv = TreeDriver(grid)
     U = random_control(drv, space.dim, seed=1)
 
-    gam = apply_Gamma(data, drv)
-    lu = apply_L(data, drv, U)
-    f = compute_f(data, drv)
+    gam = oracles.nodal(space, apply_Gamma(data, drv))
+    lu = oracles.nodal(space, apply_L(data, drv, U))
+    f = oracles.nodal(space, compute_f(data, drv))
     gam_ref = oracles.literal_gamma(space, drv, data.x0)
-    lu_ref = oracles.literal_l(space, drv, U)
+    lu_ref = oracles.literal_l(space, drv, oracles.nodal(space, U))
     f_ref = oracles.literal_f(space, drv, data.sigma)
     for n in range(grid.n_steps + 1):
         assert_allclose(drv.to_pathwise(gam.at(n), n), gam_ref[n], atol=1e-12)
@@ -153,11 +154,11 @@ def test_conditional_mean_follows_deterministic_recursion():
     U = AdaptedProcess(
         drv, 0, [np.broadcast_to(u_det[n], (2**n, space.dim)).copy() for n in range(grid.n_steps)]
     )
-    X = solve_forward(data, drv, U)
+    X = oracles.nodal(space, solve_forward(data, drv, U))
     A0 = oracles.dense_a0(space, grid.tau)
     m = data.x0.copy()
     for n in range(grid.n_steps):
-        m = A0 @ (m + grid.tau * u_det[n])
+        m = A0 @ (m + grid.tau * space.from_eigen(u_det[n]))
         assert_allclose(tree_condexp(X.at(n + 1), n + 1, 0)[0], m, atol=1e-12)
 
 
@@ -171,7 +172,7 @@ def test_second_moment_of_eigenmode_is_exact_on_tree():
     X = apply_Gamma(data, drv, x0=space.eigvecs[:, i])
     lam = space.eigvals[i]
     for n in range(grid.n_steps + 1):
-        sq = ((X.at(n) @ space.mass) * X.at(n)).sum(axis=1)
+        sq = (X.at(n) * X.at(n)).sum(axis=1)
         expected = ((1 + tau) / (1 + tau * lam) ** 2) ** n
         assert_allclose(tree_condexp(sq, n, 0)[0], expected, rtol=1e-12)
 
@@ -194,7 +195,7 @@ def test_feedback_control_is_sampled_at_left_nodes():
 def test_additive_noise_gamma_is_deterministic():
     space, grid, data = small_setup(noise="additive")
     drv = TreeDriver(grid)
-    gam = apply_Gamma(data, drv)
+    gam = oracles.nodal(space, apply_Gamma(data, drv))
     A0 = oracles.dense_a0(space, grid.tau)
     v = data.x0.copy()
     for n in range(grid.n_steps + 1):
@@ -216,10 +217,10 @@ def test_l_adjoint_matches_literal_sums():
         drv, 1, [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)]
     )
     out = apply_L_adjoint(data, drv, xi)
-    ref = oracles.literal_l_adjoint(space, drv, xi)
+    ref = oracles.literal_l_adjoint(space, drv, oracles.nodal(space, xi))
     assert out.start == 0 and out.stop == grid.n_steps - 1
     for j in range(grid.n_steps):
-        assert_allclose(out.at(j), ref[j], atol=1e-12)
+        assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
 
 
 def test_lhat_adjoint_matches_literal_sums():
@@ -228,14 +229,15 @@ def test_lhat_adjoint_matches_literal_sums():
     rng = np.random.default_rng(9)
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
     out = apply_Lhat_adjoint(data, drv, eta)
-    ref = oracles.literal_lhat_adjoint(space, drv, eta)
+    ref = oracles.literal_lhat_adjoint(space, drv, space.from_eigen(eta))
     for j in range(grid.n_steps):
-        assert_allclose(out.at(j), ref[j], atol=1e-12)
+        assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
 
 
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 def test_duality_of_l_and_l_adjoint(noise):
-    # <L U, xi>_state = <U, L* xi>_control with both pairings tau-weighted
+    # <L U, xi>_state = <U, L* xi>_control with both pairings tau-weighted;
+    # in eigen coordinates the M-pairing is the euclidean one
     space, grid, data = small_setup(n_elems=6, n_steps=4, noise=noise)
     drv = TreeDriver(grid)
     tau = grid.tau
@@ -246,7 +248,6 @@ def test_duality_of_l_and_l_adjoint(noise):
     )
     lu = apply_L(data, drv, U)
     lhs = oracles.pairing_state(
-        space,
         drv,
         [drv.to_pathwise(lu.at(n), n) for n in range(grid.n_steps + 1)],
         [np.zeros((drv.n_scenarios(grid.n_steps), space.dim))]
@@ -256,7 +257,7 @@ def test_duality_of_l_and_l_adjoint(noise):
     lstar = apply_L_adjoint(data, drv, xi)
     rhs = 0.0
     for j in range(grid.n_steps):
-        inner = ((drv.to_pathwise(U.at(j), j) @ space.mass) * drv.to_pathwise(lstar.at(j), j)).sum(axis=1)
+        inner = (drv.to_pathwise(U.at(j), j) * drv.to_pathwise(lstar.at(j), j)).sum(axis=1)
         rhs += tau * inner.mean()
     assert_allclose(lhs, rhs, rtol=1e-11)
 
@@ -269,11 +270,11 @@ def test_terminal_duality_of_lhat():
     U = random_control(drv, space.dim, seed=13)
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
     lu_T = drv.to_pathwise(apply_L(data, drv, U).at(grid.n_steps), grid.n_steps)
-    lhs = ((lu_T @ space.mass) * eta).sum(axis=1).mean()
+    lhs = (lu_T * eta).sum(axis=1).mean()
     lhat = apply_Lhat_adjoint(data, drv, eta)
     rhs = 0.0
     for j in range(grid.n_steps):
-        inner = ((drv.to_pathwise(U.at(j), j) @ space.mass) * drv.to_pathwise(lhat.at(j), j)).sum(axis=1)
+        inner = (drv.to_pathwise(U.at(j), j) * drv.to_pathwise(lhat.at(j), j)).sum(axis=1)
         rhs += grid.tau * inner.mean()
     assert_allclose(lhs, rhs, rtol=1e-11)
 
@@ -303,9 +304,21 @@ def test_forward_stability_without_forcing():
     drv = TreeDriver(grid)
     X = solve_forward(data, drv)
     sq = [
-        tree_condexp(((X.at(n) @ space.mass) * X.at(n)).sum(axis=1), n, 0)[0]
+        tree_condexp((X.at(n) * X.at(n)).sum(axis=1), n, 0)[0]
         for n in range(grid.n_steps + 1)
     ]
     # (1 + tau) / (1 + tau lam_1)^2 < 1 for the default data, so decay holds
     assert all(b <= a * (1 + 1e-12) for a, b in zip(sq, sq[1:]))
-    assert l2_norm(space, X.at(0)[0]) <= l2_norm(space, data.x0) + 1e-12
+    assert np.linalg.norm(X.at(0)[0]) <= oracles.l2_norm(space, data.x0) + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_solve_forward_matches_nodal_oracle(kind, noise):
+    space, grid, data = small_setup(n_elems=9, n_steps=5, noise=noise)
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 200, seed=3)
+    U = random_control(drv, space.dim, seed=4)
+    X = solve_forward(data, drv, U)
+    ref = oracles.nodal_solve_forward(data, drv, oracles.nodal(space, U))
+    for n in range(grid.n_steps + 1):
+        assert_allclose(space.from_eigen(X.at(n)), ref.at(n), rtol=0, atol=1e-12)

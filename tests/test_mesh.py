@@ -5,18 +5,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from slqheat.mesh import (
-    build_fem_space,
+from oracles import (
+    dense_a0,
     discrete_laplacian_apply,
     eval_fem,
     h1_seminorm,
     l2_inner,
     l2_norm,
     l2_norm_sq_batch,
-    l2_project,
-    prolongation_matrix,
-    ritz_project,
 )
+from slqheat.forward import a0_apply
+from slqheat.mesh import build_fem_space, l2_project, prolongation_matrix, ritz_project
 
 
 def hat(space, j, x):
@@ -163,28 +162,6 @@ def test_discrete_laplacian_diagonal_in_eigenbasis():
         assert_allclose(discrete_laplacian_apply(space, v), -space.eigvals[i] * v, rtol=1e-9, atol=1e-9)
 
 
-def test_shifted_solve_and_cache():
-    space = build_fem_space(10)
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(space.dim)
-    tau = 0.125
-    x = space.shifted_solve(tau, b)
-    x_ref = np.linalg.solve(space.mass + tau * space.stiffness, b)
-    assert_allclose(x, x_ref, atol=1e-12)
-    assert tau in space._shift_cache
-    # batched right-hand sides and cache reuse
-    B = rng.standard_normal((4, space.dim))
-    X = space.shifted_solve(tau, B)
-    assert_allclose(X, np.linalg.solve(space.mass + tau * space.stiffness, B.T).T, atol=1e-12)
-
-
-def test_mass_solve_round_trip():
-    space = build_fem_space(9)
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal((3, space.dim))
-    assert_allclose(space.mass_solve(b) @ space.mass, b, atol=1e-12)
-
-
 def test_batch_norms_match_scalar():
     space = build_fem_space(7)
     rng = np.random.default_rng(5)
@@ -211,14 +188,29 @@ def test_prolongation_rejects_non_nested():
 
 @settings(max_examples=25, deadline=None)
 @given(
+    n=st.sampled_from([2, 5, 10, 16]),
+    tau=st.floats(1e-4, 1.0),
+    rows=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_eigen_step_matches_dense_a0(n, tau, rows, seed):
+    # the elementwise step on eigen coordinates is (M + tau A)^{-1} M on nodal values
+    space = build_fem_space(n)
+    v = np.random.default_rng(seed).standard_normal((rows, space.dim))
+    w = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
+    assert_allclose(w, v @ dense_a0(space, tau).T, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
     n=st.sampled_from([4, 8, 16]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_shifted_solve_is_m_contraction(n, seed):
-    # the implicit Euler step v -> (M + tau A)^{-1} M v never increases the M-norm
+def test_eigen_step_is_m_contraction(n, seed):
+    # the implicit Euler step never increases the M-norm of the nodal values
     space = build_fem_space(n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.dim)
     tau = 0.1
-    w = space.shifted_solve(tau, v @ space.mass)
+    w = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
     assert l2_norm(space, w) <= l2_norm(space, v) * (1 + 1e-12)

@@ -11,7 +11,8 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from slqheat.mesh import build_fem_space, eval_fem
+from oracles import eval_fem
+from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
     GdConfig,
@@ -129,6 +130,15 @@ def test_cost_with_stderr_ensemble_brackets_tree_value():
     # zero-control cost has increment moments of order <= 2, so the
     # two-point tree expectation matches the Gaussian one exactly
     assert abs(value - exact) <= 3.5 * se
+
+
+def test_cost_with_stderr_rejects_single_path():
+    data, _ = tiny_problem()
+    driver = gaussian_driver(data.grid, 1, seed=11)
+    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    x = solve_forward(data, driver, u)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        cost_with_stderr(data, x, u)
 
 
 # ---------------------------------------------------------------- gradient
@@ -330,7 +340,7 @@ def test_gd_state_error_ratio_bounded_by_control_error():
         return max(
             float(
                 np.mean(
-                    ((np.asarray(x.at(n)) - np.asarray(x_star.at(n))) @ data.space.mass
+                    ((np.asarray(x.at(n)) - np.asarray(x_star.at(n)))
                      * (np.asarray(x.at(n)) - np.asarray(x_star.at(n)))).sum(axis=1)
                 )
             )
