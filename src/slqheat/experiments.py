@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +42,6 @@ from .optimizer import (
     gradient_descent,
 )
 from .riccati import (
-    RiccatiSolution,
     _closed_loop_stream,
     _simpson_panel_values,
     cost_from_moments,
@@ -125,8 +123,8 @@ def resolve_config(cfg):
         levels = getattr(cfg, name)
         if levels is not None:
             levels = tuple(int(v) for v in levels)
-            if list(levels) != sorted(levels):
-                raise ValueError(f"{name} must be sorted ascending, got {levels}")
+            if any(a >= b for a, b in zip(levels, levels[1:])):
+                raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
             cfg = replace(cfg, **{name: levels})
     if cfg.driver == "mc" and cfg.n_paths is not None and cfg.n_paths < 2:
         raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
@@ -298,41 +296,45 @@ def _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
     whose drift stays diagonal and whose noise part is (z + sigma) dW.
     The stacked system is therefore exactly the componentwise moment
     sweep already used for a single mesh, with concatenated coefficient
-    trajectories; the error integrands couple the blocks through the
-    cross Gramians C = V_r^T M_r P V_c (control, L2 pairing) and
-    C_A = V_r^T A_r P V_c (state, gradient pairing) of the nodal
-    prolongation P.
+    trajectories.  The error integrands read only diag(S_rr), diag(S_cc)
+    and the cross block S_rc, so only those entries are swept; they
+    couple the blocks through the cross Gramians C = V_r^T M_r P V_c
+    (control, L2 pairing) and C_A = V_r^T A_r P V_c (state, gradient
+    pairing) of the nodal prolongation P.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
     D, d = space_r.dim, space_c.dim
+    lam_r, lam_c = space_r.eigvals, space_c.eigvals
     prolong = prolongation_matrix(space_c, space_r)
     C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
     CA = space_r.eigvecs.T @ (space_r.stiffness @ (prolong @ space_c.eigvecs))
 
-    joint = RiccatiSolution(
-        space=None,
-        horizon=ric_r.horizon,
-        alpha=ric_r.alpha,
-        k_fine=ric_r.k_fine,
-        lams=np.concatenate((space_r.eigvals, space_c.eigvals)),
-        t_half=ric_r.t_half,
-        p_half=np.vstack((ric_r.p_half, ric_c.p_half)),
-        phi_half=np.vstack((ric_r.phi_half, ric_c.phi_half)),
-        sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
+    # swept entries: the diagonal of the stacked system, then the D x d cross block
+    n = D + d
+    rows = np.concatenate((np.arange(n), np.repeat(np.arange(D), d)))
+    cols = np.concatenate((np.arange(n), D + np.tile(np.arange(d), D)))
+    p_half = np.vstack((ric_r.p_half, ric_c.p_half))
+    phi_half = np.vstack((ric_r.phi_half, ric_c.phi_half))
+    dt = ric_r.horizon / ric_r.k_fine
+    stream = _closed_loop_stream(
+        np.concatenate((lam_r, lam_c)),
+        p_half,
+        phi_half,
+        np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
+        dt,
+        np.concatenate((space_r.to_eigen(x0_r), space_c.to_eigen(x0_c))),
+        rows,
+        cols,
     )
-    m0 = np.concatenate((space_r.to_eigen(x0_r), space_c.to_eigen(x0_c)))
-    S0 = np.outer(m0, m0)
-    dt = joint.horizon / joint.k_fine
-    lam_r, lam_c = space_r.eigvals, space_c.eigvals
 
-    ctrl_vals = np.empty(2 * joint.k_fine + 1)
-    grad_vals = np.empty(2 * joint.k_fine + 1)
-    for idx, m, S in _closed_loop_stream(joint, m0, S0):
-        pr, pc = joint.p_half[:D, idx], joint.p_half[D:, idx]
-        fr, fc = joint.phi_half[:D, idx], joint.phi_half[D:, idx]
+    ctrl_vals = np.empty(2 * ric_r.k_fine + 1)
+    grad_vals = np.empty(2 * ric_r.k_fine + 1)
+    for idx, m, S in stream:
+        pr, pc = p_half[:D, idx], p_half[D:, idx]
+        fr, fc = phi_half[:D, idx], phi_half[D:, idx]
         mr, mc = m[:D], m[D:]
-        Srr, Scc, Src = np.diagonal(S[:D, :D]), np.diagonal(S[D:, D:]), S[:D, D:]
+        Srr, Scc, Src = S[:D], S[D:n], S[n:].reshape(D, d)
         wr_sq = (pr**2 * Srr).sum() + 2.0 * (pr * fr * mr).sum() + (fr**2).sum()
         wc_sq = (pc**2 * Scc).sum() + 2.0 * (pc * fc * mc).sum() + (fc**2).sum()
         wrc = (

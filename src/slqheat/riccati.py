@@ -1,4 +1,4 @@
-"""Semidiscrete Riccati feedback: exact mode solutions and moment oracles.
+"""Semidiscrete Riccati feedback: exact mode solutions and closed-loop moments.
 
 In the M-orthonormal eigenbasis the operator Riccati equation
 
@@ -30,7 +30,6 @@ quadrature, which keeps every integral in this module consistent with
 the same fine half-grid sampling.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,7 +87,7 @@ class RiccatiSolution:
     The public node views (``fine_grid``, ``p``, ``phi``,
     ``value_integral``) live on the K_fine + 1 nodes; the half-grid
     arrays (nodes and midpoints interleaved, 2 K_fine + 1 points) are
-    kept because the collocation sweeps for the moment oracles need
+    kept because the collocation sweeps for phi and the moments need
     midpoint samples.
     """
 
@@ -183,22 +182,24 @@ def _hs_sweep(a_half, g_half, y0, dt):
     composite Simpson quadrature of g.
     """
     n_half = len(a_half)
-    K = (n_half - 1) // 2
     y = np.empty((n_half,) + np.shape(y0))
     y[0] = y0
-    for k in range(K):
-        a0, am, a1 = a_half[2 * k], a_half[2 * k + 1], a_half[2 * k + 2]
-        g0, gm, g1 = g_half[2 * k], g_half[2 * k + 1], g_half[2 * k + 2]
-        yk = y[2 * k]
-        f0 = a0 * yk + g0
-        c1 = 0.5 * yk + (dt / 8.0) * (f0 - g1)
-        c2 = 0.5 - (dt / 8.0) * a1
-        y1 = (yk + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
-            1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
+    for k in range((n_half - 1) // 2):
+        y[2 * k + 1], y[2 * k + 2] = _hs_step(
+            y[2 * k], *a_half[2 * k : 2 * k + 3], *g_half[2 * k : 2 * k + 3], dt
         )
-        y[2 * k + 1] = c1 + c2 * y1
-        y[2 * k + 2] = y1
     return y
+
+
+def _hs_step(y0, a0, am, a1, g0, gm, g1, dt):
+    """One Hermite-Simpson panel of y' = a y + g; returns (y_mid, y1)."""
+    f0 = a0 * y0 + g0
+    c1 = 0.5 * y0 + (dt / 8.0) * (f0 - g1)
+    c2 = 0.5 - (dt / 8.0) * a1
+    y1 = (y0 + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
+        1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
+    )
+    return c1 + c2 * y1, y1
 
 
 def _simpson_panel_values(f_half, dt):
@@ -290,80 +291,43 @@ def value_function(riccati, x0):
     )
 
 
-@dataclass
-class MomentState:
-    """First and second moments of the closed-loop state in the eigenbasis."""
-
-    m: np.ndarray
-    S: np.ndarray
-
-
-def _closed_loop_stream(riccati, m0, S0):
+def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):
     """Yield (half_index, m, S) along the closed-loop moment sweep.
 
-    The mean solves m' = -(lam + p) m - phi (componentwise); the second
-    moment solves, componentwise in the eigenbasis,
+    The mean solves m' = -(lam + p) m - phi (componentwise); in the
+    eigenbasis each second-moment entry solves its own scalar linear ODE
 
         S_ij' = (a_i + a_j + 1) S_ij + b_ij,
-        b = -phi m^T - m phi^T + m sig^T + sig m^T + sig sig^T,
+        b_ij = -phi_i m_j - phi_j m_i + m_i sig_j + m_j sig_i + sig_i sig_j,
 
     with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
-    multiplicative noise second moment E (X + sig)(X + sig)^T.  S values
-    at midpoints are collocation values, accurate to the scheme's order,
-    so Simpson accumulation against this stream is 4th order.
+    multiplicative noise second moment E (X + sig)(X + sig)^T.  Only the
+    entries (rows[e], cols[e]) are swept, from S_ij(0) = m0_i m0_j, and S
+    is yielded as the flat vector of those entries; m is the full mean.
+    Drift and source are built once per half-grid point, so the cost per
+    step is linear in the number of entries.  S values at midpoints are
+    collocation values, accurate to the scheme's order, so Simpson
+    accumulation against this stream is 4th order.
     """
-    if riccati.phi_half is None or riccati.sigma_eig_half is None:
-        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
-    dt = riccati.horizon / riccati.k_fine
-    a = -(riccati.lams[:, None] + riccati.p_half)  # (d, 2K+1)
-    m_half = _hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
+    a = -(lams[:, None] + p_half)  # (n, 2K+1)
+    m_half = _hs_sweep(a.T, -phi_half.T, m0, dt)  # (2K+1, n)
 
-    def b_at(idx):
-        m = m_half[idx]
-        phi = riccati.phi_half[:, idx]
-        sig = riccati.sigma_eig_half[:, idx]
-        pm = np.outer(phi, m)
-        ms = np.outer(m, sig)
-        return -pm - pm.T + ms + ms.T + np.outer(sig, sig)
+    def drift_source(idx):
+        ai, mi, phi, sig = a[:, idx], m_half[idx], phi_half[:, idx], sigma_eig_half[:, idx]
+        mr, mc, fr, fc, sr, sc = mi[rows], mi[cols], phi[rows], phi[cols], sig[rows], sig[cols]
+        return ai[rows] + ai[cols] + 1.0, -fr * mc - fc * mr + mr * sc + mc * sr + sr * sc
 
-    S = np.array(S0, dtype=float)
+    S = m0[rows] * m0[cols]
     yield 0, m_half[0], S
-    for k in range(riccati.k_fine):
-        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        A0 = a[:, i0][:, None] + a[:, i0][None, :] + 1.0
-        Am = a[:, i1][:, None] + a[:, i1][None, :] + 1.0
-        A1 = a[:, i2][:, None] + a[:, i2][None, :] + 1.0
-        g0, gm, g1 = b_at(i0), b_at(i1), b_at(i2)
-        f0 = A0 * S + g0
-        c1 = 0.5 * S + (dt / 8.0) * (f0 - g1)
-        c2 = 0.5 - (dt / 8.0) * A1
-        S1 = (S + (dt / 6.0) * (f0 + 4.0 * (Am * c1 + gm) + g1)) / (
-            1.0 - (dt / 6.0) * (4.0 * Am * c2 + A1)
-        )
-        Sm = c1 + c2 * S1
+    A0, g0 = drift_source(0)
+    for k in range(a.shape[1] // 2):
+        i1, i2 = 2 * k + 1, 2 * k + 2
+        Am, gm = drift_source(i1)
+        A1, g1 = drift_source(i2)
+        Sm, S = _hs_step(S, A0, Am, A1, g0, gm, g1, dt)
         yield i1, m_half[i1], Sm
-        yield i2, m_half[i2], S1
-        S = S1
-
-
-def closed_loop_moments(space, riccati, data, k_fine=None):
-    """Moment trajectory of the feedback-controlled state at the fine nodes.
-
-    Returns a list of MomentState (length K_fine + 1) aligned with
-    ``riccati.fine_grid``.  Everything is deterministic: this is the
-    noise-free oracle the rate studies compare against.
-    """
-    if k_fine is not None and k_fine != riccati.k_fine:
-        raise ValueError(f"moments must live on the Riccati grid, got k_fine={k_fine}")
-    if data.noise != "linear":
-        raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
-    m0 = space.to_eigen(data.x0)
-    S0 = np.outer(m0, m0)
-    out = []
-    for idx, m, S in _closed_loop_stream(riccati, m0, S0):
-        if idx % 2 == 0:
-            out.append(MomentState(m=m.copy(), S=S.copy()))
-    return out
+        yield i2, m_half[i2], S
+        A0, g0 = A1, g1
 
 
 def cost_from_moments(space, riccati, data, k_fine=None):
@@ -379,76 +343,20 @@ def cost_from_moments(space, riccati, data, k_fine=None):
         raise ValueError(f"moments must live on the Riccati grid, got k_fine={k_fine}")
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
+    if riccati.phi_half is None or riccati.sigma_eig_half is None:
+        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
     dt = riccati.horizon / riccati.k_fine
     m0 = space.to_eigen(data.x0)
-    S0 = np.outer(m0, m0)
+    diag = np.arange(space.dim)
     vals = np.empty(2 * riccati.k_fine + 1)
     tr_T = None
-    for idx, m, S in _closed_loop_stream(riccati, m0, S0):
+    for idx, m, S_ii in _closed_loop_stream(
+        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, dt, m0, diag, diag
+    ):
         p = riccati.p_half[:, idx]
         phi = riccati.phi_half[:, idx]
-        diag = np.diagonal(S)
-        u_sq = (p**2 * diag).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
-        vals[idx] = diag.sum() + u_sq
-        tr_T = diag.sum()
+        u_sq = (p**2 * S_ii).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
+        vals[idx] = S_ii.sum() + u_sq
+        tr_T = S_ii.sum()
     integral = _simpson_panel_values(vals, dt).sum()
     return float(0.5 * integral + 0.5 * riccati.alpha * tr_T)
-
-
-def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
-    """Independent dense-matrix Riccati oracle (test scale, d <= 64).
-
-    Integrates the full matrix ODE in the eigenbasis coordinates (where
-    the discrete Laplacian is -diag(lambda)) backward in time by classical
-    RK4, making no use of the diagonal structure of the solution.  The
-    returned trajectory lets tests confirm that the flow really preserves
-    diagonality and matches the per-mode closed form.
-
-    Explicit RK4 needs lambda_max * (T / k_fine) inside its stability
-    region, so callers must resolve the stiffest mode (a warning is
-    raised otherwise); this is affordable at oracle scale only.
-
-    Returns
-    -------
-    (t_nodes, P) with P of shape (k_fine + 1, d, d); P[k] acts on
-    eigenbasis coordinates at time t_nodes[k].
-    """
-    d = space.dim
-    if d > 64:
-        raise ValueError(f"dense oracle limited to d <= 64, got d = {d}")
-    lam = space.eigvals
-    dt = horizon / k_fine
-    if lam.max() * dt > 2.5:
-        warnings.warn(
-            f"dense RK4 outside its stability region (lambda_max * dt = {lam.max() * dt:.2f}); "
-            "increase k_fine",
-            RuntimeWarning,
-        )
-    L = np.diag(lam)
-    eye = np.eye(d)
-
-    def rhs(Q):
-        # reversed time: Q(s) = P(T - s)
-        return -(Q @ L) - (L @ Q) + Q + eye - Q @ Q
-
-    traj = np.empty((k_fine + 1, d, d))
-    Q = alpha * eye
-    traj[k_fine] = Q
-    for k in range(k_fine):
-        k1 = rhs(Q)
-        k2 = rhs(Q + 0.5 * dt * k1)
-        k3 = rhs(Q + 0.5 * dt * k2)
-        k4 = rhs(Q + dt * k3)
-        Q = Q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(Q).all() or np.abs(Q).max() > 1e6:
-            raise ArithmeticError(
-                f"dense Riccati RK4 blew up at step {k + 1}; increase k_fine"
-            )
-        traj[k_fine - 1 - k] = Q
-    t_nodes = np.linspace(0.0, horizon, k_fine + 1)
-    return t_nodes, traj
-
-
-def dense_to_nodal(space, P_eig):
-    """Reassemble an eigenbasis Riccati matrix as the nodal-coefficient operator."""
-    return space.eigvecs @ P_eig @ space.eigvecs.T @ space.mass

@@ -10,13 +10,25 @@ converts a library process for comparison.  ``nodal_forward``,
 ``nodal_backward_kernel`` and the ``nodal_*`` adjoint objects are the
 nodal sweeps of the library with A0 as the dense matrix
 (M + tau A)^{-1} M, kept as the equivalence oracle of the eigen-coordinate
-sweeps.
+sweeps.  ``full_closed_loop_stream`` and ``full_joint_errors`` play the
+same part for the entry-indexed moment sweep, and ``solve_riccati_dense``
+is an independent matrix Riccati integrator.
 """
+
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from slqheat.forward import AdaptedProcess
+from slqheat.mesh import prolongation_matrix
 from slqheat.noise import tree_condexp
+from slqheat.riccati import (
+    RiccatiSolution,
+    _closed_loop_stream,
+    _hs_sweep,
+    _simpson_panel_values,
+)
 
 
 def dense_a0(space, tau):
@@ -344,3 +356,219 @@ def nodal_bsde_residual(data, driver, state, y_vals, z_vals):
         defect = lhs - e_y + tau * e_x - tau * z_vals[n]
         worst = max(worst, float(np.sqrt(l2_norm_sq_batch(space, defect)).max()))
     return worst
+
+
+# -- Riccati and closed-loop moments ------------------------------------------
+
+
+def all_pairs(d):
+    """Row and column indices of every entry (i, j) of a d x d matrix, row-major."""
+    return np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+
+
+@dataclass
+class MomentState:
+    """First and second moments of the closed-loop state in the eigenbasis."""
+
+    m: np.ndarray
+    S: np.ndarray
+
+
+def closed_loop_moments(space, riccati, data, k_fine=None):
+    """Moment trajectory of the feedback-controlled state at the fine nodes.
+
+    Returns a list of MomentState (length K_fine + 1) aligned with
+    ``riccati.fine_grid``, with S the full d x d second moment: the
+    library's entry-indexed sweep run on all pairs (i, j).
+    """
+    if k_fine is not None and k_fine != riccati.k_fine:
+        raise ValueError(f"moments must live on the Riccati grid, got k_fine={k_fine}")
+    if data.noise != "linear":
+        raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
+    if riccati.phi_half is None or riccati.sigma_eig_half is None:
+        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
+    d = space.dim
+    rows, cols = all_pairs(d)
+    dt = riccati.horizon / riccati.k_fine
+    stream = _closed_loop_stream(
+        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, dt,
+        space.to_eigen(data.x0), rows, cols,
+    )
+    return [
+        MomentState(m=m.copy(), S=S.reshape(d, d).copy())
+        for idx, m, S in stream
+        if idx % 2 == 0
+    ]
+
+
+# The full-matrix moment sweep and the joint errors evaluated on it, as the
+# library had them before it swept only requested entries: the equivalence
+# oracle of riccati._closed_loop_stream and experiments._joint_errors.
+
+
+def full_closed_loop_stream(riccati, m0, S0):
+    """Yield (half_index, m, S) along the closed-loop moment sweep.
+
+    The mean solves m' = -(lam + p) m - phi (componentwise); the second
+    moment solves, componentwise in the eigenbasis,
+
+        S_ij' = (a_i + a_j + 1) S_ij + b_ij,
+        b = -phi m^T - m phi^T + m sig^T + sig m^T + sig sig^T,
+
+    with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
+    multiplicative noise second moment E (X + sig)(X + sig)^T.  S values
+    at midpoints are collocation values, accurate to the scheme's order,
+    so Simpson accumulation against this stream is 4th order.
+    """
+    if riccati.phi_half is None or riccati.sigma_eig_half is None:
+        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
+    dt = riccati.horizon / riccati.k_fine
+    a = -(riccati.lams[:, None] + riccati.p_half)  # (d, 2K+1)
+    m_half = _hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
+
+    def b_at(idx):
+        m = m_half[idx]
+        phi = riccati.phi_half[:, idx]
+        sig = riccati.sigma_eig_half[:, idx]
+        pm = np.outer(phi, m)
+        ms = np.outer(m, sig)
+        return -pm - pm.T + ms + ms.T + np.outer(sig, sig)
+
+    S = np.array(S0, dtype=float)
+    yield 0, m_half[0], S
+    for k in range(riccati.k_fine):
+        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
+        A0 = a[:, i0][:, None] + a[:, i0][None, :] + 1.0
+        Am = a[:, i1][:, None] + a[:, i1][None, :] + 1.0
+        A1 = a[:, i2][:, None] + a[:, i2][None, :] + 1.0
+        g0, gm, g1 = b_at(i0), b_at(i1), b_at(i2)
+        f0 = A0 * S + g0
+        c1 = 0.5 * S + (dt / 8.0) * (f0 - g1)
+        c2 = 0.5 - (dt / 8.0) * A1
+        S1 = (S + (dt / 6.0) * (f0 + 4.0 * (Am * c1 + gm) + g1)) / (
+            1.0 - (dt / 6.0) * (4.0 * Am * c2 + A1)
+        )
+        Sm = c1 + c2 * S1
+        yield i1, m_half[i1], Sm
+        yield i2, m_half[i2], S1
+        S = S1
+
+
+def full_joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
+    """Squared control and state-gradient errors between two meshes.
+
+    Both closed-loop systems ride the same scalar Wiener process, so the
+    stacked eigen-coordinate vector (x_ref, x_coarse) solves a linear SDE
+    whose drift stays diagonal and whose noise part is (z + sigma) dW.
+    The stacked system is therefore exactly the componentwise moment
+    sweep already used for a single mesh, with concatenated coefficient
+    trajectories; the error integrands couple the blocks through the
+    cross Gramians C = V_r^T M_r P V_c (control, L2 pairing) and
+    C_A = V_r^T A_r P V_c (state, gradient pairing) of the nodal
+    prolongation P.
+
+    Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
+    """
+    D, d = space_r.dim, space_c.dim
+    prolong = prolongation_matrix(space_c, space_r)
+    C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
+    CA = space_r.eigvecs.T @ (space_r.stiffness @ (prolong @ space_c.eigvecs))
+
+    joint = RiccatiSolution(
+        space=None,
+        horizon=ric_r.horizon,
+        alpha=ric_r.alpha,
+        k_fine=ric_r.k_fine,
+        lams=np.concatenate((space_r.eigvals, space_c.eigvals)),
+        t_half=ric_r.t_half,
+        p_half=np.vstack((ric_r.p_half, ric_c.p_half)),
+        phi_half=np.vstack((ric_r.phi_half, ric_c.phi_half)),
+        sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
+    )
+    m0 = np.concatenate((space_r.to_eigen(x0_r), space_c.to_eigen(x0_c)))
+    S0 = np.outer(m0, m0)
+    dt = joint.horizon / joint.k_fine
+    lam_r, lam_c = space_r.eigvals, space_c.eigvals
+
+    ctrl_vals = np.empty(2 * joint.k_fine + 1)
+    grad_vals = np.empty(2 * joint.k_fine + 1)
+    for idx, m, S in full_closed_loop_stream(joint, m0, S0):
+        pr, pc = joint.p_half[:D, idx], joint.p_half[D:, idx]
+        fr, fc = joint.phi_half[:D, idx], joint.phi_half[D:, idx]
+        mr, mc = m[:D], m[D:]
+        Srr, Scc, Src = np.diagonal(S[:D, :D]), np.diagonal(S[D:, D:]), S[:D, D:]
+        wr_sq = (pr**2 * Srr).sum() + 2.0 * (pr * fr * mr).sum() + (fr**2).sum()
+        wc_sq = (pc**2 * Scc).sum() + 2.0 * (pc * fc * mc).sum() + (fc**2).sum()
+        wrc = (
+            pr[:, None] * Src * pc[None, :]
+            + np.outer(pr * mr, fc)
+            + np.outer(fr, pc * mc)
+            + np.outer(fr, fc)
+        )
+        ctrl_vals[idx] = wr_sq + wc_sq - 2.0 * (C * wrc).sum()
+        grad_vals[idx] = (
+            (lam_r * Srr).sum() + (lam_c * Scc).sum() - 2.0 * (CA * Src).sum()
+        )
+    ctrl_sq = float(_simpson_panel_values(ctrl_vals, dt).sum())
+    grad_sq = float(_simpson_panel_values(grad_vals, dt).sum())
+    return ctrl_sq, grad_sq
+
+
+def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
+    """Independent dense-matrix Riccati oracle (test scale, d <= 64).
+
+    Integrates the full matrix ODE in the eigenbasis coordinates (where
+    the discrete Laplacian is -diag(lambda)) backward in time by classical
+    RK4, making no use of the diagonal structure of the solution.  The
+    returned trajectory lets tests confirm that the flow really preserves
+    diagonality and matches the per-mode closed form.
+
+    Explicit RK4 needs lambda_max * (T / k_fine) inside its stability
+    region, so callers must resolve the stiffest mode (a warning is
+    raised otherwise); this is affordable at oracle scale only.
+
+    Returns
+    -------
+    (t_nodes, P) with P of shape (k_fine + 1, d, d); P[k] acts on
+    eigenbasis coordinates at time t_nodes[k].
+    """
+    d = space.dim
+    if d > 64:
+        raise ValueError(f"dense oracle limited to d <= 64, got d = {d}")
+    lam = space.eigvals
+    dt = horizon / k_fine
+    if lam.max() * dt > 2.5:
+        warnings.warn(
+            f"dense RK4 outside its stability region (lambda_max * dt = {lam.max() * dt:.2f}); "
+            "increase k_fine",
+            RuntimeWarning,
+        )
+    L = np.diag(lam)
+    eye = np.eye(d)
+
+    def rhs(Q):
+        # reversed time: Q(s) = P(T - s)
+        return -(Q @ L) - (L @ Q) + Q + eye - Q @ Q
+
+    traj = np.empty((k_fine + 1, d, d))
+    Q = alpha * eye
+    traj[k_fine] = Q
+    for k in range(k_fine):
+        k1 = rhs(Q)
+        k2 = rhs(Q + 0.5 * dt * k1)
+        k3 = rhs(Q + 0.5 * dt * k2)
+        k4 = rhs(Q + dt * k3)
+        Q = Q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(Q).all() or np.abs(Q).max() > 1e6:
+            raise ArithmeticError(
+                f"dense Riccati RK4 blew up at step {k + 1}; increase k_fine"
+            )
+        traj[k_fine - 1 - k] = Q
+    t_nodes = np.linspace(0.0, horizon, k_fine + 1)
+    return t_nodes, traj
+
+
+def dense_to_nodal(space, P_eig):
+    """Reassemble an eigenbasis Riccati matrix as the nodal-coefficient operator."""
+    return space.eigvecs @ P_eig @ space.eigvecs.T @ space.mass
+

@@ -40,7 +40,6 @@ from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
     GdConfig,
     control_inner,
-    control_norm_sq,
     cost,
     cost_with_stderr,
     direct_solve,

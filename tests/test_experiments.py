@@ -22,8 +22,8 @@ from slqheat.experiments import (
     run_temporal_rate,
 )
 from slqheat.forward import make_problem, default_sigma_spec, solve_forward
-from oracles import l2_norm_sq_batch
-from slqheat.mesh import build_fem_space, prolongation_matrix
+from oracles import full_joint_errors, l2_norm_sq_batch
+from slqheat.mesh import prolongation_matrix
 from slqheat.noise import gaussian_driver, make_time_grid
 from slqheat.riccati import feedback_control
 
@@ -58,6 +58,11 @@ def test_resolve_config_rejects_bad_input():
         resolve_config(ExperimentConfig(study="nope"))
     with pytest.raises(ValueError, match="sorted"):
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(8, 4)))
+    # a repeated level would give a zero-length EOC step (NaN in rates.csv)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        resolve_config(ExperimentConfig(study="spatial_rate", mesh_levels=(4, 4, 8)))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 6, 6)))
     with pytest.raises(ValueError, match="depth cap"):
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 40)))
     with pytest.raises(ValueError, match="n_paths >= 2"):
@@ -164,6 +169,14 @@ def test_joint_errors_vanish_for_identical_meshes():
     ctrl_sq, grad_sq = _joint_errors(space, ric, x0, space, ric, x0)
     assert abs(ctrl_sq) < 1e-18
     assert abs(grad_sq) < 1e-14
+
+
+@pytest.mark.parametrize("n_ref, n_coarse", [(32, 8), (64, 16)])
+def test_joint_errors_match_full_matrix_oracle(n_ref, n_coarse):
+    cfg = make_config("spatial_rate", k_fine=64)
+    ref = _feedback_solution(n_ref, cfg)
+    coarse = _feedback_solution(n_coarse, cfg)
+    assert_allclose(_joint_errors(*ref, *coarse), full_joint_errors(*ref, *coarse), rtol=1e-12)
 
 
 def test_spatial_reference_level_row_is_zero(tmp_path):

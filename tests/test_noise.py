@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
 from slqheat.noise import (
-    EnsembleDriver,
     TreeDriver,
     gaussian_driver,
     make_time_grid,

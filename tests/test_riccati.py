@@ -1,25 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slqheat.forward import SigmaSpec, default_sigma_spec, make_problem
-from oracles import eval_fem, l2_norm
+from oracles import (
+    all_pairs,
+    closed_loop_moments,
+    dense_to_nodal,
+    eval_fem,
+    full_closed_loop_stream,
+    l2_norm,
+    solve_riccati_dense,
+)
 from slqheat.mesh import build_fem_space
 from slqheat.noise import make_time_grid
 from slqheat.riccati import (
-    MomentState,
     RiccatiSolution,
+    _closed_loop_stream,
     _hs_sweep,
     _stationary_roots,
-    closed_loop_moments,
     cost_from_moments,
-    dense_to_nodal,
     feedback_control,
     riccati_mode_values,
-    sigma_eig_on_half_grid,
     solve_phi,
     solve_riccati,
-    solve_riccati_dense,
     value_function,
 )
 
@@ -475,3 +481,77 @@ def test_moment_oracle_rejects_additive_noise():
     ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=64), data.sigma_spec)
     with pytest.raises(ValueError):
         cost_from_moments(space, ric, data)
+
+
+# ------------------------------------------- entry-indexed moment sweep
+
+
+def _moment_setup(n_elems=8, k_fine=32):
+    space = build_fem_space(n_elems)
+    data = make_problem(space, make_time_grid(1.0, 4), alpha=1.0)
+    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=k_fine), data.sigma_spec)
+    return space, ric, space.to_eigen(data.x0)
+
+
+def _entry_stream(ric, m0, rows, cols):
+    dt = ric.horizon / ric.k_fine
+    return _closed_loop_stream(
+        ric.lams, ric.p_half, ric.phi_half, ric.sigma_eig_half, dt, m0, rows, cols
+    )
+
+
+def _full_trajectory(ric, m0):
+    stream = full_closed_loop_stream(ric, m0, np.outer(m0, m0))
+    return [(idx, m.copy(), S.copy()) for idx, m, S in stream]
+
+
+_SMALL = _moment_setup()
+_SMALL_FULL = _full_trajectory(_SMALL[1], _SMALL[2])
+_SMALL_DIM = _SMALL[0].dim
+
+
+def _assert_entries_match(rows, cols):
+    _, ric, m0 = _SMALL
+    got = list(_entry_stream(ric, m0, rows, cols))
+    assert [idx for idx, _, _ in got] == [idx for idx, _, _ in _SMALL_FULL]
+    for (_, m, S), (_, m_ref, S_ref) in zip(got, _SMALL_FULL):
+        assert_allclose(m, m_ref, rtol=1e-12, atol=0)
+        assert_allclose(S, S_ref[rows, cols], rtol=1e-12, atol=0)
+
+
+def test_entry_stream_matches_full_sweep_on_diagonal_block_and_all_pairs():
+    d = _SMALL_DIM
+    diag = np.arange(d)
+    _assert_entries_match(diag, diag)
+    # a 3 x (d - 3) off-diagonal block, row-major, as the joint study reads it
+    _assert_entries_match(np.repeat(np.arange(3), d - 3), np.tile(np.arange(3, d), 3))
+    _assert_entries_match(*all_pairs(d))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, _SMALL_DIM - 1), st.integers(0, _SMALL_DIM - 1)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_entry_stream_matches_full_sweep_on_any_entry_subset(pairs):
+    rows, cols = (np.array(v) for v in zip(*pairs))
+    _assert_entries_match(rows, cols)
+
+
+def test_cost_from_moments_matches_full_matrix_evaluation():
+    space = build_fem_space(16)
+    data = make_problem(space, make_time_grid(0.7, 4), alpha=0.6)
+    ric = solve_phi(space, solve_riccati(space, 0.7, 0.6, k_fine=128), data.sigma_spec)
+    m0 = space.to_eigen(data.x0)
+    vals = np.empty(2 * ric.k_fine + 1)
+    for idx, m, S in full_closed_loop_stream(ric, m0, np.outer(m0, m0)):
+        p, phi, diag = ric.p_half[:, idx], ric.phi_half[:, idx], np.diagonal(S)
+        u_sq = (p**2 * diag).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
+        vals[idx] = diag.sum() + u_sq
+    dt = ric.horizon / ric.k_fine
+    simpson = (dt / 6.0) * (vals[:-1:2] + 4.0 * vals[1::2] + vals[2::2]).sum()
+    ref = 0.5 * simpson + 0.5 * ric.alpha * diag.sum()
+    assert_allclose(cost_from_moments(space, ric, data), ref, rtol=1e-12)
