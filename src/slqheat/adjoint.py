@@ -1,7 +1,7 @@
 """Conditioning on F_{t_n}, the adjoints L*, Lhat*, the gradient kernel and
 the backward equation.
 
-Every object here is a shared pathwise backward recursion of
+Every object here is the shared backward recursion of
 :mod:`slqheat.forward` followed by one conditioning per slice:
 
 * ``apply_L_adjoint`` / ``apply_Lhat_adjoint`` -- the adjoints of the
@@ -89,8 +89,8 @@ def apply_L_adjoint(data, driver, xi):
     """
     N, tau = data.grid.n_steps, data.grid.tau
     out = [None] * N
-    for n, G in backward_kernel(data, driver, xi.at, None, product_offset=2):
-        out[n] = tau * condexp(data, driver, G, N, n)
+    for n, H, level in backward_kernel(data, driver, xi.at, None, product_offset=2):
+        out[n] = tau * condexp(data, driver, H, level, n)
     return AdaptedProcess(driver, 0, out)
 
 
@@ -100,10 +100,9 @@ def apply_Lhat_adjoint(data, driver, eta):
     ``eta`` is a terminal (time t_N) array; slices run over n = 0..N-1
     without the tau weight.
     """
-    N = data.grid.n_steps
-    out = [None] * N
-    for n, G in backward_kernel(data, driver, None, eta, product_offset=2):
-        out[n] = condexp(data, driver, G, N, n)
+    out = [None] * data.grid.n_steps
+    for n, H, level in backward_kernel(data, driver, None, eta, product_offset=2):
+        out[n] = condexp(data, driver, H, level, n)
     return AdaptedProcess(driver, 0, out)
 
 
@@ -121,8 +120,8 @@ def k_htau_sweep(data, driver, state):
     N = data.grid.n_steps
     v_at = lambda n: -tau * state.at(n)
     eta = -alpha * np.asarray(state.at(N))
-    for n, G in backward_kernel(data, driver, v_at, eta, product_offset=2):
-        yield n, condexp(data, driver, G, N, n, state)
+    for n, H, level in backward_kernel(data, driver, v_at, eta, product_offset=2):
+        yield n, condexp(data, driver, H, level, n, state)
 
 
 def k_htau(data, driver, state):
@@ -140,7 +139,7 @@ def implicit_euler_bsde(data, driver, state):
 
         Y0(t_n) = A0 E[(1 + dW_{n+1}) (Y0(t_{n+1}) - tau X(t_{n+1})) | F_n],
 
-    realized through the shared pathwise kernel with multipliers starting
+    realized through the shared backward kernel with multipliers starting
     at n+1.  The martingale integrand is recovered afterwards:
 
         Zbar0(t_n) = (1/tau) E[(Y0(t_{n+1}) - tau X(t_{n+1})) dW_{n+1} | F_n],
@@ -158,8 +157,8 @@ def implicit_euler_bsde(data, driver, state):
     terminal = -data.alpha * np.asarray(state.at(N))
     y_vals = [None] * (N + 1)
     y_vals[N] = np.array(terminal)
-    for n, G in backward_kernel(data, driver, v_at, terminal, product_offset=1):
-        y_vals[n] = condexp(data, driver, G, N, n, state)
+    for n, H, level in backward_kernel(data, driver, v_at, terminal, product_offset=1):
+        y_vals[n] = condexp(data, driver, H, level, n, state)
     y0 = AdaptedProcess(driver, 0, y_vals)
 
     z_vals = [None] * N
@@ -168,33 +167,6 @@ def implicit_euler_bsde(data, driver, state):
         dw = driver.increments_at(n + 1)[:, None]
         z_vals[n] = condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return y0, AdaptedProcess(driver, 0, z_vals)
-
-
-def bsde_residual(data, driver, state, y0, zbar0):
-    """Largest martingale-identity residual of a backward-equation solution.
-
-    For each n the identity
-
-        (I - tau Laplace_h) Y0(t_n) = E[Y0(t_{n+1}) | F_n]
-                                      - tau E[X(t_{n+1}) | F_n] + tau Zbar0(t_n)
-
-    must hold; the maximum L2 norm of its defect over all scenarios and
-    times is returned (exactly zero up to roundoff for exact
-    conditioning).  In eigen coordinates I - tau Laplace_h is the
-    diagonal 1 + tau lambda_i.
-    """
-    grid = data.grid
-    N, tau = grid.n_steps, grid.tau
-    shift = 1.0 + tau * data.space.eigvals
-    worst = 0.0
-    for n in range(N):
-        lhs = np.asarray(y0.at(n)) * shift
-        e_y = condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
-        e_x = condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
-        defect = lhs - e_y + tau * e_x - tau * np.asarray(zbar0.at(n))
-        norms = np.sqrt(np.einsum("ij,ij->i", defect, defect))
-        worst = max(worst, float(norms.max()))
-    return worst
 
 
 def adjoint_gap(data, driver, state):

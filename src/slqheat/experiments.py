@@ -212,6 +212,11 @@ def _write_manifest(out_dir, cfg, wall_time, extra=None):
             "scipy": __import__("scipy").__version__,
             "slqheat": __version__,
         },
+        # reruns are byte-identical only at a fixed BLAS thread count
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
         "wall_time_s": wall_time,
     }
     if extra:

@@ -17,18 +17,17 @@ noise; all three are the same recursion with parts of the data masked
 out, so one kernel drives everything.
 
 The adjoints L* and Lhat* and the gradient kernel (all in
-:mod:`slqheat.adjoint`) share a single pathwise backward recursion: with
-V a process, eta a terminal value and multipliers m_k = 1 + dW_k (linear
-noise; m_k = 1 for additive),
+:mod:`slqheat.adjoint`) condition one backward recursion on time t_n:
+with V a process, eta a terminal value and multipliers m_k = 1 + dW_k
+(linear noise; m_k = 1 for additive), G_N = eta and
 
-    G_N = eta,
-    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1}),   products starting two past n,
-    G_n = A0 m_{n+1} (V_{n+1} + G_{n+1}),   products starting one past n,
+    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1})   (offset 2: adjoints, gradient kernel),
+    G_n = A0 m_{n+1} (V_{n+1} + G_{n+1})   (offset 1: implicit-Euler backward equation).
 
-after which conditioning G_n on time t_n (done in :mod:`slqheat.adjoint`)
-yields the adjoint slice.  The two product offsets distinguish the
-gradient/adjoint operators from the implicit-Euler backward-equation
-solution.
+By the tower property the sweep carries H_n = E[G_n | F_l] at level
+l = min(n + offset, N): its update needs only V_{n+1} lifted to level l
+and the sibling-pair average E[H_{n+1} | F_l] (both the identity on
+ensembles), so a tree costs O(2^N d) instead of O(N 2^N d).
 
 Both sweeps run in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
 where A0 = diag(1 / (1 + tau lambda_i)) is an elementwise scale and the
@@ -69,9 +68,6 @@ class AdaptedProcess:
         if n < self.start or n > self.stop:
             raise IndexError(f"time index {n} outside [{self.start}, {self.stop}]")
         return self.values[n - self.start]
-
-    def set(self, n, arr):
-        self.values[n - self.start] = arr
 
     def copy(self):
         return AdaptedProcess(self.driver, self.start, [v.copy() for v in self.values])
@@ -287,31 +283,23 @@ def solve_forward(data, driver, control=None, return_control=False):
     return _forward(data, driver, data.x0, control, data.sigma, return_control)
 
 
-def apply_Gamma(data, driver, x0=None):
-    """Propagate a nodal initial datum with zero control and zero noise data."""
-    return _forward(data, driver, data.x0 if x0 is None else x0, None, None)
-
-
 def apply_L(data, driver, control):
     """Control-to-state map: zero initial datum, zero inhomogeneity."""
     return _forward(data, driver, None, control, None)
 
 
-def compute_f(data, driver):
-    """Inhomogeneous part driven by sigma dW alone."""
-    return _forward(data, driver, None, None, data.sigma)
-
-
 def backward_kernel(data, driver, v_at, eta, product_offset):
-    """Pathwise backward recursion shared by all adjoint-type operators.
+    """Backward recursion shared by all adjoint-type operators.
 
-    Yields (n, G_n) for n = N-1 down to 0 where G_n is a pathwise array of
-    eigen coordinates, shape (n_leaves, d).  ``v_at(n)`` returns the
-    running-source slice at time index n (or None for zero); ``eta`` is
-    the terminal value (array at the finest level, or None).  ``product_offset`` selects where the
-    noise multipliers start relative to the conditioning time: offset 2
-    gives the adjoint/gradient kernel, offset 1 the implicit-Euler
-    backward equation.  For additive noise the multipliers collapse to 1.
+    Yields (n, H_n, level) for n = N-1 down to 0: H_n = E[G_n | F_level],
+    level = min(n + product_offset, N), in eigen coordinates with one row
+    per level-``level`` tree node or per ensemble path.  ``v_at(n)``
+    returns the running-source slice at time index n (or None for zero);
+    ``eta`` is the terminal value (a level-N slice, one vector, or None).
+    ``product_offset`` selects where the noise multipliers start relative
+    to the conditioning time: offset 2 gives the adjoint/gradient kernel,
+    offset 1 the implicit-Euler backward equation.  For additive noise
+    the multipliers collapse to 1.
     """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
@@ -321,23 +309,21 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
     if product_offset not in (1, 2):
         raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
 
-    if eta is None:
-        G = np.zeros((driver.n_scenarios(N), d))
-    else:
-        G = np.array(driver.to_pathwise(np.asarray(eta, dtype=float), N))
-        if G.ndim == 1:
-            G = np.broadcast_to(G, (driver.n_scenarios(N), d)).copy()
+    shape = (driver.n_scenarios(N), d)
+    H = np.zeros(shape) if eta is None else np.broadcast_to(np.asarray(eta, dtype=float), shape)
+    level = N
     for n in range(N - 1, -1, -1):
+        if n + product_offset < level:
+            H = driver.parent_mean(H)
+            level -= 1
         vn1 = v_at(n + 1) if v_at is not None else None
-        if product_offset == 2:
-            if linear and n <= N - 2:
-                G = G * (1.0 + driver.pathwise_increment(n + 2))[:, None]
-            if vn1 is not None:
-                G = G + driver.to_pathwise(vn1, n + 1)
-        else:
-            if vn1 is not None:
-                G = G + driver.to_pathwise(vn1, n + 1)
-            if linear:
-                G = G * (1.0 + driver.pathwise_increment(n + 1))[:, None]
-        G = G * scale
-        yield n, G
+        if vn1 is not None and level > n + 1:
+            vn1 = driver.child_expand(vn1, n + 1)
+        if linear and product_offset == 2 and n <= N - 2:
+            H = H * (1.0 + driver.increments_at(n + 2))[:, None]
+        if vn1 is not None:
+            H = H + vn1
+        if linear and product_offset == 1:
+            H = H * (1.0 + driver.increments_at(n + 1))[:, None]
+        H = H * scale
+        yield n, H, level

@@ -15,10 +15,11 @@ scheme:
   are drawn or in which chunks.
 
 Both expose the same small protocol (``kind``, ``n_scenarios``,
-``increments_at``, ``child_expand``, ``to_pathwise``,
-``pathwise_increment``, ``brownian``) consumed by the forward and adjoint
-recursions; ``kind`` ("tree" or "ensemble") tells
-:func:`slqheat.adjoint.condexp` whether to average subtrees or regress.
+``increments_at``, ``child_expand``, ``parent_mean``, ``brownian``)
+consumed by the forward and backward recursions (``child_expand`` and
+``parent_mean`` move one level down and up; the identity on ensembles);
+``kind`` ("tree" or "ensemble") tells :func:`slqheat.adjoint.condexp`
+whether to average subtrees or regress.
 """
 
 from dataclasses import dataclass, field
@@ -66,9 +67,11 @@ def tree_condexp(values, from_level, to_level):
     Averages an array of per-node values at ``from_level`` (first axis of
     length 2^from_level) over the subtrees rooted at ``to_level``.
     """
-    if to_level > from_level:
-        raise ValueError(f"cannot condition level {from_level} data on finer level {to_level}")
+    if not 0 <= to_level <= from_level:
+        raise ValueError(f"cannot condition level {from_level} data on level {to_level}")
     values = np.asarray(values)
+    if values.shape[0] != 1 << from_level:
+        raise ValueError(f"level {from_level} data need {1 << from_level} rows, got {len(values)}")
     lead = 1 << to_level
     fan = 1 << (from_level - to_level)
     return values.reshape((lead, fan) + values.shape[1:]).mean(axis=1)
@@ -80,6 +83,7 @@ class TreeDriver:
 
     grid: TimeGrid
     _brownian_cache: list = field(repr=False, default_factory=list)
+    _increment_cache: dict = field(repr=False, default_factory=dict)
     kind = "tree"
 
     def __post_init__(self):
@@ -93,25 +97,20 @@ class TreeDriver:
         return 1 << level
 
     def increments_at(self, step):
-        """Step increments attached to the level-``step`` nodes, shape (2^step,)."""
-        idx = np.arange(1 << step)
-        signs = np.where(idx & 1, 1.0, -1.0)
-        return signs * np.sqrt(self.grid.tau)
+        """Step increments attached to the level-``step`` nodes, shape (2^step,), read-only."""
+        if step not in self._increment_cache:
+            inc = np.where(np.arange(1 << step) & 1, 1.0, -1.0) * np.sqrt(self.grid.tau)
+            inc.flags.writeable = False
+            self._increment_cache[step] = inc
+        return self._increment_cache[step]
 
     def child_expand(self, values, level):
         """Lift level-``level`` node values to their children one level down."""
         return np.repeat(np.asarray(values), 2, axis=0)
 
-    def to_pathwise(self, values, level):
-        """Broadcast level-``level`` node values to the 2^N leaves."""
-        fan = 1 << (self.grid.n_steps - level)
-        if fan == 1:
-            return np.asarray(values)
-        return np.repeat(np.asarray(values), fan, axis=0)
-
-    def pathwise_increment(self, step):
-        """Step-``step`` increment seen by each leaf, shape (2^N,)."""
-        return self.to_pathwise(self.increments_at(step), step)
+    def parent_mean(self, values):
+        """Average sibling pairs: level-k node values conditioned on level k - 1."""
+        return 0.5 * (values[0::2] + values[1::2])
 
     def brownian(self, level):
         """Wiener values W(t_level) per level-``level`` node, shape (2^level,)."""
@@ -151,11 +150,8 @@ class EnsembleDriver:
     def child_expand(self, values, level):
         return np.asarray(values)
 
-    def to_pathwise(self, values, level):
-        return np.asarray(values)
-
-    def pathwise_increment(self, step):
-        return self.increments[:, step - 1]
+    def parent_mean(self, values):
+        return values
 
     def brownian(self, level):
         if self._brownian is None:

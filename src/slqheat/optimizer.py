@@ -107,12 +107,6 @@ def cost_with_stderr(data, state, control):
     return value, se
 
 
-def gradient(data, driver, control):
-    """DJ(U) = U - K X(U) as an adapted process over 0..N-1."""
-    state = solve_forward(data, driver, control)
-    return control - k_htau(data, driver, state)
-
-
 def kappa_bound(horizon, alpha):
     """Upper bound 1 + alpha T e^T + T^2 e^T for the cost Hessian norm."""
     if horizon <= 0:

@@ -10,7 +10,11 @@ converts a library process for comparison.  ``nodal_forward``,
 ``nodal_backward_kernel`` and the ``nodal_*`` adjoint objects are the
 nodal sweeps of the library with A0 as the dense matrix
 (M + tau A)^{-1} M, kept as the equivalence oracle of the eigen-coordinate
-sweeps.  ``full_closed_loop_stream`` and ``full_joint_errors`` play the
+sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
+(every slice at the 2^N leaves, through ``pathwise``) that the library's
+level-collapsing sweep replaced.  ``apply_Gamma``, ``compute_f``,
+``gradient`` and ``bsde_residual`` are library operators that only the
+tests use.  ``full_closed_loop_stream`` and ``full_joint_errors`` play the
 same part for the entry-indexed moment sweep, and ``solve_riccati_dense``
 is an independent matrix Riccati integrator.
 """
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slqheat.forward import AdaptedProcess
+from slqheat.adjoint import condexp, k_htau
+from slqheat.forward import AdaptedProcess, _forward, solve_forward
 from slqheat.mesh import prolongation_matrix
 from slqheat.noise import tree_condexp
 from slqheat.riccati import (
@@ -39,6 +44,64 @@ def dense_a0(space, tau):
 def nodal(space, proc):
     """A library process (eigen coordinates) with every slice in nodal values."""
     return proc.map(space.from_eigen)
+
+
+# -- leaf-wise views and test-only operators ----------------------------------
+
+
+def pathwise(driver, values, level):
+    """Broadcast level-``level`` values to the 2^N tree leaves (ensembles: unchanged)."""
+    if driver.kind != "tree":
+        return np.asarray(values)
+    return np.repeat(np.asarray(values), 1 << (driver.grid.n_steps - level), axis=0)
+
+
+def pathwise_increment(driver, step):
+    """Step-``step`` increment seen by each leaf or path, shape (n_scenarios(N),)."""
+    return pathwise(driver, driver.increments_at(step), step)
+
+
+def apply_Gamma(data, driver, x0=None):
+    """Propagate a nodal initial datum with zero control and zero noise data."""
+    return _forward(data, driver, data.x0 if x0 is None else x0, None, None)
+
+
+def compute_f(data, driver):
+    """Inhomogeneous part driven by sigma dW alone."""
+    return _forward(data, driver, None, None, data.sigma)
+
+
+def gradient(data, driver, control):
+    """DJ(U) = U - K X(U) as an adapted process over 0..N-1."""
+    state = solve_forward(data, driver, control)
+    return control - k_htau(data, driver, state)
+
+
+def bsde_residual(data, driver, state, y0, zbar0):
+    """Largest martingale-identity residual of a backward-equation solution.
+
+    For each n the identity
+
+        (I - tau Laplace_h) Y0(t_n) = E[Y0(t_{n+1}) | F_n]
+                                      - tau E[X(t_{n+1}) | F_n] + tau Zbar0(t_n)
+
+    must hold; the maximum L2 norm of its defect over all scenarios and
+    times is returned (exactly zero up to roundoff for exact
+    conditioning).  In eigen coordinates I - tau Laplace_h is the
+    diagonal 1 + tau lambda_i.
+    """
+    grid = data.grid
+    N, tau = grid.n_steps, grid.tau
+    shift = 1.0 + tau * data.space.eigvals
+    worst = 0.0
+    for n in range(N):
+        lhs = np.asarray(y0.at(n)) * shift
+        e_y = condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
+        e_x = condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
+        defect = lhs - e_y + tau * e_x - tau * np.asarray(zbar0.at(n))
+        norms = np.sqrt(np.einsum("ij,ij->i", defect, defect))
+        worst = max(worst, float(norms.max()))
+    return worst
 
 
 # -- nodal norms and evaluation -----------------------------------------------
@@ -99,7 +162,7 @@ def _multiplier(driver, k_from, k_to, linear=True):
     if not linear:
         return out
     for k in range(k_from, k_to + 1):
-        out = out * (1.0 + driver.pathwise_increment(k))
+        out = out * (1.0 + pathwise_increment(driver, k))
     return out
 
 
@@ -120,7 +183,7 @@ def literal_l(space, driver, control, linear=True):
     grid = driver.grid
     N, tau = grid.n_steps, grid.tau
     P = _a0_powers(space, tau, N)
-    u_path = [driver.to_pathwise(control.at(j), j) for j in range(N)]
+    u_path = [pathwise(driver, control.at(j), j) for j in range(N)]
     out = []
     for n in range(N + 1):
         acc = np.zeros_like(u_path[0])
@@ -142,7 +205,7 @@ def literal_f(space, driver, sigma, linear=True):
         acc = np.zeros((n_leaves, space.dim))
         for j in range(n):
             m = _multiplier(driver, j + 2, n, linear)
-            dw = driver.pathwise_increment(j + 1)
+            dw = pathwise_increment(driver, j + 1)
             acc += (m * dw)[:, None] * (P[n - j] @ sigma[j])
         out.append(acc)
     return out
@@ -158,7 +221,7 @@ def literal_l_adjoint(space, driver, xi, linear=True):
         acc = np.zeros((driver.n_scenarios(N), space.dim))
         for n in range(j + 1, N + 1):
             m = _multiplier(driver, j + 2, n, linear)
-            acc += m[:, None] * (driver.to_pathwise(xi.at(n), n) @ P[n - j].T)
+            acc += m[:, None] * (pathwise(driver, xi.at(n), n) @ P[n - j].T)
         out.append(tau * tree_condexp(acc, N, j))
     return out
 
@@ -168,7 +231,7 @@ def literal_lhat_adjoint(space, driver, eta, linear=True):
     grid = driver.grid
     N, tau = grid.n_steps, grid.tau
     P = _a0_powers(space, tau, N)
-    eta_path = driver.to_pathwise(np.asarray(eta), N)
+    eta_path = pathwise(driver, np.asarray(eta), N)
     out = []
     for j in range(N):
         m = _multiplier(driver, j + 2, N, linear)
@@ -291,21 +354,21 @@ def nodal_backward_kernel(data, driver, v_at, eta, product_offset):
     if eta is None:
         G = np.zeros((driver.n_scenarios(N), d))
     else:
-        G = np.array(driver.to_pathwise(np.asarray(eta, dtype=float), N))
+        G = np.array(pathwise(driver, np.asarray(eta, dtype=float), N))
         if G.ndim == 1:
             G = np.broadcast_to(G, (driver.n_scenarios(N), d)).copy()
     for n in range(N - 1, -1, -1):
         vn1 = v_at(n + 1) if v_at is not None else None
         if product_offset == 2:
             if linear and n <= N - 2:
-                G = G * (1.0 + driver.pathwise_increment(n + 2))[:, None]
+                G = G * (1.0 + pathwise_increment(driver, n + 2))[:, None]
             if vn1 is not None:
-                G = G + driver.to_pathwise(vn1, n + 1)
+                G = G + pathwise(driver, vn1, n + 1)
         else:
             if vn1 is not None:
-                G = G + driver.to_pathwise(vn1, n + 1)
+                G = G + pathwise(driver, vn1, n + 1)
             if linear:
-                G = G * (1.0 + driver.pathwise_increment(n + 1))[:, None]
+                G = G * (1.0 + pathwise_increment(driver, n + 1))[:, None]
         G = G @ A0.T
         yield n, G
 
@@ -325,6 +388,24 @@ def nodal_k_htau(data, driver, state):
     out = [None] * N
     for n, G in nodal_backward_kernel(data, driver, v_at, eta, product_offset=2):
         out[n] = nodal_condexp(data, driver, G, N, n, state)
+    return out
+
+
+def nodal_l_adjoint(data, driver, xi):
+    """(L* xi)(t_n), n = 0..N-1, of a nodal tree process from the leaf-wise sweep."""
+    tau, N = data.grid.tau, data.grid.n_steps
+    out = [None] * N
+    for n, G in nodal_backward_kernel(data, driver, xi.at, None, product_offset=2):
+        out[n] = tau * tree_condexp(G, N, n)
+    return out
+
+
+def nodal_lhat_adjoint(data, driver, eta):
+    """(Lhat* eta)(t_n), n = 0..N-1, of a nodal terminal value from the leaf-wise sweep."""
+    N = data.grid.n_steps
+    out = [None] * N
+    for n, G in nodal_backward_kernel(data, driver, None, eta, product_offset=2):
+        out[n] = tree_condexp(G, N, n)
     return out
 
 

@@ -43,7 +43,6 @@ from slqheat.optimizer import (
     cost,
     cost_with_stderr,
     direct_solve,
-    gradient,
     gradient_descent,
 )
 from slqheat.riccati import (
@@ -161,29 +160,29 @@ def test_a03_adjoint_duality():
         lu = apply_L(data, driver, u)
         lhs = oracles.pairing_state(
             driver,
-            [driver.to_pathwise(lu.at(n), n) for n in range(grid.n_steps + 1)],
+            [oracles.pathwise(driver, lu.at(n), n) for n in range(grid.n_steps + 1)],
             [np.zeros((driver.n_scenarios(grid.n_steps), space.dim))]
-            + [driver.to_pathwise(xi.at(n), n) for n in range(1, grid.n_steps + 1)],
+            + [oracles.pathwise(driver, xi.at(n), n) for n in range(1, grid.n_steps + 1)],
             tau,
         )
         lstar = apply_L_adjoint(data, driver, xi)
         rhs = 0.0
         for j in range(grid.n_steps):
             inner = (
-                driver.to_pathwise(u.at(j), j) * driver.to_pathwise(lstar.at(j), j)
+                oracles.pathwise(driver, u.at(j), j) * oracles.pathwise(driver, lstar.at(j), j)
             ).sum(axis=1)
             rhs += tau * inner.mean()
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
         # terminal map: E <(L U)(T), eta> = <U, Lhat* eta>
         eta = rng.standard_normal((2**grid.n_steps, space.dim))
-        lu_T = driver.to_pathwise(lu.at(grid.n_steps), grid.n_steps)
+        lu_T = oracles.pathwise(driver, lu.at(grid.n_steps), grid.n_steps)
         lhs_t = float((lu_T * eta).sum(axis=1).mean())
         lhat = apply_Lhat_adjoint(data, driver, eta)
         rhs_t = 0.0
         for j in range(grid.n_steps):
             inner = (
-                driver.to_pathwise(u.at(j), j) * driver.to_pathwise(lhat.at(j), j)
+                oracles.pathwise(driver, u.at(j), j) * oracles.pathwise(driver, lhat.at(j), j)
             ).sum(axis=1)
             rhs_t += tau * inner.mean()
         worst = max(worst, abs(lhs_t - rhs_t) / max(1.0, abs(lhs_t)))
@@ -205,7 +204,7 @@ def test_a04_gradient_matches_finite_differences():
     driver = TreeDriver(grid)
     rng = np.random.default_rng(3)
     u = _random_control(driver, space.dim, rng, amp=0.5)
-    g = gradient(data, driver, u)
+    g = oracles.gradient(data, driver, u)
     eps = 1e-5
 
     def j(ctrl):

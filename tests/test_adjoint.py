@@ -7,7 +7,6 @@ from slqheat.adjoint import (
     adjoint_gap,
     apply_L_adjoint,
     apply_Lhat_adjoint,
-    bsde_residual,
     condexp,
     implicit_euler_bsde,
     k_htau,
@@ -77,7 +76,7 @@ def test_bsde_martingale_identity_on_tree():
     space, grid, data, drv = tree_setup(n_elems=6, n_steps=5, alpha=1.0)
     X = solve_forward(data, drv)
     y0, zbar0 = implicit_euler_bsde(data, drv, X)
-    assert bsde_residual(data, drv, X, y0, zbar0) <= 1e-10
+    assert oracles.bsde_residual(data, drv, X, y0, zbar0) <= 1e-10
 
 
 def test_bsde_slice_recursion_equivalence():
@@ -254,7 +253,7 @@ def assert_bsde_matches_nodal_oracle(space, data, drv, X):
     for n in range(N):
         assert_allclose(space.from_eigen(zbar0.at(n)), z_ref[n], rtol=0, atol=1e-12)
     worst = oracles.nodal_bsde_residual(data, drv, X_nodal, y_ref, z_ref)
-    assert abs(bsde_residual(data, drv, X, y0, zbar0) - worst) <= 1e-12
+    assert abs(oracles.bsde_residual(data, drv, X, y0, zbar0) - worst) <= 1e-12
     return worst
 
 
@@ -274,3 +273,30 @@ def test_bsde_matches_nodal_oracle(kind, noise):
     else:
         space, grid, data, drv, X = ensemble_setup(noise=noise)
     assert_bsde_matches_nodal_oracle(space, data, drv, X)
+
+
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 8])
+def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
+    # the level-collapsed sweep against the leaf-wise nodal one; at depths
+    # 1 and 2 every step meets the min(n + offset, N) edge
+    space, grid, data, drv = tree_setup(n_elems=7, n_steps=depth, alpha=0.6, noise=noise)
+    rng = np.random.default_rng(depth)
+    X = AdaptedProcess(drv, 0, [rng.standard_normal((2**n, space.dim)) for n in range(depth + 1)])
+    Xn = oracles.nodal(space, X)
+    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, Xn)
+    pairs = [
+        (k_htau(data, drv, X).values, oracles.nodal_k_htau(data, drv, Xn)),
+        (apply_L_adjoint(data, drv, X).values, oracles.nodal_l_adjoint(data, drv, Xn)),
+        (
+            apply_Lhat_adjoint(data, drv, X.at(depth)).values,
+            oracles.nodal_lhat_adjoint(data, drv, Xn.at(depth)),
+        ),
+        (y0.values, y_ref),
+        (zbar0.values, z_ref),
+    ]
+    for got, ref in pairs:
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_allclose(space.from_eigen(g), r, rtol=0, atol=1e-12)

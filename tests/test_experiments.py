@@ -306,6 +306,18 @@ def test_gd_convergence_trace_file(tmp_path):
     assert manifest["config"]["study"] == "gd_convergence"
 
 
+def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = make_config("gd_convergence", n_elems=3, time_steps=2, max_iters=2, out=str(tmp_path))
+    run_study(cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    }
+
+
 def test_gd_convergence_requires_tree(tmp_path):
     cfg = make_config("gd_convergence", driver="mc", out=str(tmp_path))
     with pytest.raises(ValueError, match="tree"):

@@ -8,9 +8,8 @@ from slqheat.forward import (
     AdaptedProcess,
     SigmaSpec,
     a0_apply,
-    apply_Gamma,
     apply_L,
-    compute_f,
+    backward_kernel,
     default_sigma_spec,
     make_problem,
     solve_forward,
@@ -123,16 +122,16 @@ def test_forward_matches_literal_products_on_tree():
     drv = TreeDriver(grid)
     U = random_control(drv, space.dim, seed=1)
 
-    gam = oracles.nodal(space, apply_Gamma(data, drv))
+    gam = oracles.nodal(space, oracles.apply_Gamma(data, drv))
     lu = oracles.nodal(space, apply_L(data, drv, U))
-    f = oracles.nodal(space, compute_f(data, drv))
+    f = oracles.nodal(space, oracles.compute_f(data, drv))
     gam_ref = oracles.literal_gamma(space, drv, data.x0)
     lu_ref = oracles.literal_l(space, drv, oracles.nodal(space, U))
     f_ref = oracles.literal_f(space, drv, data.sigma)
     for n in range(grid.n_steps + 1):
-        assert_allclose(drv.to_pathwise(gam.at(n), n), gam_ref[n], atol=1e-12)
-        assert_allclose(drv.to_pathwise(lu.at(n), n), lu_ref[n], atol=1e-12)
-        assert_allclose(drv.to_pathwise(f.at(n), n), f_ref[n], atol=1e-12)
+        assert_allclose(oracles.pathwise(drv, gam.at(n), n), gam_ref[n], atol=1e-12)
+        assert_allclose(oracles.pathwise(drv, lu.at(n), n), lu_ref[n], atol=1e-12)
+        assert_allclose(oracles.pathwise(drv, f.at(n), n), f_ref[n], atol=1e-12)
 
 
 def test_forward_superposition_tree_and_ensemble():
@@ -140,7 +139,8 @@ def test_forward_superposition_tree_and_ensemble():
     for drv in (TreeDriver(grid), gaussian_driver(grid, 40, seed=7)):
         U = random_control(drv, space.dim, seed=2)
         X = solve_forward(data, drv, U)
-        parts = apply_Gamma(data, drv) + apply_L(data, drv, U) + compute_f(data, drv)
+        gam, f = oracles.apply_Gamma(data, drv), oracles.compute_f(data, drv)
+        parts = gam + apply_L(data, drv, U) + f
         for n in range(grid.n_steps + 1):
             assert_allclose(X.at(n), parts.at(n), atol=1e-12)
 
@@ -169,7 +169,7 @@ def test_second_moment_of_eigenmode_is_exact_on_tree():
     tau = grid.tau
     i = 2
     data = make_problem(space, grid, sigma_spec=default_sigma_spec(scale=0.0))
-    X = apply_Gamma(data, drv, x0=space.eigvecs[:, i])
+    X = oracles.apply_Gamma(data, drv, x0=space.eigvecs[:, i])
     lam = space.eigvals[i]
     for n in range(grid.n_steps + 1):
         sq = (X.at(n) * X.at(n)).sum(axis=1)
@@ -195,7 +195,7 @@ def test_feedback_control_is_sampled_at_left_nodes():
 def test_additive_noise_gamma_is_deterministic():
     space, grid, data = small_setup(noise="additive")
     drv = TreeDriver(grid)
-    gam = oracles.nodal(space, apply_Gamma(data, drv))
+    gam = oracles.nodal(space, oracles.apply_Gamma(data, drv))
     A0 = oracles.dense_a0(space, grid.tau)
     v = data.x0.copy()
     for n in range(grid.n_steps + 1):
@@ -204,7 +204,7 @@ def test_additive_noise_gamma_is_deterministic():
     # superposition still holds
     U = random_control(drv, space.dim, seed=4)
     X = solve_forward(data, drv, U)
-    parts = apply_Gamma(data, drv) + apply_L(data, drv, U) + compute_f(data, drv)
+    parts = oracles.apply_Gamma(data, drv) + apply_L(data, drv, U) + oracles.compute_f(data, drv)
     for n in range(grid.n_steps + 1):
         assert_allclose(X.at(n), parts.at(n), atol=1e-12)
 
@@ -249,15 +249,16 @@ def test_duality_of_l_and_l_adjoint(noise):
     lu = apply_L(data, drv, U)
     lhs = oracles.pairing_state(
         drv,
-        [drv.to_pathwise(lu.at(n), n) for n in range(grid.n_steps + 1)],
+        [oracles.pathwise(drv, lu.at(n), n) for n in range(grid.n_steps + 1)],
         [np.zeros((drv.n_scenarios(grid.n_steps), space.dim))]
-        + [drv.to_pathwise(xi.at(n), n) for n in range(1, grid.n_steps + 1)],
+        + [oracles.pathwise(drv, xi.at(n), n) for n in range(1, grid.n_steps + 1)],
         tau,
     )
     lstar = apply_L_adjoint(data, drv, xi)
     rhs = 0.0
     for j in range(grid.n_steps):
-        inner = (drv.to_pathwise(U.at(j), j) * drv.to_pathwise(lstar.at(j), j)).sum(axis=1)
+        u_j, lstar_j = oracles.pathwise(drv, U.at(j), j), oracles.pathwise(drv, lstar.at(j), j)
+        inner = (u_j * lstar_j).sum(axis=1)
         rhs += tau * inner.mean()
     assert_allclose(lhs, rhs, rtol=1e-11)
 
@@ -269,12 +270,13 @@ def test_terminal_duality_of_lhat():
     rng = np.random.default_rng(12)
     U = random_control(drv, space.dim, seed=13)
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
-    lu_T = drv.to_pathwise(apply_L(data, drv, U).at(grid.n_steps), grid.n_steps)
+    lu_T = oracles.pathwise(drv, apply_L(data, drv, U).at(grid.n_steps), grid.n_steps)
     lhs = (lu_T * eta).sum(axis=1).mean()
     lhat = apply_Lhat_adjoint(data, drv, eta)
     rhs = 0.0
     for j in range(grid.n_steps):
-        inner = (drv.to_pathwise(U.at(j), j) * drv.to_pathwise(lhat.at(j), j)).sum(axis=1)
+        u_j, lhat_j = oracles.pathwise(drv, U.at(j), j), oracles.pathwise(drv, lhat.at(j), j)
+        inner = (u_j * lhat_j).sum(axis=1)
         rhs += grid.tau * inner.mean()
     assert_allclose(lhs, rhs, rtol=1e-11)
 
@@ -322,3 +324,18 @@ def test_solve_forward_matches_nodal_oracle(kind, noise):
     ref = oracles.nodal_solve_forward(data, drv, oracles.nodal(space, U))
     for n in range(grid.n_steps + 1):
         assert_allclose(space.from_eigen(X.at(n)), ref.at(n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("product_offset", [1, 2])
+def test_backward_kernel_slices_live_at_their_level(product_offset):
+    # a quiet return to leaf-wise storage (2^N rows at every step) fails here
+    space, grid, data = small_setup(n_steps=5)
+    for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
+        X = solve_forward(data, drv)
+        seen = []
+        for n, H, level in backward_kernel(data, drv, X.at, X.at(5), product_offset):
+            assert level == min(n + product_offset, 5)
+            rows = 2**level if drv.kind == "tree" else 7
+            assert H.shape == (rows, space.dim)
+            seen.append(n)
+        assert seen == [4, 3, 2, 1, 0]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
+import oracles
 from slqheat.noise import (
     TreeDriver,
     gaussian_driver,
@@ -63,8 +64,8 @@ def test_tree_brownian_matches_leaf_path_sums():
     assert_allclose(drv.brownian(n), w_ref)
     # level values broadcast to leaves agree with pathwise view
     w3 = drv.brownian(3)
-    assert_allclose(drv.to_pathwise(w3, 3), w_ref - sum(
-        drv.pathwise_increment(k) for k in range(4, n + 1)
+    assert_allclose(oracles.pathwise(drv, w3, 3), w_ref - sum(
+        oracles.pathwise_increment(drv, k) for k in range(4, n + 1)
     ))
 
 
@@ -74,6 +75,16 @@ def test_tree_condexp_is_subtree_mean():
     assert_allclose(out, [vals[:4].mean(), vals[4:].mean()])
     with pytest.raises(ValueError):
         tree_condexp(vals, 3, 4)
+
+
+def test_tree_condexp_rejects_rows_of_another_level():
+    with pytest.raises(ValueError, match="level 3 data need 8 rows, got 4"):
+        tree_condexp(np.ones((4, 2)), 3, 1)
+
+
+def test_tree_condexp_rejects_negative_level():
+    with pytest.raises(ValueError, match="level 2 data on level -1"):
+        tree_condexp(np.ones((4, 2)), 2, -1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,8 +106,9 @@ def test_tree_pathwise_expansion_shapes():
     drv = TreeDriver(make_time_grid(1.0, 4))
     vals = np.ones((4, 3))  # level 2 node values, d = 3
     assert drv.child_expand(vals, 2).shape == (8, 3)
-    assert drv.to_pathwise(vals, 2).shape == (16, 3)
-    assert drv.pathwise_increment(1).shape == (16,)
+    assert_allclose(drv.parent_mean(drv.child_expand(vals, 2)), vals)
+    assert oracles.pathwise(drv, vals, 2).shape == (16, 3)
+    assert oracles.pathwise_increment(drv, 1).shape == (16,)
 
 
 def test_gaussian_driver_partition_independence():

@@ -11,7 +11,7 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from oracles import eval_fem
+from oracles import eval_fem, gradient
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
@@ -22,7 +22,6 @@ from slqheat.optimizer import (
     cost_with_stderr,
     direct_solve,
     estimate_operator_norm,
-    gradient,
     gradient_descent,
     kappa_bound,
 )
