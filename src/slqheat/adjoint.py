@@ -33,20 +33,20 @@ from .forward import AdaptedProcess, backward_kernel
 from .noise import tree_condexp
 
 
-def regression_condexp(features, targets, ridge=1e-10):
+# Ridge of the regression normal equations: keeps degenerate slices such as
+# t_0, where all paths coincide and the state columns are constant, solvable.
+_RIDGE = 1e-10
+
+
+def regression_condexp(features, targets):
     """Ridge least-squares fit of targets on features.
 
-    Solves (F^T F + ridge I) beta = F^T Y and returns (beta, F beta).  With
-    ridge = 0 the normal equations must be well conditioned; otherwise a
-    ValueError suggests regularizing.
+    Solves (F^T F + ridge I) beta = F^T Y with the fixed ridge 1e-10 and
+    returns (beta, F beta).
     """
     F = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    gram = F.T @ F
-    if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    elif np.linalg.cond(gram) > 1e12:
-        raise ValueError("feature Gram matrix is rank deficient; set ridge > 0")
+    gram = F.T @ F + _RIDGE * np.eye(F.shape[1])
     beta = np.linalg.solve(gram, F.T @ Y)
     return beta, F @ beta
 
@@ -56,10 +56,10 @@ def condexp(data, driver, values, level, n, state=None):
 
     On a scenario tree this is the exact subtree average of the
     level-``level`` node values over the level-``n`` nodes.  On an
-    ensemble it is the least-squares regression (ridge 1e-10, which keeps
-    degenerate slices such as t_0, where all paths coincide, solvable) on
-    [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the leading
-    m = min(4, d) eigenbasis coordinates of ``state`` at t_n.
+    ensemble it is the ridge least-squares regression of
+    :func:`regression_condexp` on [1, xhat_1, ..., xhat_m, W(t_n)], with
+    xhat_i the leading m = min(4, d) eigenbasis coordinates of ``state``
+    at t_n.
 
     Raises
     ------
@@ -71,7 +71,8 @@ def condexp(data, driver, values, level, n, state=None):
     if state is None:
         raise ValueError("conditioning on an ensemble regresses on the state; pass state")
     # the exact conditional expectations are affine in the state
-    # coordinates, so a linear basis in a few leading modes is adequate
+    # coordinates, but only the leading modes enter the basis: it is exact
+    # only for data that load modes <= 4 (a mode-wise basis is ROADMAP item 2)
     m = min(4, data.space.dim)
     coords = state.at(n)[:, :m]
     features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])

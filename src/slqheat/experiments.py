@@ -8,7 +8,8 @@ Five studies are provided, all driven by a flat ExperimentConfig:
 * temporal_rate     -- control and state errors under time refinement on
                        common Brownian paths (Monte Carlo);
 * gd_convergence    -- per-iteration gradient-descent trace against the
-                       direct-solve reference with the theory envelope;
+                       exact discrete optimum (the discrete Riccati
+                       feedback) with the theory envelope;
 * riccati_crosscheck-- value function vs. moment cost vs. sampled cost;
 * adjoint_gap       -- squared gap between the backward-equation solution
                        and the gradient kernel across step counts.
@@ -33,18 +34,12 @@ from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
 from .mesh import build_fem_space, prolongation_matrix, ritz_project
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
-from .optimizer import (
-    GdConfig,
-    cost,
-    cost_with_stderr,
-    direct_solve,
-    estimate_operator_norm,
-    gradient_descent,
-)
+from .optimizer import GdConfig, cost, cost_with_stderr, gradient_descent
 from .riccati import (
     _closed_loop_stream,
     _simpson_panel_values,
     cost_from_moments,
+    discrete_feedback,
     feedback_control,
     solve_phi,
     solve_riccati,
@@ -73,7 +68,6 @@ class ExperimentConfig:
     n_paths: int = None
     seed: int = 20250801
     kappa: float = None
-    kappa_mode: str = "bound"
     max_iters: int = None
     tol_grad: float = None
     k_fine: int = None
@@ -266,18 +260,12 @@ def _problem(cfg, space, grid):
     )
 
 
-def _gd_config(cfg, data, driver):
-    kappa = cfg.kappa
-    allow_low = cfg.kappa is not None
-    if kappa is None and cfg.kappa_mode == "estimate":
-        # power iteration converges from below; keep a safety margin
-        kappa = 1.01 * estimate_operator_norm(data, driver, n_iters=30, seed=cfg.seed)
-        allow_low = True
+def _gd_config(cfg):
     return GdConfig(
-        kappa=kappa,
+        kappa=cfg.kappa,
         max_iters=cfg.max_iters if cfg.max_iters is not None else 60,
         tol_grad=cfg.tol_grad,
-        allow_low_kappa=allow_low,
+        allow_low_kappa=cfg.kappa is not None,
     )
 
 
@@ -408,7 +396,7 @@ def _coarsen_to(driver, n_steps):
 
 
 def _solve_on_paths(cfg, data, driver):
-    u, _ = gradient_descent(data, driver, _gd_config(cfg, data, driver))
+    u, _ = gradient_descent(data, driver, _gd_config(cfg))
     return u, solve_forward(data, driver, u)
 
 
@@ -477,11 +465,12 @@ def run_temporal_rate(cfg):
 
 
 def run_gd_convergence(cfg):
-    """Gradient-descent iteration trace against the direct-solve optimum.
+    """Gradient-descent iteration trace against the exact discrete optimum.
 
-    Writes trace.csv with columns iter,cost,grad_norm,err_to_ref,ratio,
-    envelope: err_to_ref is the squared control distance to the
-    direct-solve reference, ratio its per-iteration contraction, and
+    The reference is the control of :func:`slqheat.riccati.discrete_feedback`
+    realized on the tree.  Writes trace.csv with columns iter,cost,
+    grad_norm,err_to_ref,ratio,envelope: err_to_ref is the squared control
+    distance to the reference, ratio its per-iteration contraction, and
     envelope the theory curve (1 - 1/kappa)^iter * err_to_ref[0].  The
     cost-gap bound 2 kappa err_to_ref[0] / iter is reconstructable from
     the same columns and is summarized in the manifest.
@@ -494,9 +483,9 @@ def run_gd_convergence(cfg):
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
     data = _problem(cfg, space, grid)
     driver = TreeDriver(grid)
-    u_star = direct_solve(data, driver)
-    j_star = cost(data, solve_forward(data, driver, u_star), u_star)
-    u, trace = gradient_descent(data, driver, _gd_config(cfg, data, driver), reference=u_star)
+    x_star, u_star = solve_forward(data, driver, discrete_feedback(data), return_control=True)
+    j_star = cost(data, x_star, u_star)
+    u, trace = gradient_descent(data, driver, _gd_config(cfg), reference=u_star)
 
     env = trace.envelope()
     lines = ["iter,cost,grad_norm,err_to_ref,ratio,envelope"]

@@ -69,30 +69,10 @@ class AdaptedProcess:
             raise IndexError(f"time index {n} outside [{self.start}, {self.stop}]")
         return self.values[n - self.start]
 
-    def copy(self):
-        return AdaptedProcess(self.driver, self.start, [v.copy() for v in self.values])
-
-    def map(self, fn):
-        return AdaptedProcess(self.driver, self.start, [fn(v) for v in self.values])
-
-    def __add__(self, other):
-        return AdaptedProcess(
-            self.driver, self.start, [a + b for a, b in zip(self.values, other.values, strict=True)]
-        )
-
     def __sub__(self, other):
         return AdaptedProcess(
             self.driver, self.start, [a - b for a, b in zip(self.values, other.values, strict=True)]
         )
-
-    def __rmul__(self, scalar):
-        return self.map(lambda v: scalar * v)
-
-    def axpy(self, a, other):
-        """In-place self += a * other (slice by slice, no new storage)."""
-        for v, w in zip(self.values, other.values, strict=True):
-            v += a * w
-        return self
 
 
 def zeros_process(driver, dim, start, stop):
@@ -281,11 +261,6 @@ def solve_forward(data, driver, control=None, return_control=False):
     requested).
     """
     return _forward(data, driver, data.x0, control, data.sigma, return_control)
-
-
-def apply_L(data, driver, control):
-    """Control-to-state map: zero initial datum, zero inhomogeneity."""
-    return _forward(data, driver, None, control, None)
 
 
 def backward_kernel(data, driver, v_at, eta, product_offset):

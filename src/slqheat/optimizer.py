@@ -1,4 +1,4 @@
-"""Cost functional, gradient via the kernel, fixed-step descent, direct solve.
+"""Cost functional, gradient via the kernel, fixed-step descent.
 
 The discrete control problem minimizes
 
@@ -11,11 +11,10 @@ control inner product is
     DJ(U) = U - K X(U),
 
 with K the kernel of :func:`slqheat.adjoint.k_htau`, so the optimum is
-the fixed point U* = K X(U*).  Two solvers are provided: a fixed-step
-gradient descent U <- U - (1/kappa) DJ(U) with the operator-norm bound
-kappa = 1 + alpha T e^T + T^2 e^T, and a conjugate-gradient solve of the
-optimality system (exact conditional expectations, scenario trees only)
-that serves as the reference in tests and convergence studies.
+the fixed point U* = K X(U*).  The solver here is a fixed-step gradient
+descent U <- U - (1/kappa) DJ(U) with the operator-norm bound
+kappa = 1 + alpha T e^T + T^2 e^T; the exact discrete optimum it
+converges to is the feedback of :func:`slqheat.riccati.discrete_feedback`.
 
 States and controls hold eigen coordinates (see :mod:`slqheat.forward`),
 so every L2 norm and inner product here is a euclidean row dot product.
@@ -26,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import k_htau, k_htau_sweep
-from .forward import AdaptedProcess, apply_L, solve_forward, zeros_process
+from .adjoint import k_htau_sweep
+from .forward import solve_forward, zeros_process
 
 
 def _row_sq(values):
@@ -130,7 +129,6 @@ class GdConfig:
     kappa: float = None
     max_iters: int = 200
     tol_grad: float = None
-    u0: AdaptedProcess = None
     allow_low_kappa: bool = False
 
 
@@ -142,11 +140,6 @@ class GdTrace:
     cost: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     err_to_ref: list = field(default_factory=list)
-
-    def contraction_ratios(self):
-        """err_to_ref[l+1] / err_to_ref[l] (squared-distance ratios)."""
-        e = self.err_to_ref
-        return [e[i + 1] / e[i] if e[i] > 0 else 0.0 for i in range(len(e) - 1)]
 
     def envelope(self):
         """Theory curve (1 - 1/kappa)^l * err_to_ref[0]."""
@@ -188,7 +181,7 @@ def gradient_descent(data, driver, cfg, reference=None):
     adaptive_tol = cfg.tol_grad is None and driver.kind != "tree"
     tol = cfg.tol_grad if cfg.tol_grad is not None else (1e-10 if driver.kind == "tree" else 0.0)
 
-    u = cfg.u0.copy() if cfg.u0 is not None else zeros_process(driver, space.dim, 0, grid.n_steps - 1)
+    u = zeros_process(driver, space.dim, 0, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
     increases = 0
@@ -234,82 +227,3 @@ def gradient_descent(data, driver, cfg, reference=None):
         if grad_norm <= tol:
             break
     return u, trace
-
-
-def direct_solve(data, driver, tol=1e-12, return_info=False):
-    """Conjugate-gradient solve of the discrete optimality system.
-
-    The optimal control satisfies (1 + L*L + alpha Lhat*Lhat) U = K X^0,
-    with X^0 the zero-control state; the operator application is
-    V -> V - K(L V), assembled from the forward and kernel sweeps.
-    Conditional expectations must be exact, so the driver is a scenario
-    tree.
-
-    Returns
-    -------
-    control (AdaptedProcess); with return_info=True, (control, n_iters).
-
-    Raises
-    ------
-    RuntimeError if CG has not reached residual <= tol * ||rhs|| within
-    10 * n_unknowns iterations.
-    """
-    if driver.kind != "tree":
-        raise ValueError("direct solve requires exact conditional expectations (tree driver)")
-    grid = data.grid
-    n_unknowns = data.space.dim * sum(driver.n_scenarios(n) for n in range(grid.n_steps))
-    if n_unknowns > 1_000_000:
-        raise ValueError(f"optimality system too large ({n_unknowns} unknowns)")
-
-    def apply_n(v):
-        return v - k_htau(data, driver, apply_L(data, driver, v))
-
-    x0_state = solve_forward(data, driver, control=None)
-    rhs = k_htau(data, driver, x0_state)
-    rhs_norm = float(np.sqrt(control_norm_sq(data, rhs)))
-    u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
-    if rhs_norm == 0.0:
-        return (u, 0) if return_info else u
-
-    r = rhs.copy()
-    p = rhs.copy()
-    rs = control_inner(data, r, r)
-    max_iters = 10 * n_unknowns
-    for it in range(1, max_iters + 1):
-        ap = apply_n(p)
-        alpha_cg = rs / control_inner(data, p, ap)
-        u.axpy(alpha_cg, p)
-        r.axpy(-alpha_cg, ap)
-        rs_new = control_inner(data, r, r)
-        if np.sqrt(rs_new) <= tol * rhs_norm:
-            return (u, it) if return_info else u
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise RuntimeError(
-        f"conjugate gradients did not reach {tol:.1e} * ||rhs|| in {max_iters} iterations"
-    )
-
-
-def estimate_operator_norm(data, driver, n_iters=30, seed=0):
-    """Power-iteration estimate of the cost Hessian norm ||1 + L*L + alpha Lhat*Lhat||.
-
-    A tighter kappa than kappa_bound (pass it with allow_low_kappa=True;
-    add a safety margin since power iteration converges from below).
-    """
-    rng = np.random.default_rng(seed)
-    vals = [
-        rng.standard_normal((driver.n_scenarios(n), data.space.dim))
-        for n in range(data.grid.n_steps)
-    ]
-    v = AdaptedProcess(driver, 0, vals)
-
-    def apply_n(w):
-        return w - k_htau(data, driver, apply_L(data, driver, w))
-
-    v = (1.0 / np.sqrt(control_norm_sq(data, v))) * v
-    rayleigh = 1.0
-    for _ in range(n_iters):
-        nv = apply_n(v)
-        rayleigh = control_inner(data, v, nv)
-        v = (1.0 / np.sqrt(control_norm_sq(data, nv))) * nv
-    return float(rayleigh)

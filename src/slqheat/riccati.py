@@ -1,4 +1,4 @@
-"""Semidiscrete Riccati feedback: exact mode solutions and closed-loop moments.
+"""Riccati feedback: exact semidiscrete modes, moments, and the discrete recursion.
 
 In the M-orthonormal eigenbasis the operator Riccati equation
 
@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .forward import a0_scale
 from .mesh import ritz_project
 
 
@@ -84,11 +85,10 @@ def riccati_mode_values(lams, alpha, horizon, t, derivative=False):
 class RiccatiSolution:
     """Riccati feedback data sampled on a dense half-step grid.
 
-    The public node views (``fine_grid``, ``p``, ``phi``,
-    ``value_integral``) live on the K_fine + 1 nodes; the half-grid
-    arrays (nodes and midpoints interleaved, 2 K_fine + 1 points) are
-    kept because the collocation sweeps for phi and the moments need
-    midpoint samples.
+    The public node views (``fine_grid``, ``value_integral``) live on the
+    K_fine + 1 nodes; the half-grid arrays (nodes and
+    midpoints interleaved, 2 K_fine + 1 points) are kept because the
+    collocation sweeps for phi and the moments need midpoint samples.
     """
 
     space: object
@@ -106,14 +106,6 @@ class RiccatiSolution:
     def fine_grid(self):
         return self.t_half[::2]
 
-    @property
-    def p(self):
-        return self.p_half[:, ::2]
-
-    @property
-    def phi(self):
-        return None if self.phi_half is None else self.phi_half[:, ::2]
-
     def p_at(self, t):
         """Exact p_i(t), shape (d,) for scalar t."""
         return riccati_mode_values(self.lams, self.alpha, self.horizon, [t])[:, 0]
@@ -126,7 +118,7 @@ class RiccatiSolution:
         k = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
         k = max(k, 0)
         w = (t - grid[k]) / (grid[k + 1] - grid[k])
-        phi = self.phi
+        phi = self.phi_half[:, ::2]
         return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
 
 
@@ -215,7 +207,7 @@ def sigma_eig_on_half_grid(space, sigma_spec, t_half):
     return sigma_spec.scale * np.outer(prof_eig, tf)
 
 
-def solve_phi(space, riccati, sigma_spec, k_fine=None):
+def solve_phi(space, riccati, sigma_spec):
     """Offset trajectories phi_i and the running value integral.
 
     Integrates, backward from phi_i(T) = 0,
@@ -236,10 +228,6 @@ def solve_phi(space, riccati, sigma_spec, k_fine=None):
     -------
     RiccatiSolution with phi and value_integral filled in.
     """
-    if k_fine is not None and k_fine != riccati.k_fine:
-        raise ValueError(
-            f"phi must live on the Riccati grid (k_fine {riccati.k_fine}), got {k_fine}"
-        )
     t_half = riccati.t_half
     dt = riccati.horizon / riccati.k_fine
     sig = sigma_eig_on_half_grid(space, sigma_spec, t_half)
@@ -291,6 +279,52 @@ def value_function(riccati, x0):
     )
 
 
+def discrete_feedback(data):
+    """Exact optimal feedback of the time-discrete control problem.
+
+    Mode i of the scheme reads X_{n+1} = s_i [(1 + dW) X_n + tau U_n +
+    sigma_{n,i} dW] with s_i = 1 / (1 + tau lambda_i); the modes share
+    only the increment, so dynamic programming is exact mode by mode.
+    From P_N = tau + alpha, q_N = 0, each step n = N-1, ..., 0 sets
+    a = P_{n+1} s^2, b = q_{n+1} s and
+
+        g_n = a / (1 + tau a),   h_n = b / (1 + tau a),
+        P_n = g_n + tau a + tau [n >= 1],   q_n = h_n + tau a sigma_n,
+
+    where additive noise drops the noise terms tau a and tau a sigma_n
+    (Kleinman 1969; Ait Rami, Chen, Moore and Zhou 2001).  Only the mean 0
+    and variance tau of the increments enter, so it holds on trees and
+    ensembles alike.
+
+    Returns
+    -------
+    callable (t, c) -> -(g_n c + h_n) on eigen coordinates, for t = t_n
+    (n < N) a node of ``data.grid``: the control form that
+    :func:`slqheat.forward.solve_forward` takes.
+    """
+    space, grid = data.space, data.grid
+    N, tau = grid.n_steps, grid.tau
+    linear = data.noise == "linear"
+    s = a0_scale(space, tau)
+    sigma = space.to_eigen(data.sigma)
+    g = np.empty((N, space.dim))
+    h = np.empty((N, space.dim))
+    P, q = np.full(space.dim, tau + data.alpha), np.zeros(space.dim)
+    for n in range(N - 1, -1, -1):
+        a, b = P * s**2, q * s
+        g[n], h[n] = a / (1.0 + tau * a), b / (1.0 + tau * a)
+        noise = tau * a if linear else 0.0
+        P, q = g[n] + noise + tau * (n >= 1), h[n] + noise * sigma[n]
+
+    def control(t, c):
+        n = int(round(t / tau))
+        if not 0 <= n < N or abs(t - grid.nodes[n]) > 1e-9 * tau:
+            raise ValueError(f"time {t} is not a control node of the grid")
+        return -(g[n] * np.asarray(c) + h[n])
+
+    return control
+
+
 def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):
     """Yield (half_index, m, S) along the closed-loop moment sweep.
 
@@ -330,7 +364,7 @@ def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, co
         A0, g0 = A1, g1
 
 
-def cost_from_moments(space, riccati, data, k_fine=None):
+def cost_from_moments(space, riccati, data):
     """Deterministic cost of the feedback-controlled system.
 
     cost = (1/2) int_0^T [tr S + E||U||^2] dt + (alpha/2) tr S(T),
@@ -339,8 +373,6 @@ def cost_from_moments(space, riccati, data, k_fine=None):
     accumulated by composite Simpson along the closed-loop moment sweep
     (the trajectory itself is never stored).
     """
-    if k_fine is not None and k_fine != riccati.k_fine:
-        raise ValueError(f"moments must live on the Riccati grid, got k_fine={k_fine}")
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     if riccati.phi_half is None or riccati.sigma_eig_half is None:

@@ -12,11 +12,15 @@ nodal sweeps of the library with A0 as the dense matrix
 (M + tau A)^{-1} M, kept as the equivalence oracle of the eigen-coordinate
 sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 (every slice at the 2^N leaves, through ``pathwise``) that the library's
-level-collapsing sweep replaced.  ``apply_Gamma``, ``compute_f``,
-``gradient`` and ``bsde_residual`` are library operators that only the
-tests use.  ``full_closed_loop_stream`` and ``full_joint_errors`` play the
-same part for the entry-indexed moment sweep, and ``solve_riccati_dense``
-is an independent matrix Riccati integrator.
+level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
+``compute_f``, ``gradient`` and ``bsde_residual`` are library operators
+that only the tests use.  ``direct_solve`` (conjugate gradients on the
+optimality system) and ``estimate_operator_norm`` (power iteration) reach
+the discrete optimum and the Hessian norm without the discrete Riccati
+recursion, which they cross-check.  ``full_closed_loop_stream`` and
+``full_joint_errors`` play the same part for the entry-indexed moment
+sweep, and ``solve_riccati_dense`` is an independent matrix Riccati
+integrator.
 """
 
 import warnings
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from slqheat.adjoint import condexp, k_htau
-from slqheat.forward import AdaptedProcess, _forward, solve_forward
+from slqheat.forward import AdaptedProcess, _forward, solve_forward, zeros_process
 from slqheat.mesh import prolongation_matrix
 from slqheat.noise import tree_condexp
+from slqheat.optimizer import control_inner, control_norm_sq
 from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
@@ -43,7 +48,13 @@ def dense_a0(space, tau):
 
 def nodal(space, proc):
     """A library process (eigen coordinates) with every slice in nodal values."""
-    return proc.map(space.from_eigen)
+    return AdaptedProcess(proc.driver, proc.start, [space.from_eigen(v) for v in proc.values])
+
+
+def add(u, v, scale=1.0):
+    """The process u + scale * v, slice by slice."""
+    vals = [a + scale * b for a, b in zip(u.values, v.values, strict=True)]
+    return AdaptedProcess(u.driver, u.start, vals)
 
 
 # -- leaf-wise views and test-only operators ----------------------------------
@@ -66,6 +77,11 @@ def apply_Gamma(data, driver, x0=None):
     return _forward(data, driver, data.x0 if x0 is None else x0, None, None)
 
 
+def apply_L(data, driver, control):
+    """Control-to-state map: zero initial datum, zero inhomogeneity."""
+    return _forward(data, driver, None, control, None)
+
+
 def compute_f(data, driver):
     """Inhomogeneous part driven by sigma dW alone."""
     return _forward(data, driver, None, None, data.sigma)
@@ -75,6 +91,84 @@ def gradient(data, driver, control):
     """DJ(U) = U - K X(U) as an adapted process over 0..N-1."""
     state = solve_forward(data, driver, control)
     return control - k_htau(data, driver, state)
+
+
+def direct_solve(data, driver, tol=1e-12):
+    """Conjugate-gradient solve of the discrete optimality system.
+
+    The optimal control satisfies (1 + L*L + alpha Lhat*Lhat) U = K X^0,
+    with X^0 the zero-control state; the operator application is
+    V -> V - K(L V), assembled from the forward and kernel sweeps.
+    Conditional expectations must be exact, so the driver is a scenario
+    tree.
+
+    Raises
+    ------
+    RuntimeError if CG has not reached residual <= tol * ||rhs|| within
+    10 * n_unknowns iterations.
+    """
+    if driver.kind != "tree":
+        raise ValueError("direct solve requires exact conditional expectations (tree driver)")
+    grid = data.grid
+    n_unknowns = data.space.dim * sum(driver.n_scenarios(n) for n in range(grid.n_steps))
+    if n_unknowns > 1_000_000:
+        raise ValueError(f"optimality system too large ({n_unknowns} unknowns)")
+
+    def apply_n(v):
+        return add(v, k_htau(data, driver, apply_L(data, driver, v)), -1.0)
+
+    x0_state = solve_forward(data, driver, control=None)
+    rhs = k_htau(data, driver, x0_state)
+    rhs_norm = float(np.sqrt(control_norm_sq(data, rhs)))
+    u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
+    if rhs_norm == 0.0:
+        return u
+
+    r = p = rhs  # add() returns new processes, so sharing rhs is safe
+    rs = control_inner(data, r, r)
+    max_iters = 10 * n_unknowns
+    for _ in range(max_iters):
+        ap = apply_n(p)
+        alpha_cg = rs / control_inner(data, p, ap)
+        u = add(u, p, alpha_cg)
+        r = add(r, ap, -alpha_cg)
+        rs_new = control_inner(data, r, r)
+        if np.sqrt(rs_new) <= tol * rhs_norm:
+            return u
+        p = add(r, p, rs_new / rs)
+        rs = rs_new
+    raise RuntimeError(
+        f"conjugate gradients did not reach {tol:.1e} * ||rhs|| in {max_iters} iterations"
+    )
+
+
+def estimate_operator_norm(data, driver, n_iters=30, seed=0):
+    """Power-iteration estimate of the cost Hessian norm ||1 + L*L + alpha Lhat*Lhat||.
+
+    Converges from below, so a kappa taken from it needs a safety margin
+    (and allow_low_kappa=True).
+    """
+    rng = np.random.default_rng(seed)
+    vals = [
+        rng.standard_normal((driver.n_scenarios(n), data.space.dim))
+        for n in range(data.grid.n_steps)
+    ]
+    v = AdaptedProcess(driver, 0, vals)
+
+    def apply_n(w):
+        return add(w, k_htau(data, driver, apply_L(data, driver, w)), -1.0)
+
+    def normalized(w):
+        scale = 1.0 / np.sqrt(control_norm_sq(data, w))
+        return AdaptedProcess(driver, 0, [scale * x for x in w.values])
+
+    v = normalized(v)
+    rayleigh = 1.0
+    for _ in range(n_iters):
+        nv = apply_n(v)
+        rayleigh = control_inner(data, v, nv)
+        v = normalized(nv)
+    return float(rayleigh)
 
 
 def bsde_residual(data, driver, state, y0, zbar0):
@@ -455,15 +549,13 @@ class MomentState:
     S: np.ndarray
 
 
-def closed_loop_moments(space, riccati, data, k_fine=None):
+def closed_loop_moments(space, riccati, data):
     """Moment trajectory of the feedback-controlled state at the fine nodes.
 
     Returns a list of MomentState (length K_fine + 1) aligned with
     ``riccati.fine_grid``, with S the full d x d second moment: the
     library's entry-indexed sweep run on all pairs (i, j).
     """
-    if k_fine is not None and k_fine != riccati.k_fine:
-        raise ValueError(f"moments must live on the Riccati grid, got k_fine={k_fine}")
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     if riccati.phi_half is None or riccati.sigma_eig_half is None:

@@ -23,7 +23,6 @@ import oracles
 from slqheat.adjoint import apply_L_adjoint, apply_Lhat_adjoint, k_htau
 from slqheat.forward import (
     AdaptedProcess,
-    apply_L,
     default_sigma_spec,
     make_problem,
     solve_forward,
@@ -42,7 +41,6 @@ from slqheat.optimizer import (
     control_inner,
     cost,
     cost_with_stderr,
-    direct_solve,
     gradient_descent,
 )
 from slqheat.riccati import (
@@ -87,7 +85,7 @@ def test_a01_gradient_descent_matches_direct_solve():
     grid = make_time_grid(1.0, 4)
     data = make_problem(space, grid, alpha=1.0)
     driver = TreeDriver(grid)
-    u_star = direct_solve(data, driver)
+    u_star = oracles.direct_solve(data, driver)
     u, _ = gradient_descent(
         data, driver, GdConfig(max_iters=400, tol_grad=1e-13), reference=u_star
     )
@@ -157,7 +155,7 @@ def test_a03_adjoint_duality():
             1,
             [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)],
         )
-        lu = apply_L(data, driver, u)
+        lu = oracles.apply_L(data, driver, u)
         lhs = oracles.pairing_state(
             driver,
             [oracles.pathwise(driver, lu.at(n), n) for n in range(grid.n_steps + 1)],
@@ -213,7 +211,7 @@ def test_a04_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(5):
         v = _random_control(driver, space.dim, rng)
-        fd = (j(u + eps * v) - j(u + (-eps) * v)) / (2.0 * eps)
+        fd = (j(oracles.add(u, v, eps)) - j(oracles.add(u, v, -eps))) / (2.0 * eps)
         pairing = control_inner(data, g, v)
         worst = max(worst, abs(fd - pairing) / max(1.0, abs(pairing)))
     ok = worst <= 1e-6
@@ -234,7 +232,7 @@ def test_a05_gd_contraction_cost_gap_and_state_bound():
     grid = make_time_grid(1.0, 4)
     data = make_problem(space, grid, alpha=0.5, sigma_spec=default_sigma_spec(scale=0.7))
     driver = TreeDriver(grid)
-    u_star = direct_solve(data, driver)
+    u_star = oracles.direct_solve(data, driver)
     x_star = solve_forward(data, driver, u_star)
     j_star = cost(data, x_star, u_star)
 

@@ -148,16 +148,9 @@ def test_regression_condexp_recovers_affine_targets():
     F = np.column_stack([np.ones(200), rng.standard_normal((200, 3))])
     beta_true = np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0], [2.0, 1.0]])
     Y = F @ beta_true
-    beta, pred = regression_condexp(F, Y, ridge=1e-12)
+    beta, pred = regression_condexp(F, Y)
     assert_allclose(beta, beta_true, atol=1e-6)
     assert_allclose(pred, Y, atol=1e-6)
-
-
-def test_regression_condexp_zero_ridge_rank_deficient():
-    F = np.ones((50, 3))  # rank 1
-    Y = np.ones(50)
-    with pytest.raises(ValueError, match="ridge"):
-        regression_condexp(F, Y, ridge=0.0)
 
 
 def test_regression_estimator_exact_for_affine_functionals():

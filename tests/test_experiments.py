@@ -135,7 +135,7 @@ def test_parse_config_text_types_and_comments():
         "study": "temporal_rate", "horizon": 0.5, "alpha": 1.5, "noise": "additive",
         "sigma_scale": 2.0, "n_elems": 8, "time_steps": 4, "mesh_levels": (4, 8),
         "mesh_ref": 16, "time_levels": (2, 4), "n_ref": 8, "driver": "mc", "n_paths": 10,
-        "seed": 3, "kappa": 12.5, "kappa_mode": "estimate", "max_iters": 7,
+        "seed": 3, "kappa": 12.5, "max_iters": 7,
         "tol_grad": 1e-06, "k_fine": 32, "out": "res",
     }
     fields = dataclasses.fields(ExperimentConfig)

@@ -11,10 +11,13 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 # Documented entry points, exempt from the unreferenced-code check because
 # their callers live outside src/: the harness (make_config, run_study),
-# the console script (cli.main), the adjoints L*, Lhat* of the README and
-# the one-step operator a0_apply, which the benchmark traces as a layer.
+# the console script (cli.main), the adjoints L*, Lhat* of the README, the
+# one-step operator a0_apply, which the benchmark traces as a layer, and
+# FemSpace.from_eigen, the documented way from eigen coordinates back to
+# nodal values.
 ENTRY_POINTS = {
     "make_config", "run_study", "main", "apply_L_adjoint", "apply_Lhat_adjoint", "a0_apply",
+    "FemSpace.from_eigen",
 }
 
 
@@ -42,23 +45,38 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_definitions(sources):
-    """Top-level functions and classes that no other code in ``sources`` reads.
+    """Definitions that no other code in ``sources`` reads.
 
-    A reference is an ``ast.Name`` or ``ast.Attribute`` with the defined
+    Checked are top-level functions and classes, and the non-dunder methods
+    and properties of top-level classes (reported as ``Class.method``).  A
+    reference is an ``ast.Name`` or ``ast.Attribute`` with the defined
     name, outside the definition itself (so recursion does not count, and
     neither do docstrings or imports).
     """
-    defined, refs = [], []  # refs: (name, enclosing top-level definition or None)
+    defined, refs = [], {}  # defined: (label, name, node); refs: name -> [reading nodes]
     for source in sources:
-        for top in ast.parse(source).body:
+        tree = ast.parse(source)
+        for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((top.name, top))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    refs.append((node.id, top))
-                elif isinstance(node, ast.Attribute):
-                    refs.append((node.attr, top))
-    return [name for name, top in defined if not any(r == name and at is not top for r, at in refs)]
+                defined.append((top.name, top.name, top))
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (f"{top.name}.{item.name}", item.name, item)
+                    for item in top.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    unread = []
+    for label, name, node in defined:
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(ref) in inside for ref in refs.get(name, ())):
+            unread.append(label)
+    return unread
 
 
 def test_unreferenced_definition_detection():
@@ -66,11 +84,17 @@ def test_unreferenced_definition_detection():
         "def used():\n    return 1\n\n"
         "def planted():\n    \"\"\"Calls used.\"\"\"\n    return used()\n\n"
         "def recursive(n):\n    return recursive(n - 1)\n\n"
-        "class Kept:\n    pass\n\n"
+        "class Kept:\n"
+        "    def __init__(self):\n        self.read()\n\n"
+        "    def read(self):\n        return 2\n\n"
+        "    @property\n    def shown(self):\n        return 3\n\n"
+        "    def planted_method(self):\n        return self.planted_method()\n\n"
         "VALUE = Kept()\n"
     )
-    other = "import m\n\"\"\"Mentions planted in a docstring only.\"\"\"\nm.used\n"
-    assert unreferenced_definitions([source, other]) == ["planted", "recursive"]
+    other = "import m\n\"\"\"Mentions planted in a docstring only.\"\"\"\nm.used\nm.shown\n"
+    assert unreferenced_definitions([source, other]) == [
+        "planted", "recursive", "Kept.planted_method"
+    ]
 
 
 def test_no_src_code_that_only_the_tests_use():

@@ -11,7 +11,7 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from oracles import eval_fem, gradient
+from oracles import add, direct_solve, estimate_operator_norm, eval_fem, gradient
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
@@ -20,11 +20,10 @@ from slqheat.optimizer import (
     control_norm_sq,
     cost,
     cost_with_stderr,
-    direct_solve,
-    estimate_operator_norm,
     gradient_descent,
     kappa_bound,
 )
+from slqheat.riccati import discrete_feedback
 
 
 def tiny_problem(n_elems=4, n_steps=4, alpha=0.5, horizon=1.0, scale=0.7):
@@ -44,6 +43,16 @@ def random_control(driver, dim, rng, amp=1.0):
     from slqheat.forward import AdaptedProcess
 
     return AdaptedProcess(driver, 0, vals)
+
+
+def feedback_solve(data, driver):
+    """The discrete optimum as the realized control of the discrete Riccati feedback."""
+    return solve_forward(data, driver, discrete_feedback(data), return_control=True)[1]
+
+
+# the two routes to the exact discrete optimum: the conjugate-gradient oracle
+# and the library's backward recursion
+SOLVERS = {"cg": direct_solve, "recursion": feedback_solve}
 
 
 def sup_diff(u, v):
@@ -176,7 +185,7 @@ def test_gradient_matches_central_differences():
 
     for _ in range(5):
         v = random_control(driver, data.space.dim, rng)
-        fd = (j(u + eps * v) - j(u + (-eps) * v)) / (2.0 * eps)
+        fd = (j(add(u, v, eps)) - j(add(u, v, -eps))) / (2.0 * eps)
         pairing = control_inner(data, g, v)
         assert abs(fd - pairing) <= 1e-6 * max(1.0, abs(pairing))
 
@@ -193,7 +202,7 @@ def test_quadratic_lower_bound():
         u = random_control(driver, data.space.dim, rng)
         v = random_control(driver, data.space.dim, rng)
         g = gradient(data, driver, u)
-        excess = j(u + v) - j(u) - control_inner(data, g, v)
+        excess = j(add(u, v)) - j(u) - control_inner(data, g, v)
         assert excess >= 0.5 * control_norm_sq(data, v) - 1e-10
 
 
@@ -241,8 +250,9 @@ def test_direct_solve_zero_data_returns_zero():
             scale=0.0,
         ),
     )
-    u = direct_solve(data, driver)
-    assert max(np.abs(u.at(n)).max() for n in range(data.grid.n_steps)) == 0.0
+    for name, solve in SOLVERS.items():
+        u = solve(data, driver)
+        assert max(np.abs(u.at(n)).max() for n in range(data.grid.n_steps)) == 0.0, name
 
 
 def test_direct_solve_requires_tree():
@@ -254,21 +264,22 @@ def test_direct_solve_requires_tree():
 
 def test_direct_solve_gradient_vanishes_at_optimum():
     data, driver = tiny_problem()
-    u_star = direct_solve(data, driver)
-    g = gradient(data, driver, u_star)
-    assert np.sqrt(control_norm_sq(data, g)) <= 1e-10
+    for name, solve in SOLVERS.items():
+        g = gradient(data, driver, solve(data, driver))
+        assert np.sqrt(control_norm_sq(data, g)) <= 1e-10, name
 
 
 def test_direct_solve_cost_is_minimal_under_perturbations():
     data, driver = tiny_problem()
-    u_star = direct_solve(data, driver)
-    j_star = cost(data, solve_forward(data, driver, u_star), u_star)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        v = random_control(driver, data.space.dim, rng)
-        u = u_star + 1e-2 * v
-        j = cost(data, solve_forward(data, driver, u), u)
-        assert j_star <= j
+    for name, solve in SOLVERS.items():
+        u_star = solve(data, driver)
+        j_star = cost(data, solve_forward(data, driver, u_star), u_star)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            v = random_control(driver, data.space.dim, rng)
+            u = add(u_star, v, 1e-2)
+            j = cost(data, solve_forward(data, driver, u), u)
+            assert j_star <= j, name
 
 
 # -------------------------------------------------------- gradient descent
@@ -379,6 +390,27 @@ def test_gd_ensemble_runs_and_reduces_gradient():
     u, trace = gradient_descent(data, driver, GdConfig(max_iters=25))
     assert trace.grad_norm[-1] < trace.grad_norm[0]
     assert (np.diff(np.array(trace.cost)) <= 1e-12).all()
+
+
+def test_gd_with_regression_approaches_discrete_optimum_on_paths():
+    # GD with regression conditioning converges to its own fixed point, which
+    # differs from the exact discrete optimum (the recursion's feedback run on
+    # the same paths) by the regression error; that gap shrinks with the
+    # number of paths.  At this seed it reads 16.0 % at 250 paths and 7.5 %
+    # at 1,000 (seeds 1-8 read 6.3-9.4 % at 1,000 paths); the 12 % band
+    # fails if the regression stops converging with paths.
+    space = build_fem_space(8)
+    grid = make_time_grid(1.0, 16)
+    data = make_problem(space, grid, alpha=1.0, sigma_spec=default_sigma_spec(scale=2.0))
+    fb = discrete_feedback(data)
+    gaps = []
+    for n_paths in (250, 1000):
+        driver = gaussian_driver(grid, n_paths, seed=20250801)
+        u, _ = gradient_descent(data, driver, GdConfig(max_iters=60))
+        _, u_opt = solve_forward(data, driver, fb, return_control=True)
+        gaps.append(np.sqrt(control_norm_sq(data, u - u_opt) / control_norm_sq(data, u_opt)))
+    assert gaps[1] < gaps[0]
+    assert gaps[1] < 0.12
 
 
 def test_estimated_norm_tightens_kappa():

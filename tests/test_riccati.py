@@ -4,24 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from slqheat.forward import SigmaSpec, default_sigma_spec, make_problem
+from slqheat.forward import SigmaSpec, default_sigma_spec, make_problem, solve_forward
 from oracles import (
     all_pairs,
     closed_loop_moments,
     dense_to_nodal,
+    direct_solve,
     eval_fem,
     full_closed_loop_stream,
     l2_norm,
     solve_riccati_dense,
 )
 from slqheat.mesh import build_fem_space
-from slqheat.noise import make_time_grid
+from slqheat.noise import TreeDriver, make_time_grid
 from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
     _hs_sweep,
     _stationary_roots,
     cost_from_moments,
+    discrete_feedback,
     feedback_control,
     riccati_mode_values,
     solve_phi,
@@ -86,8 +88,9 @@ def test_terminal_condition_is_exact():
     space = build_fem_space(16)
     for alpha in (0.0, 0.37, 1.0, 5.0):
         ric = solve_riccati(space, 1.0, alpha, k_fine=64)
-        assert_allclose(ric.p[:, -1], alpha, rtol=0, atol=1e-13)
-        assert ric.p.shape == (space.dim, 65)
+        p_nodes = ric.p_half[:, ::2]
+        assert_allclose(p_nodes[:, -1], alpha, rtol=0, atol=1e-13)
+        assert p_nodes.shape == (space.dim, 65)
         assert ric.fine_grid.shape == (65,)
 
 
@@ -267,13 +270,6 @@ def test_phi_sign_coupling_and_value_integral_decreasing():
     assert ric.value_integral[-1] == 0.0
     assert (np.diff(ric.value_integral) <= 1e-15).all()
     assert ric.value_integral[0] > 0
-
-
-def test_phi_grid_mismatch_rejected():
-    space = build_fem_space(4)
-    ric = solve_riccati(space, 1.0, 1.0, k_fine=64)
-    with pytest.raises(ValueError):
-        solve_phi(space, ric, default_sigma_spec(), k_fine=128)
 
 
 # ------------------------------------------------------ feedback and value
@@ -555,3 +551,42 @@ def test_cost_from_moments_matches_full_matrix_evaluation():
     simpson = (dt / 6.0) * (vals[:-1:2] + 4.0 * vals[1::2] + vals[2::2]).sum()
     ref = 0.5 * simpson + 0.5 * ric.alpha * diag.sum()
     assert_allclose(cost_from_moments(space, ric, data), ref, rtol=1e-12)
+
+
+# ------------------------------------------------ discrete Riccati recursion
+
+# sigma(t, x) = 2 (1 + t) x (1 - x) loads every odd mode, not only the first
+MULTI_MODE_SPEC = SigmaSpec(
+    x0=lambda x: np.sin(np.pi * x),
+    x0_dx=lambda x: np.pi * np.cos(np.pi * x),
+    profile=lambda x: x * (1.0 - x),
+    profile_dx=lambda x: 1.0 - 2.0 * x,
+    time_factor=lambda t: 1.0 + t,
+    scale=2.0,
+)
+
+
+@pytest.mark.parametrize("spec", [None, MULTI_MODE_SPEC], ids=["default", "multi_mode"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+@pytest.mark.parametrize("depth", [4, 8])
+def test_discrete_feedback_matches_cg_oracle(depth, noise, spec):
+    space = build_fem_space(8)
+    grid = make_time_grid(1.0, depth)
+    data = make_problem(space, grid, alpha=1.0, sigma_spec=spec, noise=noise)
+    driver = TreeDriver(grid)
+    u_cg = direct_solve(data, driver, tol=1e-14)
+    _, u_fb = solve_forward(data, driver, discrete_feedback(data), return_control=True)
+    scale = max(np.abs(u_cg.at(n)).max() for n in range(depth))
+    worst = max(np.abs(u_fb.at(n) - u_cg.at(n)).max() for n in range(depth))
+    assert worst <= 1e-12 * scale
+
+
+def test_discrete_feedback_rejects_times_off_the_grid():
+    space = build_fem_space(4)
+    grid = make_time_grid(1.0, 4)
+    control = discrete_feedback(make_problem(space, grid))
+    c = np.ones(space.dim)
+    assert control(grid.nodes[3], c).shape == (space.dim,)
+    for t in (-grid.tau, 0.5 * grid.tau, grid.horizon):
+        with pytest.raises(ValueError, match="not a control node"):
+            control(t, c)
