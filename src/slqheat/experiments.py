@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
-from .mesh import build_fem_space, prolongation_matrix, ritz_project
+from .mesh import build_fem_space, prolongation_matrix
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
 from .optimizer import GdConfig, cost, cost_with_stderr, gradient_descent
 from .riccati import (
@@ -41,7 +41,6 @@ from .riccati import (
     cost_from_moments,
     discrete_feedback,
     feedback_control,
-    solve_phi,
     solve_riccati,
     value_function,
 )
@@ -273,15 +272,12 @@ def _gd_config(cfg):
 
 
 def _feedback_solution(n_elems, cfg):
-    space = build_fem_space(n_elems)
-    spec = default_sigma_spec(scale=cfg.sigma_scale)
-    ric = solve_riccati(space, cfg.horizon, cfg.alpha, k_fine=cfg.k_fine)
-    ric = solve_phi(space, ric, spec)
-    x0 = ritz_project(space, spec.x0_dx)
-    return space, ric, x0
+    """Riccati feedback of the study's problem on an n_elems mesh."""
+    data = _problem(cfg, build_fem_space(n_elems), make_time_grid(cfg.horizon, cfg.k_fine))
+    return solve_riccati(data, cfg.k_fine)
 
 
-def _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
+def _joint_errors(ric_r, ric_c):
     """Squared control and state-gradient errors between two meshes.
 
     Both closed-loop systems ride the same scalar Wiener process, so the
@@ -297,6 +293,7 @@ def _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
+    space_r, space_c = ric_r.data.space, ric_c.data.space
     D, d = space_r.dim, space_c.dim
     lam_r, lam_c = space_r.eigvals, space_c.eigvals
     prolong = prolongation_matrix(space_c, space_r)
@@ -309,14 +306,14 @@ def _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
     cols = np.concatenate((np.arange(n), D + np.tile(np.arange(d), D)))
     p_half = np.vstack((ric_r.p_half, ric_c.p_half))
     phi_half = np.vstack((ric_r.phi_half, ric_c.phi_half))
-    dt = ric_r.horizon / ric_r.k_fine
+    dt = ric_r.dt
     stream = _closed_loop_stream(
         np.concatenate((lam_r, lam_c)),
         p_half,
         phi_half,
         np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
         dt,
-        np.concatenate((space_r.to_eigen(x0_r), space_c.to_eigen(x0_c))),
+        np.concatenate((space_r.to_eigen(ric_r.data.x0), space_c.to_eigen(ric_c.data.x0))),
         rows,
         cols,
     )
@@ -370,14 +367,13 @@ def run_spatial_rate(cfg):
         if cfg.mesh_ref % lvl != 0:
             raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
     started = time.perf_counter()
-    space_r, ric_r, x0_r = _feedback_solution(cfg.mesh_ref, cfg)
+    ric_r = _feedback_solution(cfg.mesh_ref, cfg)
     ctrl_rows, state_rows = [], []
     for lvl in cfg.mesh_levels:
         if lvl == cfg.mesh_ref:
             ctrl_sq, grad_sq = 0.0, 0.0
         else:
-            space_c, ric_c, x0_c = _feedback_solution(lvl, cfg)
-            ctrl_sq, grad_sq = _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c)
+            ctrl_sq, grad_sq = _joint_errors(ric_r, _feedback_solution(lvl, cfg))
         ctrl_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(ctrl_sq, 0.0))), None))
         state_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(grad_sq, 0.0))), None))
     return _write_rate_tables(cfg, started, ctrl_rows, state_rows)
@@ -534,12 +530,11 @@ def run_riccati_crosscheck(cfg):
     space = build_fem_space(cfg.n_elems)
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
     data = _problem(cfg, space, grid)
-    ric = solve_riccati(space, cfg.horizon, cfg.alpha, k_fine=cfg.k_fine)
-    ric = solve_phi(space, ric, data.sigma_spec)
+    ric = solve_riccati(data, cfg.k_fine)
 
     entries = []
     v = value_function(ric, data.x0)
-    c_det = cost_from_moments(space, ric, data)
+    c_det = cost_from_moments(ric)
     rel = abs(v - c_det) / max(1.0, abs(v))
     entries += [
         ("value_function", v),

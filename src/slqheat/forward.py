@@ -13,8 +13,8 @@ in time with explicit noise:
 
 The solution operator splits as X = Gamma x0 + L U + f, where Gamma
 propagates the initial datum, L the control, and f the inhomogeneous
-noise; all three are the same recursion with parts of the data masked
-out, so one kernel drives everything.
+noise; each part is :func:`solve_forward` on the problem with the other
+data set to zero.
 
 The adjoints L* and Lhat* and the gradient kernel (all in
 :mod:`slqheat.adjoint`) condition one backward recursion on time t_n:
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import l2_project, ritz_project
+from .mesh import ritz_project
 
 
 @dataclass
@@ -135,8 +135,8 @@ class ProblemData:
         return replace(self, grid=grid, sigma=np.outer(tf, self.profile))
 
 
-def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projection="ritz"):
-    """Project the continuous data onto the discrete spaces.
+def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
+    """Ritz-project the continuous data onto the discrete spaces.
 
     Parameters
     ----------
@@ -148,10 +148,6 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projec
         Data functions; defaults to :func:`default_sigma_spec`.
     noise : {'linear', 'additive'}
         Multiplicative (X + sigma) dW or purely additive sigma dW.
-    projection : {'ritz', 'l2'}
-        Spatial projection used for the initial state and the noise
-        profile.  The scheme's analysis wants the Ritz projection; the L2
-        variant exists for comparison runs.
 
     Returns
     -------
@@ -163,14 +159,8 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear", projec
         raise ValueError(f"unknown noise mode {noise!r}")
     if sigma_spec is None:
         sigma_spec = default_sigma_spec()
-    if projection == "ritz":
-        x0 = ritz_project(space, sigma_spec.x0_dx)
-        prof = ritz_project(space, sigma_spec.profile_dx)
-    elif projection == "l2":
-        x0 = l2_project(space, sigma_spec.x0)
-        prof = l2_project(space, sigma_spec.profile)
-    else:
-        raise ValueError(f"unknown projection {projection!r}")
+    x0 = ritz_project(space, sigma_spec.x0_dx)
+    prof = ritz_project(space, sigma_spec.profile_dx)
     tf = np.array([sigma_spec.time_factor(t) for t in grid.nodes])
     sigma = sigma_spec.scale * np.outer(tf, prof)
     return ProblemData(
@@ -198,47 +188,6 @@ def _control_slice(control, n, t, x_slice):
     return control(t, x_slice)
 
 
-def _forward(data, driver, x0, control, sigma, return_control=False):
-    """Shared forward recursion; x0/control/sigma may be masked to zero.
-
-    ``x0`` and ``sigma`` are nodal; the recursion runs in eigen coordinates.
-    """
-    space, grid = data.space, data.grid
-    N, tau = grid.n_steps, grid.tau
-    d = space.dim
-    linear = data.noise == "linear"
-    scale = a0_scale(space, tau)
-    x0 = np.zeros(d) if x0 is None else space.to_eigen(x0)
-    sigma = None if sigma is None else space.to_eigen(sigma)
-
-    values = [np.array(np.broadcast_to(x0, (driver.n_scenarios(0), d)), dtype=float)]
-    realized = [] if return_control else None
-    for n in range(N):
-        xn = values[n]
-        un = _control_slice(control, n, grid.nodes[n], xn)
-        if realized is not None:
-            realized.append(
-                np.zeros((driver.n_scenarios(n), d)) if un is None
-                else np.array(np.broadcast_to(un, xn.shape), dtype=float)
-            )
-        par = driver.child_expand(xn, n)
-        dw = driver.increments_at(n + 1)[:, None]
-        if linear:
-            rhs = par * (1.0 + dw)
-        else:
-            rhs = par.copy()
-        if un is not None:
-            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape), n)
-        if sigma is not None:
-            rhs += sigma[n] * dw
-        rhs *= scale
-        values.append(rhs)
-    proc = AdaptedProcess(driver, 0, values)
-    if return_control:
-        return proc, AdaptedProcess(driver, 0, realized)
-    return proc
-
-
 def solve_forward(data, driver, control=None, return_control=False):
     """Run the full state recursion from the problem's initial datum.
 
@@ -260,7 +209,39 @@ def solve_forward(data, driver, control=None, return_control=False):
     AdaptedProcess over time indices 0..N (and the realized control if
     requested).
     """
-    return _forward(data, driver, data.x0, control, data.sigma, return_control)
+    space, grid = data.space, data.grid
+    N, tau = grid.n_steps, grid.tau
+    d = space.dim
+    linear = data.noise == "linear"
+    scale = a0_scale(space, tau)
+    x0 = space.to_eigen(data.x0)
+    sigma = space.to_eigen(data.sigma)
+
+    values = [np.array(np.broadcast_to(x0, (driver.n_scenarios(0), d)), dtype=float)]
+    realized = [] if return_control else None
+    for n in range(N):
+        xn = values[n]
+        un = _control_slice(control, n, grid.nodes[n], xn)
+        if realized is not None:
+            realized.append(
+                np.zeros((driver.n_scenarios(n), d)) if un is None
+                else np.array(np.broadcast_to(un, xn.shape), dtype=float)
+            )
+        par = driver.child_expand(xn, n)
+        dw = driver.increments_at(n + 1)[:, None]
+        if linear:
+            rhs = par * (1.0 + dw)
+        else:
+            rhs = par.copy()
+        if un is not None:
+            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape), n)
+        rhs += sigma[n] * dw
+        rhs *= scale
+        values.append(rhs)
+    proc = AdaptedProcess(driver, 0, values)
+    if return_control:
+        return proc, AdaptedProcess(driver, 0, realized)
+    return proc
 
 
 def backward_kernel(data, driver, v_at, eta, product_offset):

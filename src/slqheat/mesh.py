@@ -2,12 +2,12 @@
 
 Everything the space-time scheme needs from the spatial side lives here:
 mass and stiffness matrices, the generalized eigenpairs that diagonalize
-the discrete Laplacian, and the L2 and Ritz projections.
+the discrete Laplacian, and the Ritz projection of the data.
 
 A function in the FE space V_h has two coefficient vectors of length
 d = n_elems - 1: its interior nodal values v (boundary values are
 identically zero) and its coordinates c = V^T M v in the M-orthonormal
-eigenbasis.  Projections return nodal values; the space-time scheme works
+eigenbasis.  The projection returns nodal values; the space-time scheme works
 in eigen coordinates, where the implicit Euler step is diagonal and the
 L2 norm is the euclidean norm of c.  Batches of coefficient vectors are
 stacked along the first axis, shape (n_scenarios, d).
@@ -123,39 +123,6 @@ def _quad_points(space):
     pts = left + h * _GAUSS_X[None, :]
     wts = np.broadcast_to(h * _GAUSS_W[None, :], (n, 5))
     return pts, wts
-
-
-def l2_project(space, f):
-    """L2-orthogonal projection of a function onto V_h.
-
-    The load vector b_j = (f, phi_j) is assembled with 5-point Gauss
-    quadrature per element and the mass system M c = b is solved as
-    c = V V^T b, since M^{-1} = V V^T for the M-orthonormal eigenvectors.
-
-    Parameters
-    ----------
-    space : FemSpace
-    f : callable
-        Vectorized function of x on (0, 1).
-
-    Returns
-    -------
-    ndarray, shape (d,)
-        Interior nodal coefficients of the projection.
-    """
-    pts, wts = _quad_points(space)
-    fv = f(pts) * wts
-    h = space.h
-    # local hats: phi_left = 1 - s, phi_right = s with s in (0,1) on each element
-    s = _GAUSS_X[None, :]
-    contrib_left = (fv * (1.0 - s)).sum(axis=1)   # node index = element index
-    contrib_right = (fv * s).sum(axis=1)          # node index = element index + 1
-    b = np.zeros(space.dim)
-    # element k touches global nodes k (left) and k+1 (right); nodes 0 and
-    # n_elems are boundary and dropped
-    b += contrib_left[1:]
-    b += contrib_right[:-1]
-    return (b @ space.eigvecs) @ space.eigvecs.T
 
 
 def ritz_project(space, f_prime):

@@ -122,8 +122,10 @@ class GdConfig:
 
     kappa defaults to kappa_bound(T, alpha); smaller values need
     allow_low_kappa=True (the contraction guarantee requires kappa to
-    dominate the Hessian norm).  tol_grad defaults to 1e-10 on trees and
-    to a 3-standard-error stopping rule on ensembles.
+    dominate the Hessian norm).  The loop stops once the gradient norm is
+    at most tol_grad, which defaults to 1e-10 on trees and to 0 on
+    ensembles, where estimated gradients rarely vanish and max_iters
+    bounds the run.
     """
 
     kappa: float = None
@@ -178,7 +180,6 @@ def gradient_descent(data, driver, cfg, reference=None):
         )
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    adaptive_tol = cfg.tol_grad is None and driver.kind != "tree"
     tol = cfg.tol_grad if cfg.tol_grad is not None else (1e-10 if driver.kind == "tree" else 0.0)
 
     u = zeros_process(driver, space.dim, 0, grid.n_steps - 1)
@@ -208,22 +209,13 @@ def gradient_descent(data, driver, cfg, reference=None):
 
         # fused kernel sweep and update: g_n = u_n - Q_n, u_n -= g_n / kappa
         grad_sq = 0.0
-        per_path = None
         for n, q in k_htau_sweep(data, driver, state):
             g = u.at(n) - q
-            rows = _row_sq(g)
-            grad_sq += tau * float(rows.mean())
-            if adaptive_tol:
-                per_path = rows * tau if per_path is None else per_path + rows * tau
+            grad_sq += tau * float(_row_sq(g).mean())
             u.at(n)[...] -= step * g
         state = None  # release before the next forward solve (large ensembles)
         grad_norm = float(np.sqrt(grad_sq))
         trace.grad_norm.append(grad_norm)
-
-        if adaptive_tol and per_path is not None and len(per_path) > 1:
-            # delta method: se(sqrt(m)) ~ se(m) / (2 sqrt(m))
-            se_sq = per_path.std(ddof=1) / np.sqrt(len(per_path))
-            tol = 3.0 * se_sq / (2.0 * grad_norm) if grad_norm > 0 else np.inf
         if grad_norm <= tol:
             break
     return u, trace

@@ -28,14 +28,18 @@ order, with closed-form stage elimination for the componentwise-diagonal
 systems used here.  With zero drift it degenerates to composite Simpson
 quadrature, which keeps every integral in this module consistent with
 the same fine half-grid sampling.
+
+``solve_riccati(data, k_fine)`` is the one constructor: from a
+:class:`slqheat.forward.ProblemData` it builds the complete
+:class:`RiccatiSolution` (p, phi, the noise coefficients and the value
+integral), reading the noise from the data's already projected profile.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import a0_scale
-from .mesh import ritz_project
 
 
 def _stationary_roots(lams):
@@ -48,8 +52,8 @@ def _stationary_roots(lams):
     return r_plus, r_minus, D
 
 
-def riccati_mode_values(lams, alpha, horizon, t, derivative=False):
-    """Closed-form p_i(t) (and optionally p_i'(t)) for given eigenvalues.
+def riccati_mode_values(lams, alpha, horizon, t):
+    """Closed-form p_i(t) for given eigenvalues.
 
     Parameters
     ----------
@@ -58,49 +62,45 @@ def riccati_mode_values(lams, alpha, horizon, t, derivative=False):
         Terminal value p_i(T) = alpha >= 0.
     horizon : float
     t : array_like, shape (n_t,)
-    derivative : bool
-        Also return the exact time derivative.
 
     Returns
     -------
-    p : ndarray, shape (d, n_t)   [and dp of the same shape if requested]
+    p : ndarray, shape (d, n_t)
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r_plus, r_minus, D = _stationary_roots(lams)
     c0 = (alpha - r_plus) / (alpha - r_minus)
     s = horizon - t
-    E = np.exp(-D[:, None] * s[None, :])
-    cE = c0[:, None] * E
-    den = 1.0 - cE
-    p = (r_plus[:, None] - r_minus[:, None] * cE) / den
-    if not derivative:
-        return p
-    # p(t) = q(T - t) with q'(s) = -D^2 c0 E / (1 - c0 E)^2, so p' = -q'(s) * (-1)
-    dp = (D**2)[:, None] * cE / den**2
-    return p, dp
+    cE = c0[:, None] * np.exp(-D[:, None] * s[None, :])
+    return (r_plus[:, None] - r_minus[:, None] * cE) / (1.0 - cE)
 
 
 @dataclass
 class RiccatiSolution:
-    """Riccati feedback data sampled on a dense half-step grid.
+    """Riccati feedback of one problem, sampled on a dense half-step grid.
 
-    The public node views (``fine_grid``, ``value_integral``) live on the
-    K_fine + 1 nodes; the half-grid arrays (nodes and
-    midpoints interleaved, 2 K_fine + 1 points) are kept because the
-    collocation sweeps for phi and the moments need midpoint samples.
+    ``data`` is the :class:`slqheat.forward.ProblemData` it was solved
+    for.  The half-grid arrays (nodes and midpoints interleaved,
+    2 K_fine + 1 points, one row per mode) hold p, the offset phi and the
+    noise coefficients sigma_i(t); the midpoints feed the collocation
+    sweeps of the moments.  ``value_integral`` lives on the K_fine + 1
+    nodes of ``fine_grid``.
     """
 
-    space: object
-    horizon: float
-    alpha: float
+    data: object
     k_fine: int
     lams: np.ndarray
     t_half: np.ndarray
     p_half: np.ndarray
-    phi_half: np.ndarray = None
-    sigma_eig_half: np.ndarray = None
-    value_integral: np.ndarray = None
+    phi_half: np.ndarray
+    sigma_eig_half: np.ndarray
+    value_integral: np.ndarray
+
+    @property
+    def dt(self):
+        """Node spacing of the dense grid."""
+        return self.data.grid.horizon / self.k_fine
 
     @property
     def fine_grid(self):
@@ -108,12 +108,10 @@ class RiccatiSolution:
 
     def p_at(self, t):
         """Exact p_i(t), shape (d,) for scalar t."""
-        return riccati_mode_values(self.lams, self.alpha, self.horizon, [t])[:, 0]
+        return riccati_mode_values(self.lams, self.data.alpha, self.data.grid.horizon, [t])[:, 0]
 
     def phi_at(self, t):
         """phi_i(t) linearly interpolated on the fine node grid, shape (d,)."""
-        if self.phi_half is None:
-            raise ValueError("phi not computed; run solve_phi first")
         grid = self.fine_grid
         k = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
         k = max(k, 0)
@@ -122,37 +120,51 @@ class RiccatiSolution:
         return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
 
 
-def solve_riccati(space, horizon, alpha, k_fine=1024):
-    """Per-mode Riccati trajectories on the dense grid.
+def solve_riccati(data, k_fine):
+    """Riccati feedback of a problem: p, the offset phi and the value integral.
 
     Evaluates the closed form of the constant-coefficient scalar Riccati
-    ODE at the nodes and midpoints of a K_fine-panel grid.  Explicit time
-    stepping is deliberately avoided: the stiffest mode has
+    ODEs at the nodes and midpoints of a K_fine-panel grid on [0, T].
+    Explicit time stepping is deliberately avoided: the stiffest mode has
     lambda ~ 12 / h^2, far beyond any explicit method's stability region
     at practical step counts, while the closed form is uniform in lambda.
+    The offset phi and the value integral follow by the Hermite-Simpson
+    sweep of :func:`_phi_sweep`, driven by the noise coefficients
+    sigma_i(t) = time_factor(t) (profile)_i, with ``data.profile`` the
+    scaled, already projected noise profile.
+
+    Parameters
+    ----------
+    data : ProblemData
+        Supplies the space, alpha, the noise profile and the horizon of
+        ``data.grid`` (its step count does not enter); the solution keeps
+        it, and :func:`cost_from_moments` starts from its ``x0``.
+    k_fine : int
+        Number of panels of the dense grid.
 
     Returns
     -------
-    RiccatiSolution (p part only; see solve_phi)
+    RiccatiSolution
     """
     if k_fine < 1:
         raise ValueError(f"need k_fine >= 1, got {k_fine}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    space, horizon = data.space, data.grid.horizon
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
-    p_half = riccati_mode_values(space.eigvals, alpha, horizon, t_half)
+    p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
     if not np.isfinite(p_half).all() or np.abs(p_half).max() > 1e6:
         raise ArithmeticError("Riccati mode solution left its a-priori bounds")
+    tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
+    sig = np.outer(space.to_eigen(data.profile), tf)
+    phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
     return RiccatiSolution(
-        space=space,
-        horizon=float(horizon),
-        alpha=float(alpha),
+        data=data,
         k_fine=k_fine,
         lams=space.eigvals.copy(),
         t_half=t_half,
         p_half=p_half,
+        phi_half=phi_half,
+        sigma_eig_half=sig,
+        value_integral=value_integral,
     )
 
 
@@ -199,15 +211,7 @@ def _simpson_panel_values(f_half, dt):
     return (dt / 6.0) * (f_half[:-1:2] + 4.0 * f_half[1::2] + f_half[2::2])
 
 
-def sigma_eig_on_half_grid(space, sigma_spec, t_half):
-    """Eigen-coefficients of R_h sigma(t) at the half-grid times, (d, 2K+1)."""
-    prof = ritz_project(space, sigma_spec.profile_dx)
-    prof_eig = space.to_eigen(prof)
-    tf = np.array([sigma_spec.time_factor(t) for t in t_half])
-    return sigma_spec.scale * np.outer(prof_eig, tf)
-
-
-def solve_phi(space, riccati, sigma_spec):
+def _phi_sweep(lams, p_half, sig, dt):
     """Offset trajectories phi_i and the running value integral.
 
     Integrates, backward from phi_i(T) = 0,
@@ -226,26 +230,17 @@ def solve_phi(space, riccati, sigma_spec):
 
     Returns
     -------
-    RiccatiSolution with phi and value_integral filled in.
+    (phi on the half grid, shape (d, 2K+1), value_integral, shape (K+1,))
     """
-    t_half = riccati.t_half
-    dt = riccati.horizon / riccati.k_fine
-    sig = sigma_eig_on_half_grid(space, sigma_spec, t_half)
-
     # reversed time: psi(s) = phi(T - s) solves psi' = -(lam + p~) psi + p~ sig~
-    p_rev = riccati.p_half[:, ::-1]
-    sig_rev = sig[:, ::-1]
-    a_rev = -(riccati.lams[:, None] + p_rev)
-    g_rev = p_rev * sig_rev
-    psi = _hs_sweep(a_rev.T, g_rev.T, np.zeros(space.dim), dt)
-    phi_half = psi[::-1].T
+    p_rev = p_half[:, ::-1]
+    a_rev = -(lams[:, None] + p_rev)
+    g_rev = p_rev * sig[:, ::-1]
+    phi_half = _hs_sweep(a_rev.T, g_rev.T, np.zeros(len(lams)), dt)[::-1].T
 
-    integrand = (riccati.p_half * sig**2).sum(axis=0) - (phi_half**2).sum(axis=0)
+    integrand = (p_half * sig**2).sum(axis=0) - (phi_half**2).sum(axis=0)
     panels = _simpson_panel_values(integrand, dt)
-    vint = 0.5 * np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
-    return replace(
-        riccati, phi_half=phi_half, sigma_eig_half=sig, value_integral=vint
-    )
+    return phi_half, 0.5 * np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
 
 
 def feedback_control(riccati, c, t):
@@ -256,11 +251,10 @@ def feedback_control(riccati, c, t):
     :func:`slqheat.forward.solve_forward` expects of a callable control;
     p is evaluated in closed form and phi by linear interpolation.
     """
-    if t < -1e-12 or t > riccati.horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {riccati.horizon}]")
-    p = riccati.p_at(t)
-    phi = riccati.phi_at(t) if riccati.phi_half is not None else 0.0
-    return -p * np.asarray(c) - phi
+    horizon = riccati.data.grid.horizon
+    if t < -1e-12 or t > horizon + 1e-12:
+        raise ValueError(f"time {t} outside [0, {horizon}]")
+    return -riccati.p_at(t) * np.asarray(c) - riccati.phi_at(t)
 
 
 def value_function(riccati, x0):
@@ -269,9 +263,7 @@ def value_function(riccati, x0):
     V = (1/2) sum_i p_i(0) x_i^2 + sum_i phi_i(0) x_i + value_integral(0),
     with x_i the eigen-coefficients of x0.
     """
-    if riccati.phi_half is None or riccati.value_integral is None:
-        raise ValueError("value function needs phi; run solve_phi first")
-    coords = riccati.space.to_eigen(x0)
+    coords = riccati.data.space.to_eigen(x0)
     p0 = riccati.p_half[:, 0]
     phi0 = riccati.phi_half[:, 0]
     return float(
@@ -364,8 +356,8 @@ def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, co
         A0, g0 = A1, g1
 
 
-def cost_from_moments(space, riccati, data):
-    """Deterministic cost of the feedback-controlled system.
+def cost_from_moments(riccati):
+    """Deterministic cost of the feedback-controlled system from ``riccati.data.x0``.
 
     cost = (1/2) int_0^T [tr S + E||U||^2] dt + (alpha/2) tr S(T),
     E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2],
@@ -373,13 +365,12 @@ def cost_from_moments(space, riccati, data):
     accumulated by composite Simpson along the closed-loop moment sweep
     (the trajectory itself is never stored).
     """
+    data = riccati.data
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
-    if riccati.phi_half is None or riccati.sigma_eig_half is None:
-        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
-    dt = riccati.horizon / riccati.k_fine
-    m0 = space.to_eigen(data.x0)
-    diag = np.arange(space.dim)
+    dt = riccati.dt
+    m0 = data.space.to_eigen(data.x0)
+    diag = np.arange(data.space.dim)
     vals = np.empty(2 * riccati.k_fine + 1)
     tr_T = None
     for idx, m, S_ii in _closed_loop_stream(
@@ -391,4 +382,4 @@ def cost_from_moments(space, riccati, data):
         vals[idx] = S_ii.sum() + u_sq
         tr_T = S_ii.sum()
     integral = _simpson_panel_values(vals, dt).sum()
-    return float(0.5 * integral + 0.5 * riccati.alpha * tr_T)
+    return float(0.5 * integral + 0.5 * data.alpha * tr_T)

@@ -14,7 +14,9 @@ sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 (every slice at the 2^N leaves, through ``pathwise``) that the library's
 level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 ``compute_f``, ``gradient`` and ``bsde_residual`` are library operators
-that only the tests use.  ``direct_solve`` (conjugate gradients on the
+that only the tests use, as are ``l2_project`` (the L2 projection the
+scheme does not use; the data are Ritz-projected) and
+``riccati_mode_derivative`` (the exact derivative of the Riccati modes).  ``direct_solve`` (conjugate gradients on the
 optimality system) and ``estimate_operator_norm`` (power iteration) reach
 the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
@@ -24,13 +26,13 @@ integrator.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from slqheat.adjoint import condexp, k_htau
-from slqheat.forward import AdaptedProcess, _forward, solve_forward, zeros_process
-from slqheat.mesh import prolongation_matrix
+from slqheat.forward import AdaptedProcess, solve_forward, zeros_process
+from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.noise import tree_condexp
 from slqheat.optimizer import control_inner, control_norm_sq
 from slqheat.riccati import (
@@ -38,6 +40,7 @@ from slqheat.riccati import (
     _closed_loop_stream,
     _hs_sweep,
     _simpson_panel_values,
+    _stationary_roots,
 )
 
 
@@ -72,19 +75,24 @@ def pathwise_increment(driver, step):
     return pathwise(driver, driver.increments_at(step), step)
 
 
+# The parts of X = Gamma x0 + L U + f are solve_forward on the problem with
+# the other data zeroed: adding exact zeros leaves every float unchanged.
+
+
 def apply_Gamma(data, driver, x0=None):
     """Propagate a nodal initial datum with zero control and zero noise data."""
-    return _forward(data, driver, data.x0 if x0 is None else x0, None, None)
+    x0 = data.x0 if x0 is None else x0
+    return solve_forward(replace(data, x0=x0, sigma=0.0 * data.sigma), driver)
 
 
 def apply_L(data, driver, control):
     """Control-to-state map: zero initial datum, zero inhomogeneity."""
-    return _forward(data, driver, None, control, None)
+    return solve_forward(replace(data, x0=0.0 * data.x0, sigma=0.0 * data.sigma), driver, control)
 
 
 def compute_f(data, driver):
     """Inhomogeneous part driven by sigma dW alone."""
-    return _forward(data, driver, None, None, data.sigma)
+    return solve_forward(replace(data, x0=0.0 * data.x0), driver)
 
 
 def gradient(data, driver, control):
@@ -230,6 +238,38 @@ def h1_seminorm(space, v):
     """Discrete H1 seminorm sqrt(v^T A v)."""
     v = np.asarray(v, dtype=float)
     return float(np.sqrt(v @ space.stiffness @ v))
+
+
+def l2_project(space, f):
+    """L2-orthogonal projection of a function onto V_h.
+
+    The load vector b_j = (f, phi_j) is assembled with 5-point Gauss
+    quadrature per element and the mass system M c = b is solved as
+    c = V V^T b, since M^{-1} = V V^T for the M-orthonormal eigenvectors.
+
+    Parameters
+    ----------
+    space : FemSpace
+    f : callable
+        Vectorized function of x on (0, 1).
+
+    Returns
+    -------
+    ndarray, shape (d,)
+        Interior nodal coefficients of the projection.
+    """
+    pts, wts = _quad_points(space)
+    fv = f(pts) * wts
+    # local hats: phi_left = 1 - s, phi_right = s with s in (0,1) on each element
+    s = _GAUSS_X[None, :]
+    contrib_left = (fv * (1.0 - s)).sum(axis=1)   # node index = element index
+    contrib_right = (fv * s).sum(axis=1)          # node index = element index + 1
+    b = np.zeros(space.dim)
+    # element k touches global nodes k (left) and k+1 (right); nodes 0 and
+    # n_elems are boundary and dropped
+    b += contrib_left[1:]
+    b += contrib_right[:-1]
+    return (b @ space.eigvecs) @ space.eigvecs.T
 
 
 def eval_fem(space, v, x):
@@ -549,23 +589,36 @@ class MomentState:
     S: np.ndarray
 
 
-def closed_loop_moments(space, riccati, data):
+def riccati_mode_derivative(lams, alpha, horizon, t):
+    """Exact time derivative p_i'(t) of ``riccati_mode_values``, shape (d, n_t).
+
+    p(t) = q(T - t) with q'(s) = -D^2 c0 E / (1 - c0 E)^2 and E = e^{-D s},
+    so p'(t) = D^2 c0 E / (1 - c0 E)^2.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    r_plus, r_minus, D = _stationary_roots(lams)
+    c0 = (alpha - r_plus) / (alpha - r_minus)
+    cE = c0[:, None] * np.exp(-D[:, None] * (horizon - t)[None, :])
+    return (D**2)[:, None] * cE / (1.0 - cE) ** 2
+
+
+def closed_loop_moments(riccati):
     """Moment trajectory of the feedback-controlled state at the fine nodes.
 
     Returns a list of MomentState (length K_fine + 1) aligned with
-    ``riccati.fine_grid``, with S the full d x d second moment: the
-    library's entry-indexed sweep run on all pairs (i, j).
+    ``riccati.fine_grid``, started from ``riccati.data.x0``, with S the
+    full d x d second moment: the library's entry-indexed sweep run on
+    all pairs (i, j).
     """
+    data = riccati.data
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
-    if riccati.phi_half is None or riccati.sigma_eig_half is None:
-        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
-    d = space.dim
+    d = data.space.dim
     rows, cols = all_pairs(d)
-    dt = riccati.horizon / riccati.k_fine
     stream = _closed_loop_stream(
-        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, dt,
-        space.to_eigen(data.x0), rows, cols,
+        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
+        data.space.to_eigen(data.x0), rows, cols,
     )
     return [
         MomentState(m=m.copy(), S=S.reshape(d, d).copy())
@@ -593,9 +646,7 @@ def full_closed_loop_stream(riccati, m0, S0):
     at midpoints are collocation values, accurate to the scheme's order,
     so Simpson accumulation against this stream is 4th order.
     """
-    if riccati.phi_half is None or riccati.sigma_eig_half is None:
-        raise ValueError("moment sweep needs phi and sigma; run solve_phi first")
-    dt = riccati.horizon / riccati.k_fine
+    dt = riccati.dt
     a = -(riccati.lams[:, None] + riccati.p_half)  # (d, 2K+1)
     m_half = _hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
 
@@ -627,7 +678,7 @@ def full_closed_loop_stream(riccati, m0, S0):
         S = S1
 
 
-def full_joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
+def full_joint_errors(ric_r, ric_c):
     """Squared control and state-gradient errors between two meshes.
 
     Both closed-loop systems ride the same scalar Wiener process, so the
@@ -642,25 +693,26 @@ def full_joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c):
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
+    space_r, space_c = ric_r.data.space, ric_c.data.space
     D, d = space_r.dim, space_c.dim
     prolong = prolongation_matrix(space_c, space_r)
     C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
     CA = space_r.eigvecs.T @ (space_r.stiffness @ (prolong @ space_c.eigvecs))
 
+    # the stacked system; only its coefficient arrays and dense grid are read
     joint = RiccatiSolution(
-        space=None,
-        horizon=ric_r.horizon,
-        alpha=ric_r.alpha,
+        data=ric_r.data,
         k_fine=ric_r.k_fine,
         lams=np.concatenate((space_r.eigvals, space_c.eigvals)),
         t_half=ric_r.t_half,
         p_half=np.vstack((ric_r.p_half, ric_c.p_half)),
         phi_half=np.vstack((ric_r.phi_half, ric_c.phi_half)),
         sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
+        value_integral=None,
     )
-    m0 = np.concatenate((space_r.to_eigen(x0_r), space_c.to_eigen(x0_c)))
+    m0 = np.concatenate((space_r.to_eigen(ric_r.data.x0), space_c.to_eigen(ric_c.data.x0)))
     S0 = np.outer(m0, m0)
-    dt = joint.horizon / joint.k_fine
+    dt = joint.dt
     lam_r, lam_c = space_r.eigvals, space_c.eigvals
 
     ctrl_vals = np.empty(2 * joint.k_fine + 1)

@@ -46,7 +46,6 @@ from slqheat.optimizer import (
 from slqheat.riccati import (
     cost_from_moments,
     feedback_control,
-    solve_phi,
     solve_riccati,
     value_function,
 )
@@ -372,10 +371,10 @@ def test_a08_riccati_value_consistency():
     # 3 standard errors; the exact-tree feedback cost at 12 steps is
     # reported for scale (weak-model self-consistency, not gated).
     space = build_fem_space(8)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=1024), default_sigma_spec())
     data = make_problem(space, make_time_grid(1.0, 512), alpha=1.0)
+    ric = solve_riccati(data, 1024)
     value = value_function(ric, data.x0)
-    moments = cost_from_moments(space, ric, data)
+    moments = cost_from_moments(ric)
     rel = abs(value - moments) / abs(moments)
 
     def fb(t, x_slice):

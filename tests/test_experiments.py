@@ -165,8 +165,8 @@ def test_parse_config_text_rejects_unknown_and_malformed():
 
 def test_joint_errors_vanish_for_identical_meshes():
     cfg = make_config("spatial_rate", k_fine=64)
-    space, ric, x0 = _feedback_solution(4, cfg)
-    ctrl_sq, grad_sq = _joint_errors(space, ric, x0, space, ric, x0)
+    ric = _feedback_solution(4, cfg)
+    ctrl_sq, grad_sq = _joint_errors(ric, ric)
     assert abs(ctrl_sq) < 1e-18
     assert abs(grad_sq) < 1e-14
 
@@ -176,7 +176,7 @@ def test_joint_errors_match_full_matrix_oracle(n_ref, n_coarse):
     cfg = make_config("spatial_rate", k_fine=64)
     ref = _feedback_solution(n_ref, cfg)
     coarse = _feedback_solution(n_coarse, cfg)
-    assert_allclose(_joint_errors(*ref, *coarse), full_joint_errors(*ref, *coarse), rtol=1e-12)
+    assert_allclose(_joint_errors(ref, coarse), full_joint_errors(ref, coarse), rtol=1e-12)
 
 
 def test_spatial_reference_level_row_is_zero(tmp_path):
@@ -200,9 +200,9 @@ def test_spatial_control_error_matches_monte_carlo(tmp_path):
     # same Brownian paths with a fine time discretization and compare the
     # sampled control error with the deterministic moment-stream value
     cfg = make_config("spatial_rate", mesh_levels=(2,), mesh_ref=4, k_fine=256, out=str(tmp_path))
-    space_r, ric_r, x0_r = _feedback_solution(4, cfg)
-    space_c, ric_c, x0_c = _feedback_solution(2, cfg)
-    ctrl_sq, grad_sq = _joint_errors(space_r, ric_r, x0_r, space_c, ric_c, x0_c)
+    ric_r, ric_c = _feedback_solution(4, cfg), _feedback_solution(2, cfg)
+    space_r, space_c = ric_r.data.space, ric_c.data.space
+    ctrl_sq, grad_sq = _joint_errors(ric_r, ric_c)
 
     n_steps, n_paths = 256, 4000
     grid = make_time_grid(cfg.horizon, n_steps)

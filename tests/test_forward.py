@@ -68,16 +68,14 @@ def test_make_problem_validates_input():
         make_problem(space, grid, alpha=-0.5)
     with pytest.raises(ValueError):
         make_problem(space, grid, noise="colored")
-    with pytest.raises(ValueError):
-        make_problem(space, grid, projection="nodal")
 
 
 def test_l2_projection_mode_differs_from_ritz():
     space = build_fem_space(8)
     grid = make_time_grid(1.0, 2)
-    ritz = make_problem(space, grid, projection="ritz")
-    l2 = make_problem(space, grid, projection="l2")
-    assert np.abs(ritz.x0 - l2.x0).max() > 1e-8
+    ritz = make_problem(space, grid)
+    l2_x0 = oracles.l2_project(space, ritz.sigma_spec.x0)
+    assert np.abs(ritz.x0 - l2_x0).max() > 1e-8
     # both are second-order accurate samplings of sin(pi x)
     assert np.abs(ritz.x0 - np.sin(np.pi * space.nodes)).max() < 5e-2
 

@@ -100,3 +100,70 @@ def test_unreferenced_definition_detection():
 def test_no_src_code_that_only_the_tests_use():
     sources = [path.read_text(encoding="utf-8") for path in SRC]
     assert sorted(set(unreferenced_definitions(sources)) - ENTRY_POINTS) == []
+
+
+# main(argv=None) lets tests drive the console script; the script itself
+# calls it without arguments.
+UNPASSED_DEFAULTS_ALLOWED = {"main.argv"}
+
+
+def unpassed_defaults(sources):
+    """Parameter defaults that no call in ``sources`` ever overrides.
+
+    A default of ``f`` counts as passed when some call ``f(...)`` or
+    ``obj.f(...)`` supplies that parameter by keyword or by position, or
+    spreads ``*args`` (every positional) or ``**kwargs`` (every keyword).
+    A leading ``self``/``cls`` is not counted as a position.  Reported as
+    ``function.parameter``.
+    """
+    defs, calls = [], {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append(node)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, name, position):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(
+            isinstance(arg, ast.Starred) for arg in call.args
+        )
+
+    unpassed = []
+    for fn in defs:
+        positional = fn.args.posonlyargs + fn.args.args
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first_default = len(positional) - len(fn.args.defaults)
+        params = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first_default]
+        params += [
+            (arg.arg, None)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+        for name, position in params:
+            if not any(passes(call, name, position) for call in calls.get(fn.name, ())):
+                unpassed.append(f"{fn.name}.{name}")
+    return unpassed
+
+
+def test_unpassed_default_detection():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def g(x=0):\n    return x\n\n"
+        "def h(y=0):\n    return y\n\n"
+        "class K:\n    def m(self, z=0):\n        return z\n\n"
+        "f(0, 5)\nf(0, e=6)\ng(*[1])\nh(**{})\nK().m(1)\n"
+        "def planted(flag=False):\n    return flag\n\nplanted()\n"
+    )
+    assert unpassed_defaults([source]) == ["f.c", "f.d", "planted.flag"]
+
+
+def test_every_src_default_is_passed_by_src():
+    sources = [path.read_text(encoding="utf-8") for path in SRC]
+    assert sorted(set(unpassed_defaults(sources)) - UNPASSED_DEFAULTS_ALLOWED) == []

@@ -13,9 +13,10 @@ from oracles import (
     l2_inner,
     l2_norm,
     l2_norm_sq_batch,
+    l2_project,
 )
 from slqheat.forward import a0_apply
-from slqheat.mesh import build_fem_space, l2_project, prolongation_matrix, ritz_project
+from slqheat.mesh import build_fem_space, prolongation_matrix, ritz_project
 
 
 def hat(space, j, x):

@@ -13,6 +13,7 @@ from oracles import (
     eval_fem,
     full_closed_loop_stream,
     l2_norm,
+    riccati_mode_derivative,
     solve_riccati_dense,
 )
 from slqheat.mesh import build_fem_space
@@ -21,15 +22,26 @@ from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
     _hs_sweep,
+    _phi_sweep,
     _stationary_roots,
     cost_from_moments,
     discrete_feedback,
     feedback_control,
     riccati_mode_values,
-    solve_phi,
     solve_riccati,
     value_function,
 )
+
+
+def riccati_for(space, horizon=1.0, alpha=1.0, k_fine=1024, spec=None, noise="linear"):
+    """solve_riccati on the problem (space, horizon, alpha, spec, noise).
+
+    The Riccati solution reads only the horizon of the problem's time
+    grid, so a 4-step grid stands in for any other.
+    """
+    grid = make_time_grid(horizon, 4)
+    data = make_problem(space, grid, alpha=alpha, sigma_spec=spec, noise=noise)
+    return solve_riccati(data, k_fine)
 
 
 def euler_mode_reference(lam, alpha, horizon, n_steps):
@@ -87,7 +99,7 @@ def eigmode_sigma_spec(space, mode, scale=1.0):
 def test_terminal_condition_is_exact():
     space = build_fem_space(16)
     for alpha in (0.0, 0.37, 1.0, 5.0):
-        ric = solve_riccati(space, 1.0, alpha, k_fine=64)
+        ric = riccati_for(space, alpha=alpha, k_fine=64)
         p_nodes = ric.p_half[:, ::2]
         assert_allclose(p_nodes[:, -1], alpha, rtol=0, atol=1e-13)
         assert p_nodes.shape == (space.dim, 65)
@@ -118,7 +130,8 @@ def test_exact_ode_residual_all_modes():
     space = build_fem_space(256)
     lams = space.eigvals
     t = np.linspace(0.0, 1.0, 37)
-    p, dp = riccati_mode_values(lams, 1.0, 1.0, t, derivative=True)
+    p = riccati_mode_values(lams, 1.0, 1.0, t)
+    dp = riccati_mode_derivative(lams, 1.0, 1.0, t)
     rhs = 2.0 * lams[:, None] * p - p - 1.0 + p * p
     scale = 1.0 + np.abs(rhs)
     assert (np.abs(dp - rhs) / scale).max() < 1e-10
@@ -132,7 +145,7 @@ def test_midpoint_residual_on_resolving_grids():
     lam1 = space.eigvals[0]
 
     def worst_residual(k_fine, t_mask=None):
-        ric = solve_riccati(space, 1.0, 1.0, k_fine=k_fine)
+        ric = riccati_for(space, k_fine=k_fine)
         p1 = ric.p_half[0]
         dt = 1.0 / k_fine
         f = lambda p: 2 * lam1 * p - p - 1 + p * p
@@ -147,10 +160,10 @@ def test_midpoint_residual_on_resolving_grids():
 
 def test_bounds_and_monotonicity_in_lambda():
     space = build_fem_space(64)
-    ric = solve_riccati(space, 1.0, 1.0, k_fine=256)
+    ric = riccati_for(space, k_fine=256)
     r_plus, _, _ = _stationary_roots(space.eigvals)
     assert ric.p_half.min() >= 0.0
-    cap = np.maximum(ric.alpha, r_plus)
+    cap = np.maximum(ric.data.alpha, r_plus)
     assert (ric.p_half <= cap[:, None] + 1e-12).all()
     # larger lambda gives pointwise smaller p (comparison principle)
     assert (np.diff(ric.p_half, axis=0) <= 1e-12).all()
@@ -159,19 +172,20 @@ def test_bounds_and_monotonicity_in_lambda():
 def test_max_p_non_increasing_under_mesh_refinement():
     maxima = []
     for n in (8, 16, 32, 64):
-        ric = solve_riccati(build_fem_space(n), 1.0, 1.0, k_fine=128)
+        ric = riccati_for(build_fem_space(n), k_fine=128)
         maxima.append(ric.p_half.max())
     assert all(b <= a + 1e-12 for a, b in zip(maxima, maxima[1:]))
 
 
 def test_solve_riccati_validates_input():
+    # the horizon and alpha are checked where the problem data are built
     space = build_fem_space(4)
     with pytest.raises(ValueError):
-        solve_riccati(space, 1.0, 1.0, k_fine=0)
+        riccati_for(space, k_fine=0)
     with pytest.raises(ValueError):
-        solve_riccati(space, -1.0, 1.0)
+        riccati_for(space, horizon=-1.0)
     with pytest.raises(ValueError):
-        solve_riccati(space, 1.0, -0.1)
+        riccati_for(space, alpha=-0.1)
 
 
 # ------------------------------------------------------------- integrator
@@ -223,34 +237,24 @@ def test_hs_sweep_reduces_to_simpson_quadrature():
 
 def test_phi_zero_for_zero_sigma():
     space = build_fem_space(8)
-    ric = solve_riccati(space, 1.0, 1.0, k_fine=128)
-    ric = solve_phi(space, ric, default_sigma_spec(scale=0.0))
+    ric = riccati_for(space, k_fine=128, spec=default_sigma_spec(scale=0.0))
     assert np.abs(ric.phi_half).max() == 0.0
     assert np.abs(ric.value_integral).max() == 0.0
 
 
 def test_phi_zero_when_p_forced_zero():
     # the source is p * sigma, so zero p kills phi regardless of sigma
-    space = build_fem_space(8)
-    ric = solve_riccati(space, 1.0, 0.0, k_fine=128)
-    zeroed = RiccatiSolution(
-        space=space,
-        horizon=ric.horizon,
-        alpha=0.0,
-        k_fine=ric.k_fine,
-        lams=ric.lams,
-        t_half=ric.t_half,
-        p_half=np.zeros_like(ric.p_half),
-    )
-    out = solve_phi(space, zeroed, default_sigma_spec())
-    assert np.abs(out.phi_half).max() <= 1e-15
+    ric = riccati_for(build_fem_space(8), alpha=0.0, k_fine=128)
+    assert np.abs(ric.sigma_eig_half).max() > 0.1
+    phi_half, _ = _phi_sweep(ric.lams, np.zeros_like(ric.p_half), ric.sigma_eig_half, ric.dt)
+    assert np.abs(phi_half).max() <= 1e-15
 
 
 def test_phi_single_mode_against_euler_oracle():
     space = build_fem_space(4)
     mode = 0
     spec = eigmode_sigma_spec(space, mode)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=1024), spec)
+    ric = riccati_for(space, spec=spec)
     # the noise profile is exactly the eigenvector, so only one mode is excited
     others = np.delete(np.arange(space.dim), mode)
     assert np.abs(ric.phi_half[others]).max() < 1e-12
@@ -265,7 +269,7 @@ def test_phi_sign_coupling_and_value_integral_decreasing():
     # mode by mode (the eigenvector orientation is arbitrary); the running
     # cost-to-go from the zero state decreases towards zero at T
     space = build_fem_space(16)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0), default_sigma_spec())
+    ric = riccati_for(space)
     assert (ric.phi_half * ric.sigma_eig_half).min() >= -1e-14
     assert ric.value_integral[-1] == 0.0
     assert (np.diff(ric.value_integral) <= 1e-15).all()
@@ -277,7 +281,7 @@ def test_phi_sign_coupling_and_value_integral_decreasing():
 
 def test_feedback_trivial_cases():
     space = build_fem_space(8)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 0.0), default_sigma_spec(scale=0.0))
+    ric = riccati_for(space, alpha=0.0, spec=default_sigma_spec(scale=0.0))
     x = np.zeros(space.dim)
     assert_allclose(feedback_control(ric, x, 0.3), 0.0, atol=1e-15)
     # alpha = 0: p(T) = 0 and phi(T) = 0, so the feedback vanishes at T
@@ -288,7 +292,7 @@ def test_feedback_trivial_cases():
 
 def test_feedback_rejects_time_outside_horizon():
     space = build_fem_space(4)
-    ric = solve_riccati(space, 1.0, 1.0)
+    ric = riccati_for(space)
     with pytest.raises(ValueError):
         feedback_control(ric, np.zeros(space.dim), 1.5)
     with pytest.raises(ValueError):
@@ -297,7 +301,7 @@ def test_feedback_rejects_time_outside_horizon():
 
 def test_feedback_batch_matches_single():
     space = build_fem_space(8)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0), default_sigma_spec())
+    ric = riccati_for(space)
     rng = np.random.default_rng(1)
     X = rng.standard_normal((5, space.dim))
     batch = feedback_control(ric, X, 0.4)
@@ -309,7 +313,7 @@ def test_single_mode_feedback_against_dense_oracle():
     # d = 1: u = -p_1(t) x_1 - phi_1(t) with p_1 from the dense integrator
     space = build_fem_space(2)
     t_nodes, P = solve_riccati_dense(space, 1.0, 1.0, k_fine=4096)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=4096), default_sigma_spec())
+    ric = riccati_for(space, k_fine=4096)
     x = np.array([0.8])
     for k in (0, 1000, 2500, 4096):
         t = t_nodes[k]
@@ -318,16 +322,9 @@ def test_single_mode_feedback_against_dense_oracle():
         assert_allclose(u, u_ref, atol=2e-9)
 
 
-def test_value_function_requires_phi():
-    space = build_fem_space(4)
-    ric = solve_riccati(space, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        value_function(ric, np.zeros(space.dim))
-
-
 def test_value_function_trivial_zero():
     space = build_fem_space(8)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0), default_sigma_spec(scale=0.0))
+    ric = riccati_for(space, spec=default_sigma_spec(scale=0.0))
     assert value_function(ric, np.zeros(space.dim)) == 0.0
 
 
@@ -337,7 +334,7 @@ def test_value_function_small_horizon_taylor():
     T = 1e-3
     grid = make_time_grid(T, 2)
     data = make_problem(space, grid, alpha=0.0)
-    ric = solve_phi(space, solve_riccati(space, T, 0.0, k_fine=256), data.sigma_spec)
+    ric = solve_riccati(data, 256)
     v = value_function(ric, data.x0)
     lead = 0.5 * T * l2_norm(space, data.x0) ** 2
     assert abs(v - lead) < 0.03 * lead
@@ -404,12 +401,11 @@ def test_moments_trivial_zero_data():
         time_factor=spec.time_factor,
         scale=0.0,
     )
-    data = make_problem(space, grid, alpha=1.0, sigma_spec=zero_spec)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=128), zero_spec)
-    traj = closed_loop_moments(space, ric, data)
+    ric = solve_riccati(make_problem(space, grid, alpha=1.0, sigma_spec=zero_spec), 128)
+    traj = closed_loop_moments(ric)
     assert np.abs(traj[0].m).max() == 0.0
     assert max(np.abs(ms.S).max() for ms in traj) <= 1e-15
-    assert cost_from_moments(space, ric, data) <= 1e-15
+    assert cost_from_moments(ric) <= 1e-15
 
 
 def test_moments_zero_feedback_closed_form():
@@ -417,12 +413,10 @@ def test_moments_zero_feedback_closed_form():
     # S_ii' = (1 - 2 lam_i) S_ii
     space = build_fem_space(4)
     grid = make_time_grid(1.0, 4)
-    data = make_problem(space, grid, sigma_spec=default_sigma_spec(scale=0.0))
-    base = solve_riccati(space, 1.0, 0.0, k_fine=1024)
+    data = make_problem(space, grid, alpha=0.0, sigma_spec=default_sigma_spec(scale=0.0))
+    base = solve_riccati(data, 1024)
     zeroed = RiccatiSolution(
-        space=space,
-        horizon=1.0,
-        alpha=0.0,
+        data=data,
         k_fine=base.k_fine,
         lams=base.lams,
         t_half=base.t_half,
@@ -431,7 +425,7 @@ def test_moments_zero_feedback_closed_form():
         sigma_eig_half=np.zeros_like(base.p_half),
         value_integral=np.zeros(base.k_fine + 1),
     )
-    traj = closed_loop_moments(space, zeroed, data)
+    traj = closed_loop_moments(zeroed)
     m0 = space.to_eigen(data.x0)
     t = zeroed.fine_grid
     for i in range(space.dim):
@@ -444,9 +438,8 @@ def test_moments_zero_feedback_closed_form():
 def test_moments_are_symmetric_with_psd_covariance():
     space = build_fem_space(8)
     grid = make_time_grid(1.0, 4)
-    data = make_problem(space, grid, alpha=1.0)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=512), data.sigma_spec)
-    traj = closed_loop_moments(space, ric, data)
+    ric = solve_riccati(make_problem(space, grid, alpha=1.0), 512)
+    traj = closed_loop_moments(ric)
     for ms in traj[:: len(traj) // 8]:
         assert np.abs(ms.S - ms.S.T).max() < 1e-12
         cov = ms.S - np.outer(ms.m, ms.m)
@@ -464,19 +457,18 @@ def test_cost_from_moments_matches_value_function():
         grid = make_time_grid(horizon, 4)
         spec = default_sigma_spec(scale=scale)
         data = make_problem(space, grid, alpha=alpha, sigma_spec=spec)
-        ric = solve_phi(space, solve_riccati(space, horizon, alpha, k_fine=1024), spec)
+        ric = solve_riccati(data, 1024)
         v = value_function(ric, data.x0)
-        c = cost_from_moments(space, ric, data)
+        c = cost_from_moments(ric)
         assert abs(v - c) <= 1e-6 * max(1.0, abs(v)), (alpha, horizon, scale, v, c)
 
 
 def test_moment_oracle_rejects_additive_noise():
     space = build_fem_space(4)
     grid = make_time_grid(1.0, 4)
-    data = make_problem(space, grid, noise="additive")
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=64), data.sigma_spec)
+    ric = solve_riccati(make_problem(space, grid, noise="additive"), 64)
     with pytest.raises(ValueError):
-        cost_from_moments(space, ric, data)
+        cost_from_moments(ric)
 
 
 # ------------------------------------------- entry-indexed moment sweep
@@ -485,14 +477,13 @@ def test_moment_oracle_rejects_additive_noise():
 def _moment_setup(n_elems=8, k_fine=32):
     space = build_fem_space(n_elems)
     data = make_problem(space, make_time_grid(1.0, 4), alpha=1.0)
-    ric = solve_phi(space, solve_riccati(space, 1.0, 1.0, k_fine=k_fine), data.sigma_spec)
+    ric = solve_riccati(data, k_fine)
     return space, ric, space.to_eigen(data.x0)
 
 
 def _entry_stream(ric, m0, rows, cols):
-    dt = ric.horizon / ric.k_fine
     return _closed_loop_stream(
-        ric.lams, ric.p_half, ric.phi_half, ric.sigma_eig_half, dt, m0, rows, cols
+        ric.lams, ric.p_half, ric.phi_half, ric.sigma_eig_half, ric.dt, m0, rows, cols
     )
 
 
@@ -540,17 +531,17 @@ def test_entry_stream_matches_full_sweep_on_any_entry_subset(pairs):
 def test_cost_from_moments_matches_full_matrix_evaluation():
     space = build_fem_space(16)
     data = make_problem(space, make_time_grid(0.7, 4), alpha=0.6)
-    ric = solve_phi(space, solve_riccati(space, 0.7, 0.6, k_fine=128), data.sigma_spec)
+    ric = solve_riccati(data, 128)
     m0 = space.to_eigen(data.x0)
     vals = np.empty(2 * ric.k_fine + 1)
     for idx, m, S in full_closed_loop_stream(ric, m0, np.outer(m0, m0)):
         p, phi, diag = ric.p_half[:, idx], ric.phi_half[:, idx], np.diagonal(S)
         u_sq = (p**2 * diag).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
         vals[idx] = diag.sum() + u_sq
-    dt = ric.horizon / ric.k_fine
+    dt = ric.dt
     simpson = (dt / 6.0) * (vals[:-1:2] + 4.0 * vals[1::2] + vals[2::2]).sum()
-    ref = 0.5 * simpson + 0.5 * ric.alpha * diag.sum()
-    assert_allclose(cost_from_moments(space, ric, data), ref, rtol=1e-12)
+    ref = 0.5 * simpson + 0.5 * data.alpha * diag.sum()
+    assert_allclose(cost_from_moments(ric), ref, rtol=1e-12)
 
 
 # ------------------------------------------------ discrete Riccati recursion
