@@ -2,7 +2,8 @@
 the backward equation.
 
 Every object here is the shared backward recursion of
-:mod:`slqheat.forward` followed by one conditioning per slice:
+:mod:`slqheat.forward` fed through the conditioning pass of
+:func:`condexp`:
 
 * ``apply_L_adjoint`` / ``apply_Lhat_adjoint`` -- the adjoints of the
   control-to-state and control-to-terminal-state maps;
@@ -20,16 +21,18 @@ Every object here is the shared backward recursion of
   differ by O(tau) uniformly in time, which the adjoint-gap study
   measures.
 
-All conditioning goes through :func:`condexp`: exact subtree means on the
+All conditioning goes through :func:`condexp`, one pass over the
+``(n, H, level)`` items of a backward sweep: exact subtree means on the
 scenario tree, and ridge-regularized least squares on Monte Carlo
 ensembles (features: constant, leading eigenbasis coordinates of the
-state, and the Brownian value at t_n).  Processes hold eigen coordinates
-(see :mod:`slqheat.forward`), so L2 norms are euclidean row norms.
+state, and the Brownian value at t_n), with the normal equations of all
+slices solved in one batched call.  Processes hold eigen coordinates (see
+:mod:`slqheat.forward`), so L2 norms are euclidean row norms.
 """
 
 import numpy as np
 
-from .forward import AdaptedProcess, backward_kernel
+from .forward import backward_kernel, zeros_process
 from .noise import tree_condexp
 
 
@@ -38,28 +41,40 @@ from .noise import tree_condexp
 _RIDGE = 1e-10
 
 
-def regression_condexp(features, targets):
-    """Ridge least-squares fit of targets on features.
+def _regression_features(data, driver, state):
+    """Features [1, xhat_1, ..., xhat_m, W(t_n)] of every slice of ``state``, shape (K, P, m + 2).
 
-    Solves (F^T F + ridge I) beta = F^T Y with the fixed ridge 1e-10 and
-    returns (beta, F beta).
+    xhat_i are the leading m = min(4, d) eigenbasis coordinates of the
+    state slice; ``features[k]`` belongs to time index ``state.start + k``
+    and is a C-contiguous (P, m + 2) block.
     """
-    F = np.asarray(features, dtype=float)
-    Y = np.asarray(targets, dtype=float)
-    gram = F.T @ F + _RIDGE * np.eye(F.shape[1])
-    beta = np.linalg.solve(gram, F.T @ Y)
-    return beta, F @ beta
+    # the exact conditional expectations are affine in the state
+    # coordinates, but only the leading modes enter the basis: it is exact
+    # only for data that load modes <= 4 (a mode-wise basis is ROADMAP item 2)
+    m = min(4, data.space.dim)
+    x = state.values
+    feats = np.empty(x.shape[:2] + (m + 2,))
+    feats[:, :, 0] = 1.0
+    feats[:, :, 1 : m + 1] = x[:, :, :m]
+    for k in range(len(x)):
+        feats[k, :, m + 1] = driver.brownian(state.start + k)
+    return feats
 
 
-def condexp(data, driver, values, level, n, state=None):
-    """E[values | F_{t_n}] for per-scenario values living at time index ``level``.
+def condexp(data, driver, items, state=None):
+    """Yield (n, E[H | F_{t_n}]) for each item (n, H, level) of a backward sweep.
 
-    On a scenario tree this is the exact subtree average of the
-    level-``level`` node values over the level-``n`` nodes.  On an
-    ensemble it is the ridge least-squares regression of
-    :func:`regression_condexp` on [1, xhat_1, ..., xhat_m, W(t_n)], with
-    xhat_i the leading m = min(4, d) eigenbasis coordinates of ``state``
-    at t_n.
+    ``H`` holds per-scenario values living at time index ``level``.  On a
+    scenario tree each item is the exact subtree average of its
+    level-``level`` node values over the level-``n`` nodes, yielded as it
+    arrives.  On an ensemble each item is the ridge least-squares
+    regression of H on [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the
+    leading m = min(4, d) eigenbasis coordinates of ``state`` at t_n: the
+    features of all slices are built once, every item contributes its gram
+    F_n^T F_n and its (m + 2) x d product F_n^T H, one batched
+    ``np.linalg.solve`` handles all the ridge systems
+    (F_n^T F_n + 1e-10 I) beta_n = F_n^T H, and F_n beta_n is yielded per
+    item after the whole sweep has been read.
 
     Raises
     ------
@@ -67,16 +82,22 @@ def condexp(data, driver, values, level, n, state=None):
         On an ensemble without ``state``: the regression features need it.
     """
     if driver.kind == "tree":
-        return tree_condexp(values, level, n)
+        for n, values, level in items:
+            yield n, tree_condexp(values, level, n)
+        return
     if state is None:
         raise ValueError("conditioning on an ensemble regresses on the state; pass state")
-    # the exact conditional expectations are affine in the state
-    # coordinates, but only the leading modes enter the basis: it is exact
-    # only for data that load modes <= 4 (a mode-wise basis is ROADMAP item 2)
-    m = min(4, data.space.dim)
-    coords = state.at(n)[:, :m]
-    features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
-    return regression_condexp(features, values)[1]
+    feats = _regression_features(data, driver, state)
+    steps, grams, rhs = [], [], []
+    for n, values, _ in items:
+        F = feats[n - state.start]
+        steps.append(n)
+        grams.append(F.T @ F)
+        rhs.append(F.T @ values)
+    gram = np.array(grams) + _RIDGE * np.eye(feats.shape[2])
+    betas = np.linalg.solve(gram, np.array(rhs))
+    for n, beta in zip(steps, betas):
+        yield n, feats[n - state.start] @ beta
 
 
 def apply_L_adjoint(data, driver, xi):
@@ -84,15 +105,16 @@ def apply_L_adjoint(data, driver, xi):
 
     ``xi`` must cover time indices 1..N.  Returns the process with slices
     (L* xi)(t_n) = tau E[ sum_{j>n} A0^{j-n} prod m (xi_j) | F_n ] for
-    n = 0..N-1, computed by the shared backward kernel followed by one
-    conditioning per slice (exact trees only: there is no state to
-    regress on).
+    n = 0..N-1, computed by the shared backward kernel and the
+    conditioning pass (exact trees only: there is no state to regress
+    on).
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    out = [None] * N
-    for n, H, level in backward_kernel(data, driver, xi.at, None, product_offset=2):
-        out[n] = tau * condexp(data, driver, H, level, n)
-    return AdaptedProcess(driver, 0, out)
+    out = zeros_process(driver, data.space.dim, 0, N - 1)
+    sweep = backward_kernel(data, driver, xi.at, None, product_offset=2)
+    for n, h in condexp(data, driver, sweep):
+        out.at(n)[...] = tau * h
+    return out
 
 
 def apply_Lhat_adjoint(data, driver, eta):
@@ -101,10 +123,11 @@ def apply_Lhat_adjoint(data, driver, eta):
     ``eta`` is a terminal (time t_N) array; slices run over n = 0..N-1
     without the tau weight.
     """
-    out = [None] * data.grid.n_steps
-    for n, H, level in backward_kernel(data, driver, None, eta, product_offset=2):
-        out[n] = condexp(data, driver, H, level, n)
-    return AdaptedProcess(driver, 0, out)
+    out = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    sweep = backward_kernel(data, driver, None, eta, product_offset=2)
+    for n, h in condexp(data, driver, sweep):
+        out.at(n)[...] = h
+    return out
 
 
 def k_htau_sweep(data, driver, state):
@@ -121,16 +144,16 @@ def k_htau_sweep(data, driver, state):
     N = data.grid.n_steps
     v_at = lambda n: -tau * state.at(n)
     eta = -alpha * np.asarray(state.at(N))
-    for n, H, level in backward_kernel(data, driver, v_at, eta, product_offset=2):
-        yield n, condexp(data, driver, H, level, n, state)
+    sweep = backward_kernel(data, driver, v_at, eta, product_offset=2)
+    yield from condexp(data, driver, sweep, state)
 
 
 def k_htau(data, driver, state):
     """Gradient kernel K X as an adapted process over n = 0..N-1."""
-    out = [None] * data.grid.n_steps
+    out = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
     for n, q in k_htau_sweep(data, driver, state):
-        out[n] = q
-    return AdaptedProcess(driver, 0, out)
+        out.at(n)[...] = q
+    return out
 
 
 def implicit_euler_bsde(data, driver, state):
@@ -154,20 +177,24 @@ def implicit_euler_bsde(data, driver, state):
     """
     grid = data.grid
     N, tau = grid.n_steps, grid.tau
+    d = data.space.dim
     v_at = lambda n: -tau * state.at(n)
     terminal = -data.alpha * np.asarray(state.at(N))
-    y_vals = [None] * (N + 1)
-    y_vals[N] = np.array(terminal)
-    for n, H, level in backward_kernel(data, driver, v_at, terminal, product_offset=1):
-        y_vals[n] = condexp(data, driver, H, level, n, state)
-    y0 = AdaptedProcess(driver, 0, y_vals)
+    y0 = zeros_process(driver, d, 0, N)
+    y0.at(N)[...] = terminal
+    sweep = backward_kernel(data, driver, v_at, terminal, product_offset=1)
+    for n, y in condexp(data, driver, sweep, state):
+        y0.at(n)[...] = y
 
-    z_vals = [None] * N
-    for n in range(N):
-        mart = y_vals[n + 1] - tau * np.asarray(state.at(n + 1))
-        dw = driver.increments_at(n + 1)[:, None]
-        z_vals[n] = condexp(data, driver, mart * dw, n + 1, n, state) / tau
-    return y0, AdaptedProcess(driver, 0, z_vals)
+    def martingale_items():
+        for n in range(N):
+            mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
+            yield n, mart * driver.increments_at(n + 1)[:, None], n + 1
+
+    zbar0 = zeros_process(driver, d, 0, N - 1)
+    for n, z in condexp(data, driver, martingale_items(), state):
+        zbar0.at(n)[...] = z / tau
+    return y0, zbar0
 
 
 def adjoint_gap(data, driver, state):

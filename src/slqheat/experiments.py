@@ -15,14 +15,15 @@ Five studies are provided, all driven by a flat ExperimentConfig:
                        and the gradient kernel across step counts.
 
 Every study writes CSV tables (LF endings, '.' decimal, ',' delimiter)
-and a manifest.json (config echo, package versions, wall time).  Reruns
-with identical config produce byte-identical CSVs; wall time lives only
-in the manifest.
+and a manifest.json (config echo, package versions, wall time, and the
+peak resident memory under "profile").  Reruns with identical config
+produce byte-identical CSVs; the measurements live only in the manifest.
 """
 
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -211,6 +212,10 @@ def _write_manifest(out_dir, cfg, wall_time, extra=None):
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
         "wall_time_s": wall_time,
+        # ru_maxrss is the high-water mark of this process, in KiB on Linux
+        "profile": {
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        },
     }
     if extra:
         manifest["summary"] = extra
@@ -396,6 +401,36 @@ def _solve_on_paths(cfg, data, driver):
     return u, solve_forward(data, driver, u)
 
 
+def _temporal_errors(u_ref, x_ref, u_lvl, x_lvl):
+    """Strong control and state errors of a coarse solution against the reference.
+
+    All four processes live on the same ensemble paths; the coarse level
+    has stride = N_ref / N_lvl reference steps per step.  The control
+    error (tau_ref sum_k E||U_ref(t_k) - U_lvl(t_{k // stride})||^2)^{1/2}
+    is summed one coarse step at a time, so no temporary the size of a
+    process is built; the state error is max_j (E||X_ref(t_{j stride}) -
+    X_lvl(t_j)||^2)^{1/2}.  Standard errors are those of the per-path
+    squared errors, carried through the square root by the delta method.
+
+    Returns (err_ctrl, se_ctrl, err_state, se_state).
+    """
+    n_paths, tau_ref = x_ref.driver.n_paths, x_ref.driver.grid.tau
+    stride = (len(x_ref.values) - 1) // (len(x_lvl.values) - 1)
+    ctrl_sq = np.zeros(n_paths)
+    for j, u_j in enumerate(u_lvl.values):
+        diff = u_ref.values[j * stride : (j + 1) * stride] - u_j
+        ctrl_sq += tau_ref * np.einsum("kpd,kpd->p", diff, diff)
+    err_ctrl = float(np.sqrt(ctrl_sq.mean()))
+    se_ctrl = float(ctrl_sq.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_ctrl, 1e-300))
+
+    diff = x_ref.values[::stride] - x_lvl.values
+    rows = np.einsum("kpd,kpd->kp", diff, diff)
+    worst = int(np.argmax(rows.mean(axis=1)))
+    err_state = float(np.sqrt(rows[worst].mean()))
+    se_state = float(rows[worst].std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_state, 1e-300))
+    return err_ctrl, se_ctrl, err_state, se_state
+
+
 def run_temporal_rate(cfg):
     """Strong control/state errors under time refinement, common paths.
 
@@ -424,31 +459,11 @@ def run_temporal_rate(cfg):
     u_ref, x_ref = _solve_on_paths(cfg, data_ref, fine_driver)
 
     ctrl_rows, state_rows = [], []
-    n_paths = fine_driver.n_paths
     for lvl in cfg.time_levels:
         sub = _coarsen_to(fine_driver, lvl)
         data_lvl = data_ref.with_grid(sub.grid)
         u_lvl, x_lvl = _solve_on_paths(cfg, data_lvl, sub)
-        stride = cfg.n_ref // lvl
-
-        ctrl_sq = np.zeros(n_paths)
-        tau_ref = grid_ref.tau
-        for k in range(cfg.n_ref):
-            diff = np.asarray(u_ref.at(k)) - np.asarray(u_lvl.at(k // stride))
-            ctrl_sq += tau_ref * np.einsum("ij,ij->i", diff, diff)
-        err_ctrl = float(np.sqrt(ctrl_sq.mean()))
-        se_ctrl = float(ctrl_sq.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_ctrl, 1e-300))
-
-        worst, worst_rows = -1.0, None
-        for j in range(lvl + 1):
-            diff = np.asarray(x_ref.at(j * stride)) - np.asarray(x_lvl.at(j))
-            rows_j = np.einsum("ij,ij->i", diff, diff)
-            if rows_j.mean() > worst:
-                worst, worst_rows = float(rows_j.mean()), rows_j
-        err_state = float(np.sqrt(worst))
-        se_state = float(
-            worst_rows.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_state, 1e-300)
-        )
+        err_ctrl, se_ctrl, err_state, se_state = _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
         tau_lvl = cfg.horizon / lvl
         ctrl_rows.append((lvl, tau_lvl, err_ctrl, se_ctrl))
         state_rows.append((lvl, tau_lvl, err_state, se_state))

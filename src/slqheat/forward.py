@@ -35,6 +35,10 @@ L2 inner product is the euclidean one.  Every process slice holds eigen
 coordinates c = V^T M v; the projected data of :class:`ProblemData` stay
 nodal and are converted once per sweep, and ``space.from_eigen`` gives
 nodal values back.
+
+An :class:`AdaptedProcess` on an ensemble is one C-contiguous (K, P, d)
+array that :func:`solve_forward` allocates once and fills step by step
+in place; on a tree it is a list of per-level arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -52,11 +56,22 @@ class AdaptedProcess:
     shape (n_scenarios(start + k), d): one row per tree node at that level,
     or one row per Monte Carlo path.  Rows are eigen coordinates
     c = V^T M v; ``space.from_eigen`` turns a slice into nodal values.
+
+    Storage follows the driver, and this class and :func:`zeros_process`
+    are where it branches on ``driver.kind``: on a scenario tree ``values`` is a list of
+    per-level arrays (2^n rows at level n); on an ensemble it is one
+    C-contiguous (K, P, d) array of K slices over P paths, so reductions
+    over a whole process are single ``einsum`` calls.  A list given for an
+    ensemble is stacked once.
     """
 
     driver: object
     start: int
-    values: list
+    values: object
+
+    def __post_init__(self):
+        if self.driver.kind == "ensemble":
+            self.values = np.ascontiguousarray(self.values, dtype=float)
 
     @property
     def stop(self):
@@ -65,9 +80,21 @@ class AdaptedProcess:
 
     def at(self, n):
         """Slice at global time index n."""
-        if n < self.start or n > self.stop:
+        k = n - self.start
+        if k < 0 or k >= len(self.values):
             raise IndexError(f"time index {n} outside [{self.start}, {self.stop}]")
-        return self.values[n - self.start]
+        return self.values[k]
+
+    def slice_means(self, other):
+        """E <self_n, other_n> over the scenarios of every slice, shape (K,).
+
+        One ``einsum`` over the stacked array on an ensemble; slice by
+        slice on a tree, whose levels differ in size.
+        """
+        if self.driver.kind == "ensemble":
+            return np.einsum("kpd,kpd->k", self.values, other.values) / self.driver.n_paths
+        pairs = zip(self.values, other.values, strict=True)
+        return np.array([np.einsum("ij,ij->i", a, b).mean() for a, b in pairs])
 
     def __sub__(self, other):
         return AdaptedProcess(
@@ -77,7 +104,10 @@ class AdaptedProcess:
 
 def zeros_process(driver, dim, start, stop):
     """All-zero adapted process over global time indices start..stop."""
-    vals = [np.zeros((driver.n_scenarios(n), dim)) for n in range(start, stop + 1)]
+    if driver.kind == "ensemble":
+        vals = np.zeros((stop - start + 1, driver.n_paths, dim))
+    else:
+        vals = [np.zeros((driver.n_scenarios(n), dim)) for n in range(start, stop + 1)]
     return AdaptedProcess(driver, start, vals)
 
 
@@ -185,10 +215,10 @@ def _control_slice(control, n, t, x_slice):
         return None
     if isinstance(control, AdaptedProcess):
         return control.at(n)
-    return control(t, x_slice)
+    return np.broadcast_to(control(t, x_slice), x_slice.shape)
 
 
-def solve_forward(data, driver, control=None, return_control=False):
+def solve_forward(data, driver, control=None, return_control=False, out=None):
     """Run the full state recursion from the problem's initial datum.
 
     Parameters
@@ -203,6 +233,10 @@ def solve_forward(data, driver, control=None, return_control=False):
     return_control : bool
         Also return the realized control as an AdaptedProcess (useful for
         feedback runs).
+    out : AdaptedProcess over 0..N, optional
+        Storage to overwrite with the new state, such as the previous
+        iterate's state in gradient descent: a long ensemble then reuses
+        its pages instead of faulting in a fresh (N+1, P, d) array.
 
     Returns
     -------
@@ -217,30 +251,27 @@ def solve_forward(data, driver, control=None, return_control=False):
     x0 = space.to_eigen(data.x0)
     sigma = space.to_eigen(data.sigma)
 
-    values = [np.array(np.broadcast_to(x0, (driver.n_scenarios(0), d)), dtype=float)]
-    realized = [] if return_control else None
+    proc = zeros_process(driver, d, 0, N) if out is None else out
+    realized = zeros_process(driver, d, 0, N - 1) if return_control else None
+    proc.values[0][...] = x0
     for n in range(N):
-        xn = values[n]
+        xn = proc.values[n]
         un = _control_slice(control, n, grid.nodes[n], xn)
-        if realized is not None:
-            realized.append(
-                np.zeros((driver.n_scenarios(n), d)) if un is None
-                else np.array(np.broadcast_to(un, xn.shape), dtype=float)
-            )
+        if un is not None and realized is not None:
+            realized.values[n][...] = un
         par = driver.child_expand(xn, n)
         dw = driver.increments_at(n + 1)[:, None]
+        out = proc.values[n + 1]
         if linear:
-            rhs = par * (1.0 + dw)
+            np.multiply(par, 1.0 + dw, out=out)
         else:
-            rhs = par.copy()
+            out[...] = par
         if un is not None:
-            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape), n)
-        rhs += sigma[n] * dw
-        rhs *= scale
-        values.append(rhs)
-    proc = AdaptedProcess(driver, 0, values)
+            out += tau * driver.child_expand(un, n)
+        out += sigma[n] * dw
+        out *= scale
     if return_control:
-        return proc, AdaptedProcess(driver, 0, realized)
+        return proc, realized
     return proc
 
 

@@ -35,17 +35,9 @@ def _row_sq(values):
     return np.einsum("ij,ij->i", values, values)
 
 
-def _slice_mean_sq(values):
-    # E ||v||^2 over scenarios; slices carry uniform weights on both drivers
-    return float(_row_sq(values).mean())
-
-
 def control_inner(data, u, v):
     """tau-weighted inner product tau sum_n E <u_n, v_n>_{L^2}."""
-    total = 0.0
-    for n in range(u.start, u.stop + 1):
-        total += float(np.einsum("ij,ij->i", u.at(n), v.at(n)).mean())
-    return data.grid.tau * total
+    return data.grid.tau * float(sum(u.slice_means(v)))
 
 
 def control_norm_sq(data, u):
@@ -68,11 +60,10 @@ def cost(data, state, control):
     Monte Carlo ensembles (see cost_with_stderr for the standard error).
     """
     tau, alpha = data.grid.tau, data.alpha
-    N = data.grid.n_steps
-    state_sq = sum(_slice_mean_sq(state.at(n)) for n in range(1, N + 1))
-    ctrl_sq = sum(_slice_mean_sq(control.at(n)) for n in range(N))
-    terminal = _slice_mean_sq(state.at(N))
-    return 0.5 * tau * (state_sq + ctrl_sq) + 0.5 * alpha * terminal
+    state_sq = state.slice_means(state)
+    ctrl_sq = control.slice_means(control)
+    # builtin sums keep the slice order of the scalar accumulation
+    return float(0.5 * tau * (sum(state_sq[1:]) + sum(ctrl_sq)) + 0.5 * alpha * state_sq[-1])
 
 
 def cost_with_stderr(data, state, control):
@@ -95,13 +86,9 @@ def cost_with_stderr(data, state, control):
     if state.driver.kind == "tree":
         return value, 0.0
     tau, alpha = data.grid.tau, data.alpha
-    N = data.grid.n_steps
-    samples = np.zeros(state.driver.n_paths)
-    for n in range(1, N + 1):
-        samples += 0.5 * tau * _row_sq(state.at(n))
-    for n in range(N):
-        samples += 0.5 * tau * _row_sq(control.at(n))
-    samples += 0.5 * alpha * _row_sq(state.at(N))
+    x, u = state.values, control.values
+    samples = 0.5 * tau * (np.einsum("kpd,kpd->p", x[1:], x[1:]) + np.einsum("kpd,kpd->p", u, u))
+    samples += 0.5 * alpha * _row_sq(x[-1])
     se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
     return value, se
 
@@ -155,8 +142,9 @@ def gradient_descent(data, driver, cfg, reference=None):
     """Fixed-step descent U <- U - (1/kappa)(U - K X(U)).
 
     Iterates the forward solve, the kernel sweep, and the in-place control
-    update (the kernel slices are consumed as they are produced, so no
-    second control-sized array is allocated).  Records cost, gradient
+    update (the kernel slices are consumed as they are yielded, so no
+    second control-sized array is allocated, and each forward solve
+    overwrites the previous iterate's state).  Records cost, gradient
     norm, and, when ``reference`` is given, the squared control distance
     to it, all evaluated at the pre-update iterate.
 
@@ -187,8 +175,9 @@ def gradient_descent(data, driver, cfg, reference=None):
     tau, step = grid.tau, 1.0 / kappa
     increases = 0
     warned = False
+    state = None
     for _ in range(cfg.max_iters):
-        state = solve_forward(data, driver, u)
+        state = solve_forward(data, driver, u, out=state)
         j = cost(data, state, u)
         trace.cost.append(j)
         if reference is not None:
@@ -213,7 +202,6 @@ def gradient_descent(data, driver, cfg, reference=None):
             g = u.at(n) - q
             grad_sq += tau * float(_row_sq(g).mean())
             u.at(n)[...] -= step * g
-        state = None  # release before the next forward solve (large ensembles)
         grad_norm = float(np.sqrt(grad_sq))
         trace.grad_norm.append(grad_norm)
         if grad_norm <= tol:

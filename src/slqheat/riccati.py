@@ -145,7 +145,17 @@ def solve_riccati(data, k_fine):
     Returns
     -------
     RiccatiSolution
+
+    Raises
+    ------
+    ValueError
+        For additive noise: the mode equations carry the +P term and the
+        moment sweeps the (X + sigma) noise of the linear-noise problem.
     """
+    if data.noise != "linear":
+        raise ValueError(
+            f"the Riccati feedback covers the linear-noise problem only, got noise={data.noise!r}"
+        )
     if k_fine < 1:
         raise ValueError(f"need k_fine >= 1, got {k_fine}")
     space, horizon = data.space, data.grid.horizon
@@ -366,8 +376,6 @@ def cost_from_moments(riccati):
     (the trajectory itself is never stored).
     """
     data = riccati.data
-    if data.noise != "linear":
-        raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     dt = riccati.dt
     m0 = data.space.to_eigen(data.x0)
     diag = np.arange(data.space.dim)

@@ -22,7 +22,9 @@ the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
 ``full_joint_errors`` play the same part for the entry-indexed moment
 sweep, and ``solve_riccati_dense`` is an independent matrix Riccati
-integrator.
+integrator.  The ``slice_*`` functions condition and reduce one slice at a
+time, as the library did before it batched the regression solves and
+stacked ensemble processes into one (K, P, d) array.
 """
 
 import warnings
@@ -30,11 +32,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from slqheat.adjoint import condexp, k_htau
-from slqheat.forward import AdaptedProcess, solve_forward, zeros_process
+from slqheat.adjoint import k_htau
+from slqheat.forward import AdaptedProcess, backward_kernel, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.noise import tree_condexp
-from slqheat.optimizer import control_inner, control_norm_sq
+from slqheat.optimizer import _row_sq, control_inner, control_norm_sq
 from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
@@ -198,12 +200,139 @@ def bsde_residual(data, driver, state, y0, zbar0):
     worst = 0.0
     for n in range(N):
         lhs = np.asarray(y0.at(n)) * shift
-        e_y = condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
-        e_x = condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
+        e_y = slice_condexp(data, driver, np.asarray(y0.at(n + 1)), n + 1, n, state)
+        e_x = slice_condexp(data, driver, np.asarray(state.at(n + 1)), n + 1, n, state)
         defect = lhs - e_y + tau * e_x - tau * np.asarray(zbar0.at(n))
         norms = np.sqrt(np.einsum("ij,ij->i", defect, defect))
         worst = max(worst, float(norms.max()))
     return worst
+
+
+# -- per-slice conditioning and reductions ------------------------------------
+# The library conditions a whole backward sweep at once (one batched solve of
+# the regression normal equations on ensembles) and reduces stacked (K, P, d)
+# ensemble processes with single einsums.  The per-slice code it replaced is
+# kept here verbatim as the equivalence oracle.
+
+_RIDGE = 1e-10
+
+
+def regression_condexp(features, targets):
+    """Ridge least-squares fit of targets on features.
+
+    Solves (F^T F + ridge I) beta = F^T Y with the fixed ridge 1e-10 and
+    returns (beta, F beta).
+    """
+    F = np.asarray(features, dtype=float)
+    Y = np.asarray(targets, dtype=float)
+    gram = F.T @ F + _RIDGE * np.eye(F.shape[1])
+    beta = np.linalg.solve(gram, F.T @ Y)
+    return beta, F @ beta
+
+
+def slice_condexp(data, driver, values, level, n, state=None):
+    """E[values | F_{t_n}] for per-scenario values living at time index ``level``.
+
+    Subtree averages on a tree; on an ensemble one ridge regression of
+    this slice on [1, xhat_1, ..., xhat_m, W(t_n)], m = min(4, d).
+    """
+    if driver.kind == "tree":
+        return tree_condexp(values, level, n)
+    if state is None:
+        raise ValueError("conditioning on an ensemble regresses on the state; pass state")
+    m = min(4, data.space.dim)
+    coords = state.at(n)[:, :m]
+    features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
+    return regression_condexp(features, values)[1]
+
+
+def slice_k_htau(data, driver, state):
+    """Gradient kernel slices n = 0..N-1, conditioned one slice at a time."""
+    tau, alpha, N = data.grid.tau, data.alpha, data.grid.n_steps
+    v_at = lambda n: -tau * state.at(n)
+    eta = -alpha * np.asarray(state.at(N))
+    out = [None] * N
+    for n, H, level in backward_kernel(data, driver, v_at, eta, product_offset=2):
+        out[n] = slice_condexp(data, driver, H, level, n, state)
+    return out
+
+
+def slice_implicit_euler_bsde(data, driver, state):
+    """Backward-equation slices (Y0 over 0..N, Zbar0 over 0..N-1), one conditioning per slice."""
+    N, tau = data.grid.n_steps, data.grid.tau
+    v_at = lambda n: -tau * state.at(n)
+    terminal = -data.alpha * np.asarray(state.at(N))
+    y_vals = [None] * (N + 1)
+    y_vals[N] = np.array(terminal)
+    for n, H, level in backward_kernel(data, driver, v_at, terminal, product_offset=1):
+        y_vals[n] = slice_condexp(data, driver, H, level, n, state)
+    z_vals = [None] * N
+    for n in range(N):
+        mart = y_vals[n + 1] - tau * np.asarray(state.at(n + 1))
+        dw = driver.increments_at(n + 1)[:, None]
+        z_vals[n] = slice_condexp(data, driver, mart * dw, n + 1, n, state) / tau
+    return y_vals, z_vals
+
+
+def _slice_mean_sq(values):
+    return float(_row_sq(values).mean())
+
+
+def slice_control_inner(data, u, v):
+    """tau sum_n E <u_n, v_n>, accumulated slice by slice."""
+    total = 0.0
+    for n in range(u.start, u.stop + 1):
+        total += float(np.einsum("ij,ij->i", u.at(n), v.at(n)).mean())
+    return data.grid.tau * total
+
+
+def slice_cost(data, state, control):
+    """Discrete quadratic cost, accumulated slice by slice."""
+    tau, alpha = data.grid.tau, data.alpha
+    N = data.grid.n_steps
+    state_sq = sum(_slice_mean_sq(state.at(n)) for n in range(1, N + 1))
+    ctrl_sq = sum(_slice_mean_sq(control.at(n)) for n in range(N))
+    terminal = _slice_mean_sq(state.at(N))
+    return 0.5 * tau * (state_sq + ctrl_sq) + 0.5 * alpha * terminal
+
+
+def slice_cost_with_stderr(data, state, control):
+    """(cost, standard error) with the per-path samples summed slice by slice."""
+    value = slice_cost(data, state, control)
+    if state.driver.kind == "tree":
+        return value, 0.0
+    tau, alpha = data.grid.tau, data.alpha
+    N = data.grid.n_steps
+    samples = np.zeros(state.driver.n_paths)
+    for n in range(1, N + 1):
+        samples += 0.5 * tau * _row_sq(state.at(n))
+    for n in range(N):
+        samples += 0.5 * tau * _row_sq(control.at(n))
+    samples += 0.5 * alpha * _row_sq(state.at(N))
+    se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
+    return value, se
+
+
+def slice_temporal_errors(tau_ref, n_ref, lvl, u_ref, x_ref, u_lvl, x_lvl):
+    """(err_ctrl, se_ctrl, err_state, se_state): the temporal study's per-slice error loops."""
+    n_paths = x_ref.driver.n_paths
+    stride = n_ref // lvl
+    ctrl_sq = np.zeros(n_paths)
+    for k in range(n_ref):
+        diff = np.asarray(u_ref.at(k)) - np.asarray(u_lvl.at(k // stride))
+        ctrl_sq += tau_ref * np.einsum("ij,ij->i", diff, diff)
+    err_ctrl = float(np.sqrt(ctrl_sq.mean()))
+    se_ctrl = float(ctrl_sq.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_ctrl, 1e-300))
+
+    worst, worst_rows = -1.0, None
+    for j in range(lvl + 1):
+        diff = np.asarray(x_ref.at(j * stride)) - np.asarray(x_lvl.at(j))
+        rows_j = np.einsum("ij,ij->i", diff, diff)
+        if rows_j.mean() > worst:
+            worst, worst_rows = float(rows_j.mean()), rows_j
+    err_state = float(np.sqrt(worst))
+    se_state = float(worst_rows.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_state, 1e-300))
+    return err_ctrl, se_ctrl, err_state, se_state
 
 
 # -- nodal norms and evaluation -----------------------------------------------
@@ -415,7 +544,7 @@ def regression_features(space, driver, state, n, n_modes=4):
     return np.column_stack(cols)
 
 
-def regression_condexp(space, driver, state, targets, n, ridge=1e-10):
+def nodal_regression_condexp(space, driver, state, targets, n, ridge=1e-10):
     """Ensemble E[targets | F_n]: ridge normal equations on regression_features."""
     F = regression_features(space, driver, state, n)
     Y = np.asarray(targets, dtype=float)
@@ -511,7 +640,7 @@ def nodal_condexp(data, driver, values, level, n, state=None):
     """E[values | F_n]: subtree means on trees, regression on a nodal ensemble state."""
     if driver.kind == "tree":
         return tree_condexp(values, level, n)
-    return regression_condexp(data.space, driver, state, values, n)
+    return nodal_regression_condexp(data.space, driver, state, values, n)
 
 
 def nodal_k_htau(data, driver, state):

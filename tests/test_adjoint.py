@@ -11,7 +11,6 @@ from slqheat.adjoint import (
     implicit_euler_bsde,
     k_htau,
     k_htau_sweep,
-    regression_condexp,
 )
 from slqheat.forward import (
     AdaptedProcess,
@@ -138,9 +137,11 @@ def test_adjoint_gap_nonzero_with_terminal_weight():
 def test_condexp_is_exact_subtree_average_on_tree():
     space, grid, data, drv = tree_setup()
     vals = np.arange(8.0)[:, None]
-    assert_allclose(condexp(data, drv, vals, 3, 1), tree_condexp(vals, 3, 1))
+    items = [(1, vals, 3), (0, vals[:4], 2)]
+    got = dict(condexp(data, drv, items))
+    assert_allclose(got[1], tree_condexp(vals, 3, 1))
     # data living at an intermediate level condition the same way
-    assert_allclose(condexp(data, drv, vals[:4], 2, 0), [[1.5]])
+    assert_allclose(got[0], [[1.5]])
 
 
 def test_regression_condexp_recovers_affine_targets():
@@ -148,7 +149,7 @@ def test_regression_condexp_recovers_affine_targets():
     F = np.column_stack([np.ones(200), rng.standard_normal((200, 3))])
     beta_true = np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0], [2.0, 1.0]])
     Y = F @ beta_true
-    beta, pred = regression_condexp(F, Y)
+    beta, pred = oracles.regression_condexp(F, Y)
     assert_allclose(beta, beta_true, atol=1e-6)
     assert_allclose(pred, Y, atol=1e-6)
 
@@ -163,7 +164,7 @@ def test_regression_estimator_exact_for_affine_functionals():
     n = 3
     coords = X.at(n)[:, :4]
     target = 2.0 + coords @ np.array([1.0, -1.0, 0.5, 2.0]) + 0.25 * drv.brownian(n)
-    pred = condexp(data, drv, target[:, None], n, n, X)
+    [(_, pred)] = condexp(data, drv, [(n, target[:, None], n)], X)
     assert_allclose(pred[:, 0], target, atol=1e-6)
 
 
@@ -176,7 +177,7 @@ def test_regression_estimator_constant_slice_at_time_zero():
     X = solve_forward(data, drv)
     rng = np.random.default_rng(6)
     targets = rng.standard_normal((500, space.dim))
-    pred = condexp(data, drv, targets, 0, 0, X)
+    [(_, pred)] = condexp(data, drv, [(0, targets, 0)], X)
     assert np.abs(pred - pred[0]).max() < 1e-8
     assert_allclose(pred[0], targets.mean(axis=0), atol=1e-6)
 
@@ -187,7 +188,7 @@ def test_regression_estimator_requires_state():
     data = make_problem(space, grid)
     drv = gaussian_driver(grid, 50, seed=7)
     with pytest.raises(ValueError, match="state"):
-        condexp(data, drv, np.ones((50, space.dim)), 1, 1)
+        list(condexp(data, drv, [(1, np.ones((50, space.dim)), 1)]))
 
 
 def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():

@@ -195,6 +195,17 @@ def test_spatial_requires_nested_reference(tmp_path):
         run_spatial_rate(cfg)
 
 
+def test_spatial_rate_rejects_additive_noise(tmp_path):
+    # the moment sweep models (X + sigma) dW; additive data must not get its tables
+    cfg = make_config(
+        "spatial_rate", mesh_levels=(4,), mesh_ref=8, k_fine=16, noise="additive",
+        out=str(tmp_path),
+    )
+    with pytest.raises(ValueError, match="noise='additive'"):
+        run_spatial_rate(cfg)
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_spatial_control_error_matches_monte_carlo(tmp_path):
     # independent oracle: simulate both feedback-controlled systems on the
     # same Brownian paths with a fine time discretization and compare the
@@ -318,6 +329,13 @@ def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
     }
 
 
+def test_manifest_records_peak_rss(tmp_path):
+    cfg = make_config("gd_convergence", n_elems=3, time_steps=2, max_iters=2, out=str(tmp_path))
+    run_study(cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["profile"]["peak_rss_mb"] > 0.0
+
+
 def test_gd_convergence_requires_tree(tmp_path):
     cfg = make_config("gd_convergence", driver="mc", out=str(tmp_path))
     with pytest.raises(ValueError, match="tree"):
@@ -390,10 +408,12 @@ def test_rerun_is_byte_identical(tmp_path):
         )
     for name in ("rates.csv", "rates_state.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    # manifests agree except for the wall time and the output path echo
+    # manifests agree except for the measurements (wall time, the "profile"
+    # section) and the output path echo
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
-    m1.pop("wall_time_s"), m2.pop("wall_time_s")
+    for m in (m1, m2):
+        m.pop("wall_time_s"), m.pop("profile")
     m1["config"].pop("out"), m2["config"].pop("out")
     assert m1 == m2
 

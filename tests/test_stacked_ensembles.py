@@ -1,0 +1,168 @@
+"""Stacked ensemble storage and the batched regression against their per-slice oracles.
+
+On an ensemble every process is one C-contiguous (K, P, d) array, the
+reductions are single einsums and ``condexp`` solves the normal equations
+of a whole backward sweep in one batched call.  The per-slice code they
+replaced lives on in ``tests/oracles.py``; everything here must agree with
+it to 1e-12, and the storage layout itself is pinned so that a fallback
+to per-slice lists fails a test instead of only losing speed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import oracles
+from slqheat.adjoint import implicit_euler_bsde, k_htau, k_htau_sweep
+from slqheat.experiments import _temporal_errors
+from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
+from slqheat.mesh import build_fem_space
+from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, refine_common_path
+from slqheat.optimizer import (
+    GdConfig,
+    control_inner,
+    cost,
+    cost_with_stderr,
+    gradient_descent,
+)
+from slqheat.riccati import discrete_feedback
+
+NOISES = ["linear", "additive"]
+
+
+def ensemble(noise, n_paths=200, n_steps=6, n_elems=9, alpha=0.8, seed=11):
+    space = build_fem_space(n_elems)
+    grid = make_time_grid(1.0, n_steps)
+    data = make_problem(space, grid, alpha=alpha, noise=noise)
+    return data, gaussian_driver(grid, n_paths, seed)
+
+
+def random_control(driver, n_steps, dim, seed):
+    rng = np.random.default_rng(seed)
+    return AdaptedProcess(driver, 0, rng.standard_normal((n_steps, driver.n_paths, dim)))
+
+
+def assert_kernel_matches_oracle(data, drv, X):
+    N = data.grid.n_steps
+    ref = oracles.slice_k_htau(data, drv, X)
+    seen = []
+    for n, q in k_htau_sweep(data, drv, X):
+        seen.append(n)
+        assert_allclose(q, ref[n], rtol=0, atol=1e-12)
+    assert seen == list(range(N - 1, -1, -1))
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_k_htau_sweep_matches_per_slice_regression(noise):
+    data, drv = ensemble(noise)
+    u = random_control(drv, data.grid.n_steps, data.space.dim, seed=1)
+    assert_kernel_matches_oracle(data, drv, solve_forward(data, drv, u))
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_implicit_euler_bsde_matches_per_slice_regression(noise):
+    data, drv = ensemble(noise)
+    X = solve_forward(data, drv, random_control(drv, data.grid.n_steps, data.space.dim, seed=2))
+    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y_ref, z_ref = oracles.slice_implicit_euler_bsde(data, drv, X)
+    for n in range(data.grid.n_steps + 1):
+        assert_allclose(y0.at(n), y_ref[n], rtol=0, atol=1e-12)
+    for n in range(data.grid.n_steps):
+        assert_allclose(zbar0.at(n), z_ref[n], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_reductions_match_per_slice_sums(noise):
+    data, drv = ensemble(noise)
+    N, d = data.grid.n_steps, data.space.dim
+    u = random_control(drv, N, d, seed=3)
+    v = random_control(drv, N, d, seed=4)
+    X = solve_forward(data, drv, u)
+    assert_allclose(cost(data, X, u), oracles.slice_cost(data, X, u), rtol=1e-12)
+    assert_allclose(control_inner(data, u, v), oracles.slice_control_inner(data, u, v), rtol=1e-12)
+    assert_allclose(
+        cost_with_stderr(data, X, u), oracles.slice_cost_with_stderr(data, X, u), rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_temporal_errors_match_per_slice_loops(noise):
+    data_ref, fine = ensemble(noise, n_steps=16)
+    coarse = refine_common_path(refine_common_path(fine))
+    data_lvl = data_ref.with_grid(coarse.grid)
+    d = data_ref.space.dim
+    u_ref = random_control(fine, 16, d, seed=5)
+    u_lvl = random_control(coarse, 4, d, seed=6)
+    x_ref = solve_forward(data_ref, fine, u_ref)
+    x_lvl = solve_forward(data_lvl, coarse, u_lvl)
+    got = _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
+    want = oracles.slice_temporal_errors(fine.grid.tau, 16, 4, u_ref, x_ref, u_lvl, x_lvl)
+    assert_allclose(got, want, rtol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_paths=st.integers(2, 40),
+    n_steps=st.integers(1, 6),
+    n_elems=st.integers(2, 9),
+    noise=st.sampled_from(NOISES),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_regression_and_reductions_match_oracles(n_paths, n_steps, n_elems, noise, seed):
+    # fewer paths than features and single-mode spaces included: the ridge
+    # systems are then nearly singular, and the batched solve must still
+    # reproduce the per-slice one
+    data, drv = ensemble(noise, n_paths=n_paths, n_steps=n_steps, n_elems=n_elems, seed=seed)
+    u = random_control(drv, n_steps, data.space.dim, seed=seed + 1)
+    X = solve_forward(data, drv, u)
+    assert_kernel_matches_oracle(data, drv, X)
+    assert_allclose(cost(data, X, u), oracles.slice_cost(data, X, u), rtol=1e-12)
+    assert_allclose(
+        cost_with_stderr(data, X, u), oracles.slice_cost_with_stderr(data, X, u), rtol=1e-12
+    )
+
+
+# -- storage layout ------------------------------------------------------------
+
+
+def assert_layout(proc, start, stop, dim):
+    """Ensembles: one C-contiguous (K, P, d) array; trees: per-level lists with 2^n rows."""
+    driver = proc.driver
+    assert (proc.start, proc.stop) == (start, stop)
+    if driver.kind == "ensemble":
+        assert type(proc.values) is np.ndarray
+        assert proc.values.flags.c_contiguous and proc.values.dtype == np.float64
+        assert proc.values.shape == (stop - start + 1, driver.n_paths, dim)
+    else:
+        assert type(proc.values) is list
+        assert [v.shape for v in proc.values] == [(2**n, dim) for n in range(start, stop + 1)]
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_process_layout(kind):
+    space = build_fem_space(6)
+    grid = make_time_grid(1.0, 4)
+    data = make_problem(space, grid)
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 30, seed=3)
+    d, N = space.dim, grid.n_steps
+
+    assert_layout(zeros_process(drv, d, 1, 3), 1, 3, d)
+    x, u = solve_forward(data, drv, discrete_feedback(data), return_control=True)
+    assert_layout(x, 0, N, d)
+    assert_layout(u, 0, N - 1, d)
+    assert_layout(solve_forward(data, drv, u), 0, N, d)
+    assert_layout(k_htau(data, drv, x), 0, N - 1, d)
+    u_gd, _ = gradient_descent(data, drv, GdConfig(max_iters=2))
+    assert_layout(u_gd, 0, N - 1, d)
+    assert_layout(u_gd - u, 0, N - 1, d)
+
+
+def test_ensemble_process_stacks_a_list():
+    grid = make_time_grid(1.0, 3)
+    drv = gaussian_driver(grid, 5, seed=1)
+    slices = [np.full((5, 2), float(k)) for k in range(3)]
+    proc = AdaptedProcess(drv, 1, slices)
+    assert_layout(proc, 1, 3, 2)
+    assert_allclose(proc.at(3), slices[2])
