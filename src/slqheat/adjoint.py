@@ -21,13 +21,13 @@ Every object here is the shared backward recursion of
   differ by O(tau) uniformly in time, which the adjoint-gap study
   measures.
 
-All conditioning goes through :func:`condexp`, one pass over the
-``(n, H, level)`` items of a backward sweep: exact subtree means on the
-scenario tree, and ridge-regularized least squares on Monte Carlo
-ensembles (features: constant, leading eigenbasis coordinates of the
-state, and the Brownian value at t_n), with the normal equations of all
-slices solved in one batched call.  Processes hold eigen coordinates (see
-:mod:`slqheat.forward`), so L2 norms are euclidean row norms.
+All conditioning goes through :func:`condexp`, which reads a whole
+backward sweep, then writes E[H_n | F_n] into caller storage (which may
+be the state's own slots): exact subtree means on the scenario tree,
+and ridge-regularized least squares on Monte Carlo ensembles (features:
+constant, leading eigenbasis coordinates of the state, and the Brownian
+value at t_n), batched over all slices.  Processes hold eigen
+coordinates (see :mod:`slqheat.forward`), so L2 norms are euclidean.
 """
 
 import numpy as np
@@ -61,43 +61,46 @@ def _regression_features(data, driver, state):
     return feats
 
 
-def condexp(data, driver, items, state=None):
-    """Yield (n, E[H | F_{t_n}]) for each item (n, H, level) of a backward sweep.
+def condexp(data, driver, items, out, state=None):
+    """Write E[H | F_{t_n}] into ``out.at(n)`` for each item (n, H, level) of a backward sweep.
 
-    ``H`` holds per-scenario values living at time index ``level``.  On a
-    scenario tree each item is the exact subtree average of its
-    level-``level`` node values over the level-``n`` nodes, yielded as it
-    arrives.  On an ensemble each item is the ridge least-squares
-    regression of H on [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the
-    leading m = min(4, d) eigenbasis coordinates of ``state`` at t_n: the
-    features of all slices are built once, every item contributes its gram
-    F_n^T F_n and its (m + 2) x d product F_n^T H, one batched
-    ``np.linalg.solve`` handles all the ridge systems
-    (F_n^T F_n + 1e-10 I) beta_n = F_n^T H, and F_n beta_n is yielded per
-    item after the whole sweep has been read.
+    ``H`` holds per-scenario values living at time index ``level``; the
+    items fill ``out`` once each.  All items are read before ``out`` is
+    written, so ``out`` may share storage with ``state``.  On a scenario
+    tree each item is the exact subtree average over the level-``n``
+    nodes.  On an ensemble it is the ridge least-squares regression of H
+    on [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the leading
+    m = min(4, d) eigenbasis coordinates of ``state`` at t_n: one batched
+    product forms the grams F_n^T F_n, each item its F_n^T H, one batched
+    ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
+    F_n^T H, and one batched product writes F_n beta_n into ``out``.
 
     Raises
     ------
     ValueError
-        On an ensemble without ``state``: the regression features need it.
+        On an ensemble without ``state``, or when ``out`` is not one item
+        per time index with one row per scenario.
     """
-    if driver.kind == "tree":
-        for n, values, level in items:
-            yield n, tree_condexp(values, level, n)
-        return
-    if state is None:
+    tree = driver.kind == "tree"
+    if not tree and state is None:
         raise ValueError("conditioning on an ensemble regresses on the state; pass state")
-    feats = _regression_features(data, driver, state)
-    steps, grams, rhs = [], [], []
-    for n, values, _ in items:
-        F = feats[n - state.start]
+    feats = None if tree else _regression_features(data, driver, state)
+    steps, results = [], []
+    for n, H, level in items:
         steps.append(n)
-        grams.append(F.T @ F)
-        rhs.append(F.T @ values)
-    gram = np.array(grams) + _RIDGE * np.eye(feats.shape[2])
-    betas = np.linalg.solve(gram, np.array(rhs))
-    for n, beta in zip(steps, betas):
-        yield n, feats[n - state.start] @ beta
+        results.append(tree_condexp(H, level, n) if tree else feats[n - state.start].T @ H)
+    if sorted(steps) != list(range(out.start, out.stop + 1)):
+        raise ValueError(f"{len(steps)} items do not fill {out.start}..{out.stop} once each")
+    out.check_fits(driver, np.shape(out.at(out.start))[-1], out.start, out.stop)
+    if tree:
+        for n, value in zip(steps, results):
+            out.at(n)[...] = value
+        return
+    # the sweep's slices in time order: contiguous views of the features and of out
+    F = feats[out.start - state.start : out.stop - state.start + 1]
+    gram = np.matmul(F.transpose(0, 2, 1), F) + _RIDGE * np.eye(feats.shape[2])
+    betas = np.linalg.solve(gram, np.array(results)[np.argsort(steps)])
+    np.matmul(F, betas, out=out.values)
 
 
 def apply_L_adjoint(data, driver, xi):
@@ -111,9 +114,9 @@ def apply_L_adjoint(data, driver, xi):
     """
     N, tau = data.grid.n_steps, data.grid.tau
     out = zeros_process(driver, data.space.dim, 0, N - 1)
-    sweep = backward_kernel(data, driver, xi.at, None, product_offset=2)
-    for n, h in condexp(data, driver, sweep):
-        out.at(n)[...] = tau * h
+    condexp(data, driver, backward_kernel(data, driver, xi.at, None, product_offset=2), out)
+    for block in out.blocks():
+        block *= tau
     return out
 
 
@@ -124,35 +127,26 @@ def apply_Lhat_adjoint(data, driver, eta):
     without the tau weight.
     """
     out = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
-    sweep = backward_kernel(data, driver, None, eta, product_offset=2)
-    for n, h in condexp(data, driver, sweep):
-        out.at(n)[...] = h
+    condexp(data, driver, backward_kernel(data, driver, None, eta, product_offset=2), out)
     return out
 
 
-def k_htau_sweep(data, driver, state):
-    """Yield (n, Q_n) slices of the gradient kernel from n = N-1 down to 0.
+def k_htau(data, driver, state, out=None):
+    """Gradient kernel K X as an adapted process over n = 0..N-1.
 
     Q_n = -E[ tau sum_{j>n} A0^{j-n} prod m (X_j) | F_n ]
           - alpha E[ A0^{N-n} prod m (X_N) | F_n ],
 
-    with the noise multipliers starting at step n+2.  The generator form
-    lets callers consume slices without storing a second full process.
+    with the noise multipliers starting at step n+2.  ``out`` is storage
+    over 0..N-1 to write Q into (:func:`condexp` raises ``ValueError`` if
+    it does not fit), such as ``state.window(0, N - 1)``: the sweep is
+    read before Q is written.
     """
-    tau = data.grid.tau
-    alpha = data.alpha
-    N = data.grid.n_steps
+    N, tau = data.grid.n_steps, data.grid.tau
+    out = zeros_process(driver, data.space.dim, 0, N - 1) if out is None else out
     v_at = lambda n: -tau * state.at(n)
-    eta = -alpha * np.asarray(state.at(N))
-    sweep = backward_kernel(data, driver, v_at, eta, product_offset=2)
-    yield from condexp(data, driver, sweep, state)
-
-
-def k_htau(data, driver, state):
-    """Gradient kernel K X as an adapted process over n = 0..N-1."""
-    out = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
-    for n, q in k_htau_sweep(data, driver, state):
-        out.at(n)[...] = q
+    eta = -data.alpha * np.asarray(state.at(N))
+    condexp(data, driver, backward_kernel(data, driver, v_at, eta, product_offset=2), out, state)
     return out
 
 
@@ -175,16 +169,14 @@ def implicit_euler_bsde(data, driver, state):
     (AdaptedProcess, AdaptedProcess)
         Y0 over 0..N and Zbar0 over 0..N-1.
     """
-    grid = data.grid
-    N, tau = grid.n_steps, grid.tau
+    N, tau = data.grid.n_steps, data.grid.tau
     d = data.space.dim
     v_at = lambda n: -tau * state.at(n)
     terminal = -data.alpha * np.asarray(state.at(N))
     y0 = zeros_process(driver, d, 0, N)
     y0.at(N)[...] = terminal
     sweep = backward_kernel(data, driver, v_at, terminal, product_offset=1)
-    for n, y in condexp(data, driver, sweep, state):
-        y0.at(n)[...] = y
+    condexp(data, driver, sweep, y0.window(0, N - 1), state)
 
     def martingale_items():
         for n in range(N):
@@ -192,8 +184,9 @@ def implicit_euler_bsde(data, driver, state):
             yield n, mart * driver.increments_at(n + 1)[:, None], n + 1
 
     zbar0 = zeros_process(driver, d, 0, N - 1)
-    for n, z in condexp(data, driver, martingale_items(), state):
-        zbar0.at(n)[...] = z / tau
+    condexp(data, driver, martingale_items(), zbar0, state)
+    for block in zbar0.blocks():
+        block /= tau
     return y0, zbar0
 
 
@@ -203,12 +196,7 @@ def adjoint_gap(data, driver, state):
     First order in tau for admissible state processes, which the
     adjoint-gap study confirms empirically.
     """
-    q = k_htau(data, driver, state)
     y0, _ = implicit_euler_bsde(data, driver, state)
-    worst = 0.0
-    for n in range(data.grid.n_steps):
-        diff = np.asarray(y0.at(n)) - np.asarray(q.at(n))
-        sq = np.einsum("ij,ij->i", diff, diff)
-        # scenario weights are uniform within a tree level and across paths
-        worst = max(worst, float(sq.mean()))
-    return float(np.sqrt(worst))
+    diff = y0.window(0, data.grid.n_steps - 1) - k_htau(data, driver, state)
+    # scenario weights are uniform within a tree level and across paths
+    return float(np.sqrt(diff.slice_means(diff).max()))

@@ -16,8 +16,9 @@ Five studies are provided, all driven by a flat ExperimentConfig:
 
 Every study writes CSV tables (LF endings, '.' decimal, ',' delimiter)
 and a manifest.json (config echo, package versions, wall time, and the
-peak resident memory under "profile").  Reruns with identical config
-produce byte-identical CSVs; the measurements live only in the manifest.
+measurements under "profile": peak resident memory, and temporal_rate's
+GD stop per level).  Reruns with identical config produce
+byte-identical CSVs; the measurements live only in the manifest.
 """
 
 import dataclasses
@@ -123,11 +124,7 @@ def resolve_config(cfg):
     if cfg.driver == "mc" and cfg.n_paths is not None and cfg.n_paths < 2:
         raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
     if cfg.driver == "tree":
-        steps = max(
-            [cfg.time_steps or 0]
-            + list(cfg.time_levels or ())
-            + [cfg.n_ref or 0]
-        )
+        steps = max([cfg.time_steps or 0, cfg.n_ref or 0, *(cfg.time_levels or ())])
         if steps > TREE_DEPTH_CAP:
             raise ValueError(
                 f"tree study needs {steps} steps, above the depth cap {TREE_DEPTH_CAP}"
@@ -175,18 +172,7 @@ class RateTable:
     def to_csv(self):
         lines = ["level,param,error,error_sq,eoc,stderr"]
         for (level, param, err, se), eoc in zip(self.rows, self.eocs()):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(level),
-                        _fmt(param),
-                        _fmt(err),
-                        _fmt(err * err),
-                        _fmt(eoc),
-                        _fmt(se),
-                    ]
-                )
-            )
+            lines.append(",".join(_fmt(v) for v in (level, param, err, err * err, eoc, se)))
         return "\n".join(lines) + "\n"
 
 
@@ -197,7 +183,7 @@ def _write_text_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir, cfg, wall_time, extra=None):
+def _write_manifest(out_dir, cfg, wall_time, extra=None, profile=None):
     manifest = {
         "config": dataclasses.asdict(cfg),
         "versions": {
@@ -215,6 +201,7 @@ def _write_manifest(out_dir, cfg, wall_time, extra=None):
         # ru_maxrss is the high-water mark of this process, in KiB on Linux
         "profile": {
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            **(profile or {}),
         },
     }
     if extra:
@@ -233,15 +220,15 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_outputs(cfg, started, tables, summary):
+def _write_outputs(cfg, started, tables, summary, profile=None):
     """Write the named CSV texts, then the manifest with the wall time since ``started``."""
     os.makedirs(cfg.out, exist_ok=True)
     for name, text in tables.items():
         _write_text_atomic(os.path.join(cfg.out, name), text)
-    _write_manifest(cfg.out, cfg, time.perf_counter() - started, extra=summary)
+    _write_manifest(cfg.out, cfg, time.perf_counter() - started, extra=summary, profile=profile)
 
 
-def _write_rate_tables(cfg, started, ctrl_rows, state_rows):
+def _write_rate_tables(cfg, started, ctrl_rows, state_rows, profile=None):
     """Write the control (rates.csv) and state (rates_state.csv) tables."""
     ctrl_table, state_table = RateTable(ctrl_rows), RateTable(state_rows)
     _write_outputs(
@@ -249,6 +236,7 @@ def _write_rate_tables(cfg, started, ctrl_rows, state_rows):
         started,
         {"rates.csv": ctrl_table.to_csv(), "rates_state.csv": state_table.to_csv()},
         {"eoc_control": ctrl_table.eocs()[1:], "eoc_state": state_table.eocs()[1:]},
+        profile,
     )
     return ctrl_table, state_table
 
@@ -397,8 +385,10 @@ def _coarsen_to(driver, n_steps):
 
 
 def _solve_on_paths(cfg, data, driver):
-    u, _ = gradient_descent(data, driver, _gd_config(cfg))
-    return u, solve_forward(data, driver, u)
+    u, trace = gradient_descent(data, driver, _gd_config(cfg))
+    gd = dict(n_steps=data.grid.n_steps, iters=len(trace.cost), stop=trace.stop)
+    gd["grad_norm"] = trace.grad_norm[-1] if trace.grad_norm else None
+    return u, solve_forward(data, driver, u), gd
 
 
 def _temporal_errors(u_ref, x_ref, u_lvl, x_lvl):
@@ -441,7 +431,8 @@ def run_temporal_rate(cfg):
     Writes rates.csv (control error) and rates_state.csv (state error);
     errors are L^2-in-time / sup-in-time norms, expected EOC 1/2.  All
     levels share one space, so the L2 differences are taken in eigen
-    coordinates.
+    coordinates.  The manifest's ``profile.gd`` records each level's GD
+    iterations, final gradient norm and stop reason, reference first.
     """
     cfg = resolve_config(cfg)
     if cfg.n_ref is None:
@@ -456,20 +447,21 @@ def run_temporal_rate(cfg):
     if cfg.driver != "mc":
         raise ValueError("temporal study uses common-path ensembles; set driver=mc")
     fine_driver = gaussian_driver(grid_ref, cfg.n_paths, cfg.seed)
-    u_ref, x_ref = _solve_on_paths(cfg, data_ref, fine_driver)
+    u_ref, x_ref, gd_ref = _solve_on_paths(cfg, data_ref, fine_driver)
 
-    ctrl_rows, state_rows = [], []
+    ctrl_rows, state_rows, gd_levels = [], [], [gd_ref]
     for lvl in cfg.time_levels:
         sub = _coarsen_to(fine_driver, lvl)
         data_lvl = data_ref.with_grid(sub.grid)
-        u_lvl, x_lvl = _solve_on_paths(cfg, data_lvl, sub)
+        u_lvl, x_lvl, gd = _solve_on_paths(cfg, data_lvl, sub)
+        gd_levels.append(gd)
         err_ctrl, se_ctrl, err_state, se_state = _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
         tau_lvl = cfg.horizon / lvl
         ctrl_rows.append((lvl, tau_lvl, err_ctrl, se_ctrl))
         state_rows.append((lvl, tau_lvl, err_state, se_state))
         u_lvl = x_lvl = None
 
-    return _write_rate_tables(cfg, started, ctrl_rows, state_rows)
+    return _write_rate_tables(cfg, started, ctrl_rows, state_rows, {"gd": gd_levels})
 
 
 # ---------------------------------------------------------- gd convergence
@@ -584,7 +576,7 @@ def run_riccati_crosscheck(cfg):
     for lvl in cfg.time_levels:
         sub = _coarsen_to(fine_driver, lvl)
         data_lvl = data.with_grid(sub.grid)
-        u_lvl, x_lvl = _solve_on_paths(cfg, data_lvl, sub)
+        u_lvl, x_lvl, _ = _solve_on_paths(cfg, data_lvl, sub)
         j_lvl = cost(data_lvl, x_lvl, u_lvl)
         gaps.append(abs(j_lvl - c_det))
         entries.append((f"cost_gap_N{lvl}", gaps[-1]))

@@ -37,8 +37,9 @@ nodal and are converted once per sweep, and ``space.from_eigen`` gives
 nodal values back.
 
 An :class:`AdaptedProcess` on an ensemble is one C-contiguous (K, P, d)
-array that :func:`solve_forward` allocates once and fills step by step
-in place; on a tree it is a list of per-level arrays.
+array that :func:`solve_forward` allocates once (or takes from the
+caller) and fills step by step in place; on a tree it is a list of
+per-level arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -95,6 +96,25 @@ class AdaptedProcess:
             return np.einsum("kpd,kpd->k", self.values, other.values) / self.driver.n_paths
         pairs = zip(self.values, other.values, strict=True)
         return np.array([np.einsum("ij,ij->i", a, b).mean() for a, b in pairs])
+
+    def window(self, start, stop):
+        """The slices start..stop as a process that shares this one's storage."""
+        k = start - self.start
+        return AdaptedProcess(self.driver, start, self.values[k : k + stop - start + 1])
+
+    def check_fits(self, driver, dim, start, stop):
+        """Raise ValueError unless this holds slices start..stop of shape (n_scenarios(n), dim)."""
+        if (self.start, self.stop) != (start, stop):
+            raise ValueError(f"storage spans {self.start}..{self.stop}, need {start}..{stop}")
+        # the slices of a stacked array share one shape; tree levels are checked one by one
+        for n in {start, stop} if self.driver.kind == "ensemble" else range(start, stop + 1):
+            want = (driver.n_scenarios(n), dim)
+            if np.shape(self.at(n)) != want:
+                raise ValueError(f"storage slice {n} has shape {np.shape(self.at(n))}, need {want}")
+
+    def blocks(self):
+        """Arrays tiling the storage for in-place arithmetic: the (K, P, d) array, or the levels."""
+        return [self.values] if self.driver.kind == "ensemble" else self.values
 
     def __sub__(self, other):
         return AdaptedProcess(
@@ -234,9 +254,9 @@ def solve_forward(data, driver, control=None, return_control=False, out=None):
         Also return the realized control as an AdaptedProcess (useful for
         feedback runs).
     out : AdaptedProcess over 0..N, optional
-        Storage to overwrite with the new state, such as the previous
-        iterate's state in gradient descent: a long ensemble then reuses
-        its pages instead of faulting in a fresh (N+1, P, d) array.
+        Storage to overwrite with the new state (``ValueError`` if it
+        does not fit), such as the previous iterate's state in gradient
+        descent: a long ensemble then reuses its pages.
 
     Returns
     -------
@@ -252,6 +272,7 @@ def solve_forward(data, driver, control=None, return_control=False, out=None):
     sigma = space.to_eigen(data.sigma)
 
     proc = zeros_process(driver, d, 0, N) if out is None else out
+    proc.check_fits(driver, d, 0, N)
     realized = zeros_process(driver, d, 0, N - 1) if return_control else None
     proc.values[0][...] = x0
     for n in range(N):
@@ -286,7 +307,8 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
     ``product_offset`` selects where the noise multipliers start relative
     to the conditioning time: offset 2 gives the adjoint/gradient kernel,
     offset 1 the implicit-Euler backward equation.  For additive noise
-    the multipliers collapse to 1.
+    the multipliers collapse to 1.  Each step allocates one array, so a
+    yielded H is never written again.
     """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
@@ -306,11 +328,12 @@ def backward_kernel(data, driver, v_at, eta, product_offset):
         vn1 = v_at(n + 1) if v_at is not None else None
         if vn1 is not None and level > n + 1:
             vn1 = driver.child_expand(vn1, n + 1)
+        fresh = None  # the step's first operation allocates, the rest run in place
         if linear and product_offset == 2 and n <= N - 2:
-            H = H * (1.0 + driver.increments_at(n + 2))[:, None]
+            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 2))[:, None], out=fresh)
         if vn1 is not None:
-            H = H + vn1
+            H = fresh = np.add(H, vn1, out=fresh)
         if linear and product_offset == 1:
-            H = H * (1.0 + driver.increments_at(n + 1))[:, None]
-        H = H * scale
+            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 1))[:, None], out=fresh)
+        H = np.multiply(H, scale, out=fresh)
         yield n, H, level

@@ -25,14 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import k_htau_sweep
+from .adjoint import k_htau
 from .forward import solve_forward, zeros_process
-
-
-def _row_sq(values):
-    """Per-scenario squared L2 norms of a slice of eigen coordinates."""
-    values = np.asarray(values)
-    return np.einsum("ij,ij->i", values, values)
 
 
 def control_inner(data, u, v):
@@ -88,7 +82,7 @@ def cost_with_stderr(data, state, control):
     tau, alpha = data.grid.tau, data.alpha
     x, u = state.values, control.values
     samples = 0.5 * tau * (np.einsum("kpd,kpd->p", x[1:], x[1:]) + np.einsum("kpd,kpd->p", u, u))
-    samples += 0.5 * alpha * _row_sq(x[-1])
+    samples += 0.5 * alpha * np.einsum("pd,pd->p", x[-1], x[-1])
     se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
     return value, se
 
@@ -123,12 +117,13 @@ class GdConfig:
 
 @dataclass
 class GdTrace:
-    """Per-iteration history of the descent (entries before each update)."""
+    """Per-iteration history of the descent (entries before each update) and its stop reason."""
 
     kappa: float
     cost: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     err_to_ref: list = field(default_factory=list)
+    stop: str = "max_iters"  # or "tol": the gradient norm reached tol_grad
 
     def envelope(self):
         """Theory curve (1 - 1/kappa)^l * err_to_ref[0]."""
@@ -141,12 +136,12 @@ class GdTrace:
 def gradient_descent(data, driver, cfg, reference=None):
     """Fixed-step descent U <- U - (1/kappa)(U - K X(U)).
 
-    Iterates the forward solve, the kernel sweep, and the in-place control
-    update (the kernel slices are consumed as they are yielded, so no
-    second control-sized array is allocated, and each forward solve
-    overwrites the previous iterate's state).  Records cost, gradient
-    norm, and, when ``reference`` is given, the squared control distance
-    to it, all evaluated at the pre-update iterate.
+    Holds no process besides u and the state: each forward solve
+    overwrites the previous state, and the kernel Q, then the gradient
+    u - Q, take the state's slots 0..N-1 before u is updated in place
+    (whole (K, P, d) arrays on an ensemble, level by level on a tree).
+    Records cost, gradient norm, and, when ``reference`` is given, the
+    squared control distance to it, all at the pre-update iterate.
 
     Returns
     -------
@@ -196,14 +191,16 @@ def gradient_descent(data, driver, cfg, reference=None):
         else:
             increases = 0
 
-        # fused kernel sweep and update: g_n = u_n - Q_n, u_n -= g_n / kappa
-        grad_sq = 0.0
-        for n, q in k_htau_sweep(data, driver, state):
-            g = u.at(n) - q
-            grad_sq += tau * float(_row_sq(g).mean())
-            u.at(n)[...] -= step * g
-        grad_norm = float(np.sqrt(grad_sq))
+        g = k_htau(data, driver, state, out=state.window(0, grid.n_steps - 1))
+        for u_b, g_b in zip(u.blocks(), g.blocks()):
+            np.subtract(u_b, g_b, out=g_b)
+        # builtin sum in the order the backward sweep visits the slices
+        grad_norm = float(np.sqrt(sum(tau * g.slice_means(g)[::-1])))
+        for u_b, g_b in zip(u.blocks(), g.blocks()):
+            g_b *= step
+            u_b -= g_b
         trace.grad_norm.append(grad_norm)
         if grad_norm <= tol:
+            trace.stop = "tol"
             break
     return u, trace

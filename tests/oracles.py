@@ -24,7 +24,9 @@ recursion, which they cross-check.  ``full_closed_loop_stream`` and
 sweep, and ``solve_riccati_dense`` is an independent matrix Riccati
 integrator.  The ``slice_*`` functions condition and reduce one slice at a
 time, as the library did before it batched the regression solves and
-stacked ensemble processes into one (K, P, d) array.
+stacked ensemble processes into one (K, P, d) array;
+``slice_gradient_descent`` is the descent loop that updated the control
+one kernel slice at a time before the whole-array step.
 """
 
 import warnings
@@ -36,7 +38,7 @@ from slqheat.adjoint import k_htau
 from slqheat.forward import AdaptedProcess, backward_kernel, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.noise import tree_condexp
-from slqheat.optimizer import _row_sq, control_inner, control_norm_sq
+from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
@@ -274,6 +276,12 @@ def slice_implicit_euler_bsde(data, driver, state):
     return y_vals, z_vals
 
 
+def _row_sq(values):
+    """Per-scenario squared L2 norms of a slice of eigen coordinates."""
+    values = np.asarray(values)
+    return np.einsum("ij,ij->i", values, values)
+
+
 def _slice_mean_sq(values):
     return float(_row_sq(values).mean())
 
@@ -333,6 +341,39 @@ def slice_temporal_errors(tau_ref, n_ref, lvl, u_ref, x_ref, u_lvl, x_lvl):
     err_state = float(np.sqrt(worst))
     se_state = float(worst_rows.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_state, 1e-300))
     return err_ctrl, se_ctrl, err_state, se_state
+
+
+def slice_gradient_descent(data, driver, cfg, reference=None):
+    """The descent loop as it ran before the whole-array update: (control, GdTrace).
+
+    Each slice of the kernel, conditioned one slice at a time, gives
+    g_n = u_n - Q_n, adds tau E||g_n||^2 to the squared gradient norm in
+    sweep order n = N-1..0, and updates u_n -= g_n / kappa.  The
+    divergence warning of the library loop is left out.
+    """
+    grid = data.grid
+    kappa = cfg.kappa if cfg.kappa is not None else kappa_bound(grid.horizon, data.alpha)
+    tol = cfg.tol_grad if cfg.tol_grad is not None else (1e-10 if driver.kind == "tree" else 0.0)
+    u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
+    trace = GdTrace(kappa=kappa)
+    tau, step = grid.tau, 1.0 / kappa
+    for _ in range(cfg.max_iters):
+        state = solve_forward(data, driver, u)
+        trace.cost.append(cost(data, state, u))
+        if reference is not None:
+            trace.err_to_ref.append(control_norm_sq(data, u - reference))
+        q_slices = slice_k_htau(data, driver, state)
+        grad_sq = 0.0
+        for n in range(grid.n_steps - 1, -1, -1):
+            g = u.at(n) - q_slices[n]
+            grad_sq += tau * float(_row_sq(g).mean())
+            u.at(n)[...] -= step * g
+        grad_norm = float(np.sqrt(grad_sq))
+        trace.grad_norm.append(grad_norm)
+        if grad_norm <= tol:
+            trace.stop = "tol"
+            break
+    return u, trace
 
 
 # -- nodal norms and evaluation -----------------------------------------------

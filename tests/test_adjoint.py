@@ -10,13 +10,13 @@ from slqheat.adjoint import (
     condexp,
     implicit_euler_bsde,
     k_htau,
-    k_htau_sweep,
 )
 from slqheat.forward import (
     AdaptedProcess,
     a0_apply,
     make_problem,
     solve_forward,
+    zeros_process,
 )
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, tree_condexp
@@ -50,14 +50,28 @@ def test_k_htau_equals_combination_of_adjoints(noise):
         assert_allclose(Q.at(n), -(lstar.at(n) + data.alpha * lhat.at(n)), atol=1e-12)
 
 
-def test_k_htau_sweep_order_and_values():
-    space, grid, data, drv = tree_setup()
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_k_htau_into_state_slots_equals_fresh_storage(kind):
+    # gradient descent lets the kernel overwrite the state it reads: the
+    # sweep is read whole before the first write, so nothing changes
+    space, grid, data, drv = tree_setup(n_elems=7, n_steps=5, alpha=0.6)
+    if kind == "ensemble":
+        drv = gaussian_driver(grid, 200, seed=12)
+    N = grid.n_steps
     X = solve_forward(data, drv)
-    Q = k_htau(data, drv, X)
-    seen = [n for n, _ in k_htau_sweep(data, drv, X)]
-    assert seen == list(range(grid.n_steps - 1, -1, -1))
-    for n, q in k_htau_sweep(data, drv, X):
-        assert_allclose(q, Q.at(n), atol=1e-14)
+    fresh = k_htau(data, drv, X)
+    slots = X.window(0, N - 1)
+    assert k_htau(data, drv, X, out=slots) is slots
+    for n in range(N):
+        assert np.array_equal(X.at(n), fresh.at(n))
+
+
+def conditioned(data, drv, items, state=None):
+    """condexp into fresh storage over the items' time indices, as {n: slice}."""
+    steps = [n for n, _, _ in items]
+    out = zeros_process(drv, np.shape(items[0][1])[1], min(steps), max(steps))
+    condexp(data, drv, items, out, state)
+    return {n: out.at(n) for n in steps}
 
 
 def test_bsde_terminal_condition_and_measurability():
@@ -138,7 +152,7 @@ def test_condexp_is_exact_subtree_average_on_tree():
     space, grid, data, drv = tree_setup()
     vals = np.arange(8.0)[:, None]
     items = [(1, vals, 3), (0, vals[:4], 2)]
-    got = dict(condexp(data, drv, items))
+    got = conditioned(data, drv, items)
     assert_allclose(got[1], tree_condexp(vals, 3, 1))
     # data living at an intermediate level condition the same way
     assert_allclose(got[0], [[1.5]])
@@ -164,7 +178,7 @@ def test_regression_estimator_exact_for_affine_functionals():
     n = 3
     coords = X.at(n)[:, :4]
     target = 2.0 + coords @ np.array([1.0, -1.0, 0.5, 2.0]) + 0.25 * drv.brownian(n)
-    [(_, pred)] = condexp(data, drv, [(n, target[:, None], n)], X)
+    pred = conditioned(data, drv, [(n, target[:, None], n)], X)[n]
     assert_allclose(pred[:, 0], target, atol=1e-6)
 
 
@@ -177,7 +191,7 @@ def test_regression_estimator_constant_slice_at_time_zero():
     X = solve_forward(data, drv)
     rng = np.random.default_rng(6)
     targets = rng.standard_normal((500, space.dim))
-    [(_, pred)] = condexp(data, drv, [(0, targets, 0)], X)
+    pred = conditioned(data, drv, [(0, targets, 0)], X)[0]
     assert np.abs(pred - pred[0]).max() < 1e-8
     assert_allclose(pred[0], targets.mean(axis=0), atol=1e-6)
 
@@ -188,7 +202,7 @@ def test_regression_estimator_requires_state():
     data = make_problem(space, grid)
     drv = gaussian_driver(grid, 50, seed=7)
     with pytest.raises(ValueError, match="state"):
-        list(condexp(data, drv, [(1, np.ones((50, space.dim)), 1)]))
+        conditioned(data, drv, [(1, np.ones((50, space.dim)), 1)])
 
 
 def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():
@@ -294,3 +308,36 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_allclose(space.from_eigen(g), r, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_condexp_rejects_storage_the_items_do_not_fill(kind):
+    space, grid, data, drv = tree_setup(n_elems=5, n_steps=4)
+    if kind == "ensemble":
+        drv = gaussian_driver(grid, 40, seed=3)
+    X = solve_forward(data, drv)
+    d = space.dim
+    items = [(n, X.at(n), n) for n in (2, 1)]
+    condexp(data, drv, items, zeros_process(drv, d, 1, 2), X)
+    with pytest.raises(ValueError, match="once each"):
+        condexp(data, drv, items, zeros_process(drv, d, 0, 2), X)
+    with pytest.raises(ValueError, match="once each"):
+        condexp(data, drv, items + [(1, X.at(1), 1)], zeros_process(drv, d, 1, 2), X)
+    rows = AdaptedProcess(drv, 1, [np.zeros((3, d)), np.zeros((3, d))])
+    with pytest.raises(ValueError, match="shape"):
+        condexp(data, drv, items, rows, X)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_k_htau_rejects_storage_of_another_grid(kind):
+    space, grid, data, drv = tree_setup(n_elems=5, n_steps=4)
+    if kind == "ensemble":
+        drv = gaussian_driver(grid, 40, seed=3)
+    X = solve_forward(data, drv)
+    with pytest.raises(ValueError, match="do not fill 0..4"):
+        k_htau(data, drv, X, out=X)
+    with pytest.raises(ValueError):
+        k_htau(data, drv, X, out=zeros_process(drv, space.dim + 1, 0, 3))
+    rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(4)])
+    with pytest.raises(ValueError, match="shape"):
+        k_htau(data, drv, X, out=rows)

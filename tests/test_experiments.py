@@ -267,6 +267,25 @@ def test_temporal_reference_level_row_is_zero(tmp_path):
     assert state.rows[0][2] == 0.0
 
 
+@pytest.mark.parametrize("tol_grad, stop, iters", [(None, "max_iters", 3), (1e3, "tol", 1)])
+def test_temporal_manifest_records_descent_per_level(tmp_path, tol_grad, stop, iters):
+    cfg = make_config(
+        "temporal_rate", n_elems=4, time_levels=(2, 4), n_ref=8, n_paths=20, max_iters=3,
+        tol_grad=tol_grad, out=str(tmp_path),
+    )
+    run_temporal_rate(cfg)
+    gd = json.loads((tmp_path / "manifest.json").read_text())["profile"]["gd"]
+    assert [level["n_steps"] for level in gd] == [8, 2, 4]
+    for level in gd:
+        assert set(level) == {"n_steps", "iters", "grad_norm", "stop"}
+        assert (level["iters"], level["stop"]) == (iters, stop)
+        assert level["grad_norm"] > 0.0
+    # the descent record is a measurement of the run, not a table column
+    for name in ("rates.csv", "rates_state.csv"):
+        assert "max_iters" not in (tmp_path / name).read_text()
+        assert (tmp_path / name).read_text().startswith("level,")
+
+
 def test_temporal_requires_power_of_two_nesting(tmp_path):
     cfg = make_config("temporal_rate", time_levels=(6,), n_ref=18, n_paths=10, out=str(tmp_path))
     with pytest.raises(ValueError, match="power-of-two"):

@@ -333,3 +333,38 @@ def test_backward_kernel_slices_live_at_their_level(product_offset):
             assert H.shape == (rows, space.dim)
             seen.append(n)
         assert seen == [4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("product_offset", [1, 2])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_backward_kernel_never_writes_a_yielded_slice(product_offset, noise):
+    # each step allocates once and runs in place after that: the slices a
+    # consumer holds must stay as they were yielded
+    space, grid, data = small_setup(n_steps=5, noise=noise)
+    for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
+        X = solve_forward(data, drv)
+        held, copies = [], []
+        for _, H, _ in backward_kernel(data, drv, X.at, X.at(5), product_offset):
+            held.append(H)
+            copies.append(H.copy())
+        for h, c in zip(held, copies):
+            assert np.array_equal(h, c)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_solve_forward_rejects_storage_of_another_grid(kind):
+    # storage over 0..8 on a 4-step grid used to be accepted, and its stale
+    # slot 8 then read as the terminal state
+    space, grid, data = small_setup(n_steps=4)
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 20, seed=1)
+    long_grid = make_time_grid(1.0, 8)
+    long_drv = TreeDriver(long_grid) if kind == "tree" else gaussian_driver(long_grid, 20, seed=1)
+    with pytest.raises(ValueError, match="0..8, need 0..4"):
+        solve_forward(data, drv, out=zeros_process(long_drv, space.dim, 0, 8))
+    with pytest.raises(ValueError, match="shape"):
+        solve_forward(data, drv, out=zeros_process(drv, space.dim + 1, 0, 4))
+    rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(5)])
+    with pytest.raises(ValueError, match="shape"):
+        solve_forward(data, drv, out=rows)
+    out = zeros_process(drv, space.dim, 0, 4)
+    assert solve_forward(data, drv, out=out) is out

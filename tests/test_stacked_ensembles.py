@@ -1,12 +1,15 @@
 """Stacked ensemble storage and the batched regression against their per-slice oracles.
 
 On an ensemble every process is one C-contiguous (K, P, d) array, the
-reductions are single einsums and ``condexp`` solves the normal equations
-of a whole backward sweep in one batched call.  The per-slice code they
+reductions are single einsums, ``condexp`` solves the normal equations
+of a whole backward sweep in one batched call, and gradient descent
+updates the whole control at once in the state's storage.  The per-slice code they
 replaced lives on in ``tests/oracles.py``; everything here must agree with
 it to 1e-12, and the storage layout itself is pinned so that a fallback
 to per-slice lists fails a test instead of only losing speed.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from slqheat.adjoint import implicit_euler_bsde, k_htau, k_htau_sweep
+from slqheat.adjoint import implicit_euler_bsde, k_htau
 from slqheat.experiments import _temporal_errors
 from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
 from slqheat.mesh import build_fem_space
@@ -45,17 +48,14 @@ def random_control(driver, n_steps, dim, seed):
 
 
 def assert_kernel_matches_oracle(data, drv, X):
-    N = data.grid.n_steps
     ref = oracles.slice_k_htau(data, drv, X)
-    seen = []
-    for n, q in k_htau_sweep(data, drv, X):
-        seen.append(n)
-        assert_allclose(q, ref[n], rtol=0, atol=1e-12)
-    assert seen == list(range(N - 1, -1, -1))
+    Q = k_htau(data, drv, X)
+    for n in range(data.grid.n_steps):
+        assert_allclose(Q.at(n), ref[n], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("noise", NOISES)
-def test_k_htau_sweep_matches_per_slice_regression(noise):
+def test_k_htau_matches_per_slice_regression(noise):
     data, drv = ensemble(noise)
     u = random_control(drv, data.grid.n_steps, data.space.dim, seed=1)
     assert_kernel_matches_oracle(data, drv, solve_forward(data, drv, u))
@@ -100,6 +100,51 @@ def test_temporal_errors_match_per_slice_loops(noise):
     got = _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
     want = oracles.slice_temporal_errors(fine.grid.tau, 16, 4, u_ref, x_ref, u_lvl, x_lvl)
     assert_allclose(got, want, rtol=1e-12)
+
+
+def assert_descent_matches_per_slice_loop(data, drv, max_iters):
+    cfg = GdConfig(max_iters=max_iters)
+    u, trace = gradient_descent(data, drv, cfg)
+    u_ref, trace_ref = oracles.slice_gradient_descent(data, drv, cfg)
+    for n in range(data.grid.n_steps):
+        assert_allclose(u.at(n), u_ref.at(n), rtol=0, atol=1e-12)
+    assert_allclose(trace.cost, trace_ref.cost, rtol=1e-12)
+    assert_allclose(trace.grad_norm, trace_ref.grad_norm, rtol=1e-12)
+    assert trace.stop == trace_ref.stop
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_gradient_descent_matches_per_slice_loop(noise):
+    data, drv = ensemble(noise)
+    assert_descent_matches_per_slice_loop(data, drv, max_iters=8)
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_gradient_descent_matches_per_slice_loop_on_tree(noise):
+    # tol_grad stops the tree runs, so the stop reason is compared too
+    space = build_fem_space(9)
+    grid = make_time_grid(1.0, 6)
+    data = make_problem(space, grid, alpha=0.8, noise=noise)
+    assert_descent_matches_per_slice_loop(data, TreeDriver(grid), max_iters=200)
+
+
+def test_gradient_descent_allocates_no_second_process():
+    # u and the state are two processes and the regression features a
+    # fraction of one; the kernel and the gradient live in the state's
+    # slots, so a separate (N, P, d) buffer for either would pass 2.5
+    space = build_fem_space(32)
+    grid = make_time_grid(0.25, 32)
+    data = make_problem(space, grid, noise="linear")
+    drv = gaussian_driver(grid, 2000, seed=5)
+    drv.brownian(0)  # the path cache belongs to the driver, not to the descent
+    process_bytes = (grid.n_steps + 1) * drv.n_paths * space.dim * 8
+    tracemalloc.start()
+    try:
+        gradient_descent(data, drv, GdConfig(max_iters=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * process_bytes, f"peak {peak / process_bytes:.2f} processes"
 
 
 @settings(max_examples=25, deadline=None)
