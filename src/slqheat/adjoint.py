@@ -12,8 +12,8 @@ Every object here is the shared backward recursion of
   the discrete optimality condition U = K X (noise multipliers start two
   steps past the conditioning time);
 
-* ``implicit_euler_bsde`` -- the solution (Y0, Zbar0) of the implicit
-  Euler discretization of the backward equation
+* ``implicit_euler_bsde`` -- the component Y0 of the implicit Euler
+  discretization of the backward equation
 
       dY = (-Laplace Y - Z + X) dt + Z dW,   Y(T) = -alpha X(T),
 
@@ -56,8 +56,7 @@ def _regression_features(data, driver, state):
     feats = np.empty(x.shape[:2] + (m + 2,))
     feats[:, :, 0] = 1.0
     feats[:, :, 1 : m + 1] = x[:, :, :m]
-    for k in range(len(x)):
-        feats[k, :, m + 1] = driver.brownian(state.start + k)
+    feats[:, :, m + 1] = driver.brownian(slice(state.start, state.stop + 1)).T
     return feats
 
 
@@ -151,43 +150,28 @@ def k_htau(data, driver, state, out=None):
 
 
 def implicit_euler_bsde(data, driver, state):
-    """Implicit Euler solution (Y0, Zbar0) of the backward equation.
+    """Y0 of the implicit Euler discretization of the backward equation.
 
     Y0 satisfies Y0(t_N) = -alpha X(T) and, slice by slice,
 
         Y0(t_n) = A0 E[(1 + dW_{n+1}) (Y0(t_{n+1}) - tau X(t_{n+1})) | F_n],
 
     realized through the shared backward kernel with multipliers starting
-    at n+1.  The martingale integrand is recovered afterwards:
-
-        Zbar0(t_n) = (1/tau) E[(Y0(t_{n+1}) - tau X(t_{n+1})) dW_{n+1} | F_n],
-
-    using the conditioned Y0 slice at level n+1.
+    at n+1.  The martingale integrand Zbar0 is not formed: the adjoint
+    gap reads only Y0.
 
     Returns
     -------
-    (AdaptedProcess, AdaptedProcess)
-        Y0 over 0..N and Zbar0 over 0..N-1.
+    AdaptedProcess over 0..N.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    d = data.space.dim
     v_at = lambda n: -tau * state.at(n)
     terminal = -data.alpha * np.asarray(state.at(N))
-    y0 = zeros_process(driver, d, 0, N)
+    y0 = zeros_process(driver, data.space.dim, 0, N)
     y0.at(N)[...] = terminal
     sweep = backward_kernel(data, driver, v_at, terminal, product_offset=1)
     condexp(data, driver, sweep, y0.window(0, N - 1), state)
-
-    def martingale_items():
-        for n in range(N):
-            mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
-            yield n, mart * driver.increments_at(n + 1)[:, None], n + 1
-
-    zbar0 = zeros_process(driver, d, 0, N - 1)
-    condexp(data, driver, martingale_items(), zbar0, state)
-    for block in zbar0.blocks():
-        block /= tau
-    return y0, zbar0
+    return y0
 
 
 def adjoint_gap(data, driver, state):
@@ -196,7 +180,7 @@ def adjoint_gap(data, driver, state):
     First order in tau for admissible state processes, which the
     adjoint-gap study confirms empirically.
     """
-    y0, _ = implicit_euler_bsde(data, driver, state)
+    y0 = implicit_euler_bsde(data, driver, state)
     diff = y0.window(0, data.grid.n_steps - 1) - k_htau(data, driver, state)
     # scenario weights are uniform within a tree level and across paths
     return float(np.sqrt(diff.slice_means(diff).max()))

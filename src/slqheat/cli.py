@@ -66,7 +66,6 @@ def build_parser():
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--n-elems", type=int, dest="n_elems", help="spatial elements")
     parser.add_argument("--time-steps", type=int, dest="time_steps", help="time steps")
-    parser.add_argument("--driver", choices=("tree", "mc"), help="scenario driver")
     parser.add_argument("--paths", type=int, dest="n_paths", help="Monte Carlo paths")
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--alpha", type=float, help="terminal cost weight")

@@ -36,7 +36,7 @@ from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
 from .mesh import build_fem_space, prolongation_matrix
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
-from .optimizer import GdConfig, cost, cost_with_stderr, gradient_descent
+from .optimizer import cost, cost_with_stderr, gradient_descent
 from .riccati import (
     _closed_loop_stream,
     _simpson_panel_values,
@@ -52,7 +52,12 @@ STUDIES = ("spatial_rate", "temporal_rate", "gd_convergence", "riccati_crosschec
 
 @dataclass
 class ExperimentConfig:
-    """Flat study configuration; None fields resolve to per-study defaults."""
+    """Flat study configuration; None fields resolve to per-study defaults.
+
+    The scenario driver follows from the study: exact trees for
+    gd_convergence and adjoint_gap, Gaussian path ensembles for
+    temporal_rate and riccati_crosscheck, none for spatial_rate.
+    """
 
     study: str
     horizon: float = 1.0
@@ -65,7 +70,6 @@ class ExperimentConfig:
     mesh_ref: int = None
     time_levels: tuple = None
     n_ref: int = None
-    driver: str = None
     n_paths: int = None
     seed: int = 20250801
     kappa: float = None
@@ -76,32 +80,26 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {
-    "spatial_rate": dict(
-        alpha=1.0, mesh_levels=(8, 16, 32, 64), mesh_ref=256, k_fine=512, driver="none"
-    ),
+    "spatial_rate": dict(alpha=1.0, mesh_levels=(8, 16, 32, 64), mesh_ref=256, k_fine=512),
     "temporal_rate": dict(
         alpha=1.0,
         n_elems=32,
         time_levels=(8, 16, 32, 64),
         n_ref=512,
-        driver="mc",
         n_paths=10_000,
         max_iters=30,
     ),
-    "gd_convergence": dict(
-        alpha=1.0, n_elems=8, time_steps=8, driver="tree", max_iters=60, tol_grad=1e-12
-    ),
+    "gd_convergence": dict(alpha=1.0, n_elems=8, time_steps=8, max_iters=60, tol_grad=1e-12),
     "riccati_crosscheck": dict(
         alpha=1.0,
         n_elems=8,
         time_steps=64,
         time_levels=(8, 16, 32, 64),
-        driver="mc",
         n_paths=10_000,
         k_fine=1024,
         max_iters=40,
     ),
-    "adjoint_gap": dict(alpha=0.0, n_elems=16, time_levels=(4, 6, 8, 10), driver="tree"),
+    "adjoint_gap": dict(alpha=0.0, n_elems=16, time_levels=(4, 6, 8, 10)),
 }
 
 
@@ -121,9 +119,11 @@ def resolve_config(cfg):
             if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
             cfg = replace(cfg, **{name: levels})
-    if cfg.driver == "mc" and cfg.n_paths is not None and cfg.n_paths < 2:
+    if cfg.max_iters is not None and cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
+    if cfg.study in ("temporal_rate", "riccati_crosscheck") and cfg.n_paths < 2:
         raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
-    if cfg.driver == "tree":
+    if cfg.study in ("gd_convergence", "adjoint_gap"):
         steps = max([cfg.time_steps or 0, cfg.n_ref or 0, *(cfg.time_levels or ())])
         if steps > TREE_DEPTH_CAP:
             raise ValueError(
@@ -252,15 +252,6 @@ def _problem(cfg, space, grid):
     )
 
 
-def _gd_config(cfg):
-    return GdConfig(
-        kappa=cfg.kappa,
-        max_iters=cfg.max_iters if cfg.max_iters is not None else 60,
-        tol_grad=cfg.tol_grad,
-        allow_low_kappa=cfg.kappa is not None,
-    )
-
-
 # ------------------------------------------------------------ spatial rate
 
 
@@ -320,13 +311,9 @@ def _joint_errors(ric_r, ric_c):
         Srr, Scc, Src = S[:D], S[D:n], S[n:].reshape(D, d)
         wr_sq = (pr**2 * Srr).sum() + 2.0 * (pr * fr * mr).sum() + (fr**2).sum()
         wc_sq = (pc**2 * Scc).sum() + 2.0 * (pc * fc * mc).sum() + (fc**2).sum()
-        wrc = (
-            pr[:, None] * Src * pc[None, :]
-            + np.outer(pr * mr, fc)
-            + np.outer(fr, pc * mc)
-            + np.outer(fr, fc)
-        )
-        ctrl_vals[idx] = wr_sq + wc_sq - 2.0 * (C * wrc).sum()
+        # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc) as bilinear forms of C
+        wrc = pr @ (C * Src) @ pc + (pr * mr + fr) @ C @ fc + fr @ C @ (pc * mc)
+        ctrl_vals[idx] = wr_sq + wc_sq - 2.0 * wrc
         grad_vals[idx] = (
             (lam_r * Srr).sum() + (lam_c * Scc).sum() - 2.0 * (CA * Src).sum()
         )
@@ -385,7 +372,7 @@ def _coarsen_to(driver, n_steps):
 
 
 def _solve_on_paths(cfg, data, driver):
-    u, trace = gradient_descent(data, driver, _gd_config(cfg))
+    u, trace = gradient_descent(data, driver, cfg.max_iters, cfg.kappa, cfg.tol_grad)
     gd = dict(n_steps=data.grid.n_steps, iters=len(trace.cost), stop=trace.stop)
     gd["grad_norm"] = trace.grad_norm[-1] if trace.grad_norm else None
     return u, solve_forward(data, driver, u), gd
@@ -444,8 +431,6 @@ def run_temporal_rate(cfg):
     space = build_fem_space(cfg.n_elems)
     grid_ref = make_time_grid(cfg.horizon, cfg.n_ref)
     data_ref = _problem(cfg, space, grid_ref)
-    if cfg.driver != "mc":
-        raise ValueError("temporal study uses common-path ensembles; set driver=mc")
     fine_driver = gaussian_driver(grid_ref, cfg.n_paths, cfg.seed)
     u_ref, x_ref, gd_ref = _solve_on_paths(cfg, data_ref, fine_driver)
 
@@ -479,8 +464,6 @@ def run_gd_convergence(cfg):
     the same columns and is summarized in the manifest.
     """
     cfg = resolve_config(cfg)
-    if cfg.driver != "tree":
-        raise ValueError("the descent study uses exact tree expectations; set driver=tree")
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
@@ -488,7 +471,9 @@ def run_gd_convergence(cfg):
     driver = TreeDriver(grid)
     x_star, u_star = solve_forward(data, driver, discrete_feedback(data), return_control=True)
     j_star = cost(data, x_star, u_star)
-    u, trace = gradient_descent(data, driver, _gd_config(cfg), reference=u_star)
+    u, trace = gradient_descent(
+        data, driver, cfg.max_iters, cfg.kappa, cfg.tol_grad, reference=u_star
+    )
 
     env = trace.envelope()
     lines = ["iter,cost,grad_norm,err_to_ref,ratio,envelope"]
@@ -611,8 +596,6 @@ def run_adjoint_gap(cfg):
     which flattens the observable range on tree-feasible depths.
     """
     cfg = resolve_config(cfg)
-    if cfg.driver != "tree":
-        raise ValueError("the adjoint-gap study needs exact conditional expectations (tree)")
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
     rows = []

@@ -154,6 +154,7 @@ class EnsembleDriver:
         return values
 
     def brownian(self, level):
+        """W(t_level) per path: a view of the cached (P, N+1) array (``level`` may be a slice)."""
         if self._brownian is None:
             w = np.empty((self.n_paths, self.grid.n_steps + 1))
             w[:, 0] = 0.0

@@ -98,24 +98,6 @@ def kappa_bound(horizon, alpha):
 
 
 @dataclass
-class GdConfig:
-    """Gradient-descent parameters.
-
-    kappa defaults to kappa_bound(T, alpha); smaller values need
-    allow_low_kappa=True (the contraction guarantee requires kappa to
-    dominate the Hessian norm).  The loop stops once the gradient norm is
-    at most tol_grad, which defaults to 1e-10 on trees and to 0 on
-    ensembles, where estimated gradients rarely vanish and max_iters
-    bounds the run.
-    """
-
-    kappa: float = None
-    max_iters: int = 200
-    tol_grad: float = None
-    allow_low_kappa: bool = False
-
-
-@dataclass
 class GdTrace:
     """Per-iteration history of the descent (entries before each update) and its stop reason."""
 
@@ -133,8 +115,13 @@ class GdTrace:
         return [self.err_to_ref[0] * rho**i for i in range(len(self.err_to_ref))]
 
 
-def gradient_descent(data, driver, cfg, reference=None):
-    """Fixed-step descent U <- U - (1/kappa)(U - K X(U)).
+def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, reference=None):
+    """Fixed-step descent U <- U - (1/kappa)(U - K X(U)), from U = 0.
+
+    ``kappa`` defaults to kappa_bound(T, alpha); a given kappa is used as
+    given, although the contraction guarantee needs it to dominate the
+    Hessian norm.  The loop runs at most ``max_iters`` iterations and
+    stops early once the gradient norm is at most ``tol_grad``, if given.
 
     Holds no process besides u and the state: each forward solve
     overwrites the previous state, and the kernel Q, then the gradient
@@ -148,22 +135,20 @@ def gradient_descent(data, driver, cfg, reference=None):
     (control, GdTrace); the control carries one update past the last
     recorded iterate when the gradient tolerance stops the loop.
 
+    Raises
+    ------
+    ValueError if kappa is not positive.
+
     Warns
     -----
     RuntimeWarning after five consecutive cost increases (kappa is then
     likely below the contraction threshold).
     """
     space, grid = data.space, data.grid
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_bound(grid.horizon, data.alpha)
-    bound = kappa_bound(grid.horizon, data.alpha)
-    if kappa < bound and not cfg.allow_low_kappa:
-        raise ValueError(
-            f"kappa={kappa} is below kappa_bound={bound:.6g}; "
-            "pass allow_low_kappa=True to override"
-        )
+    if kappa is None:
+        kappa = kappa_bound(grid.horizon, data.alpha)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    tol = cfg.tol_grad if cfg.tol_grad is not None else (1e-10 if driver.kind == "tree" else 0.0)
 
     u = zeros_process(driver, space.dim, 0, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
@@ -171,7 +156,7 @@ def gradient_descent(data, driver, cfg, reference=None):
     increases = 0
     warned = False
     state = None
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         state = solve_forward(data, driver, u, out=state)
         j = cost(data, state, u)
         trace.cost.append(j)
@@ -200,7 +185,7 @@ def gradient_descent(data, driver, cfg, reference=None):
             g_b *= step
             u_b -= g_b
         trace.grad_norm.append(grad_norm)
-        if grad_norm <= tol:
+        if tol_grad is not None and grad_norm <= tol_grad:
             trace.stop = "tol"
             break
     return u, trace

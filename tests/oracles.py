@@ -13,7 +13,8 @@ nodal sweeps of the library with A0 as the dense matrix
 sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 (every slice at the 2^N leaves, through ``pathwise``) that the library's
 level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
-``compute_f``, ``gradient`` and ``bsde_residual`` are library operators
+``compute_f``, ``gradient``, ``bsde_martingale`` (the Zbar0 component of
+the backward equation) and ``bsde_residual`` are library operators
 that only the tests use, as are ``l2_project`` (the L2 projection the
 scheme does not use; the data are Ritz-projected) and
 ``riccati_mode_derivative`` (the exact derivative of the Riccati modes).  ``direct_solve`` (conjugate gradients on the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from slqheat.adjoint import k_htau
+from slqheat.adjoint import condexp, k_htau
 from slqheat.forward import AdaptedProcess, backward_kernel, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.noise import tree_condexp
@@ -157,8 +158,7 @@ def direct_solve(data, driver, tol=1e-12):
 def estimate_operator_norm(data, driver, n_iters=30, seed=0):
     """Power-iteration estimate of the cost Hessian norm ||1 + L*L + alpha Lhat*Lhat||.
 
-    Converges from below, so a kappa taken from it needs a safety margin
-    (and allow_low_kappa=True).
+    Converges from below, so a kappa taken from it needs a safety margin.
     """
     rng = np.random.default_rng(seed)
     vals = [
@@ -181,6 +181,28 @@ def estimate_operator_norm(data, driver, n_iters=30, seed=0):
         rayleigh = control_inner(data, v, nv)
         v = normalized(nv)
     return float(rayleigh)
+
+
+def bsde_martingale(data, driver, state, y0):
+    """Martingale integrand Zbar0 over 0..N-1 of the backward equation, from its Y0:
+
+        Zbar0(t_n) = (1/tau) E[(Y0(t_{n+1}) - tau X(t_{n+1})) dW_{n+1} | F_n],
+
+    using the conditioned Y0 slice at level n+1 and the library's
+    ``condexp``.
+    """
+    N, tau = data.grid.n_steps, data.grid.tau
+
+    def martingale_items():
+        for n in range(N):
+            mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
+            yield n, mart * driver.increments_at(n + 1)[:, None], n + 1
+
+    zbar0 = zeros_process(driver, data.space.dim, 0, N - 1)
+    condexp(data, driver, martingale_items(), zbar0, state)
+    for block in zbar0.blocks():
+        block /= tau
+    return zbar0
 
 
 def bsde_residual(data, driver, state, y0, zbar0):
@@ -343,7 +365,7 @@ def slice_temporal_errors(tau_ref, n_ref, lvl, u_ref, x_ref, u_lvl, x_lvl):
     return err_ctrl, se_ctrl, err_state, se_state
 
 
-def slice_gradient_descent(data, driver, cfg, reference=None):
+def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, reference=None):
     """The descent loop as it ran before the whole-array update: (control, GdTrace).
 
     Each slice of the kernel, conditioned one slice at a time, gives
@@ -352,12 +374,11 @@ def slice_gradient_descent(data, driver, cfg, reference=None):
     divergence warning of the library loop is left out.
     """
     grid = data.grid
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_bound(grid.horizon, data.alpha)
-    tol = cfg.tol_grad if cfg.tol_grad is not None else (1e-10 if driver.kind == "tree" else 0.0)
+    kappa = kappa if kappa is not None else kappa_bound(grid.horizon, data.alpha)
     u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         state = solve_forward(data, driver, u)
         trace.cost.append(cost(data, state, u))
         if reference is not None:
@@ -370,7 +391,7 @@ def slice_gradient_descent(data, driver, cfg, reference=None):
             u.at(n)[...] -= step * g
         grad_norm = float(np.sqrt(grad_sq))
         trace.grad_norm.append(grad_norm)
-        if grad_norm <= tol:
+        if tol_grad is not None and grad_norm <= tol_grad:
             trace.stop = "tol"
             break
     return u, trace

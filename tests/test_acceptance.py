@@ -37,7 +37,6 @@ from slqheat.experiments import (
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
-    GdConfig,
     control_inner,
     cost,
     cost_with_stderr,
@@ -86,7 +85,7 @@ def test_a01_gradient_descent_matches_direct_solve():
     driver = TreeDriver(grid)
     u_star = oracles.direct_solve(data, driver)
     u, _ = gradient_descent(
-        data, driver, GdConfig(max_iters=400, tol_grad=1e-13), reference=u_star
+        data, driver, 400, tol_grad=1e-13, reference=u_star
     )
     elapsed = time.perf_counter() - started
     diff = _sup_diff(u, u_star)
@@ -236,7 +235,7 @@ def test_a05_gd_contraction_cost_gap_and_state_bound():
     j_star = cost(data, x_star, u_star)
 
     u, trace = gradient_descent(
-        data, driver, GdConfig(max_iters=40, tol_grad=0.0), reference=u_star
+        data, driver, 40, tol_grad=0.0, reference=u_star
     )
     rho = 1.0 - 1.0 / trace.kappa
     errs = np.array(trace.err_to_ref)
@@ -269,7 +268,7 @@ def test_a05_gd_contraction_cost_gap_and_state_bound():
     state_errs = []
     for ell in range(1, 9):
         u_ell, _ = gradient_descent(
-            data, driver, GdConfig(max_iters=ell, tol_grad=0.0), reference=u_star
+            data, driver, ell, tol_grad=0.0, reference=u_star
         )
         state_errs.append(state_err(u_ell))
     c_fit = 2.0 * state_errs[0] / rho

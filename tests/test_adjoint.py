@@ -77,7 +77,8 @@ def conditioned(data, drv, items, state=None):
 def test_bsde_terminal_condition_and_measurability():
     space, grid, data, drv = tree_setup(n_steps=4, alpha=0.9)
     X = solve_forward(data, drv)
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     assert_allclose(y0.at(grid.n_steps), -data.alpha * X.at(grid.n_steps), atol=1e-14)
     for n in range(grid.n_steps + 1):
         assert y0.at(n).shape == (2**n, space.dim)
@@ -88,7 +89,8 @@ def test_bsde_terminal_condition_and_measurability():
 def test_bsde_martingale_identity_on_tree():
     space, grid, data, drv = tree_setup(n_elems=6, n_steps=5, alpha=1.0)
     X = solve_forward(data, drv)
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     assert oracles.bsde_residual(data, drv, X, y0, zbar0) <= 1e-10
 
 
@@ -97,7 +99,7 @@ def test_bsde_slice_recursion_equivalence():
     space, grid, data, drv = tree_setup(n_elems=4, n_steps=4)
     tau = grid.tau
     X = solve_forward(data, drv)
-    y0, _ = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
     for n in range(grid.n_steps):
         inner = (y0.at(n + 1) - tau * X.at(n + 1)) * (1.0 + drv.increments_at(n + 1))[:, None]
         expected = a0_apply(space, tau, tree_condexp(inner, n + 1, n))
@@ -113,7 +115,8 @@ def test_bsde_deterministic_driver_reduction():
     X = AdaptedProcess(
         drv, 0, [np.broadcast_to(det[n], (2**n, space.dim)).copy() for n in range(grid.n_steps + 1)]
     )
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     for n in range(grid.n_steps):
         assert np.abs(zbar0.at(n)).max() <= 1e-12
     y = -data.alpha * det[grid.n_steps]
@@ -251,9 +254,10 @@ def test_k_htau_on_tree_matches_nodal_oracle(noise):
 
 
 def assert_bsde_matches_nodal_oracle(space, data, drv, X):
-    """implicit_euler_bsde and bsde_residual against the nodal sweep oracle."""
+    """implicit_euler_bsde, bsde_martingale and bsde_residual against the nodal sweep oracle."""
     N = data.grid.n_steps
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     X_nodal = oracles.nodal_solve_forward(data, drv)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, X_nodal)
     for n in range(N + 1):
@@ -292,7 +296,8 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
     rng = np.random.default_rng(depth)
     X = AdaptedProcess(drv, 0, [rng.standard_normal((2**n, space.dim)) for n in range(depth + 1)])
     Xn = oracles.nodal(space, X)
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, Xn)
     pairs = [
         (k_htau(data, drv, X).values, oracles.nodal_k_htau(data, drv, Xn)),

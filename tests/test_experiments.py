@@ -36,7 +36,6 @@ def test_resolve_config_fills_study_defaults():
     assert cfg.alpha == 0.0
     assert cfg.n_elems == 16
     assert cfg.time_levels == (4, 6, 8, 10)
-    assert cfg.driver == "tree"
 
     cfg = resolve_config(ExperimentConfig(study="spatial_rate"))
     assert cfg.alpha == 1.0
@@ -44,7 +43,7 @@ def test_resolve_config_fills_study_defaults():
     assert cfg.mesh_ref == 256
 
     cfg = resolve_config(ExperimentConfig(study="temporal_rate"))
-    assert cfg.driver == "mc" and cfg.n_paths == 10_000 and cfg.n_ref == 512
+    assert cfg.n_paths == 10_000 and cfg.n_ref == 512
 
 
 def test_resolve_config_keeps_explicit_values():
@@ -67,6 +66,11 @@ def test_resolve_config_rejects_bad_input():
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 40)))
     with pytest.raises(ValueError, match="n_paths >= 2"):
         resolve_config(ExperimentConfig(study="temporal_rate", n_paths=1))
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        resolve_config(ExperimentConfig(study="riccati_crosscheck", n_paths=1))
+    # zero iterations would leave an empty descent trace for the summary to read
+    with pytest.raises(ValueError, match="max_iters"):
+        resolve_config(ExperimentConfig(study="gd_convergence", max_iters=0))
 
 
 # -------------------------------------------------------------- rate table
@@ -119,7 +123,6 @@ def test_parse_config_text_types_and_comments():
     horizon = 2.0        # trailing comment
     n_elems = 12
     mesh_levels = 4, 8, 16
-    driver = tree
     """
     values = parse_config_text(text)
     assert values == {
@@ -127,14 +130,13 @@ def test_parse_config_text_types_and_comments():
         "horizon": 2.0,
         "n_elems": 12,
         "mesh_levels": (4, 8, 16),
-        "driver": "tree",
     }
 
     # every ExperimentConfig field parses to its annotated type
     every = {
         "study": "temporal_rate", "horizon": 0.5, "alpha": 1.5, "noise": "additive",
         "sigma_scale": 2.0, "n_elems": 8, "time_steps": 4, "mesh_levels": (4, 8),
-        "mesh_ref": 16, "time_levels": (2, 4), "n_ref": 8, "driver": "mc", "n_paths": 10,
+        "mesh_ref": 16, "time_levels": (2, 4), "n_ref": 8, "n_paths": 10,
         "seed": 3, "kappa": 12.5, "max_iters": 7,
         "tol_grad": 1e-06, "k_fine": 32, "out": "res",
     }
@@ -355,10 +357,22 @@ def test_manifest_records_peak_rss(tmp_path):
     assert manifest["profile"]["peak_rss_mb"] > 0.0
 
 
+def assert_no_driver_knob(study, tmp_path):
+    """The study fixes its driver: no config field, config key or flag selects another."""
+    with pytest.raises(TypeError, match="driver"):
+        make_config(study, driver="mc", out=str(tmp_path))
+    with pytest.raises(ValueError, match="unknown config key 'driver'"):
+        parse_config_text("driver = mc\n")
+    config = tmp_path / "driver.cfg"
+    config.write_text("driver = mc\n")
+    for argv in (["--config", str(config)], ["--driver", "mc"]):
+        with pytest.raises(SystemExit):
+            main([study, *argv, "--out", str(tmp_path)])
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_gd_convergence_requires_tree(tmp_path):
-    cfg = make_config("gd_convergence", driver="mc", out=str(tmp_path))
-    with pytest.raises(ValueError, match="tree"):
-        run_gd_convergence(cfg)
+    assert_no_driver_knob("gd_convergence", tmp_path)
 
 
 # --------------------------------------------------------- crosscheck study
@@ -403,9 +417,7 @@ def test_adjoint_gap_rows_positive_and_decreasing(tmp_path):
 
 
 def test_adjoint_gap_requires_tree(tmp_path):
-    cfg = make_config("adjoint_gap", driver="mc", time_levels=(2, 3), out=str(tmp_path))
-    with pytest.raises(ValueError, match="tree"):
-        run_adjoint_gap(cfg)
+    assert_no_driver_knob("adjoint_gap", tmp_path)
 
 
 # ----------------------------------------------------------- repeatability
@@ -479,6 +491,12 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     config.write_text("wibble = 3\n")
     with pytest.raises(SystemExit):
         main(["gd_convergence", "--config", str(config)])
+
+
+def test_cli_rejects_zero_max_iters(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["gd_convergence", "--max-iters", "0", "--out", str(tmp_path)])
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_kappa_override_is_used_verbatim(tmp_path):

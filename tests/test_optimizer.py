@@ -15,7 +15,6 @@ from oracles import add, direct_solve, estimate_operator_norm, eval_fem, gradien
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
-    GdConfig,
     control_inner,
     control_norm_sq,
     cost,
@@ -301,7 +300,7 @@ def test_gd_trivial_data_converges_immediately():
             scale=0.0,
         ),
     )
-    u, trace = gradient_descent(data, driver, GdConfig(max_iters=50))
+    u, trace = gradient_descent(data, driver, 50, tol_grad=1e-10)
     assert len(trace.cost) == 1
     assert trace.grad_norm[0] == 0.0
     assert max(np.abs(u.at(n)).max() for n in range(data.grid.n_steps)) == 0.0
@@ -311,7 +310,7 @@ def test_gd_converges_to_direct_solution():
     data, driver = tiny_problem()
     u_star = direct_solve(data, driver)
     u, trace = gradient_descent(
-        data, driver, GdConfig(max_iters=300, tol_grad=1e-13), reference=u_star
+        data, driver, 300, tol_grad=1e-13, reference=u_star
     )
     assert sup_diff(u, u_star) <= 1e-8
     assert trace.grad_norm[-1] <= 1e-13 or len(trace.cost) == 300
@@ -322,7 +321,7 @@ def test_gd_monotone_cost_contraction_and_cost_gap():
     u_star = direct_solve(data, driver)
     j_star = cost(data, solve_forward(data, driver, u_star), u_star)
     u, trace = gradient_descent(
-        data, driver, GdConfig(max_iters=60, tol_grad=0.0), reference=u_star
+        data, driver, 60, tol_grad=0.0, reference=u_star
     )
     costs = np.array(trace.cost)
     assert (np.diff(costs) <= 1e-14).all()
@@ -360,7 +359,7 @@ def test_gd_state_error_ratio_bounded_by_control_error():
     errs, ctrl_errs = [], []
     for ell in range(1, 9):
         u, trace = gradient_descent(
-            data, driver, GdConfig(max_iters=ell, tol_grad=0.0), reference=u_star
+            data, driver, ell, tol_grad=0.0, reference=u_star
         )
         errs.append(state_err(u))
         ctrl_errs.append(control_norm_sq(data, u - u_star))
@@ -371,23 +370,27 @@ def test_gd_state_error_ratio_bounded_by_control_error():
         assert e <= C * rho**ell
 
 
-def test_gd_rejects_low_kappa_without_flag():
+def test_gd_uses_given_kappa_and_rejects_nonpositive():
+    # a kappa below kappa_bound is used as given; only kappa <= 0 is refused
     data, driver = tiny_problem()
-    with pytest.raises(ValueError, match="allow_low_kappa"):
-        gradient_descent(data, driver, GdConfig(kappa=1.5))
+    assert 1.5 < kappa_bound(data.grid.horizon, data.alpha)
+    _, trace = gradient_descent(data, driver, 2, kappa=1.5)
+    assert trace.kappa == 1.5 and len(trace.cost) == 2
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            gradient_descent(data, driver, 2, kappa=kappa)
 
 
 def test_gd_warns_on_divergence():
     data, driver = tiny_problem()
-    cfg = GdConfig(kappa=0.4, max_iters=60, tol_grad=0.0, allow_low_kappa=True)
     with pytest.warns(RuntimeWarning, match="kappa"):
-        gradient_descent(data, driver, cfg)
+        gradient_descent(data, driver, 60, kappa=0.4, tol_grad=0.0)
 
 
 def test_gd_ensemble_runs_and_reduces_gradient():
     data, _ = tiny_problem()
     driver = gaussian_driver(data.grid, 300, seed=7)
-    u, trace = gradient_descent(data, driver, GdConfig(max_iters=25))
+    u, trace = gradient_descent(data, driver, 25)
     assert trace.grad_norm[-1] < trace.grad_norm[0]
     assert (np.diff(np.array(trace.cost)) <= 1e-12).all()
 
@@ -406,7 +409,7 @@ def test_gd_with_regression_approaches_discrete_optimum_on_paths():
     gaps = []
     for n_paths in (250, 1000):
         driver = gaussian_driver(grid, n_paths, seed=20250801)
-        u, _ = gradient_descent(data, driver, GdConfig(max_iters=60))
+        u, _ = gradient_descent(data, driver, 60)
         _, u_opt = solve_forward(data, driver, fb, return_control=True)
         gaps.append(np.sqrt(control_norm_sq(data, u - u_opt) / control_norm_sq(data, u_opt)))
     assert gaps[1] < gaps[0]
@@ -421,10 +424,7 @@ def test_estimated_norm_tightens_kappa():
     u_star = direct_solve(data, driver)
     kappa = est_norm * 1.01
     u, trace = gradient_descent(
-        data,
-        driver,
-        GdConfig(kappa=kappa, max_iters=200, tol_grad=1e-12, allow_low_kappa=True),
-        reference=u_star,
+        data, driver, 200, kappa=kappa, tol_grad=1e-12, reference=u_star
     )
     assert sup_diff(u, u_star) <= 1e-7
     # tighter kappa contracts at least as fast as the bound would

@@ -24,7 +24,6 @@ from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_p
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, refine_common_path
 from slqheat.optimizer import (
-    GdConfig,
     control_inner,
     cost,
     cost_with_stderr,
@@ -65,7 +64,8 @@ def test_k_htau_matches_per_slice_regression(noise):
 def test_implicit_euler_bsde_matches_per_slice_regression(noise):
     data, drv = ensemble(noise)
     X = solve_forward(data, drv, random_control(drv, data.grid.n_steps, data.space.dim, seed=2))
-    y0, zbar0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, drv, X)
+    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     y_ref, z_ref = oracles.slice_implicit_euler_bsde(data, drv, X)
     for n in range(data.grid.n_steps + 1):
         assert_allclose(y0.at(n), y_ref[n], rtol=0, atol=1e-12)
@@ -102,10 +102,9 @@ def test_temporal_errors_match_per_slice_loops(noise):
     assert_allclose(got, want, rtol=1e-12)
 
 
-def assert_descent_matches_per_slice_loop(data, drv, max_iters):
-    cfg = GdConfig(max_iters=max_iters)
-    u, trace = gradient_descent(data, drv, cfg)
-    u_ref, trace_ref = oracles.slice_gradient_descent(data, drv, cfg)
+def assert_descent_matches_per_slice_loop(data, drv, max_iters, tol_grad=None):
+    u, trace = gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
+    u_ref, trace_ref = oracles.slice_gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
     for n in range(data.grid.n_steps):
         assert_allclose(u.at(n), u_ref.at(n), rtol=0, atol=1e-12)
     assert_allclose(trace.cost, trace_ref.cost, rtol=1e-12)
@@ -125,7 +124,7 @@ def test_gradient_descent_matches_per_slice_loop_on_tree(noise):
     space = build_fem_space(9)
     grid = make_time_grid(1.0, 6)
     data = make_problem(space, grid, alpha=0.8, noise=noise)
-    assert_descent_matches_per_slice_loop(data, TreeDriver(grid), max_iters=200)
+    assert_descent_matches_per_slice_loop(data, TreeDriver(grid), max_iters=200, tol_grad=1e-10)
 
 
 def test_gradient_descent_allocates_no_second_process():
@@ -140,7 +139,7 @@ def test_gradient_descent_allocates_no_second_process():
     process_bytes = (grid.n_steps + 1) * drv.n_paths * space.dim * 8
     tracemalloc.start()
     try:
-        gradient_descent(data, drv, GdConfig(max_iters=3))
+        gradient_descent(data, drv, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,7 +198,7 @@ def test_process_layout(kind):
     assert_layout(u, 0, N - 1, d)
     assert_layout(solve_forward(data, drv, u), 0, N, d)
     assert_layout(k_htau(data, drv, x), 0, N - 1, d)
-    u_gd, _ = gradient_descent(data, drv, GdConfig(max_iters=2))
+    u_gd, _ = gradient_descent(data, drv, 2)
     assert_layout(u_gd, 0, N - 1, d)
     assert_layout(u_gd - u, 0, N - 1, d)
 
