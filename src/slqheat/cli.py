@@ -99,8 +99,9 @@ def _summarize(study, result):
         lines.append(f"value function: {result['value_function']:.12g}")
         lines.append(f"cost from moments: {result['cost_from_moments']:.12g}")
         lines.append(f"relative difference: {result['rel_diff_value_vs_moments']:.3e}")
+        lines.append(f"discrete value: {result['discrete_value']:.12g}")
         lines.append(
-            f"sampled feedback cost: {result['mc_feedback_cost']:.6g}"
+            f"sampled discrete feedback cost: {result['mc_feedback_cost']:.6g}"
             f" (stderr {result['mc_stderr']:.2e})"
         )
     return lines

@@ -10,7 +10,8 @@ Five studies are provided, all driven by a flat ExperimentConfig:
 * gd_convergence    -- per-iteration gradient-descent trace against the
                        exact discrete optimum (the discrete Riccati
                        feedback) with the theory envelope;
-* riccati_crosscheck-- value function vs. moment cost vs. sampled cost;
+* riccati_crosscheck-- value function vs. moment cost, and the exact
+                       discrete value vs. sampled and moment costs;
 * adjoint_gap       -- squared gap between the backward-equation solution
                        and the gradient kernel across step counts.
 
@@ -42,7 +43,7 @@ from .riccati import (
     _simpson_panel_values,
     cost_from_moments,
     discrete_feedback,
-    feedback_control,
+    discrete_value,
     solve_riccati,
     value_function,
 )
@@ -97,7 +98,6 @@ _DEFAULTS = {
         time_levels=(8, 16, 32, 64),
         n_paths=10_000,
         k_fine=1024,
-        max_iters=40,
     ),
     "adjoint_gap": dict(alpha=0.0, n_elems=16, time_levels=(4, 6, 8, 10)),
 }
@@ -119,8 +119,14 @@ def resolve_config(cfg):
             if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
             cfg = replace(cfg, **{name: levels})
+    if cfg.study not in ("temporal_rate", "gd_convergence"):
+        given = [f for f in ("kappa", "max_iters", "tol_grad") if getattr(cfg, f) is not None]
+        if given:
+            raise ValueError(f"{cfg.study} runs no gradient descent; drop {', '.join(given)}")
     if cfg.max_iters is not None and cfg.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
+    if cfg.kappa is not None and cfg.kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {cfg.kappa}")
     if cfg.study in ("temporal_rate", "riccati_crosscheck") and cfg.n_paths < 2:
         raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
     if cfg.study in ("gd_convergence", "adjoint_gap"):
@@ -362,15 +368,6 @@ def run_spatial_rate(cfg):
 # ----------------------------------------------------------- temporal rate
 
 
-def _coarsen_to(driver, n_steps):
-    out = driver
-    while out.grid.n_steps > n_steps:
-        out = refine_common_path(out)
-    if out.grid.n_steps != n_steps:
-        raise ValueError(f"cannot reach {n_steps} steps from {driver.grid.n_steps} by halving")
-    return out
-
-
 def _solve_on_paths(cfg, data, driver):
     u, trace = gradient_descent(data, driver, cfg.max_iters, cfg.kappa, cfg.tol_grad)
     gd = dict(n_steps=data.grid.n_steps, iters=len(trace.cost), stop=trace.stop)
@@ -436,7 +433,9 @@ def run_temporal_rate(cfg):
 
     ctrl_rows, state_rows, gd_levels = [], [], [gd_ref]
     for lvl in cfg.time_levels:
-        sub = _coarsen_to(fine_driver, lvl)
+        sub = fine_driver
+        while sub.grid.n_steps > lvl:
+            sub = refine_common_path(sub)
         data_lvl = data_ref.with_grid(sub.grid)
         u_lvl, x_lvl, gd = _solve_on_paths(cfg, data_lvl, sub)
         gd_levels.append(gd)
@@ -505,16 +504,16 @@ def run_gd_convergence(cfg):
 
 
 def run_riccati_crosscheck(cfg):
-    """Consistency report for the feedback oracle.
+    """Consistency report for the two Riccati feedbacks, each against an exact value.
 
-    (a) value_function vs cost_from_moments (deterministic identity),
-    (b) value_function vs the sampled cost of the feedback control on a
-        Monte Carlo ensemble (3-standard-error bracket) and on a small
-        exact tree (reported only: the tree cost carries the O(tau)
-        discretization bias of the scheme),
-    (c) the gap between the discrete optimal cost (gradient descent on
-        common paths) and the continuous feedback cost as the step count
-        refines -- expected to shrink monotonically.
+    (a) value_function vs cost_from_moments: the semidiscrete feedback's
+        cost two ways (deterministic identity);
+    (b) discrete_value vs the sampled cost of discrete_feedback on a
+        Monte Carlo ensemble (3-standard-error bracket; the sample mean
+        is unbiased for the discrete value);
+    (c) the gap |discrete_value - cost_from_moments| as the step count
+        refines -- free of sampling noise, expected to shrink
+        monotonically.
     Writes report.csv (name,value rows) and the manifest.
     """
     cfg = resolve_config(cfg)
@@ -524,48 +523,30 @@ def run_riccati_crosscheck(cfg):
     data = _problem(cfg, space, grid)
     ric = solve_riccati(data, cfg.k_fine)
 
-    entries = []
     v = value_function(ric, data.x0)
     c_det = cost_from_moments(ric)
     rel = abs(v - c_det) / max(1.0, abs(v))
-    entries += [
+    entries = [
         ("value_function", v),
         ("cost_from_moments", c_det),
         ("rel_diff_value_vs_moments", rel),
     ]
 
-    def fb(t, x_slice):
-        return feedback_control(ric, x_slice, t)
-
+    j_disc = discrete_value(data)
     driver = gaussian_driver(grid, cfg.n_paths, cfg.seed)
-    x_mc, u_mc = solve_forward(data, driver, control=fb, return_control=True)
+    x_mc, u_mc = solve_forward(data, driver, discrete_feedback(data), return_control=True)
     j_mc, se = cost_with_stderr(data, x_mc, u_mc)
     entries += [
+        ("discrete_value", j_disc),
         ("mc_feedback_cost", j_mc),
         ("mc_stderr", se),
-        ("abs_diff_value_vs_mc", abs(v - j_mc)),
+        ("abs_diff_discrete_value_vs_mc", abs(j_disc - j_mc)),
     ]
-    x_mc = u_mc = None
-
-    tree_steps = min(cfg.time_steps, 12)
-    tree_grid = make_time_grid(cfg.horizon, tree_steps)
-    tree_data = data.with_grid(tree_grid)
-    tree_driver = TreeDriver(tree_grid)
-    x_t, u_t = solve_forward(tree_data, tree_driver, control=fb, return_control=True)
-    j_tree = cost(tree_data, x_t, u_t)
-    entries += [("tree_feedback_cost", j_tree), ("abs_diff_value_vs_tree", abs(v - j_tree))]
 
     gaps = []
-    fine_n = max(cfg.time_levels)
-    fine_driver = gaussian_driver(make_time_grid(cfg.horizon, fine_n), min(cfg.n_paths, 2000), cfg.seed + 1)
     for lvl in cfg.time_levels:
-        sub = _coarsen_to(fine_driver, lvl)
-        data_lvl = data.with_grid(sub.grid)
-        u_lvl, x_lvl, _ = _solve_on_paths(cfg, data_lvl, sub)
-        j_lvl = cost(data_lvl, x_lvl, u_lvl)
-        gaps.append(abs(j_lvl - c_det))
+        gaps.append(abs(discrete_value(data.with_grid(make_time_grid(cfg.horizon, lvl))) - c_det))
         entries.append((f"cost_gap_N{lvl}", gaps[-1]))
-        u_lvl = x_lvl = None
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
 
     lines = ["name,value"] + [f"{name},{_fmt(val)}" for name, val in entries]
@@ -575,7 +556,7 @@ def run_riccati_crosscheck(cfg):
         {"report.csv": "\n".join(lines) + "\n"},
         {
             "rel_diff_value_vs_moments": rel,
-            "mc_within_3se": bool(abs(v - j_mc) <= 3.0 * se),
+            "mc_within_3se": bool(abs(j_disc - j_mc) <= 3.0 * se),
             "gap_monotone": bool(monotone),
         },
     )

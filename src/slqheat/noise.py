@@ -15,11 +15,12 @@ scheme:
   are drawn or in which chunks.
 
 Both expose the same small protocol (``kind``, ``n_scenarios``,
-``increments_at``, ``child_expand``, ``parent_mean``, ``brownian``)
-consumed by the forward and backward recursions (``child_expand`` and
-``parent_mean`` move one level down and up; the identity on ensembles);
-``kind`` ("tree" or "ensemble") tells :func:`slqheat.adjoint.condexp`
-whether to average subtrees or regress.
+``increments_at``, ``child_expand``, ``parent_mean``) consumed by the
+forward and backward recursions (``child_expand`` and ``parent_mean``
+move one level down and up; the identity on ensembles); ``kind``
+("tree" or "ensemble") tells :func:`slqheat.adjoint.condexp` whether to
+average subtrees or regress.  Only ensembles regress on the Wiener
+values, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +83,6 @@ class TreeDriver:
     """Binary scenario tree of Wiener increments +-sqrt(tau)."""
 
     grid: TimeGrid
-    _brownian_cache: list = field(repr=False, default_factory=list)
     _increment_cache: dict = field(repr=False, default_factory=dict)
     kind = "tree"
 
@@ -111,17 +111,6 @@ class TreeDriver:
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""
         return 0.5 * (values[0::2] + values[1::2])
-
-    def brownian(self, level):
-        """Wiener values W(t_level) per level-``level`` node, shape (2^level,)."""
-        while len(self._brownian_cache) <= level:
-            k = len(self._brownian_cache)
-            if k == 0:
-                self._brownian_cache.append(np.zeros(1))
-            else:
-                prev = self._brownian_cache[k - 1]
-                self._brownian_cache.append(np.repeat(prev, 2) + self.increments_at(k))
-        return self._brownian_cache[level]
 
 
 @dataclass

@@ -33,6 +33,9 @@ the same fine half-grid sampling.
 :class:`slqheat.forward.ProblemData` it builds the complete
 :class:`RiccatiSolution` (p, phi, the noise coefficients and the value
 integral), reading the noise from the data's already projected profile.
+``discrete_feedback(data)`` and ``discrete_value(data)`` read one backward
+pass of the exact Riccati recursion of the time-discrete problem: its
+optimal feedback and its optimal cost.
 """
 
 from dataclasses import dataclass
@@ -85,7 +88,7 @@ class RiccatiSolution:
     2 K_fine + 1 points, one row per mode) hold p, the offset phi and the
     noise coefficients sigma_i(t); the midpoints feed the collocation
     sweeps of the moments.  ``value_integral`` lives on the K_fine + 1
-    nodes of ``fine_grid``.
+    nodes ``t_half[::2]``.
     """
 
     data: object
@@ -101,23 +104,6 @@ class RiccatiSolution:
     def dt(self):
         """Node spacing of the dense grid."""
         return self.data.grid.horizon / self.k_fine
-
-    @property
-    def fine_grid(self):
-        return self.t_half[::2]
-
-    def p_at(self, t):
-        """Exact p_i(t), shape (d,) for scalar t."""
-        return riccati_mode_values(self.lams, self.data.alpha, self.data.grid.horizon, [t])[:, 0]
-
-    def phi_at(self, t):
-        """phi_i(t) linearly interpolated on the fine node grid, shape (d,)."""
-        grid = self.fine_grid
-        k = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
-        k = max(k, 0)
-        w = (t - grid[k]) / (grid[k + 1] - grid[k])
-        phi = self.phi_half[:, ::2]
-        return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
 
 
 def solve_riccati(data, k_fine):
@@ -253,20 +239,6 @@ def _phi_sweep(lams, p_half, sig, dt):
     return phi_half, 0.5 * np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
 
 
-def feedback_control(riccati, c, t):
-    """Feedback law u = -P(t) x - phi(t) in eigen coordinates.
-
-    Accepts the eigen coordinates of a single state (d,) or of a batch
-    (n, d) and returns the control in the same coordinates, as
-    :func:`slqheat.forward.solve_forward` expects of a callable control;
-    p is evaluated in closed form and phi by linear interpolation.
-    """
-    horizon = riccati.data.grid.horizon
-    if t < -1e-12 or t > horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {horizon}]")
-    return -riccati.p_at(t) * np.asarray(c) - riccati.phi_at(t)
-
-
 def value_function(riccati, x0):
     """Optimal cost from initial state x0 (nodal coefficients).
 
@@ -281,17 +253,41 @@ def value_function(riccati, x0):
     )
 
 
+def _discrete_recursion(data):
+    """One backward pass of the recursion in :func:`discrete_feedback`.
+
+    Returns (g, h, P_0, q_0, r_0): the gains, shape (N, d) each, and V_0's coefficients.
+    """
+    space, grid = data.space, data.grid
+    N, tau = grid.n_steps, grid.tau
+    linear = data.noise == "linear"
+    s = a0_scale(space, tau)
+    sigma = space.to_eigen(data.sigma)
+    g = np.empty((N, space.dim))
+    h = np.empty((N, space.dim))
+    P, q, r = np.full(space.dim, tau + data.alpha), np.zeros(space.dim), 0.0
+    for n in range(N - 1, -1, -1):
+        a, b = P * s**2, q * s
+        g[n], h[n] = a / (1.0 + tau * a), b / (1.0 + tau * a)
+        r += 0.5 * tau * (a * sigma[n] ** 2 - b * h[n]).sum()
+        noise = tau * a if linear else 0.0
+        P, q = g[n] + noise + tau * (n >= 1), h[n] + noise * sigma[n]
+    return g, h, P, q, r
+
+
 def discrete_feedback(data):
     """Exact optimal feedback of the time-discrete control problem.
 
     Mode i of the scheme reads X_{n+1} = s_i [(1 + dW) X_n + tau U_n +
     sigma_{n,i} dW] with s_i = 1 / (1 + tau lambda_i); the modes share
     only the increment, so dynamic programming is exact mode by mode.
-    From P_N = tau + alpha, q_N = 0, each step n = N-1, ..., 0 sets
-    a = P_{n+1} s^2, b = q_{n+1} s and
+    The cost-to-go from step n is V_n(c) = (1/2) sum_i P_{n,i} c_i^2 +
+    q_n . c + r_n.  From P_N = tau + alpha, q_N = 0, r_N = 0, each step
+    n = N-1, ..., 0 sets a = P_{n+1} s^2, b = q_{n+1} s and
 
         g_n = a / (1 + tau a),   h_n = b / (1 + tau a),
         P_n = g_n + tau a + tau [n >= 1],   q_n = h_n + tau a sigma_n,
+        r_n = r_{n+1} + (tau / 2) sum_i (a sigma_{n,i}^2 - b h_n),
 
     where additive noise drops the noise terms tau a and tau a sigma_n
     (Kleinman 1969; Ait Rami, Chen, Moore and Zhou 2001).  Only the mean 0
@@ -304,27 +300,27 @@ def discrete_feedback(data):
     (n < N) a node of ``data.grid``: the control form that
     :func:`slqheat.forward.solve_forward` takes.
     """
-    space, grid = data.space, data.grid
-    N, tau = grid.n_steps, grid.tau
-    linear = data.noise == "linear"
-    s = a0_scale(space, tau)
-    sigma = space.to_eigen(data.sigma)
-    g = np.empty((N, space.dim))
-    h = np.empty((N, space.dim))
-    P, q = np.full(space.dim, tau + data.alpha), np.zeros(space.dim)
-    for n in range(N - 1, -1, -1):
-        a, b = P * s**2, q * s
-        g[n], h[n] = a / (1.0 + tau * a), b / (1.0 + tau * a)
-        noise = tau * a if linear else 0.0
-        P, q = g[n] + noise + tau * (n >= 1), h[n] + noise * sigma[n]
+    g, h = _discrete_recursion(data)[:2]
+    grid = data.grid
 
     def control(t, c):
-        n = int(round(t / tau))
-        if not 0 <= n < N or abs(t - grid.nodes[n]) > 1e-9 * tau:
+        n = int(round(t / grid.tau))
+        if not 0 <= n < len(g) or abs(t - grid.nodes[n]) > 1e-9 * grid.tau:
             raise ValueError(f"time {t} is not a control node of the grid")
         return -(g[n] * np.asarray(c) + h[n])
 
     return control
+
+
+def discrete_value(data):
+    """Optimal cost of the time-discrete problem from ``data.x0``, exactly.
+
+    V_0(c) = (1/2) sum_i P_{0,i} c_i^2 + q_0 . c + r_0 at the eigen
+    coordinates c of x0 (see :func:`discrete_feedback`).
+    """
+    _, _, P, q, r = _discrete_recursion(data)
+    c0 = data.space.to_eigen(data.x0)
+    return float(0.5 * (P * c0**2).sum() + q @ c0 + r)
 
 
 def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):

@@ -17,7 +17,10 @@ level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 the backward equation) and ``bsde_residual`` are library operators
 that only the tests use, as are ``l2_project`` (the L2 projection the
 scheme does not use; the data are Ritz-projected) and
-``riccati_mode_derivative`` (the exact derivative of the Riccati modes).  ``direct_solve`` (conjugate gradients on the
+``riccati_mode_derivative`` (the exact derivative of the Riccati modes).
+``feedback_control`` samples the semidiscrete feedback law at any
+time, reading ``p_at`` and ``phi_at`` (with ``fine_grid``, the nodes of
+the dense grid).  ``direct_solve`` (conjugate gradients on the
 optimality system) and ``estimate_operator_norm`` (power iteration) reach
 the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
@@ -46,6 +49,7 @@ from slqheat.riccati import (
     _hs_sweep,
     _simpson_panel_values,
     _stationary_roots,
+    riccati_mode_values,
 )
 
 
@@ -794,11 +798,46 @@ def riccati_mode_derivative(lams, alpha, horizon, t):
     return (D**2)[:, None] * cE / (1.0 - cE) ** 2
 
 
+def fine_grid(riccati):
+    """The K_fine + 1 nodes of the dense grid."""
+    return riccati.t_half[::2]
+
+
+def p_at(riccati, t):
+    """Exact p_i(t), shape (d,) for scalar t."""
+    data = riccati.data
+    return riccati_mode_values(riccati.lams, data.alpha, data.grid.horizon, [t])[:, 0]
+
+
+def phi_at(riccati, t):
+    """phi_i(t) linearly interpolated on the fine node grid, shape (d,)."""
+    grid = fine_grid(riccati)
+    k = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
+    k = max(k, 0)
+    w = (t - grid[k]) / (grid[k + 1] - grid[k])
+    phi = riccati.phi_half[:, ::2]
+    return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
+
+
+def feedback_control(riccati, c, t):
+    """Feedback law u = -P(t) x - phi(t) in eigen coordinates.
+
+    Accepts the eigen coordinates of a single state (d,) or of a batch
+    (n, d) and returns the control in the same coordinates, as
+    :func:`slqheat.forward.solve_forward` expects of a callable control;
+    p is evaluated in closed form and phi by linear interpolation.
+    """
+    horizon = riccati.data.grid.horizon
+    if t < -1e-12 or t > horizon + 1e-12:
+        raise ValueError(f"time {t} outside [0, {horizon}]")
+    return -p_at(riccati, t) * np.asarray(c) - phi_at(riccati, t)
+
+
 def closed_loop_moments(riccati):
     """Moment trajectory of the feedback-controlled state at the fine nodes.
 
     Returns a list of MomentState (length K_fine + 1) aligned with
-    ``riccati.fine_grid``, started from ``riccati.data.x0``, with S the
+    ``fine_grid(riccati)``, started from ``riccati.data.x0``, with S the
     full d x d second moment: the library's entry-indexed sweep run on
     all pairs (i, j).
     """

@@ -44,7 +44,6 @@ from slqheat.optimizer import (
 )
 from slqheat.riccati import (
     cost_from_moments,
-    feedback_control,
     solve_riccati,
     value_function,
 )
@@ -377,7 +376,7 @@ def test_a08_riccati_value_consistency():
     rel = abs(value - moments) / abs(moments)
 
     def fb(t, x_slice):
-        return feedback_control(ric, x_slice, t)
+        return oracles.feedback_control(ric, x_slice, t)
 
     driver = gaussian_driver(data.grid, 8000, seed=424242)
     x_mc, u_mc = solve_forward(data, driver, control=fb, return_control=True)

@@ -12,6 +12,7 @@ from slqheat.experiments import (
     RateTable,
     _feedback_solution,
     _joint_errors,
+    _problem,
     make_config,
     resolve_config,
     run_adjoint_gap,
@@ -22,10 +23,10 @@ from slqheat.experiments import (
     run_temporal_rate,
 )
 from slqheat.forward import make_problem, default_sigma_spec, solve_forward
-from oracles import full_joint_errors, l2_norm_sq_batch
-from slqheat.mesh import prolongation_matrix
+from oracles import feedback_control, full_joint_errors, l2_norm_sq_batch
+from slqheat.mesh import build_fem_space, prolongation_matrix
 from slqheat.noise import gaussian_driver, make_time_grid
-from slqheat.riccati import feedback_control
+from slqheat.riccati import discrete_value
 
 
 # ------------------------------------------------------------------ config
@@ -71,6 +72,15 @@ def test_resolve_config_rejects_bad_input():
     # zero iterations would leave an empty descent trace for the summary to read
     with pytest.raises(ValueError, match="max_iters"):
         resolve_config(ExperimentConfig(study="gd_convergence", max_iters=0))
+    # a nonpositive kappa would otherwise fail only inside the descent, with a traceback
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            resolve_config(ExperimentConfig(study="gd_convergence", kappa=kappa))
+    # the descent fields would be silently ignored by the studies that run no descent
+    for study in ("spatial_rate", "adjoint_gap", "riccati_crosscheck"):
+        for field in (dict(kappa=2.0), dict(max_iters=3), dict(tol_grad=1e-8)):
+            with pytest.raises(ValueError, match="runs no gradient descent"):
+                make_config(study, **field)
 
 
 # -------------------------------------------------------------- rate table
@@ -379,26 +389,36 @@ def test_gd_convergence_requires_tree(tmp_path):
 
 
 def test_riccati_crosscheck_report(tmp_path):
-    report = run_riccati_crosscheck(
-        make_config(
-            "riccati_crosscheck",
-            n_elems=4,
-            time_steps=16,
-            time_levels=(4, 8),
-            n_paths=400,
-            k_fine=256,
-            max_iters=15,
-            out=str(tmp_path),
-        )
+    cfg = make_config(
+        "riccati_crosscheck",
+        n_elems=4,
+        time_steps=16,
+        time_levels=(4, 8),
+        n_paths=400,
+        k_fine=256,
+        out=str(tmp_path),
     )
+    report = run_riccati_crosscheck(cfg)
     assert report["rel_diff_value_vs_moments"] < 1e-6
     assert report["mc_stderr"] > 0.0
+    data = _problem(cfg, build_fem_space(cfg.n_elems), make_time_grid(cfg.horizon, cfg.time_steps))
+    assert_allclose(report["discrete_value"], discrete_value(data), rtol=1e-12)
+    # (c) is exact: each gap is the discrete value on its grid against the moment cost
+    for lvl in cfg.time_levels:
+        exact = abs(
+            discrete_value(data.with_grid(make_time_grid(cfg.horizon, lvl)))
+            - report["cost_from_moments"]
+        )
+        assert_allclose(report[f"cost_gap_N{lvl}"], exact, rtol=1e-12)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "name,value"
     names = [line.split(",")[0] for line in lines[1:]]
     assert "value_function" in names and "cost_gap_N8" in names
+    assert not any(name.startswith("tree_") or "vs_tree" in name for name in names)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest["summary"]) >= {"rel_diff_value_vs_moments", "mc_within_3se", "gap_monotone"}
+    summary = manifest["summary"]
+    assert set(summary) >= {"rel_diff_value_vs_moments", "mc_within_3se", "gap_monotone"}
+    assert summary["gap_monotone"] is True
 
 
 # -------------------------------------------------------- adjoint-gap study
@@ -518,3 +538,14 @@ def test_cli_kappa_override_is_used_verbatim(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "k" / "manifest.json").read_text())
     assert manifest["summary"]["kappa"] == 12.5
+
+
+def test_cli_rejects_nonpositive_kappa(tmp_path, capsys):
+    out = tmp_path / "k"
+    for kappa in ("0", "-1"):
+        argv = ["gd_convergence", "--n-elems", "3", "--time-steps", "4", "--kappa", kappa]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "kappa must be positive" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()

@@ -52,23 +52,6 @@ def test_tree_increments_are_standardized():
         assert_allclose(inc**2, tau)
 
 
-def test_tree_brownian_matches_leaf_path_sums():
-    drv = TreeDriver(make_time_grid(1.0, 6))
-    n = 6
-    leaves = np.arange(1 << n)
-    # independent reconstruction: walk each leaf's ancestor line
-    w_ref = np.zeros(1 << n)
-    for k in range(1, n + 1):
-        anc = leaves >> (n - k)
-        w_ref += np.where(anc & 1, 1.0, -1.0) * np.sqrt(drv.grid.tau)
-    assert_allclose(drv.brownian(n), w_ref)
-    # level values broadcast to leaves agree with pathwise view
-    w3 = drv.brownian(3)
-    assert_allclose(oracles.pathwise(drv, w3, 3), w_ref - sum(
-        oracles.pathwise_increment(drv, k) for k in range(4, n + 1)
-    ))
-
-
 def test_tree_condexp_is_subtree_mean():
     vals = np.arange(8.0)
     out = tree_condexp(vals, 3, 1)

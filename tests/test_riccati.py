@@ -11,13 +11,17 @@ from oracles import (
     dense_to_nodal,
     direct_solve,
     eval_fem,
+    feedback_control,
+    fine_grid,
     full_closed_loop_stream,
     l2_norm,
+    phi_at,
     riccati_mode_derivative,
     solve_riccati_dense,
 )
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, make_time_grid
+from slqheat.optimizer import cost
 from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_stream,
@@ -26,7 +30,7 @@ from slqheat.riccati import (
     _stationary_roots,
     cost_from_moments,
     discrete_feedback,
-    feedback_control,
+    discrete_value,
     riccati_mode_values,
     solve_riccati,
     value_function,
@@ -103,7 +107,7 @@ def test_terminal_condition_is_exact():
         p_nodes = ric.p_half[:, ::2]
         assert_allclose(p_nodes[:, -1], alpha, rtol=0, atol=1e-13)
         assert p_nodes.shape == (space.dim, 65)
-        assert ric.fine_grid.shape == (65,)
+        assert fine_grid(ric).shape == (65,)
 
 
 def test_mode_solution_against_euler_oracle():
@@ -151,7 +155,7 @@ def test_midpoint_residual_on_resolving_grids():
         f = lambda p: 2 * lam1 * p - p - 1 + p * p
         res = np.abs(p1[2::2] - p1[:-1:2] - dt * f(p1[1::2]))
         if t_mask is not None:
-            res = res[t_mask(ric.fine_grid[:-1])]
+            res = res[t_mask(fine_grid(ric)[:-1])]
         return res.max()
 
     assert worst_residual(16384) < 1e-8
@@ -318,7 +322,7 @@ def test_single_mode_feedback_against_dense_oracle():
     for k in (0, 1000, 2500, 4096):
         t = t_nodes[k]
         u = feedback_control(ric, x, t)
-        u_ref = -P[k, 0, 0] * x - ric.phi_at(t)
+        u_ref = -P[k, 0, 0] * x - phi_at(ric, t)
         assert_allclose(u, u_ref, atol=2e-9)
 
 
@@ -427,7 +431,7 @@ def test_moments_zero_feedback_closed_form():
     )
     traj = closed_loop_moments(zeroed)
     m0 = space.to_eigen(data.x0)
-    t = zeroed.fine_grid
+    t = fine_grid(zeroed)
     for i in range(space.dim):
         ref = m0[i] ** 2 * np.exp((1.0 - 2.0 * space.eigvals[i]) * t)
         got = np.array([ms.S[i, i] for ms in traj])
@@ -571,6 +575,39 @@ def test_discrete_feedback_matches_cg_oracle(depth, noise, spec):
     scale = max(np.abs(u_cg.at(n)).max() for n in range(depth))
     worst = max(np.abs(u_fb.at(n) - u_cg.at(n)).max() for n in range(depth))
     assert worst <= 1e-12 * scale
+
+
+# x0 = sigma profile = sin(pi x) + sin(7 pi x): the data load modes 1 and 7
+MODES_1_7_SPEC = SigmaSpec(
+    x0=lambda x: np.sin(np.pi * x) + np.sin(7 * np.pi * x),
+    x0_dx=lambda x: np.pi * np.cos(np.pi * x) + 7 * np.pi * np.cos(7 * np.pi * x),
+    profile=lambda x: np.sin(np.pi * x) + np.sin(7 * np.pi * x),
+    profile_dx=lambda x: np.pi * np.cos(np.pi * x) + 7 * np.pi * np.cos(7 * np.pi * x),
+    time_factor=lambda t: np.exp(-t),
+    scale=2.0,
+)
+
+
+@pytest.mark.parametrize("spec", [None, MODES_1_7_SPEC], ids=["default", "modes_1_7"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+@pytest.mark.parametrize("depth", [4, 8])
+def test_discrete_value_is_the_tree_cost_of_the_discrete_feedback(depth, noise, spec):
+    space = build_fem_space(8)
+    grid = make_time_grid(1.0, depth)
+    data = make_problem(space, grid, alpha=1.0, sigma_spec=spec, noise=noise)
+    x, u = solve_forward(data, TreeDriver(grid), discrete_feedback(data), return_control=True)
+    assert_allclose(discrete_value(data), cost(data, x, u), rtol=1e-12)
+
+
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_discrete_value_matches_cost_at_cg_optimum(noise):
+    space = build_fem_space(8)
+    grid = make_time_grid(1.0, 6)
+    data = make_problem(space, grid, alpha=1.0, sigma_spec=MODES_1_7_SPEC, noise=noise)
+    driver = TreeDriver(grid)
+    u_cg = direct_solve(data, driver, tol=1e-14)
+    j_cg = cost(data, solve_forward(data, driver, u_cg), u_cg)
+    assert_allclose(discrete_value(data), j_cg, rtol=1e-10)
 
 
 def test_discrete_feedback_rejects_times_off_the_grid():
