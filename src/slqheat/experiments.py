@@ -118,6 +118,8 @@ def resolve_config(cfg):
             levels = tuple(int(v) for v in levels)
             if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
+            if levels and levels[0] < 1:
+                raise ValueError(f"{name} must be at least 1, got {levels}")
             cfg = replace(cfg, **{name: levels})
     if cfg.study not in ("temporal_rate", "gd_convergence"):
         given = [f for f in ("kappa", "max_iters", "tol_grad") if getattr(cfg, f) is not None]
@@ -303,7 +305,7 @@ def _joint_errors(ric_r, ric_c):
         phi_half,
         np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
         dt,
-        np.concatenate((space_r.to_eigen(ric_r.data.x0), space_c.to_eigen(ric_c.data.x0))),
+        np.concatenate((ric_r.data.x0, ric_c.data.x0)),
         rows,
         cols,
     )
@@ -347,8 +349,6 @@ def run_spatial_rate(cfg):
     first-order bound.
     """
     cfg = resolve_config(cfg)
-    if cfg.mesh_ref is None:
-        raise ValueError("spatial study needs a reference mesh (mesh_ref)")
     for lvl in cfg.mesh_levels:
         if cfg.mesh_ref % lvl != 0:
             raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
@@ -419,8 +419,6 @@ def run_temporal_rate(cfg):
     iterations, final gradient norm and stop reason, reference first.
     """
     cfg = resolve_config(cfg)
-    if cfg.n_ref is None:
-        raise ValueError("temporal study needs a reference step count (n_ref)")
     for lvl in cfg.time_levels:
         if cfg.n_ref % lvl != 0 or (cfg.n_ref // lvl) & (cfg.n_ref // lvl - 1):
             raise ValueError(f"n_ref={cfg.n_ref} must be a power-of-two multiple of level {lvl}")
@@ -468,7 +466,7 @@ def run_gd_convergence(cfg):
     grid = make_time_grid(cfg.horizon, cfg.time_steps)
     data = _problem(cfg, space, grid)
     driver = TreeDriver(grid)
-    x_star, u_star = solve_forward(data, driver, discrete_feedback(data), return_control=True)
+    x_star, u_star = solve_forward(data, driver, discrete_feedback(data))
     j_star = cost(data, x_star, u_star)
     u, trace = gradient_descent(
         data, driver, cfg.max_iters, cfg.kappa, cfg.tol_grad, reference=u_star
@@ -523,7 +521,7 @@ def run_riccati_crosscheck(cfg):
     data = _problem(cfg, space, grid)
     ric = solve_riccati(data, cfg.k_fine)
 
-    v = value_function(ric, data.x0)
+    v = value_function(ric)
     c_det = cost_from_moments(ric)
     rel = abs(v - c_det) / max(1.0, abs(v))
     entries = [
@@ -534,7 +532,7 @@ def run_riccati_crosscheck(cfg):
 
     j_disc = discrete_value(data)
     driver = gaussian_driver(grid, cfg.n_paths, cfg.seed)
-    x_mc, u_mc = solve_forward(data, driver, discrete_feedback(data), return_control=True)
+    x_mc, u_mc = solve_forward(data, driver, discrete_feedback(data))
     j_mc, se = cost_with_stderr(data, x_mc, u_mc)
     entries += [
         ("discrete_value", j_disc),

@@ -31,10 +31,13 @@ ensembles), so a tree costs O(2^N d) instead of O(N 2^N d).
 
 Both sweeps run in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
 where A0 = diag(1 / (1 + tau lambda_i)) is an elementwise scale and the
-L2 inner product is the euclidean one.  Every process slice holds eigen
-coordinates c = V^T M v; the projected data of :class:`ProblemData` stay
-nodal and are converted once per sweep, and ``space.from_eigen`` gives
-nodal values back.
+L2 inner product is the euclidean one.  Every process slice and every
+datum of :class:`ProblemData` holds eigen coordinates c = V^T M v: the
+data are converted once, when :func:`make_problem` projects them, and
+``space.from_eigen`` gives nodal values back.  A feedback control is the
+pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
+mode by mode like the scheme, which :func:`solve_forward` applies in
+place.
 
 An :class:`AdaptedProcess` on an ensemble is one C-contiguous (K, P, d)
 array that :func:`solve_forward` allocates once (or takes from the
@@ -163,11 +166,11 @@ def default_sigma_spec(scale=1.0):
 class ProblemData:
     """Discretized problem: space, grid, cost weight and projected data.
 
-    ``x0``, ``sigma`` and ``profile`` are nodal coefficient vectors.
-    ``sigma`` has N + 1 slots (slice n is sigma(t_n)); the forward scheme
-    reads slots 0..N-1 and the terminal slot rides along for diagnostics.
-    ``profile`` is the scaled projected noise profile, sigma(t_n) =
-    time_factor(t_n) * profile.
+    ``x0``, ``sigma`` and ``profile`` hold eigen coordinates of the
+    Ritz-projected data.  ``sigma`` has N + 1 slots (slice n is
+    sigma(t_n)); the forward scheme reads slots 0..N-1 and the terminal
+    slot rides along for diagnostics.  ``profile`` is the scaled projected
+    noise profile, sigma(t_n) = time_factor(t_n) * profile.
     """
 
     space: object
@@ -186,7 +189,7 @@ class ProblemData:
 
 
 def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
-    """Ritz-project the continuous data onto the discrete spaces.
+    """Ritz-project the continuous data onto the discrete spaces, in eigen coordinates.
 
     Parameters
     ----------
@@ -209,14 +212,13 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
         raise ValueError(f"unknown noise mode {noise!r}")
     if sigma_spec is None:
         sigma_spec = default_sigma_spec()
-    x0 = ritz_project(space, sigma_spec.x0_dx)
-    prof = ritz_project(space, sigma_spec.profile_dx)
-    tf = np.array([sigma_spec.time_factor(t) for t in grid.nodes])
-    sigma = sigma_spec.scale * np.outer(tf, prof)
+    x0 = space.to_eigen(ritz_project(space, sigma_spec.x0_dx))
+    profile = space.to_eigen(sigma_spec.scale * ritz_project(space, sigma_spec.profile_dx))
+    # with_grid samples sigma, so a problem and its resampling on the same grid agree bitwise
     return ProblemData(
-        space=space, grid=grid, alpha=alpha, x0=x0, sigma=sigma,
-        profile=sigma_spec.scale * prof, sigma_spec=sigma_spec, noise=noise,
-    )
+        space=space, grid=None, alpha=alpha, x0=x0, sigma=None,
+        profile=profile, sigma_spec=sigma_spec, noise=noise,
+    ).with_grid(grid)
 
 
 def a0_scale(space, tau):
@@ -229,30 +231,19 @@ def a0_apply(space, tau, c):
     return np.asarray(c, dtype=float) * a0_scale(space, tau)
 
 
-def _control_slice(control, n, t, x_slice):
-    """Evaluate the control at the left node t_n (or fetch the stored slice)."""
-    if control is None:
-        return None
-    if isinstance(control, AdaptedProcess):
-        return control.at(n)
-    return np.broadcast_to(control(t, x_slice), x_slice.shape)
-
-
-def solve_forward(data, driver, control=None, return_control=False, out=None):
+def solve_forward(data, driver, control=None, out=None):
     """Run the full state recursion from the problem's initial datum.
 
     Parameters
     ----------
     data : ProblemData
     driver : TreeDriver or EnsembleDriver
-    control : None, AdaptedProcess, or callable
-        A stored control is read slice by slice; a callable is sampled at
-        the left node of each step as control(t_n, x_slice) and may depend
-        on the current state (feedback).  Both take and return eigen
-        coordinates.  None means zero control.
-    return_control : bool
-        Also return the realized control as an AdaptedProcess (useful for
-        feedback runs).
+    control : None, AdaptedProcess, or pair of arrays (g, h)
+        A stored control is read slice by slice.  A gain pair of shape
+        (N, d) each, such as :func:`slqheat.riccati.discrete_feedback`
+        returns, is the feedback U_n = -(g_n X_n + h_n) on eigen
+        coordinates, applied at the left node of each step and written
+        into the slots of the realized control.  None means zero control.
     out : AdaptedProcess over 0..N, optional
         Storage to overwrite with the new state (``ValueError`` if it
         does not fit), such as the previous iterate's state in gradient
@@ -260,26 +251,31 @@ def solve_forward(data, driver, control=None, return_control=False, out=None):
 
     Returns
     -------
-    AdaptedProcess over time indices 0..N (and the realized control if
-    requested).
+    AdaptedProcess over time indices 0..N; for a gain pair, the pair
+    (state, realized control over 0..N-1).
     """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
     linear = data.noise == "linear"
     scale = a0_scale(space, tau)
-    x0 = space.to_eigen(data.x0)
-    sigma = space.to_eigen(data.sigma)
 
+    gains = None
+    if control is not None and not isinstance(control, AdaptedProcess):
+        gains = [np.asarray(a, dtype=float) for a in control]
+        if [a.shape for a in gains] != [(N, d)] * 2:
+            raise ValueError(f"feedback gains need shape {(N, d)}, got {[a.shape for a in gains]}")
+        control = zeros_process(driver, d, 0, N - 1)
     proc = zeros_process(driver, d, 0, N) if out is None else out
     proc.check_fits(driver, d, 0, N)
-    realized = zeros_process(driver, d, 0, N - 1) if return_control else None
-    proc.values[0][...] = x0
+    proc.values[0][...] = data.x0
     for n in range(N):
         xn = proc.values[n]
-        un = _control_slice(control, n, grid.nodes[n], xn)
-        if un is not None and realized is not None:
-            realized.values[n][...] = un
+        un = None if control is None else control.at(n)
+        if gains is not None:
+            np.multiply(gains[0][n], xn, out=un)
+            un += gains[1][n]
+            np.negative(un, out=un)
         par = driver.child_expand(xn, n)
         dw = driver.increments_at(n + 1)[:, None]
         out = proc.values[n + 1]
@@ -289,11 +285,9 @@ def solve_forward(data, driver, control=None, return_control=False, out=None):
             out[...] = par
         if un is not None:
             out += tau * driver.child_expand(un, n)
-        out += sigma[n] * dw
+        out += data.sigma[n] * dw
         out *= scale
-    if return_control:
-        return proc, realized
-    return proc
+    return proc if gains is None else (proc, control)
 
 
 def backward_kernel(data, driver, v_at, eta, product_offset):

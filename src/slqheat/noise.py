@@ -122,7 +122,6 @@ class EnsembleDriver:
 
     grid: TimeGrid
     increments: np.ndarray
-    seed: int = 0
     _brownian: np.ndarray = field(repr=False, default=None)
     kind = "ensemble"
 
@@ -171,7 +170,7 @@ def gaussian_driver(grid, n_paths, seed):
         gen = np.random.Generator(root.jumped(p))
         inc[p] = gen.standard_normal(grid.n_steps)
     inc *= np.sqrt(grid.tau)
-    return EnsembleDriver(grid=grid, increments=inc, seed=seed)
+    return EnsembleDriver(grid=grid, increments=inc)
 
 
 def refine_common_path(driver):
@@ -186,4 +185,4 @@ def refine_common_path(driver):
         raise ValueError(f"cannot halve an odd number of steps ({n})")
     coarse_grid = make_time_grid(driver.grid.horizon, n // 2)
     inc = driver.increments[:, 0::2] + driver.increments[:, 1::2]
-    return EnsembleDriver(grid=coarse_grid, increments=inc, seed=driver.seed)
+    return EnsembleDriver(grid=coarse_grid, increments=inc)

@@ -32,10 +32,13 @@ the same fine half-grid sampling.
 ``solve_riccati(data, k_fine)`` is the one constructor: from a
 :class:`slqheat.forward.ProblemData` it builds the complete
 :class:`RiccatiSolution` (p, phi, the noise coefficients and the value
-integral), reading the noise from the data's already projected profile.
-``discrete_feedback(data)`` and ``discrete_value(data)`` read one backward
-pass of the exact Riccati recursion of the time-discrete problem: its
-optimal feedback and its optimal cost.
+integral), reading the noise from the data's projected profile.  The
+data already hold eigen coordinates, so every function here reads them
+as they are.  ``discrete_feedback(data)`` and ``discrete_value(data)``
+read one backward pass of the exact Riccati recursion of the
+time-discrete problem: its optimal feedback gains (g, h), which
+:func:`slqheat.forward.solve_forward` applies as U_n = -(g_n X_n + h_n),
+and its optimal cost.
 """
 
 from dataclasses import dataclass
@@ -117,7 +120,7 @@ def solve_riccati(data, k_fine):
     The offset phi and the value integral follow by the Hermite-Simpson
     sweep of :func:`_phi_sweep`, driven by the noise coefficients
     sigma_i(t) = time_factor(t) (profile)_i, with ``data.profile`` the
-    scaled, already projected noise profile.
+    scaled projected noise profile in eigen coordinates.
 
     Parameters
     ----------
@@ -150,7 +153,7 @@ def solve_riccati(data, k_fine):
     if not np.isfinite(p_half).all() or np.abs(p_half).max() > 1e6:
         raise ArithmeticError("Riccati mode solution left its a-priori bounds")
     tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
-    sig = np.outer(space.to_eigen(data.profile), tf)
+    sig = np.outer(data.profile, tf)
     phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
     return RiccatiSolution(
         data=data,
@@ -239,13 +242,13 @@ def _phi_sweep(lams, p_half, sig, dt):
     return phi_half, 0.5 * np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
 
 
-def value_function(riccati, x0):
-    """Optimal cost from initial state x0 (nodal coefficients).
+def value_function(riccati):
+    """Optimal cost from the initial state ``riccati.data.x0``.
 
     V = (1/2) sum_i p_i(0) x_i^2 + sum_i phi_i(0) x_i + value_integral(0),
-    with x_i the eigen-coefficients of x0.
+    with x_i the eigen coordinates of x0.
     """
-    coords = riccati.data.space.to_eigen(x0)
+    coords = riccati.data.x0
     p0 = riccati.p_half[:, 0]
     phi0 = riccati.phi_half[:, 0]
     return float(
@@ -261,8 +264,7 @@ def _discrete_recursion(data):
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     linear = data.noise == "linear"
-    s = a0_scale(space, tau)
-    sigma = space.to_eigen(data.sigma)
+    s, sigma = a0_scale(space, tau), data.sigma
     g = np.empty((N, space.dim))
     h = np.empty((N, space.dim))
     P, q, r = np.full(space.dim, tau + data.alpha), np.zeros(space.dim), 0.0
@@ -296,20 +298,11 @@ def discrete_feedback(data):
 
     Returns
     -------
-    callable (t, c) -> -(g_n c + h_n) on eigen coordinates, for t = t_n
-    (n < N) a node of ``data.grid``: the control form that
+    (g, h), arrays of shape (N, d): the feedback U_n = -(g_n X_n + h_n) on
+    eigen coordinates, the gain-pair control that
     :func:`slqheat.forward.solve_forward` takes.
     """
-    g, h = _discrete_recursion(data)[:2]
-    grid = data.grid
-
-    def control(t, c):
-        n = int(round(t / grid.tau))
-        if not 0 <= n < len(g) or abs(t - grid.nodes[n]) > 1e-9 * grid.tau:
-            raise ValueError(f"time {t} is not a control node of the grid")
-        return -(g[n] * np.asarray(c) + h[n])
-
-    return control
+    return _discrete_recursion(data)[:2]
 
 
 def discrete_value(data):
@@ -319,7 +312,7 @@ def discrete_value(data):
     coordinates c of x0 (see :func:`discrete_feedback`).
     """
     _, _, P, q, r = _discrete_recursion(data)
-    c0 = data.space.to_eigen(data.x0)
+    c0 = data.x0
     return float(0.5 * (P * c0**2).sum() + q @ c0 + r)
 
 
@@ -373,7 +366,7 @@ def cost_from_moments(riccati):
     """
     data = riccati.data
     dt = riccati.dt
-    m0 = data.space.to_eigen(data.x0)
+    m0 = data.x0
     diag = np.arange(data.space.dim)
     vals = np.empty(2 * riccati.k_fine + 1)
     tr_T = None

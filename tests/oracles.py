@@ -4,9 +4,10 @@ Everything here evaluates the defining formulas literally: dense matrix
 powers, explicit noise-multiplier products per leaf, and exact tree
 averages.  Slow on purpose, for small trees only.
 
-The library's processes hold eigen coordinates; every oracle here works
-on nodal coefficient vectors with the mass matrix M, and ``nodal``
-converts a library process for comparison.  ``nodal_forward``,
+The library's processes and problem data hold eigen coordinates; every
+oracle here works on nodal coefficient vectors with the mass matrix M,
+and ``nodal`` converts a library process for comparison.
+``nodal_forward`` (which also takes a nodal callable control),
 ``nodal_backward_kernel`` and the ``nodal_*`` adjoint objects are the
 nodal sweeps of the library with A0 as the dense matrix
 (M + tau A)^{-1} M, kept as the equivalence oracle of the eigen-coordinate
@@ -18,10 +19,12 @@ the backward equation) and ``bsde_residual`` are library operators
 that only the tests use, as are ``l2_project`` (the L2 projection the
 scheme does not use; the data are Ritz-projected) and
 ``riccati_mode_derivative`` (the exact derivative of the Riccati modes).
-``feedback_control`` samples the semidiscrete feedback law at any
-time, reading ``p_at`` and ``phi_at`` (with ``fine_grid``, the nodes of
-the dense grid).  ``direct_solve`` (conjugate gradients on the
-optimality system) and ``estimate_operator_norm`` (power iteration) reach
+``feedback_control`` samples the gains (p(t_n), phi(t_n)) of the
+semidiscrete feedback law at given times, reading ``p_at`` and
+``phi_at`` (with ``fine_grid``, the nodes of the dense grid), in the
+gain-pair form that ``solve_forward`` takes.  ``direct_solve``
+(conjugate gradients on the optimality system) and
+``estimate_operator_norm`` (power iteration) reach
 the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
 ``full_joint_errors`` play the same part for the entry-indexed moment
@@ -89,7 +92,7 @@ def pathwise_increment(driver, step):
 
 
 def apply_Gamma(data, driver, x0=None):
-    """Propagate a nodal initial datum with zero control and zero noise data."""
+    """Propagate an initial datum (eigen coordinates) with zero control and zero noise data."""
     x0 = data.x0 if x0 is None else x0
     return solve_forward(replace(data, x0=x0, sigma=0.0 * data.sigma), driver)
 
@@ -630,7 +633,11 @@ def _control_slice(control, n, t, x_slice):
 
 
 def nodal_forward(data, driver, x0, control, sigma, return_control=False):
-    """Forward recursion on nodal coefficients; x0/control/sigma may be None."""
+    """Forward recursion on nodal coefficients; x0/control/sigma may be None.
+
+    ``control`` is a process of nodal slices or a nodal callable
+    control(t_n, x_slice), sampled at the left node of each step.
+    """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
@@ -667,7 +674,10 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
 
 def nodal_solve_forward(data, driver, control=None):
     """Nodal state recursion from the problem's initial datum."""
-    return nodal_forward(data, driver, data.x0, control, data.sigma)
+    space = data.space
+    return nodal_forward(
+        data, driver, space.from_eigen(data.x0), control, space.from_eigen(data.sigma)
+    )
 
 
 def nodal_backward_kernel(data, driver, v_at, eta, product_offset):
@@ -819,18 +829,22 @@ def phi_at(riccati, t):
     return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
 
 
-def feedback_control(riccati, c, t):
-    """Feedback law u = -P(t) x - phi(t) in eigen coordinates.
+def feedback_control(riccati, times):
+    """Gains (p(t_n), phi(t_n)) of the feedback law u = -(p(t) x + phi(t)).
 
-    Accepts the eigen coordinates of a single state (d,) or of a batch
-    (n, d) and returns the control in the same coordinates, as
-    :func:`slqheat.forward.solve_forward` expects of a callable control;
-    p is evaluated in closed form and phi by linear interpolation.
+    Returns two arrays of shape (len(times), d), in eigen coordinates: at
+    ``times = grid.nodes[:-1]`` the gain-pair control that
+    :func:`slqheat.forward.solve_forward` takes on that grid.  p is
+    evaluated in closed form and phi by linear interpolation.
     """
     horizon = riccati.data.grid.horizon
-    if t < -1e-12 or t > horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {horizon}]")
-    return -p_at(riccati, t) * np.asarray(c) - phi_at(riccati, t)
+    times = np.asarray(times, dtype=float)
+    if times.min() < -1e-12 or times.max() > horizon + 1e-12:
+        raise ValueError(f"times {times} reach outside [0, {horizon}]")
+    return (
+        np.array([p_at(riccati, t) for t in times]),
+        np.array([phi_at(riccati, t) for t in times]),
+    )
 
 
 def closed_loop_moments(riccati):
@@ -848,7 +862,7 @@ def closed_loop_moments(riccati):
     rows, cols = all_pairs(d)
     stream = _closed_loop_stream(
         riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
-        data.space.to_eigen(data.x0), rows, cols,
+        data.x0, rows, cols,
     )
     return [
         MomentState(m=m.copy(), S=S.reshape(d, d).copy())
@@ -940,7 +954,7 @@ def full_joint_errors(ric_r, ric_c):
         sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
         value_integral=None,
     )
-    m0 = np.concatenate((space_r.to_eigen(ric_r.data.x0), space_c.to_eigen(ric_c.data.x0)))
+    m0 = np.concatenate((ric_r.data.x0, ric_c.data.x0))
     S0 = np.outer(m0, m0)
     dt = joint.dt
     lam_r, lam_c = space_r.eigvals, space_c.eigvals

@@ -364,28 +364,27 @@ def test_a07_temporal_rate_of_state_and_control(tmp_path):
 
 
 def test_a08_riccati_value_consistency():
-    # value_function(0, X0) must match the closed-loop moment integral to
+    # value_function (from X0) must match the closed-loop moment integral to
     # 1e-6 relative and the sampled cost of the feedback control within
     # 3 standard errors; the exact-tree feedback cost at 12 steps is
     # reported for scale (weak-model self-consistency, not gated).
     space = build_fem_space(8)
     data = make_problem(space, make_time_grid(1.0, 512), alpha=1.0)
     ric = solve_riccati(data, 1024)
-    value = value_function(ric, data.x0)
+    value = value_function(ric)
     moments = cost_from_moments(ric)
     rel = abs(value - moments) / abs(moments)
 
-    def fb(t, x_slice):
-        return oracles.feedback_control(ric, x_slice, t)
-
     driver = gaussian_driver(data.grid, 8000, seed=424242)
-    x_mc, u_mc = solve_forward(data, driver, control=fb, return_control=True)
+    fb = oracles.feedback_control(ric, data.grid.nodes[:-1])
+    x_mc, u_mc = solve_forward(data, driver, control=fb)
     j_mc, se = cost_with_stderr(data, x_mc, u_mc)
     mc_ok = abs(j_mc - value) <= 3.0 * se
 
     grid_tree = make_time_grid(1.0, 12)
     data_tree = make_problem(space, grid_tree, alpha=1.0)
-    x_t, u_t = solve_forward(data_tree, TreeDriver(grid_tree), control=fb, return_control=True)
+    fb_tree = oracles.feedback_control(ric, grid_tree.nodes[:-1])
+    x_t, u_t = solve_forward(data_tree, TreeDriver(grid_tree), control=fb_tree)
     j_tree = cost(data_tree, x_t, u_t)
 
     ok = rel <= 1e-6 and mc_ok

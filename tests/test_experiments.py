@@ -81,6 +81,15 @@ def test_resolve_config_rejects_bad_input():
         for field in (dict(kappa=2.0), dict(max_iters=3), dict(tol_grad=1e-8)):
             with pytest.raises(ValueError, match="runs no gradient descent"):
                 make_config(study, **field)
+    # a level below 1 would fail only inside the study (time_levels=(0, 8)
+    # divided by zero in temporal_rate)
+    for study, field in (
+        ("temporal_rate", dict(time_levels=(0, 8))),
+        ("temporal_rate", dict(time_levels=(-4, 8))),
+        ("spatial_rate", dict(mesh_levels=(0, 8))),
+    ):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            make_config(study, **field)
 
 
 # -------------------------------------------------------------- rate table
@@ -233,12 +242,8 @@ def test_spatial_control_error_matches_monte_carlo(tmp_path):
     data_r = make_problem(space_r, grid, alpha=cfg.alpha, sigma_spec=spec)
     data_c = make_problem(space_c, grid, alpha=cfg.alpha, sigma_spec=spec)
     driver = gaussian_driver(grid, n_paths, seed=1234)
-    _, u_r = solve_forward(
-        data_r, driver, control=lambda t, x: feedback_control(ric_r, x, t), return_control=True
-    )
-    _, u_c = solve_forward(
-        data_c, driver, control=lambda t, x: feedback_control(ric_c, x, t), return_control=True
-    )
+    _, u_r = solve_forward(data_r, driver, feedback_control(ric_r, grid.nodes[:-1]))
+    _, u_c = solve_forward(data_c, driver, feedback_control(ric_c, grid.nodes[:-1]))
     prolong = prolongation_matrix(space_c, space_r)
     samples = np.zeros(n_paths)
     for n in range(n_steps):
@@ -517,6 +522,17 @@ def test_cli_rejects_zero_max_iters(tmp_path):
     with pytest.raises(SystemExit):
         main(["gd_convergence", "--max-iters", "0", "--out", str(tmp_path)])
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_cli_rejects_zero_time_level(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("time_levels = 0, 8\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["temporal_rate", "--config", str(config), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "time_levels must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_kappa_override_is_used_verbatim(tmp_path):

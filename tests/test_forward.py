@@ -33,12 +33,13 @@ def random_control(driver, dim, seed=0):
 
 
 def test_make_problem_projects_data():
+    # the data hold eigen coordinates of the nodal Ritz projections
     space, grid, data = small_setup(n_elems=16, n_steps=4)
     assert data.sigma.shape == (5, space.dim)
     prof = ritz_project(space, lambda x: np.pi * np.cos(np.pi * x))
     for n, t in enumerate(grid.nodes):
-        assert_allclose(data.sigma[n], np.exp(-t) * prof, rtol=1e-12)
-    assert_allclose(data.x0, prof, rtol=1e-12)
+        assert_allclose(space.from_eigen(data.sigma[n]), np.exp(-t) * prof, rtol=0, atol=1e-12)
+    assert_allclose(space.from_eigen(data.x0), prof, rtol=0, atol=1e-12)
 
 
 def test_with_grid_matches_make_problem_when_time_factor_vanishes_at_zero():
@@ -74,10 +75,11 @@ def test_l2_projection_mode_differs_from_ritz():
     space = build_fem_space(8)
     grid = make_time_grid(1.0, 2)
     ritz = make_problem(space, grid)
+    ritz_x0 = space.from_eigen(ritz.x0)
     l2_x0 = oracles.l2_project(space, ritz.sigma_spec.x0)
-    assert np.abs(ritz.x0 - l2_x0).max() > 1e-8
+    assert np.abs(ritz_x0 - l2_x0).max() > 1e-8
     # both are second-order accurate samplings of sin(pi x)
-    assert np.abs(ritz.x0 - np.sin(np.pi * space.nodes)).max() < 5e-2
+    assert np.abs(ritz_x0 - np.sin(np.pi * space.nodes)).max() < 5e-2
 
 
 def test_a0_apply_matches_dense():
@@ -118,9 +120,9 @@ def test_forward_matches_literal_products_on_tree():
     gam = oracles.nodal(space, oracles.apply_Gamma(data, drv))
     lu = oracles.nodal(space, oracles.apply_L(data, drv, U))
     f = oracles.nodal(space, oracles.compute_f(data, drv))
-    gam_ref = oracles.literal_gamma(space, drv, data.x0)
+    gam_ref = oracles.literal_gamma(space, drv, space.from_eigen(data.x0))
     lu_ref = oracles.literal_l(space, drv, oracles.nodal(space, U))
-    f_ref = oracles.literal_f(space, drv, data.sigma)
+    f_ref = oracles.literal_f(space, drv, space.from_eigen(data.sigma))
     for n in range(grid.n_steps + 1):
         assert_allclose(oracles.pathwise(drv, gam.at(n), n), gam_ref[n], atol=1e-12)
         assert_allclose(oracles.pathwise(drv, lu.at(n), n), lu_ref[n], atol=1e-12)
@@ -149,20 +151,21 @@ def test_conditional_mean_follows_deterministic_recursion():
     )
     X = oracles.nodal(space, solve_forward(data, drv, U))
     A0 = oracles.dense_a0(space, grid.tau)
-    m = data.x0.copy()
+    m = space.from_eigen(data.x0)
     for n in range(grid.n_steps):
         m = A0 @ (m + grid.tau * space.from_eigen(u_det[n]))
         assert_allclose(tree_condexp(X.at(n + 1), n + 1, 0)[0], m, atol=1e-12)
 
 
 def test_second_moment_of_eigenmode_is_exact_on_tree():
-    # for x0 = v_i, U = 0, sigma = 0:  E ||X_n||_M^2 = ((1 + tau) / (1 + tau lam_i)^2)^n
+    # for x0 = v_i (eigen coordinates e_i), U = 0, sigma = 0:
+    # E ||X_n||_M^2 = ((1 + tau) / (1 + tau lam_i)^2)^n
     space, grid, _ = small_setup(n_elems=8, n_steps=6)
     drv = TreeDriver(grid)
     tau = grid.tau
     i = 2
     data = make_problem(space, grid, sigma_spec=default_sigma_spec(scale=0.0))
-    X = oracles.apply_Gamma(data, drv, x0=space.eigvecs[:, i])
+    X = oracles.apply_Gamma(data, drv, x0=np.eye(space.dim)[i])
     lam = space.eigvals[i]
     for n in range(grid.n_steps + 1):
         sq = (X.at(n) * X.at(n)).sum(axis=1)
@@ -171,18 +174,50 @@ def test_second_moment_of_eigenmode_is_exact_on_tree():
 
 
 def test_feedback_control_is_sampled_at_left_nodes():
+    # a gain pair realizes U_n = -(g_n X_n + h_n) from the state at t_n, and
+    # the realized control, stored, drives the same state
     space, grid, data = small_setup()
     drv = TreeDriver(grid)
-    seen = []
-
-    def feedback(t, x):
-        seen.append(t)
-        return -0.1 * x
-
-    X, U = solve_forward(data, drv, feedback, return_control=True)
-    assert_allclose(seen, grid.nodes[:-1])
+    rng = np.random.default_rng(8)
+    g, h = rng.uniform(0.5, 2.0, (2, grid.n_steps, space.dim))
+    X, U = solve_forward(data, drv, (g, h))
+    assert (U.start, U.stop) == (0, grid.n_steps - 1)
     for n in range(grid.n_steps):
-        assert_allclose(U.at(n), -0.1 * X.at(n))
+        assert np.array_equal(U.at(n), -(g[n] * X.at(n) + h[n]))
+    X_stored = solve_forward(data, drv, U)
+    for n in range(grid.n_steps + 1):
+        assert np.array_equal(X_stored.at(n), X.at(n))
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_feedback_gains_match_nodal_callable_oracle(kind, noise):
+    # the nodal oracle applies the same law through a callable on nodal values
+    space, grid, data = small_setup(n_elems=9, n_steps=5, noise=noise)
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 200, seed=3)
+    rng = np.random.default_rng(9)
+    g, h = rng.uniform(0.5, 2.0, (2, grid.n_steps, space.dim))
+
+    def nodal_law(t, x):
+        n = int(round(t / grid.tau))
+        return space.from_eigen(-(g[n] * space.to_eigen(x) + h[n]))
+
+    X, U = solve_forward(data, drv, (g, h))
+    x_ref, u_ref = oracles.nodal_forward(
+        data, drv, space.from_eigen(data.x0), nodal_law, space.from_eigen(data.sigma),
+        return_control=True,
+    )
+    for n in range(grid.n_steps):
+        assert_allclose(space.from_eigen(U.at(n)), u_ref.at(n), rtol=0, atol=1e-12)
+    for n in range(grid.n_steps + 1):
+        assert_allclose(space.from_eigen(X.at(n)), x_ref.at(n), rtol=0, atol=1e-12)
+
+
+def test_solve_forward_rejects_gains_of_another_grid():
+    space, grid, data = small_setup(n_steps=4)
+    gains = np.ones((2, 8, space.dim))
+    with pytest.raises(ValueError, match="gains need shape"):
+        solve_forward(data, TreeDriver(grid), gains)
 
 
 def test_additive_noise_gamma_is_deterministic():
@@ -190,7 +225,7 @@ def test_additive_noise_gamma_is_deterministic():
     drv = TreeDriver(grid)
     gam = oracles.nodal(space, oracles.apply_Gamma(data, drv))
     A0 = oracles.dense_a0(space, grid.tau)
-    v = data.x0.copy()
+    v = space.from_eigen(data.x0)
     for n in range(grid.n_steps + 1):
         assert_allclose(gam.at(n), np.broadcast_to(v, gam.at(n).shape), atol=1e-13)
         v = A0 @ v
@@ -305,7 +340,7 @@ def test_forward_stability_without_forcing():
     ]
     # (1 + tau) / (1 + tau lam_1)^2 < 1 for the default data, so decay holds
     assert all(b <= a * (1 + 1e-12) for a, b in zip(sq, sq[1:]))
-    assert np.linalg.norm(X.at(0)[0]) <= oracles.l2_norm(space, data.x0) + 1e-12
+    assert np.linalg.norm(X.at(0)[0]) <= np.linalg.norm(data.x0) + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])

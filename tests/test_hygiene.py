@@ -44,28 +44,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def top_definitions(tree):
+    """(label, name, node) of the top-level functions and classes of a module
+    and of the non-dunder methods and properties of its top-level classes,
+    labelled ``Class.method``."""
+    defined = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((top.name, top.name, top))
+        if isinstance(top, ast.ClassDef):
+            defined += [
+                (f"{top.name}.{item.name}", item.name, item)
+                for item in top.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return defined
+
+
 def unreferenced_definitions(sources):
     """Definitions that no other code in ``sources`` reads.
 
-    Checked are top-level functions and classes, and the non-dunder methods
-    and properties of top-level classes (reported as ``Class.method``).  A
-    reference is an ``ast.Name`` or ``ast.Attribute`` with the defined
-    name, outside the definition itself (so recursion does not count, and
-    neither do docstrings or imports).
+    Checked are the :func:`top_definitions`.  A reference is an
+    ``ast.Name`` or ``ast.Attribute`` with the defined name, outside the
+    definition itself (so recursion does not count, and neither do
+    docstrings or imports).
     """
     defined, refs = [], {}  # defined: (label, name, node); refs: name -> [reading nodes]
     for source in sources:
         tree = ast.parse(source)
-        for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((top.name, top.name, top))
-            if isinstance(top, ast.ClassDef):
-                defined += [
-                    (f"{top.name}.{item.name}", item.name, item)
-                    for item in top.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (item.name.startswith("__") and item.name.endswith("__"))
-                ]
+        defined += top_definitions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append(node)
@@ -167,3 +175,36 @@ def test_unpassed_default_detection():
 def test_every_src_default_is_passed_by_src():
     sources = [path.read_text(encoding="utf-8") for path in SRC]
     assert sorted(set(unpassed_defaults(sources)) - UNPASSED_DEFAULTS_ALLOWED) == []
+
+
+def stale_names(names, sources):
+    """Names of ``names`` that no longer label a definition in ``sources``.
+
+    A label is one of the :func:`top_definitions` or a parameter of any
+    function (``function.parameter``), the forms the two allow-lists
+    above use.
+    """
+    labels = set()
+    for source in sources:
+        tree = ast.parse(source)
+        labels.update(label for label, _, _ in top_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                labels.update(f"{node.name}.{arg.arg}" for arg in params)
+    return sorted(set(names) - labels)
+
+
+def test_stale_name_detection():
+    source = (
+        "def kept(x=0):\n    return x\n\n"
+        "class Space:\n    def from_eigen(self, c):\n        return c\n"
+    )
+    names = {"kept", "kept.x", "Space.from_eigen", "gone", "kept.flag", "Space.to_eigen"}
+    assert stale_names(names, [source]) == ["Space.to_eigen", "gone", "kept.flag"]
+
+
+def test_allow_lists_name_only_existing_src_code():
+    sources = [path.read_text(encoding="utf-8") for path in SRC]
+    assert stale_names(ENTRY_POINTS | UNPASSED_DEFAULTS_ALLOWED, sources) == []

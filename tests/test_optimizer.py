@@ -46,7 +46,7 @@ def random_control(driver, dim, rng, amp=1.0):
 
 def feedback_solve(data, driver):
     """The discrete optimum as the realized control of the discrete Riccati feedback."""
-    return solve_forward(data, driver, discrete_feedback(data), return_control=True)[1]
+    return solve_forward(data, driver, discrete_feedback(data))[1]
 
 
 # the two routes to the exact discrete optimum: the conjugate-gradient oracle
@@ -108,7 +108,7 @@ def test_cost_single_step_two_leaf_enumeration():
     )
     grid = make_time_grid(1.0, 1)
     data = make_problem(space, grid, alpha=0.0, sigma_spec=spec)
-    assert_allclose(data.x0, [x_val], atol=1e-14)
+    assert_allclose(space.from_eigen(data.x0), [x_val], atol=1e-14)
     driver = TreeDriver(grid)
     u = zeros_process(driver, 1, 0, 0)
     state = solve_forward(data, driver, u)
@@ -410,7 +410,7 @@ def test_gd_with_regression_approaches_discrete_optimum_on_paths():
     for n_paths in (250, 1000):
         driver = gaussian_driver(grid, n_paths, seed=20250801)
         u, _ = gradient_descent(data, driver, 60)
-        _, u_opt = solve_forward(data, driver, fb, return_control=True)
+        _, u_opt = solve_forward(data, driver, fb)
         gaps.append(np.sqrt(control_norm_sq(data, u - u_opt) / control_norm_sq(data, u_opt)))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 0.12

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,31 +288,21 @@ def test_phi_sign_coupling_and_value_integral_decreasing():
 def test_feedback_trivial_cases():
     space = build_fem_space(8)
     ric = riccati_for(space, alpha=0.0, spec=default_sigma_spec(scale=0.0))
-    x = np.zeros(space.dim)
-    assert_allclose(feedback_control(ric, x, 0.3), 0.0, atol=1e-15)
-    # alpha = 0: p(T) = 0 and phi(T) = 0, so the feedback vanishes at T
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(space.dim)
-    assert np.abs(feedback_control(ric, x, 1.0)).max() < 1e-12
+    # zero noise data: the offset gain phi vanishes
+    _, h = feedback_control(ric, [0.3])
+    assert_allclose(h, 0.0, atol=1e-15)
+    # alpha = 0: p(T) = 0 and phi(T) = 0, so both gains vanish at T
+    g, h = feedback_control(ric, [1.0])
+    assert np.abs(g).max() < 1e-12 and np.abs(h).max() < 1e-12
 
 
 def test_feedback_rejects_time_outside_horizon():
     space = build_fem_space(4)
     ric = riccati_for(space)
     with pytest.raises(ValueError):
-        feedback_control(ric, np.zeros(space.dim), 1.5)
+        feedback_control(ric, [0.0, 1.5])
     with pytest.raises(ValueError):
-        feedback_control(ric, np.zeros(space.dim), -0.2)
-
-
-def test_feedback_batch_matches_single():
-    space = build_fem_space(8)
-    ric = riccati_for(space)
-    rng = np.random.default_rng(1)
-    X = rng.standard_normal((5, space.dim))
-    batch = feedback_control(ric, X, 0.4)
-    for i in range(5):
-        assert_allclose(batch[i], feedback_control(ric, X[i], 0.4), atol=1e-13)
+        feedback_control(ric, [-0.2])
 
 
 def test_single_mode_feedback_against_dense_oracle():
@@ -319,17 +311,18 @@ def test_single_mode_feedback_against_dense_oracle():
     t_nodes, P = solve_riccati_dense(space, 1.0, 1.0, k_fine=4096)
     ric = riccati_for(space, k_fine=4096)
     x = np.array([0.8])
-    for k in (0, 1000, 2500, 4096):
-        t = t_nodes[k]
-        u = feedback_control(ric, x, t)
-        u_ref = -P[k, 0, 0] * x - phi_at(ric, t)
-        assert_allclose(u, u_ref, atol=2e-9)
+    ks = [0, 1000, 2500, 4096]
+    g, h = feedback_control(ric, t_nodes[ks])
+    for j, k in enumerate(ks):
+        u_ref = -P[k, 0, 0] * x - phi_at(ric, t_nodes[k])
+        assert_allclose(-(g[j] * x + h[j]), u_ref, atol=2e-9)
 
 
 def test_value_function_trivial_zero():
     space = build_fem_space(8)
     ric = riccati_for(space, spec=default_sigma_spec(scale=0.0))
-    assert value_function(ric, np.zeros(space.dim)) == 0.0
+    ric = replace(ric, data=replace(ric.data, x0=np.zeros(space.dim)))
+    assert value_function(ric) == 0.0
 
 
 def test_value_function_small_horizon_taylor():
@@ -339,8 +332,8 @@ def test_value_function_small_horizon_taylor():
     grid = make_time_grid(T, 2)
     data = make_problem(space, grid, alpha=0.0)
     ric = solve_riccati(data, 256)
-    v = value_function(ric, data.x0)
-    lead = 0.5 * T * l2_norm(space, data.x0) ** 2
+    v = value_function(ric)
+    lead = 0.5 * T * l2_norm(space, space.from_eigen(data.x0)) ** 2
     assert abs(v - lead) < 0.03 * lead
 
 
@@ -430,7 +423,7 @@ def test_moments_zero_feedback_closed_form():
         value_integral=np.zeros(base.k_fine + 1),
     )
     traj = closed_loop_moments(zeroed)
-    m0 = space.to_eigen(data.x0)
+    m0 = data.x0
     t = fine_grid(zeroed)
     for i in range(space.dim):
         ref = m0[i] ** 2 * np.exp((1.0 - 2.0 * space.eigvals[i]) * t)
@@ -462,7 +455,7 @@ def test_cost_from_moments_matches_value_function():
         spec = default_sigma_spec(scale=scale)
         data = make_problem(space, grid, alpha=alpha, sigma_spec=spec)
         ric = solve_riccati(data, 1024)
-        v = value_function(ric, data.x0)
+        v = value_function(ric)
         c = cost_from_moments(ric)
         assert abs(v - c) <= 1e-6 * max(1.0, abs(v)), (alpha, horizon, scale, v, c)
 
@@ -483,7 +476,7 @@ def _moment_setup(n_elems=8, k_fine=32):
     space = build_fem_space(n_elems)
     data = make_problem(space, make_time_grid(1.0, 4), alpha=1.0)
     ric = solve_riccati(data, k_fine)
-    return space, ric, space.to_eigen(data.x0)
+    return space, ric, data.x0
 
 
 def _entry_stream(ric, m0, rows, cols):
@@ -537,7 +530,7 @@ def test_cost_from_moments_matches_full_matrix_evaluation():
     space = build_fem_space(16)
     data = make_problem(space, make_time_grid(0.7, 4), alpha=0.6)
     ric = solve_riccati(data, 128)
-    m0 = space.to_eigen(data.x0)
+    m0 = data.x0
     vals = np.empty(2 * ric.k_fine + 1)
     for idx, m, S in full_closed_loop_stream(ric, m0, np.outer(m0, m0)):
         p, phi, diag = ric.p_half[:, idx], ric.phi_half[:, idx], np.diagonal(S)
@@ -571,7 +564,7 @@ def test_discrete_feedback_matches_cg_oracle(depth, noise, spec):
     data = make_problem(space, grid, alpha=1.0, sigma_spec=spec, noise=noise)
     driver = TreeDriver(grid)
     u_cg = direct_solve(data, driver, tol=1e-14)
-    _, u_fb = solve_forward(data, driver, discrete_feedback(data), return_control=True)
+    _, u_fb = solve_forward(data, driver, discrete_feedback(data))
     scale = max(np.abs(u_cg.at(n)).max() for n in range(depth))
     worst = max(np.abs(u_fb.at(n) - u_cg.at(n)).max() for n in range(depth))
     assert worst <= 1e-12 * scale
@@ -595,7 +588,7 @@ def test_discrete_value_is_the_tree_cost_of_the_discrete_feedback(depth, noise, 
     space = build_fem_space(8)
     grid = make_time_grid(1.0, depth)
     data = make_problem(space, grid, alpha=1.0, sigma_spec=spec, noise=noise)
-    x, u = solve_forward(data, TreeDriver(grid), discrete_feedback(data), return_control=True)
+    x, u = solve_forward(data, TreeDriver(grid), discrete_feedback(data))
     assert_allclose(discrete_value(data), cost(data, x, u), rtol=1e-12)
 
 
@@ -609,13 +602,3 @@ def test_discrete_value_matches_cost_at_cg_optimum(noise):
     j_cg = cost(data, solve_forward(data, driver, u_cg), u_cg)
     assert_allclose(discrete_value(data), j_cg, rtol=1e-10)
 
-
-def test_discrete_feedback_rejects_times_off_the_grid():
-    space = build_fem_space(4)
-    grid = make_time_grid(1.0, 4)
-    control = discrete_feedback(make_problem(space, grid))
-    c = np.ones(space.dim)
-    assert control(grid.nodes[3], c).shape == (space.dim,)
-    for t in (-grid.tau, 0.5 * grid.tau, grid.horizon):
-        with pytest.raises(ValueError, match="not a control node"):
-            control(t, c)

@@ -193,7 +193,7 @@ def test_process_layout(kind):
     d, N = space.dim, grid.n_steps
 
     assert_layout(zeros_process(drv, d, 1, 3), 1, 3, d)
-    x, u = solve_forward(data, drv, discrete_feedback(data), return_control=True)
+    x, u = solve_forward(data, drv, discrete_feedback(data))
     assert_layout(x, 0, N, d)
     assert_layout(u, 0, N - 1, d)
     assert_layout(solve_forward(data, drv, u), 0, N, d)
