@@ -1,16 +1,14 @@
-"""Conditioning on F_{t_n}, the adjoints L*, Lhat*, the gradient kernel and
-the backward equation.
+"""Conditioning on F_{t_n}, the gradient kernel and the backward equation.
 
-Every object here is the shared backward recursion of
-:mod:`slqheat.forward` fed through the conditioning pass of
+Both objects here are the shared backward recursion of
+:mod:`slqheat.forward`, which reads the state X it adjoins (source
+-tau X, terminal value -alpha X_N), fed through the conditioning pass of
 :func:`condexp`:
-
-* ``apply_L_adjoint`` / ``apply_Lhat_adjoint`` -- the adjoints of the
-  control-to-state and control-to-terminal-state maps;
 
 * ``k_htau`` -- the kernel K X = -L*(X) - alpha Lhat*(X_N) appearing in
   the discrete optimality condition U = K X (noise multipliers start two
-  steps past the conditioning time);
+  steps past the conditioning time), with L* and Lhat* the adjoints of
+  the control-to-state and control-to-terminal-state maps;
 
 * ``implicit_euler_bsde`` -- the component Y0 of the implicit Euler
   discretization of the backward equation
@@ -24,6 +22,7 @@ Every object here is the shared backward recursion of
 All conditioning goes through :func:`condexp`, which reads a whole
 backward sweep, then writes E[H_n | F_n] into caller storage (which may
 be the state's own slots): exact subtree means on the scenario tree,
+taken with the sweep's own sibling-pair average ``driver.parent_mean``,
 and ridge-regularized least squares on Monte Carlo ensembles (features:
 constant, leading eigenbasis coordinates of the state, and the Brownian
 value at t_n), batched over all slices.  Processes hold eigen
@@ -33,7 +32,6 @@ coordinates (see :mod:`slqheat.forward`), so L2 norms are euclidean.
 import numpy as np
 
 from .forward import backward_kernel, zeros_process
-from .noise import tree_condexp
 
 
 # Ridge of the regression normal equations: keeps degenerate slices such as
@@ -60,15 +58,17 @@ def _regression_features(data, driver, state):
     return feats
 
 
-def condexp(data, driver, items, out, state=None):
+def condexp(data, driver, items, out, state):
     """Write E[H | F_{t_n}] into ``out.at(n)`` for each item (n, H, level) of a backward sweep.
 
     ``H`` holds per-scenario values living at time index ``level``; the
     items fill ``out`` once each.  All items are read before ``out`` is
     written, so ``out`` may share storage with ``state``.  On a scenario
     tree each item is the exact subtree average over the level-``n``
-    nodes.  On an ensemble it is the ridge least-squares regression of H
-    on [1, xhat_1, ..., xhat_m, W(t_n)], with xhat_i the leading
+    nodes, ``driver.parent_mean`` applied level - n times (at most twice
+    for the sweeps of :mod:`slqheat.forward`).  On an ensemble it is the
+    ridge least-squares regression of H on [1, xhat_1, ..., xhat_m,
+    W(t_n)], with xhat_i the leading
     m = min(4, d) eigenbasis coordinates of ``state`` at t_n: one batched
     product forms the grams F_n^T F_n, each item its F_n^T H, one batched
     ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
@@ -77,17 +77,20 @@ def condexp(data, driver, items, out, state=None):
     Raises
     ------
     ValueError
-        On an ensemble without ``state``, or when ``out`` is not one item
-        per time index with one row per scenario.
+        When ``out`` is not one item per time index with one row per
+        scenario.
     """
     tree = driver.kind == "tree"
-    if not tree and state is None:
-        raise ValueError("conditioning on an ensemble regresses on the state; pass state")
     feats = None if tree else _regression_features(data, driver, state)
     steps, results = [], []
     for n, H, level in items:
         steps.append(n)
-        results.append(tree_condexp(H, level, n) if tree else feats[n - state.start].T @ H)
+        if tree:
+            for _ in range(level - n):
+                H = driver.parent_mean(H)
+            results.append(H)
+        else:
+            results.append(feats[n - state.start].T @ H)
     if sorted(steps) != list(range(out.start, out.stop + 1)):
         raise ValueError(f"{len(steps)} items do not fill {out.start}..{out.stop} once each")
     out.check_fits(driver, np.shape(out.at(out.start))[-1], out.start, out.stop)
@@ -102,34 +105,6 @@ def condexp(data, driver, items, out, state=None):
     np.matmul(F, betas, out=out.values)
 
 
-def apply_L_adjoint(data, driver, xi):
-    """Adjoint of the control-to-state map in the tau-weighted pairing.
-
-    ``xi`` must cover time indices 1..N.  Returns the process with slices
-    (L* xi)(t_n) = tau E[ sum_{j>n} A0^{j-n} prod m (xi_j) | F_n ] for
-    n = 0..N-1, computed by the shared backward kernel and the
-    conditioning pass (exact trees only: there is no state to regress
-    on).
-    """
-    N, tau = data.grid.n_steps, data.grid.tau
-    out = zeros_process(driver, data.space.dim, 0, N - 1)
-    condexp(data, driver, backward_kernel(data, driver, xi.at, None, product_offset=2), out)
-    for block in out.blocks():
-        block *= tau
-    return out
-
-
-def apply_Lhat_adjoint(data, driver, eta):
-    """Adjoint of the terminal-value map U -> (L U)(t_N).
-
-    ``eta`` is a terminal (time t_N) array; slices run over n = 0..N-1
-    without the tau weight.
-    """
-    out = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
-    condexp(data, driver, backward_kernel(data, driver, None, eta, product_offset=2), out)
-    return out
-
-
 def k_htau(data, driver, state, out=None):
     """Gradient kernel K X as an adapted process over n = 0..N-1.
 
@@ -141,11 +116,9 @@ def k_htau(data, driver, state, out=None):
     it does not fit), such as ``state.window(0, N - 1)``: the sweep is
     read before Q is written.
     """
-    N, tau = data.grid.n_steps, data.grid.tau
+    N = data.grid.n_steps
     out = zeros_process(driver, data.space.dim, 0, N - 1) if out is None else out
-    v_at = lambda n: -tau * state.at(n)
-    eta = -data.alpha * np.asarray(state.at(N))
-    condexp(data, driver, backward_kernel(data, driver, v_at, eta, product_offset=2), out, state)
+    condexp(data, driver, backward_kernel(data, driver, state, product_offset=2), out, state)
     return out
 
 
@@ -164,12 +137,10 @@ def implicit_euler_bsde(data, driver, state):
     -------
     AdaptedProcess over 0..N.
     """
-    N, tau = data.grid.n_steps, data.grid.tau
-    v_at = lambda n: -tau * state.at(n)
-    terminal = -data.alpha * np.asarray(state.at(N))
+    N = data.grid.n_steps
     y0 = zeros_process(driver, data.space.dim, 0, N)
-    y0.at(N)[...] = terminal
-    sweep = backward_kernel(data, driver, v_at, terminal, product_offset=1)
+    y0.at(N)[...] = -data.alpha * np.asarray(state.at(N))
+    sweep = backward_kernel(data, driver, state, product_offset=1)
     condexp(data, driver, sweep, y0.window(0, N - 1), state)
     return y0
 

@@ -121,6 +121,23 @@ def resolve_config(cfg):
             if levels and levels[0] < 1:
                 raise ValueError(f"{name} must be at least 1, got {levels}")
             cfg = replace(cfg, **{name: levels})
+    # element counts need an interior node; step counts need one step
+    sizes = dict(n_elems=2, mesh_ref=2, time_steps=1, n_ref=1, k_fine=1)
+    for name, least in sizes.items():
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if cfg.study == "spatial_rate":
+        for lvl in cfg.mesh_levels:
+            if cfg.mesh_ref % lvl != 0:
+                raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
+    if cfg.study == "temporal_rate":
+        for lvl in cfg.time_levels:
+            ratio = cfg.n_ref // lvl
+            if cfg.n_ref % lvl != 0 or ratio & (ratio - 1):
+                raise ValueError(
+                    f"n_ref={cfg.n_ref} must be a power-of-two multiple of level {lvl}"
+                )
     if cfg.study not in ("temporal_rate", "gd_convergence"):
         given = [f for f in ("kappa", "max_iters", "tol_grad") if getattr(cfg, f) is not None]
         if given:
@@ -349,9 +366,6 @@ def run_spatial_rate(cfg):
     first-order bound.
     """
     cfg = resolve_config(cfg)
-    for lvl in cfg.mesh_levels:
-        if cfg.mesh_ref % lvl != 0:
-            raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
     started = time.perf_counter()
     ric_r = _feedback_solution(cfg.mesh_ref, cfg)
     ctrl_rows, state_rows = [], []
@@ -419,9 +433,6 @@ def run_temporal_rate(cfg):
     iterations, final gradient norm and stop reason, reference first.
     """
     cfg = resolve_config(cfg)
-    for lvl in cfg.time_levels:
-        if cfg.n_ref % lvl != 0 or (cfg.n_ref // lvl) & (cfg.n_ref // lvl - 1):
-            raise ValueError(f"n_ref={cfg.n_ref} must be a power-of-two multiple of level {lvl}")
     started = time.perf_counter()
     space = build_fem_space(cfg.n_elems)
     grid_ref = make_time_grid(cfg.horizon, cfg.n_ref)

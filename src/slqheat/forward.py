@@ -16,12 +16,12 @@ propagates the initial datum, L the control, and f the inhomogeneous
 noise; each part is :func:`solve_forward` on the problem with the other
 data set to zero.
 
-The adjoints L* and Lhat* and the gradient kernel (all in
-:mod:`slqheat.adjoint`) condition one backward recursion on time t_n:
-with V a process, eta a terminal value and multipliers m_k = 1 + dW_k
-(linear noise; m_k = 1 for additive), G_N = eta and
+The gradient kernel and the implicit-Euler backward equation (both in
+:mod:`slqheat.adjoint`) condition one backward recursion on time t_n.
+It adjoins a state X: with multipliers m_k = 1 + dW_k (linear noise;
+m_k = 1 for additive), G_N = -alpha X_N and V_n = -tau X_n,
 
-    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1})   (offset 2: adjoints, gradient kernel),
+    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1})   (offset 2: gradient kernel),
     G_n = A0 m_{n+1} (V_{n+1} + G_{n+1})   (offset 1: implicit-Euler backward equation).
 
 By the tower property the sweep carries H_n = E[G_n | F_l] at level
@@ -226,11 +226,6 @@ def a0_scale(space, tau):
     return 1.0 / (1.0 + tau * space.eigvals)
 
 
-def a0_apply(space, tau, c):
-    """One implicit Euler smoothing step A0 c on eigen coordinates."""
-    return np.asarray(c, dtype=float) * a0_scale(space, tau)
-
-
 def solve_forward(data, driver, control=None, out=None):
     """Run the full state recursion from the problem's initial datum.
 
@@ -276,7 +271,7 @@ def solve_forward(data, driver, control=None, out=None):
             np.multiply(gains[0][n], xn, out=un)
             un += gains[1][n]
             np.negative(un, out=un)
-        par = driver.child_expand(xn, n)
+        par = driver.child_expand(xn)
         dw = driver.increments_at(n + 1)[:, None]
         out = proc.values[n + 1]
         if linear:
@@ -284,49 +279,46 @@ def solve_forward(data, driver, control=None, out=None):
         else:
             out[...] = par
         if un is not None:
-            out += tau * driver.child_expand(un, n)
+            out += tau * driver.child_expand(un)
         out += data.sigma[n] * dw
         out *= scale
     return proc if gains is None else (proc, control)
 
 
-def backward_kernel(data, driver, v_at, eta, product_offset):
-    """Backward recursion shared by all adjoint-type operators.
+def backward_kernel(data, driver, state, product_offset):
+    """Backward recursion of the gradient kernel and the backward equation.
 
     Yields (n, H_n, level) for n = N-1 down to 0: H_n = E[G_n | F_level],
     level = min(n + product_offset, N), in eigen coordinates with one row
-    per level-``level`` tree node or per ensemble path.  ``v_at(n)``
-    returns the running-source slice at time index n (or None for zero);
-    ``eta`` is the terminal value (a level-N slice, one vector, or None).
+    per level-``level`` tree node or per ensemble path.  The running
+    source -tau X_{n+1} and the terminal value -alpha X_N are read from
+    ``state``, the process over 0..N that the sweep adjoins.
     ``product_offset`` selects where the noise multipliers start relative
-    to the conditioning time: offset 2 gives the adjoint/gradient kernel,
-    offset 1 the implicit-Euler backward equation.  For additive noise
-    the multipliers collapse to 1.  Each step allocates one array, so a
+    to the conditioning time: offset 2 gives the gradient kernel, offset 1
+    the implicit-Euler backward equation.  For additive noise the
+    multipliers collapse to 1.  Each step allocates one array, so a
     yielded H is never written again.
     """
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
-    d = space.dim
     linear = data.noise == "linear"
     scale = a0_scale(space, tau)
     if product_offset not in (1, 2):
         raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
 
-    shape = (driver.n_scenarios(N), d)
-    H = np.zeros(shape) if eta is None else np.broadcast_to(np.asarray(eta, dtype=float), shape)
+    H = -data.alpha * np.asarray(state.at(N))
     level = N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:
             H = driver.parent_mean(H)
             level -= 1
-        vn1 = v_at(n + 1) if v_at is not None else None
-        if vn1 is not None and level > n + 1:
-            vn1 = driver.child_expand(vn1, n + 1)
+        vn1 = -tau * state.at(n + 1)
+        if level > n + 1:
+            vn1 = driver.child_expand(vn1)
         fresh = None  # the step's first operation allocates, the rest run in place
         if linear and product_offset == 2 and n <= N - 2:
             H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 2))[:, None], out=fresh)
-        if vn1 is not None:
-            H = fresh = np.add(H, vn1, out=fresh)
+        H = fresh = np.add(H, vn1, out=fresh)
         if linear and product_offset == 1:
             H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 1))[:, None], out=fresh)
         H = np.multiply(H, scale, out=fresh)

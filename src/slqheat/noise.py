@@ -7,8 +7,9 @@ scheme:
   Level n holds 2^n nodes; node s at level n has children 2s and 2s+1 at
   level n+1, and the step-(n+1) increment attached to a child is read off
   its last bit (odd child -> +sqrt(tau), even child -> -sqrt(tau)).
-  Conditional expectations are exact subtree averages (``tree_condexp``),
-  so every quantity computed on the tree is free of sampling error.
+  Conditional expectations are exact subtree averages, taken one level
+  at a time by the sibling-pair average ``parent_mean``, so every
+  quantity computed on the tree is free of sampling error.
 
 * ``EnsembleDriver`` -- Monte Carlo paths of Gaussian increments with a
   counter-based generator, so path p is the same no matter how many paths
@@ -62,22 +63,6 @@ def make_time_grid(horizon, n_steps):
     return TimeGrid(horizon=float(horizon), n_steps=n_steps, tau=tau, nodes=tau * np.arange(n_steps + 1))
 
 
-def tree_condexp(values, from_level, to_level):
-    """Exact conditional expectation on the binary tree.
-
-    Averages an array of per-node values at ``from_level`` (first axis of
-    length 2^from_level) over the subtrees rooted at ``to_level``.
-    """
-    if not 0 <= to_level <= from_level:
-        raise ValueError(f"cannot condition level {from_level} data on level {to_level}")
-    values = np.asarray(values)
-    if values.shape[0] != 1 << from_level:
-        raise ValueError(f"level {from_level} data need {1 << from_level} rows, got {len(values)}")
-    lead = 1 << to_level
-    fan = 1 << (from_level - to_level)
-    return values.reshape((lead, fan) + values.shape[1:]).mean(axis=1)
-
-
 @dataclass
 class TreeDriver:
     """Binary scenario tree of Wiener increments +-sqrt(tau)."""
@@ -104,8 +89,8 @@ class TreeDriver:
             self._increment_cache[step] = inc
         return self._increment_cache[step]
 
-    def child_expand(self, values, level):
-        """Lift level-``level`` node values to their children one level down."""
+    def child_expand(self, values):
+        """Lift node values to their children one level down."""
         return np.repeat(np.asarray(values), 2, axis=0)
 
     def parent_mean(self, values):
@@ -135,7 +120,7 @@ class EnsembleDriver:
     def increments_at(self, step):
         return self.increments[:, step - 1]
 
-    def child_expand(self, values, level):
+    def child_expand(self, values):
         return np.asarray(values)
 
     def parent_mean(self, values):

@@ -16,9 +16,14 @@ sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 ``compute_f``, ``gradient``, ``bsde_martingale`` (the Zbar0 component of
 the backward equation) and ``bsde_residual`` are library operators
-that only the tests use, as are ``l2_project`` (the L2 projection the
-scheme does not use; the data are Ritz-projected) and
-``riccati_mode_derivative`` (the exact derivative of the Riccati modes).
+that only the tests use, as are ``a0_apply`` (one implicit Euler step),
+``tree_condexp`` (a subtree average over any number of levels, where the
+library applies the sibling-pair average level by level), ``l2_project``
+(the L2 projection the scheme does not use; the data are Ritz-projected)
+and ``riccati_mode_derivative`` (the exact derivative of the Riccati
+modes).  ``apply_L_adjoint`` and ``apply_Lhat_adjoint`` are the adjoints
+L* and Lhat* on trees, read off the library's gradient kernel at
+alpha = 0 from a state that is xi, or zero but for its terminal slice.
 ``feedback_control`` samples the gains (p(t_n), phi(t_n)) of the
 semidiscrete feedback law at given times, reading ``p_at`` and
 ``phi_at`` (with ``fine_grid``, the nodes of the dense grid), in the
@@ -42,9 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from slqheat.adjoint import condexp, k_htau
-from slqheat.forward import AdaptedProcess, backward_kernel, solve_forward, zeros_process
+from slqheat.forward import AdaptedProcess, a0_scale, backward_kernel, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
-from slqheat.noise import tree_condexp
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
     RiccatiSolution,
@@ -54,6 +58,27 @@ from slqheat.riccati import (
     _stationary_roots,
     riccati_mode_values,
 )
+
+
+def a0_apply(space, tau, c):
+    """One implicit Euler smoothing step A0 c on eigen coordinates."""
+    return np.asarray(c, dtype=float) * a0_scale(space, tau)
+
+
+def tree_condexp(values, from_level, to_level):
+    """Exact conditional expectation on the binary tree.
+
+    Averages an array of per-node values at ``from_level`` (first axis of
+    length 2^from_level) over the subtrees rooted at ``to_level``.
+    """
+    if not 0 <= to_level <= from_level:
+        raise ValueError(f"cannot condition level {from_level} data on level {to_level}")
+    values = np.asarray(values)
+    if values.shape[0] != 1 << from_level:
+        raise ValueError(f"level {from_level} data need {1 << from_level} rows, got {len(values)}")
+    lead = 1 << to_level
+    fan = 1 << (from_level - to_level)
+    return values.reshape((lead, fan) + values.shape[1:]).mean(axis=1)
 
 
 def dense_a0(space, tau):
@@ -105,6 +130,34 @@ def apply_L(data, driver, control):
 def compute_f(data, driver):
     """Inhomogeneous part driven by sigma dW alone."""
     return solve_forward(replace(data, x0=0.0 * data.x0), driver)
+
+
+def apply_L_adjoint(data, driver, xi):
+    """L* xi over n = 0..N-1 of a tree process xi over 1..N: -K(0, xi_1, ..., xi_N) at alpha = 0.
+
+    With alpha = 0 the gradient kernel K X is -L*(X); on a tree its sweep
+    reads no X_0.
+    """
+    N, d = data.grid.n_steps, data.space.dim
+    slices = [np.zeros((1, d))] + [xi.at(n) for n in range(1, N + 1)]
+    out = k_htau(replace(data, alpha=0.0), driver, AdaptedProcess(driver, 0, slices))
+    for block in out.blocks():
+        np.negative(block, out=block)
+    return out
+
+
+def apply_Lhat_adjoint(data, driver, eta):
+    """Lhat* eta over n = 0..N-1 of a tree terminal eta: -K(0, ..., 0, eta) / tau at alpha = 0.
+
+    The sweep adds its source -tau X_N where the terminal value enters, so
+    a state that is zero but for X_N = eta gives K = -tau Lhat* eta.
+    """
+    N, d = data.grid.n_steps, data.space.dim
+    slices = [np.zeros((driver.n_scenarios(n), d)) for n in range(N)] + [eta]
+    out = k_htau(replace(data, alpha=0.0), driver, AdaptedProcess(driver, 0, slices))
+    for block in out.blocks():
+        block /= -data.grid.tau
+    return out
 
 
 def gradient(data, driver, control):
@@ -264,11 +317,15 @@ def regression_condexp(features, targets):
 def slice_condexp(data, driver, values, level, n, state=None):
     """E[values | F_{t_n}] for per-scenario values living at time index ``level``.
 
-    Subtree averages on a tree; on an ensemble one ridge regression of
-    this slice on [1, xhat_1, ..., xhat_m, W(t_n)], m = min(4, d).
+    Subtree averages on a tree, one level at a time like the library's
+    sibling-pair average (so the per-slice loops round as the library
+    does); on an ensemble one ridge regression of this slice on
+    [1, xhat_1, ..., xhat_m, W(t_n)], m = min(4, d).
     """
     if driver.kind == "tree":
-        return tree_condexp(values, level, n)
+        for k in range(level, n, -1):
+            values = tree_condexp(values, k, k - 1)
+        return values
     if state is None:
         raise ValueError("conditioning on an ensemble regresses on the state; pass state")
     m = min(4, data.space.dim)
@@ -279,11 +336,8 @@ def slice_condexp(data, driver, values, level, n, state=None):
 
 def slice_k_htau(data, driver, state):
     """Gradient kernel slices n = 0..N-1, conditioned one slice at a time."""
-    tau, alpha, N = data.grid.tau, data.alpha, data.grid.n_steps
-    v_at = lambda n: -tau * state.at(n)
-    eta = -alpha * np.asarray(state.at(N))
-    out = [None] * N
-    for n, H, level in backward_kernel(data, driver, v_at, eta, product_offset=2):
+    out = [None] * data.grid.n_steps
+    for n, H, level in backward_kernel(data, driver, state, product_offset=2):
         out[n] = slice_condexp(data, driver, H, level, n, state)
     return out
 
@@ -291,11 +345,9 @@ def slice_k_htau(data, driver, state):
 def slice_implicit_euler_bsde(data, driver, state):
     """Backward-equation slices (Y0 over 0..N, Zbar0 over 0..N-1), one conditioning per slice."""
     N, tau = data.grid.n_steps, data.grid.tau
-    v_at = lambda n: -tau * state.at(n)
-    terminal = -data.alpha * np.asarray(state.at(N))
     y_vals = [None] * (N + 1)
-    y_vals[N] = np.array(terminal)
-    for n, H, level in backward_kernel(data, driver, v_at, terminal, product_offset=1):
+    y_vals[N] = -data.alpha * np.asarray(state.at(N))
+    for n, H, level in backward_kernel(data, driver, state, product_offset=1):
         y_vals[n] = slice_condexp(data, driver, H, level, n, state)
     z_vals = [None] * N
     for n in range(N):
@@ -655,14 +707,14 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
                 np.zeros((driver.n_scenarios(n), d)) if un is None
                 else np.array(np.broadcast_to(un, xn.shape), dtype=float)
             )
-        par = driver.child_expand(xn, n)
+        par = driver.child_expand(xn)
         dw = driver.increments_at(n + 1)[:, None]
         if linear:
             rhs = par * (1.0 + dw)
         else:
             rhs = par.copy()
         if un is not None:
-            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape), n)
+            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape))
         if sigma is not None:
             rhs += sigma[n] * dw
         values.append(rhs @ A0.T)

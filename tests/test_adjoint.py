@@ -3,23 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from slqheat.adjoint import (
-    adjoint_gap,
-    apply_L_adjoint,
-    apply_Lhat_adjoint,
-    condexp,
-    implicit_euler_bsde,
-    k_htau,
-)
-from slqheat.forward import (
-    AdaptedProcess,
-    a0_apply,
-    make_problem,
-    solve_forward,
-    zeros_process,
-)
+from oracles import a0_apply, apply_L_adjoint, apply_Lhat_adjoint, tree_condexp
+from slqheat.adjoint import adjoint_gap, condexp, implicit_euler_bsde, k_htau
+from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
 from slqheat.mesh import build_fem_space
-from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, tree_condexp
+from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 
 
 def tree_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
@@ -66,7 +54,7 @@ def test_k_htau_into_state_slots_equals_fresh_storage(kind):
         assert np.array_equal(X.at(n), fresh.at(n))
 
 
-def conditioned(data, drv, items, state=None):
+def conditioned(data, drv, items, state):
     """condexp into fresh storage over the items' time indices, as {n: slice}."""
     steps = [n for n, _, _ in items]
     out = zeros_process(drv, np.shape(items[0][1])[1], min(steps), max(steps))
@@ -155,7 +143,7 @@ def test_condexp_is_exact_subtree_average_on_tree():
     space, grid, data, drv = tree_setup()
     vals = np.arange(8.0)[:, None]
     items = [(1, vals, 3), (0, vals[:4], 2)]
-    got = conditioned(data, drv, items)
+    got = conditioned(data, drv, items, solve_forward(data, drv))
     assert_allclose(got[1], tree_condexp(vals, 3, 1))
     # data living at an intermediate level condition the same way
     assert_allclose(got[0], [[1.5]])
@@ -197,15 +185,6 @@ def test_regression_estimator_constant_slice_at_time_zero():
     pred = conditioned(data, drv, [(0, targets, 0)], X)[0]
     assert np.abs(pred - pred[0]).max() < 1e-8
     assert_allclose(pred[0], targets.mean(axis=0), atol=1e-6)
-
-
-def test_regression_estimator_requires_state():
-    space = build_fem_space(5)
-    grid = make_time_grid(1.0, 4)
-    data = make_problem(space, grid)
-    drv = gaussian_driver(grid, 50, seed=7)
-    with pytest.raises(ValueError, match="state"):
-        conditioned(data, drv, [(1, np.ones((50, space.dim)), 1)])
 
 
 def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():

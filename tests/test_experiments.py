@@ -90,6 +90,19 @@ def test_resolve_config_rejects_bad_input():
     ):
         with pytest.raises(ValueError, match="must be at least 1"):
             make_config(study, **field)
+    # sizes below their minimum would fail only inside the study, with a
+    # traceback (n_ref=0 and mesh_ref=0 pass the nesting checks)
+    for study, field, message in (
+        ("temporal_rate", dict(n_ref=0), "n_ref must be at least 1"),
+        ("spatial_rate", dict(mesh_ref=0), "mesh_ref must be at least 2"),
+        ("gd_convergence", dict(time_steps=0), "time_steps must be at least 1"),
+        ("gd_convergence", dict(n_elems=1), "n_elems must be at least 2"),
+        ("spatial_rate", dict(k_fine=0), "k_fine must be at least 1"),
+        ("spatial_rate", dict(mesh_ref=100), "not nested over level 8"),
+        ("temporal_rate", dict(n_ref=96), "power-of-two multiple of level 8"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make_config(study, **field)
 
 
 # -------------------------------------------------------------- rate table
@@ -211,9 +224,11 @@ def test_spatial_reference_level_row_is_zero(tmp_path):
 
 
 def test_spatial_requires_nested_reference(tmp_path):
-    cfg = make_config("spatial_rate", mesh_levels=(6,), mesh_ref=8, out=str(tmp_path))
+    fields = dict(mesh_levels=(6,), mesh_ref=8, out=str(tmp_path))
     with pytest.raises(ValueError, match="not nested"):
-        run_spatial_rate(cfg)
+        make_config("spatial_rate", **fields)
+    with pytest.raises(ValueError, match="not nested"):
+        run_spatial_rate(ExperimentConfig(study="spatial_rate", **fields))
 
 
 def test_spatial_rate_rejects_additive_noise(tmp_path):
@@ -304,9 +319,11 @@ def test_temporal_manifest_records_descent_per_level(tmp_path, tol_grad, stop, i
 
 
 def test_temporal_requires_power_of_two_nesting(tmp_path):
-    cfg = make_config("temporal_rate", time_levels=(6,), n_ref=18, n_paths=10, out=str(tmp_path))
+    fields = dict(time_levels=(6,), n_ref=18, n_paths=10, out=str(tmp_path))
     with pytest.raises(ValueError, match="power-of-two"):
-        run_temporal_rate(cfg)
+        make_config("temporal_rate", **fields)
+    with pytest.raises(ValueError, match="power-of-two"):
+        run_temporal_rate(ExperimentConfig(study="temporal_rate", **fields))
 
 
 def test_temporal_rate_halving_order(tmp_path):
@@ -532,6 +549,17 @@ def test_cli_rejects_zero_time_level(tmp_path, capsys):
         main(["temporal_rate", "--config", str(config), "--out", str(out)])
     assert exc.value.code == 2
     assert "time_levels must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("mesh_ref = 100\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["spatial_rate", "--config", str(config), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "reference mesh 100 is not nested over level 8" in capsys.readouterr().err
     assert not out.exists()
 
 

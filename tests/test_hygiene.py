@@ -11,14 +11,9 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 # Documented entry points, exempt from the unreferenced-code check because
 # their callers live outside src/: the harness (make_config, run_study),
-# the console script (cli.main), the adjoints L*, Lhat* of the README, the
-# one-step operator a0_apply, which the benchmark traces as a layer, and
-# FemSpace.from_eigen, the documented way from eigen coordinates back to
-# nodal values.
-ENTRY_POINTS = {
-    "make_config", "run_study", "main", "apply_L_adjoint", "apply_Lhat_adjoint", "a0_apply",
-    "FemSpace.from_eigen",
-}
+# the console script (cli.main), and FemSpace.from_eigen, the documented
+# way from eigen coordinates back to nodal values.
+ENTRY_POINTS = {"make_config", "run_study", "main", "FemSpace.from_eigen"}
 
 
 def unused_imports(source):
@@ -175,6 +170,49 @@ def test_unpassed_default_detection():
 def test_every_src_default_is_passed_by_src():
     sources = [path.read_text(encoding="utf-8") for path in SRC]
     assert sorted(set(unpassed_defaults(sources)) - UNPASSED_DEFAULTS_ALLOWED) == []
+
+
+def unread_parameters(sources):
+    """Parameters that no implementation of their function reads.
+
+    Functions and methods with the same name count together (two drivers'
+    ``n_scenarios(level)`` pass when one of them reads ``level``), and a
+    leading ``self``/``cls`` is exempt.  A read is an ``ast.Name`` with the
+    parameter's name anywhere in the body, nested functions included.
+    Reported as ``function.parameter``.
+    """
+    params, reads = {}, {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if names[:1] in (["self"], ["cls"]):
+                names = names[1:]
+            params.setdefault(node.name, set()).update(names)
+            used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            reads.setdefault(node.name, set()).update(used)
+    return sorted(f"{fn}.{p}" for fn, names in params.items() for p in names - reads[fn])
+
+
+def test_unread_parameter_detection():
+    source = (
+        "def f(a, b, *args, c=0, **kw):\n    return a + c\n\n"
+        "class Tree:\n    def size(self, level):\n        return 1 << level\n\n"
+        "    def lift(self, values, level):\n        return values\n\n"
+        "class Paths:\n    def size(self, level):\n        return 7\n\n"
+        "    def lift(self, values, level):\n        return values\n\n"
+        "def outer(x):\n    def inner():\n        return x\n    return inner\n\n"
+        "def planted(flag=False):\n    \"\"\"Mentions flag.\"\"\"\n    return 1\n"
+    )
+    assert unread_parameters([source]) == ["f.args", "f.b", "f.kw", "lift.level", "planted.flag"]
+
+
+def test_every_src_parameter_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in SRC]
+    assert unread_parameters(sources) == []
 
 
 def stale_names(names, sources):

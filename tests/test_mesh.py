@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from oracles import (
+    a0_apply,
     dense_a0,
     discrete_laplacian_apply,
     eval_fem,
@@ -15,7 +16,6 @@ from oracles import (
     l2_norm_sq_batch,
     l2_project,
 )
-from slqheat.forward import a0_apply
 from slqheat.mesh import build_fem_space, prolongation_matrix, ritz_project
 
 

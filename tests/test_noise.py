@@ -11,7 +11,6 @@ from slqheat.noise import (
     gaussian_driver,
     make_time_grid,
     refine_common_path,
-    tree_condexp,
 )
 
 
@@ -54,20 +53,20 @@ def test_tree_increments_are_standardized():
 
 def test_tree_condexp_is_subtree_mean():
     vals = np.arange(8.0)
-    out = tree_condexp(vals, 3, 1)
+    out = oracles.tree_condexp(vals, 3, 1)
     assert_allclose(out, [vals[:4].mean(), vals[4:].mean()])
     with pytest.raises(ValueError):
-        tree_condexp(vals, 3, 4)
+        oracles.tree_condexp(vals, 3, 4)
 
 
 def test_tree_condexp_rejects_rows_of_another_level():
     with pytest.raises(ValueError, match="level 3 data need 8 rows, got 4"):
-        tree_condexp(np.ones((4, 2)), 3, 1)
+        oracles.tree_condexp(np.ones((4, 2)), 3, 1)
 
 
 def test_tree_condexp_rejects_negative_level():
     with pytest.raises(ValueError, match="level 2 data on level -1"):
-        tree_condexp(np.ones((4, 2)), 2, -1)
+        oracles.tree_condexp(np.ones((4, 2)), 2, -1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -80,16 +79,16 @@ def test_tree_condexp_tower_property(j, seed):
     vals = rng.standard_normal((1 << j, 3))
     m = rng.integers(1, j + 1)
     n = rng.integers(0, m + 1)
-    two_step = tree_condexp(tree_condexp(vals, j, m), m, n)
-    one_step = tree_condexp(vals, j, n)
+    two_step = oracles.tree_condexp(oracles.tree_condexp(vals, j, m), m, n)
+    one_step = oracles.tree_condexp(vals, j, n)
     assert_allclose(two_step, one_step, atol=1e-12)
 
 
 def test_tree_pathwise_expansion_shapes():
     drv = TreeDriver(make_time_grid(1.0, 4))
     vals = np.ones((4, 3))  # level 2 node values, d = 3
-    assert drv.child_expand(vals, 2).shape == (8, 3)
-    assert_allclose(drv.parent_mean(drv.child_expand(vals, 2)), vals)
+    assert drv.child_expand(vals).shape == (8, 3)
+    assert_allclose(drv.parent_mean(drv.child_expand(vals)), vals)
     assert oracles.pathwise(drv, vals, 2).shape == (16, 3)
     assert oracles.pathwise_increment(drv, 1).shape == (16,)
 
