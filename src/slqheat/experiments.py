@@ -16,10 +16,11 @@ Five studies are provided, all driven by a flat ExperimentConfig:
                        and the gradient kernel across step counts.
 
 Every study writes CSV tables (LF endings, '.' decimal, ',' delimiter)
-and a manifest.json (config echo, package versions, wall time, and the
-measurements under "profile": peak resident memory, and temporal_rate's
-GD stop per level).  Reruns with identical config produce
-byte-identical CSVs; the measurements live only in the manifest.
+and a manifest.json (config echo, package versions, wall time, the
+study's "summary", which the CLI prints, and the measurements under
+"profile": peak resident memory, and temporal_rate's GD stop per
+level).  Reruns with identical config produce byte-identical CSVs; the
+measurements live only in the manifest.
 """
 
 import dataclasses
@@ -48,16 +49,17 @@ from .riccati import (
     value_function,
 )
 
-STUDIES = ("spatial_rate", "temporal_rate", "gd_convergence", "riccati_crosscheck", "adjoint_gap")
-
 
 @dataclass
 class ExperimentConfig:
     """Flat study configuration; None fields resolve to per-study defaults.
 
-    The scenario driver follows from the study: exact trees for
-    gd_convergence and adjoint_gap, Gaussian path ensembles for
-    temporal_rate and riccati_crosscheck, none for spatial_rate.
+    A study reads horizon, noise, sigma_scale and out plus the fields its
+    defaults table lists; setting any other field is an error.  seed is
+    read only by the studies that draw Gaussian paths.  The scenario
+    driver follows from the study: exact trees for gd_convergence and
+    adjoint_gap, Gaussian path ensembles for temporal_rate and
+    riccati_crosscheck, none for spatial_rate.
     """
 
     study: str
@@ -72,7 +74,7 @@ class ExperimentConfig:
     time_levels: tuple = None
     n_ref: int = None
     n_paths: int = None
-    seed: int = 20250801
+    seed: int = None
     kappa: float = None
     max_iters: int = None
     tol_grad: float = None
@@ -80,6 +82,7 @@ class ExperimentConfig:
     out: str = "results"
 
 
+# every field a study reads beyond horizon, noise, sigma_scale and out, with its default
 _DEFAULTS = {
     "spatial_rate": dict(alpha=1.0, mesh_levels=(8, 16, 32, 64), mesh_ref=256, k_fine=512),
     "temporal_rate": dict(
@@ -88,15 +91,21 @@ _DEFAULTS = {
         time_levels=(8, 16, 32, 64),
         n_ref=512,
         n_paths=10_000,
+        seed=20250801,
         max_iters=30,
+        kappa=None,
+        tol_grad=None,
     ),
-    "gd_convergence": dict(alpha=1.0, n_elems=8, time_steps=8, max_iters=60, tol_grad=1e-12),
+    "gd_convergence": dict(
+        alpha=1.0, n_elems=8, time_steps=8, max_iters=60, kappa=None, tol_grad=1e-12
+    ),
     "riccati_crosscheck": dict(
         alpha=1.0,
         n_elems=8,
         time_steps=64,
         time_levels=(8, 16, 32, 64),
         n_paths=10_000,
+        seed=20250801,
         k_fine=1024,
     ),
     "adjoint_gap": dict(alpha=0.0, n_elems=16, time_levels=(4, 6, 8, 10)),
@@ -104,56 +113,60 @@ _DEFAULTS = {
 
 
 def resolve_config(cfg):
-    """Fill None fields with the study's defaults (idempotent)."""
-    if cfg.study not in STUDIES:
-        raise ValueError(f"unknown study {cfg.study!r}; choose from {STUDIES}")
-    updates = {}
-    for key, value in _DEFAULTS[cfg.study].items():
-        if getattr(cfg, key) is None:
-            updates[key] = value
-    cfg = replace(cfg, **updates)
+    """Fill the study's None fields with its defaults (idempotent); raise
+    ValueError for an unknown study, a set field the study does not read,
+    or a value it cannot run."""
+    table = _DEFAULTS.get(cfg.study)
+    if table is None:
+        raise ValueError(f"unknown study {cfg.study!r}; choose from {tuple(_DEFAULTS)}")
+    unread = [f.name for f in dataclasses.fields(cfg) if f.default is None and f.name not in table]
+    unread = [name for name in unread if getattr(cfg, name) is not None]
+    if unread:
+        raise ValueError(f"{cfg.study} does not read {', '.join(unread)}")
+    cfg = replace(cfg, **{k: v for k, v in table.items() if getattr(cfg, k) is None})
     for name in ("mesh_levels", "time_levels"):
         levels = getattr(cfg, name)
         if levels is not None:
             levels = tuple(int(v) for v in levels)
+            if not levels:
+                raise ValueError(f"{name} must list at least one level")
             if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
-            if levels and levels[0] < 1:
-                raise ValueError(f"{name} must be at least 1, got {levels}")
             cfg = replace(cfg, **{name: levels})
-    # element counts need an interior node; step counts need one step
-    sizes = dict(n_elems=2, mesh_ref=2, time_steps=1, n_ref=1, k_fine=1)
+    # element counts need an interior node, step counts one step, sample errors two paths
+    sizes = dict(n_elems=2, mesh_ref=2, mesh_levels=2, time_steps=1, n_ref=1, time_levels=1)
+    sizes.update(k_fine=1, n_paths=2, max_iters=1)
     for name, least in sizes.items():
         value = getattr(cfg, name)
-        if value is not None and value < least:
+        if value is not None and min(np.atleast_1d(value)) < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    if cfg.study == "spatial_rate":
-        for lvl in cfg.mesh_levels:
-            if cfg.mesh_ref % lvl != 0:
-                raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
-    if cfg.study == "temporal_rate":
+    if cfg.kappa is not None and cfg.kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {cfg.kappa}")
+    if cfg.alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
+    if cfg.noise not in ("linear", "additive"):
+        raise ValueError(f"noise must be 'linear' or 'additive', got {cfg.noise!r}")
+    # k_fine is the Riccati solver's step count, and that solver models linear noise only
+    if cfg.noise == "additive" and cfg.k_fine is not None:
+        raise ValueError(f"{cfg.study} solves the Riccati equation, which needs noise='linear'")
+    if cfg.horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {cfg.horizon}")
+    steps = [n for n in (cfg.time_steps, cfg.n_ref, cfg.k_fine, *(cfg.time_levels or ())) if n]
+    if cfg.horizon / min(steps) > 1.0:
+        raise ValueError(f"step {cfg.horizon} / {min(steps)} exceeds 1; use more time steps")
+    for lvl in cfg.mesh_levels or ():
+        if cfg.mesh_ref % lvl != 0:
+            raise ValueError(f"reference mesh {cfg.mesh_ref} is not nested over level {lvl}")
+    if cfg.n_ref is not None:
         for lvl in cfg.time_levels:
             ratio = cfg.n_ref // lvl
             if cfg.n_ref % lvl != 0 or ratio & (ratio - 1):
                 raise ValueError(
                     f"n_ref={cfg.n_ref} must be a power-of-two multiple of level {lvl}"
                 )
-    if cfg.study not in ("temporal_rate", "gd_convergence"):
-        given = [f for f in ("kappa", "max_iters", "tol_grad") if getattr(cfg, f) is not None]
-        if given:
-            raise ValueError(f"{cfg.study} runs no gradient descent; drop {', '.join(given)}")
-    if cfg.max_iters is not None and cfg.max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
-    if cfg.kappa is not None and cfg.kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {cfg.kappa}")
-    if cfg.study in ("temporal_rate", "riccati_crosscheck") and cfg.n_paths < 2:
-        raise ValueError(f"Monte Carlo studies need n_paths >= 2, got {cfg.n_paths}")
-    if cfg.study in ("gd_convergence", "adjoint_gap"):
-        steps = max([cfg.time_steps or 0, cfg.n_ref or 0, *(cfg.time_levels or ())])
-        if steps > TREE_DEPTH_CAP:
-            raise ValueError(
-                f"tree study needs {steps} steps, above the depth cap {TREE_DEPTH_CAP}"
-            )
+    depth = max(steps)
+    if cfg.study in ("gd_convergence", "adjoint_gap") and depth > TREE_DEPTH_CAP:
+        raise ValueError(f"tree study needs {depth} steps, above the depth cap {TREE_DEPTH_CAP}")
     return cfg
 
 
@@ -208,7 +221,7 @@ def _write_text_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir, cfg, wall_time, extra=None, profile=None):
+def _write_manifest(out_dir, cfg, wall_time, summary, profile=None):
     manifest = {
         "config": dataclasses.asdict(cfg),
         "versions": {
@@ -222,6 +235,7 @@ def _write_manifest(out_dir, cfg, wall_time, extra=None, profile=None):
             name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
+        "summary": summary,
         "wall_time_s": wall_time,
         # ru_maxrss is the high-water mark of this process, in KiB on Linux
         "profile": {
@@ -229,8 +243,6 @@ def _write_manifest(out_dir, cfg, wall_time, extra=None, profile=None):
             **(profile or {}),
         },
     }
-    if extra:
-        manifest["summary"] = extra
     _write_text_atomic(
         os.path.join(out_dir, "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",
@@ -250,7 +262,7 @@ def _write_outputs(cfg, started, tables, summary, profile=None):
     os.makedirs(cfg.out, exist_ok=True)
     for name, text in tables.items():
         _write_text_atomic(os.path.join(cfg.out, name), text)
-    _write_manifest(cfg.out, cfg, time.perf_counter() - started, extra=summary, profile=profile)
+    _write_manifest(cfg.out, cfg, time.perf_counter() - started, summary, profile)
 
 
 def _write_rate_tables(cfg, started, ctrl_rows, state_rows, profile=None):

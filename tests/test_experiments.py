@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import os
 
@@ -6,8 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from slqheat import experiments
 from slqheat.cli import build_parser, main, parse_config_text
 from slqheat.experiments import (
+    _DEFAULTS,
+    RUNNERS,
     ExperimentConfig,
     RateTable,
     _feedback_solution,
@@ -51,6 +56,12 @@ def test_resolve_config_keeps_explicit_values():
     cfg = resolve_config(ExperimentConfig(study="adjoint_gap", alpha=1.0, time_levels=(2, 4)))
     assert cfg.alpha == 1.0
     assert cfg.time_levels == (2, 4)
+    # the studies without a Riccati solve take additive noise, and only path studies a seed
+    for study in ("temporal_rate", "gd_convergence", "adjoint_gap"):
+        assert make_config(study, noise="additive").noise == "additive"
+    assert make_config("temporal_rate", seed=3).seed == 3
+    assert make_config("riccati_crosscheck").seed == 20250801
+    assert make_config("gd_convergence").seed is None
 
 
 def test_resolve_config_rejects_bad_input():
@@ -65,9 +76,9 @@ def test_resolve_config_rejects_bad_input():
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 6, 6)))
     with pytest.raises(ValueError, match="depth cap"):
         resolve_config(ExperimentConfig(study="adjoint_gap", time_levels=(4, 40)))
-    with pytest.raises(ValueError, match="n_paths >= 2"):
+    with pytest.raises(ValueError, match="n_paths must be at least 2"):
         resolve_config(ExperimentConfig(study="temporal_rate", n_paths=1))
-    with pytest.raises(ValueError, match="n_paths >= 2"):
+    with pytest.raises(ValueError, match="n_paths must be at least 2"):
         resolve_config(ExperimentConfig(study="riccati_crosscheck", n_paths=1))
     # zero iterations would leave an empty descent trace for the summary to read
     with pytest.raises(ValueError, match="max_iters"):
@@ -79,16 +90,38 @@ def test_resolve_config_rejects_bad_input():
     # the descent fields would be silently ignored by the studies that run no descent
     for study in ("spatial_rate", "adjoint_gap", "riccati_crosscheck"):
         for field in (dict(kappa=2.0), dict(max_iters=3), dict(tol_grad=1e-8)):
-            with pytest.raises(ValueError, match="runs no gradient descent"):
+            with pytest.raises(ValueError, match=f"{study} does not read"):
                 make_config(study, **field)
+    # so would every other field outside the study's defaults table
+    for study, field in (
+        ("gd_convergence", dict(seed=3)),
+        ("gd_convergence", dict(n_paths=5)),
+        ("adjoint_gap", dict(seed=3)),
+        ("spatial_rate", dict(n_elems=16)),
+        ("spatial_rate", dict(time_levels=(8, 16))),
+        ("temporal_rate", dict(time_steps=8)),
+        ("temporal_rate", dict(k_fine=64)),
+        ("riccati_crosscheck", dict(mesh_ref=16)),
+        ("adjoint_gap", dict(n_ref=16)),
+    ):
+        with pytest.raises(ValueError, match=f"{study} does not read {next(iter(field))}$"):
+            make_config(study, **field)
     # a level below 1 would fail only inside the study (time_levels=(0, 8)
     # divided by zero in temporal_rate)
     for study, field in (
         ("temporal_rate", dict(time_levels=(0, 8))),
         ("temporal_rate", dict(time_levels=(-4, 8))),
-        ("spatial_rate", dict(mesh_levels=(0, 8))),
     ):
         with pytest.raises(ValueError, match="must be at least 1"):
+            make_config(study, **field)
+    # no level leaves no rows (adjoint_gap's summary raised on them, temporal_rate
+    # ran its reference solve for empty tables)
+    for study, field in (
+        ("adjoint_gap", dict(time_levels=())),
+        ("temporal_rate", dict(time_levels=())),
+        ("spatial_rate", dict(mesh_levels=())),
+    ):
+        with pytest.raises(ValueError, match="must list at least one level"):
             make_config(study, **field)
     # sizes below their minimum would fail only inside the study, with a
     # traceback (n_ref=0 and mesh_ref=0 pass the nesting checks)
@@ -97,12 +130,89 @@ def test_resolve_config_rejects_bad_input():
         ("spatial_rate", dict(mesh_ref=0), "mesh_ref must be at least 2"),
         ("gd_convergence", dict(time_steps=0), "time_steps must be at least 1"),
         ("gd_convergence", dict(n_elems=1), "n_elems must be at least 2"),
+        ("spatial_rate", dict(mesh_levels=(0, 8)), "mesh_levels must be at least 2"),
+        # a one-element mesh level has no interior node (build_fem_space raised)
+        ("spatial_rate", dict(mesh_levels=(1, 2), mesh_ref=8), "mesh_levels must be at least 2"),
         ("spatial_rate", dict(k_fine=0), "k_fine must be at least 1"),
         ("spatial_rate", dict(mesh_ref=100), "not nested over level 8"),
         ("temporal_rate", dict(n_ref=96), "power-of-two multiple of level 8"),
     ):
         with pytest.raises(ValueError, match=message):
             make_config(study, **field)
+    # values the library rejects only mid-run, with a traceback
+    for study, field, message in (
+        ("adjoint_gap", dict(noise="quadratic"), "noise must be 'linear' or 'additive'"),
+        ("spatial_rate", dict(noise="additive"), "spatial_rate solves the Riccati equation"),
+        ("riccati_crosscheck", dict(noise="additive"), "riccati_crosscheck solves the Riccati"),
+        ("gd_convergence", dict(alpha=-1.0), "alpha must be nonnegative"),
+        ("temporal_rate", dict(horizon=0.0), "horizon must be positive"),
+        ("adjoint_gap", dict(horizon=-1.0), "horizon must be positive"),
+        # temporal_rate reached its level-8 grid only after the reference descent
+        ("temporal_rate", dict(horizon=10.0), "step 10.0 / 8 exceeds 1"),
+        ("gd_convergence", dict(horizon=2.0, time_steps=1), "step 2.0 / 1 exceeds 1"),
+        ("spatial_rate", dict(horizon=3.0, k_fine=2), "step 3.0 / 2 exceeds 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make_config(study, **field)
+
+
+def cfg_reads(tree, func, name="cfg"):
+    """Fields read as ``name.<field>`` in the module function ``func`` and in
+    the module functions it passes ``name`` to, except resolve_config, which
+    checks every field without being a reader of any."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = set()
+    for node in ast.walk(defs[func]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == name:
+            reads.add(node.attr)
+        callee = getattr(getattr(node, "func", None), "id", None)
+        if callee in defs and callee != "resolve_config":
+            params = [a.arg for a in defs[callee].args.args]
+            passed = [*zip(params, node.args), *((kw.arg, kw.value) for kw in node.keywords)]
+            for param, arg in passed:
+                if getattr(arg, "id", None) == name:
+                    reads |= cfg_reads(tree, callee, param)
+    return reads
+
+
+def test_cfg_reads_follows_helpers():
+    source = """
+def resolve_config(cfg):
+    return cfg.kappa
+def _helper(n, c, other=None):
+    return c.seed + other.alpha + n.tol_grad
+def _keyword(x=None):
+    return x.out
+def run_x(cfg):
+    cfg = resolve_config(cfg)
+    _helper(1, cfg, other=cfg)
+    _keyword(x=cfg)
+    return cfg.n_paths + len(str(cfg))
+"""
+    assert cfg_reads(ast.parse(source), "run_x") == {"n_paths", "seed", "alpha", "out"}
+
+
+def runner_fields(study):
+    """The fields a study's runner should read: the ones whose dataclass
+    default is not None (study excepted) plus its defaults table."""
+    common = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is not None}
+    return (common - {"study"}) | set(_DEFAULTS[study])
+
+
+@pytest.mark.parametrize("study", sorted(RUNNERS))
+def test_each_runner_reads_exactly_its_defaults_table(study):
+    tree = ast.parse(inspect.getsource(experiments))
+    assert cfg_reads(tree, RUNNERS[study].__name__) == runner_fields(study)
+
+
+def test_runner_field_guard_catches_a_planted_read():
+    source = inspect.getsource(experiments)
+    planted = source.replace("driver = TreeDriver(grid)", "driver = TreeDriver(grid, cfg.seed)")
+    assert planted.count("cfg.seed") == source.count("cfg.seed") + 2
+    reads = cfg_reads(ast.parse(planted), "run_gd_convergence")
+    assert reads - runner_fields("gd_convergence") == {"seed"}
+    reads = cfg_reads(ast.parse(planted), "run_adjoint_gap")
+    assert reads - runner_fields("adjoint_gap") == {"seed"}
 
 
 # -------------------------------------------------------------- rate table
@@ -233,12 +343,11 @@ def test_spatial_requires_nested_reference(tmp_path):
 
 def test_spatial_rate_rejects_additive_noise(tmp_path):
     # the moment sweep models (X + sigma) dW; additive data must not get its tables
-    cfg = make_config(
-        "spatial_rate", mesh_levels=(4,), mesh_ref=8, k_fine=16, noise="additive",
-        out=str(tmp_path),
-    )
-    with pytest.raises(ValueError, match="noise='additive'"):
-        run_spatial_rate(cfg)
+    fields = dict(mesh_levels=(4,), mesh_ref=8, k_fine=16, noise="additive", out=str(tmp_path))
+    with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
+        make_config("spatial_rate", **fields)
+    with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
+        run_spatial_rate(ExperimentConfig(study="spatial_rate", **fields))
     assert not (tmp_path / "rates.csv").exists()
 
 
@@ -526,6 +635,10 @@ def test_cli_runs_config_with_overrides(tmp_path, capsys):
     assert manifest["config"]["n_elems"] == 4
     out = capsys.readouterr().out
     assert "gd_convergence" in out and "iterations" in out
+    # one line per manifest summary entry, nothing else after the header
+    lines = out.splitlines()
+    assert lines[0] == f"study gd_convergence: results in {tmp_path / 'res'}/"
+    assert lines[1:] == [f"  {key}: {value}" for key, value in manifest["summary"].items()]
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):
@@ -560,6 +673,33 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         main(["spatial_rate", "--config", str(config), "--out", str(out)])
     assert exc.value.code == 2
     assert "reference mesh 100 is not nested over level 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["gd_convergence", "--seed", "3"], "", "gd_convergence does not read seed"),
+        (["gd_convergence", "--paths", "5"], "", "gd_convergence does not read n_paths"),
+        (["spatial_rate", "--n-elems", "16"], "", "spatial_rate does not read n_elems"),
+        (["temporal_rate", "--time-steps", "8"], "", "temporal_rate does not read time_steps"),
+        (["adjoint_gap"], "noise = quadratic", "noise must be 'linear' or 'additive'"),
+        (["spatial_rate"], "noise = additive", "spatial_rate solves the Riccati equation"),
+        (["riccati_crosscheck"], "noise = additive", "riccati_crosscheck solves the Riccati"),
+        (["gd_convergence", "--alpha", "-1"], "", "alpha must be nonnegative"),
+        (["gd_convergence", "--horizon", "0"], "", "horizon must be positive"),
+        (["temporal_rate", "--horizon", "10"], "", "step 10.0 / 8 exceeds 1"),
+        (["spatial_rate"], "mesh_levels = 1, 2\nmesh_ref = 8", "mesh_levels must be at least 2"),
+    ],
+)
+def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(config + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
