@@ -25,6 +25,7 @@ measurements live only in the manifest.
 
 import dataclasses
 import json
+import math
 import os
 import resource
 import sys
@@ -140,6 +141,10 @@ def resolve_config(cfg):
         value = getattr(cfg, name)
         if value is not None and min(np.atleast_1d(value)) < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    # NaN passes every sign check below, so non-finite values are rejected first
+    for name in ("horizon", "alpha", "sigma_scale", "kappa", "tol_grad"):
+        if (value := getattr(cfg, name)) is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if cfg.kappa is not None and cfg.kappa <= 0:
         raise ValueError(f"kappa must be positive, got {cfg.kappa}")
     if cfg.alpha < 0:
@@ -227,7 +232,6 @@ def _write_manifest(out_dir, cfg, wall_time, summary, profile=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
             "slqheat": __version__,
         },
         # reruns are byte-identical only at a fixed BLAS thread count
@@ -309,8 +313,8 @@ def _joint_errors(ric_r, ric_c):
     trajectories.  The error integrands read only diag(S_rr), diag(S_cc)
     and the cross block S_rc, so only those entries are swept; they
     couple the blocks through the cross Gramians C = V_r^T M_r P V_c
-    (control, L2 pairing) and C_A = V_r^T A_r P V_c (state, gradient
-    pairing) of the nodal prolongation P.
+    (control, L2 pairing) and C_A = V_r^T A_r P V_c = Lambda_r C (state,
+    gradient pairing) of the nodal prolongation P.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
@@ -319,7 +323,7 @@ def _joint_errors(ric_r, ric_c):
     lam_r, lam_c = space_r.eigvals, space_c.eigvals
     prolong = prolongation_matrix(space_c, space_r)
     C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
-    CA = space_r.eigvecs.T @ (space_r.stiffness @ (prolong @ space_c.eigvecs))
+    CA = lam_r[:, None] * C  # V_r^T A_r = Lambda_r V_r^T M_r
 
     # swept entries: the diagonal of the stacked system, then the D x d cross block
     n = D + d

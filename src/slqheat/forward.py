@@ -33,7 +33,7 @@ Both sweeps run in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
 where A0 = diag(1 / (1 + tau lambda_i)) is an elementwise scale and the
 L2 inner product is the euclidean one.  Every process slice and every
 datum of :class:`ProblemData` holds eigen coordinates c = V^T M v: the
-data are converted once, when :func:`make_problem` projects them, and
+Ritz projection in :func:`make_problem` returns them directly, and
 ``space.from_eigen`` gives nodal values back.  A feedback control is the
 pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
 mode by mode like the scheme, which :func:`solve_forward` applies in
@@ -212,8 +212,8 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
         raise ValueError(f"unknown noise mode {noise!r}")
     if sigma_spec is None:
         sigma_spec = default_sigma_spec()
-    x0 = space.to_eigen(ritz_project(space, sigma_spec.x0_dx))
-    profile = space.to_eigen(sigma_spec.scale * ritz_project(space, sigma_spec.profile_dx))
+    x0 = ritz_project(space, sigma_spec.x0_dx)
+    profile = sigma_spec.scale * ritz_project(space, sigma_spec.profile_dx)
     # with_grid samples sigma, so a problem and its resampling on the same grid agree bitwise
     return ProblemData(
         space=space, grid=None, alpha=alpha, x0=x0, sigma=None,

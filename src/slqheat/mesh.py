@@ -1,22 +1,28 @@
 """P1 finite elements on (0, 1) with homogeneous Dirichlet conditions.
 
 Everything the space-time scheme needs from the spatial side lives here:
-mass and stiffness matrices, the generalized eigenpairs that diagonalize
-the discrete Laplacian, and the Ritz projection of the data.
+the mass matrix M, the eigenpairs of the P1 pencil (A, M) that
+diagonalize the discrete Laplacian, and the Ritz projection of the data.
+On the uniform mesh A and M share the sine eigenvectors, so the
+eigenpairs have a closed form free of cancellation (Strang & Fix, *An
+Analysis of the Finite Element Method*, 1973): with theta_k = k pi h and
+s_k = sin^2(theta_k / 2),
+
+    lambda_k = (12 / h^2) s_k / (3 - 2 s_k),
+    V_jk = sin(j theta_k) / sqrt((h / 6)(6 - 4 s_k)(n_elems / 2)).
 
 A function in the FE space V_h has two coefficient vectors of length
 d = n_elems - 1: its interior nodal values v (boundary values are
 identically zero) and its coordinates c = V^T M v in the M-orthonormal
-eigenbasis.  The projection returns nodal values; the space-time scheme works
-in eigen coordinates, where the implicit Euler step is diagonal and the
-L2 norm is the euclidean norm of c.  Batches of coefficient vectors are
-stacked along the first axis, shape (n_scenarios, d).
+eigenbasis.  The space-time scheme and the Ritz projection work in eigen
+coordinates, where the implicit Euler step is diagonal and the L2 norm is
+the euclidean norm of c.  Batches of coefficient vectors are stacked along
+the first axis, shape (n_scenarios, d).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -36,24 +42,22 @@ class FemSpace:
         Mesh width 1 / n_elems.
     nodes : ndarray, shape (d,)
         Interior nodes h, 2h, ..., (n_elems - 1) h.
-    mass, stiffness : ndarray, shape (d, d)
-        Tridiagonal mass matrix M and stiffness matrix A (dense storage;
-        d stays small enough that dense BLAS wins).
+    mass : ndarray, shape (d, d)
+        Tridiagonal mass matrix M (dense storage).
     eigvals : ndarray, shape (d,)
-        Generalized eigenvalues of A v = lambda M v, ascending.  These are
-        the eigenvalues of -Laplace_h.
+        Generalized eigenvalues of A v = lambda M v in closed form,
+        ascending.  These are the eigenvalues of -Laplace_h.
     eigvecs : ndarray, shape (d, d)
-        Columns are the M-orthonormal eigenvectors.
+        Columns are the M-orthonormal sine eigenvectors in closed form.
     """
 
     n_elems: int
     h: float
     nodes: np.ndarray
     mass: np.ndarray
-    stiffness: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    _vt_mass: np.ndarray = field(repr=False, default=None)
+    _vt_mass: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
@@ -73,9 +77,10 @@ class FemSpace:
 def build_fem_space(n_elems):
     """Assemble the interior P1 space on a uniform mesh with n_elems elements.
 
-    Eigenpairs of the pencil (A, M) are computed eagerly; the columns of
-    ``eigvecs`` satisfy V^T M V = I, so the discrete Laplacian acts as
-    multiplication by -eigvals on eigenbasis coefficients.
+    The eigenpairs of the pencil (A, M) come from the closed form in the
+    module docstring; the columns of ``eigvecs`` satisfy V^T M V = I, so
+    the discrete Laplacian acts as multiplication by -eigvals on eigenbasis
+    coefficients.
 
     Parameters
     ----------
@@ -92,27 +97,20 @@ def build_fem_space(n_elems):
     h = 1.0 / n_elems
     nodes = h * np.arange(1, n_elems)
 
-    main_m = np.full(d, 4.0 * h / 6.0)
-    off_m = np.full(d - 1, h / 6.0)
-    mass = np.diag(main_m) + np.diag(off_m, 1) + np.diag(off_m, -1)
+    mass = (4.0 * h / 6.0) * np.eye(d) + (h / 6.0) * (np.eye(d, k=1) + np.eye(d, k=-1))
 
-    main_a = np.full(d, 2.0 / h)
-    off_a = np.full(d - 1, -1.0 / h)
-    stiffness = np.diag(main_a) + np.diag(off_a, 1) + np.diag(off_a, -1)
+    # A and M act on sin(j theta_k) as multiplication by (4 / h) s_k and mass_k
+    k = np.arange(1, n_elems)
+    s = np.sin(np.pi * k / (2 * n_elems)) ** 2
+    mass_k = (h / 6.0) * (6.0 - 4.0 * s)
+    eigvals = 12.0 * n_elems**2 * s / (3.0 - 2.0 * s)
+    # sin(j theta_k) with j k reduced mod 2 n_elems, so no argument exceeds 2 pi
+    phase = np.outer(k, k) % (2 * n_elems)
+    eigvecs = np.sin(np.pi * phase / n_elems) / np.sqrt(mass_k * (0.5 * n_elems))
 
-    eigvals, eigvecs = eigh(stiffness, mass)
-
-    space = FemSpace(
-        n_elems=n_elems,
-        h=h,
-        nodes=nodes,
-        mass=mass,
-        stiffness=stiffness,
-        eigvals=eigvals,
-        eigvecs=eigvecs,
-    )
-    space._vt_mass = eigvecs.T @ mass
-    return space
+    # V^T M = diag(mass_k) V^T, as M V = V diag(mass_k)
+    vt_mass = mass_k[:, None] * eigvecs.T
+    return FemSpace(n_elems, h, nodes, mass, eigvals, eigvecs, _vt_mass=vt_mass)
 
 
 def _quad_points(space):
@@ -128,9 +126,10 @@ def _quad_points(space):
 def ritz_project(space, f_prime):
     """Ritz (elliptic) projection onto V_h from the derivative of f.
 
-    Solves A c = b with b_j = (f', phi_j'); only the derivative of the
+    Solves A v = b with b_j = (f', phi_j'); only the derivative of the
     projected function enters.  Exact for functions already in V_h and
-    stable in the H1 seminorm.
+    stable in the H1 seminorm.  Since A^{-1} = V Lambda^{-1} V^T, the
+    eigen coordinates of the solution are c = V^T M v = (V^T b) / lambda.
 
     Parameters
     ----------
@@ -141,17 +140,14 @@ def ritz_project(space, f_prime):
     Returns
     -------
     ndarray, shape (d,)
+        Eigen coordinates c of the projection.
     """
     pts, wts = _quad_points(space)
-    fv = f_prime(pts) * wts
-    h = space.h
-    per_elem = fv.sum(axis=1)
-    b = np.zeros(space.dim)
+    per_elem = (f_prime(pts) * wts).sum(axis=1)
     # phi_j' = +1/h on element j-1 and -1/h on element j (node j = right
     # endpoint of element j-1)
-    b += per_elem[:-1] / h
-    b -= per_elem[1:] / h
-    return np.linalg.solve(space.stiffness, b)
+    b = (per_elem[:-1] - per_elem[1:]) / space.h
+    return (b @ space.eigvecs) / space.eigvals
 
 
 def prolongation_matrix(coarse, fine):

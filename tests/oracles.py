@@ -16,7 +16,11 @@ sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 ``compute_f``, ``gradient``, ``bsde_martingale`` (the Zbar0 component of
 the backward equation) and ``bsde_residual`` are library operators
-that only the tests use, as are ``a0_apply`` (one implicit Euler step),
+that only the tests use, as are ``stiffness`` (the nodal stiffness matrix
+A, which the library's closed-form spectrum does not assemble),
+``nodal_ritz_project`` (the Ritz projection by a nodal solve, as the
+library computed it before the eigen-coordinate form), ``a0_apply`` (one
+implicit Euler step),
 ``tree_condexp`` (a subtree average over any number of levels, where the
 library applies the sibling-pair average level by level), ``l2_project``
 (the L2 projection the scheme does not use; the data are Ritz-projected)
@@ -83,7 +87,7 @@ def tree_condexp(values, from_level, to_level):
 
 def dense_a0(space, tau):
     """Dense one-step operator (M + tau A)^{-1} M."""
-    return np.linalg.solve(space.mass + tau * space.stiffness, space.mass)
+    return np.linalg.solve(space.mass + tau * stiffness(space), space.mass)
 
 
 def nodal(space, proc):
@@ -459,10 +463,16 @@ def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, r
 # -- nodal norms and evaluation -----------------------------------------------
 
 
+def stiffness(space):
+    """Tridiagonal P1 stiffness matrix A, tridiag(-1, 2, -1) / h (dense)."""
+    d = space.dim
+    return (2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)) / space.h
+
+
 def discrete_laplacian_apply(space, v):
     """Apply Laplace_h = -M^{-1} A to nodal coefficients (single or batch)."""
     v = np.asarray(v, dtype=float)
-    return -np.linalg.solve(space.mass, (v @ space.stiffness).T).T
+    return -np.linalg.solve(space.mass, (v @ stiffness(space)).T).T
 
 
 def l2_norm(space, v):
@@ -487,7 +497,7 @@ def l2_inner(space, u, v):
 def h1_seminorm(space, v):
     """Discrete H1 seminorm sqrt(v^T A v)."""
     v = np.asarray(v, dtype=float)
-    return float(np.sqrt(v @ space.stiffness @ v))
+    return float(np.sqrt(v @ stiffness(space) @ v))
 
 
 def l2_project(space, f):
@@ -520,6 +530,16 @@ def l2_project(space, f):
     b += contrib_left[1:]
     b += contrib_right[:-1]
     return (b @ space.eigvecs) @ space.eigvecs.T
+
+
+def nodal_ritz_project(space, f_prime):
+    """Ritz projection as nodal values: the dense solve A v = b with the
+    load b_j = (f', phi_j') that ``ritz_project`` assembles."""
+    pts, wts = _quad_points(space)
+    per_elem = (f_prime(pts) * wts).sum(axis=1)
+    # phi_j' = +1/h on element j-1 and -1/h on element j
+    b = (per_elem[:-1] - per_elem[1:]) / space.h
+    return np.linalg.solve(stiffness(space), b)
 
 
 def eval_fem(space, v, x):
@@ -993,7 +1013,7 @@ def full_joint_errors(ric_r, ric_c):
     D, d = space_r.dim, space_c.dim
     prolong = prolongation_matrix(space_c, space_r)
     C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
-    CA = space_r.eigvecs.T @ (space_r.stiffness @ (prolong @ space_c.eigvecs))
+    CA = space_r.eigvecs.T @ (stiffness(space_r) @ (prolong @ space_c.eigvecs))
 
     # the stacked system; only its coefficient arrays and dense grid are read
     joint = RiccatiSolution(

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import math
 import os
 
 import numpy as np
@@ -213,6 +214,20 @@ def test_runner_field_guard_catches_a_planted_read():
     assert reads - runner_fields("gd_convergence") == {"seed"}
     reads = cfg_reads(ast.parse(planted), "run_adjoint_gap")
     assert reads - runner_fields("adjoint_gap") == {"seed"}
+
+
+FLOAT_FIELDS = ("horizon", "alpha", "sigma_scale", "kappa", "tol_grad")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "study, field",
+    [(study, f) for study in sorted(RUNNERS) for f in FLOAT_FIELDS if f in runner_fields(study)],
+)
+def test_resolve_config_rejects_non_finite_floats(study, field, value):
+    # NaN passes every sign check, and inf would run to NaN tables or zero steps
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_config(study, **{field: value})
 
 
 # -------------------------------------------------------------- rate table
@@ -690,6 +705,7 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["gd_convergence", "--horizon", "0"], "", "horizon must be positive"),
         (["temporal_rate", "--horizon", "10"], "", "step 10.0 / 8 exceeds 1"),
         (["spatial_rate"], "mesh_levels = 1, 2\nmesh_ref = 8", "mesh_levels must be at least 2"),
+        (["gd_convergence", "--horizon", "nan"], "", "horizon must be finite"),
     ],
 )
 def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):

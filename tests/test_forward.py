@@ -34,7 +34,7 @@ def test_make_problem_projects_data():
     # the data hold eigen coordinates of the nodal Ritz projections
     space, grid, data = small_setup(n_elems=16, n_steps=4)
     assert data.sigma.shape == (5, space.dim)
-    prof = ritz_project(space, lambda x: np.pi * np.cos(np.pi * x))
+    prof = space.from_eigen(ritz_project(space, lambda x: np.pi * np.cos(np.pi * x)))
     for n, t in enumerate(grid.nodes):
         assert_allclose(space.from_eigen(data.sigma[n]), np.exp(-t) * prof, rtol=0, atol=1e-12)
     assert_allclose(space.from_eigen(data.x0), prof, rtol=0, atol=1e-12)

@@ -1,6 +1,9 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +249,16 @@ def test_stale_name_detection():
 def test_allow_lists_name_only_existing_src_code():
     sources = [path.read_text(encoding="utf-8") for path in SRC]
     assert stale_names(ENTRY_POINTS | UNPASSED_DEFAULTS_ALLOWED, sources) == []
+
+
+def test_package_imports_no_scipy():
+    # the closed-form spectrum needs no SciPy, whose import dominated start-up
+    code = (
+        "import sys, slqheat.experiments\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

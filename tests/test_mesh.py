@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 from oracles import (
     a0_apply,
@@ -15,6 +16,8 @@ from oracles import (
     l2_norm,
     l2_norm_sq_batch,
     l2_project,
+    nodal_ritz_project,
+    stiffness,
 )
 from slqheat.mesh import build_fem_space, prolongation_matrix, ritz_project
 
@@ -43,7 +46,7 @@ def test_matrices_match_stencils():
             m_ref[i, i + 1] = m_ref[i + 1, i] = h / 6
             a_ref[i, i + 1] = a_ref[i + 1, i] = -1 / h
     assert_allclose(space.mass, m_ref, rtol=0, atol=1e-15)
-    assert_allclose(space.stiffness, a_ref, rtol=0, atol=1e-13)
+    assert_allclose(stiffness(space), a_ref, rtol=0, atol=1e-13)
 
 
 def test_eigenvalues_match_closed_form():
@@ -56,6 +59,48 @@ def test_eigenvalues_match_closed_form():
         lam_ref = (6.0 / h**2) * (1.0 - np.cos(i * np.pi * h)) / (2.0 + np.cos(i * np.pi * h))
         assert_allclose(space.eigvals, lam_ref, rtol=1e-12)
         assert space.eigvals.max() <= 12.0 / h**2 + 1e-9
+
+
+CLOSED_FORM_MESHES = (2, 3, 8, 33, 256, 1024)
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_MESHES)
+def test_closed_form_eigenpairs_solve_the_pencil(n):
+    space = build_fem_space(n)
+    V, lam = space.eigvecs, space.eigvals
+    assert np.abs(V.T @ space.mass @ V - np.eye(space.dim)).max() <= 2e-13
+    residual = stiffness(space) @ V - (space.mass @ V) * lam
+    assert np.abs(residual).max() <= 1e-12 * lam.max()
+    assert_allclose(space.to_eigen(V.T), np.eye(space.dim), rtol=0, atol=2e-13)
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_MESHES)
+def test_closed_form_eigenvalues_match_extended_precision(n):
+    # the same formula in extended precision; a few ulp of float rounding remain
+    k = np.arange(1, n, dtype=np.longdouble)
+    s = np.sin(k * np.arccos(np.longdouble(-1)) / (2 * n)) ** 2
+    lam = 12 * np.longdouble(n) ** 2 * s / (3 - 2 * s)
+    rel = np.abs((build_fem_space(n).eigvals - lam) / lam).astype(float)
+    assert rel.max() <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", (4, 33, 256))
+def test_closed_form_agrees_with_eigh(n):
+    # cross-check against the dense generalized eigensolver, up to the sign of each vector
+    space = build_fem_space(n)
+    lam, U = eigh(stiffness(space), space.mass)
+    assert_allclose(space.eigvals, lam, rtol=0, atol=1e-13 * lam.max())
+    overlap = space.to_eigen(U.T)
+    assert_allclose(np.abs(overlap), np.eye(space.dim), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", (8, 256, 1024))
+def test_ritz_project_in_eigen_coordinates_matches_nodal_solve(n):
+    space = build_fem_space(n)
+    fp = lambda x: 0.7 * np.pi * np.cos(np.pi * x) + 0.3 * np.exp(x)
+    assert_allclose(
+        ritz_project(space, fp), space.to_eigen(nodal_ritz_project(space, fp)), rtol=0, atol=1e-11
+    )
 
 
 def test_eigenvectors_m_orthonormal():
@@ -116,13 +161,13 @@ def test_ritz_project_reproduces_fem_functions():
         k = np.clip((x / space.h).astype(int), 0, space.n_elems - 1)
         return slopes[k]
 
-    assert_allclose(ritz_project(space, fprime), coeffs, atol=1e-12)
+    assert_allclose(space.from_eigen(ritz_project(space, fprime)), coeffs, atol=1e-12)
 
 
 def test_ritz_project_h1_stable():
     # |R_h f|_1 <= |f|_1 with |sin(pi x)|_1 = pi / sqrt(2)
     space = build_fem_space(16)
-    r = ritz_project(space, lambda x: np.pi * np.cos(np.pi * x))
+    r = space.from_eigen(ritz_project(space, lambda x: np.pi * np.cos(np.pi * x)))
     assert h1_seminorm(space, r) <= np.pi / np.sqrt(2.0) + 1e-12
 
 
@@ -130,7 +175,7 @@ def test_ritz_galerkin_orthogonality():
     # (f' - (R_h f)', phi_j') = 0 for every hat
     space = build_fem_space(8)
     fp = lambda x: np.pi * np.cos(np.pi * x)
-    c = ritz_project(space, fp)
+    c = space.from_eigen(ritz_project(space, fp))
     load = np.array(
         [
             quad(lambda x: fp(x) * dhat, space.nodes[j] - space.h, space.nodes[j], epsabs=1e-14)[0]
@@ -142,7 +187,7 @@ def test_ritz_galerkin_orthogonality():
             for j in range(space.dim)
         ]
     )
-    assert_allclose(space.stiffness @ c, load, atol=1e-12)
+    assert_allclose(stiffness(space) @ c, load, atol=1e-12)
 
 
 def test_laplacian_commutes_with_ritz():
@@ -151,7 +196,7 @@ def test_laplacian_commutes_with_ritz():
     for k in (1, 2, 3):
         fp = lambda x: k * np.pi * np.cos(k * np.pi * x)
         fpp = lambda x: -((k * np.pi) ** 2) * np.sin(k * np.pi * x)
-        lhs = discrete_laplacian_apply(space, ritz_project(space, fp))
+        lhs = discrete_laplacian_apply(space, space.from_eigen(ritz_project(space, fp)))
         rhs = l2_project(space, fpp)
         assert_allclose(lhs, rhs, atol=1e-10)
 
