@@ -41,6 +41,7 @@ from .mesh import build_fem_space, prolongation_matrix
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
 from .optimizer import cost, cost_with_stderr, gradient_descent
 from .riccati import (
+    MODE_BOUND,
     _closed_loop_stream,
     _simpson_panel_values,
     cost_from_moments,
@@ -151,9 +152,11 @@ def resolve_config(cfg):
         raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
     if cfg.noise not in ("linear", "additive"):
         raise ValueError(f"noise must be 'linear' or 'additive', got {cfg.noise!r}")
-    # k_fine is the Riccati solver's step count, and that solver models linear noise only
+    # k_fine is the step count of the Riccati solver, which models linear noise only
     if cfg.noise == "additive" and cfg.k_fine is not None:
         raise ValueError(f"{cfg.study} solves the Riccati equation, which needs noise='linear'")
+    if cfg.alpha >= MODE_BOUND and cfg.k_fine is not None:
+        raise ValueError(f"alpha must be below {MODE_BOUND:g} to solve the Riccati equation")
     if cfg.horizon <= 0:
         raise ValueError(f"horizon must be positive, got {cfg.horizon}")
     steps = [n for n in (cfg.time_steps, cfg.n_ref, cfg.k_fine, *(cfg.time_levels or ())) if n]
@@ -310,25 +313,29 @@ def _joint_errors(ric_r, ric_c):
     whose drift stays diagonal and whose noise part is (z + sigma) dW.
     The stacked system is therefore exactly the componentwise moment
     sweep already used for a single mesh, with concatenated coefficient
-    trajectories.  The error integrands read only diag(S_rr), diag(S_cc)
-    and the cross block S_rc, so only those entries are swept; they
-    couple the blocks through the cross Gramians C = V_r^T M_r P V_c
-    (control, L2 pairing) and C_A = V_r^T A_r P V_c = Lambda_r C (state,
-    gradient pairing) of the nodal prolongation P.
+    trajectories.  The cross Gramians C = V_r^T M_r P V_c (L2 pairing) and
+    C_A = V_r^T A_r P V_c = Lambda_r C (gradient pairing) of the nodal
+    prolongation P pair each fine mode with at most one coarse mode, so only
+    diag(S_rr), diag(S_cc) and S_rc at those pairs are swept.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
     space_r, space_c = ric_r.data.space, ric_c.data.space
-    D, d = space_r.dim, space_c.dim
+    D, n_c = space_r.dim, space_c.n_elems
     lam_r, lam_c = space_r.eigvals, space_c.eigvals
-    prolong = prolongation_matrix(space_c, space_r)
-    C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
-    CA = lam_r[:, None] * C  # V_r^T A_r = Lambda_r V_r^T M_r
 
-    # swept entries: the diagonal of the stacked system, then the D x d cross block
-    n = D + d
-    rows = np.concatenate((np.arange(n), np.repeat(np.arange(D), d)))
-    cols = np.concatenate((np.arange(n), D + np.tile(np.arange(d), D)))
+    # P^T M_r commutes with coarse shifts, so it maps fine sine mode r to its samples at
+    # the coarse nodes j / n_c: coarse mode k = +-r (mod 2 n_c), or zero if n_c divides r
+    q = np.arange(1, D + 1) % (2 * n_c)
+    ri = np.flatnonzero(q % n_c)
+    ki = np.minimum(q, 2 * n_c - q)[ri] - 1
+    c = space_r.to_eigen((prolongation_matrix(space_c, space_r) @ space_c.eigvecs).T).T[ri, ki]
+    c_grad = lam_r[ri] * c  # V_r^T A_r = Lambda_r V_r^T M_r
+
+    # swept entries: the diagonal of the stacked system, then S_rc at the pairs
+    n = D + space_c.dim
+    rows = np.concatenate((np.arange(n), ri))
+    cols = np.concatenate((np.arange(n), D + ki))
     p_half = np.vstack((ric_r.p_half, ric_c.p_half))
     phi_half = np.vstack((ric_r.phi_half, ric_c.phi_half))
     dt = ric_r.dt
@@ -349,15 +356,14 @@ def _joint_errors(ric_r, ric_c):
         pr, pc = p_half[:D, idx], p_half[D:, idx]
         fr, fc = phi_half[:D, idx], phi_half[D:, idx]
         mr, mc = m[:D], m[D:]
-        Srr, Scc, Src = S[:D], S[D:n], S[n:].reshape(D, d)
+        Srr, Scc, Src = S[:D], S[D:n], S[n:]
         wr_sq = (pr**2 * Srr).sum() + 2.0 * (pr * fr * mr).sum() + (fr**2).sum()
         wc_sq = (pc**2 * Scc).sum() + 2.0 * (pc * fc * mc).sum() + (fc**2).sum()
-        # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc) as bilinear forms of C
-        wrc = pr @ (C * Src) @ pc + (pr * mr + fr) @ C @ fc + fr @ C @ (pc * mc)
+        # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc), summed over the pairs
+        pr, mr, fr, pc, mc, fc = pr[ri], mr[ri], fr[ri], pc[ki], mc[ki], fc[ki]
+        wrc = (c * (pr * pc * Src + (pr * mr + fr) * fc + fr * pc * mc)).sum()
         ctrl_vals[idx] = wr_sq + wc_sq - 2.0 * wrc
-        grad_vals[idx] = (
-            (lam_r * Srr).sum() + (lam_c * Scc).sum() - 2.0 * (CA * Src).sum()
-        )
+        grad_vals[idx] = (lam_r * Srr).sum() + (lam_c * Scc).sum() - 2.0 * (c_grad * Src).sum()
     ctrl_sq = float(_simpson_panel_values(ctrl_vals, dt).sum())
     grad_sq = float(_simpson_panel_values(grad_vals, dt).sum())
     return ctrl_sq, grad_sq

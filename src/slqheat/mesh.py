@@ -1,9 +1,9 @@
 """P1 finite elements on (0, 1) with homogeneous Dirichlet conditions.
 
 Everything the space-time scheme needs from the spatial side lives here:
-the mass matrix M, the eigenpairs of the P1 pencil (A, M) that
-diagonalize the discrete Laplacian, and the Ritz projection of the data.
-On the uniform mesh A and M share the sine eigenvectors, so the
+the eigenpairs of the P1 pencil (A, M) that diagonalize the discrete
+Laplacian, and the Ritz projection of the data.  No matrix is assembled:
+on the uniform mesh A and M share the sine eigenvectors, so the
 eigenpairs have a closed form free of cancellation (Strang & Fix, *An
 Analysis of the Finite Element Method*, 1973): with theta_k = k pi h and
 s_k = sin^2(theta_k / 2),
@@ -42,8 +42,6 @@ class FemSpace:
         Mesh width 1 / n_elems.
     nodes : ndarray, shape (d,)
         Interior nodes h, 2h, ..., (n_elems - 1) h.
-    mass : ndarray, shape (d, d)
-        Tridiagonal mass matrix M (dense storage).
     eigvals : ndarray, shape (d,)
         Generalized eigenvalues of A v = lambda M v in closed form,
         ascending.  These are the eigenvalues of -Laplace_h.
@@ -54,7 +52,6 @@ class FemSpace:
     n_elems: int
     h: float
     nodes: np.ndarray
-    mass: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     _vt_mass: np.ndarray = field(repr=False)
@@ -93,11 +90,8 @@ def build_fem_space(n_elems):
     """
     if n_elems < 2:
         raise ValueError(f"need n_elems >= 2 for a nonempty interior space, got {n_elems}")
-    d = n_elems - 1
     h = 1.0 / n_elems
     nodes = h * np.arange(1, n_elems)
-
-    mass = (4.0 * h / 6.0) * np.eye(d) + (h / 6.0) * (np.eye(d, k=1) + np.eye(d, k=-1))
 
     # A and M act on sin(j theta_k) as multiplication by (4 / h) s_k and mass_k
     k = np.arange(1, n_elems)
@@ -110,7 +104,7 @@ def build_fem_space(n_elems):
 
     # V^T M = diag(mass_k) V^T, as M V = V diag(mass_k)
     vt_mass = mass_k[:, None] * eigvecs.T
-    return FemSpace(n_elems, h, nodes, mass, eigvals, eigvecs, _vt_mass=vt_mass)
+    return FemSpace(n_elems, h, nodes, eigvals, eigvecs, _vt_mass=vt_mass)
 
 
 def _quad_points(space):

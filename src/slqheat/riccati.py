@@ -47,6 +47,8 @@ import numpy as np
 
 from .forward import a0_scale
 
+MODE_BOUND = 1e6  # a-priori bound on the modes |p_i|; alpha = p_i(T) must stay below it
+
 
 def _stationary_roots(lams):
     """Roots r+ > 0 > r- of p^2 - (1 - 2 lambda) p - 1 = 0, stably evaluated."""
@@ -91,13 +93,12 @@ class RiccatiSolution:
     2 K_fine + 1 points, one row per mode) hold p, the offset phi and the
     noise coefficients sigma_i(t); the midpoints feed the collocation
     sweeps of the moments.  ``value_integral`` lives on the K_fine + 1
-    nodes ``t_half[::2]``.
+    nodes of the grid.
     """
 
     data: object
     k_fine: int
     lams: np.ndarray
-    t_half: np.ndarray
     p_half: np.ndarray
     phi_half: np.ndarray
     sigma_eig_half: np.ndarray
@@ -150,7 +151,7 @@ def solve_riccati(data, k_fine):
     space, horizon = data.space, data.grid.horizon
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
     p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
-    if not np.isfinite(p_half).all() or np.abs(p_half).max() > 1e6:
+    if not np.isfinite(p_half).all() or np.abs(p_half).max() > MODE_BOUND:
         raise ArithmeticError("Riccati mode solution left its a-priori bounds")
     tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
     sig = np.outer(data.profile, tf)
@@ -159,7 +160,6 @@ def solve_riccati(data, k_fine):
         data=data,
         k_fine=k_fine,
         lams=space.eigvals.copy(),
-        t_half=t_half,
         p_half=p_half,
         phi_half=phi_half,
         sigma_eig_half=sig,

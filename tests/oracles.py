@@ -16,8 +16,9 @@ sweeps; ``nodal_backward_kernel`` also keeps the leaf-wise storage
 level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 ``compute_f``, ``gradient``, ``bsde_martingale`` (the Zbar0 component of
 the backward equation) and ``bsde_residual`` are library operators
-that only the tests use, as are ``stiffness`` (the nodal stiffness matrix
-A, which the library's closed-form spectrum does not assemble),
+that only the tests use, as are ``mass`` and ``stiffness`` (the nodal
+mass and stiffness matrices M and A, which the library's closed-form
+spectrum does not assemble),
 ``nodal_ritz_project`` (the Ritz projection by a nodal solve, as the
 library computed it before the eigen-coordinate form), ``a0_apply`` (one
 implicit Euler step),
@@ -87,7 +88,7 @@ def tree_condexp(values, from_level, to_level):
 
 def dense_a0(space, tau):
     """Dense one-step operator (M + tau A)^{-1} M."""
-    return np.linalg.solve(space.mass + tau * stiffness(space), space.mass)
+    return np.linalg.solve(mass(space) + tau * stiffness(space), mass(space))
 
 
 def nodal(space, proc):
@@ -463,6 +464,12 @@ def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, r
 # -- nodal norms and evaluation -----------------------------------------------
 
 
+def mass(space):
+    """Tridiagonal P1 mass matrix M, tridiag(1, 4, 1) h / 6 (dense)."""
+    d, h = space.dim, space.h
+    return (4.0 * h / 6.0) * np.eye(d) + (h / 6.0) * (np.eye(d, k=1) + np.eye(d, k=-1))
+
+
 def stiffness(space):
     """Tridiagonal P1 stiffness matrix A, tridiag(-1, 2, -1) / h (dense)."""
     d = space.dim
@@ -472,26 +479,26 @@ def stiffness(space):
 def discrete_laplacian_apply(space, v):
     """Apply Laplace_h = -M^{-1} A to nodal coefficients (single or batch)."""
     v = np.asarray(v, dtype=float)
-    return -np.linalg.solve(space.mass, (v @ stiffness(space)).T).T
+    return -np.linalg.solve(mass(space), (v @ stiffness(space)).T).T
 
 
 def l2_norm(space, v):
     """Discrete L2 norm sqrt(v^T M v) of one coefficient vector."""
     v = np.asarray(v, dtype=float)
-    return float(np.sqrt(v @ space.mass @ v))
+    return float(np.sqrt(v @ mass(space) @ v))
 
 
 def l2_norm_sq_batch(space, v):
     """Squared L2 norms of a batch of coefficient vectors, shape (n,)."""
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    return ((v @ space.mass) * v).sum(axis=1)
+    return ((v @ mass(space)) * v).sum(axis=1)
 
 
 def l2_inner(space, u, v):
     """M-inner product of two coefficient vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(u @ space.mass @ v)
+    return float(u @ mass(space) @ v)
 
 
 def h1_seminorm(space, v):
@@ -881,8 +888,8 @@ def riccati_mode_derivative(lams, alpha, horizon, t):
 
 
 def fine_grid(riccati):
-    """The K_fine + 1 nodes of the dense grid."""
-    return riccati.t_half[::2]
+    """The K_fine + 1 nodes of the dense grid, as ``solve_riccati`` samples them."""
+    return np.linspace(0.0, riccati.data.grid.horizon, 2 * riccati.k_fine + 1)[::2]
 
 
 def p_at(riccati, t):
@@ -1020,7 +1027,6 @@ def full_joint_errors(ric_r, ric_c):
         data=ric_r.data,
         k_fine=ric_r.k_fine,
         lams=np.concatenate((space_r.eigvals, space_c.eigvals)),
-        t_half=ric_r.t_half,
         p_half=np.vstack((ric_r.p_half, ric_c.p_half)),
         phi_half=np.vstack((ric_r.phi_half, ric_c.phi_half)),
         sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
@@ -1111,5 +1117,5 @@ def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
 
 def dense_to_nodal(space, P_eig):
     """Reassemble an eigenbasis Riccati matrix as the nodal-coefficient operator."""
-    return space.eigvecs @ P_eig @ space.eigvecs.T @ space.mass
+    return space.eigvecs @ P_eig @ space.eigvecs.T @ mass(space)
 

@@ -32,7 +32,7 @@ from slqheat.forward import make_problem, default_sigma_spec, solve_forward
 from oracles import feedback_control, full_joint_errors, l2_norm_sq_batch
 from slqheat.mesh import build_fem_space, prolongation_matrix
 from slqheat.noise import gaussian_driver, make_time_grid
-from slqheat.riccati import discrete_value
+from slqheat.riccati import MODE_BOUND, discrete_value
 
 
 # ------------------------------------------------------------------ config
@@ -228,6 +228,17 @@ def test_resolve_config_rejects_non_finite_floats(study, field, value):
     # NaN passes every sign check, and inf would run to NaN tables or zero steps
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make_config(study, **{field: value})
+
+
+def test_riccati_studies_hold_alpha_below_the_mode_bound():
+    # p_i(T) = alpha, so solve_riccati would leave MODE_BOUND at the terminal time
+    for study in ("spatial_rate", "riccati_crosscheck"):
+        for alpha in (MODE_BOUND, 2.0 * MODE_BOUND):
+            with pytest.raises(ValueError, match="alpha must be below"):
+                make_config(study, alpha=alpha)
+        assert make_config(study, alpha=MODE_BOUND - 1.0).alpha == MODE_BOUND - 1.0
+    # the studies that solve no Riccati equation read any finite alpha
+    assert make_config("gd_convergence", alpha=2.0 * MODE_BOUND).alpha == 2.0 * MODE_BOUND
 
 
 # -------------------------------------------------------------- rate table
@@ -706,6 +717,9 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["temporal_rate", "--horizon", "10"], "", "step 10.0 / 8 exceeds 1"),
         (["spatial_rate"], "mesh_levels = 1, 2\nmesh_ref = 8", "mesh_levels must be at least 2"),
         (["gd_convergence", "--horizon", "nan"], "", "horizon must be finite"),
+        (["riccati_crosscheck", "--alpha", "1e6"], "", "alpha must be below 1e+06"),
+        (["riccati_crosscheck", "--alpha", "2e6"], "", "alpha must be below 1e+06"),
+        (["spatial_rate", "--alpha", "2e6"], "", "alpha must be below 1e+06"),
     ],
 )
 def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):

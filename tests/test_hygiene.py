@@ -218,6 +218,51 @@ def test_every_src_parameter_is_read():
     assert unread_parameters(sources) == []
 
 
+def unread_dataclass_fields(sources):
+    """Fields of the dataclasses in ``sources`` that no code reads.
+
+    A field is an annotated name in the body of a class decorated with
+    ``dataclass`` (bare or called); a read is an ``ast.Attribute`` load
+    with the field's name anywhere in ``sources`` (so constructor keywords,
+    assignments and docstrings do not count).  Reported as ``Class.field``.
+    """
+    fields, reads = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+                for dec in node.decorator_list
+            ):
+                fields += [
+                    (node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return [f"{cls}.{name}" for cls, name in fields if name not in reads]
+
+
+def test_unread_dataclass_field_detection():
+    source = (
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass\nclass Space:\n"
+        "    \"\"\"Holds planted, which nothing reads.\"\"\"\n\n"
+        "    n: int\n    planted: float\n    _cache: list = field(repr=False)\n\n"
+        "    def size(self):\n        return self.n + len(self._cache)\n\n"
+        "@dataclass(frozen=True)\nclass Grid:\n    tau: float\n    stored: float = 0.0\n\n"
+        "class Plain:\n    ignored: int\n\n"
+        "def build():\n    space = Space(1, planted=2.0, _cache=[])\n    space.planted = 3.0\n"
+        "    return space, Grid(tau=1.0, stored=2.0).tau\n"
+    )
+    assert unread_dataclass_fields([source]) == ["Space.planted", "Grid.stored"]
+
+
+def test_every_src_dataclass_field_is_read_by_src():
+    sources = [path.read_text(encoding="utf-8") for path in SRC]
+    assert unread_dataclass_fields(sources) == []
+
+
 def stale_names(names, sources):
     """Names of ``names`` that no longer label a definition in ``sources``.
 

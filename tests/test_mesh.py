@@ -16,6 +16,7 @@ from oracles import (
     l2_norm,
     l2_norm_sq_batch,
     l2_project,
+    mass,
     nodal_ritz_project,
     stiffness,
 )
@@ -45,7 +46,7 @@ def test_matrices_match_stencils():
         if i + 1 < d:
             m_ref[i, i + 1] = m_ref[i + 1, i] = h / 6
             a_ref[i, i + 1] = a_ref[i + 1, i] = -1 / h
-    assert_allclose(space.mass, m_ref, rtol=0, atol=1e-15)
+    assert_allclose(mass(space), m_ref, rtol=0, atol=1e-15)
     assert_allclose(stiffness(space), a_ref, rtol=0, atol=1e-13)
 
 
@@ -68,8 +69,8 @@ CLOSED_FORM_MESHES = (2, 3, 8, 33, 256, 1024)
 def test_closed_form_eigenpairs_solve_the_pencil(n):
     space = build_fem_space(n)
     V, lam = space.eigvecs, space.eigvals
-    assert np.abs(V.T @ space.mass @ V - np.eye(space.dim)).max() <= 2e-13
-    residual = stiffness(space) @ V - (space.mass @ V) * lam
+    assert np.abs(V.T @ mass(space) @ V - np.eye(space.dim)).max() <= 2e-13
+    residual = stiffness(space) @ V - (mass(space) @ V) * lam
     assert np.abs(residual).max() <= 1e-12 * lam.max()
     assert_allclose(space.to_eigen(V.T), np.eye(space.dim), rtol=0, atol=2e-13)
 
@@ -88,7 +89,7 @@ def test_closed_form_eigenvalues_match_extended_precision(n):
 def test_closed_form_agrees_with_eigh(n):
     # cross-check against the dense generalized eigensolver, up to the sign of each vector
     space = build_fem_space(n)
-    lam, U = eigh(stiffness(space), space.mass)
+    lam, U = eigh(stiffness(space), mass(space))
     assert_allclose(space.eigvals, lam, rtol=0, atol=1e-13 * lam.max())
     overlap = space.to_eigen(U.T)
     assert_allclose(np.abs(overlap), np.eye(space.dim), rtol=0, atol=1e-11)
@@ -106,7 +107,7 @@ def test_ritz_project_in_eigen_coordinates_matches_nodal_solve(n):
 def test_eigenvectors_m_orthonormal():
     space = build_fem_space(32)
     V = space.eigvecs
-    gram = V.T @ space.mass @ V
+    gram = V.T @ mass(space) @ V
     assert np.abs(gram - np.eye(space.dim)).max() <= 1e-12
 
 
@@ -128,7 +129,7 @@ def test_l2_project_against_quad_loads():
     b = np.array(
         [quad(lambda x: f(x) * hat(space, j, x), 0.0, 1.0, epsabs=1e-14)[0] for j in range(space.dim)]
     )
-    c_ref = np.linalg.solve(space.mass, b)
+    c_ref = np.linalg.solve(mass(space), b)
     assert_allclose(l2_project(space, f), c_ref, atol=1e-10)
 
 
@@ -139,7 +140,7 @@ def test_l2_project_is_orthogonal_projection():
     c = l2_project(space, f)
     for j in range(space.dim):
         load = quad(lambda x: f(x) * hat(space, j, x), 0.0, 1.0, epsabs=1e-14)[0]
-        assert abs((space.mass @ c)[j] - load) < 1e-10
+        assert abs((mass(space) @ c)[j] - load) < 1e-10
 
 
 def test_l2_project_reproduces_fem_functions():
@@ -215,7 +216,7 @@ def test_batch_norms_match_scalar():
     sq = l2_norm_sq_batch(space, v)
     for i in range(6):
         assert_allclose(np.sqrt(sq[i]), l2_norm(space, v[i]), rtol=1e-12)
-    assert_allclose(l2_inner(space, v[0], v[1]), v[0] @ space.mass @ v[1], rtol=1e-12)
+    assert_allclose(l2_inner(space, v[0], v[1]), v[0] @ mass(space) @ v[1], rtol=1e-12)
 
 
 def test_prolongation_exact_on_nested_meshes():
@@ -230,6 +231,25 @@ def test_prolongation_exact_on_nested_meshes():
 def test_prolongation_rejects_non_nested():
     with pytest.raises(ValueError):
         prolongation_matrix(build_fem_space(6), build_fem_space(8))
+
+
+@pytest.mark.parametrize(
+    "n_fine, n_coarse", [(24, 8), (15, 5), (35, 7), (9, 3), (4, 4), (256, 64), (1024, 64)]
+)
+def test_cross_gramian_pairs_each_fine_mode_with_its_alias(n_fine, n_coarse):
+    # C = V_f^T M_f P V_c couples fine sine mode r only with the coarse mode
+    # k = +-r (mod 2 n_coarse) that it matches at the coarse nodes; a fine
+    # mode whose r is a multiple of n_coarse vanishes there and has no partner
+    fine, coarse = build_fem_space(n_fine), build_fem_space(n_coarse)
+    C = fine.eigvecs.T @ mass(fine) @ prolongation_matrix(coarse, fine) @ coarse.eigvecs
+    r = np.arange(1, n_fine)
+    q = r % (2 * n_coarse)
+    alias = np.minimum(q, 2 * n_coarse - q)
+    partner = (alias[:, None] == np.arange(1, n_coarse)) & (q % n_coarse != 0)[:, None]
+    assert np.abs(C[~partner]).max() <= 2e-15
+    assert np.abs(C[partner]).min() > 1e-9
+    assert partner.sum() == fine.dim - np.isin(q, (0, n_coarse)).sum()
+    assert np.abs(C.T @ C - np.eye(coarse.dim)).max() <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)

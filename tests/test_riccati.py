@@ -17,6 +17,7 @@ from oracles import (
     fine_grid,
     full_closed_loop_stream,
     l2_norm,
+    mass,
     phi_at,
     riccati_mode_derivative,
     solve_riccati_dense,
@@ -379,7 +380,7 @@ def test_dense_nodal_reassembly_is_m_selfadjoint():
     t_nodes, P = solve_riccati_dense(space, 1.0, 1.0, k_fine=2048)
     op = dense_to_nodal(space, P[0])
     # operator on nodal coefficients: M-selfadjoint and equal to alpha I at T
-    assert np.abs(space.mass @ op - op.T @ space.mass).max() < 1e-10
+    assert np.abs(mass(space) @ op - op.T @ mass(space)).max() < 1e-10
     assert_allclose(dense_to_nodal(space, P[-1]), np.eye(space.dim), atol=1e-12)
 
 
@@ -416,7 +417,6 @@ def test_moments_zero_feedback_closed_form():
         data=data,
         k_fine=base.k_fine,
         lams=base.lams,
-        t_half=base.t_half,
         p_half=np.zeros_like(base.p_half),
         phi_half=np.zeros_like(base.p_half),
         sigma_eig_half=np.zeros_like(base.p_half),
