@@ -4,10 +4,11 @@ The config file is flat ``key = value`` text (``#`` comments, blank lines
 ignored); keys are exactly the ExperimentConfig field names and unknown
 keys are rejected.  Command-line flags override config values, and the
 positional study name overrides a ``study`` key.  A field the study does
-not read, or a value it cannot run, exits with status 2 before anything
-is written.  Results land in the output directory as CSV tables plus a
-manifest.json echoing the full configuration; the CLI then prints the
-manifest's summary, one ``key: value`` line per entry.
+not read, a value it cannot run, or a run whose tables hold a non-finite
+number exits with status 2 before anything is written.  Results land in
+the output directory as CSV tables plus a manifest.json echoing the full
+configuration; the CLI then prints the manifest's summary, one
+``key: value`` line per entry.
 """
 
 import argparse
@@ -95,7 +96,10 @@ def main(argv=None):
         cfg = resolve_config(ExperimentConfig(**values))
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    run_study(cfg)
+    try:
+        run_study(cfg)
+    except ArithmeticError as exc:
+        parser.error(str(exc))
     print(f"study {cfg.study}: results in {cfg.out}/")
     with open(os.path.join(cfg.out, "manifest.json"), encoding="utf-8") as fh:
         for key, value in json.load(fh)["summary"].items():

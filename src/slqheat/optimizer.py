@@ -111,7 +111,7 @@ class GdTrace:
         """Theory curve (1 - 1/kappa)^l * err_to_ref[0]."""
         if not self.err_to_ref:
             return []
-        rho = 1.0 - 1.0 / self.kappa
+        rho = np.float64(1.0 - 1.0 / self.kappa)  # overflows to inf, where a float raises
         return [self.err_to_ref[0] * rho**i for i in range(len(self.err_to_ref))]
 
 

@@ -22,12 +22,12 @@ uniformly stable for every mode, including the stiff ones (lambda up to
 up.
 
 The remaining linear backward/forward ODEs (offset phi, closed-loop
-first and second moments, running cost integrals) are integrated by
-Hermite-Simpson collocation (Lobatto IIIA, 3 stages): A-stable, 4th
-order, with closed-form stage elimination for the componentwise-diagonal
-systems used here.  With zero drift it degenerates to composite Simpson
-quadrature, which keeps every integral in this module consistent with
-the same fine half-grid sampling.
+first and second moments) are integrated by one Hermite-Simpson sweep,
+:func:`_hs_sweep` (Lobatto IIIA, 3 stages): A-stable, 4th order, with
+closed-form stage elimination for the componentwise-diagonal systems
+used here.  It returns whole (2K+1, .) half-grid trajectories, and the
+cost integrals are composite Simpson sums of their rows, all on the same
+fine half-grid sampling.
 
 ``solve_riccati(data, k_fine)`` is the one constructor: from a
 :class:`slqheat.forward.ProblemData` it builds the complete
@@ -47,7 +47,7 @@ import numpy as np
 
 from .forward import a0_scale
 
-MODE_BOUND = 1e6  # a-priori bound on the modes |p_i|; alpha = p_i(T) must stay below it
+MODE_BOUND = 1e6  # bound on alpha = p_i(T), and so on the modes |p_i|
 
 
 def _stationary_roots(lams):
@@ -141,6 +141,8 @@ def solve_riccati(data, k_fine):
     ValueError
         For additive noise: the mode equations carry the +P term and the
         moment sweeps the (X + sigma) noise of the linear-noise problem.
+        For alpha outside [0, MODE_BOUND): each p_i runs monotonically between
+        alpha and its stationary root r+ < 1.62, so this bounds every mode.
     """
     if data.noise != "linear":
         raise ValueError(
@@ -148,11 +150,11 @@ def solve_riccati(data, k_fine):
         )
     if k_fine < 1:
         raise ValueError(f"need k_fine >= 1, got {k_fine}")
+    if not 0 <= data.alpha < MODE_BOUND:
+        raise ValueError(f"need 0 <= alpha < {MODE_BOUND:g}, got {data.alpha}")
     space, horizon = data.space, data.grid.horizon
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
     p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
-    if not np.isfinite(p_half).all() or np.abs(p_half).max() > MODE_BOUND:
-        raise ArithmeticError("Riccati mode solution left its a-priori bounds")
     tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
     sig = np.outer(data.profile, tf)
     phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
@@ -184,25 +186,19 @@ def _hs_sweep(a_half, g_half, y0, dt):
     decaying components stay monotone.  With a == 0 it reduces to
     composite Simpson quadrature of g.
     """
-    n_half = len(a_half)
-    y = np.empty((n_half,) + np.shape(y0))
+    y = np.empty((len(a_half),) + np.shape(y0))
     y[0] = y0
-    for k in range((n_half - 1) // 2):
-        y[2 * k + 1], y[2 * k + 2] = _hs_step(
-            y[2 * k], *a_half[2 * k : 2 * k + 3], *g_half[2 * k : 2 * k + 3], dt
+    for k in range(0, len(a_half) - 1, 2):
+        a0, am, a1 = a_half[k : k + 3]
+        g0, gm, g1 = g_half[k : k + 3]
+        f0 = a0 * y[k] + g0
+        c1 = 0.5 * y[k] + (dt / 8.0) * (f0 - g1)
+        c2 = 0.5 - (dt / 8.0) * a1
+        y[k + 2] = (y[k] + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
+            1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
         )
+        y[k + 1] = c1 + c2 * y[k + 2]
     return y
-
-
-def _hs_step(y0, a0, am, a1, g0, gm, g1, dt):
-    """One Hermite-Simpson panel of y' = a y + g; returns (y_mid, y1)."""
-    f0 = a0 * y0 + g0
-    c1 = 0.5 * y0 + (dt / 8.0) * (f0 - g1)
-    c2 = 0.5 - (dt / 8.0) * a1
-    y1 = (y0 + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
-        1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
-    )
-    return c1 + c2 * y1, y1
 
 
 def _simpson_panel_values(f_half, dt):
@@ -232,10 +228,8 @@ def _phi_sweep(lams, p_half, sig, dt):
     (phi on the half grid, shape (d, 2K+1), value_integral, shape (K+1,))
     """
     # reversed time: psi(s) = phi(T - s) solves psi' = -(lam + p~) psi + p~ sig~
-    p_rev = p_half[:, ::-1]
-    a_rev = -(lams[:, None] + p_rev)
-    g_rev = p_rev * sig[:, ::-1]
-    phi_half = _hs_sweep(a_rev.T, g_rev.T, np.zeros(len(lams)), dt)[::-1].T
+    p_rev = p_half.T[::-1]
+    phi_half = _hs_sweep(-(lams + p_rev), p_rev * sig.T[::-1], np.zeros(len(lams)), dt)[::-1].T
 
     integrand = (p_half * sig**2).sum(axis=0) - (phi_half**2).sum(axis=0)
     panels = _simpson_panel_values(integrand, dt)
@@ -316,8 +310,8 @@ def discrete_value(data):
     return float(0.5 * (P * c0**2).sum() + q @ c0 + r)
 
 
-def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):
-    """Yield (half_index, m, S) along the closed-loop moment sweep.
+def _closed_loop_moments(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):
+    """Closed-loop mean and second-moment entries on the half grid.
 
     The mean solves m' = -(lam + p) m - phi (componentwise); in the
     eigenbasis each second-moment entry solves its own scalar linear ODE
@@ -327,32 +321,25 @@ def _closed_loop_stream(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, co
 
     with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
     multiplicative noise second moment E (X + sig)(X + sig)^T.  Only the
-    entries (rows[e], cols[e]) are swept, from S_ij(0) = m0_i m0_j, and S
-    is yielded as the flat vector of those entries; m is the full mean.
-    Drift and source are built once per half-grid point, so the cost per
-    step is linear in the number of entries.  S values at midpoints are
+    entries (rows[e], cols[e]) are swept, from S_ij(0) = m0_i m0_j, so the
+    cost is linear in the number of entries.  S values at midpoints are
     collocation values, accurate to the scheme's order, so Simpson
-    accumulation against this stream is 4th order.
+    accumulation against them is 4th order.
+
+    Returns
+    -------
+    (m, S) of shapes (2K+1, n) and (2K+1, len(rows)): the full mean and
+    the swept entries, one row per half-grid point.
     """
-    a = -(lams[:, None] + p_half)  # (n, 2K+1)
-    m_half = _hs_sweep(a.T, -phi_half.T, m0, dt)  # (2K+1, n)
-
-    def drift_source(idx):
-        ai, mi, phi, sig = a[:, idx], m_half[idx], phi_half[:, idx], sigma_eig_half[:, idx]
-        mr, mc, fr, fc, sr, sc = mi[rows], mi[cols], phi[rows], phi[cols], sig[rows], sig[cols]
-        return ai[rows] + ai[cols] + 1.0, -fr * mc - fc * mr + mr * sc + mc * sr + sr * sc
-
-    S = m0[rows] * m0[cols]
-    yield 0, m_half[0], S
-    A0, g0 = drift_source(0)
-    for k in range(a.shape[1] // 2):
-        i1, i2 = 2 * k + 1, 2 * k + 2
-        Am, gm = drift_source(i1)
-        A1, g1 = drift_source(i2)
-        Sm, S = _hs_step(S, A0, Am, A1, g0, gm, g1, dt)
-        yield i1, m_half[i1], Sm
-        yield i2, m_half[i2], S
-        A0, g0 = A1, g1
+    p, phi, sig = (np.ascontiguousarray(x.T) for x in (p_half, phi_half, sigma_eig_half))
+    a = -(lams + p)  # (2K+1, n), time-major like every array here
+    m = _hs_sweep(a, -phi, m0, dt)
+    source = -phi[:, rows] * m[:, cols]
+    source -= phi[:, cols] * m[:, rows]
+    source += m[:, rows] * sig[:, cols]
+    source += m[:, cols] * sig[:, rows]
+    source += sig[:, rows] * sig[:, cols]
+    return m, _hs_sweep(a[:, rows] + a[:, cols] + 1.0, source, m0[rows] * m0[cols], dt)
 
 
 def cost_from_moments(riccati):
@@ -361,22 +348,18 @@ def cost_from_moments(riccati):
     cost = (1/2) int_0^T [tr S + E||U||^2] dt + (alpha/2) tr S(T),
     E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2],
 
-    accumulated by composite Simpson along the closed-loop moment sweep
-    (the trajectory itself is never stored).
+    integrated by composite Simpson over the closed-loop mean and the
+    diagonal of the second moment on the half grid.
     """
     data = riccati.data
-    dt = riccati.dt
-    m0 = data.x0
     diag = np.arange(data.space.dim)
-    vals = np.empty(2 * riccati.k_fine + 1)
-    tr_T = None
-    for idx, m, S_ii in _closed_loop_stream(
-        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, dt, m0, diag, diag
-    ):
-        p = riccati.p_half[:, idx]
-        phi = riccati.phi_half[:, idx]
-        u_sq = (p**2 * S_ii).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
-        vals[idx] = S_ii.sum() + u_sq
-        tr_T = S_ii.sum()
-    integral = _simpson_panel_values(vals, dt).sum()
-    return float(0.5 * integral + 0.5 * data.alpha * tr_T)
+    m, S = _closed_loop_moments(
+        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
+        data.x0, diag, diag,
+    )
+    # time-major C-contiguous rows, so each row sum is the per-point sum
+    p, phi = np.ascontiguousarray(riccati.p_half.T), np.ascontiguousarray(riccati.phi_half.T)
+    u_sq = (p**2 * S).sum(axis=1) + 2.0 * (p * phi * m).sum(axis=1) + (phi**2).sum(axis=1)
+    tr = S.sum(axis=1)
+    integral = _simpson_panel_values(tr + u_sq, riccati.dt).sum()
+    return float(0.5 * integral + 0.5 * data.alpha * tr[-1])

@@ -57,7 +57,7 @@ from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
     RiccatiSolution,
-    _closed_loop_stream,
+    _closed_loop_moments,
     _hs_sweep,
     _simpson_panel_values,
     _stationary_roots,
@@ -938,21 +938,16 @@ def closed_loop_moments(riccati):
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     d = data.space.dim
-    rows, cols = all_pairs(d)
-    stream = _closed_loop_stream(
+    m, S = _closed_loop_moments(
         riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
-        data.x0, rows, cols,
+        data.x0, *all_pairs(d),
     )
-    return [
-        MomentState(m=m.copy(), S=S.reshape(d, d).copy())
-        for idx, m, S in stream
-        if idx % 2 == 0
-    ]
+    return [MomentState(m=m_k, S=S_k.reshape(d, d)) for m_k, S_k in zip(m[::2], S[::2])]
 
 
 # The full-matrix moment sweep and the joint errors evaluated on it, as the
 # library had them before it swept only requested entries: the equivalence
-# oracle of riccati._closed_loop_stream and experiments._joint_errors.
+# oracle of riccati._closed_loop_moments and experiments._joint_errors.
 
 
 def full_closed_loop_stream(riccati, m0, S0):

@@ -4,9 +4,13 @@ import inspect
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slqheat import experiments
@@ -231,7 +235,7 @@ def test_resolve_config_rejects_non_finite_floats(study, field, value):
 
 
 def test_riccati_studies_hold_alpha_below_the_mode_bound():
-    # p_i(T) = alpha, so solve_riccati would leave MODE_BOUND at the terminal time
+    # solve_riccati takes alpha below MODE_BOUND only, so these studies reject it up front
     for study in ("spatial_rate", "riccati_crosscheck"):
         for alpha in (MODE_BOUND, 2.0 * MODE_BOUND):
             with pytest.raises(ValueError, match="alpha must be below"):
@@ -239,6 +243,85 @@ def test_riccati_studies_hold_alpha_below_the_mode_bound():
         assert make_config(study, alpha=MODE_BOUND - 1.0).alpha == MODE_BOUND - 1.0
     # the studies that solve no Riccati equation read any finite alpha
     assert make_config("gd_convergence", alpha=2.0 * MODE_BOUND).alpha == 2.0 * MODE_BOUND
+
+
+# the smallest runs of each study: every size at (or next to) its least value
+TINY = {
+    "spatial_rate": dict(mesh_levels=(2, 4), mesh_ref=8, k_fine=4),
+    "temporal_rate": dict(n_elems=2, time_levels=(1, 2), n_ref=4, n_paths=4, max_iters=2),
+    "gd_convergence": dict(n_elems=2, time_steps=2, max_iters=3),
+    "riccati_crosscheck": dict(n_elems=2, time_steps=2, time_levels=(1, 2), n_paths=4, k_fine=4),
+    "adjoint_gap": dict(n_elems=2, time_levels=(1, 2)),
+}
+
+
+def csv_numbers(out):
+    """Every number in the CSV tables under ``out``."""
+    cells = []
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            for line in (out / name).read_text().splitlines()[1:]:
+                cells += [float(cell) for cell in line.split(",")[1:] if cell]
+    return cells
+
+
+# finite inputs whose tiny runs overflow (gd_convergence stays finite at 1e154)
+OVERFLOWING = [
+    *((study, "sigma_scale", 1e300) for study in sorted(TINY)),
+    *((study, "sigma_scale", 1e154) for study in sorted(TINY) if study != "gd_convergence"),
+    ("adjoint_gap", "alpha", 1e154),
+    ("adjoint_gap", "alpha", 1e300),
+    ("gd_convergence", "alpha", 1e300),
+    ("temporal_rate", "kappa", 1e-300),
+]
+
+
+@pytest.mark.parametrize("study, field, value", OVERFLOWING, ids=str)
+def test_non_finite_results_raise_and_write_nothing(tmp_path, study, field, value):
+    # the tables are formatted before anything is written, and a non-finite entry stops the run
+    out = tmp_path / "out"
+    cfg = make_config(study, out=str(out), **TINY[study], **{field: value})
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=f"{study}: non-finite"):
+        run_study(cfg)
+    assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(TINY)).flatmap(
+        lambda study: st.fixed_dictionaries(
+            {"study": st.just(study)},
+            optional={
+                field: st.sampled_from(
+                    [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1.0, 1e154, 1e300]
+                )
+                for field in FLOAT_FIELDS
+                if field in runner_fields(study)
+            },
+        )
+    )
+)
+def test_any_float_input_fails_loudly_or_writes_finite_tables(fields):
+    # three outcomes only: rejected up front, stopped at the tables with
+    # nothing written, or every CSV number finite
+    study = fields.pop("study")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        try:
+            cfg = make_config(study, out=str(out), **TINY[study], **fields)
+        except ValueError:
+            event("rejected")
+            return
+        try:
+            with np.errstate(all="ignore"):
+                run_study(cfg)
+        except ArithmeticError as exc:
+            assert f"{study}: non-finite" in str(exc)
+            assert not out.exists()
+            event("non-finite")
+            return
+        event("finite")
+        assert all(math.isfinite(v) for v in csv_numbers(out))
 
 
 # -------------------------------------------------------------- rate table
@@ -731,6 +814,23 @@ def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reports_non_finite_results(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["gd_convergence", "--alpha", "1e300", "--n-elems", "2", "--time-steps", "2"]
+    with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-iters", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "gd_convergence: non-finite result inf; nothing was written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_runs_crosscheck_just_below_the_mode_bound(tmp_path):
+    out = tmp_path / "out"
+    assert main(["riccati_crosscheck", "--alpha", "999999.99999999", "--paths", "50",
+                 "--out", str(out)]) == 0
+    assert all(math.isfinite(v) for v in csv_numbers(out))
 
 
 def test_cli_kappa_override_is_used_verbatim(tmp_path):

@@ -26,8 +26,9 @@ from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, make_time_grid
 from slqheat.optimizer import cost
 from slqheat.riccati import (
+    MODE_BOUND,
     RiccatiSolution,
-    _closed_loop_stream,
+    _closed_loop_moments,
     _hs_sweep,
     _phi_sweep,
     _stationary_roots,
@@ -469,6 +470,18 @@ def test_moment_oracle_rejects_additive_noise():
         solve_riccati(make_problem(space, grid, noise="additive"), 64)
 
 
+def test_solve_riccati_takes_alpha_up_to_the_mode_bound():
+    # each p_i runs monotonically between alpha and its root r+ < 1.62, so the
+    # closed form stays finite right up to the bound and only alpha is checked
+    space, grid = build_fem_space(8), make_time_grid(1.0, 4)
+    ric = solve_riccati(make_problem(space, grid, alpha=MODE_BOUND - 1e-8), 64)
+    assert np.isfinite(ric.p_half).all() and np.isfinite(ric.phi_half).all()
+    assert ric.p_half.max() - (MODE_BOUND - 1e-8) <= 1e-11 * MODE_BOUND
+    for alpha in (MODE_BOUND, np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            solve_riccati(make_problem(space, grid, alpha=alpha), 64)
+
+
 # ------------------------------------------- entry-indexed moment sweep
 
 
@@ -479,8 +492,8 @@ def _moment_setup(n_elems=8, k_fine=32):
     return space, ric, data.x0
 
 
-def _entry_stream(ric, m0, rows, cols):
-    return _closed_loop_stream(
+def _entry_moments(ric, m0, rows, cols):
+    return _closed_loop_moments(
         ric.lams, ric.p_half, ric.phi_half, ric.sigma_eig_half, ric.dt, m0, rows, cols
     )
 
@@ -497,11 +510,11 @@ _SMALL_DIM = _SMALL[0].dim
 
 def _assert_entries_match(rows, cols):
     _, ric, m0 = _SMALL
-    got = list(_entry_stream(ric, m0, rows, cols))
-    assert [idx for idx, _, _ in got] == [idx for idx, _, _ in _SMALL_FULL]
-    for (_, m, S), (_, m_ref, S_ref) in zip(got, _SMALL_FULL):
-        assert_allclose(m, m_ref, rtol=1e-12, atol=0)
-        assert_allclose(S, S_ref[rows, cols], rtol=1e-12, atol=0)
+    m, S = _entry_moments(ric, m0, rows, cols)
+    assert [idx for idx, _, _ in _SMALL_FULL] == list(range(len(m))) == list(range(len(S)))
+    for idx, m_ref, S_ref in _SMALL_FULL:
+        assert_allclose(m[idx], m_ref, rtol=1e-12, atol=0)
+        assert_allclose(S[idx], S_ref[rows, cols], rtol=1e-12, atol=0)
 
 
 def test_entry_stream_matches_full_sweep_on_diagonal_block_and_all_pairs():
