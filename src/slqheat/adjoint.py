@@ -1,9 +1,13 @@
-"""Conditioning on F_{t_n}, the gradient kernel and the backward equation.
+"""The conditioned backward sweep: the gradient kernel and the backward equation.
 
-Both objects here are the shared backward recursion of
-:mod:`slqheat.forward`, which reads the state X it adjoins (source
--tau X, terminal value -alpha X_N), fed through the conditioning pass of
-:func:`condexp`:
+Both objects here condition one backward recursion on F_{t_n}.  It
+adjoins a state X over 0..N: with multipliers m_k = 1 + dW_k (linear
+noise; m_k = 1 for additive), G_N = -alpha X_N and V_n = -tau X_n,
+
+    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1})   (offset 2: gradient kernel),
+    G_n = A0 m_{n+1} (V_{n+1} + G_{n+1})   (offset 1: implicit-Euler backward equation),
+
+and the object is E[G_n | F_n]:
 
 * ``k_htau`` -- the kernel K X = -L*(X) - alpha Lhat*(X_N) appearing in
   the discrete optimality condition U = K X (noise multipliers start two
@@ -19,19 +23,23 @@ Both objects here are the shared backward recursion of
   differ by O(tau) uniformly in time, which the adjoint-gap study
   measures.
 
-All conditioning goes through :func:`condexp`, which reads a whole
-backward sweep, then writes E[H_n | F_n] into caller storage (which may
-be the state's own slots): exact subtree means on the scenario tree,
-taken with the sweep's own sibling-pair average ``driver.parent_mean``,
-and ridge-regularized least squares on Monte Carlo ensembles (features:
-constant, leading eigenbasis coordinates of the state, and the Brownian
-value at t_n), batched over all slices.  Processes hold eigen
-coordinates (see :mod:`slqheat.forward`), so L2 norms are euclidean.
+By the tower property the sweep :func:`_sweep` carries
+H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
+V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
+(both the identity on ensembles), so a tree costs O(2^N d) instead of
+O(N 2^N d).  It conditions as it goes: on the scenario tree E[H_n | F_n]
+is the exact subtree average, ``driver.parent_mean`` applied l - n <= 2
+times, whose first application is also where step n - 1 starts after a
+level drop; on Monte Carlo ensembles it is a ridge-regularized least
+squares fit (features: constant, leading eigenbasis coordinates of the
+state, and the Brownian value at t_n), batched over all slices.
+Processes hold eigen coordinates (see :mod:`slqheat.forward`), where A0
+is an elementwise scale and L2 norms are euclidean.
 """
 
 import numpy as np
 
-from .forward import backward_kernel, zeros_process
+from .forward import a0_scale, zeros_process
 
 
 # Ridge of the regression normal equations: keeps degenerate slices such as
@@ -44,11 +52,11 @@ def _regression_features(data, driver, state):
 
     xhat_i are the leading m = min(4, d) eigenbasis coordinates of the
     state slice; ``features[k]`` belongs to time index ``state.start + k``
-    and is a C-contiguous (P, m + 2) block.
+    and is a C-contiguous (P, m + 2) block copied out of ``state``.
     """
     # the exact conditional expectations are affine in the state
     # coordinates, but only the leading modes enter the basis: it is exact
-    # only for data that load modes <= 4 (a mode-wise basis is ROADMAP item 2)
+    # only for data that load modes <= 4 (a mode-wise basis is ROADMAP item 8)
     m = min(4, data.space.dim)
     x = state.values
     feats = np.empty(x.shape[:2] + (m + 2,))
@@ -58,51 +66,59 @@ def _regression_features(data, driver, state):
     return feats
 
 
-def condexp(data, driver, items, out, state):
-    """Write E[H | F_{t_n}] into ``out.at(n)`` for each item (n, H, level) of a backward sweep.
+def _sweep(data, driver, state, product_offset, out):
+    """Write E[G_n | F_n] of the backward recursion into ``out.at(n)``, n = N-1 down to 0.
 
-    ``H`` holds per-scenario values living at time index ``level``; the
-    items fill ``out`` once each.  All items are read before ``out`` is
-    written, so ``out`` may share storage with ``state``.  On a scenario
-    tree each item is the exact subtree average over the level-``n``
-    nodes, ``driver.parent_mean`` applied level - n times (at most twice
-    for the sweeps of :mod:`slqheat.forward`).  On an ensemble it is the
-    ridge least-squares regression of H on [1, xhat_1, ..., xhat_m,
-    W(t_n)], with xhat_i the leading
-    m = min(4, d) eigenbasis coordinates of ``state`` at t_n: one batched
-    product forms the grams F_n^T F_n, each item its F_n^T H, one batched
+    ``state`` is the process over 0..N that the recursion adjoins;
+    ``product_offset`` is 2 for the gradient kernel and 1 for the
+    backward equation.  ``out`` is storage over 0..N-1 (``ValueError``
+    if it does not fit) and may share ``state``'s slots: nothing is
+    written to it before the whole sweep has read ``state``.
+
+    On a tree the conditioned slices are held until the loop ends.  On an
+    ensemble each step writes F_n^T H_n into one (N, m + 2, d) right-hand
+    side; one batched product forms the grams F_n^T F_n, one batched
     ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
-    F_n^T H, and one batched product writes F_n beta_n into ``out``.
-
-    Raises
-    ------
-    ValueError
-        When ``out`` is not one item per time index with one row per
-        scenario.
+    F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
     """
+    N, tau = data.grid.n_steps, data.grid.tau
+    linear = data.noise == "linear"
+    scale = a0_scale(data.space, tau)
+    out.check_fits(driver, data.space.dim, 0, N - 1)
     tree = driver.kind == "tree"
-    feats = None if tree else _regression_features(data, driver, state)
-    steps, results = [], []
-    for n, H, level in items:
-        steps.append(n)
-        if tree:
-            for _ in range(level - n):
-                H = driver.parent_mean(H)
-            results.append(H)
-        else:
-            results.append(feats[n - state.start].T @ H)
-    if sorted(steps) != list(range(out.start, out.stop + 1)):
-        raise ValueError(f"{len(steps)} items do not fill {out.start}..{out.stop} once each")
-    out.check_fits(driver, np.shape(out.at(out.start))[-1], out.start, out.stop)
     if tree:
-        for n, value in zip(steps, results):
+        held = [None] * N
+    else:
+        feats = _regression_features(data, driver, state)[:N]
+        rhs = np.empty((N, feats.shape[2], data.space.dim))
+
+    H, level = -data.alpha * np.asarray(state.at(N)), N
+    for n in range(N - 1, -1, -1):
+        if n + product_offset < level:
+            H, level = up, level - 1
+        # V_{n+1} is a fresh array, so H (which a tree may hold) is never written
+        G = -tau * state.at(n + 1)
+        if level > n + 1:
+            G = driver.child_expand(G)
+        if linear and product_offset == 2 and n <= N - 2:
+            G += H * (1.0 + driver.increments_at(n + 2))[:, None]
+        else:
+            G += H
+        if linear and product_offset == 1:
+            G *= (1.0 + driver.increments_at(n + 1))[:, None]
+        G *= scale
+        H = G
+        up = driver.parent_mean(H)
+        if tree:
+            held[n] = up if level == n + 1 else driver.parent_mean(up)
+        else:
+            np.matmul(feats[n].T, H, out=rhs[n])
+    if tree:
+        for n, value in enumerate(held):
             out.at(n)[...] = value
         return
-    # the sweep's slices in time order: contiguous views of the features and of out
-    F = feats[out.start - state.start : out.stop - state.start + 1]
-    gram = np.matmul(F.transpose(0, 2, 1), F) + _RIDGE * np.eye(feats.shape[2])
-    betas = np.linalg.solve(gram, np.array(results)[np.argsort(steps)])
-    np.matmul(F, betas, out=out.values)
+    gram = np.matmul(feats.transpose(0, 2, 1), feats) + _RIDGE * np.eye(feats.shape[2])
+    np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)
 
 
 def k_htau(data, driver, state, out=None):
@@ -112,13 +128,13 @@ def k_htau(data, driver, state, out=None):
           - alpha E[ A0^{N-n} prod m (X_N) | F_n ],
 
     with the noise multipliers starting at step n+2.  ``out`` is storage
-    over 0..N-1 to write Q into (:func:`condexp` raises ``ValueError`` if
-    it does not fit), such as ``state.window(0, N - 1)``: the sweep is
-    read before Q is written.
+    over 0..N-1 to write Q into (``ValueError`` if it does not fit), such
+    as ``state.window(0, N - 1)``: the sweep reads the state before Q is
+    written.
     """
     N = data.grid.n_steps
     out = zeros_process(driver, data.space.dim, 0, N - 1) if out is None else out
-    condexp(data, driver, backward_kernel(data, driver, state, product_offset=2), out, state)
+    _sweep(data, driver, state, 2, out)
     return out
 
 
@@ -129,8 +145,8 @@ def implicit_euler_bsde(data, driver, state):
 
         Y0(t_n) = A0 E[(1 + dW_{n+1}) (Y0(t_{n+1}) - tau X(t_{n+1})) | F_n],
 
-    realized through the shared backward kernel with multipliers starting
-    at n+1.  The martingale integrand Zbar0 is not formed: the adjoint
+    realized through the conditioned backward sweep with multipliers
+    starting at n+1.  The martingale integrand Zbar0 is not formed: the adjoint
     gap reads only Y0.
 
     Returns
@@ -140,8 +156,7 @@ def implicit_euler_bsde(data, driver, state):
     N = data.grid.n_steps
     y0 = zeros_process(driver, data.space.dim, 0, N)
     y0.at(N)[...] = -data.alpha * np.asarray(state.at(N))
-    sweep = backward_kernel(data, driver, state, product_offset=1)
-    condexp(data, driver, sweep, y0.window(0, N - 1), state)
+    _sweep(data, driver, state, 1, y0.window(0, N - 1))
     return y0
 
 

@@ -5,8 +5,9 @@ ignored); keys are exactly the ExperimentConfig field names and unknown
 keys are rejected.  Command-line flags override config values, and the
 positional study name overrides a ``study`` key.  A field the study does
 not read, a value it cannot run, or a run whose tables hold a non-finite
-number exits with status 2 before anything is written.  Results land in
-the output directory as CSV tables plus a manifest.json echoing the full
+number exits with status 2 before anything is written, with one error
+line and no floating-point warnings.  Results land in the output
+directory as CSV tables plus a manifest.json echoing the full
 configuration; the CLI then prints the manifest's summary, one
 ``key: value`` line per entry.
 """
@@ -16,6 +17,8 @@ import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from .experiments import _DEFAULTS, ExperimentConfig, resolve_config, run_study
 
@@ -96,8 +99,11 @@ def main(argv=None):
         cfg = resolve_config(ExperimentConfig(**values))
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    # a run that overflows stops at its non-finite table, so NumPy's
+    # warnings on the way there would only repeat the error line
     try:
-        run_study(cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run_study(cfg)
     except ArithmeticError as exc:
         parser.error(str(exc))
     print(f"study {cfg.study}: results in {cfg.out}/")

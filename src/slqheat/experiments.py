@@ -43,6 +43,7 @@ from .optimizer import cost, cost_with_stderr, gradient_descent
 from .riccati import (
     MODE_BOUND,
     _closed_loop_moments,
+    _control_sq,
     _simpson_panel_values,
     cost_from_moments,
     discrete_feedback,
@@ -359,8 +360,7 @@ def _joint_errors(ric_r, ric_c):
     p, phi = np.ascontiguousarray(p_half.T), np.ascontiguousarray(phi_half.T)
     pr, pc, fr, fc, mr, mc = p[:, :D], p[:, D:], phi[:, :D], phi[:, D:], m[:, :D], m[:, D:]
     Srr, Scc, Src = S[:, :D], S[:, D:n], S[:, n:]
-    wr_sq = (pr**2 * Srr).sum(axis=1) + 2.0 * (pr * fr * mr).sum(axis=1) + (fr**2).sum(axis=1)
-    wc_sq = (pc**2 * Scc).sum(axis=1) + 2.0 * (pc * fc * mc).sum(axis=1) + (fc**2).sum(axis=1)
+    wr_sq, wc_sq = _control_sq(pr, fr, mr, Srr), _control_sq(pc, fc, mc, Scc)
     # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc), summed over the pairs
     pr, mr, fr, pc, mc, fc = pr[:, ri], mr[:, ri], fr[:, ri], pc[:, ki], mc[:, ki], fc[:, ki]
     wrc = (c * (pr * pc * Src + (pr * mr + fr) * fc + fr * pc * mc)).sum(axis=1)

@@ -14,22 +14,10 @@ in time with explicit noise:
 The solution operator splits as X = Gamma x0 + L U + f, where Gamma
 propagates the initial datum, L the control, and f the inhomogeneous
 noise; each part is :func:`solve_forward` on the problem with the other
-data set to zero.
+data set to zero.  The backward recursion that adjoins the scheme lives
+in :mod:`slqheat.adjoint`.
 
-The gradient kernel and the implicit-Euler backward equation (both in
-:mod:`slqheat.adjoint`) condition one backward recursion on time t_n.
-It adjoins a state X: with multipliers m_k = 1 + dW_k (linear noise;
-m_k = 1 for additive), G_N = -alpha X_N and V_n = -tau X_n,
-
-    G_n = A0 (V_{n+1} + m_{n+2} G_{n+1})   (offset 2: gradient kernel),
-    G_n = A0 m_{n+1} (V_{n+1} + G_{n+1})   (offset 1: implicit-Euler backward equation).
-
-By the tower property the sweep carries H_n = E[G_n | F_l] at level
-l = min(n + offset, N): its update needs only V_{n+1} lifted to level l
-and the sibling-pair average E[H_{n+1} | F_l] (both the identity on
-ensembles), so a tree costs O(2^N d) instead of O(N 2^N d).
-
-Both sweeps run in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
+The scheme runs in the M-orthonormal eigenbasis of :mod:`slqheat.mesh`,
 where A0 = diag(1 / (1 + tau lambda_i)) is an elementwise scale and the
 L2 inner product is the euclidean one.  Every process slice and every
 datum of :class:`ProblemData` holds eigen coordinates c = V^T M v: the
@@ -284,42 +272,3 @@ def solve_forward(data, driver, control=None, out=None):
         out *= scale
     return proc if gains is None else (proc, control)
 
-
-def backward_kernel(data, driver, state, product_offset):
-    """Backward recursion of the gradient kernel and the backward equation.
-
-    Yields (n, H_n, level) for n = N-1 down to 0: H_n = E[G_n | F_level],
-    level = min(n + product_offset, N), in eigen coordinates with one row
-    per level-``level`` tree node or per ensemble path.  The running
-    source -tau X_{n+1} and the terminal value -alpha X_N are read from
-    ``state``, the process over 0..N that the sweep adjoins.
-    ``product_offset`` selects where the noise multipliers start relative
-    to the conditioning time: offset 2 gives the gradient kernel, offset 1
-    the implicit-Euler backward equation.  For additive noise the
-    multipliers collapse to 1.  Each step allocates one array, so a
-    yielded H is never written again.
-    """
-    space, grid = data.space, data.grid
-    N, tau = grid.n_steps, grid.tau
-    linear = data.noise == "linear"
-    scale = a0_scale(space, tau)
-    if product_offset not in (1, 2):
-        raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
-
-    H = -data.alpha * np.asarray(state.at(N))
-    level = N
-    for n in range(N - 1, -1, -1):
-        if n + product_offset < level:
-            H = driver.parent_mean(H)
-            level -= 1
-        vn1 = -tau * state.at(n + 1)
-        if level > n + 1:
-            vn1 = driver.child_expand(vn1)
-        fresh = None  # the step's first operation allocates, the rest run in place
-        if linear and product_offset == 2 and n <= N - 2:
-            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 2))[:, None], out=fresh)
-        H = fresh = np.add(H, vn1, out=fresh)
-        if linear and product_offset == 1:
-            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 1))[:, None], out=fresh)
-        H = np.multiply(H, scale, out=fresh)
-        yield n, H, level

@@ -19,9 +19,9 @@ Both expose the same small protocol (``kind``, ``n_scenarios``,
 ``increments_at``, ``child_expand``, ``parent_mean``) consumed by the
 forward and backward recursions (``child_expand`` and ``parent_mean``
 move one level down and up; the identity on ensembles); ``kind``
-("tree" or "ensemble") tells :func:`slqheat.adjoint.condexp` whether to
-average subtrees or regress.  Only ensembles regress on the Wiener
-values, so only they offer ``brownian``.
+("tree" or "ensemble") tells the conditioned backward sweep of
+:mod:`slqheat.adjoint` whether to average subtrees or regress.  Only
+ensembles regress on the Wiener values, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass, field

@@ -342,6 +342,15 @@ def _closed_loop_moments(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, c
     return m, _hs_sweep(a[:, rows] + a[:, cols] + 1.0, source, m0[rows] * m0[cols], dt)
 
 
+def _control_sq(p, phi, m, S):
+    """E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2] of U = -(p x + phi), per row.
+
+    Rows are time points; m and S are the closed-loop mean and second
+    moments E x_i^2 of the modes that p and phi weigh.
+    """
+    return (p**2 * S).sum(axis=1) + 2.0 * (p * phi * m).sum(axis=1) + (phi**2).sum(axis=1)
+
+
 def cost_from_moments(riccati):
     """Deterministic cost of the feedback-controlled system from ``riccati.data.x0``.
 
@@ -359,7 +368,6 @@ def cost_from_moments(riccati):
     )
     # time-major C-contiguous rows, so each row sum is the per-point sum
     p, phi = np.ascontiguousarray(riccati.p_half.T), np.ascontiguousarray(riccati.phi_half.T)
-    u_sq = (p**2 * S).sum(axis=1) + 2.0 * (p * phi * m).sum(axis=1) + (phi**2).sum(axis=1)
     tr = S.sum(axis=1)
-    integral = _simpson_panel_values(tr + u_sq, riccati.dt).sum()
+    integral = _simpson_panel_values(tr + _control_sq(p, phi, m, S), riccati.dt).sum()
     return float(0.5 * integral + 0.5 * data.alpha * tr[-1])

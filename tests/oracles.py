@@ -41,7 +41,9 @@ recursion, which they cross-check.  ``full_closed_loop_stream`` and
 sweep, and ``solve_riccati_dense`` is an independent matrix Riccati
 integrator.  The ``slice_*`` functions condition and reduce one slice at a
 time, as the library did before it batched the regression solves and
-stacked ensemble processes into one (K, P, d) array;
+stacked ensemble processes into one (K, P, d) array; the kernel and
+backward-equation ones read ``backward_kernel``, the unconditioned
+generator the library's sweep streamed before it conditioned as it goes;
 ``slice_gradient_descent`` is the descent loop that updated the control
 one kernel slice at a time before the whole-array step.
 """
@@ -51,8 +53,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from slqheat.adjoint import condexp, k_htau
-from slqheat.forward import AdaptedProcess, a0_scale, backward_kernel, solve_forward, zeros_process
+from slqheat.adjoint import k_htau
+from slqheat.forward import AdaptedProcess, a0_scale, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
@@ -253,20 +255,14 @@ def bsde_martingale(data, driver, state, y0):
 
         Zbar0(t_n) = (1/tau) E[(Y0(t_{n+1}) - tau X(t_{n+1})) dW_{n+1} | F_n],
 
-    using the conditioned Y0 slice at level n+1 and the library's
-    ``condexp``.
+    using the conditioned Y0 slice at level n+1 and ``slice_condexp``.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-
-    def martingale_items():
-        for n in range(N):
-            mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
-            yield n, mart * driver.increments_at(n + 1)[:, None], n + 1
-
     zbar0 = zeros_process(driver, data.space.dim, 0, N - 1)
-    condexp(data, driver, martingale_items(), zbar0, state)
-    for block in zbar0.blocks():
-        block /= tau
+    for n in range(N):
+        mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
+        dw = driver.increments_at(n + 1)[:, None]
+        zbar0.at(n)[...] = slice_condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return zbar0
 
 
@@ -337,6 +333,47 @@ def slice_condexp(data, driver, values, level, n, state=None):
     coords = state.at(n)[:, :m]
     features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
     return regression_condexp(features, values)[1]
+
+
+def backward_kernel(data, driver, state, product_offset):
+    """Backward recursion of the gradient kernel and the backward equation, unconditioned.
+
+    Verbatim copy of the generator the library streamed into its
+    conditioning pass before the sweep conditioned as it goes.  Yields (n, H_n, level) for n = N-1 down to 0: H_n = E[G_n | F_level],
+    level = min(n + product_offset, N), in eigen coordinates with one row
+    per level-``level`` tree node or per ensemble path.  The running
+    source -tau X_{n+1} and the terminal value -alpha X_N are read from
+    ``state``, the process over 0..N that the sweep adjoins.
+    ``product_offset`` selects where the noise multipliers start relative
+    to the conditioning time: offset 2 gives the gradient kernel, offset 1
+    the implicit-Euler backward equation.  For additive noise the
+    multipliers collapse to 1.  Each step allocates one array, so a
+    yielded H is never written again.
+    """
+    space, grid = data.space, data.grid
+    N, tau = grid.n_steps, grid.tau
+    linear = data.noise == "linear"
+    scale = a0_scale(space, tau)
+    if product_offset not in (1, 2):
+        raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
+
+    H = -data.alpha * np.asarray(state.at(N))
+    level = N
+    for n in range(N - 1, -1, -1):
+        if n + product_offset < level:
+            H = driver.parent_mean(H)
+            level -= 1
+        vn1 = -tau * state.at(n + 1)
+        if level > n + 1:
+            vn1 = driver.child_expand(vn1)
+        fresh = None  # the step's first operation allocates, the rest run in place
+        if linear and product_offset == 2 and n <= N - 2:
+            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 2))[:, None], out=fresh)
+        H = fresh = np.add(H, vn1, out=fresh)
+        if linear and product_offset == 1:
+            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 1))[:, None], out=fresh)
+        H = np.multiply(H, scale, out=fresh)
+        yield n, H, level
 
 
 def slice_k_htau(data, driver, state):
@@ -681,7 +718,7 @@ def regression_features(space, driver, state, n, n_modes=4):
 
     Verbatim copy of the basis of the former ``RegressionCondexp``
     estimator (m = min(n_modes, d) leading eigenbasis coordinates of the
-    state), kept as the equivalence oracle for ``adjoint.condexp``.
+    state), kept as the equivalence oracle for the library's regression.
     ``state`` holds nodal slices.
     """
     cols = [np.ones(driver.n_scenarios(n))]
@@ -760,7 +797,7 @@ def nodal_solve_forward(data, driver, control=None):
 
 
 def nodal_backward_kernel(data, driver, v_at, eta, product_offset):
-    """Pathwise backward recursion on nodal coefficients (see forward.backward_kernel)."""
+    """Pathwise backward recursion on nodal coefficients (see ``backward_kernel``)."""
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim

@@ -1,10 +1,12 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
 from oracles import a0_apply, apply_L_adjoint, apply_Lhat_adjoint, tree_condexp
-from slqheat.adjoint import adjoint_gap, condexp, implicit_euler_bsde, k_htau
+from slqheat.adjoint import adjoint_gap, implicit_euler_bsde, k_htau
 from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
@@ -54,12 +56,18 @@ def test_k_htau_into_state_slots_equals_fresh_storage(kind):
         assert np.array_equal(X.at(n), fresh.at(n))
 
 
-def conditioned(data, drv, items, state):
-    """condexp into fresh storage over the items' time indices, as {n: slice}."""
-    steps = [n for n, _, _ in items]
-    out = zeros_process(drv, np.shape(items[0][1])[1], min(steps), max(steps))
-    condexp(data, drv, items, out, state)
-    return {n: out.at(n) for n in steps}
+def regressed(data, drv, state, targets):
+    """E[targets | F_{N-1}] by the library's regression on an additive-noise ensemble.
+
+    Slice N-1 of the backward equation regresses -(alpha + tau) A0 X_N on
+    the features of X_{N-1}, so ``state`` gets the slice N that makes
+    this the targets (broadcast over the modes).
+    """
+    assert data.noise == "additive"
+    N, tau = data.grid.n_steps, data.grid.tau
+    scale = a0_apply(data.space, tau, np.ones(data.space.dim))
+    state.at(N)[...] = -targets / ((data.alpha + tau) * scale)
+    return implicit_euler_bsde(data, drv, state).at(N - 1)
 
 
 def test_bsde_terminal_condition_and_measurability():
@@ -139,16 +147,6 @@ def test_adjoint_gap_nonzero_with_terminal_weight():
     assert adjoint_gap(data, drv, X) > 1e-8
 
 
-def test_condexp_is_exact_subtree_average_on_tree():
-    space, grid, data, drv = tree_setup()
-    vals = np.arange(8.0)[:, None]
-    items = [(1, vals, 3), (0, vals[:4], 2)]
-    got = conditioned(data, drv, items, solve_forward(data, drv))
-    assert_allclose(got[1], tree_condexp(vals, 3, 1))
-    # data living at an intermediate level condition the same way
-    assert_allclose(got[0], [[1.5]])
-
-
 def test_regression_condexp_recovers_affine_targets():
     rng = np.random.default_rng(1)
     F = np.column_stack([np.ones(200), rng.standard_normal((200, 3))])
@@ -163,26 +161,26 @@ def test_regression_estimator_exact_for_affine_functionals():
     # targets that are exactly affine in the features are reproduced
     space = build_fem_space(9)
     grid = make_time_grid(1.0, 6)
-    data = make_problem(space, grid)
+    data = make_problem(space, grid, noise="additive")
     drv = gaussian_driver(grid, 300, seed=4)
     X = solve_forward(data, drv)
-    n = 3
+    n = grid.n_steps - 1
     coords = X.at(n)[:, :4]
     target = 2.0 + coords @ np.array([1.0, -1.0, 0.5, 2.0]) + 0.25 * drv.brownian(n)
-    pred = conditioned(data, drv, [(n, target[:, None], n)], X)[n]
-    assert_allclose(pred[:, 0], target, atol=1e-6)
+    pred = regressed(data, drv, X, target[:, None])
+    assert_allclose(pred, np.broadcast_to(target[:, None], pred.shape), atol=1e-6)
 
 
 def test_regression_estimator_constant_slice_at_time_zero():
     # at t_0 every path coincides, so conditioning returns the plain mean
     space = build_fem_space(5)
-    grid = make_time_grid(1.0, 4)
-    data = make_problem(space, grid)
+    grid = make_time_grid(1.0, 1)
+    data = make_problem(space, grid, noise="additive")
     drv = gaussian_driver(grid, 500, seed=5)
     X = solve_forward(data, drv)
     rng = np.random.default_rng(6)
     targets = rng.standard_normal((500, space.dim))
-    pred = conditioned(data, drv, [(0, targets, 0)], X)[0]
+    pred = regressed(data, drv, X, targets)
     assert np.abs(pred - pred[0]).max() < 1e-8
     assert_allclose(pred[0], targets.mean(axis=0), atol=1e-6)
 
@@ -295,33 +293,59 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
-def test_condexp_rejects_storage_the_items_do_not_fill(kind):
-    space, grid, data, drv = tree_setup(n_elems=5, n_steps=4)
-    if kind == "ensemble":
-        drv = gaussian_driver(grid, 40, seed=3)
-    X = solve_forward(data, drv)
-    d = space.dim
-    items = [(n, X.at(n), n) for n in (2, 1)]
-    condexp(data, drv, items, zeros_process(drv, d, 1, 2), X)
-    with pytest.raises(ValueError, match="once each"):
-        condexp(data, drv, items, zeros_process(drv, d, 0, 2), X)
-    with pytest.raises(ValueError, match="once each"):
-        condexp(data, drv, items + [(1, X.at(1), 1)], zeros_process(drv, d, 1, 2), X)
-    rows = AdaptedProcess(drv, 1, [np.zeros((3, d)), np.zeros((3, d))])
-    with pytest.raises(ValueError, match="shape"):
-        condexp(data, drv, items, rows, X)
-
-
-@pytest.mark.parametrize("kind", ["tree", "ensemble"])
 def test_k_htau_rejects_storage_of_another_grid(kind):
     space, grid, data, drv = tree_setup(n_elems=5, n_steps=4)
     if kind == "ensemble":
         drv = gaussian_driver(grid, 40, seed=3)
     X = solve_forward(data, drv)
-    with pytest.raises(ValueError, match="do not fill 0..4"):
+    with pytest.raises(ValueError, match="spans 0..4, need 0..3"):
         k_htau(data, drv, X, out=X)
     with pytest.raises(ValueError):
         k_htau(data, drv, X, out=zeros_process(drv, space.dim + 1, 0, 3))
     rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(4)])
     with pytest.raises(ValueError, match="shape"):
         k_htau(data, drv, X, out=rows)
+
+
+@dataclass
+class SpyTree(TreeDriver):
+    """A scenario tree that records each sibling average it takes, with a copy."""
+
+    averages: list = field(repr=False, default_factory=list)
+
+    def parent_mean(self, values):
+        mean = super().parent_mean(values)
+        self.averages.append((len(values), mean, mean.copy()))
+        return mean
+
+
+CONSUMERS = {2: k_htau, 1: implicit_euler_bsde}
+
+
+def spied_sweep(noise, offset):
+    """The sibling averages one depth-10 tree sweep takes, as (rows, mean, copy)."""
+    space, grid, data, _ = tree_setup(n_elems=16, n_steps=10, alpha=0.6, noise=noise)
+    X = solve_forward(data, TreeDriver(grid))
+    drv = SpyTree(grid)
+    CONSUMERS[offset](data, drv, X)
+    return drv.averages
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_tree_sweep_takes_each_sibling_average_once(offset):
+    # depth 10: the average that conditions slice n is where step n - 1
+    # starts after its level drop, so it is taken once.  Taking it twice
+    # gives 27 calls over 6,130 rows (kernel) and 19 over 4,090 (backward
+    # equation); a leaf-wise sweep averages 2^N rows per step
+    averages = spied_sweep("linear", offset)
+    calls, rows = {2: (19, 4090), 1: (10, 2046)}[offset]
+    assert (len(averages), sum(n for n, _, _ in averages)) == (calls, rows)
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_tree_sweep_never_updates_a_held_average(noise, offset):
+    # each average is held as a conditioned slice or as the next step's start:
+    # the sweep never updates one in place
+    for _, mean, copy in spied_sweep(noise, offset):
+        assert np.array_equal(mean, copy)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -823,6 +825,24 @@ def test_cli_reports_non_finite_results(tmp_path, capsys):
         main([*argv, "--max-iters", "3", "--out", str(out)])
     assert exc.value.code == 2
     assert "gd_convergence: non-finite result inf; nothing was written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_prints_only_the_error_line_for_non_finite_results(tmp_path):
+    # the console script runs with NumPy's default error state, which used
+    # to print 16 overflow warnings ahead of the error line
+    config = tmp_path / "run.cfg"
+    config.write_text("sigma_scale = 1e300\nmesh_levels = 2, 4\nmesh_ref = 8\nk_fine = 4\n")
+    out = tmp_path / "out"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["spatial_rate", "--config", str(config), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "slqheat.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert "slq: error: spatial_rate: non-finite result nan; nothing was written" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ import oracles
 from slqheat.forward import (
     AdaptedProcess,
     SigmaSpec,
-    backward_kernel,
     default_sigma_spec,
     make_problem,
     solve_forward,
@@ -341,37 +340,6 @@ def test_solve_forward_matches_nodal_oracle(kind, noise):
     ref = oracles.nodal_solve_forward(data, drv, oracles.nodal(space, U))
     for n in range(grid.n_steps + 1):
         assert_allclose(space.from_eigen(X.at(n)), ref.at(n), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("product_offset", [1, 2])
-def test_backward_kernel_slices_live_at_their_level(product_offset):
-    # a quiet return to leaf-wise storage (2^N rows at every step) fails here
-    space, grid, data = small_setup(n_steps=5)
-    for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
-        X = solve_forward(data, drv)
-        seen = []
-        for n, H, level in backward_kernel(data, drv, X, product_offset):
-            assert level == min(n + product_offset, 5)
-            rows = 2**level if drv.kind == "tree" else 7
-            assert H.shape == (rows, space.dim)
-            seen.append(n)
-        assert seen == [4, 3, 2, 1, 0]
-
-
-@pytest.mark.parametrize("product_offset", [1, 2])
-@pytest.mark.parametrize("noise", ["linear", "additive"])
-def test_backward_kernel_never_writes_a_yielded_slice(product_offset, noise):
-    # each step allocates once and runs in place after that: the slices a
-    # consumer holds must stay as they were yielded
-    space, grid, data = small_setup(n_steps=5, noise=noise)
-    for drv in (TreeDriver(grid), gaussian_driver(grid, 7, seed=3)):
-        X = solve_forward(data, drv)
-        held, copies = [], []
-        for _, H, _ in backward_kernel(data, drv, X, product_offset):
-            held.append(H)
-            copies.append(H.copy())
-        for h, c in zip(held, copies):
-            assert np.array_equal(h, c)
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])

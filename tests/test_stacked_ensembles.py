@@ -1,8 +1,8 @@
 """Stacked ensemble storage and the batched regression against their per-slice oracles.
 
 On an ensemble every process is one C-contiguous (K, P, d) array, the
-reductions are single einsums, ``condexp`` solves the normal equations
-of a whole backward sweep in one batched call, and gradient descent
+reductions are single einsums, the conditioned backward sweep solves the
+normal equations of all its slices in one batched call, and gradient descent
 updates the whole control at once in the state's storage.  The per-slice code they
 replaced lives on in ``tests/oracles.py``; everything here must agree with
 it to 1e-12, and the storage layout itself is pinned so that a fallback
