@@ -27,12 +27,14 @@ By the tower property the sweep :func:`_sweep` carries
 H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
 V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
 (both the identity on ensembles), so a tree costs O(2^N d) instead of
-O(N 2^N d).  It conditions as it goes: on the scenario tree E[H_n | F_n]
-is the exact subtree average, ``driver.parent_mean`` applied l - n <= 2
-times, whose first application is also where step n - 1 starts after a
-level drop; on Monte Carlo ensembles it is a ridge-regularized least
-squares fit (features: constant, leading eigenbasis coordinates of the
-state, and the Brownian value at t_n), batched over all slices.
+O(N 2^N d); the lift is a broadcast view and the multipliers m_k are the
+driver's cached columns (:mod:`slqheat.noise`).  It conditions as it
+goes: on the scenario tree E[H_n | F_n] is the exact subtree average,
+``driver.parent_mean`` applied l - n <= 2 times, whose first application
+is also where step n - 1 starts after a level drop; on Monte Carlo
+ensembles it is a ridge-regularized least squares fit (features:
+constant, leading eigenbasis coordinates of the state, and the Brownian
+value at t_n), batched over all slices.
 Processes hold eigen coordinates (see :mod:`slqheat.forward`), where A0
 is an elementwise scale and L2 norms are euclidean.
 """
@@ -67,13 +69,14 @@ def _regression_features(data, driver, state):
 
 
 def _sweep(data, driver, state, product_offset, out):
-    """Write E[G_n | F_n] of the backward recursion into ``out.at(n)``, n = N-1 down to 0.
+    """Write E[G_n | F_n] of the backward recursion into slot n of ``out``, n = N-1 down to 0.
 
     ``state`` is the process over 0..N that the recursion adjoins;
     ``product_offset`` is 2 for the gradient kernel and 1 for the
-    backward equation.  ``out`` is storage over 0..N-1 (``ValueError``
-    if it does not fit) and may share ``state``'s slots: nothing is
-    written to it before the whole sweep has read ``state``.
+    backward equation; steps keep the recursion's order of operations but
+    for one exact commuted sum, m H + V.  ``out`` is storage over 0..N-1
+    (``ValueError`` if it or ``state`` does not fit) and may share
+    ``state``'s slots: nothing is written to it before the sweep has read ``state``.
 
     On a tree the conditioned slices are held until the loop ends.  On an
     ensemble each step writes F_n^T H_n into one (N, m + 2, d) right-hand
@@ -82,9 +85,10 @@ def _sweep(data, driver, state, product_offset, out):
     F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    linear = data.noise == "linear"
     scale = a0_scale(data.space, tau)
+    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1))
     out.check_fits(driver, data.space.dim, 0, N - 1)
+    state.check_fits(driver, data.space.dim, 0, N)
     tree = driver.kind == "tree"
     if tree:
         held = [None] * N
@@ -92,30 +96,31 @@ def _sweep(data, driver, state, product_offset, out):
         feats = _regression_features(data, driver, state)[:N]
         rhs = np.empty((N, feats.shape[2], data.space.dim))
 
-    H, level = -data.alpha * np.asarray(state.at(N)), N
+    H, level = -data.alpha * np.asarray(state.values[N]), N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:
             H, level = up, level - 1
-        # V_{n+1} is a fresh array, so H (which a tree may hold) is never written
-        G = -tau * state.at(n + 1)
+        # G starts as a fresh array, so H (which a tree may hold) is never written
+        V = -tau * state.values[n + 1]
         if level > n + 1:
-            G = driver.child_expand(G)
-        if linear and product_offset == 2 and n <= N - 2:
-            G += H * (1.0 + driver.increments_at(n + 2))[:, None]
+            # offset 2 below N - 1: V lifts to H's level as a broadcast view
+            G = driver.siblings(H) * mult[n + 1]
+            G += V[:, None, :]
         else:
-            G += H
-        if linear and product_offset == 1:
-            G *= (1.0 + driver.increments_at(n + 1))[:, None]
+            G = driver.siblings(V)
+            G += driver.siblings(H)
+            if product_offset == 1:
+                G *= mult[n]
         G *= scale
-        H = G
+        H = G.reshape(H.shape)
         up = driver.parent_mean(H)
         if tree:
             held[n] = up if level == n + 1 else driver.parent_mean(up)
         else:
             np.matmul(feats[n].T, H, out=rhs[n])
     if tree:
-        for n, value in enumerate(held):
-            out.at(n)[...] = value
+        for slot, value in zip(out.values, held):
+            slot[...] = value
         return
     gram = np.matmul(feats.transpose(0, 2, 1), feats) + _RIDGE * np.eye(feats.shape[2])
     np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)

@@ -3,13 +3,13 @@
 The config file is flat ``key = value`` text (``#`` comments, blank lines
 ignored); keys are exactly the ExperimentConfig field names and unknown
 keys are rejected.  Command-line flags override config values, and the
-positional study name overrides a ``study`` key.  A field the study does
-not read, a value it cannot run, or a run whose tables hold a non-finite
-number exits with status 2 before anything is written, with one error
-line and no floating-point warnings.  Results land in the output
-directory as CSV tables plus a manifest.json echoing the full
-configuration; the CLI then prints the manifest's summary, one
-``key: value`` line per entry.
+positional study name overrides a ``study`` key.  A config file that
+cannot be read, a field the study does not read, a value it cannot run,
+or a run whose tables hold a non-finite number exits with status 2
+before anything is written, with one error line and no floating-point
+warnings.  Results land in the output directory as CSV tables plus a
+manifest.json echoing the full configuration; the CLI then prints the
+manifest's summary, one ``key: value`` line per entry.
 """
 
 import argparse
@@ -89,7 +89,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         values = load_config(args.config) if args.config else {}
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     # flags (and the positional study) override config values
     for key, flag in vars(args).items():

@@ -27,10 +27,10 @@ pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
 mode by mode like the scheme, which :func:`solve_forward` applies in
 place.
 
-An :class:`AdaptedProcess` on an ensemble is one C-contiguous (K, P, d)
-array that :func:`solve_forward` allocates once (or takes from the
-caller) and fills step by step in place; on a tree it is a list of
-per-level arrays.
+:func:`solve_forward` allocates its :class:`AdaptedProcess` once (or
+takes the caller's) and fills it in place, writing X_{n+1} through the
+driver's grouped view of its slot with X_n and the cached step columns
+broadcast (see :mod:`slqheat.noise`): no step copies a slice.
 """
 
 from dataclasses import dataclass, replace
@@ -80,13 +80,13 @@ class AdaptedProcess:
     def slice_means(self, other):
         """E <self_n, other_n> over the scenarios of every slice, shape (K,).
 
-        One ``einsum`` over the stacked array on an ensemble; slice by
-        slice on a tree, whose levels differ in size.
+        One ``einsum`` over the stacked array on an ensemble; one BLAS dot
+        per level on a tree, whose levels differ in size.
         """
         if self.driver.kind == "ensemble":
             return np.einsum("kpd,kpd->k", self.values, other.values) / self.driver.n_paths
         pairs = zip(self.values, other.values, strict=True)
-        return np.array([np.einsum("ij,ij->i", a, b).mean() for a, b in pairs])
+        return np.array([np.vdot(a, b) / len(a) for a, b in pairs])
 
     def window(self, start, stop):
         """The slices start..stop as a process that shares this one's storage."""
@@ -222,7 +222,8 @@ def solve_forward(data, driver, control=None, out=None):
     data : ProblemData
     driver : TreeDriver or EnsembleDriver
     control : None, AdaptedProcess, or pair of arrays (g, h)
-        A stored control is read slice by slice.  A gain pair of shape
+        A stored control spans 0..N-1 (``ValueError`` if it does not
+        fit) and is read slice by slice.  A gain pair of shape
         (N, d) each, such as :func:`slqheat.riccati.discrete_feedback`
         returns, is the feedback U_n = -(g_n X_n + h_n) on eigen
         coordinates, applied at the left node of each step and written
@@ -240,8 +241,8 @@ def solve_forward(data, driver, control=None, out=None):
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
-    linear = data.noise == "linear"
     scale = a0_scale(space, tau)
+    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1))  # additive: m = 1
 
     gains = None
     if control is not None and not isinstance(control, AdaptedProcess):
@@ -249,26 +250,22 @@ def solve_forward(data, driver, control=None, out=None):
         if [a.shape for a in gains] != [(N, d)] * 2:
             raise ValueError(f"feedback gains need shape {(N, d)}, got {[a.shape for a in gains]}")
         control = zeros_process(driver, d, 0, N - 1)
+    elif control is not None:
+        control.check_fits(driver, d, 0, N - 1)
     proc = zeros_process(driver, d, 0, N) if out is None else out
     proc.check_fits(driver, d, 0, N)
     proc.values[0][...] = data.x0
-    for n in range(N):
-        xn = proc.values[n]
-        un = None if control is None else control.at(n)
+    for n, xn in enumerate(proc.values[:N]):
+        un = None if control is None else control.values[n]
         if gains is not None:
             np.multiply(gains[0][n], xn, out=un)
             un += gains[1][n]
             np.negative(un, out=un)
-        par = driver.child_expand(xn)
-        dw = driver.increments_at(n + 1)[:, None]
-        out = proc.values[n + 1]
-        if linear:
-            np.multiply(par, 1.0 + dw, out=out)
-        else:
-            out[...] = par
+        # X_{n+1} grouped by parent, each parent row broadcast to its children
+        nxt = driver.siblings(proc.values[n + 1])
+        np.multiply(xn[:, None, :], mult[n], out=nxt)
         if un is not None:
-            out += tau * driver.child_expand(un)
-        out += data.sigma[n] * dw
-        out *= scale
+            nxt += tau * un[:, None, :]
+        nxt += data.sigma[n] * driver.dw[n]
+        nxt *= scale
     return proc if gains is None else (proc, control)
-

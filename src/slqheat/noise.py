@@ -15,13 +15,15 @@ scheme:
   counter-based generator, so path p is the same no matter how many paths
   are drawn or in which chunks.
 
-Both expose the same small protocol (``kind``, ``n_scenarios``,
-``increments_at``, ``child_expand``, ``parent_mean``) consumed by the
-forward and backward recursions (``child_expand`` and ``parent_mean``
-move one level down and up; the identity on ensembles); ``kind``
-("tree" or "ensemble") tells the conditioned backward sweep of
-:mod:`slqheat.adjoint` whether to average subtrees or regress.  Only
-ensembles regress on the Wiener values, so only they offer ``brownian``.
+Both expose the protocol of the forward and backward recursions:
+``kind`` ("tree" or "ensemble": average subtrees or regress),
+``n_scenarios``, ``parent_mean`` (one level up) and ``siblings``, a
+level-(n+1) slice viewed by parent, (2^n, 2, d) or (P, 1, d), which
+parent rows x reach as the broadcast view ``x[:, None, :]``.  The
+read-only columns ``dw[n]`` and ``mult[n]`` of dW_{n+1} and 1 + dW_{n+1},
+cached at construction, broadcast against it: one (2, 1) column for
+every tree step, (P, 1, 1) per ensemble step.  Only ensembles regress on
+the Wiener values, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +41,6 @@ class TimeGrid:
     n_steps: int
     tau: float
     nodes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
 
 
 def make_time_grid(horizon, n_steps):
@@ -68,30 +67,22 @@ class TreeDriver:
     """Binary scenario tree of Wiener increments +-sqrt(tau)."""
 
     grid: TimeGrid
-    _increment_cache: dict = field(repr=False, default_factory=dict)
     kind = "tree"
 
     def __post_init__(self):
-        if self.grid.n_steps > TREE_DEPTH_CAP:
-            raise ValueError(
-                f"tree depth {self.grid.n_steps} exceeds cap {TREE_DEPTH_CAP} "
-                f"(2^{self.grid.n_steps} leaves); use a Gaussian ensemble instead"
-            )
+        n = self.grid.n_steps
+        if n > TREE_DEPTH_CAP:
+            raise ValueError(f"tree depth {n} exceeds cap {TREE_DEPTH_CAP} (2^{n} leaves); use an ensemble")
+        dw = np.array([[-1.0], [1.0]]) * np.sqrt(self.grid.tau)
+        self.dw = np.broadcast_to(dw, (n, 2, 1))
+        self.mult = np.broadcast_to(1.0 + dw, (n, 2, 1))
 
     def n_scenarios(self, level):
         return 1 << level
 
-    def increments_at(self, step):
-        """Step increments attached to the level-``step`` nodes, shape (2^step,), read-only."""
-        if step not in self._increment_cache:
-            inc = np.where(np.arange(1 << step) & 1, 1.0, -1.0) * np.sqrt(self.grid.tau)
-            inc.flags.writeable = False
-            self._increment_cache[step] = inc
-        return self._increment_cache[step]
-
-    def child_expand(self, values):
-        """Lift node values to their children one level down."""
-        return np.repeat(np.asarray(values), 2, axis=0)
+    def siblings(self, values):
+        """Level-(n+1) node values as a (2^n, 2, d) view (splitting rows never copies)."""
+        return values.reshape(-1, 2, values.shape[-1])
 
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""
@@ -102,13 +93,21 @@ class TreeDriver:
 class EnsembleDriver:
     """Monte Carlo ensemble of Gaussian Wiener increments.
 
-    ``increments[p, k]`` is the step from t_k to t_{k+1} on path p.
+    ``increments[p, k]`` is the step from t_k to t_{k+1} on path p, made
+    read-only at construction so the cached columns and W cannot go stale.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     _brownian: np.ndarray = field(repr=False, default=None)
     kind = "ensemble"
+
+    def __post_init__(self):
+        self.increments = np.asarray(self.increments, dtype=float)
+        self.increments.flags.writeable = False
+        self.dw = self.increments.T[:, :, None, None]
+        self.mult = np.add(1.0, self.dw, order="C")
+        self.mult.flags.writeable = False
 
     @property
     def n_paths(self):
@@ -117,11 +116,9 @@ class EnsembleDriver:
     def n_scenarios(self, level):
         return self.n_paths
 
-    def increments_at(self, step):
-        return self.increments[:, step - 1]
-
-    def child_expand(self, values):
-        return np.asarray(values)
+    def siblings(self, values):
+        """Path values as a (P, 1, d) view: every path is its own only child."""
+        return values[:, None, :]
 
     def parent_mean(self, values):
         return values
@@ -129,9 +126,9 @@ class EnsembleDriver:
     def brownian(self, level):
         """W(t_level) per path: a view of the cached (P, N+1) array (``level`` may be a slice)."""
         if self._brownian is None:
-            w = np.empty((self.n_paths, self.grid.n_steps + 1))
-            w[:, 0] = 0.0
+            w = np.zeros((self.n_paths, self.grid.n_steps + 1))
             np.cumsum(self.increments, axis=1, out=w[:, 1:])
+            w.flags.writeable = False
             self._brownian = w
         return self._brownian[:, level]
 

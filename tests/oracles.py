@@ -46,6 +46,13 @@ backward-equation ones read ``backward_kernel``, the unconditioned
 generator the library's sweep streamed before it conditioned as it goes;
 ``slice_gradient_descent`` is the descent loop that updated the control
 one kernel slice at a time before the whole-array step.
+``copying_solve_forward`` and ``copying_sweep`` are the forward loop and
+the conditioned backward sweep as the library ran them before tree levels
+became broadcast views: they repeat parent rows onto their children
+(``child_expand``) and rebuild each step's multipliers from the per-level
+increments (``increments_at``), the two driver methods those views and
+the drivers' cached columns replaced; ``einsum_slice_means`` is the tree
+``slice_means`` as averaged row sums, before one dot per level.
 """
 
 import warnings
@@ -53,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from slqheat.adjoint import k_htau
+from slqheat.adjoint import _RIDGE, _regression_features, k_htau
 from slqheat.forward import AdaptedProcess, a0_scale, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
@@ -107,6 +114,25 @@ def add(u, v, scale=1.0):
 # -- leaf-wise views and test-only operators ----------------------------------
 
 
+def increments_at(driver, step):
+    """Step-``step`` increments of the level-``step`` nodes or of the paths, shape (n_scenarios(step),).
+
+    The per-level array the drivers handed out before they cached one
+    column per step: alternating -+sqrt(tau) on a tree, the step column of
+    ``increments`` (a view) on an ensemble.
+    """
+    if driver.kind == "tree":
+        return np.where(np.arange(1 << step) & 1, 1.0, -1.0) * np.sqrt(driver.grid.tau)
+    return driver.increments[:, step - 1]
+
+
+def child_expand(driver, values):
+    """Level-n values repeated onto their level-(n+1) children (ensembles: unchanged)."""
+    if driver.kind != "tree":
+        return np.asarray(values)
+    return np.repeat(np.asarray(values), 2, axis=0)
+
+
 def pathwise(driver, values, level):
     """Broadcast level-``level`` values to the 2^N tree leaves (ensembles: unchanged)."""
     if driver.kind != "tree":
@@ -116,7 +142,7 @@ def pathwise(driver, values, level):
 
 def pathwise_increment(driver, step):
     """Step-``step`` increment seen by each leaf or path, shape (n_scenarios(N),)."""
-    return pathwise(driver, driver.increments_at(step), step)
+    return pathwise(driver, increments_at(driver, step), step)
 
 
 # The parts of X = Gamma x0 + L U + f are solve_forward on the problem with
@@ -261,7 +287,7 @@ def bsde_martingale(data, driver, state, y0):
     zbar0 = zeros_process(driver, data.space.dim, 0, N - 1)
     for n in range(N):
         mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
-        dw = driver.increments_at(n + 1)[:, None]
+        dw = increments_at(driver, n + 1)[:, None]
         zbar0.at(n)[...] = slice_condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return zbar0
 
@@ -365,13 +391,13 @@ def backward_kernel(data, driver, state, product_offset):
             level -= 1
         vn1 = -tau * state.at(n + 1)
         if level > n + 1:
-            vn1 = driver.child_expand(vn1)
+            vn1 = child_expand(driver, vn1)
         fresh = None  # the step's first operation allocates, the rest run in place
         if linear and product_offset == 2 and n <= N - 2:
-            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 2))[:, None], out=fresh)
+            H = fresh = np.multiply(H, (1.0 + increments_at(driver, n + 2))[:, None], out=fresh)
         H = fresh = np.add(H, vn1, out=fresh)
         if linear and product_offset == 1:
-            H = fresh = np.multiply(H, (1.0 + driver.increments_at(n + 1))[:, None], out=fresh)
+            H = fresh = np.multiply(H, (1.0 + increments_at(driver, n + 1))[:, None], out=fresh)
         H = np.multiply(H, scale, out=fresh)
         yield n, H, level
 
@@ -394,9 +420,107 @@ def slice_implicit_euler_bsde(data, driver, state):
     z_vals = [None] * N
     for n in range(N):
         mart = y_vals[n + 1] - tau * np.asarray(state.at(n + 1))
-        dw = driver.increments_at(n + 1)[:, None]
+        dw = increments_at(driver, n + 1)[:, None]
         z_vals[n] = slice_condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return y_vals, z_vals
+
+
+def copying_solve_forward(data, driver, control=None, out=None):
+    """``solve_forward`` as the library ran it before tree levels became broadcast views.
+
+    Verbatim but for the driver calls: each step repeats the parent slice
+    onto its children (``child_expand``) and rebuilds the multiplier
+    column from ``increments_at``.  The library's loop keeps every
+    floating-point operation of this one, in order, so the two agree
+    bit for bit.
+    """
+    space, grid = data.space, data.grid
+    N, tau = grid.n_steps, grid.tau
+    d = space.dim
+    linear = data.noise == "linear"
+    scale = a0_scale(space, tau)
+
+    gains = None
+    if control is not None and not isinstance(control, AdaptedProcess):
+        gains = [np.asarray(a, dtype=float) for a in control]
+        if [a.shape for a in gains] != [(N, d)] * 2:
+            raise ValueError(f"feedback gains need shape {(N, d)}, got {[a.shape for a in gains]}")
+        control = zeros_process(driver, d, 0, N - 1)
+    proc = zeros_process(driver, d, 0, N) if out is None else out
+    proc.check_fits(driver, d, 0, N)
+    proc.values[0][...] = data.x0
+    for n in range(N):
+        xn = proc.values[n]
+        un = None if control is None else control.at(n)
+        if gains is not None:
+            np.multiply(gains[0][n], xn, out=un)
+            un += gains[1][n]
+            np.negative(un, out=un)
+        par = child_expand(driver, xn)
+        dw = increments_at(driver, n + 1)[:, None]
+        out = proc.values[n + 1]
+        if linear:
+            np.multiply(par, 1.0 + dw, out=out)
+        else:
+            out[...] = par
+        if un is not None:
+            out += tau * child_expand(driver, un)
+        out += data.sigma[n] * dw
+        out *= scale
+    return proc if gains is None else (proc, control)
+
+
+def copying_sweep(data, driver, state, product_offset, out):
+    """``adjoint._sweep`` as the library ran it before tree levels became broadcast views.
+
+    Verbatim but for the driver calls, like :func:`copying_solve_forward`:
+    V_{n+1} is repeated onto H's level and the multipliers are rebuilt per
+    step.  Writes E[G_n | F_n] into ``out`` over 0..N-1.
+    """
+    N, tau = data.grid.n_steps, data.grid.tau
+    linear = data.noise == "linear"
+    scale = a0_scale(data.space, tau)
+    out.check_fits(driver, data.space.dim, 0, N - 1)
+    tree = driver.kind == "tree"
+    if tree:
+        held = [None] * N
+    else:
+        feats = _regression_features(data, driver, state)[:N]
+        rhs = np.empty((N, feats.shape[2], data.space.dim))
+
+    H, level = -data.alpha * np.asarray(state.at(N)), N
+    for n in range(N - 1, -1, -1):
+        if n + product_offset < level:
+            H, level = up, level - 1
+        # V_{n+1} is a fresh array, so H (which a tree may hold) is never written
+        G = -tau * state.at(n + 1)
+        if level > n + 1:
+            G = child_expand(driver, G)
+        if linear and product_offset == 2 and n <= N - 2:
+            G += H * (1.0 + increments_at(driver, n + 2))[:, None]
+        else:
+            G += H
+        if linear and product_offset == 1:
+            G *= (1.0 + increments_at(driver, n + 1))[:, None]
+        G *= scale
+        H = G
+        up = driver.parent_mean(H)
+        if tree:
+            held[n] = up if level == n + 1 else driver.parent_mean(up)
+        else:
+            np.matmul(feats[n].T, H, out=rhs[n])
+    if tree:
+        for n, value in enumerate(held):
+            out.at(n)[...] = value
+        return
+    gram = np.matmul(feats.transpose(0, 2, 1), feats) + _RIDGE * np.eye(feats.shape[2])
+    np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)
+
+
+def einsum_slice_means(u, v):
+    """Tree ``slice_means`` as row sums averaged per level, before one dot per level."""
+    pairs = zip(u.values, v.values, strict=True)
+    return np.array([np.einsum("ij,ij->i", a, b).mean() for a, b in pairs])
 
 
 def _row_sq(values):
@@ -771,14 +895,14 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
                 np.zeros((driver.n_scenarios(n), d)) if un is None
                 else np.array(np.broadcast_to(un, xn.shape), dtype=float)
             )
-        par = driver.child_expand(xn)
-        dw = driver.increments_at(n + 1)[:, None]
+        par = child_expand(driver, xn)
+        dw = increments_at(driver, n + 1)[:, None]
         if linear:
             rhs = par * (1.0 + dw)
         else:
             rhs = par.copy()
         if un is not None:
-            rhs += tau * driver.child_expand(np.broadcast_to(un, xn.shape))
+            rhs += tau * child_expand(driver, np.broadcast_to(un, xn.shape))
         if sigma is not None:
             rhs += sigma[n] * dw
         values.append(rhs @ A0.T)
@@ -876,7 +1000,7 @@ def nodal_implicit_euler_bsde(data, driver, state):
     z_vals = [None] * N
     for n in range(N):
         mart = y_vals[n + 1] - tau * np.asarray(state.at(n + 1))
-        dw = driver.increments_at(n + 1)[:, None]
+        dw = increments_at(driver, n + 1)[:, None]
         z_vals[n] = nodal_condexp(data, driver, mart * dw, n + 1, n, state) / tau
     return y_vals, z_vals
 

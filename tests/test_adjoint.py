@@ -2,11 +2,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from oracles import a0_apply, apply_L_adjoint, apply_Lhat_adjoint, tree_condexp
-from slqheat.adjoint import adjoint_gap, implicit_euler_bsde, k_htau
+from slqheat.adjoint import _sweep, adjoint_gap, implicit_euler_bsde, k_htau
 from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
@@ -97,7 +97,8 @@ def test_bsde_slice_recursion_equivalence():
     X = solve_forward(data, drv)
     y0 = implicit_euler_bsde(data, drv, X)
     for n in range(grid.n_steps):
-        inner = (y0.at(n + 1) - tau * X.at(n + 1)) * (1.0 + drv.increments_at(n + 1))[:, None]
+        mult = 1.0 + oracles.increments_at(drv, n + 1)[:, None]
+        inner = (y0.at(n + 1) - tau * X.at(n + 1)) * mult
         expected = a0_apply(space, tau, tree_condexp(inner, n + 1, n))
         assert_allclose(y0.at(n), expected, atol=1e-12)
 
@@ -305,6 +306,9 @@ def test_k_htau_rejects_storage_of_another_grid(kind):
     rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(4)])
     with pytest.raises(ValueError, match="shape"):
         k_htau(data, drv, X, out=rows)
+    # the sweep reads the state's slots directly, so a shifted state is refused
+    with pytest.raises(ValueError, match="spans 1..5, need 0..4"):
+        k_htau(data, drv, AdaptedProcess(drv, 1, X.values))
 
 
 @dataclass
@@ -349,3 +353,23 @@ def test_tree_sweep_never_updates_a_held_average(noise, offset):
     # the sweep never updates one in place
     for _, mean, copy in spied_sweep(noise, offset):
         assert np.array_equal(mean, copy)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+@pytest.mark.parametrize("offset", [1, 2])
+def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
+    # broadcast lifts and cached columns keep every operation and its order
+    space, grid, data, drv = tree_setup(n_elems=12, n_steps=6, alpha=0.6, noise=noise)
+    if kind == "ensemble":
+        drv = gaussian_driver(grid, 40, seed=5)
+    rng = np.random.default_rng(4)
+    U = AdaptedProcess(drv, 0, [
+        rng.standard_normal((drv.n_scenarios(n), space.dim)) for n in range(grid.n_steps)
+    ])
+    X = solve_forward(data, drv, U)
+    got, ref = (zeros_process(drv, space.dim, 0, grid.n_steps - 1) for _ in range(2))
+    _sweep(data, drv, X, offset, got)
+    oracles.copying_sweep(data, drv, X, offset, ref)
+    for g, r in zip(got.values, ref.values, strict=True):
+        assert_array_equal(g, r)

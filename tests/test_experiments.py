@@ -846,6 +846,23 @@ def test_cli_prints_only_the_error_line_for_non_finite_results(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["missing.cfg", "."])
+def test_cli_reports_an_unreadable_config_file(tmp_path, config):
+    # a missing file and a directory used to end in an OSError traceback and exit 1
+    out = tmp_path / "out"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["gd_convergence", "--config", str(tmp_path / config), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "slqheat.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    errors = [line for line in run.stderr.splitlines() if line.startswith("slq: error:")]
+    assert len(errors) == 1 and str(tmp_path / config) in errors[0]
+    assert "Traceback" not in run.stderr and run.stdout == ""
+    assert not out.exists()
+
+
 def test_cli_runs_crosscheck_just_below_the_mode_bound(tmp_path):
     out = tmp_path / "out"
     assert main(["riccati_crosscheck", "--alpha", "999999.99999999", "--paths", "50",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from slqheat.forward import (
@@ -359,3 +359,51 @@ def test_solve_forward_rejects_storage_of_another_grid(kind):
         solve_forward(data, drv, out=rows)
     out = zeros_process(drv, space.dim, 0, 4)
     assert solve_forward(data, drv, out=out) is out
+
+
+def pinned_driver(kind, grid):
+    return TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 40, seed=5)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+@pytest.mark.parametrize("control", ["stored", "gains", "none"])
+def test_solve_forward_is_bitwise_the_copying_loop(kind, noise, control):
+    # broadcast lifts and cached columns keep every operation and its order
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8, noise=noise)
+    drv = pinned_driver(kind, grid)
+    rng = np.random.default_rng(7)
+    shape = (grid.n_steps, space.dim)
+    ctrl = {
+        "stored": random_control(drv, space.dim, seed=2),
+        "gains": (rng.uniform(0.1, 1.0, shape), rng.standard_normal(shape)),
+        "none": None,
+    }[control]
+    got = solve_forward(data, drv, ctrl)
+    ref = oracles.copying_solve_forward(data, drv, ctrl)
+    if control == "gains":
+        (got, got_u), (ref, ref_u) = got, ref
+        for g, r in zip(got_u.values, ref_u.values, strict=True):
+            assert_array_equal(g, r)
+    for g, r in zip(got.values, ref.values, strict=True):
+        assert_array_equal(g, r)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_solve_forward_rejects_a_stored_control_of_another_grid(kind):
+    space, grid, data = small_setup(n_steps=4)
+    drv = pinned_driver(kind, grid)
+    with pytest.raises(ValueError, match="0..4, need 0..3"):
+        solve_forward(data, drv, zeros_process(drv, space.dim, 0, 4))
+    with pytest.raises(ValueError, match="shape"):
+        solve_forward(data, drv, zeros_process(drv, space.dim + 1, 0, 3))
+
+
+def test_tree_slice_means_match_row_sum_means():
+    # one dot per level sums in another order than the row sums it replaced
+    space, grid, data = small_setup(n_elems=16, n_steps=6, alpha=0.8)
+    drv = TreeDriver(grid)
+    U = random_control(drv, space.dim, seed=3)
+    X = solve_forward(data, drv, U).window(0, grid.n_steps - 1)
+    for u, v in [(X, X), (U, U), (X, U)]:
+        assert_allclose(u.slice_means(v), oracles.einsum_slice_means(u, v), rtol=1e-15, atol=0)

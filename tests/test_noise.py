@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import kstest
 
 import oracles
@@ -32,7 +32,7 @@ def test_time_grid_rejects_bad_input():
 def test_tree_increment_signs_follow_last_bit():
     drv = TreeDriver(make_time_grid(1.0, 4))
     s = np.sqrt(0.25)
-    inc = drv.increments_at(2)
+    inc = oracles.increments_at(drv, 2)
     assert_allclose(inc, s * np.array([-1.0, 1.0, -1.0, 1.0]))
     assert drv.n_scenarios(3) == 8
 
@@ -46,7 +46,7 @@ def test_tree_increments_are_standardized():
     drv = TreeDriver(make_time_grid(1.0, 5))
     tau = drv.grid.tau
     for k in (1, 3, 5):
-        inc = drv.increments_at(k)
+        inc = oracles.increments_at(drv, k)
         assert abs(inc.mean()) == 0.0
         assert_allclose(inc**2, tau)
 
@@ -87,8 +87,8 @@ def test_tree_condexp_tower_property(j, seed):
 def test_tree_pathwise_expansion_shapes():
     drv = TreeDriver(make_time_grid(1.0, 4))
     vals = np.ones((4, 3))  # level 2 node values, d = 3
-    assert drv.child_expand(vals).shape == (8, 3)
-    assert_allclose(drv.parent_mean(drv.child_expand(vals)), vals)
+    assert oracles.child_expand(drv, vals).shape == (8, 3)
+    assert_allclose(drv.parent_mean(oracles.child_expand(drv, vals)), vals)
     assert oracles.pathwise(drv, vals, 2).shape == (16, 3)
     assert oracles.pathwise_increment(drv, 1).shape == (16,)
 
@@ -108,8 +108,8 @@ def test_gaussian_driver_brownian_is_cumsum():
     w = np.column_stack([drv.brownian(n) for n in range(9)])
     assert_allclose(w[:, 0], 0.0)
     assert_allclose(np.diff(w, axis=1), drv.increments, atol=1e-15)
-    assert drv.increments_at(3).shape == (7,)
-    assert_allclose(drv.increments_at(3), drv.increments[:, 2])
+    assert oracles.increments_at(drv, 3).shape == (7,)
+    assert_allclose(oracles.increments_at(drv, 3), drv.increments[:, 2])
 
 
 def test_gaussian_increments_pass_ks_and_moment_checks():
@@ -149,3 +149,42 @@ def test_refine_common_path_rejects_odd():
     drv = gaussian_driver(grid, 2, seed=1)
     with pytest.raises(ValueError):
         refine_common_path(refine_common_path(drv))
+
+
+def test_ensemble_increments_are_frozen_and_step_columns_cached():
+    grid = make_time_grid(1.0, 8)
+    drv = gaussian_driver(grid, 7, seed=3)
+    w = drv.brownian(slice(None)).copy()
+    # a write would leave the cached Wiener values and multipliers stale
+    with pytest.raises(ValueError):
+        drv.increments[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        drv.brownian(2)[0] = 1.0
+    assert_array_equal(drv.brownian(slice(None)), w)
+    assert np.shares_memory(drv.dw, drv.increments)
+    assert not drv.mult.flags.writeable
+    for k in range(1, 9):
+        assert_array_equal(drv.dw[k - 1][:, 0, 0], oracles.increments_at(drv, k))
+        assert_array_equal(drv.mult[k - 1][:, 0, 0], 1 + oracles.increments_at(drv, k))
+        assert drv.mult[k - 1].flags.c_contiguous
+
+
+def test_tree_step_columns_split_every_node_into_its_two_children():
+    drv = TreeDriver(make_time_grid(1.0, 5))
+    assert not drv.dw.flags.writeable and not drv.mult.flags.writeable
+    for k in range(1, 6):
+        parents = 1 << (k - 1)
+        assert_array_equal(np.tile(drv.dw[k - 1][:, 0], parents), oracles.increments_at(drv, k))
+        assert_array_equal(np.tile(drv.mult[k - 1][:, 0], parents), 1 + oracles.increments_at(drv, k))
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_siblings_is_a_writable_view_grouped_by_parent(kind):
+    grid = make_time_grid(1.0, 4)
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 6, seed=1)
+    values = np.zeros((drv.n_scenarios(3), 5))[:, 1:4]  # rows of another array
+    grouped = drv.siblings(values)
+    assert grouped.shape == ((4, 2, 3) if kind == "tree" else (6, 1, 3))
+    grouped[...] = np.arange(len(grouped))[:, None, None]
+    expected = oracles.child_expand(drv, np.arange(len(grouped), dtype=float))
+    assert_array_equal(values, np.broadcast_to(expected[:, None], values.shape))
