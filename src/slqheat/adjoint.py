@@ -27,7 +27,7 @@ By the tower property the sweep :func:`_sweep` carries
 H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
 V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
 (both the identity on ensembles), so a tree costs O(2^N d) instead of
-O(N 2^N d); the lift is a broadcast view and the multipliers m_k are the
+O(N 2^N d); the lift is the broadcast view ``V[None]`` and the m_k are the
 driver's cached columns (:mod:`slqheat.noise`).  It conditions as it
 goes: on the scenario tree E[H_n | F_n] is the exact subtree average,
 ``driver.parent_mean`` applied l - n <= 2 times, whose first application
@@ -86,7 +86,7 @@ def _sweep(data, driver, state, product_offset, out):
     """
     N, tau = data.grid.n_steps, data.grid.tau
     scale = a0_scale(data.space, tau)
-    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1))
+    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))
     out.check_fits(driver, data.space.dim, 0, N - 1)
     state.check_fits(driver, data.space.dim, 0, N)
     tree = driver.kind == "tree"
@@ -105,7 +105,7 @@ def _sweep(data, driver, state, product_offset, out):
         if level > n + 1:
             # offset 2 below N - 1: V lifts to H's level as a broadcast view
             G = driver.siblings(H) * mult[n + 1]
-            G += V[:, None, :]
+            G += V[None]
         else:
             G = driver.siblings(V)
             G += driver.siblings(H)

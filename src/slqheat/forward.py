@@ -29,8 +29,8 @@ place.
 
 :func:`solve_forward` allocates its :class:`AdaptedProcess` once (or
 takes the caller's) and fills it in place, writing X_{n+1} through the
-driver's grouped view of its slot with X_n and the cached step columns
-broadcast (see :mod:`slqheat.noise`): no step copies a slice.
+driver's sign blocks of its slot with X_n lifted as ``x[None]`` and the
+cached step columns broadcast (:mod:`slqheat.noise`): no step copies a slice.
 """
 
 from dataclasses import dataclass, replace
@@ -127,12 +127,10 @@ class SigmaSpec:
     """Separable data functions: initial state and noise profile.
 
     The noise coefficient is sigma(t, x) = scale * time_factor(t) * profile(x);
-    derivatives are carried alongside so the Ritz projection is available.
+    x0 and the profile enter by their derivatives, which the Ritz projection reads.
     """
 
-    x0: callable
     x0_dx: callable
-    profile: callable
     profile_dx: callable
     time_factor: callable
     scale: float = 1.0
@@ -141,9 +139,7 @@ class SigmaSpec:
 def default_sigma_spec(scale=1.0):
     """sin(pi x) initial state with sigma(t, x) = scale * exp(-t) sin(pi x)."""
     return SigmaSpec(
-        x0=lambda x: np.sin(np.pi * x),
         x0_dx=lambda x: np.pi * np.cos(np.pi * x),
-        profile=lambda x: np.sin(np.pi * x),
         profile_dx=lambda x: np.pi * np.cos(np.pi * x),
         time_factor=lambda t: np.exp(-t),
         scale=scale,
@@ -242,7 +238,7 @@ def solve_forward(data, driver, control=None, out=None):
     N, tau = grid.n_steps, grid.tau
     d = space.dim
     scale = a0_scale(space, tau)
-    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1))  # additive: m = 1
+    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))  # additive: m = 1
 
     gains = None
     if control is not None and not isinstance(control, AdaptedProcess):
@@ -261,11 +257,11 @@ def solve_forward(data, driver, control=None, out=None):
             np.multiply(gains[0][n], xn, out=un)
             un += gains[1][n]
             np.negative(un, out=un)
-        # X_{n+1} grouped by parent, each parent row broadcast to its children
+        # X_{n+1} as its sign blocks, each taking the parent rows as a broadcast view
         nxt = driver.siblings(proc.values[n + 1])
-        np.multiply(xn[:, None, :], mult[n], out=nxt)
+        np.multiply(xn[None], mult[n], out=nxt)
         if un is not None:
-            nxt += tau * un[:, None, :]
+            nxt += tau * un[None]
         nxt += data.sigma[n] * driver.dw[n]
         nxt *= scale
     return proc if gains is None else (proc, control)

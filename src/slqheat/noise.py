@@ -4,9 +4,9 @@ Two interchangeable sources of Wiener increments feed the space-time
 scheme:
 
 * ``TreeDriver`` -- the binary scenario tree with increments +-sqrt(tau).
-  Level n holds 2^n nodes; node s at level n has children 2s and 2s+1 at
-  level n+1, and the step-(n+1) increment attached to a child is read off
-  its last bit (odd child -> +sqrt(tau), even child -> -sqrt(tau)).
+  Level n holds 2^n nodes in sign-major order: node s at level n has
+  children s (step-(n+1) increment -sqrt(tau)) and s + 2^n (+sqrt(tau)),
+  so the step-k increment of a node is read off bit k - 1 of its index.
   Conditional expectations are exact subtree averages, taken one level
   at a time by the sibling-pair average ``parent_mean``, so every
   quantity computed on the tree is free of sampling error.
@@ -18,11 +18,11 @@ scheme:
 Both expose the protocol of the forward and backward recursions:
 ``kind`` ("tree" or "ensemble": average subtrees or regress),
 ``n_scenarios``, ``parent_mean`` (one level up) and ``siblings``, a
-level-(n+1) slice viewed by parent, (2^n, 2, d) or (P, 1, d), which
-parent rows x reach as the broadcast view ``x[:, None, :]``.  The
+level-(n+1) slice as contiguous sign blocks, (2, 2^n, d) or (1, P, d),
+which parent rows x reach as the broadcast view ``x[None]``.  The
 read-only columns ``dw[n]`` and ``mult[n]`` of dW_{n+1} and 1 + dW_{n+1},
-cached at construction, broadcast against it: one (2, 1) column for
-every tree step, (P, 1, 1) per ensemble step.  Only ensembles regress on
+cached at construction, broadcast against it: one (2, 1, 1) column for
+every tree step, (1, P, 1) per ensemble step.  Only ensembles regress on
 the Wiener values, so only they offer ``brownian``.
 """
 
@@ -73,20 +73,23 @@ class TreeDriver:
         n = self.grid.n_steps
         if n > TREE_DEPTH_CAP:
             raise ValueError(f"tree depth {n} exceeds cap {TREE_DEPTH_CAP} (2^{n} leaves); use an ensemble")
-        dw = np.array([[-1.0], [1.0]]) * np.sqrt(self.grid.tau)
-        self.dw = np.broadcast_to(dw, (n, 2, 1))
-        self.mult = np.broadcast_to(1.0 + dw, (n, 2, 1))
+        dw = np.array([-1.0, 1.0]).reshape(2, 1, 1) * np.sqrt(self.grid.tau)
+        self.dw = np.broadcast_to(dw, (n, 2, 1, 1))
+        self.mult = np.broadcast_to(1.0 + dw, (n, 2, 1, 1))
 
     def n_scenarios(self, level):
         return 1 << level
 
     def siblings(self, values):
-        """Level-(n+1) node values as a (2^n, 2, d) view (splitting rows never copies)."""
-        return values.reshape(-1, 2, values.shape[-1])
+        """Level-(n+1) node values as a (2, 2^n, d) view: minus-children, then plus-children."""
+        return values.reshape(2, -1, values.shape[-1])
 
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""
-        return 0.5 * (values[0::2] + values[1::2])
+        half = len(values) // 2
+        mean = values[:half] + values[half:]
+        mean *= 0.5
+        return mean
 
 
 @dataclass
@@ -105,7 +108,7 @@ class EnsembleDriver:
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
         self.increments.flags.writeable = False
-        self.dw = self.increments.T[:, :, None, None]
+        self.dw = self.increments.T[:, None, :, None]
         self.mult = np.add(1.0, self.dw, order="C")
         self.mult.flags.writeable = False
 
@@ -117,8 +120,8 @@ class EnsembleDriver:
         return self.n_paths
 
     def siblings(self, values):
-        """Path values as a (P, 1, d) view: every path is its own only child."""
-        return values[:, None, :]
+        """Path values as a (1, P, d) view: every path is its own only child."""
+        return values[None]
 
     def parent_mean(self, values):
         return values

@@ -4,6 +4,15 @@ Everything here evaluates the defining formulas literally: dense matrix
 powers, explicit noise-multiplier products per leaf, and exact tree
 averages.  Slow on purpose, for small trees only.
 
+The library numbers tree nodes sign-major (the children of node s at
+level n are s and s + 2^n); the helpers here keep the interleaved order
+they were written in (children 2s and 2s + 1), where the step-k
+increment is bit n - k of a level-n index.  Tests compare the two through
+``bit_reverse_rows`` (level n's interleaved index is the n-bit reversal of
+its sign-major one) and ``bit_reverse`` (a whole process), so the
+verbatim pins stay exact; ``sibling_mean`` is the interleaved
+``parent_mean``.
+
 The library's processes and problem data hold eigen coordinates; every
 oracle here works on nodal coefficient vectors with the mass matrix M,
 and ``nodal`` converts a library process for comparison.
@@ -48,11 +57,12 @@ generator the library's sweep streamed before it conditioned as it goes;
 one kernel slice at a time before the whole-array step.
 ``copying_solve_forward`` and ``copying_sweep`` are the forward loop and
 the conditioned backward sweep as the library ran them before tree levels
-became broadcast views: they repeat parent rows onto their children
-(``child_expand``) and rebuild each step's multipliers from the per-level
-increments (``increments_at``), the two driver methods those views and
-the drivers' cached columns replaced; ``einsum_slice_means`` is the tree
-``slice_means`` as averaged row sums, before one dot per level.
+became broadcast views in sign-major order: they repeat parent rows onto
+their children (``child_expand``) and rebuild each step's multipliers
+from the per-level increments (``increments_at``), the two driver
+methods those views and the drivers' cached columns replaced;
+``einsum_slice_means`` is the tree ``slice_means`` as averaged row sums,
+before one dot per level.
 """
 
 import warnings
@@ -124,6 +134,37 @@ def increments_at(driver, step):
     if driver.kind == "tree":
         return np.where(np.arange(1 << step) & 1, 1.0, -1.0) * np.sqrt(driver.grid.tau)
     return driver.increments[:, step - 1]
+
+
+def bit_reverse_rows(values, level):
+    """Level-``level`` tree rows moved between sign-major and interleaved order.
+
+    Row i of one order is row r(i) of the other, with r the
+    ``level``-bit reversal, so the permutation is its own inverse.
+    """
+    values = np.asarray(values)
+    if len(values) != 1 << level:
+        raise ValueError(f"level {level} data need {1 << level} rows, got {len(values)}")
+    rows = np.arange(1 << level)
+    rev = np.zeros_like(rows)
+    for bit in range(level):
+        rev |= ((rows >> bit) & 1) << (level - 1 - bit)
+    return values[rev]
+
+
+def bit_reverse(proc):
+    """A tree process with every slice through :func:`bit_reverse_rows` (ensembles: unchanged)."""
+    if proc.driver.kind != "tree":
+        return proc
+    vals = [bit_reverse_rows(v, n) for n, v in enumerate(proc.values, proc.start)]
+    return AdaptedProcess(proc.driver, proc.start, vals)
+
+
+def sibling_mean(driver, values):
+    """The interleaved ``parent_mean``: averages pairs 2s, 2s + 1, bit for bit (ensembles: unchanged)."""
+    if driver.kind != "tree":
+        return values
+    return 0.5 * (values[0::2] + values[1::2])
 
 
 def child_expand(driver, values):
@@ -387,7 +428,7 @@ def backward_kernel(data, driver, state, product_offset):
     level = N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:
-            H = driver.parent_mean(H)
+            H = sibling_mean(driver, H)
             level -= 1
         vn1 = -tau * state.at(n + 1)
         if level > n + 1:
@@ -504,9 +545,9 @@ def copying_sweep(data, driver, state, product_offset, out):
             G *= (1.0 + increments_at(driver, n + 1))[:, None]
         G *= scale
         H = G
-        up = driver.parent_mean(H)
+        up = sibling_mean(driver, H)
         if tree:
-            held[n] = up if level == n + 1 else driver.parent_mean(up)
+            held[n] = up if level == n + 1 else sibling_mean(driver, up)
         else:
             np.matmul(feats[n].T, H, out=rhs[n])
     if tree:
@@ -596,7 +637,9 @@ def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, r
     Each slice of the kernel, conditioned one slice at a time, gives
     g_n = u_n - Q_n, adds tau E||g_n||^2 to the squared gradient norm in
     sweep order n = N-1..0, and updates u_n -= g_n / kappa.  The
-    divergence warning of the library loop is left out.
+    divergence warning of the library loop is left out.  The forward loop
+    is :func:`copying_solve_forward`, so on a tree the control (and a
+    ``reference``) are in the interleaved order of the helpers here.
     """
     grid = data.grid
     kappa = kappa if kappa is not None else kappa_bound(grid.horizon, data.alpha)
@@ -604,7 +647,7 @@ def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, r
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
     for _ in range(max_iters):
-        state = solve_forward(data, driver, u)
+        state = copying_solve_forward(data, driver, u)
         trace.cost.append(cost(data, state, u))
         if reference is not None:
             trace.err_to_ref.append(control_norm_sq(data, u - reference))

@@ -22,8 +22,9 @@ def tree_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
 def test_k_htau_matches_literal_sums():
     space, grid, data, drv = tree_setup(alpha=0.7)
     X = solve_forward(data, drv)
-    Q = k_htau(data, drv, X)
-    ref = oracles.literal_k_htau(space, drv, data.alpha, oracles.nodal(space, X))
+    Q = oracles.bit_reverse(k_htau(data, drv, X))
+    X_nodal = oracles.nodal(space, oracles.bit_reverse(X))
+    ref = oracles.literal_k_htau(space, drv, data.alpha, X_nodal)
     assert Q.start == 0 and Q.stop == grid.n_steps - 1
     for n in range(grid.n_steps):
         assert_allclose(space.from_eigen(Q.at(n)), ref[n], atol=1e-12)
@@ -85,7 +86,7 @@ def test_bsde_terminal_condition_and_measurability():
 def test_bsde_martingale_identity_on_tree():
     space, grid, data, drv = tree_setup(n_elems=6, n_steps=5, alpha=1.0)
     X = solve_forward(data, drv)
-    y0 = implicit_euler_bsde(data, drv, X)
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     assert oracles.bsde_residual(data, drv, X, y0, zbar0) <= 1e-10
 
@@ -95,7 +96,7 @@ def test_bsde_slice_recursion_equivalence():
     space, grid, data, drv = tree_setup(n_elems=4, n_steps=4)
     tau = grid.tau
     X = solve_forward(data, drv)
-    y0 = implicit_euler_bsde(data, drv, X)
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
     for n in range(grid.n_steps):
         mult = 1.0 + oracles.increments_at(drv, n + 1)[:, None]
         inner = (y0.at(n + 1) - tau * X.at(n + 1)) * mult
@@ -225,7 +226,7 @@ def test_k_htau_on_ensemble_matches_regression_oracle(noise):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 def test_k_htau_on_tree_matches_nodal_oracle(noise):
     space, grid, data, drv = tree_setup(n_elems=9, n_steps=6, alpha=0.8, noise=noise)
-    Q = k_htau(data, drv, solve_forward(data, drv))
+    Q = oracles.bit_reverse(k_htau(data, drv, solve_forward(data, drv)))
     ref = oracles.nodal_k_htau(data, drv, oracles.nodal_solve_forward(data, drv))
     for n in range(grid.n_steps):
         assert_allclose(space.from_eigen(Q.at(n)), ref[n], rtol=0, atol=1e-12)
@@ -234,7 +235,7 @@ def test_k_htau_on_tree_matches_nodal_oracle(noise):
 def assert_bsde_matches_nodal_oracle(space, data, drv, X):
     """implicit_euler_bsde, bsde_martingale and bsde_residual against the nodal sweep oracle."""
     N = data.grid.n_steps
-    y0 = implicit_euler_bsde(data, drv, X)
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     X_nodal = oracles.nodal_solve_forward(data, drv)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, X_nodal)
@@ -273,15 +274,18 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
     space, grid, data, drv = tree_setup(n_elems=7, n_steps=depth, alpha=0.6, noise=noise)
     rng = np.random.default_rng(depth)
     X = AdaptedProcess(drv, 0, [rng.standard_normal((2**n, space.dim)) for n in range(depth + 1)])
-    Xn = oracles.nodal(space, X)
-    y0 = implicit_euler_bsde(data, drv, X)
-    zbar0 = oracles.bsde_martingale(data, drv, X, y0)
+    # the leaf-wise oracles number the tree interleaved: compare through the bit reversal
+    rev = oracles.bit_reverse
+    Xi = rev(X)
+    Xn = oracles.nodal(space, Xi)
+    y0 = rev(implicit_euler_bsde(data, drv, X))
+    zbar0 = oracles.bsde_martingale(data, drv, Xi, y0)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, Xn)
     pairs = [
-        (k_htau(data, drv, X).values, oracles.nodal_k_htau(data, drv, Xn)),
-        (apply_L_adjoint(data, drv, X).values, oracles.nodal_l_adjoint(data, drv, Xn)),
+        (rev(k_htau(data, drv, X)).values, oracles.nodal_k_htau(data, drv, Xn)),
+        (rev(apply_L_adjoint(data, drv, X)).values, oracles.nodal_l_adjoint(data, drv, Xn)),
         (
-            apply_Lhat_adjoint(data, drv, X.at(depth)).values,
+            rev(apply_Lhat_adjoint(data, drv, X.at(depth))).values,
             oracles.nodal_lhat_adjoint(data, drv, Xn.at(depth)),
         ),
         (y0.values, y_ref),
@@ -359,7 +363,8 @@ def test_tree_sweep_never_updates_a_held_average(noise, offset):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 @pytest.mark.parametrize("offset", [1, 2])
 def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
-    # broadcast lifts and cached columns keep every operation and its order
+    # broadcast lifts and cached columns keep every operation and its order;
+    # only the tree's rows move, by the bit reversal between the two orders
     space, grid, data, drv = tree_setup(n_elems=12, n_steps=6, alpha=0.6, noise=noise)
     if kind == "ensemble":
         drv = gaussian_driver(grid, 40, seed=5)
@@ -370,6 +375,6 @@ def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
     X = solve_forward(data, drv, U)
     got, ref = (zeros_process(drv, space.dim, 0, grid.n_steps - 1) for _ in range(2))
     _sweep(data, drv, X, offset, got)
-    oracles.copying_sweep(data, drv, X, offset, ref)
-    for g, r in zip(got.values, ref.values, strict=True):
+    oracles.copying_sweep(data, drv, oracles.bit_reverse(X), offset, ref)
+    for g, r in zip(oracles.bit_reverse(got).values, ref.values, strict=True):
         assert_array_equal(g, r)

@@ -663,6 +663,25 @@ def test_riccati_crosscheck_report(tmp_path):
     assert summary["gap_monotone"] is True
 
 
+def test_riccati_crosscheck_flags_a_gap_that_grows(tmp_path):
+    # on the coarsest grids the gap to the moment cost rises before it
+    # falls (0.00269, 0.00559, 0.00499, 0.00368), so the flag is false
+    cfg = make_config(
+        "riccati_crosscheck",
+        n_elems=2,
+        time_steps=2,
+        time_levels=(1, 2, 4, 8),
+        n_paths=4,
+        k_fine=4,
+        out=str(tmp_path),
+    )
+    report = run_riccati_crosscheck(cfg)
+    gaps = [report[f"cost_gap_N{lvl}"] for lvl in cfg.time_levels]
+    assert_allclose(gaps, [0.00269, 0.00559, 0.00499, 0.00368], atol=5e-6)
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["gap_monotone"] is False
+
+
 # -------------------------------------------------------- adjoint-gap study
 
 

@@ -44,9 +44,7 @@ def test_with_grid_matches_make_problem_when_time_factor_vanishes_at_zero():
     # recovered from the first sigma slice
     space = build_fem_space(8)
     spec = SigmaSpec(
-        x0=lambda x: np.sin(np.pi * x),
         x0_dx=lambda x: np.pi * np.cos(np.pi * x),
-        profile=lambda x: np.sin(np.pi * x),
         profile_dx=lambda x: np.pi * np.cos(np.pi * x),
         time_factor=lambda t: t,
     )
@@ -73,7 +71,7 @@ def test_l2_projection_mode_differs_from_ritz():
     grid = make_time_grid(1.0, 2)
     ritz = make_problem(space, grid)
     ritz_x0 = space.from_eigen(ritz.x0)
-    l2_x0 = oracles.l2_project(space, ritz.sigma_spec.x0)
+    l2_x0 = oracles.l2_project(space, lambda x: np.sin(np.pi * x))  # the default x0
     assert np.abs(ritz_x0 - l2_x0).max() > 1e-8
     # both are second-order accurate samplings of sin(pi x)
     assert np.abs(ritz_x0 - np.sin(np.pi * space.nodes)).max() < 5e-2
@@ -114,11 +112,12 @@ def test_forward_matches_literal_products_on_tree():
     drv = TreeDriver(grid)
     U = random_control(drv, space.dim, seed=1)
 
-    gam = oracles.nodal(space, oracles.apply_Gamma(data, drv))
-    lu = oracles.nodal(space, oracles.apply_L(data, drv, U))
-    f = oracles.nodal(space, oracles.compute_f(data, drv))
+    # the literal sums number the tree interleaved: compare through the bit reversal
+    gam = oracles.nodal(space, oracles.bit_reverse(oracles.apply_Gamma(data, drv)))
+    lu = oracles.nodal(space, oracles.bit_reverse(oracles.apply_L(data, drv, U)))
+    f = oracles.nodal(space, oracles.bit_reverse(oracles.compute_f(data, drv)))
     gam_ref = oracles.literal_gamma(space, drv, space.from_eigen(data.x0))
-    lu_ref = oracles.literal_l(space, drv, oracles.nodal(space, U))
+    lu_ref = oracles.literal_l(space, drv, oracles.nodal(space, oracles.bit_reverse(U)))
     f_ref = oracles.literal_f(space, drv, space.from_eigen(data.sigma))
     for n in range(grid.n_steps + 1):
         assert_allclose(oracles.pathwise(drv, gam.at(n), n), gam_ref[n], atol=1e-12)
@@ -199,7 +198,7 @@ def test_feedback_gains_match_nodal_callable_oracle(kind, noise):
         n = int(round(t / grid.tau))
         return space.from_eigen(-(g[n] * space.to_eigen(x) + h[n]))
 
-    X, U = solve_forward(data, drv, (g, h))
+    X, U = (oracles.bit_reverse(p) for p in solve_forward(data, drv, (g, h)))
     x_ref, u_ref = oracles.nodal_forward(
         data, drv, space.from_eigen(data.x0), nodal_law, space.from_eigen(data.sigma),
         return_control=True,
@@ -242,8 +241,8 @@ def test_l_adjoint_matches_literal_sums():
     xi = AdaptedProcess(
         drv, 1, [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)]
     )
-    out = oracles.apply_L_adjoint(data, drv, xi)
-    ref = oracles.literal_l_adjoint(space, drv, oracles.nodal(space, xi))
+    out = oracles.bit_reverse(oracles.apply_L_adjoint(data, drv, xi))
+    ref = oracles.literal_l_adjoint(space, drv, oracles.nodal(space, oracles.bit_reverse(xi)))
     assert out.start == 0 and out.stop == grid.n_steps - 1
     for j in range(grid.n_steps):
         assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
@@ -254,8 +253,9 @@ def test_lhat_adjoint_matches_literal_sums():
     drv = TreeDriver(grid)
     rng = np.random.default_rng(9)
     eta = rng.standard_normal((2**grid.n_steps, space.dim))
-    out = oracles.apply_Lhat_adjoint(data, drv, eta)
-    ref = oracles.literal_lhat_adjoint(space, drv, space.from_eigen(eta))
+    out = oracles.bit_reverse(oracles.apply_Lhat_adjoint(data, drv, eta))
+    eta_ref = oracles.bit_reverse_rows(eta, grid.n_steps)
+    ref = oracles.literal_lhat_adjoint(space, drv, space.from_eigen(eta_ref))
     for j in range(grid.n_steps):
         assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
 
@@ -336,8 +336,8 @@ def test_solve_forward_matches_nodal_oracle(kind, noise):
     space, grid, data = small_setup(n_elems=9, n_steps=5, noise=noise)
     drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 200, seed=3)
     U = random_control(drv, space.dim, seed=4)
-    X = solve_forward(data, drv, U)
-    ref = oracles.nodal_solve_forward(data, drv, oracles.nodal(space, U))
+    X = oracles.bit_reverse(solve_forward(data, drv, U))
+    ref = oracles.nodal_solve_forward(data, drv, oracles.nodal(space, oracles.bit_reverse(U)))
     for n in range(grid.n_steps + 1):
         assert_allclose(space.from_eigen(X.at(n)), ref.at(n), rtol=0, atol=1e-12)
 
@@ -369,23 +369,23 @@ def pinned_driver(kind, grid):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 @pytest.mark.parametrize("control", ["stored", "gains", "none"])
 def test_solve_forward_is_bitwise_the_copying_loop(kind, noise, control):
-    # broadcast lifts and cached columns keep every operation and its order
+    # broadcast lifts and cached columns keep every operation and its order;
+    # only the tree's rows move, by the bit reversal between the two orders
     space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8, noise=noise)
     drv = pinned_driver(kind, grid)
     rng = np.random.default_rng(7)
     shape = (grid.n_steps, space.dim)
-    ctrl = {
-        "stored": random_control(drv, space.dim, seed=2),
-        "gains": (rng.uniform(0.1, 1.0, shape), rng.standard_normal(shape)),
-        "none": None,
-    }[control]
+    stored = random_control(drv, space.dim, seed=2)
+    gains = (rng.uniform(0.1, 1.0, shape), rng.standard_normal(shape))
+    ctrl = {"stored": stored, "gains": gains, "none": None}[control]
+    ref_ctrl = oracles.bit_reverse(stored) if control == "stored" else ctrl
     got = solve_forward(data, drv, ctrl)
-    ref = oracles.copying_solve_forward(data, drv, ctrl)
+    ref = oracles.copying_solve_forward(data, drv, ref_ctrl)
     if control == "gains":
         (got, got_u), (ref, ref_u) = got, ref
-        for g, r in zip(got_u.values, ref_u.values, strict=True):
+        for g, r in zip(oracles.bit_reverse(got_u).values, ref_u.values, strict=True):
             assert_array_equal(g, r)
-    for g, r in zip(got.values, ref.values, strict=True):
+    for g, r in zip(oracles.bit_reverse(got).values, ref.values, strict=True):
         assert_array_equal(g, r)
 
 

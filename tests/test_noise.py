@@ -29,11 +29,18 @@ def test_time_grid_rejects_bad_input():
         make_time_grid(3.0, 2)  # tau = 1.5 > 1
 
 
-def test_tree_increment_signs_follow_last_bit():
+def test_tree_step_k_sign_is_bit_k_minus_1():
+    # W built level by level as solve_forward builds the state: parent rows
+    # lifted to both sign blocks of the children, plus the step column
     drv = TreeDriver(make_time_grid(1.0, 4))
     s = np.sqrt(0.25)
-    inc = oracles.increments_at(drv, 2)
-    assert_allclose(inc, s * np.array([-1.0, 1.0, -1.0, 1.0]))
+    w = np.zeros((1, 1))
+    for n in range(1, 5):
+        nxt = np.empty((drv.n_scenarios(n), 1))
+        np.add(w[None], drv.dw[n - 1], out=drv.siblings(nxt))
+        w = nxt
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # column k - 1: bit k - 1
+        assert_array_equal(w[:, 0], s * (2 * bits - 1).sum(axis=1))
     assert drv.n_scenarios(3) == 8
 
 
@@ -86,9 +93,9 @@ def test_tree_condexp_tower_property(j, seed):
 
 def test_tree_pathwise_expansion_shapes():
     drv = TreeDriver(make_time_grid(1.0, 4))
-    vals = np.ones((4, 3))  # level 2 node values, d = 3
+    vals = np.arange(12.0).reshape(4, 3)  # level 2 node values, d = 3
     assert oracles.child_expand(drv, vals).shape == (8, 3)
-    assert_allclose(drv.parent_mean(oracles.child_expand(drv, vals)), vals)
+    assert_allclose(oracles.sibling_mean(drv, oracles.child_expand(drv, vals)), vals)
     assert oracles.pathwise(drv, vals, 2).shape == (16, 3)
     assert oracles.pathwise_increment(drv, 1).shape == (16,)
 
@@ -164,8 +171,8 @@ def test_ensemble_increments_are_frozen_and_step_columns_cached():
     assert np.shares_memory(drv.dw, drv.increments)
     assert not drv.mult.flags.writeable
     for k in range(1, 9):
-        assert_array_equal(drv.dw[k - 1][:, 0, 0], oracles.increments_at(drv, k))
-        assert_array_equal(drv.mult[k - 1][:, 0, 0], 1 + oracles.increments_at(drv, k))
+        assert_array_equal(drv.dw[k - 1][0, :, 0], oracles.increments_at(drv, k))
+        assert_array_equal(drv.mult[k - 1][0, :, 0], 1 + oracles.increments_at(drv, k))
         assert drv.mult[k - 1].flags.c_contiguous
 
 
@@ -174,8 +181,11 @@ def test_tree_step_columns_split_every_node_into_its_two_children():
     assert not drv.dw.flags.writeable and not drv.mult.flags.writeable
     for k in range(1, 6):
         parents = 1 << (k - 1)
-        assert_array_equal(np.tile(drv.dw[k - 1][:, 0], parents), oracles.increments_at(drv, k))
-        assert_array_equal(np.tile(drv.mult[k - 1][:, 0], parents), 1 + oracles.increments_at(drv, k))
+        # sign-major: every minus-child, then every plus-child
+        inc = oracles.bit_reverse_rows(oracles.increments_at(drv, k), k)
+        assert drv.dw[k - 1].shape == drv.mult[k - 1].shape == (2, 1, 1)
+        assert_array_equal(np.repeat(drv.dw[k - 1][:, 0, 0], parents), inc)
+        assert_array_equal(np.repeat(drv.mult[k - 1][:, 0, 0], parents), 1 + inc)
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
@@ -184,7 +194,31 @@ def test_siblings_is_a_writable_view_grouped_by_parent(kind):
     drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 6, seed=1)
     values = np.zeros((drv.n_scenarios(3), 5))[:, 1:4]  # rows of another array
     grouped = drv.siblings(values)
-    assert grouped.shape == ((4, 2, 3) if kind == "tree" else (6, 1, 3))
-    grouped[...] = np.arange(len(grouped))[:, None, None]
-    expected = oracles.child_expand(drv, np.arange(len(grouped), dtype=float))
+    assert grouped.shape == ((2, 4, 3) if kind == "tree" else (1, 6, 3))
+    parents = grouped.shape[1]
+    grouped[...] = np.arange(parents)[:, None]  # every child gets its parent's index
+    expected = np.tile(np.arange(parents, dtype=float), len(grouped))
     assert_array_equal(values, np.broadcast_to(expected[:, None], values.shape))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 8])
+def test_tree_level_ops_run_on_two_contiguous_sign_blocks(depth):
+    # the minus- and plus-children of a level are each one C-contiguous block
+    drv = TreeDriver(make_time_grid(1.0, depth))
+    values = np.random.default_rng(depth).standard_normal((drv.n_scenarios(depth), 15))
+    half = drv.n_scenarios(depth - 1)
+    for b, block in enumerate(drv.siblings(values)):
+        assert block.shape == (half, 15) and block.flags.c_contiguous
+        assert np.shares_memory(block, values)
+        assert_array_equal(block, values[b * half : (b + 1) * half])
+    got = oracles.bit_reverse_rows(drv.parent_mean(values), depth - 1)
+    want = oracles.tree_condexp(oracles.bit_reverse_rows(values, depth), depth, depth - 1)
+    assert_array_equal(got, want)
+
+
+def test_bit_reverse_rows_is_an_involution():
+    assert_array_equal(oracles.bit_reverse_rows(np.arange(8), 3), [0, 4, 2, 6, 1, 5, 3, 7])
+    values = np.random.default_rng(0).standard_normal((32, 3))
+    assert_array_equal(oracles.bit_reverse_rows(oracles.bit_reverse_rows(values, 5), 5), values)
+    with pytest.raises(ValueError, match="level 3 data need 8 rows, got 4"):
+        oracles.bit_reverse_rows(np.ones(4), 3)

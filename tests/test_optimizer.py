@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from oracles import add, direct_solve, estimate_operator_norm, eval_fem, gradient
+from oracles import add, direct_solve, estimate_operator_norm, gradient
+from slqheat import optimizer
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
@@ -72,9 +75,7 @@ def test_cost_zero_for_zero_data_and_control():
         data.grid,
         alpha=1.0,
         sigma_spec=SigmaSpec(
-            x0=lambda x: 0.0 * x,
             x0_dx=lambda x: 0.0 * x,
-            profile=zero_spec.profile,
             profile_dx=zero_spec.profile_dx,
             time_factor=zero_spec.time_factor,
             scale=0.0,
@@ -92,16 +93,11 @@ def test_cost_single_step_two_leaf_enumeration():
     x_val = 0.7
     space = build_fem_space(2)
 
-    def hat(s):
-        return x_val * eval_fem(space, np.array([1.0]), s)
-
     def hat_dx(s):
         return np.where(np.asarray(s) < 0.5, 2.0 * x_val, -2.0 * x_val)
 
     spec = SigmaSpec(
-        x0=hat,
         x0_dx=hat_dx,
-        profile=hat,
         profile_dx=hat_dx,
         time_factor=lambda t: 1.0,
         scale=0.0,
@@ -159,9 +155,7 @@ def test_gradient_zero_for_zero_data():
         data.grid,
         alpha=0.7,
         sigma_spec=SigmaSpec(
-            x0=lambda x: 0.0 * x,
             x0_dx=lambda x: 0.0 * x,
-            profile=spec.profile,
             profile_dx=spec.profile_dx,
             time_factor=spec.time_factor,
             scale=0.0,
@@ -241,9 +235,7 @@ def test_direct_solve_zero_data_returns_zero():
         data.grid,
         alpha=0.5,
         sigma_spec=SigmaSpec(
-            x0=lambda x: 0.0 * x,
             x0_dx=lambda x: 0.0 * x,
-            profile=spec.profile,
             profile_dx=spec.profile_dx,
             time_factor=spec.time_factor,
             scale=0.0,
@@ -292,9 +284,7 @@ def test_gd_trivial_data_converges_immediately():
         data.grid,
         alpha=0.5,
         sigma_spec=SigmaSpec(
-            x0=lambda x: 0.0 * x,
             x0_dx=lambda x: 0.0 * x,
-            profile=spec.profile,
             profile_dx=spec.profile_dx,
             time_factor=spec.time_factor,
             scale=0.0,
@@ -385,6 +375,26 @@ def test_gd_warns_on_divergence():
     data, driver = tiny_problem()
     with pytest.warns(RuntimeWarning, match="kappa"):
         gradient_descent(data, driver, 60, kappa=0.4, tol_grad=0.0)
+
+
+@pytest.mark.parametrize(
+    "costs, warns",
+    [
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], True),  # five consecutive macroscopic increases
+        ([1.0, 2.0, 3.0, 4.0, 5.0], False),  # four
+        ([1.0, 2.0, 3.0, 0.5, 2.0, 3.0, 4.0, 5.0], False),  # a drop restarts the count
+        ([1.0, 1.001, 1.002, 1.003, 1.004, 1.005], False),  # within 1 % of the best cost
+    ],
+)
+def test_gd_divergence_warning_needs_five_macroscopic_increases(monkeypatch, costs, warns):
+    scripted = iter(costs)
+    monkeypatch.setattr(optimizer, "cost", lambda data, state, u: next(scripted))
+    data, driver = tiny_problem()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, trace = gradient_descent(data, driver, len(costs))
+    assert trace.cost == costs
+    assert [w.category for w in caught] == ([RuntimeWarning] if warns else [])
 
 
 def test_gd_ensemble_runs_and_reduces_gradient():

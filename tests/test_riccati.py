@@ -12,7 +12,6 @@ from oracles import (
     closed_loop_moments,
     dense_to_nodal,
     direct_solve,
-    eval_fem,
     feedback_control,
     fine_grid,
     full_closed_loop_stream,
@@ -84,17 +83,12 @@ def eigmode_sigma_spec(space, mode, scale=1.0):
     full = np.concatenate(([0.0], coeffs, [0.0]))
     slopes = np.diff(full) / space.h
 
-    def profile(x):
-        return eval_fem(space, coeffs, x)
-
     def profile_dx(x):
         k = np.clip((np.asarray(x) / space.h).astype(int), 0, space.n_elems - 1)
         return slopes[k]
 
     return SigmaSpec(
-        x0=profile,
         x0_dx=profile_dx,
-        profile=profile,
         profile_dx=profile_dx,
         time_factor=lambda t: np.exp(-t),
         scale=scale,
@@ -393,9 +387,7 @@ def test_moments_trivial_zero_data():
     grid = make_time_grid(1.0, 4)
     spec = default_sigma_spec(scale=0.0)
     zero_spec = SigmaSpec(
-        x0=lambda x: 0.0 * x,
         x0_dx=lambda x: 0.0 * x,
-        profile=spec.profile,
         profile_dx=spec.profile_dx,
         time_factor=spec.time_factor,
         scale=0.0,
@@ -559,9 +551,7 @@ def test_cost_from_moments_matches_full_matrix_evaluation():
 
 # sigma(t, x) = 2 (1 + t) x (1 - x) loads every odd mode, not only the first
 MULTI_MODE_SPEC = SigmaSpec(
-    x0=lambda x: np.sin(np.pi * x),
     x0_dx=lambda x: np.pi * np.cos(np.pi * x),
-    profile=lambda x: x * (1.0 - x),
     profile_dx=lambda x: 1.0 - 2.0 * x,
     time_factor=lambda t: 1.0 + t,
     scale=2.0,
@@ -585,9 +575,7 @@ def test_discrete_feedback_matches_cg_oracle(depth, noise, spec):
 
 # x0 = sigma profile = sin(pi x) + sin(7 pi x): the data load modes 1 and 7
 MODES_1_7_SPEC = SigmaSpec(
-    x0=lambda x: np.sin(np.pi * x) + np.sin(7 * np.pi * x),
     x0_dx=lambda x: np.pi * np.cos(np.pi * x) + 7 * np.pi * np.cos(7 * np.pi * x),
-    profile=lambda x: np.sin(np.pi * x) + np.sin(7 * np.pi * x),
     profile_dx=lambda x: np.pi * np.cos(np.pi * x) + 7 * np.pi * np.cos(7 * np.pi * x),
     time_factor=lambda t: np.exp(-t),
     scale=2.0,

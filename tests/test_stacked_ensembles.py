@@ -105,6 +105,7 @@ def test_temporal_errors_match_per_slice_loops(noise):
 def assert_descent_matches_per_slice_loop(data, drv, max_iters, tol_grad=None):
     u, trace = gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
     u_ref, trace_ref = oracles.slice_gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
+    u_ref = oracles.bit_reverse(u_ref)  # the oracle's tree is interleaved
     for n in range(data.grid.n_steps):
         assert_allclose(u.at(n), u_ref.at(n), rtol=0, atol=1e-12)
     assert_allclose(trace.cost, trace_ref.cost, rtol=1e-12)
