@@ -53,8 +53,8 @@ def _regression_features(data, driver, state):
     """Features [1, xhat_1, ..., xhat_m, W(t_n)] of every slice of ``state``, shape (K, P, m + 2).
 
     xhat_i are the leading m = min(4, d) eigenbasis coordinates of the
-    state slice; ``features[k]`` belongs to time index ``state.start + k``
-    and is a C-contiguous (P, m + 2) block copied out of ``state``.
+    state slice; ``features[n]`` belongs to time index n and is a
+    C-contiguous (P, m + 2) block copied out of ``state``.
     """
     # the exact conditional expectations are affine in the state
     # coordinates, but only the leading modes enter the basis: it is exact
@@ -64,7 +64,7 @@ def _regression_features(data, driver, state):
     feats = np.empty(x.shape[:2] + (m + 2,))
     feats[:, :, 0] = 1.0
     feats[:, :, 1 : m + 1] = x[:, :, :m]
-    feats[:, :, m + 1] = driver.brownian(slice(state.start, state.stop + 1)).T
+    feats[:, :, m + 1] = driver.brownian(slice(len(x))).T
     return feats
 
 
@@ -78,7 +78,8 @@ def _sweep(data, driver, state, product_offset, out):
     (``ValueError`` if it or ``state`` does not fit) and may share
     ``state``'s slots: nothing is written to it before the sweep has read ``state``.
 
-    On a tree the conditioned slices are held until the loop ends.  On an
+    On a tree the conditioned slices are held until the loop ends and
+    then joined into ``out.rows`` by one ``np.concatenate``.  On an
     ensemble each step writes F_n^T H_n into one (N, m + 2, d) right-hand
     side; one batched product forms the grams F_n^T F_n, one batched
     ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
@@ -87,8 +88,8 @@ def _sweep(data, driver, state, product_offset, out):
     N, tau = data.grid.n_steps, data.grid.tau
     scale = a0_scale(data.space, tau)
     mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))
-    out.check_fits(driver, data.space.dim, 0, N - 1)
-    state.check_fits(driver, data.space.dim, 0, N)
+    out.check_fits(driver, data.space.dim, N - 1)
+    state.check_fits(driver, data.space.dim, N)
     tree = driver.kind == "tree"
     if tree:
         held = [None] * N
@@ -119,8 +120,7 @@ def _sweep(data, driver, state, product_offset, out):
         else:
             np.matmul(feats[n].T, H, out=rhs[n])
     if tree:
-        for slot, value in zip(out.values, held):
-            slot[...] = value
+        np.concatenate(held, out=out.rows)
         return
     gram = np.matmul(feats.transpose(0, 2, 1), feats) + _RIDGE * np.eye(feats.shape[2])
     np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)
@@ -134,11 +134,11 @@ def k_htau(data, driver, state, out=None):
 
     with the noise multipliers starting at step n+2.  ``out`` is storage
     over 0..N-1 to write Q into (``ValueError`` if it does not fit), such
-    as ``state.window(0, N - 1)``: the sweep reads the state before Q is
+    as ``state.head(N - 1)``: the sweep reads the state before Q is
     written.
     """
     N = data.grid.n_steps
-    out = zeros_process(driver, data.space.dim, 0, N - 1) if out is None else out
+    out = zeros_process(driver, data.space.dim, N - 1) if out is None else out
     _sweep(data, driver, state, 2, out)
     return out
 
@@ -159,9 +159,9 @@ def implicit_euler_bsde(data, driver, state):
     AdaptedProcess over 0..N.
     """
     N = data.grid.n_steps
-    y0 = zeros_process(driver, data.space.dim, 0, N)
+    y0 = zeros_process(driver, data.space.dim, N)
     y0.at(N)[...] = -data.alpha * np.asarray(state.at(N))
-    _sweep(data, driver, state, 1, y0.window(0, N - 1))
+    _sweep(data, driver, state, 1, y0.head(N - 1))
     return y0
 
 
@@ -172,6 +172,6 @@ def adjoint_gap(data, driver, state):
     adjoint-gap study confirms empirically.
     """
     y0 = implicit_euler_bsde(data, driver, state)
-    diff = y0.window(0, data.grid.n_steps - 1) - k_htau(data, driver, state)
+    diff = y0.head(data.grid.n_steps - 1) - k_htau(data, driver, state)
     # scenario weights are uniform within a tree level and across paths
     return float(np.sqrt(diff.slice_means(diff).max()))

@@ -27,10 +27,12 @@ pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
 mode by mode like the scheme, which :func:`solve_forward` applies in
 place.
 
-:func:`solve_forward` allocates its :class:`AdaptedProcess` once (or
-takes the caller's) and fills it in place, writing X_{n+1} through the
-driver's sign blocks of its slot with X_n lifted as ``x[None]`` and the
-cached step columns broadcast (:mod:`slqheat.noise`): no step copies a slice.
+An :class:`AdaptedProcess` is one row array that its driver lays out
+(:mod:`slqheat.noise`), so nothing here tells trees from ensembles.
+:func:`solve_forward` allocates it once (or takes the caller's) and
+fills it in place, writing X_{n+1} through the driver's sign blocks of
+its slice with X_n lifted as ``x[None]`` and the cached step columns
+broadcast: no step copies a slice.
 """
 
 from dataclasses import dataclass, replace
@@ -42,84 +44,50 @@ from .mesh import ritz_project
 
 @dataclass
 class AdaptedProcess:
-    """Time-indexed family of per-scenario coefficient arrays.
+    """Time-indexed family of per-scenario coefficient arrays, slices 0..K-1.
 
-    ``values[k]`` holds the slice at global time index ``start + k`` with
-    shape (n_scenarios(start + k), d): one row per tree node at that level,
-    or one row per Monte Carlo path.  Rows are eigen coordinates
-    c = V^T M v; ``space.from_eigen`` turns a slice into nodal values.
-
-    Storage follows the driver, and this class and :func:`zeros_process`
-    are where it branches on ``driver.kind``: on a scenario tree ``values`` is a list of
-    per-level arrays (2^n rows at level n); on an ensemble it is one
-    C-contiguous (K, P, d) array of K slices over P paths, so reductions
-    over a whole process are single ``einsum`` calls.  A list given for an
-    ensemble is stacked once.
+    ``rows`` is one C-contiguous (R, d) array, slice n at rows
+    ``driver.offset(n)`` to ``driver.offset(n + 1)``: one row per tree node
+    at level n, or per Monte Carlo path.  ``values[n]`` is slice n as a
+    view built by ``driver.split``, which refuses rows that fill no whole
+    number of slices.  Rows are eigen coordinates c = V^T M v;
+    ``space.from_eigen`` turns a slice into nodal values.
     """
 
     driver: object
-    start: int
-    values: object
+    rows: np.ndarray
 
     def __post_init__(self):
-        if self.driver.kind == "ensemble":
-            self.values = np.ascontiguousarray(self.values, dtype=float)
-
-    @property
-    def stop(self):
-        """Largest global time index carried by the process."""
-        return self.start + len(self.values) - 1
+        self.rows = np.ascontiguousarray(self.rows, dtype=float)
+        self.values = self.driver.split(self.rows)
 
     def at(self, n):
-        """Slice at global time index n."""
-        k = n - self.start
-        if k < 0 or k >= len(self.values):
-            raise IndexError(f"time index {n} outside [{self.start}, {self.stop}]")
-        return self.values[k]
+        """Slice at time index n."""
+        if not 0 <= n < len(self.values):
+            raise IndexError(f"time index {n} outside [0, {len(self.values) - 1}]")
+        return self.values[n]
 
     def slice_means(self, other):
-        """E <self_n, other_n> over the scenarios of every slice, shape (K,).
+        """E <self_n, other_n> over the scenarios of every slice, shape (K,)."""
+        return self.driver.slice_means(self.rows, other.rows)
 
-        One ``einsum`` over the stacked array on an ensemble; one BLAS dot
-        per level on a tree, whose levels differ in size.
-        """
-        if self.driver.kind == "ensemble":
-            return np.einsum("kpd,kpd->k", self.values, other.values) / self.driver.n_paths
-        pairs = zip(self.values, other.values, strict=True)
-        return np.array([np.vdot(a, b) / len(a) for a, b in pairs])
+    def head(self, stop):
+        """The slices 0..stop as a process that shares this one's storage."""
+        return AdaptedProcess(self.driver, self.rows[: self.driver.offset(stop + 1)])
 
-    def window(self, start, stop):
-        """The slices start..stop as a process that shares this one's storage."""
-        k = start - self.start
-        return AdaptedProcess(self.driver, start, self.values[k : k + stop - start + 1])
-
-    def check_fits(self, driver, dim, start, stop):
-        """Raise ValueError unless this holds slices start..stop of shape (n_scenarios(n), dim)."""
-        if (self.start, self.stop) != (start, stop):
-            raise ValueError(f"storage spans {self.start}..{self.stop}, need {start}..{stop}")
-        # the slices of a stacked array share one shape; tree levels are checked one by one
-        for n in {start, stop} if self.driver.kind == "ensemble" else range(start, stop + 1):
-            want = (driver.n_scenarios(n), dim)
-            if np.shape(self.at(n)) != want:
-                raise ValueError(f"storage slice {n} has shape {np.shape(self.at(n))}, need {want}")
-
-    def blocks(self):
-        """Arrays tiling the storage for in-place arithmetic: the (K, P, d) array, or the levels."""
-        return [self.values] if self.driver.kind == "ensemble" else self.values
+    def check_fits(self, driver, dim, stop):
+        """Raise ValueError unless this holds slices 0..stop of ``driver`` with ``dim`` columns."""
+        want = (driver.offset(stop + 1), dim)
+        if self.rows.shape != want:
+            raise ValueError(f"storage rows have shape {self.rows.shape}, need {want} for 0..{stop}")
 
     def __sub__(self, other):
-        return AdaptedProcess(
-            self.driver, self.start, [a - b for a, b in zip(self.values, other.values, strict=True)]
-        )
+        return AdaptedProcess(self.driver, self.rows - other.rows)
 
 
-def zeros_process(driver, dim, start, stop):
-    """All-zero adapted process over global time indices start..stop."""
-    if driver.kind == "ensemble":
-        vals = np.zeros((stop - start + 1, driver.n_paths, dim))
-    else:
-        vals = [np.zeros((driver.n_scenarios(n), dim)) for n in range(start, stop + 1)]
-    return AdaptedProcess(driver, start, vals)
+def zeros_process(driver, dim, stop):
+    """All-zero adapted process over time indices 0..stop."""
+    return AdaptedProcess(driver, np.zeros((driver.offset(stop + 1), dim)))
 
 
 @dataclass(frozen=True)
@@ -245,11 +213,11 @@ def solve_forward(data, driver, control=None, out=None):
         gains = [np.asarray(a, dtype=float) for a in control]
         if [a.shape for a in gains] != [(N, d)] * 2:
             raise ValueError(f"feedback gains need shape {(N, d)}, got {[a.shape for a in gains]}")
-        control = zeros_process(driver, d, 0, N - 1)
+        control = zeros_process(driver, d, N - 1)
     elif control is not None:
-        control.check_fits(driver, d, 0, N - 1)
-    proc = zeros_process(driver, d, 0, N) if out is None else out
-    proc.check_fits(driver, d, 0, N)
+        control.check_fits(driver, d, N - 1)
+    proc = zeros_process(driver, d, N) if out is None else out
+    proc.check_fits(driver, d, N)
     proc.values[0][...] = data.x0
     for n, xn in enumerate(proc.values[:N]):
         un = None if control is None else control.values[n]

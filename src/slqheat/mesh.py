@@ -17,7 +17,7 @@ identically zero) and its coordinates c = V^T M v in the M-orthonormal
 eigenbasis.  The space-time scheme and the Ritz projection work in eigen
 coordinates, where the implicit Euler step is diagonal and the L2 norm is
 the euclidean norm of c.  Batches of coefficient vectors are stacked along
-the first axis, shape (n_scenarios, d).
+the first axis, one row per scenario, shape (rows, d).
 """
 
 from dataclasses import dataclass, field

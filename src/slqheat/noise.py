@@ -17,13 +17,15 @@ scheme:
 
 Both expose the protocol of the forward and backward recursions:
 ``kind`` ("tree" or "ensemble": average subtrees or regress),
-``n_scenarios``, ``parent_mean`` (one level up) and ``siblings``, a
-level-(n+1) slice as contiguous sign blocks, (2, 2^n, d) or (1, P, d),
-which parent rows x reach as the broadcast view ``x[None]``.  The
-read-only columns ``dw[n]`` and ``mult[n]`` of dW_{n+1} and 1 + dW_{n+1},
-cached at construction, broadcast against it: one (2, 1, 1) column for
-every tree step, (1, P, 1) per ensemble step.  Only ensembles regress on
-the Wiener values, so only they offer ``brownian``.
+``parent_mean`` (one level up) and ``siblings``, a level-(n+1) slice as
+contiguous sign blocks, (2, 2^n, d) or (1, P, d), which parent rows x
+reach as the broadcast view ``x[None]``.  The read-only columns ``dw[n]``
+and ``mult[n]`` of dW_{n+1} and 1 + dW_{n+1}, cached at construction,
+broadcast against it: one (2, 1, 1) column for every tree step,
+(1, P, 1) per ensemble step.  They lay out a process as one (R, d) row
+array: slice n starts at row ``offset(n)`` (2^n - 1 or n P), ``split``
+views its slices and ``slice_means`` averages row dots per slice.  Only
+ensembles regress on the Wiener values, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +64,13 @@ def make_time_grid(horizon, n_steps):
     return TimeGrid(horizon=float(horizon), n_steps=n_steps, tau=tau, nodes=tau * np.arange(n_steps + 1))
 
 
+def _slice_count(driver, rows, k):
+    """k, if the 2-D ``rows`` are exactly slices 0..k-1 of ``driver``, k >= 1; else ValueError."""
+    if rows.ndim != 2 or k < 1 or len(rows) != driver.offset(k):
+        raise ValueError(f"{driver.kind} storage needs 2-D rows filling whole slices, got shape {rows.shape}")
+    return k
+
+
 @dataclass
 class TreeDriver:
     """Binary scenario tree of Wiener increments +-sqrt(tau)."""
@@ -77,8 +86,19 @@ class TreeDriver:
         self.dw = np.broadcast_to(dw, (n, 2, 1, 1))
         self.mult = np.broadcast_to(1.0 + dw, (n, 2, 1, 1))
 
-    def n_scenarios(self, level):
-        return 1 << level
+    def offset(self, n):
+        """First row of level n: levels 0..n-1 fill 2^n - 1 rows."""
+        return (1 << n) - 1
+
+    def split(self, rows):
+        """The levels of a row array as views, a list of (2^n, d) arrays."""
+        k = _slice_count(self, rows, len(rows).bit_length())
+        return [rows[self.offset(n) : self.offset(n + 1)] for n in range(k)]
+
+    def slice_means(self, a, b):
+        """Per-level means of the row dots <a_r, b_r>: one einsum and one reduceat."""
+        starts = (1 << np.arange(len(a).bit_length())) - 1
+        return np.add.reduceat(np.einsum("rd,rd->r", a, b), starts) / (starts + 1)
 
     def siblings(self, values):
         """Level-(n+1) node values as a (2, 2^n, d) view: minus-children, then plus-children."""
@@ -116,8 +136,18 @@ class EnsembleDriver:
     def n_paths(self):
         return self.increments.shape[0]
 
-    def n_scenarios(self, level):
-        return self.n_paths
+    def offset(self, n):
+        """First row of slice n: slices 0..n-1 fill n P rows."""
+        return n * self.n_paths
+
+    def split(self, rows):
+        """The slices of a row array as one (K, P, d) view."""
+        k = _slice_count(self, rows, len(rows) // self.n_paths)
+        return rows.reshape(k, self.n_paths, rows.shape[1])
+
+    def slice_means(self, a, b):
+        """Per-slice means of the row dots <a_r, b_r>: one einsum."""
+        return np.einsum("kpd,kpd->k", self.split(a), self.split(b)) / self.n_paths
 
     def siblings(self, values):
         """Path values as a (1, P, d) view: every path is its own only child."""

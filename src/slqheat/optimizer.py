@@ -125,8 +125,8 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
 
     Holds no process besides u and the state: each forward solve
     overwrites the previous state, and the kernel Q, then the gradient
-    u - Q, take the state's slots 0..N-1 before u is updated in place
-    (whole (K, P, d) arrays on an ensemble, level by level on a tree).
+    u - Q, take the state's slots 0..N-1 before u is updated in place,
+    each step one array operation on the processes' row arrays.
     Records cost, gradient norm, and, when ``reference`` is given, the
     squared control distance to it, all at the pre-update iterate.
 
@@ -150,7 +150,7 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
     if kappa <= 0:
         raise ValueError("kappa must be positive")
 
-    u = zeros_process(driver, space.dim, 0, grid.n_steps - 1)
+    u = zeros_process(driver, space.dim, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
     increases = 0
@@ -176,14 +176,12 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
         else:
             increases = 0
 
-        g = k_htau(data, driver, state, out=state.window(0, grid.n_steps - 1))
-        for u_b, g_b in zip(u.blocks(), g.blocks()):
-            np.subtract(u_b, g_b, out=g_b)
+        g = k_htau(data, driver, state, out=state.head(grid.n_steps - 1))
+        np.subtract(u.rows, g.rows, out=g.rows)
         # builtin sum in the order the backward sweep visits the slices
         grad_norm = float(np.sqrt(sum(tau * g.slice_means(g)[::-1])))
-        for u_b, g_b in zip(u.blocks(), g.blocks()):
-            g_b *= step
-            u_b -= g_b
+        g.rows *= step
+        u.rows -= g.rows
         trace.grad_norm.append(grad_norm)
         if tol_grad is not None and grad_norm <= tol_grad:
             trace.stop = "tol"

@@ -15,7 +15,10 @@ verbatim pins stay exact; ``sibling_mean`` is the interleaved
 
 The library's processes and problem data hold eigen coordinates; every
 oracle here works on nodal coefficient vectors with the mass matrix M,
-and ``nodal`` converts a library process for comparison.
+and ``nodal`` converts a library process for comparison.  Every process
+a test builds is joined from its per-slice arrays by ``process``, and
+``n_scenarios`` is the row count of one slice, which the library reads
+only as a difference of ``driver.offset``.
 ``nodal_forward`` (which also takes a nodal callable control),
 ``nodal_backward_kernel`` and the ``nodal_*`` adjoint objects are the
 nodal sweeps of the library with A0 as the dense matrix
@@ -110,22 +113,34 @@ def dense_a0(space, tau):
     return np.linalg.solve(mass(space) + tau * stiffness(space), mass(space))
 
 
+def process(driver, slices):
+    """The process over 0..K-1 of K per-slice arrays (a list, or a (K, P, d) array), joined into rows.
+
+    Every process the tests build goes through here.
+    """
+    return AdaptedProcess(driver, np.concatenate(slices))
+
+
+def n_scenarios(driver, level):
+    """Rows of slice ``level``: 2^level tree nodes, or the paths."""
+    return driver.offset(level + 1) - driver.offset(level)
+
+
 def nodal(space, proc):
     """A library process (eigen coordinates) with every slice in nodal values."""
-    return AdaptedProcess(proc.driver, proc.start, [space.from_eigen(v) for v in proc.values])
+    return process(proc.driver, [space.from_eigen(v) for v in proc.values])
 
 
 def add(u, v, scale=1.0):
     """The process u + scale * v, slice by slice."""
-    vals = [a + scale * b for a, b in zip(u.values, v.values, strict=True)]
-    return AdaptedProcess(u.driver, u.start, vals)
+    return process(u.driver, [a + scale * b for a, b in zip(u.values, v.values, strict=True)])
 
 
 # -- leaf-wise views and test-only operators ----------------------------------
 
 
 def increments_at(driver, step):
-    """Step-``step`` increments of the level-``step`` nodes or of the paths, shape (n_scenarios(step),).
+    """Step-``step`` increments of the level-``step`` nodes or of the paths, one per row.
 
     The per-level array the drivers handed out before they cached one
     column per step: alternating -+sqrt(tau) on a tree, the step column of
@@ -156,8 +171,7 @@ def bit_reverse(proc):
     """A tree process with every slice through :func:`bit_reverse_rows` (ensembles: unchanged)."""
     if proc.driver.kind != "tree":
         return proc
-    vals = [bit_reverse_rows(v, n) for n, v in enumerate(proc.values, proc.start)]
-    return AdaptedProcess(proc.driver, proc.start, vals)
+    return process(proc.driver, [bit_reverse_rows(v, n) for n, v in enumerate(proc.values)])
 
 
 def sibling_mean(driver, values):
@@ -182,7 +196,7 @@ def pathwise(driver, values, level):
 
 
 def pathwise_increment(driver, step):
-    """Step-``step`` increment seen by each leaf or path, shape (n_scenarios(N),)."""
+    """Step-``step`` increment seen by each leaf or path, one per level-N row."""
     return pathwise(driver, increments_at(driver, step), step)
 
 
@@ -207,16 +221,13 @@ def compute_f(data, driver):
 
 
 def apply_L_adjoint(data, driver, xi):
-    """L* xi over n = 0..N-1 of a tree process xi over 1..N: -K(0, xi_1, ..., xi_N) at alpha = 0.
+    """L* xi over n = 0..N-1 of a tree process xi over 0..N: -K(xi) at alpha = 0.
 
     With alpha = 0 the gradient kernel K X is -L*(X); on a tree its sweep
-    reads no X_0.
+    reads no X_0, so slice 0 of xi does not enter.
     """
-    N, d = data.grid.n_steps, data.space.dim
-    slices = [np.zeros((1, d))] + [xi.at(n) for n in range(1, N + 1)]
-    out = k_htau(replace(data, alpha=0.0), driver, AdaptedProcess(driver, 0, slices))
-    for block in out.blocks():
-        np.negative(block, out=block)
+    out = k_htau(replace(data, alpha=0.0), driver, xi)
+    np.negative(out.rows, out=out.rows)
     return out
 
 
@@ -227,10 +238,9 @@ def apply_Lhat_adjoint(data, driver, eta):
     a state that is zero but for X_N = eta gives K = -tau Lhat* eta.
     """
     N, d = data.grid.n_steps, data.space.dim
-    slices = [np.zeros((driver.n_scenarios(n), d)) for n in range(N)] + [eta]
-    out = k_htau(replace(data, alpha=0.0), driver, AdaptedProcess(driver, 0, slices))
-    for block in out.blocks():
-        block /= -data.grid.tau
+    slices = [np.zeros((n_scenarios(driver, n), d)) for n in range(N)] + [eta]
+    out = k_htau(replace(data, alpha=0.0), driver, process(driver, slices))
+    out.rows /= -data.grid.tau
     return out
 
 
@@ -257,7 +267,7 @@ def direct_solve(data, driver, tol=1e-12):
     if driver.kind != "tree":
         raise ValueError("direct solve requires exact conditional expectations (tree driver)")
     grid = data.grid
-    n_unknowns = data.space.dim * sum(driver.n_scenarios(n) for n in range(grid.n_steps))
+    n_unknowns = data.space.dim * driver.offset(grid.n_steps)
     if n_unknowns > 1_000_000:
         raise ValueError(f"optimality system too large ({n_unknowns} unknowns)")
 
@@ -267,7 +277,7 @@ def direct_solve(data, driver, tol=1e-12):
     x0_state = solve_forward(data, driver, control=None)
     rhs = k_htau(data, driver, x0_state)
     rhs_norm = float(np.sqrt(control_norm_sq(data, rhs)))
-    u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, grid.n_steps - 1)
     if rhs_norm == 0.0:
         return u
 
@@ -296,17 +306,17 @@ def estimate_operator_norm(data, driver, n_iters=30, seed=0):
     """
     rng = np.random.default_rng(seed)
     vals = [
-        rng.standard_normal((driver.n_scenarios(n), data.space.dim))
+        rng.standard_normal((n_scenarios(driver, n), data.space.dim))
         for n in range(data.grid.n_steps)
     ]
-    v = AdaptedProcess(driver, 0, vals)
+    v = process(driver, vals)
 
     def apply_n(w):
         return add(w, k_htau(data, driver, apply_L(data, driver, w)), -1.0)
 
     def normalized(w):
         scale = 1.0 / np.sqrt(control_norm_sq(data, w))
-        return AdaptedProcess(driver, 0, [scale * x for x in w.values])
+        return process(driver, [scale * x for x in w.values])
 
     v = normalized(v)
     rayleigh = 1.0
@@ -325,7 +335,7 @@ def bsde_martingale(data, driver, state, y0):
     using the conditioned Y0 slice at level n+1 and ``slice_condexp``.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    zbar0 = zeros_process(driver, data.space.dim, 0, N - 1)
+    zbar0 = zeros_process(driver, data.space.dim, N - 1)
     for n in range(N):
         mart = y0.at(n + 1) - tau * np.asarray(state.at(n + 1))
         dw = increments_at(driver, n + 1)[:, None]
@@ -398,7 +408,7 @@ def slice_condexp(data, driver, values, level, n, state=None):
         raise ValueError("conditioning on an ensemble regresses on the state; pass state")
     m = min(4, data.space.dim)
     coords = state.at(n)[:, :m]
-    features = np.column_stack([np.ones(driver.n_scenarios(n)), *coords.T, driver.brownian(n)])
+    features = np.column_stack([np.ones(n_scenarios(driver, n)), *coords.T, driver.brownian(n)])
     return regression_condexp(features, values)[1]
 
 
@@ -486,9 +496,9 @@ def copying_solve_forward(data, driver, control=None, out=None):
         gains = [np.asarray(a, dtype=float) for a in control]
         if [a.shape for a in gains] != [(N, d)] * 2:
             raise ValueError(f"feedback gains need shape {(N, d)}, got {[a.shape for a in gains]}")
-        control = zeros_process(driver, d, 0, N - 1)
-    proc = zeros_process(driver, d, 0, N) if out is None else out
-    proc.check_fits(driver, d, 0, N)
+        control = zeros_process(driver, d, N - 1)
+    proc = zeros_process(driver, d, N) if out is None else out
+    proc.check_fits(driver, d, N)
     proc.values[0][...] = data.x0
     for n in range(N):
         xn = proc.values[n]
@@ -521,7 +531,7 @@ def copying_sweep(data, driver, state, product_offset, out):
     N, tau = data.grid.n_steps, data.grid.tau
     linear = data.noise == "linear"
     scale = a0_scale(data.space, tau)
-    out.check_fits(driver, data.space.dim, 0, N - 1)
+    out.check_fits(driver, data.space.dim, N - 1)
     tree = driver.kind == "tree"
     if tree:
         held = [None] * N
@@ -577,7 +587,7 @@ def _slice_mean_sq(values):
 def slice_control_inner(data, u, v):
     """tau sum_n E <u_n, v_n>, accumulated slice by slice."""
     total = 0.0
-    for n in range(u.start, u.stop + 1):
+    for n in range(len(u.values)):
         total += float(np.einsum("ij,ij->i", u.at(n), v.at(n)).mean())
     return data.grid.tau * total
 
@@ -643,7 +653,7 @@ def slice_gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, r
     """
     grid = data.grid
     kappa = kappa if kappa is not None else kappa_bound(grid.horizon, data.alpha)
-    u = zeros_process(driver, data.space.dim, 0, grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
     for _ in range(max_iters):
@@ -772,7 +782,7 @@ def _a0_powers(space, tau, n_max):
 
 def _multiplier(driver, k_from, k_to, linear=True):
     """prod_{k = k_from..k_to} (1 + dW_k) per leaf (empty product = 1)."""
-    n_leaves = driver.n_scenarios(driver.grid.n_steps)
+    n_leaves = n_scenarios(driver, driver.grid.n_steps)
     out = np.ones(n_leaves)
     if not linear:
         return out
@@ -814,7 +824,7 @@ def literal_f(space, driver, sigma, linear=True):
     grid = driver.grid
     N, tau = grid.n_steps, grid.tau
     P = _a0_powers(space, tau, N)
-    n_leaves = driver.n_scenarios(N)
+    n_leaves = n_scenarios(driver, N)
     out = []
     for n in range(N + 1):
         acc = np.zeros((n_leaves, space.dim))
@@ -833,7 +843,7 @@ def literal_l_adjoint(space, driver, xi, linear=True):
     P = _a0_powers(space, tau, N)
     out = []
     for j in range(N):
-        acc = np.zeros((driver.n_scenarios(N), space.dim))
+        acc = np.zeros((n_scenarios(driver, N), space.dim))
         for n in range(j + 1, N + 1):
             m = _multiplier(driver, j + 2, n, linear)
             acc += m[:, None] * (pathwise(driver, xi.at(n), n) @ P[n - j].T)
@@ -888,7 +898,7 @@ def regression_features(space, driver, state, n, n_modes=4):
     state), kept as the equivalence oracle for the library's regression.
     ``state`` holds nodal slices.
     """
-    cols = [np.ones(driver.n_scenarios(n))]
+    cols = [np.ones(n_scenarios(driver, n))]
     m = min(n_modes, space.dim)
     coords = space.to_eigen(state.at(n))[:, :m]
     cols.extend(coords.T)
@@ -927,7 +937,7 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
     linear = data.noise == "linear"
     A0 = dense_a0(space, tau)
 
-    first = np.broadcast_to(np.zeros(d) if x0 is None else x0, (driver.n_scenarios(0), d))
+    first = np.broadcast_to(np.zeros(d) if x0 is None else x0, (n_scenarios(driver, 0), d))
     values = [np.array(first, dtype=float)]
     realized = [] if return_control else None
     for n in range(N):
@@ -935,7 +945,7 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
         un = _control_slice(control, n, grid.nodes[n], xn)
         if realized is not None:
             realized.append(
-                np.zeros((driver.n_scenarios(n), d)) if un is None
+                np.zeros((n_scenarios(driver, n), d)) if un is None
                 else np.array(np.broadcast_to(un, xn.shape), dtype=float)
             )
         par = child_expand(driver, xn)
@@ -949,9 +959,9 @@ def nodal_forward(data, driver, x0, control, sigma, return_control=False):
         if sigma is not None:
             rhs += sigma[n] * dw
         values.append(rhs @ A0.T)
-    proc = AdaptedProcess(driver, 0, values)
+    proc = process(driver, values)
     if return_control:
-        return proc, AdaptedProcess(driver, 0, realized)
+        return proc, process(driver, realized)
     return proc
 
 
@@ -974,11 +984,11 @@ def nodal_backward_kernel(data, driver, v_at, eta, product_offset):
         raise ValueError(f"product_offset must be 1 or 2, got {product_offset}")
 
     if eta is None:
-        G = np.zeros((driver.n_scenarios(N), d))
+        G = np.zeros((n_scenarios(driver, N), d))
     else:
         G = np.array(pathwise(driver, np.asarray(eta, dtype=float), N))
         if G.ndim == 1:
-            G = np.broadcast_to(G, (driver.n_scenarios(N), d)).copy()
+            G = np.broadcast_to(G, (n_scenarios(driver, N), d)).copy()
     for n in range(N - 1, -1, -1):
         vn1 = v_at(n + 1) if v_at is not None else None
         if product_offset == 2:

@@ -22,7 +22,6 @@ import pytest
 import oracles
 from slqheat.adjoint import k_htau
 from slqheat.forward import (
-    AdaptedProcess,
     default_sigma_spec,
     make_problem,
     solve_forward,
@@ -57,16 +56,16 @@ def _verdict(label, ok, detail):
 
 def _random_control(driver, dim, rng, amp=1.0):
     vals = [
-        amp * rng.standard_normal((driver.n_scenarios(n), dim))
+        amp * rng.standard_normal((oracles.n_scenarios(driver, n), dim))
         for n in range(driver.grid.n_steps)
     ]
-    return AdaptedProcess(driver, 0, vals)
+    return oracles.process(driver, vals)
 
 
 def _sup_diff(u, v):
     return max(
         float(np.abs(np.asarray(u.at(n)) - np.asarray(v.at(n))).max())
-        for n in range(u.start, u.stop + 1)
+        for n in range(len(u.values))
     )
 
 
@@ -149,16 +148,17 @@ def test_a03_adjoint_duality():
         tau = grid.tau
         rng = np.random.default_rng(seed)
         u = _random_control(driver, space.dim, rng)
-        xi = AdaptedProcess(
+        # xi over 1..N; the adjoint reads no slice 0
+        xi = oracles.process(
             driver,
-            1,
-            [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)],
+            [np.zeros((1, space.dim))]
+            + [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)],
         )
         lu = oracles.apply_L(data, driver, u)
         lhs = oracles.pairing_state(
             driver,
             [oracles.pathwise(driver, lu.at(n), n) for n in range(grid.n_steps + 1)],
-            [np.zeros((driver.n_scenarios(grid.n_steps), space.dim))]
+            [np.zeros((oracles.n_scenarios(driver, grid.n_steps), space.dim))]
             + [oracles.pathwise(driver, xi.at(n), n) for n in range(1, grid.n_steps + 1)],
             tau,
         )

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from oracles import a0_apply, apply_L_adjoint, apply_Lhat_adjoint, tree_condexp
 from slqheat.adjoint import _sweep, adjoint_gap, implicit_euler_bsde, k_htau
-from slqheat.forward import AdaptedProcess, make_problem, solve_forward, zeros_process
+from slqheat.forward import make_problem, solve_forward, zeros_process
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 
@@ -25,7 +26,7 @@ def test_k_htau_matches_literal_sums():
     Q = oracles.bit_reverse(k_htau(data, drv, X))
     X_nodal = oracles.nodal(space, oracles.bit_reverse(X))
     ref = oracles.literal_k_htau(space, drv, data.alpha, X_nodal)
-    assert Q.start == 0 and Q.stop == grid.n_steps - 1
+    assert len(Q.values) == grid.n_steps
     for n in range(grid.n_steps):
         assert_allclose(space.from_eigen(Q.at(n)), ref[n], atol=1e-12)
 
@@ -51,7 +52,7 @@ def test_k_htau_into_state_slots_equals_fresh_storage(kind):
     N = grid.n_steps
     X = solve_forward(data, drv)
     fresh = k_htau(data, drv, X)
-    slots = X.window(0, N - 1)
+    slots = X.head(N - 1)
     assert k_htau(data, drv, X, out=slots) is slots
     for n in range(N):
         assert np.array_equal(X.at(n), fresh.at(n))
@@ -110,8 +111,8 @@ def test_bsde_deterministic_driver_reduction():
     space, grid, data, drv = tree_setup(n_elems=5, n_steps=4, alpha=0.5)
     rng = np.random.default_rng(0)
     det = rng.standard_normal((grid.n_steps + 1, space.dim))
-    X = AdaptedProcess(
-        drv, 0, [np.broadcast_to(det[n], (2**n, space.dim)).copy() for n in range(grid.n_steps + 1)]
+    X = oracles.process(
+        drv, [np.broadcast_to(det[n], (2**n, space.dim)) for n in range(grid.n_steps + 1)]
     )
     y0 = implicit_euler_bsde(data, drv, X)
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
@@ -273,7 +274,7 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
     # 1 and 2 every step meets the min(n + offset, N) edge
     space, grid, data, drv = tree_setup(n_elems=7, n_steps=depth, alpha=0.6, noise=noise)
     rng = np.random.default_rng(depth)
-    X = AdaptedProcess(drv, 0, [rng.standard_normal((2**n, space.dim)) for n in range(depth + 1)])
+    X = oracles.process(drv, [rng.standard_normal((2**n, space.dim)) for n in range(depth + 1)])
     # the leaf-wise oracles number the tree interleaved: compare through the bit reversal
     rev = oracles.bit_reverse
     Xi = rev(X)
@@ -303,16 +304,16 @@ def test_k_htau_rejects_storage_of_another_grid(kind):
     if kind == "ensemble":
         drv = gaussian_driver(grid, 40, seed=3)
     X = solve_forward(data, drv)
-    with pytest.raises(ValueError, match="spans 0..4, need 0..3"):
+    need = re.escape(f"need {(drv.offset(4), space.dim)} for 0..3")
+    with pytest.raises(ValueError, match=need):
         k_htau(data, drv, X, out=X)
-    with pytest.raises(ValueError):
-        k_htau(data, drv, X, out=zeros_process(drv, space.dim + 1, 0, 3))
-    rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(4)])
+    with pytest.raises(ValueError, match=need):
+        k_htau(data, drv, X, out=zeros_process(drv, space.dim + 1, 3))
     with pytest.raises(ValueError, match="shape"):
-        k_htau(data, drv, X, out=rows)
-    # the sweep reads the state's slots directly, so a shifted state is refused
-    with pytest.raises(ValueError, match="spans 1..5, need 0..4"):
-        k_htau(data, drv, AdaptedProcess(drv, 1, X.values))
+        k_htau(data, drv, X, out=oracles.process(drv, [np.zeros((3, space.dim))] * 4))
+    # the sweep reads the state's slots directly, so a state of another grid is refused
+    with pytest.raises(ValueError, match=re.escape(f"need {(drv.offset(5), space.dim)} for 0..4")):
+        k_htau(data, drv, X.head(3))
 
 
 @dataclass
@@ -369,11 +370,11 @@ def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
     if kind == "ensemble":
         drv = gaussian_driver(grid, 40, seed=5)
     rng = np.random.default_rng(4)
-    U = AdaptedProcess(drv, 0, [
-        rng.standard_normal((drv.n_scenarios(n), space.dim)) for n in range(grid.n_steps)
+    U = oracles.process(drv, [
+        rng.standard_normal((oracles.n_scenarios(drv, n), space.dim)) for n in range(grid.n_steps)
     ])
     X = solve_forward(data, drv, U)
-    got, ref = (zeros_process(drv, space.dim, 0, grid.n_steps - 1) for _ in range(2))
+    got, ref = (zeros_process(drv, space.dim, grid.n_steps - 1) for _ in range(2))
     _sweep(data, drv, X, offset, got)
     oracles.copying_sweep(data, drv, oracles.bit_reverse(X), offset, ref)
     for g, r in zip(oracles.bit_reverse(got).values, ref.values, strict=True):

@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from slqheat.forward import (
-    AdaptedProcess,
     SigmaSpec,
     default_sigma_spec,
     make_problem,
@@ -25,8 +26,8 @@ def small_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
 def random_control(driver, dim, seed=0):
     rng = np.random.default_rng(seed)
     N = driver.grid.n_steps
-    vals = [rng.standard_normal((driver.n_scenarios(n), dim)) for n in range(N)]
-    return AdaptedProcess(driver, 0, vals)
+    vals = [rng.standard_normal((oracles.n_scenarios(driver, n), dim)) for n in range(N)]
+    return oracles.process(driver, vals)
 
 
 def test_make_problem_projects_data():
@@ -90,7 +91,7 @@ def test_state_slices_follow_tree_levels():
     space, grid, data = small_setup()
     drv = TreeDriver(grid)
     X = solve_forward(data, drv)
-    assert X.start == 0 and X.stop == 3
+    assert len(X.values) == 4 and X.rows.shape == (15, space.dim)
     for n in range(4):
         assert X.at(n).shape == (2**n, space.dim)
 
@@ -101,10 +102,11 @@ def test_adapted_process_indexing_and_arithmetic():
     U = random_control(drv, space.dim, seed=5)
     V = random_control(drv, space.dim, seed=6)
     D = U - V
-    assert (D.start, D.stop) == (0, 2)
+    assert len(D.values) == 3
     assert_allclose(D.at(1), U.at(1) - V.at(1))
-    with pytest.raises(IndexError):
-        U.at(3)  # controls stop at N-1
+    for n in (3, -1):
+        with pytest.raises(IndexError):
+            U.at(n)  # controls span 0..N-1
 
 
 def test_forward_matches_literal_products_on_tree():
@@ -142,8 +144,8 @@ def test_conditional_mean_follows_deterministic_recursion():
     drv = TreeDriver(grid)
     rng = np.random.default_rng(3)
     u_det = rng.standard_normal((grid.n_steps, space.dim))
-    U = AdaptedProcess(
-        drv, 0, [np.broadcast_to(u_det[n], (2**n, space.dim)).copy() for n in range(grid.n_steps)]
+    U = oracles.process(
+        drv, [np.broadcast_to(u_det[n], (2**n, space.dim)) for n in range(grid.n_steps)]
     )
     X = oracles.nodal(space, solve_forward(data, drv, U))
     A0 = oracles.dense_a0(space, grid.tau)
@@ -177,7 +179,7 @@ def test_feedback_control_is_sampled_at_left_nodes():
     rng = np.random.default_rng(8)
     g, h = rng.uniform(0.5, 2.0, (2, grid.n_steps, space.dim))
     X, U = solve_forward(data, drv, (g, h))
-    assert (U.start, U.stop) == (0, grid.n_steps - 1)
+    assert len(U.values) == grid.n_steps
     for n in range(grid.n_steps):
         assert np.array_equal(U.at(n), -(g[n] * X.at(n) + h[n]))
     X_stored = solve_forward(data, drv, U)
@@ -234,16 +236,22 @@ def test_additive_noise_gamma_is_deterministic():
         assert_allclose(X.at(n), parts.at(n), atol=1e-12)
 
 
+def random_xi(driver, dim, rng):
+    """A random tree process over 1..N, with a zero slice 0 that no adjoint reads."""
+    N = driver.grid.n_steps
+    return oracles.process(
+        driver, [np.zeros((1, dim))] + [rng.standard_normal((2**n, dim)) for n in range(1, N + 1)]
+    )
+
+
 def test_l_adjoint_matches_literal_sums():
     space, grid, data = small_setup()
     drv = TreeDriver(grid)
     rng = np.random.default_rng(8)
-    xi = AdaptedProcess(
-        drv, 1, [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)]
-    )
+    xi = random_xi(drv, space.dim, rng)
     out = oracles.bit_reverse(oracles.apply_L_adjoint(data, drv, xi))
     ref = oracles.literal_l_adjoint(space, drv, oracles.nodal(space, oracles.bit_reverse(xi)))
-    assert out.start == 0 and out.stop == grid.n_steps - 1
+    assert len(out.values) == grid.n_steps
     for j in range(grid.n_steps):
         assert_allclose(space.from_eigen(out.at(j)), ref[j], atol=1e-12)
 
@@ -269,14 +277,12 @@ def test_duality_of_l_and_l_adjoint(noise):
     tau = grid.tau
     rng = np.random.default_rng(10)
     U = random_control(drv, space.dim, seed=11)
-    xi = AdaptedProcess(
-        drv, 1, [rng.standard_normal((2**n, space.dim)) for n in range(1, grid.n_steps + 1)]
-    )
+    xi = random_xi(drv, space.dim, rng)
     lu = oracles.apply_L(data, drv, U)
     lhs = oracles.pairing_state(
         drv,
         [oracles.pathwise(drv, lu.at(n), n) for n in range(grid.n_steps + 1)],
-        [np.zeros((drv.n_scenarios(grid.n_steps), space.dim))]
+        [np.zeros((oracles.n_scenarios(drv, grid.n_steps), space.dim))]
         + [oracles.pathwise(drv, xi.at(n), n) for n in range(1, grid.n_steps + 1)],
         tau,
     )
@@ -310,9 +316,9 @@ def test_terminal_duality_of_lhat():
 def test_zeros_process_shapes():
     _, grid, _ = small_setup()
     drv = TreeDriver(grid)
-    Z = zeros_process(drv, 4, 0, grid.n_steps - 1)
+    Z = zeros_process(drv, 4, grid.n_steps - 1)
     assert Z.at(2).shape == (4, 4)
-    assert Z.stop == grid.n_steps - 1
+    assert Z.rows.shape == (7, 4) and len(Z.values) == grid.n_steps
 
 
 def test_forward_stability_without_forcing():
@@ -350,14 +356,15 @@ def test_solve_forward_rejects_storage_of_another_grid(kind):
     drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 20, seed=1)
     long_grid = make_time_grid(1.0, 8)
     long_drv = TreeDriver(long_grid) if kind == "tree" else gaussian_driver(long_grid, 20, seed=1)
-    with pytest.raises(ValueError, match="0..8, need 0..4"):
-        solve_forward(data, drv, out=zeros_process(long_drv, space.dim, 0, 8))
+    need = re.escape(f"need {(drv.offset(5), space.dim)} for 0..4")
+    with pytest.raises(ValueError, match=need):
+        solve_forward(data, drv, out=zeros_process(long_drv, space.dim, 8))
+    with pytest.raises(ValueError, match=need):
+        solve_forward(data, drv, out=zeros_process(drv, space.dim + 1, 4))
+    # five slices of three rows: refused as storage on a tree, as a process on an ensemble
     with pytest.raises(ValueError, match="shape"):
-        solve_forward(data, drv, out=zeros_process(drv, space.dim + 1, 0, 4))
-    rows = AdaptedProcess(drv, 0, [np.zeros((3, space.dim)) for _ in range(5)])
-    with pytest.raises(ValueError, match="shape"):
-        solve_forward(data, drv, out=rows)
-    out = zeros_process(drv, space.dim, 0, 4)
+        solve_forward(data, drv, out=oracles.process(drv, [np.zeros((3, space.dim))] * 5))
+    out = zeros_process(drv, space.dim, 4)
     assert solve_forward(data, drv, out=out) is out
 
 
@@ -393,17 +400,26 @@ def test_solve_forward_is_bitwise_the_copying_loop(kind, noise, control):
 def test_solve_forward_rejects_a_stored_control_of_another_grid(kind):
     space, grid, data = small_setup(n_steps=4)
     drv = pinned_driver(kind, grid)
-    with pytest.raises(ValueError, match="0..4, need 0..3"):
-        solve_forward(data, drv, zeros_process(drv, space.dim, 0, 4))
-    with pytest.raises(ValueError, match="shape"):
-        solve_forward(data, drv, zeros_process(drv, space.dim + 1, 0, 3))
+    need = re.escape(f"need {(drv.offset(4), space.dim)} for 0..3")
+    with pytest.raises(ValueError, match=need):
+        solve_forward(data, drv, zeros_process(drv, space.dim, 4))
+    with pytest.raises(ValueError, match=need):
+        solve_forward(data, drv, zeros_process(drv, space.dim + 1, 3))
 
 
 def test_tree_slice_means_match_row_sum_means():
-    # one dot per level sums in another order than the row sums it replaced
+    # one reduceat over the row dots sums a tree level in another order than
+    # the per-level row sums; ensembles and the heads of either driver too
     space, grid, data = small_setup(n_elems=16, n_steps=6, alpha=0.8)
-    drv = TreeDriver(grid)
-    U = random_control(drv, space.dim, seed=3)
-    X = solve_forward(data, drv, U).window(0, grid.n_steps - 1)
-    for u, v in [(X, X), (U, U), (X, U)]:
-        assert_allclose(u.slice_means(v), oracles.einsum_slice_means(u, v), rtol=1e-15, atol=0)
+    N = grid.n_steps
+    for drv in (TreeDriver(grid), pinned_driver("ensemble", grid)):
+        U = random_control(drv, space.dim, seed=3)
+        full = solve_forward(data, drv, U)
+        X = full.head(N - 1)
+        heads = [(full.head(k), full) for k in (0, 1, 3, N - 1)] + [(U.head(2), U), (full, full)]
+        for head, parent in heads:
+            assert np.shares_memory(head.rows, parent.rows)
+            assert all(np.shares_memory(v, parent.rows) for v in head.values)
+        for u, v in [(X, X), (U, U), (X, U)] + [(h, h) for h, _ in heads]:
+            got, want = u.slice_means(v), oracles.einsum_slice_means(u, v)
+            assert_allclose(got, want, rtol=1e-15, atol=0)

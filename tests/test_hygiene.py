@@ -179,7 +179,7 @@ def unread_parameters(sources):
     """Parameters that no implementation of their function reads.
 
     Functions and methods with the same name count together (two drivers'
-    ``n_scenarios(level)`` pass when one of them reads ``level``), and a
+    methods of one name pass when one of them reads the parameter), and a
     leading ``self``/``cls`` is exempt.  A read is an ``ast.Name`` with the
     parameter's name anywhere in the body, nested functions included.
     Reported as ``function.parameter``.
@@ -294,6 +294,34 @@ def test_stale_name_detection():
 def test_allow_lists_name_only_existing_src_code():
     sources = [path.read_text(encoding="utf-8") for path in SRC]
     assert stale_names(ENTRY_POINTS | UNPASSED_DEFAULTS_ALLOWED, sources) == []
+
+
+def attribute_reads(source, name):
+    """Line numbers where ``source`` reads an attribute called ``name`` (``getattr`` escapes it)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_attribute_read_detection():
+    source = (
+        "kind = 'tree'\n"
+        "def step(driver, x):\n"
+        "    if driver.kind == 'tree':\n"
+        "        return x\n"
+        "    driver.kind = kind\n"
+        "    return getattr(driver, 'kind')\n"
+    )
+    assert attribute_reads(source, "kind") == [3]
+
+
+def test_forward_reads_no_driver_kind():
+    # the drivers lay out a process (offset, split, slice_means), so the
+    # forward module must not branch on trees against ensembles
+    source = (ROOT / "src" / "slqheat" / "forward.py").read_text(encoding="utf-8")
+    assert attribute_reads(source, "kind") == []
 
 
 def test_package_imports_no_scipy():

@@ -36,12 +36,12 @@ def test_tree_step_k_sign_is_bit_k_minus_1():
     s = np.sqrt(0.25)
     w = np.zeros((1, 1))
     for n in range(1, 5):
-        nxt = np.empty((drv.n_scenarios(n), 1))
+        nxt = np.empty((oracles.n_scenarios(drv, n), 1))
         np.add(w[None], drv.dw[n - 1], out=drv.siblings(nxt))
         w = nxt
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # column k - 1: bit k - 1
         assert_array_equal(w[:, 0], s * (2 * bits - 1).sum(axis=1))
-    assert drv.n_scenarios(3) == 8
+    assert (drv.offset(3), drv.offset(4)) == (7, 15)
 
 
 def test_tree_depth_cap():
@@ -192,7 +192,7 @@ def test_tree_step_columns_split_every_node_into_its_two_children():
 def test_siblings_is_a_writable_view_grouped_by_parent(kind):
     grid = make_time_grid(1.0, 4)
     drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 6, seed=1)
-    values = np.zeros((drv.n_scenarios(3), 5))[:, 1:4]  # rows of another array
+    values = np.zeros((oracles.n_scenarios(drv, 3), 5))[:, 1:4]  # rows of another array
     grouped = drv.siblings(values)
     assert grouped.shape == ((2, 4, 3) if kind == "tree" else (1, 6, 3))
     parents = grouped.shape[1]
@@ -205,8 +205,8 @@ def test_siblings_is_a_writable_view_grouped_by_parent(kind):
 def test_tree_level_ops_run_on_two_contiguous_sign_blocks(depth):
     # the minus- and plus-children of a level are each one C-contiguous block
     drv = TreeDriver(make_time_grid(1.0, depth))
-    values = np.random.default_rng(depth).standard_normal((drv.n_scenarios(depth), 15))
-    half = drv.n_scenarios(depth - 1)
+    values = np.random.default_rng(depth).standard_normal((oracles.n_scenarios(drv, depth), 15))
+    half = oracles.n_scenarios(drv, depth - 1)
     for b, block in enumerate(drv.siblings(values)):
         assert block.shape == (half, 15) and block.flags.c_contiguous
         assert np.shares_memory(block, values)

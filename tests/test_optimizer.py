@@ -13,7 +13,7 @@ from slqheat.forward import (
     solve_forward,
     zeros_process,
 )
-from oracles import add, direct_solve, estimate_operator_norm, gradient
+from oracles import add, direct_solve, estimate_operator_norm, gradient, n_scenarios, process
 from slqheat import optimizer
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
@@ -39,12 +39,10 @@ def tiny_problem(n_elems=4, n_steps=4, alpha=0.5, horizon=1.0, scale=0.7):
 
 def random_control(driver, dim, rng, amp=1.0):
     vals = [
-        amp * rng.standard_normal((driver.n_scenarios(n), dim))
+        amp * rng.standard_normal((n_scenarios(driver, n), dim))
         for n in range(driver.grid.n_steps)
     ]
-    from slqheat.forward import AdaptedProcess
-
-    return AdaptedProcess(driver, 0, vals)
+    return process(driver, vals)
 
 
 def feedback_solve(data, driver):
@@ -60,7 +58,7 @@ SOLVERS = {"cg": direct_solve, "recursion": feedback_solve}
 def sup_diff(u, v):
     return max(
         np.abs(np.asarray(u.at(n)) - np.asarray(v.at(n))).max()
-        for n in range(u.start, u.stop + 1)
+        for n in range(len(u.values))
     )
 
 
@@ -81,7 +79,7 @@ def test_cost_zero_for_zero_data_and_control():
             scale=0.0,
         ),
     )
-    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, data.grid.n_steps - 1)
     x = solve_forward(data, driver, u)
     assert cost(data, x, u) == 0.0
 
@@ -106,7 +104,7 @@ def test_cost_single_step_two_leaf_enumeration():
     data = make_problem(space, grid, alpha=0.0, sigma_spec=spec)
     assert_allclose(space.from_eigen(data.x0), [x_val], atol=1e-14)
     driver = TreeDriver(grid)
-    u = zeros_process(driver, 1, 0, 0)
+    u = zeros_process(driver, 1, 0)
     state = solve_forward(data, driver, u)
     expected = 0.5 * ((2.0 * x_val / 13.0) ** 2 * (1.0 / 3.0)) / 2.0
     assert_allclose(cost(data, state, u), expected, rtol=1e-14)
@@ -114,7 +112,7 @@ def test_cost_single_step_two_leaf_enumeration():
 
 def test_cost_with_stderr_tree_is_exact():
     data, driver = tiny_problem()
-    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, data.grid.n_steps - 1)
     x = solve_forward(data, driver, u)
     value, se = cost_with_stderr(data, x, u)
     assert value == cost(data, x, u)
@@ -123,10 +121,10 @@ def test_cost_with_stderr_tree_is_exact():
 
 def test_cost_with_stderr_ensemble_brackets_tree_value():
     data, tree = tiny_problem()
-    u_tree = zeros_process(tree, data.space.dim, 0, data.grid.n_steps - 1)
+    u_tree = zeros_process(tree, data.space.dim, data.grid.n_steps - 1)
     exact = cost(data, solve_forward(data, tree, u_tree), u_tree)
     driver = gaussian_driver(data.grid, 4000, seed=11)
-    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, data.grid.n_steps - 1)
     x = solve_forward(data, driver, u)
     value, se = cost_with_stderr(data, x, u)
     assert se > 0
@@ -138,7 +136,7 @@ def test_cost_with_stderr_ensemble_brackets_tree_value():
 def test_cost_with_stderr_rejects_single_path():
     data, _ = tiny_problem()
     driver = gaussian_driver(data.grid, 1, seed=11)
-    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, data.grid.n_steps - 1)
     x = solve_forward(data, driver, u)
     with pytest.raises(ValueError, match="at least 2 paths"):
         cost_with_stderr(data, x, u)
@@ -161,7 +159,7 @@ def test_gradient_zero_for_zero_data():
             scale=0.0,
         ),
     )
-    u = zeros_process(driver, data.space.dim, 0, data.grid.n_steps - 1)
+    u = zeros_process(driver, data.space.dim, data.grid.n_steps - 1)
     g = gradient(data, driver, u)
     assert sup_diff(g, u) == 0.0
 

@@ -1,12 +1,13 @@
-"""Stacked ensemble storage and the batched regression against their per-slice oracles.
+"""Stacked process storage and the batched regression against their per-slice oracles.
 
-On an ensemble every process is one C-contiguous (K, P, d) array, the
-reductions are single einsums, the conditioned backward sweep solves the
-normal equations of all its slices in one batched call, and gradient descent
-updates the whole control at once in the state's storage.  The per-slice code they
-replaced lives on in ``tests/oracles.py``; everything here must agree with
-it to 1e-12, and the storage layout itself is pinned so that a fallback
-to per-slice lists fails a test instead of only losing speed.
+Every process is one C-contiguous (R, d) row array whose slices are views
+(the (K, P, d) reshape on an ensemble), the ensemble reductions are single
+einsums, the conditioned backward sweep solves the normal equations of all
+its slices in one batched call, and gradient descent updates the whole
+control at once in the state's storage.  The per-slice code they replaced
+lives on in ``tests/oracles.py``; everything here must agree with it to
+1e-12, and the storage layout itself is pinned so that a fallback to
+per-slice copies fails a test instead of only losing speed.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from slqheat.adjoint import implicit_euler_bsde, k_htau
@@ -43,7 +44,7 @@ def ensemble(noise, n_paths=200, n_steps=6, n_elems=9, alpha=0.8, seed=11):
 
 def random_control(driver, n_steps, dim, seed):
     rng = np.random.default_rng(seed)
-    return AdaptedProcess(driver, 0, rng.standard_normal((n_steps, driver.n_paths, dim)))
+    return oracles.process(driver, rng.standard_normal((n_steps, driver.n_paths, dim)))
 
 
 def assert_kernel_matches_oracle(data, drv, X):
@@ -172,17 +173,18 @@ def test_batched_regression_and_reductions_match_oracles(n_paths, n_steps, n_ele
 # -- storage layout ------------------------------------------------------------
 
 
-def assert_layout(proc, start, stop, dim):
-    """Ensembles: one C-contiguous (K, P, d) array; trees: per-level lists with 2^n rows."""
-    driver = proc.driver
-    assert (proc.start, proc.stop) == (start, stop)
+def assert_layout(proc, stop, dim):
+    """One C-contiguous float (R, d) row array over 0..stop; every slice a view of its rows."""
+    driver, rows = proc.driver, proc.rows
+    assert type(rows) is np.ndarray and rows.flags.c_contiguous and rows.dtype == np.float64
+    assert rows.shape == (driver.offset(stop + 1), dim)
+    assert len(proc.values) == stop + 1
+    for n, v in enumerate(proc.values):
+        assert v.shape == (oracles.n_scenarios(driver, n), dim)
+        assert np.shares_memory(v, rows)
+        assert_array_equal(v, rows[driver.offset(n) : driver.offset(n + 1)])
     if driver.kind == "ensemble":
-        assert type(proc.values) is np.ndarray
-        assert proc.values.flags.c_contiguous and proc.values.dtype == np.float64
-        assert proc.values.shape == (stop - start + 1, driver.n_paths, dim)
-    else:
-        assert type(proc.values) is list
-        assert [v.shape for v in proc.values] == [(2**n, dim) for n in range(start, stop + 1)]
+        assert proc.values.shape == (stop + 1, driver.n_paths, dim)
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
@@ -193,21 +195,26 @@ def test_process_layout(kind):
     drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 30, seed=3)
     d, N = space.dim, grid.n_steps
 
-    assert_layout(zeros_process(drv, d, 1, 3), 1, 3, d)
+    assert_layout(zeros_process(drv, d, 3), 3, d)
     x, u = solve_forward(data, drv, discrete_feedback(data))
-    assert_layout(x, 0, N, d)
-    assert_layout(u, 0, N - 1, d)
-    assert_layout(solve_forward(data, drv, u), 0, N, d)
-    assert_layout(k_htau(data, drv, x), 0, N - 1, d)
+    assert_layout(x, N, d)
+    assert_layout(u, N - 1, d)
+    assert_layout(x.head(N - 1), N - 1, d)
+    assert_layout(solve_forward(data, drv, u), N, d)
+    assert_layout(k_htau(data, drv, x), N - 1, d)
     u_gd, _ = gradient_descent(data, drv, 2)
-    assert_layout(u_gd, 0, N - 1, d)
-    assert_layout(u_gd - u, 0, N - 1, d)
+    assert_layout(u_gd, N - 1, d)
+    assert_layout(u_gd - u, N - 1, d)
+    assert_layout(oracles.process(drv, list(u.values)), N - 1, d)
 
 
-def test_ensemble_process_stacks_a_list():
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_rows_that_fill_no_whole_slices_are_refused(kind):
+    # 6 tree rows are levels 0-1 and 3 stray rows; 6 rows of 5 paths leave one stray
     grid = make_time_grid(1.0, 3)
-    drv = gaussian_driver(grid, 5, seed=1)
-    slices = [np.full((5, 2), float(k)) for k in range(3)]
-    proc = AdaptedProcess(drv, 1, slices)
-    assert_layout(proc, 1, 3, 2)
-    assert_allclose(proc.at(3), slices[2])
+    drv = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 5, seed=1)
+    for rows in (np.zeros((6, 2)), np.zeros((0, 2)), np.zeros(drv.offset(3))):
+        with pytest.raises(ValueError, match="whole slices"):
+            AdaptedProcess(drv, rows)
+    assert len(AdaptedProcess(drv, np.zeros((drv.offset(3), 2))).values) == 3
+    assert (drv.offset(0), drv.offset(3)) == ((0, 7) if kind == "tree" else (0, 15))
