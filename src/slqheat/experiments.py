@@ -143,6 +143,9 @@ def resolve_config(cfg):
         value = getattr(cfg, name)
         if value is not None and min(np.atleast_1d(value)) < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    # the path generator takes the seed as its Philox key
+    if cfg.seed is not None and not 0 <= cfg.seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {cfg.seed}")
     # NaN passes every sign check below, so non-finite values are rejected first
     for name in ("horizon", "alpha", "sigma_scale", "kappa", "tol_grad"):
         if (value := getattr(cfg, name)) is not None and not math.isfinite(value):
@@ -312,17 +315,15 @@ def _feedback_solution(n_elems, cfg):
 def _joint_errors(ric_r, ric_c):
     """Squared control and state-gradient errors between two meshes.
 
-    Both closed-loop systems ride the same scalar Wiener process, so the
-    stacked eigen-coordinate vector (x_ref, x_coarse) solves a linear SDE
-    whose drift stays diagonal and whose noise part is (z + sigma) dW.
-    The stacked system is therefore exactly the componentwise moment
-    sweep already used for a single mesh, with concatenated coefficient
-    trajectories.  The cross Gramians C = V_r^T M_r P V_c (L2 pairing) and
-    C_A = V_r^T A_r P V_c = Lambda_r C (gradient pairing) of the nodal
-    prolongation P pair each fine mode with at most one coarse mode, so only
-    diag(S_rr), diag(S_cc) and S_rc at those pairs are swept.  The error
-    integrands are row reductions of the swept (2K+1, .) moment arrays,
-    integrated by composite Simpson.
+    Both closed-loop systems ride the same scalar Wiener process, so
+    :func:`slqheat.riccati._closed_loop_moments` sweeps the pair as one
+    stacked system (x_ref, x_coarse).  The cross Gramians
+    C = V_r^T M_r P V_c (L2 pairing) and C_A = V_r^T A_r P V_c = Lambda_r C
+    (gradient pairing) of the nodal prolongation P pair each fine mode
+    with at most one coarse mode, so only diag(S_rr), diag(S_cc) and S_rc
+    at those pairs are swept.  The error integrands are row reductions of
+    the swept (2K+1, .) moment arrays and of each mesh's time-major p and
+    phi, integrated by composite Simpson.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
@@ -342,24 +343,10 @@ def _joint_errors(ric_r, ric_c):
     n = D + space_c.dim
     rows = np.concatenate((np.arange(n), ri))
     cols = np.concatenate((np.arange(n), D + ki))
-    p_half = np.vstack((ric_r.p_half, ric_c.p_half))
-    phi_half = np.vstack((ric_r.phi_half, ric_c.phi_half))
-    dt = ric_r.dt
-    m, S = _closed_loop_moments(
-        np.concatenate((lam_r, lam_c)),
-        p_half,
-        phi_half,
-        np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
-        dt,
-        np.concatenate((ric_r.data.x0, ric_c.data.x0)),
-        rows,
-        cols,
-    )
+    m, S = _closed_loop_moments([ric_r, ric_c], rows, cols)
 
-    # time-major C-contiguous rows, so each row sum is the per-point sum
-    p, phi = np.ascontiguousarray(p_half.T), np.ascontiguousarray(phi_half.T)
-    pr, pc, fr, fc, mr, mc = p[:, :D], p[:, D:], phi[:, :D], phi[:, D:], m[:, :D], m[:, D:]
-    Srr, Scc, Src = S[:, :D], S[:, D:n], S[:, n:]
+    pr, fr, pc, fc = ric_r.p_half, ric_r.phi_half, ric_c.p_half, ric_c.phi_half
+    mr, mc, Srr, Scc, Src = m[:, :D], m[:, D:], S[:, :D], S[:, D:n], S[:, n:]
     wr_sq, wc_sq = _control_sq(pr, fr, mr, Srr), _control_sq(pc, fc, mc, Scc)
     # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc), summed over the pairs
     pr, mr, fr, pc, mc, fc = pr[:, ri], mr[:, ri], fr[:, ri], pc[:, ki], mc[:, ki], fc[:, ki]
@@ -367,8 +354,8 @@ def _joint_errors(ric_r, ric_c):
     ctrl_vals = wr_sq + wc_sq - 2.0 * wrc
     grad_vals = (lam_r * Srr).sum(axis=1) + (lam_c * Scc).sum(axis=1)
     grad_vals -= 2.0 * (c_grad * Src).sum(axis=1)
-    ctrl_sq = float(_simpson_panel_values(ctrl_vals, dt).sum())
-    grad_sq = float(_simpson_panel_values(grad_vals, dt).sum())
+    ctrl_sq = float(_simpson_panel_values(ctrl_vals, ric_r.dt).sum())
+    grad_sq = float(_simpson_panel_values(grad_vals, ric_r.dt).sum())
     return ctrl_sq, grad_sq
 
 

@@ -32,7 +32,11 @@ fine half-grid sampling.
 ``solve_riccati(data, k_fine)`` is the one constructor: from a
 :class:`slqheat.forward.ProblemData` it builds the complete
 :class:`RiccatiSolution` (p, phi, the noise coefficients and the value
-integral), reading the noise from the data's projected profile.  The
+integral), reading the noise from the data's projected profile.  Its
+trajectories are time-major, one row per half-grid point, as every sweep
+reads them.  :func:`_closed_loop_moments` sweeps a list of solutions on
+one dense grid as one stacked system: a single solution for
+:func:`cost_from_moments`, a mesh pair for the spatial-rate study.  The
 data already hold eigen coordinates, so every function here reads them
 as they are.  ``discrete_feedback(data)`` and ``discrete_value(data)``
 read one backward pass of the exact Riccati recursion of the
@@ -73,15 +77,14 @@ def riccati_mode_values(lams, alpha, horizon, t):
 
     Returns
     -------
-    p : ndarray, shape (d, n_t)
+    p : ndarray, shape (n_t, d), time-major: row k holds every mode at t[k]
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r_plus, r_minus, D = _stationary_roots(lams)
     c0 = (alpha - r_plus) / (alpha - r_minus)
-    s = horizon - t
-    cE = c0[:, None] * np.exp(-D[:, None] * s[None, :])
-    return (r_plus[:, None] - r_minus[:, None] * cE) / (1.0 - cE)
+    cE = c0 * np.exp(-D * (horizon - t)[:, None])
+    return (r_plus - r_minus * cE) / (1.0 - cE)
 
 
 @dataclass
@@ -89,16 +92,16 @@ class RiccatiSolution:
     """Riccati feedback of one problem, sampled on a dense half-step grid.
 
     ``data`` is the :class:`slqheat.forward.ProblemData` it was solved
-    for.  The half-grid arrays (nodes and midpoints interleaved,
-    2 K_fine + 1 points, one row per mode) hold p, the offset phi and the
-    noise coefficients sigma_i(t); the midpoints feed the collocation
-    sweeps of the moments.  ``value_integral`` lives on the K_fine + 1
-    nodes of the grid.
+    for; its ``space.eigvals`` are the modes' eigenvalues.  The half-grid
+    arrays hold p, the offset phi and the noise coefficients sigma_i(t)
+    time-major, shape (2 K_fine + 1, d): row k is half-grid point k
+    (nodes and midpoints interleaved), column i is mode i.  The midpoints
+    feed the collocation sweeps of the moments.  ``value_integral`` lives
+    on the K_fine + 1 nodes of the grid.
     """
 
     data: object
     k_fine: int
-    lams: np.ndarray
     p_half: np.ndarray
     phi_half: np.ndarray
     sigma_eig_half: np.ndarray
@@ -156,12 +159,11 @@ def solve_riccati(data, k_fine):
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
     p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
     tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
-    sig = np.outer(data.profile, tf)
+    sig = np.outer(tf, data.profile)
     phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
     return RiccatiSolution(
         data=data,
         k_fine=k_fine,
-        lams=space.eigvals.copy(),
         p_half=p_half,
         phi_half=phi_half,
         sigma_eig_half=sig,
@@ -225,13 +227,14 @@ def _phi_sweep(lams, p_half, sig, dt):
 
     Returns
     -------
-    (phi on the half grid, shape (d, 2K+1), value_integral, shape (K+1,))
+    (phi on the half grid, time-major like p_half and sig: shape (2K+1, d);
+     value_integral, shape (K+1,))
     """
     # reversed time: psi(s) = phi(T - s) solves psi' = -(lam + p~) psi + p~ sig~
-    p_rev = p_half.T[::-1]
-    phi_half = _hs_sweep(-(lams + p_rev), p_rev * sig.T[::-1], np.zeros(len(lams)), dt)[::-1].T
+    p_rev = p_half[::-1]
+    phi_half = _hs_sweep(-(lams + p_rev), p_rev * sig[::-1], np.zeros(len(lams)), dt)[::-1]
 
-    integrand = (p_half * sig**2).sum(axis=0) - (phi_half**2).sum(axis=0)
+    integrand = (p_half * sig**2).sum(axis=1) - (phi_half**2).sum(axis=1)
     panels = _simpson_panel_values(integrand, dt)
     return phi_half, 0.5 * np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
 
@@ -243,8 +246,8 @@ def value_function(riccati):
     with x_i the eigen coordinates of x0.
     """
     coords = riccati.data.x0
-    p0 = riccati.p_half[:, 0]
-    phi0 = riccati.phi_half[:, 0]
+    p0 = riccati.p_half[0]
+    phi0 = riccati.phi_half[0]
     return float(
         0.5 * (p0 * coords**2).sum() + (phi0 * coords).sum() + riccati.value_integral[0]
     )
@@ -310,29 +313,40 @@ def discrete_value(data):
     return float(0.5 * (P * c0**2).sum() + q @ c0 + r)
 
 
-def _closed_loop_moments(lams, p_half, phi_half, sigma_eig_half, dt, m0, rows, cols):
-    """Closed-loop mean and second-moment entries on the half grid.
+def _closed_loop_moments(rics, rows, cols):
+    """Closed-loop mean and second-moment entries of coupled solutions on the half grid.
 
-    The mean solves m' = -(lam + p) m - phi (componentwise); in the
-    eigenbasis each second-moment entry solves its own scalar linear ODE
+    The solutions in ``rics`` ride one scalar Wiener process, so their
+    stacked eigen coordinates (those of rics[0] first) solve one linear
+    SDE with diagonal drift.  Its mean solves m' = -(lam + p) m - phi
+    (componentwise); each second-moment entry solves its own scalar ODE
 
         S_ij' = (a_i + a_j + 1) S_ij + b_ij,
         b_ij = -phi_i m_j - phi_j m_i + m_i sig_j + m_j sig_i + sig_i sig_j,
 
     with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
     multiplicative noise second moment E (X + sig)(X + sig)^T.  Only the
-    entries (rows[e], cols[e]) are swept, from S_ij(0) = m0_i m0_j, so the
-    cost is linear in the number of entries.  S values at midpoints are
-    collocation values, accurate to the scheme's order, so Simpson
-    accumulation against them is 4th order.
+    entries (rows[e], cols[e]) of the stack are swept, from S_ij(0) =
+    m0_i m0_j with m0 the stacked ``data.x0``, so the cost is linear in the
+    number of entries.  S values at midpoints are collocation values,
+    accurate to the scheme's order, so Simpson accumulation against them
+    is 4th order.  Raises ValueError unless the solutions share one dense
+    grid (one horizon and one k_fine).
 
     Returns
     -------
-    (m, S) of shapes (2K+1, n) and (2K+1, len(rows)): the full mean and
-    the swept entries, one row per half-grid point.
+    (m, S) of shapes (2K+1, n) and (2K+1, len(rows)): the mean of all n
+    stacked modes and the swept entries, one row per half-grid point.
     """
-    p, phi, sig = (np.ascontiguousarray(x.T) for x in (p_half, phi_half, sigma_eig_half))
-    a = -(lams + p)  # (2K+1, n), time-major like every array here
+    grids = sorted({(r.data.grid.horizon, r.k_fine) for r in rics})
+    if len(grids) != 1:
+        raise ValueError(f"coupled solutions need one dense grid, got (horizon, k_fine) {grids}")
+    # the stack: each solution's columns, eigenvalues and x0 in turn
+    parts = [(r.p_half, r.phi_half, r.sigma_eig_half, r.data.space.eigvals, r.data.x0)
+             for r in rics]
+    p, phi, sig, lams, m0 = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    dt = rics[0].dt
+    a = -(lams + p)
     m = _hs_sweep(a, -phi, m0, dt)
     source = -phi[:, rows] * m[:, cols]
     source -= phi[:, cols] * m[:, rows]
@@ -362,12 +376,8 @@ def cost_from_moments(riccati):
     """
     data = riccati.data
     diag = np.arange(data.space.dim)
-    m, S = _closed_loop_moments(
-        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
-        data.x0, diag, diag,
-    )
-    # time-major C-contiguous rows, so each row sum is the per-point sum
-    p, phi = np.ascontiguousarray(riccati.p_half.T), np.ascontiguousarray(riccati.phi_half.T)
+    m, S = _closed_loop_moments([riccati], diag, diag)
     tr = S.sum(axis=1)
-    integral = _simpson_panel_values(tr + _control_sq(p, phi, m, S), riccati.dt).sum()
+    u_sq = _control_sq(riccati.p_half, riccati.phi_half, m, S)
+    integral = _simpson_panel_values(tr + u_sq, riccati.dt).sum()
     return float(0.5 * integral + 0.5 * data.alpha * tr[-1])

@@ -50,8 +50,10 @@ gain-pair form that ``solve_forward`` takes.  ``direct_solve``
 the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
 ``full_joint_errors`` play the same part for the entry-indexed moment
-sweep, and ``solve_riccati_dense`` is an independent matrix Riccati
-integrator.  The ``slice_*`` functions condition and reduce one slice at a
+sweep, reading the mode-major record of stacked solutions that
+``mode_major`` builds (the layout the library stored before it went
+time-major), and ``solve_riccati_dense`` is an independent matrix
+Riccati integrator.  The ``slice_*`` functions condition and reduce one slice at a
 time, as the library did before it batched the regression solves and
 stacked ensemble processes into one (K, P, d) array; the kernel and
 backward-equation ones read ``backward_kernel``, the unconditioned
@@ -70,6 +72,7 @@ before one dot per level.
 
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,7 +81,6 @@ from slqheat.forward import AdaptedProcess, a0_scale, solve_forward, zeros_proce
 from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
-    RiccatiSolution,
     _closed_loop_moments,
     _hs_sweep,
     _simpson_panel_values,
@@ -873,11 +875,6 @@ def literal_k_htau(space, driver, alpha, state, linear=True):
     return [-(a + alpha * b) for a, b in zip(lstar, lhat)]
 
 
-def tree_expectation(driver, pathwise_values):
-    """Exact expectation of leaf-level data (plain average)."""
-    return tree_condexp(np.asarray(pathwise_values), driver.grid.n_steps, 0)[0]
-
-
 def pairing_state(driver, proc_a_path, proc_b_path, tau):
     """tau-weighted state pairing sum_{n=1..N} E <a_n, b_n> from pathwise slices.
 
@@ -1109,7 +1106,7 @@ def fine_grid(riccati):
 def p_at(riccati, t):
     """Exact p_i(t), shape (d,) for scalar t."""
     data = riccati.data
-    return riccati_mode_values(riccati.lams, data.alpha, data.grid.horizon, [t])[:, 0]
+    return riccati_mode_values(data.space.eigvals, data.alpha, data.grid.horizon, [t])[0]
 
 
 def phi_at(riccati, t):
@@ -1118,7 +1115,7 @@ def phi_at(riccati, t):
     k = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
     k = max(k, 0)
     w = (t - grid[k]) / (grid[k + 1] - grid[k])
-    phi = riccati.phi_half[:, ::2]
+    phi = riccati.phi_half[::2].T
     return (1.0 - w) * phi[:, k] + w * phi[:, k + 1]
 
 
@@ -1152,10 +1149,7 @@ def closed_loop_moments(riccati):
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     d = data.space.dim
-    m, S = _closed_loop_moments(
-        riccati.lams, riccati.p_half, riccati.phi_half, riccati.sigma_eig_half, riccati.dt,
-        data.x0, *all_pairs(d),
-    )
+    m, S = _closed_loop_moments([riccati], *all_pairs(d))
     return [MomentState(m=m_k, S=S_k.reshape(d, d)) for m_k, S_k in zip(m[::2], S[::2])]
 
 
@@ -1164,8 +1158,27 @@ def closed_loop_moments(riccati):
 # oracle of riccati._closed_loop_moments and experiments._joint_errors.
 
 
+def mode_major(rics):
+    """The Riccati solutions ``rics`` stacked into one record of the former layout.
+
+    Fields ``k_fine``, ``dt``, ``lams`` (the stacked eigenvalues) and the
+    half-grid arrays ``p_half``, ``phi_half`` and ``sigma_eig_half``
+    mode-major, shape (n, 2K+1): one row per stacked mode, as the library
+    stored them before its record became time-major.  The full-matrix
+    oracles below read this form.
+    """
+    return SimpleNamespace(
+        k_fine=rics[0].k_fine,
+        dt=rics[0].dt,
+        lams=np.concatenate([ric.data.space.eigvals for ric in rics]),
+        p_half=np.vstack([ric.p_half.T for ric in rics]),
+        phi_half=np.vstack([ric.phi_half.T for ric in rics]),
+        sigma_eig_half=np.vstack([ric.sigma_eig_half.T for ric in rics]),
+    )
+
+
 def full_closed_loop_stream(riccati, m0, S0):
-    """Yield (half_index, m, S) along the closed-loop moment sweep.
+    """Yield (half_index, m, S) along the closed-loop moment sweep of a :func:`mode_major` record.
 
     The mean solves m' = -(lam + p) m - phi (componentwise); the second
     moment solves, componentwise in the eigenbasis,
@@ -1231,16 +1244,8 @@ def full_joint_errors(ric_r, ric_c):
     C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
     CA = space_r.eigvecs.T @ (stiffness(space_r) @ (prolong @ space_c.eigvecs))
 
-    # the stacked system; only its coefficient arrays and dense grid are read
-    joint = RiccatiSolution(
-        data=ric_r.data,
-        k_fine=ric_r.k_fine,
-        lams=np.concatenate((space_r.eigvals, space_c.eigvals)),
-        p_half=np.vstack((ric_r.p_half, ric_c.p_half)),
-        phi_half=np.vstack((ric_r.phi_half, ric_c.phi_half)),
-        sigma_eig_half=np.vstack((ric_r.sigma_eig_half, ric_c.sigma_eig_half)),
-        value_integral=None,
-    )
+    # the stacked system, mode-major as the full-matrix stream reads it
+    joint = mode_major([ric_r, ric_c])
     m0 = np.concatenate((ric_r.data.x0, ric_c.data.x0))
     S0 = np.outer(m0, m0)
     dt = joint.dt

@@ -158,6 +158,9 @@ def test_resolve_config_rejects_bad_input():
         ("temporal_rate", dict(horizon=10.0), "step 10.0 / 8 exceeds 1"),
         ("gd_convergence", dict(horizon=2.0, time_steps=1), "step 2.0 / 1 exceeds 1"),
         ("spatial_rate", dict(horizon=3.0, k_fine=2), "step 3.0 / 2 exceeds 1"),
+        # the path generator's Philox key raised its own ValueError with a traceback
+        ("temporal_rate", dict(seed=-1), "seed must be in"),
+        ("riccati_crosscheck", dict(seed=2**128), "seed must be in"),
     ):
         with pytest.raises(ValueError, match=message):
             make_config(study, **field)
@@ -824,6 +827,8 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["riccati_crosscheck", "--alpha", "1e6"], "", "alpha must be below 1e+06"),
         (["riccati_crosscheck", "--alpha", "2e6"], "", "alpha must be below 1e+06"),
         (["spatial_rate", "--alpha", "2e6"], "", "alpha must be below 1e+06"),
+        (["temporal_rate", "--seed", "-1"], "", "seed must be in [0, 2**128), got -1"),
+        (["riccati_crosscheck"], f"seed = {2**128}", "seed must be in [0, 2**128)"),
     ],
 )
 def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):

@@ -108,6 +108,15 @@ def test_no_src_code_that_only_the_tests_use():
     assert sorted(set(unreferenced_definitions(sources)) - ENTRY_POINTS) == []
 
 
+def test_every_oracle_is_read_by_a_test_module():
+    # an oracle that no test reads pins nothing
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    defined = {label for label, _, _ in top_definitions(oracles)}
+    sources = [path.read_text(encoding="utf-8") for path in tests]
+    assert sorted(set(unreferenced_definitions(sources)) & defined) == []
+
+
 # main(argv=None) lets tests drive the console script; the script itself
 # calls it without arguments.
 UNPASSED_DEFAULTS_ALLOWED = {"main.argv"}
@@ -322,6 +331,15 @@ def test_forward_reads_no_driver_kind():
     # forward module must not branch on trees against ensembles
     source = (ROOT / "src" / "slqheat" / "forward.py").read_text(encoding="utf-8")
     assert attribute_reads(source, "kind") == []
+
+
+def test_experiments_stacks_and_relays_no_arrays():
+    # the Riccati record is time-major, as every sweep reads it, and
+    # riccati._closed_loop_moments stacks the solutions it couples, so the
+    # studies neither stack nor re-lay its arrays
+    source = (ROOT / "src" / "slqheat" / "experiments.py").read_text(encoding="utf-8")
+    names = ("vstack", "hstack", "ascontiguousarray")
+    assert {name: attribute_reads(source, name) for name in names} == {name: [] for name in names}
 
 
 def test_package_imports_no_scipy():

@@ -17,6 +17,7 @@ from oracles import (
     full_closed_loop_stream,
     l2_norm,
     mass,
+    mode_major,
     phi_at,
     riccati_mode_derivative,
     solve_riccati_dense,
@@ -102,9 +103,9 @@ def test_terminal_condition_is_exact():
     space = build_fem_space(16)
     for alpha in (0.0, 0.37, 1.0, 5.0):
         ric = riccati_for(space, alpha=alpha, k_fine=64)
-        p_nodes = ric.p_half[:, ::2]
-        assert_allclose(p_nodes[:, -1], alpha, rtol=0, atol=1e-13)
-        assert p_nodes.shape == (space.dim, 65)
+        p_nodes = ric.p_half[::2]
+        assert_allclose(p_nodes[-1], alpha, rtol=0, atol=1e-13)
+        assert p_nodes.shape == (65, space.dim)
         assert fine_grid(ric).shape == (65,)
 
 
@@ -132,7 +133,7 @@ def test_exact_ode_residual_all_modes():
     space = build_fem_space(256)
     lams = space.eigvals
     t = np.linspace(0.0, 1.0, 37)
-    p = riccati_mode_values(lams, 1.0, 1.0, t)
+    p = riccati_mode_values(lams, 1.0, 1.0, t).T
     dp = riccati_mode_derivative(lams, 1.0, 1.0, t)
     rhs = 2.0 * lams[:, None] * p - p - 1.0 + p * p
     scale = 1.0 + np.abs(rhs)
@@ -148,7 +149,7 @@ def test_midpoint_residual_on_resolving_grids():
 
     def worst_residual(k_fine, t_mask=None):
         ric = riccati_for(space, k_fine=k_fine)
-        p1 = ric.p_half[0]
+        p1 = ric.p_half[:, 0]
         dt = 1.0 / k_fine
         f = lambda p: 2 * lam1 * p - p - 1 + p * p
         res = np.abs(p1[2::2] - p1[:-1:2] - dt * f(p1[1::2]))
@@ -164,11 +165,12 @@ def test_bounds_and_monotonicity_in_lambda():
     space = build_fem_space(64)
     ric = riccati_for(space, k_fine=256)
     r_plus, _, _ = _stationary_roots(space.eigvals)
-    assert ric.p_half.min() >= 0.0
+    p = ric.p_half.T
+    assert p.min() >= 0.0
     cap = np.maximum(ric.data.alpha, r_plus)
-    assert (ric.p_half <= cap[:, None] + 1e-12).all()
+    assert (p <= cap[:, None] + 1e-12).all()
     # larger lambda gives pointwise smaller p (comparison principle)
-    assert (np.diff(ric.p_half, axis=0) <= 1e-12).all()
+    assert (np.diff(p, axis=0) <= 1e-12).all()
 
 
 def test_max_p_non_increasing_under_mesh_refinement():
@@ -248,7 +250,8 @@ def test_phi_zero_when_p_forced_zero():
     # the source is p * sigma, so zero p kills phi regardless of sigma
     ric = riccati_for(build_fem_space(8), alpha=0.0, k_fine=128)
     assert np.abs(ric.sigma_eig_half).max() > 0.1
-    phi_half, _ = _phi_sweep(ric.lams, np.zeros_like(ric.p_half), ric.sigma_eig_half, ric.dt)
+    lams, zero_p = ric.data.space.eigvals, np.zeros_like(ric.p_half)
+    phi_half, _ = _phi_sweep(lams, zero_p, ric.sigma_eig_half, ric.dt)
     assert np.abs(phi_half).max() <= 1e-15
 
 
@@ -259,11 +262,11 @@ def test_phi_single_mode_against_euler_oracle():
     ric = riccati_for(space, spec=spec)
     # the noise profile is exactly the eigenvector, so only one mode is excited
     others = np.delete(np.arange(space.dim), mode)
-    assert np.abs(ric.phi_half[others]).max() < 1e-12
+    assert np.abs(ric.phi_half[:, others]).max() < 1e-12
     ref = euler_phi_reference(
         space.eigvals[mode], 1.0, 1.0, lambda t: np.exp(-t), 1_000_000
     )
-    assert abs(ric.phi_half[mode, 0] - ref) < 2e-6
+    assert abs(ric.phi_half[0, mode] - ref) < 2e-6
 
 
 def test_phi_sign_coupling_and_value_integral_decreasing():
@@ -343,7 +346,7 @@ def test_dense_oracle_agrees_with_mode_solver():
     for n_elems, k_fine in ((2, 32768), (4, 32768), (8, 65536)):
         space = build_fem_space(n_elems)
         t_nodes, P = solve_riccati_dense(space, 1.0, 1.0, k_fine=k_fine)
-        p_ref = riccati_mode_values(space.eigvals, 1.0, 1.0, t_nodes)
+        p_ref = riccati_mode_values(space.eigvals, 1.0, 1.0, t_nodes).T
         diag = np.einsum("kii->ik", P)
         assert np.abs(diag - p_ref).max() <= 1e-9
         # off-diagonal entries stay numerically zero: the flow preserves
@@ -409,7 +412,6 @@ def test_moments_zero_feedback_closed_form():
     zeroed = RiccatiSolution(
         data=data,
         k_fine=base.k_fine,
-        lams=base.lams,
         p_half=np.zeros_like(base.p_half),
         phi_half=np.zeros_like(base.p_half),
         sigma_eig_half=np.zeros_like(base.p_half),
@@ -495,14 +497,8 @@ def _moment_setup(n_elems=8, k_fine=32):
     return space, ric, data.x0
 
 
-def _entry_moments(ric, m0, rows, cols):
-    return _closed_loop_moments(
-        ric.lams, ric.p_half, ric.phi_half, ric.sigma_eig_half, ric.dt, m0, rows, cols
-    )
-
-
 def _full_trajectory(ric, m0):
-    stream = full_closed_loop_stream(ric, m0, np.outer(m0, m0))
+    stream = full_closed_loop_stream(mode_major([ric]), m0, np.outer(m0, m0))
     return [(idx, m.copy(), S.copy()) for idx, m, S in stream]
 
 
@@ -512,12 +508,30 @@ _SMALL_DIM = _SMALL[0].dim
 
 
 def _assert_entries_match(rows, cols):
-    _, ric, m0 = _SMALL
-    m, S = _entry_moments(ric, m0, rows, cols)
+    m, S = _closed_loop_moments([_SMALL[1]], rows, cols)
     assert [idx for idx, _, _ in _SMALL_FULL] == list(range(len(m))) == list(range(len(S)))
     for idx, m_ref, S_ref in _SMALL_FULL:
         assert_allclose(m[idx], m_ref, rtol=1e-12, atol=0)
         assert_allclose(S[idx], S_ref[rows, cols], rtol=1e-12, atol=0)
+
+
+def test_coupled_moment_sweep_stacks_solutions_on_one_dense_grid():
+    space, ric, _ = _SMALL
+    d, diag = space.dim, np.arange(space.dim)
+    m, S = _closed_loop_moments([ric], diag, diag)
+    # a solution coupled with itself sweeps two identical blocks
+    m2, S2 = _closed_loop_moments([ric, ric], np.arange(2 * d), np.arange(2 * d))
+    for block in (slice(0, d), slice(d, 2 * d)):
+        np.testing.assert_array_equal(m2[:, block], m)
+        np.testing.assert_array_equal(S2[:, block], S)
+    # the rows of a stack are common time points: another k_fine or another
+    # horizon (here with the same node spacing) samples another grid
+    finer = solve_riccati(ric.data, 2 * ric.k_fine)
+    longer = solve_riccati(make_problem(space, make_time_grid(2.0, 4), alpha=1.0), ric.k_fine)
+    longer_same_dt = solve_riccati(longer.data, 2 * ric.k_fine)
+    for other in (finer, longer, longer_same_dt):
+        with pytest.raises(ValueError, match="one dense grid"):
+            _closed_loop_moments([ric, other], np.arange(2 * d), np.arange(2 * d))
 
 
 def test_entry_stream_matches_full_sweep_on_diagonal_block_and_all_pairs():
@@ -548,8 +562,8 @@ def test_cost_from_moments_matches_full_matrix_evaluation():
     ric = solve_riccati(data, 128)
     m0 = data.x0
     vals = np.empty(2 * ric.k_fine + 1)
-    for idx, m, S in full_closed_loop_stream(ric, m0, np.outer(m0, m0)):
-        p, phi, diag = ric.p_half[:, idx], ric.phi_half[:, idx], np.diagonal(S)
+    for idx, m, S in full_closed_loop_stream(mode_major([ric]), m0, np.outer(m0, m0)):
+        p, phi, diag = ric.p_half[idx], ric.phi_half[idx], np.diagonal(S)
         u_sq = (p**2 * diag).sum() + 2.0 * (p * phi * m).sum() + (phi**2).sum()
         vals[idx] = diag.sum() + u_sq
     dt = ric.dt
