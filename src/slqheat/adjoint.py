@@ -27,9 +27,9 @@ By the tower property the sweep :func:`_sweep` carries
 H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
 V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
 (both the identity on ensembles), so a tree costs O(2^N d) instead of
-O(N 2^N d); the lift is the broadcast view ``V[None]`` and the m_k are the
-driver's cached columns (:mod:`slqheat.noise`).  It conditions as it
-goes: on the scenario tree E[H_n | F_n] is the exact subtree average,
+O(N 2^N d); V and G fill per-call buffers, the lift is the broadcast view
+``V[None]`` and the m_k are the driver's cached columns (:mod:`slqheat.noise`).
+It conditions as it goes: on the tree E[H_n | F_n] is the exact subtree average,
 ``driver.parent_mean`` applied l - n <= 2 times, whose first application
 is also where step n - 1 starts after a level drop; on Monte Carlo
 ensembles it is a ridge-regularized least squares fit (features:
@@ -78,15 +78,16 @@ def _sweep(data, driver, state, product_offset, out):
     (``ValueError`` if it or ``state`` does not fit) and may share
     ``state``'s slots: nothing is written to it before the sweep has read ``state``.
 
-    On a tree the conditioned slices are held until the loop ends and
-    then joined into ``out.rows`` by one ``np.concatenate``.  On an
-    ensemble each step writes F_n^T H_n into one (N, m + 2, d) right-hand
-    side; one batched product forms the grams F_n^T F_n, one batched
-    ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
-    F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
+    V, G (alternating between two, so H is never overwritten) and A0 take
+    the first rows of arrays of the largest slice, allocated once.  On a
+    tree the conditioned slices, fresh ``parent_mean`` results, are held
+    until the loop ends and joined into ``out.rows`` by one ``np.concatenate``.
+    On an ensemble each step writes F_n^T H_n into one (N, m + 2, d)
+    right-hand side; one batched product forms the grams F_n^T F_n, one
+    batched ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I)
+    beta_n = F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    scale = a0_scale(data.space, tau)
     mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))
     out.check_fits(driver, data.space.dim, N - 1)
     state.check_fits(driver, data.space.dim, N)
@@ -97,23 +98,25 @@ def _sweep(data, driver, state, product_offset, out):
         feats = _regression_features(data, driver, state)[:N]
         rhs = np.empty((N, feats.shape[2], data.space.dim))
 
+    scale, *bufs = np.tile(a0_scale(data.space, tau), (4, len(state.values[N]), 1))
     H, level = -data.alpha * np.asarray(state.values[N]), N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:
             H, level = up, level - 1
-        # G starts as a fresh array, so H (which a tree may hold) is never written
-        V = -tau * state.values[n + 1]
+        xs, G = state.values[n + 1], bufs[n % 2][: len(H)]
+        sG = driver.siblings(G)
         if level > n + 1:
             # offset 2 below N - 1: V lifts to H's level as a broadcast view
-            G = driver.siblings(H) * mult[n + 1]
-            G += V[None]
+            V = np.multiply(-tau, xs, out=bufs[2][: len(xs)])
+            np.multiply(driver.siblings(H), mult[n + 1], out=sG)
+            sG += V[None]
         else:
-            G = driver.siblings(V)
-            G += driver.siblings(H)
+            np.multiply(-tau, xs, out=G)
+            G += H
             if product_offset == 1:
-                G *= mult[n]
-        G *= scale
-        H = G.reshape(H.shape)
+                sG *= mult[n]
+        G *= scale[: len(G)]
+        H = G
         up = driver.parent_mean(H)
         if tree:
             held[n] = up if level == n + 1 else driver.parent_mean(up)

@@ -152,8 +152,9 @@ def resolve_config(cfg):
             raise ValueError(f"{name} must be finite, got {value}")
     if cfg.kappa is not None and cfg.kappa <= 0:
         raise ValueError(f"kappa must be positive, got {cfg.kappa}")
-    if cfg.alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
+    for name in ("alpha", "tol_grad"):
+        if (value := getattr(cfg, name)) is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if cfg.noise not in ("linear", "additive"):
         raise ValueError(f"noise must be 'linear' or 'additive', got {cfg.noise!r}")
     # k_fine is the step count of the Riccati solver, which models linear noise only

@@ -30,9 +30,9 @@ place.
 An :class:`AdaptedProcess` is one row array that its driver lays out
 (:mod:`slqheat.noise`), so nothing here tells trees from ensembles.
 :func:`solve_forward` allocates it once (or takes the caller's) and
-fills it in place, writing X_{n+1} through the driver's sign blocks of
-its slice with X_n lifted as ``x[None]`` and the cached step columns
-broadcast: no step copies a slice.
+fills it in place: a stored control enters before the loop, as tau U_n
+lifted onto slot n + 1 by the driver's ``lift_scaled``, and each step adds
+X_n m_n and sigma_n dW_{n+1}, scales by A0 and allocates nothing.
 """
 
 from dataclasses import dataclass, replace
@@ -195,7 +195,7 @@ def solve_forward(data, driver, control=None, out=None):
     out : AdaptedProcess over 0..N, optional
         Storage to overwrite with the new state (``ValueError`` if it
         does not fit), such as the previous iterate's state in gradient
-        descent: a long ensemble then reuses its pages.
+        descent: a long ensemble then reuses its pages.  Its values are never read.
 
     Returns
     -------
@@ -205,9 +205,10 @@ def solve_forward(data, driver, control=None, out=None):
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
-    scale = a0_scale(space, tau)
     mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))  # additive: m = 1
 
+    proc = zeros_process(driver, d, N) if out is None else out
+    proc.check_fits(driver, d, N)
     gains = None
     if control is not None and not isinstance(control, AdaptedProcess):
         gains = [np.asarray(a, dtype=float) for a in control]
@@ -216,20 +217,27 @@ def solve_forward(data, driver, control=None, out=None):
         control = zeros_process(driver, d, N - 1)
     elif control is not None:
         control.check_fits(driver, d, N - 1)
-    proc = zeros_process(driver, d, N) if out is None else out
-    proc.check_fits(driver, d, N)
+        driver.lift_scaled(tau, control.rows, proc.rows)
     proc.values[0][...] = data.x0
-    for n, xn in enumerate(proc.values[:N]):
-        un = None if control is None else control.values[n]
+    # A0 and a scratch array as rows of the largest slice: A0 scales in one contiguous multiply
+    scale, tmp = np.tile(a0_scale(space, tau), (2, len(proc.values[N]), 1))
+    sdw = np.empty(np.broadcast_shapes(data.sigma.shape[1:], driver.dw.shape[1:]))
+    steps = zip(proc.values[:N], proc.values[1:], mult, data.sigma, driver.dw)
+    for n, (xn, rows, mn, sn, dwn) in enumerate(steps):
+        # X_{n+1} as its sign blocks, which the parent rows xn and mn broadcast against
+        nxt = driver.siblings(rows)
         if gains is not None:
+            un = control.values[n]
             np.multiply(gains[0][n], xn, out=un)
             un += gains[1][n]
             np.negative(un, out=un)
-        # X_{n+1} as its sign blocks, each taking the parent rows as a broadcast view
-        nxt = driver.siblings(proc.values[n + 1])
-        np.multiply(xn[None], mult[n], out=nxt)
-        if un is not None:
-            nxt += tau * un[None]
-        nxt += data.sigma[n] * driver.dw[n]
-        nxt *= scale
+            np.multiply(tau, un[None], out=nxt)
+        if control is None:
+            # a first write: adding into a zeroed slot would turn -0.0 into +0.0
+            np.multiply(xn, mn, out=nxt)
+        else:
+            # tau U_n + X_n m_n: the commuted sum is bitwise X_n m_n + tau U_n
+            nxt += np.multiply(xn, mn, out=driver.siblings(tmp[: len(rows)]))
+        nxt += np.multiply(sn, dwn, out=sdw)
+        rows *= scale[: len(rows)]
     return proc if gains is None else (proc, control)

@@ -24,8 +24,9 @@ and ``mult[n]`` of dW_{n+1} and 1 + dW_{n+1}, cached at construction,
 broadcast against it: one (2, 1, 1) column for every tree step,
 (1, P, 1) per ensemble step.  They lay out a process as one (R, d) row
 array: slice n starts at row ``offset(n)`` (2^n - 1 or n P), ``split``
-views its slices and ``slice_means`` averages row dots per slice.  Only
-ensembles regress on the Wiener values, so only they offer ``brownian``.
+views its slices, ``slice_means`` averages row dots per slice and
+``lift_scaled`` scales a process onto the children in the next slices of
+another.  Only ensembles regress on the Wiener values, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass, field
@@ -104,6 +105,10 @@ class TreeDriver:
         """Level-(n+1) node values as a (2, 2^n, d) view: minus-children, then plus-children."""
         return values.reshape(2, -1, values.shape[-1])
 
+    def lift_scaled(self, factor, rows, out):
+        for level, children in zip(self.split(rows), self.split(out)[1:]):
+            np.multiply(factor, level, out=self.siblings(children))
+
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""
         half = len(values) // 2
@@ -152,6 +157,9 @@ class EnsembleDriver:
     def siblings(self, values):
         """Path values as a (1, P, d) view: every path is its own only child."""
         return values[None]
+
+    def lift_scaled(self, factor, rows, out):
+        np.multiply(factor, rows, out=out[self.offset(1) :])
 
     def parent_mean(self, values):
         return values

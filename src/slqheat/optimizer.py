@@ -72,13 +72,11 @@ def cost_with_stderr(data, state, control):
         On an ensemble of fewer than two paths, which has no sample
         standard error.
     """
-    if state.driver.kind != "tree" and state.driver.n_paths < 2:
-        raise ValueError(
-            f"a standard error needs at least 2 paths, got {state.driver.n_paths}"
-        )
     value = cost(data, state, control)
     if state.driver.kind == "tree":
         return value, 0.0
+    if state.driver.n_paths < 2:
+        raise ValueError(f"a standard error needs at least 2 paths, got {state.driver.n_paths}")
     tau, alpha = data.grid.tau, data.alpha
     x, u = state.values, control.values
     samples = 0.5 * tau * (np.einsum("kpd,kpd->p", x[1:], x[1:]) + np.einsum("kpd,kpd->p", u, u))
@@ -137,7 +135,7 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
 
     Raises
     ------
-    ValueError if kappa is not positive.
+    ValueError if kappa is not positive or tol_grad is negative.
 
     Warns
     -----
@@ -149,6 +147,8 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
         kappa = kappa_bound(grid.horizon, data.alpha)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    if tol_grad is not None and tol_grad < 0:
+        raise ValueError("tol_grad must be nonnegative")
 
     u = zeros_process(driver, space.dim, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)

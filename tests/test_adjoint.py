@@ -45,17 +45,28 @@ def test_k_htau_equals_combination_of_adjoints(noise):
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
 def test_k_htau_into_state_slots_equals_fresh_storage(kind):
     # gradient descent lets the kernel overwrite the state it reads: the
-    # sweep is read whole before the first write, so nothing changes
-    space, grid, data, drv = tree_setup(n_elems=7, n_steps=5, alpha=0.6)
-    if kind == "ensemble":
-        drv = gaussian_driver(grid, 200, seed=12)
-    N = grid.n_steps
-    X = solve_forward(data, drv)
-    fresh = k_htau(data, drv, X)
-    slots = X.head(N - 1)
-    assert k_htau(data, drv, X, out=slots) is slots
-    for n in range(N):
-        assert np.array_equal(X.at(n), fresh.at(n))
+    # sweep reads slot n + 1 into its buffers and writes no slot before the
+    # state is read whole, so either noise and either offset gives bitwise
+    # what separate storage gets
+    for noise in ("linear", "additive"):
+        space, grid, data, drv = tree_setup(n_elems=7, n_steps=5, alpha=0.6, noise=noise)
+        if kind == "ensemble":
+            drv = gaussian_driver(grid, 200, seed=12)
+        N = grid.n_steps
+        rng = np.random.default_rng(3)
+        U = oracles.process(drv, [
+            rng.standard_normal((oracles.n_scenarios(drv, n), space.dim)) for n in range(N)
+        ])
+        for offset in (1, 2):
+            X = solve_forward(data, drv, U)
+            fresh = zeros_process(drv, space.dim, N - 1)
+            _sweep(data, drv, X, offset, fresh)
+            _sweep(data, drv, X, offset, X.head(N - 1))
+            for n in range(N):
+                assert_array_equal(X.at(n), fresh.at(n))
+        X = solve_forward(data, drv, U)
+        slots = X.head(N - 1)
+        assert k_htau(data, drv, X, out=slots) is slots
 
 
 def regressed(data, drv, state, targets):

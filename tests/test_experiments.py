@@ -94,6 +94,9 @@ def test_resolve_config_rejects_bad_input():
     for kappa in (0.0, -1.0):
         with pytest.raises(ValueError, match="kappa must be positive"):
             resolve_config(ExperimentConfig(study="gd_convergence", kappa=kappa))
+    # a negative tolerance could never stop the descent, which then read "max_iters"
+    with pytest.raises(ValueError, match="tol_grad must be nonnegative, got -1.0"):
+        make_config("gd_convergence", tol_grad=-1.0)
     # the descent fields would be silently ignored by the studies that run no descent
     for study in ("spatial_rate", "adjoint_gap", "riccati_crosscheck"):
         for field in (dict(kappa=2.0), dict(max_iters=3), dict(tol_grad=1e-8)):
@@ -829,6 +832,7 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["spatial_rate", "--alpha", "2e6"], "", "alpha must be below 1e+06"),
         (["temporal_rate", "--seed", "-1"], "", "seed must be in [0, 2**128), got -1"),
         (["riccati_crosscheck"], f"seed = {2**128}", "seed must be in [0, 2**128)"),
+        (["gd_convergence"], "tol_grad = -1", "tol_grad must be nonnegative, got -1.0"),
     ],
 )
 def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):

@@ -397,6 +397,27 @@ def test_solve_forward_is_bitwise_the_copying_loop(kind, noise, control):
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("control", ["stored", "gains", "none"])
+def test_solve_forward_writes_every_slot_of_reused_storage(kind, control):
+    # gradient descent hands the forward solve the state storage that the
+    # kernel last filled: every slot must be written before it is added to
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8)
+    drv = pinned_driver(kind, grid)
+    rng = np.random.default_rng(7)
+    shape = (grid.n_steps, space.dim)
+    gains = (rng.uniform(0.1, 1.0, shape), rng.standard_normal(shape))
+    ctrl = {"stored": random_control(drv, space.dim, seed=2), "gains": gains, "none": None}[control]
+    stale = zeros_process(drv, space.dim, grid.n_steps)
+    stale.rows[...] = np.nan
+    got, ref = solve_forward(data, drv, ctrl, out=stale), solve_forward(data, drv, ctrl)
+    if control == "gains":
+        (got, got_u), (ref, ref_u) = got, ref
+        assert_array_equal(got_u.rows, ref_u.rows)
+    assert got.rows is stale.rows
+    assert_array_equal(got.rows, ref.rows)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
 def test_solve_forward_rejects_a_stored_control_of_another_grid(kind):
     space, grid, data = small_setup(n_steps=4)
     drv = pinned_driver(kind, grid)

@@ -369,6 +369,16 @@ def test_gd_uses_given_kappa_and_rejects_nonpositive():
             gradient_descent(data, driver, 2, kappa=kappa)
 
 
+def test_gd_rejects_a_negative_gradient_tolerance():
+    # no gradient norm is below a negative tolerance, so the descent could only
+    # run out of iterations; a zero tolerance stops only at an exact optimum
+    data, driver = tiny_problem()
+    with pytest.raises(ValueError, match="tol_grad must be nonnegative"):
+        gradient_descent(data, driver, 2, tol_grad=-1.0)
+    _, trace = gradient_descent(data, driver, 2, tol_grad=0.0)
+    assert trace.stop == "max_iters" and len(trace.cost) == 2
+
+
 def test_gd_warns_on_divergence():
     data, driver = tiny_problem()
     with pytest.warns(RuntimeWarning, match="kappa"):
