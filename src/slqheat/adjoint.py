@@ -88,7 +88,7 @@ def _sweep(data, driver, state, product_offset, out):
     beta_n = F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
     """
     N, tau = data.grid.n_steps, data.grid.tau
-    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))
+    mult = data.multipliers(driver)
     out.check_fits(driver, data.space.dim, N - 1)
     state.check_fits(driver, data.space.dim, N)
     tree = driver.kind == "tree"

@@ -15,12 +15,15 @@ Five studies are provided, all driven by a flat ExperimentConfig:
 * adjoint_gap       -- squared gap between the backward-equation solution
                        and the gradient kernel across step counts.
 
-Every study writes CSV tables (LF endings, '.' decimal, ',' delimiter)
-and a manifest.json (config echo, package versions, wall time, the
-study's "summary", which the CLI prints, and the measurements under
-"profile": peak resident memory, and temporal_rate's GD stop per
-level).  Reruns with identical config produce byte-identical CSVs; the
-measurements live only in the manifest.
+Each runner takes a resolved config, computes, and returns
+(result, tables, summary, profile): CSV texts by file name (LF endings,
+'.' decimal, ',' delimiter), the study's "summary", which the CLI prints,
+and its measurements (temporal_rate's GD stop per level).  Only
+:func:`run_study` resolves, times and writes: the tables, then a
+manifest.json (config echo, package versions, wall time, the summary,
+and under "profile" the peak resident memory plus the runner's
+measurements).  Reruns with identical config produce byte-identical
+CSVs; the measurements live only in the manifest.
 """
 
 import dataclasses
@@ -118,7 +121,7 @@ _DEFAULTS = {
 def resolve_config(cfg):
     """Fill the study's None fields with its defaults (idempotent); raise
     ValueError for an unknown study, a set field the study does not read,
-    or a value it cannot run."""
+    a value it cannot run, or an ``out`` that names a file or a path below one."""
     table = _DEFAULTS.get(cfg.study)
     if table is None:
         raise ValueError(f"unknown study {cfg.study!r}; choose from {tuple(_DEFAULTS)}")
@@ -180,6 +183,11 @@ def resolve_config(cfg):
     depth = max(steps)
     if cfg.study in ("gd_convergence", "adjoint_gap") and depth > TREE_DEPTH_CAP:
         raise ValueError(f"tree study needs {depth} steps, above the depth cap {TREE_DEPTH_CAP}")
+    base = os.path.abspath(cfg.out)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):  # os.makedirs would fail only after the run
+        raise ValueError(f"out {cfg.out!r} cannot be a directory: {base!r} is a file")
     return cfg
 
 
@@ -192,14 +200,19 @@ def make_config(study, **overrides):
 
 
 def _fmt(value):
-    if value is None or value == "":
-        return ""
+    if value is None or isinstance(value, str):  # a blank cell, or a report name
+        return value or ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    # every runner formats its tables before writing, so this leaves no output behind
+    # runners do no I/O, so raising here stops run_study before it writes anything
     if not math.isfinite(value):
         raise ArithmeticError(f"non-finite result {float(value)!r}; nothing was written")
     return repr(float(value))
+
+
+def _csv(header, rows):
+    """CSV text: the header line, then one line of formatted cells per row."""
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
 
 
 @dataclass
@@ -224,10 +237,8 @@ class RateTable:
         return out
 
     def to_csv(self):
-        lines = ["level,param,error,error_sq,eoc,stderr"]
-        for (level, param, err, se), eoc in zip(self.rows, self.eocs()):
-            lines.append(",".join(_fmt(v) for v in (level, param, err, err * err, eoc, se)))
-        return "\n".join(lines) + "\n"
+        rows = [(lvl, p, e, e * e, eoc, se) for (lvl, p, e, se), eoc in zip(self.rows, self.eocs())]
+        return _csv("level,param,error,error_sq,eoc,stderr", rows)
 
 
 def _write_text_atomic(path, text):
@@ -237,7 +248,7 @@ def _write_text_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir, cfg, wall_time, summary, profile=None):
+def _write_manifest(out_dir, cfg, wall_time, summary, profile):
     manifest = {
         "config": dataclasses.asdict(cfg),
         "versions": {
@@ -255,7 +266,7 @@ def _write_manifest(out_dir, cfg, wall_time, summary, profile=None):
         # ru_maxrss is the high-water mark of this process, in KiB on Linux
         "profile": {
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            **(profile or {}),
+            **profile,
         },
     }
     _write_text_atomic(
@@ -272,36 +283,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_outputs(cfg, started, tables, summary, profile=None):
-    """Write the named CSV texts, then the manifest with the wall time since ``started``."""
-    os.makedirs(cfg.out, exist_ok=True)
-    for name, text in tables.items():
-        _write_text_atomic(os.path.join(cfg.out, name), text)
-    _write_manifest(cfg.out, cfg, time.perf_counter() - started, summary, profile)
+def _rate_tables(ctrl_rows, state_rows):
+    """The control and state RateTables, their rates.csv and rates_state.csv, and the EOCs."""
+    ctrl, state = RateTable(ctrl_rows), RateTable(state_rows)
+    tables = {"rates.csv": ctrl.to_csv(), "rates_state.csv": state.to_csv()}
+    return (ctrl, state), tables, {"eoc_control": ctrl.eocs()[1:], "eoc_state": state.eocs()[1:]}
 
 
-def _write_rate_tables(cfg, started, ctrl_rows, state_rows, profile=None):
-    """Write the control (rates.csv) and state (rates_state.csv) tables."""
-    ctrl_table, state_table = RateTable(ctrl_rows), RateTable(state_rows)
-    _write_outputs(
-        cfg,
-        started,
-        {"rates.csv": ctrl_table.to_csv(), "rates_state.csv": state_table.to_csv()},
-        {"eoc_control": ctrl_table.eocs()[1:], "eoc_state": state_table.eocs()[1:]},
-        profile,
-    )
-    return ctrl_table, state_table
-
-
-def _problem(cfg, space, grid):
-    """The study's problem data (default data functions scaled by sigma_scale)."""
-    return make_problem(
-        space,
-        grid,
-        alpha=cfg.alpha,
-        sigma_spec=default_sigma_spec(scale=cfg.sigma_scale),
-        noise=cfg.noise,
-    )
+def _problem(cfg, n_elems, n_steps):
+    """The study's problem on an n_elems mesh over n_steps time steps (default
+    data functions scaled by sigma_scale)."""
+    space, grid = build_fem_space(n_elems), make_time_grid(cfg.horizon, n_steps)
+    spec = default_sigma_spec(scale=cfg.sigma_scale)
+    return make_problem(space, grid, alpha=cfg.alpha, sigma_spec=spec, noise=cfg.noise)
 
 
 # ------------------------------------------------------------ spatial rate
@@ -309,8 +303,7 @@ def _problem(cfg, space, grid):
 
 def _feedback_solution(n_elems, cfg):
     """Riccati feedback of the study's problem on an n_elems mesh."""
-    data = _problem(cfg, build_fem_space(n_elems), make_time_grid(cfg.horizon, cfg.k_fine))
-    return solve_riccati(data, cfg.k_fine)
+    return solve_riccati(_problem(cfg, n_elems, cfg.k_fine), cfg.k_fine)
 
 
 def _joint_errors(ric_r, ric_c):
@@ -367,7 +360,8 @@ def run_spatial_rate(cfg):
     with the one on a nested reference mesh; the squared errors
     E int ||U_ref - U_h||^2 dt (rates.csv) and
     E int ||grad(X_ref - X_h)||^2 dt (rates_state.csv) come from the
-    coupled moment ODE, so no sampling noise enters the tables.
+    coupled moment ODE, so no sampling noise enters the tables.  Returns
+    the two RateTables, control first.
 
     The state-gradient error converges at first order (the sharp rate:
     the gradient of the projected data carries an O(h) defect).  The
@@ -378,8 +372,6 @@ def run_spatial_rate(cfg):
     admissible noise profile brings the L2 control rate down to the
     first-order bound.
     """
-    cfg = resolve_config(cfg)
-    started = time.perf_counter()
     ric_r = _feedback_solution(cfg.mesh_ref, cfg)
     ctrl_rows, state_rows = [], []
     for lvl in cfg.mesh_levels:
@@ -389,7 +381,7 @@ def run_spatial_rate(cfg):
             ctrl_sq, grad_sq = _joint_errors(ric_r, _feedback_solution(lvl, cfg))
         ctrl_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(ctrl_sq, 0.0))), None))
         state_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(grad_sq, 0.0))), None))
-    return _write_rate_tables(cfg, started, ctrl_rows, state_rows)
+    return (*_rate_tables(ctrl_rows, state_rows), {})
 
 
 # ----------------------------------------------------------- temporal rate
@@ -439,18 +431,15 @@ def run_temporal_rate(cfg):
     reuses the same Brownian paths through pairwise increment sums, so
     the differences are pathwise and the Monte Carlo error of the rate
     table is the (reported) standard error of a mean of coupled samples.
-    Writes rates.csv (control error) and rates_state.csv (state error);
-    errors are L^2-in-time / sup-in-time norms, expected EOC 1/2.  All
-    levels share one space, so the L2 differences are taken in eigen
-    coordinates.  The manifest's ``profile.gd`` records each level's GD
-    iterations, final gradient norm and stop reason, reference first.
+    Returns the control (rates.csv) and state (rates_state.csv)
+    RateTables; errors are L^2-in-time / sup-in-time norms, expected EOC
+    1/2.  All levels share one space, so the L2 differences are taken in
+    eigen coordinates.  The profile's ``gd`` (the manifest's
+    ``profile.gd``) records each level's GD iterations, final gradient
+    norm and stop reason, reference first.
     """
-    cfg = resolve_config(cfg)
-    started = time.perf_counter()
-    space = build_fem_space(cfg.n_elems)
-    grid_ref = make_time_grid(cfg.horizon, cfg.n_ref)
-    data_ref = _problem(cfg, space, grid_ref)
-    fine_driver = gaussian_driver(grid_ref, cfg.n_paths, cfg.seed)
+    data_ref = _problem(cfg, cfg.n_elems, cfg.n_ref)
+    fine_driver = gaussian_driver(data_ref.grid, cfg.n_paths, cfg.seed)
     u_ref, x_ref, gd_ref = _solve_on_paths(cfg, data_ref, fine_driver)
 
     ctrl_rows, state_rows, gd_levels = [], [], [gd_ref]
@@ -467,7 +456,7 @@ def run_temporal_rate(cfg):
         state_rows.append((lvl, tau_lvl, err_state, se_state))
         u_lvl = x_lvl = None
 
-    return _write_rate_tables(cfg, started, ctrl_rows, state_rows, {"gd": gd_levels})
+    return (*_rate_tables(ctrl_rows, state_rows), {"gd": gd_levels})
 
 
 # ---------------------------------------------------------- gd convergence
@@ -477,49 +466,33 @@ def run_gd_convergence(cfg):
     """Gradient-descent iteration trace against the exact discrete optimum.
 
     The reference is the control of :func:`slqheat.riccati.discrete_feedback`
-    realized on the tree.  Writes trace.csv with columns iter,cost,
+    realized on the tree.  Returns the trace and trace.csv, columns iter,cost,
     grad_norm,err_to_ref,ratio,envelope: err_to_ref is the squared control
     distance to the reference, ratio its per-iteration contraction, and
     envelope the theory curve (1 - 1/kappa)^iter * err_to_ref[0].  The
     cost-gap bound 2 kappa err_to_ref[0] / iter is reconstructable from
     the same columns and is summarized in the manifest.
     """
-    cfg = resolve_config(cfg)
-    started = time.perf_counter()
-    space = build_fem_space(cfg.n_elems)
-    grid = make_time_grid(cfg.horizon, cfg.time_steps)
-    data = _problem(cfg, space, grid)
-    driver = TreeDriver(grid)
+    data = _problem(cfg, cfg.n_elems, cfg.time_steps)
+    driver = TreeDriver(data.grid)
     x_star, u_star = solve_forward(data, driver, discrete_feedback(data))
     j_star = cost(data, x_star, u_star)
     u, trace = gradient_descent(
         data, driver, cfg.max_iters, cfg.kappa, cfg.tol_grad, reference=u_star
     )
 
-    env = trace.envelope()
-    lines = ["iter,cost,grad_norm,err_to_ref,ratio,envelope"]
-    for i, (c, g, e) in enumerate(zip(trace.cost, trace.grad_norm, trace.err_to_ref)):
-        ratio = (
-            trace.err_to_ref[i] / trace.err_to_ref[i - 1]
-            if i > 0 and trace.err_to_ref[i - 1] > 0
-            else None
-        )
-        lines.append(
-            ",".join([str(i), _fmt(c), _fmt(g), _fmt(e), _fmt(ratio), _fmt(env[i])])
-        )
-    _write_outputs(
-        cfg,
-        started,
-        {"trace.csv": "\n".join(lines) + "\n"},
-        {
-            "kappa": trace.kappa,
-            "iterations": len(trace.cost),
-            "j_star": j_star,
-            "final_err_to_ref": trace.err_to_ref[-1] if trace.err_to_ref else None,
-            "u0_dist_sq": trace.err_to_ref[0] if trace.err_to_ref else None,
-        },
-    )
-    return trace
+    err = trace.err_to_ref
+    ratios = [None] + [b / a if a > 0 else None for a, b in zip(err, err[1:])]
+    rows = enumerate(zip(trace.cost, trace.grad_norm, err, ratios, trace.envelope()))
+    table = _csv("iter,cost,grad_norm,err_to_ref,ratio,envelope", [(i, *r) for i, r in rows])
+    summary = {
+        "kappa": trace.kappa,
+        "iterations": len(trace.cost),
+        "j_star": j_star,
+        "final_err_to_ref": err[-1] if err else None,
+        "u0_dist_sq": err[0] if err else None,
+    }
+    return trace, {"trace.csv": table}, summary, {}
 
 
 # ------------------------------------------------------ riccati crosscheck
@@ -540,13 +513,9 @@ def run_riccati_crosscheck(cfg):
     (c) the gap |discrete_value - cost_from_moments| as the step count
         refines -- free of sampling noise, expected to shrink
         monotonically.
-    Writes report.csv (name,value rows) and the manifest.
+    Returns the entries as a dict and as report.csv (name,value rows).
     """
-    cfg = resolve_config(cfg)
-    started = time.perf_counter()
-    space = build_fem_space(cfg.n_elems)
-    grid = make_time_grid(cfg.horizon, cfg.time_steps)
-    data = _problem(cfg, space, grid)
+    data = _problem(cfg, cfg.n_elems, cfg.time_steps)
     ric = solve_riccati(data, cfg.k_fine)
 
     v = value_function(ric)
@@ -559,7 +528,7 @@ def run_riccati_crosscheck(cfg):
     ]
 
     j_disc = discrete_value(data)
-    driver = gaussian_driver(grid, cfg.n_paths, cfg.seed)
+    driver = gaussian_driver(data.grid, cfg.n_paths, cfg.seed)
     x_mc, u_mc = solve_forward(data, driver, discrete_feedback(data))
     j_mc, se = cost_with_stderr(data, x_mc, u_mc)
     entries += [
@@ -575,18 +544,12 @@ def run_riccati_crosscheck(cfg):
         entries.append((f"cost_gap_N{lvl}", gaps[-1]))
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
 
-    lines = ["name,value"] + [f"{name},{_fmt(val)}" for name, val in entries]
-    _write_outputs(
-        cfg,
-        started,
-        {"report.csv": "\n".join(lines) + "\n"},
-        {
-            "rel_diff_value_vs_moments": rel,
-            "mc_within_3se": bool(abs(j_disc - j_mc) <= 3.0 * se),
-            "gap_monotone": bool(monotone),
-        },
-    )
-    return dict(entries)
+    summary = {
+        "rel_diff_value_vs_moments": rel,
+        "mc_within_3se": bool(abs(j_disc - j_mc) <= 3.0 * se),
+        "gap_monotone": bool(monotone),
+    }
+    return dict(entries), {"report.csv": _csv("name,value", entries)}, summary, {}
 
 
 # -------------------------------------------------------------- adjoint gap
@@ -597,30 +560,22 @@ def run_adjoint_gap(cfg):
 
     For the zero-control forward state X on a scenario tree, measures
     max_j E||Y0(t_j) - (K X)(t_j)||^2 per step count; the squared gap is
-    the tabulated error (expected EOC about 1).  The study default is
-    alpha = 0: with a terminal weight the terminal-slice contribution is
-    O(tau^2) with a constant that decays only past tau * lambda_1 << 1,
-    which flattens the observable range on tree-feasible depths.
+    the error of the returned RateTable, rates.csv (expected EOC about
+    1).  The study default is alpha = 0: with a terminal weight the
+    terminal-slice contribution is O(tau^2) with a constant that decays
+    only past tau * lambda_1 << 1, which flattens the observable range on
+    tree-feasible depths.
     """
-    cfg = resolve_config(cfg)
-    started = time.perf_counter()
-    space = build_fem_space(cfg.n_elems)
     rows = []
     for lvl in cfg.time_levels:
-        grid = make_time_grid(cfg.horizon, lvl)
-        data = _problem(cfg, space, grid)
-        driver = TreeDriver(grid)
+        data = _problem(cfg, cfg.n_elems, lvl)
+        driver = TreeDriver(data.grid)
         state = solve_forward(data, driver)
         gap = adjoint_gap(data, driver, state)
         rows.append((lvl, cfg.horizon / lvl, gap * gap, None))
     table = RateTable(rows)
-    _write_outputs(
-        cfg,
-        started,
-        {"rates.csv": table.to_csv()},
-        {"eoc": table.eocs()[1:], "positive": bool(min(r[2] for r in rows) > 0)},
-    )
-    return table
+    summary = {"eoc": table.eocs()[1:], "positive": bool(min(r[2] for r in rows) > 0)}
+    return table, {"rates.csv": table.to_csv()}, summary, {}
 
 
 RUNNERS = {
@@ -633,9 +588,19 @@ RUNNERS = {
 
 
 def run_study(cfg):
-    """Dispatch a resolved or raw config to its runner; an ArithmeticError names the study."""
+    """Resolve ``cfg``, run its study, then write its tables and manifest into ``cfg.out``.
+
+    Runners do no I/O, so a non-finite table raises (an ArithmeticError
+    naming the study) before anything is written.  Returns the runner's result.
+    """
     cfg = resolve_config(cfg)
+    started = time.perf_counter()
     try:
-        return RUNNERS[cfg.study](cfg)
+        result, tables, summary, profile = RUNNERS[cfg.study](cfg)
     except ArithmeticError as exc:
         raise ArithmeticError(f"{cfg.study}: {exc}") from exc
+    os.makedirs(cfg.out, exist_ok=True)
+    for name, text in tables.items():
+        _write_text_atomic(os.path.join(cfg.out, name), text)
+    _write_manifest(cfg.out, cfg, time.perf_counter() - started, summary, profile)
+    return result

@@ -139,6 +139,10 @@ class ProblemData:
         tf = np.array([self.sigma_spec.time_factor(t) for t in grid.nodes])
         return replace(self, grid=grid, sigma=np.outer(tf, self.profile))
 
+    def multipliers(self, driver):
+        """Step multipliers m_n: the driver's 1 + dW_{n+1} for linear noise, ones for additive."""
+        return driver.mult if self.noise == "linear" else np.ones((self.grid.n_steps, 1, 1, 1))
+
 
 def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
     """Ritz-project the continuous data onto the discrete spaces, in eigen coordinates.
@@ -205,7 +209,7 @@ def solve_forward(data, driver, control=None, out=None):
     space, grid = data.space, data.grid
     N, tau = grid.n_steps, grid.tau
     d = space.dim
-    mult = driver.mult if data.noise == "linear" else np.ones((N, 1, 1, 1))  # additive: m = 1
+    mult = data.multipliers(driver)
 
     proc = zeros_process(driver, d, N) if out is None else out
     proc.check_fits(driver, d, N)

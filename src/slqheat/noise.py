@@ -52,8 +52,9 @@ def make_time_grid(horizon, n_steps):
     Raises
     ------
     ValueError
-        If n_steps < 1 or the step size exceeds 1 (the one-step scheme
-        coefficients 1 + increment must stay well defined in mean square).
+        If n_steps < 1, horizon <= 0, or the step size exceeds 1 (the
+        one-step scheme coefficients 1 + increment must stay well defined
+        in mean square).
     """
     if n_steps < 1:
         raise ValueError(f"need at least one time step, got {n_steps}")

@@ -26,13 +26,7 @@ from slqheat.forward import (
     make_problem,
     solve_forward,
 )
-from slqheat.experiments import (
-    make_config,
-    run_adjoint_gap,
-    run_spatial_rate,
-    run_study,
-    run_temporal_rate,
-)
+from slqheat.experiments import make_config, run_study
 from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
 from slqheat.optimizer import (
@@ -304,7 +298,7 @@ def test_a06_spatial_rate_of_control_error(tmp_path):
     # on the control error is kept as stated rather than being moved to the
     # quantity that fits.
     started = time.perf_counter()
-    ctrl, state = run_spatial_rate(make_config("spatial_rate", out=str(tmp_path)))
+    ctrl, state = run_study(make_config("spatial_rate", out=str(tmp_path)))
     elapsed = time.perf_counter() - started
     ctrl_eocs = ctrl.eocs()[-2:]
     state_eocs = state.eocs()[-2:]
@@ -347,7 +341,7 @@ def test_a07_temporal_rate_of_state_and_control(tmp_path):
         out=str(tmp_path),
     )
     started = time.perf_counter()
-    ctrl, state = run_temporal_rate(cfg)
+    ctrl, state = run_study(cfg)
     elapsed = time.perf_counter() - started
     ctrl_eocs = ctrl.eocs()[-2:]
     state_eocs = state.eocs()[-2:]
@@ -406,7 +400,7 @@ def test_a09_adjoint_gap_rate(tmp_path):
     # The squared gap between the backward-equation solution and the
     # gradient kernel must be strictly positive and shrink with EOC in
     # [0.7, 1.3] across tree depths {4, 6, 8, 10}.
-    table = run_adjoint_gap(make_config("adjoint_gap", out=str(tmp_path)))
+    table = run_study(make_config("adjoint_gap", out=str(tmp_path)))
     errors = [row[2] for row in table.rows]
     eocs = table.eocs()[1:]
     positive = min(errors) > 0.0

@@ -27,16 +27,11 @@ from slqheat.experiments import (
     _problem,
     make_config,
     resolve_config,
-    run_adjoint_gap,
-    run_gd_convergence,
-    run_riccati_crosscheck,
-    run_spatial_rate,
     run_study,
-    run_temporal_rate,
 )
 from slqheat.forward import make_problem, default_sigma_spec, solve_forward
 from oracles import feedback_control, full_joint_errors, l2_norm_sq_batch
-from slqheat.mesh import build_fem_space, prolongation_matrix
+from slqheat.mesh import prolongation_matrix
 from slqheat.noise import gaussian_driver, make_time_grid
 from slqheat.riccati import MODE_BOUND, discrete_value
 
@@ -71,7 +66,7 @@ def test_resolve_config_keeps_explicit_values():
     assert make_config("gd_convergence").seed is None
 
 
-def test_resolve_config_rejects_bad_input():
+def test_resolve_config_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="unknown study"):
         resolve_config(ExperimentConfig(study="nope"))
     with pytest.raises(ValueError, match="sorted"):
@@ -167,6 +162,14 @@ def test_resolve_config_rejects_bad_input():
     ):
         with pytest.raises(ValueError, match=message):
             make_config(study, **field)
+    # an out that names a file, or a path below one, failed only after the run, at os.makedirs
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub" / "dir"):
+        with pytest.raises(ValueError, match=f"out '{out}' cannot be a directory: '{taken}' is a"):
+            make_config("adjoint_gap", out=str(out))
+    fresh = str(tmp_path / "new" / "dir")
+    assert make_config("adjoint_gap", out=fresh).out == fresh
 
 
 def cfg_reads(tree, func, name="cfg"):
@@ -214,13 +217,15 @@ def runner_fields(study):
 
 @pytest.mark.parametrize("study", sorted(RUNNERS))
 def test_each_runner_reads_exactly_its_defaults_table(study):
+    # run_study dispatches on study and alone writes into out; the runner reads the rest
     tree = ast.parse(inspect.getsource(experiments))
-    assert cfg_reads(tree, RUNNERS[study].__name__) == runner_fields(study)
+    assert cfg_reads(tree, RUNNERS[study].__name__) == runner_fields(study) - {"out"}
+    assert cfg_reads(tree, "run_study") == {"study", "out"}
 
 
 def test_runner_field_guard_catches_a_planted_read():
     source = inspect.getsource(experiments)
-    planted = source.replace("driver = TreeDriver(grid)", "driver = TreeDriver(grid, cfg.seed)")
+    planted = source.replace("TreeDriver(data.grid)", "TreeDriver(data.grid, cfg.seed)")
     assert planted.count("cfg.seed") == source.count("cfg.seed") + 2
     reads = cfg_reads(ast.parse(planted), "run_gd_convergence")
     assert reads - runner_fields("gd_convergence") == {"seed"}
@@ -444,7 +449,7 @@ def test_spatial_reference_level_row_is_zero(tmp_path):
     cfg = make_config(
         "spatial_rate", mesh_levels=(4, 8), mesh_ref=8, k_fine=64, out=str(tmp_path)
     )
-    ctrl, state = run_spatial_rate(cfg)
+    ctrl, state = run_study(cfg)
     assert ctrl.rows[-1][2] == 0.0
     assert state.rows[-1][2] == 0.0
     assert ctrl.rows[0][2] > 0.0
@@ -455,7 +460,7 @@ def test_spatial_requires_nested_reference(tmp_path):
     with pytest.raises(ValueError, match="not nested"):
         make_config("spatial_rate", **fields)
     with pytest.raises(ValueError, match="not nested"):
-        run_spatial_rate(ExperimentConfig(study="spatial_rate", **fields))
+        run_study(ExperimentConfig(study="spatial_rate", **fields))
 
 
 def test_spatial_rate_rejects_additive_noise(tmp_path):
@@ -464,7 +469,7 @@ def test_spatial_rate_rejects_additive_noise(tmp_path):
     with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
         make_config("spatial_rate", **fields)
     with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
-        run_spatial_rate(ExperimentConfig(study="spatial_rate", **fields))
+        run_study(ExperimentConfig(study="spatial_rate", **fields))
     assert not (tmp_path / "rates.csv").exists()
 
 
@@ -500,7 +505,7 @@ def test_spatial_rate_orders(tmp_path):
     cfg = make_config(
         "spatial_rate", mesh_levels=(8, 16), mesh_ref=64, k_fine=256, out=str(tmp_path)
     )
-    ctrl, state = run_spatial_rate(cfg)
+    ctrl, state = run_study(cfg)
     assert 1.7 < ctrl.eocs()[1] < 2.3
     assert 0.8 < state.eocs()[1] < 1.2
     assert os.path.exists(tmp_path / "rates.csv")
@@ -520,7 +525,7 @@ def test_temporal_reference_level_row_is_zero(tmp_path):
         max_iters=3,
         out=str(tmp_path),
     )
-    ctrl, state = run_temporal_rate(cfg)
+    ctrl, state = run_study(cfg)
     assert ctrl.rows[0][2] == 0.0
     assert state.rows[0][2] == 0.0
 
@@ -531,7 +536,7 @@ def test_temporal_manifest_records_descent_per_level(tmp_path, tol_grad, stop, i
         "temporal_rate", n_elems=4, time_levels=(2, 4), n_ref=8, n_paths=20, max_iters=3,
         tol_grad=tol_grad, out=str(tmp_path),
     )
-    run_temporal_rate(cfg)
+    run_study(cfg)
     gd = json.loads((tmp_path / "manifest.json").read_text())["profile"]["gd"]
     assert [level["n_steps"] for level in gd] == [8, 2, 4]
     for level in gd:
@@ -549,7 +554,7 @@ def test_temporal_requires_power_of_two_nesting(tmp_path):
     with pytest.raises(ValueError, match="power-of-two"):
         make_config("temporal_rate", **fields)
     with pytest.raises(ValueError, match="power-of-two"):
-        run_temporal_rate(ExperimentConfig(study="temporal_rate", **fields))
+        run_study(ExperimentConfig(study="temporal_rate", **fields))
 
 
 def test_temporal_rate_halving_order(tmp_path):
@@ -562,7 +567,7 @@ def test_temporal_rate_halving_order(tmp_path):
         max_iters=12,
         out=str(tmp_path),
     )
-    ctrl, state = run_temporal_rate(cfg)
+    ctrl, state = run_study(cfg)
     # strong one-half order; loose band at this path count
     for eoc in ctrl.eocs()[1:]:
         assert 0.25 < eoc < 0.85
@@ -580,7 +585,7 @@ def test_gd_convergence_trace_file(tmp_path):
     cfg = make_config(
         "gd_convergence", n_elems=3, time_steps=4, max_iters=25, out=str(tmp_path)
     )
-    trace = run_gd_convergence(cfg)
+    trace = run_study(cfg)
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "iter,cost,grad_norm,err_to_ref,ratio,envelope"
     assert len(lines) == len(trace.cost) + 1
@@ -646,10 +651,10 @@ def test_riccati_crosscheck_report(tmp_path):
         k_fine=256,
         out=str(tmp_path),
     )
-    report = run_riccati_crosscheck(cfg)
+    report = run_study(cfg)
     assert report["rel_diff_value_vs_moments"] < 1e-6
     assert report["mc_stderr"] > 0.0
-    data = _problem(cfg, build_fem_space(cfg.n_elems), make_time_grid(cfg.horizon, cfg.time_steps))
+    data = _problem(cfg, cfg.n_elems, cfg.time_steps)
     assert_allclose(report["discrete_value"], discrete_value(data), rtol=1e-12)
     # (c) is exact: each gap is the discrete value on its grid against the moment cost
     for lvl in cfg.time_levels:
@@ -681,7 +686,7 @@ def test_riccati_crosscheck_flags_a_gap_that_grows(tmp_path):
         k_fine=4,
         out=str(tmp_path),
     )
-    report = run_riccati_crosscheck(cfg)
+    report = run_study(cfg)
     gaps = [report[f"cost_gap_N{lvl}"] for lvl in cfg.time_levels]
     assert_allclose(gaps, [0.00269, 0.00559, 0.00499, 0.00368], atol=5e-6)
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
@@ -695,7 +700,7 @@ def test_adjoint_gap_rows_positive_and_decreasing(tmp_path):
     cfg = make_config(
         "adjoint_gap", n_elems=4, time_levels=(2, 3, 4), out=str(tmp_path)
     )
-    table = run_adjoint_gap(cfg)
+    table = run_study(cfg)
     errors = [r[2] for r in table.rows]
     assert min(errors) > 0.0
     assert errors == sorted(errors, reverse=True)
@@ -833,17 +838,24 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["temporal_rate", "--seed", "-1"], "", "seed must be in [0, 2**128), got -1"),
         (["riccati_crosscheck"], f"seed = {2**128}", "seed must be in [0, 2**128)"),
         (["gd_convergence"], "tol_grad = -1", "tol_grad must be nonnegative, got -1.0"),
+        # a file where the results would go used to fail only after the run, with a traceback
+        (["adjoint_gap", "--out", "{tmp}/taken"], "", "out '{tmp}/taken' cannot be a directory"),
+        (["adjoint_gap", "--out", "{tmp}/taken/sub"], "", "'{tmp}/taken' is a file"),
     ],
 )
 def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv, config, message):
     path = tmp_path / "run.cfg"
     path.write_text(config + "\n")
+    (tmp_path / "taken").write_text("")
     out = tmp_path / "out"
+    # the study's own --out, if any, comes last and wins
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", str(path), "--out", str(out)])
+        main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_cli_reports_non_finite_results(tmp_path, capsys):

@@ -342,6 +342,67 @@ def test_experiments_stacks_and_relays_no_arrays():
     assert {name: attribute_reads(source, name) for name in names} == {name: [] for name in names}
 
 
+# what run_study alone does: resolve the config, time the run, and write
+RUN_STUDY_ONLY = {
+    "resolve_config", "perf_counter", "makedirs", "_write_text_atomic", "_write_manifest"
+}
+
+
+def names_reached(source, func):
+    """Names and attribute names that the top-level function or class ``func``
+    of ``source`` reads, and so do the top-level definitions it names, in turn."""
+    tops = {node.name: node for node in ast.parse(source).body if hasattr(node, "name")}
+    names, seen, todo = set(), set(), [func]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(tops[name]):
+            read = getattr(node, "id", None) or getattr(node, "attr", None)
+            if read is not None:
+                names.add(read)
+            if read in tops:
+                todo.append(read)
+    return names
+
+
+def runner_io(source):
+    """{runner: sorted RUN_STUDY_ONLY names it reaches} over the ``RUNNERS`` dict of ``source``."""
+    runners = next(
+        node.value.values
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "RUNNERS"
+    )
+    reached = {run.id: sorted(names_reached(source, run.id) & RUN_STUDY_ONLY) for run in runners}
+    return {run: names for run, names in reached.items() if names}
+
+
+def test_runner_io_detection():
+    source = (
+        "import os, time\n"
+        "class Table:\n    def save(self, path):\n        return _write_text_atomic(path, '')\n\n"
+        "def _write_text_atomic(path, text):\n    os.makedirs(path)\n\n"
+        "def _elapsed(since):\n    return time.perf_counter() - since\n\n"
+        "def run_a(cfg):\n    return Table().save(cfg.out)\n\n"
+        "def run_b(cfg):\n    return _elapsed(cfg.alpha)\n\n"
+        "def run_c(cfg):\n    \"\"\"Calls resolve_config.\"\"\"\n    return run_c\n\n"
+        "def run_study(cfg):\n    cfg = resolve_config(cfg)\n    return RUNNERS[cfg.study](cfg)\n\n"
+        "RUNNERS = {'a': run_a, 'b': run_b, 'c': run_c}\n"
+    )
+    # a class is followed through its methods, a helper through its calls
+    want = {"run_a": ["_write_text_atomic", "makedirs"], "run_b": ["perf_counter"]}
+    assert runner_io(source) == want
+
+
+def test_runners_do_no_io():
+    # the runners compute and return their tables, and run_study alone resolves,
+    # times and writes, so a non-finite table stops a run before anything is written
+    source = (ROOT / "src" / "slqheat" / "experiments.py").read_text(encoding="utf-8")
+    assert names_reached(source, "run_study") >= RUN_STUDY_ONLY
+    assert runner_io(source) == {}
+
+
 def test_package_imports_no_scipy():
     # the closed-form spectrum needs no SciPy, whose import dominated start-up
     code = (
