@@ -40,13 +40,12 @@ import numpy as np
 from . import __version__
 from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
-from .mesh import build_fem_space, prolongation_matrix
+from .mesh import alias_coefficients, build_fem_space
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
 from .optimizer import cost, cost_with_stderr, gradient_descent
 from .riccati import (
     MODE_BOUND,
-    _closed_loop_moments,
-    _control_sq,
+    _pair_moments,
     _simpson_panel_values,
     cost_from_moments,
     discrete_feedback,
@@ -309,47 +308,27 @@ def _feedback_solution(n_elems, cfg):
 def _joint_errors(ric_r, ric_c):
     """Squared control and state-gradient errors between two meshes.
 
-    Both closed-loop systems ride the same scalar Wiener process, so
-    :func:`slqheat.riccati._closed_loop_moments` sweeps the pair as one
-    stacked system (x_ref, x_coarse).  The cross Gramians
-    C = V_r^T M_r P V_c (L2 pairing) and C_A = V_r^T A_r P V_c = Lambda_r C
-    (gradient pairing) of the nodal prolongation P pair each fine mode
-    with at most one coarse mode, so only diag(S_rr), diag(S_cc) and S_rc
-    at those pairs are swept.  The error integrands are row reductions of
-    the swept (2K+1, .) moment arrays and of each mesh's time-major p and
-    phi, integrated by composite Simpson.
+    The nodal prolongation P pairs each fine mode with one coarse mode
+    through the alias coefficient c (:func:`slqheat.mesh.alias_coefficients`),
+    so both errors are per-mode sums over the moments of delta = x_r - c x_c
+    (:func:`slqheat.riccati._pair_moments`), with no moments of order one
+    subtracted, integrated by composite Simpson:
+
+        E ||grad(X_r - P X_c)||^2 = sum_i lam_r S_dd,
+        E ||U_r - P U_c||^2 = sum_i E (p_r delta + (p_r - p_c) c x_c + phi_r - c phi_c)^2.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
-    space_r, space_c = ric_r.data.space, ric_c.data.space
-    D, n_c = space_r.dim, space_c.n_elems
-    lam_r, lam_c = space_r.eigvals, space_c.eigvals
-
-    # P^T M_r commutes with coarse shifts, so it maps fine sine mode r to its samples at
-    # the coarse nodes j / n_c: coarse mode k = +-r (mod 2 n_c), or zero if n_c divides r
-    q = np.arange(1, D + 1) % (2 * n_c)
-    ri = np.flatnonzero(q % n_c)
-    ki = np.minimum(q, 2 * n_c - q)[ri] - 1
-    c = space_r.to_eigen((prolongation_matrix(space_c, space_r) @ space_c.eigvecs).T).T[ri, ki]
-    c_grad = lam_r[ri] * c  # V_r^T A_r = Lambda_r V_r^T M_r
-
-    # swept entries: the diagonal of the stacked system, then S_rc at the pairs
-    n = D + space_c.dim
-    rows = np.concatenate((np.arange(n), ri))
-    cols = np.concatenate((np.arange(n), D + ki))
-    m, S = _closed_loop_moments([ric_r, ric_c], rows, cols)
-
-    pr, fr, pc, fc = ric_r.p_half, ric_r.phi_half, ric_c.p_half, ric_c.phi_half
-    mr, mc, Srr, Scc, Src = m[:, :D], m[:, D:], S[:, :D], S[:, D:n], S[:, n:]
-    wr_sq, wc_sq = _control_sq(pr, fr, mr, Srr), _control_sq(pc, fc, mc, Scc)
-    # E <U_r, U_c> = E (pr x_r + fr)^T C (pc x_c + fc), summed over the pairs
-    pr, mr, fr, pc, mc, fc = pr[:, ri], mr[:, ri], fr[:, ri], pc[:, ki], mc[:, ki], fc[:, ki]
-    wrc = (c * (pr * pc * Src + (pr * mr + fr) * fc + fr * pc * mc)).sum(axis=1)
-    ctrl_vals = wr_sq + wc_sq - 2.0 * wrc
-    grad_vals = (lam_r * Srr).sum(axis=1) + (lam_c * Scc).sum(axis=1)
-    grad_vals -= 2.0 * (c_grad * Src).sum(axis=1)
-    ctrl_sq = float(_simpson_panel_values(ctrl_vals, ric_r.dt).sum())
-    grad_sq = float(_simpson_panel_values(grad_vals, ric_r.dt).sum())
+    partner, c = alias_coefficients(ric_c.data.space, ric_r.data.space)
+    m_d, S_dd, S_dc, m_c, S_cc = _pair_moments(ric_r, ric_c, partner, c)
+    p = ric_r.p_half
+    q = c * (p - ric_c.p_half[:, partner])
+    d_phi = ric_r.phi_half - c * ric_c.phi_half[:, partner]
+    ctrl = p**2 * S_dd + 2.0 * p * q * S_dc + q**2 * S_cc
+    ctrl += 2.0 * d_phi * (p * m_d + q * m_c) + d_phi**2
+    grad = ric_r.data.space.eigvals * S_dd
+    ctrl_sq = float(_simpson_panel_values(ctrl.sum(axis=1), ric_r.dt).sum())
+    grad_sq = float(_simpson_panel_values(grad.sum(axis=1), ric_r.dt).sum())
     return ctrl_sq, grad_sq
 
 

@@ -2,7 +2,8 @@
 
 Everything the space-time scheme needs from the spatial side lives here:
 the eigenpairs of the P1 pencil (A, M) that diagonalize the discrete
-Laplacian, and the Ritz projection of the data.  No matrix is assembled:
+Laplacian, the Ritz projection of the data, and the nodal prolongation
+between nested meshes in eigen coordinates.  No matrix is assembled:
 on the uniform mesh A and M share the sine eigenvectors, so the
 eigenpairs have a closed form free of cancellation (Strang & Fix, *An
 Analysis of the Finite Element Method*, 1973): with theta_k = k pi h and
@@ -14,13 +15,14 @@ s_k = sin^2(theta_k / 2),
 A function in the FE space V_h has two coefficient vectors of length
 d = n_elems - 1: its interior nodal values v (boundary values are
 identically zero) and its coordinates c = V^T M v in the M-orthonormal
-eigenbasis.  The space-time scheme and the Ritz projection work in eigen
-coordinates, where the implicit Euler step is diagonal and the L2 norm is
-the euclidean norm of c.  Batches of coefficient vectors are stacked along
-the first axis, one row per scenario, shape (rows, d).
+eigenbasis.  Everything here works in eigen coordinates, where the
+implicit Euler step is diagonal, the L2 norm is the euclidean norm of c
+and the nodal prolongation between meshes has one entry per fine mode
+(:func:`alias_coefficients`).  Batches of coefficient vectors are
+stacked along the first axis, one row per scenario, shape (rows, d).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +42,6 @@ class FemSpace:
         Number of elements; the space has dimension d = n_elems - 1.
     h : float
         Mesh width 1 / n_elems.
-    nodes : ndarray, shape (d,)
-        Interior nodes h, 2h, ..., (n_elems - 1) h.
     eigvals : ndarray, shape (d,)
         Generalized eigenvalues of A v = lambda M v in closed form,
         ascending.  These are the eigenvalues of -Laplace_h.
@@ -51,20 +51,12 @@ class FemSpace:
 
     n_elems: int
     h: float
-    nodes: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    _vt_mass: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
         return self.n_elems - 1
-
-    # -- coefficient transforms -------------------------------------------
-
-    def to_eigen(self, v):
-        """Coefficients in the M-orthonormal eigenbasis: c = V^T M v."""
-        return np.asarray(v) @ self._vt_mass.T
 
     def from_eigen(self, c):
         """Nodal coefficients from eigenbasis coefficients: v = V c."""
@@ -91,7 +83,6 @@ def build_fem_space(n_elems):
     if n_elems < 2:
         raise ValueError(f"need n_elems >= 2 for a nonempty interior space, got {n_elems}")
     h = 1.0 / n_elems
-    nodes = h * np.arange(1, n_elems)
 
     # A and M act on sin(j theta_k) as multiplication by (4 / h) s_k and mass_k
     k = np.arange(1, n_elems)
@@ -101,10 +92,7 @@ def build_fem_space(n_elems):
     # sin(j theta_k) with j k reduced mod 2 n_elems, so no argument exceeds 2 pi
     phase = np.outer(k, k) % (2 * n_elems)
     eigvecs = np.sin(np.pi * phase / n_elems) / np.sqrt(mass_k * (0.5 * n_elems))
-
-    # V^T M = diag(mass_k) V^T, as M V = V diag(mass_k)
-    vt_mass = mass_k[:, None] * eigvecs.T
-    return FemSpace(n_elems, h, nodes, eigvals, eigvecs, _vt_mass=vt_mass)
+    return FemSpace(n_elems, h, eigvals, eigvecs)
 
 
 def _quad_points(space):
@@ -144,28 +132,32 @@ def ritz_project(space, f_prime):
     return (b @ space.eigvecs) / space.eigvals
 
 
-def prolongation_matrix(coarse, fine):
-    """Nodal interpolation matrix from a coarse space into a nested fine one.
+def alias_coefficients(coarse, fine):
+    """Eigen coordinates of the nodal prolongation P of a coarse space into a nested fine one.
 
-    Returns P with (P v)_i = v_h-coarse evaluated at the i-th fine node,
-    exact for nested uniform meshes.
+    P commutes with coarse shifts, so C = V_f^T M_f P V_c pairs fine sine
+    mode r with the coarse mode k = +-r (mod 2 n_c) that it matches at the
+    coarse nodes, and with none when n_c divides r.  With m = n_f / n_c,
+    theta = r pi / n_f and each mode's s = sin^2(theta / 2),
 
-    Parameters
-    ----------
-    coarse, fine : FemSpace
-        fine.n_elems must be a multiple of coarse.n_elems.
+        C_rk = +-(sin(m theta_r / 2) / (m sin(theta_r / 2)))^2 sqrt((3 - 2 s_r) / (3 - 2 s_k)),
 
-    Returns
-    -------
-    ndarray, shape (fine.dim, coarse.dim)
+    + when r mod 2 n_c < n_c.  Per coarse mode, sum_r C_rk^2 = 1 and
+    sum_r lambda_r C_rk^2 = lambda_k: P keeps L2 norms and H1 seminorms.
+
+    Returns (partner, c), shape (fine.dim,) each: C[r, partner[r]] = c[r],
+    with c = 0 (and some valid partner) for the unpaired modes.  Raises
+    ValueError unless coarse.n_elems divides fine.n_elems.
     """
-    if fine.n_elems % coarse.n_elems != 0:
-        raise ValueError(
-            f"meshes are not nested: {coarse.n_elems} does not divide {fine.n_elems}"
-        )
-    hc = coarse.h
-    # hat_j(x) = max(0, 1 - |x - j*hc| / hc) for coarse node j
-    x = fine.nodes[:, None]
-    xj = coarse.nodes[None, :]
-    vals = np.maximum(0.0, 1.0 - np.abs(x - xj) / hc)
-    return vals
+    n_c, n_f = coarse.n_elems, fine.n_elems
+    if n_f % n_c != 0:
+        raise ValueError(f"meshes are not nested: {n_c} does not divide {n_f}")
+    r = np.arange(1, n_f)
+    q = r % (2 * n_c)  # sin^2(m theta_r / 2) has period 2 n_c in r
+    k = np.minimum(q, 2 * n_c - q)
+    s_r = np.sin(np.pi * r / (2 * n_f)) ** 2
+    s_k = np.sin(np.pi * k / (2 * n_c)) ** 2
+    c = np.sin(np.pi * q / (2 * n_c)) ** 2 / (s_r * (n_f // n_c) ** 2)
+    c *= np.sqrt((3.0 - 2.0 * s_r) / (3.0 - 2.0 * s_k))
+    c = np.where(q < n_c, c, -c) * (q % n_c != 0)
+    return np.clip(k, 1, n_c - 1) - 1, c

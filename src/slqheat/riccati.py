@@ -34,13 +34,14 @@ fine half-grid sampling.
 :class:`RiccatiSolution` (p, phi, the noise coefficients and the value
 integral), reading the noise from the data's projected profile.  Its
 trajectories are time-major, one row per half-grid point, as every sweep
-reads them.  :func:`_closed_loop_moments` sweeps a list of solutions on
-one dense grid as one stacked system: a single solution for
-:func:`cost_from_moments`, a mesh pair for the spatial-rate study.  The
-data already hold eigen coordinates, so every function here reads them
-as they are.  ``discrete_feedback(data)`` and ``discrete_value(data)``
-read one backward pass of the exact Riccati recursion of the
-time-discrete problem: its optimal feedback gains (g, h), which
+reads them.  :func:`_closed_loop_moments` sweeps the closed-loop mean
+and diagonal second moment of one solution for :func:`cost_from_moments`,
+and :func:`_pair_moments` those of the difference of a fine and a coarse
+solution for the spatial-rate study.  The data already hold eigen
+coordinates, so every function here reads them as they are.
+``discrete_feedback(data)`` and ``discrete_value(data)`` read one
+backward pass of the exact Riccati recursion of the time-discrete
+problem: its optimal feedback gains (g, h), which
 :func:`slqheat.forward.solve_forward` applies as U_n = -(g_n X_n + h_n),
 and its optimal cost.
 """
@@ -58,9 +59,10 @@ def _stationary_roots(lams):
     """Roots r+ > 0 > r- of p^2 - (1 - 2 lambda) p - 1 = 0, stably evaluated."""
     b = 1.0 - 2.0 * np.asarray(lams, dtype=float)
     D = np.hypot(b, 2.0)
-    # pick the cancellation-free expression per sign of b (r+ r- = -1)
-    r_plus = np.where(b > 0, (b + D) / 2.0, 2.0 / (D - b))
-    r_minus = np.where(b > 0, -2.0 / (b + D), (b - D) / 2.0)
+    # the cancellation-free sum b + D (b > 0) or D - b (b <= 0) is |b| + D >= 2 (r+ r- = -1)
+    s = np.abs(b) + D
+    r_plus = np.where(b > 0, s / 2.0, 2.0 / s)
+    r_minus = np.where(b > 0, -2.0 / s, -s / 2.0)
     return r_plus, r_minus, D
 
 
@@ -176,30 +178,31 @@ def _hs_sweep(a_half, g_half, y0, dt):
 
     ``a_half`` and ``g_half`` hold samples at the 2K+1 half-grid points
     (nodes and midpoints); ``dt`` is the node spacing.  Returns y at all
-    half-grid points, shape (2K+1,) + y0.shape.  The collocation stages
-    are eliminated in closed form:
+    half-grid points, shape (2K+1,) + y0.shape.  Eliminating the
+    collocation stages makes each panel affine in its start value y0, with
+    coefficients that are whole-array operations over all panels:
 
-        f0 = a0 y0 + g0
-        ym = c1 + c2 y1,  c1 = y0/2 + (dt/8)(f0 - g1),  c2 = 1/2 - (dt/8) a1
-        y1 = [y0 + (dt/6)(f0 + 4(am c1 + gm) + g1)] / [1 - (dt/6)(4 am c2 + a1)]
+        y1 = A y0 + B,   ym = e y0 + c2 y1 + (dt/8)(g0 - g1),   e = 1/2 + (dt/8) a0,
+        A = [1 + (dt/6)(a0 + 4 am e)] / den,   c2 = 1/2 - (dt/8) a1,
+        B = (dt/6)[g0 + 4 gm + g1 + (dt/2) am (g0 - g1)] / den,   den = 1 - (dt/6)(4 am c2 + a1).
 
     The scheme's stability function is the Pade(2,2) approximant of the
     exponential: A-stable with positive damping, so arbitrarily stiff
     decaying components stay monotone.  With a == 0 it reduces to
     composite Simpson quadrature of g.
     """
+    a0, am, a1 = a_half[:-1:2], a_half[1::2], a_half[2::2]
+    g0, gm, g1 = g_half[:-1:2], g_half[1::2], g_half[2::2]
+    e = 0.5 + (dt / 8.0) * a0
+    c2 = 0.5 - (dt / 8.0) * a1
+    den = 1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
+    A = (1.0 + (dt / 6.0) * (a0 + 4.0 * am * e)) / den
+    B = (dt / 6.0) * (g0 + 4.0 * gm + g1 + (dt / 2.0) * am * (g0 - g1)) / den
     y = np.empty((len(a_half),) + np.shape(y0))
     y[0] = y0
-    for k in range(0, len(a_half) - 1, 2):
-        a0, am, a1 = a_half[k : k + 3]
-        g0, gm, g1 = g_half[k : k + 3]
-        f0 = a0 * y[k] + g0
-        c1 = 0.5 * y[k] + (dt / 8.0) * (f0 - g1)
-        c2 = 0.5 - (dt / 8.0) * a1
-        y[k + 2] = (y[k] + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
-            1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
-        )
-        y[k + 1] = c1 + c2 * y[k + 2]
+    for k in range(len(A)):
+        y[2 * k + 2] = A[k] * y[2 * k] + B[k]
+    y[1::2] = e * y[:-1:2] + c2 * y[2::2] + (dt / 8.0) * (g0 - g1)
     return y
 
 
@@ -313,71 +316,71 @@ def discrete_value(data):
     return float(0.5 * (P * c0**2).sum() + q @ c0 + r)
 
 
-def _closed_loop_moments(rics, rows, cols):
-    """Closed-loop mean and second-moment entries of coupled solutions on the half grid.
+def _closed_loop_moments(riccati):
+    """Closed-loop mean m and second moment S = E x^2 of each mode, shape (2K+1, d) each.
 
-    The solutions in ``rics`` ride one scalar Wiener process, so their
-    stacked eigen coordinates (those of rics[0] first) solve one linear
-    SDE with diagonal drift.  Its mean solves m' = -(lam + p) m - phi
-    (componentwise); each second-moment entry solves its own scalar ODE
-
-        S_ij' = (a_i + a_j + 1) S_ij + b_ij,
-        b_ij = -phi_i m_j - phi_j m_i + m_i sig_j + m_j sig_i + sig_i sig_j,
-
-    with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
-    multiplicative noise second moment E (X + sig)(X + sig)^T.  Only the
-    entries (rows[e], cols[e]) of the stack are swept, from S_ij(0) =
-    m0_i m0_j with m0 the stacked ``data.x0``, so the cost is linear in the
-    number of entries.  S values at midpoints are collocation values,
-    accurate to the scheme's order, so Simpson accumulation against them
-    is 4th order.  Raises ValueError unless the solutions share one dense
-    grid (one horizon and one k_fine).
-
-    Returns
-    -------
-    (m, S) of shapes (2K+1, n) and (2K+1, len(rows)): the mean of all n
-    stacked modes and the swept entries, one row per half-grid point.
+    Mode i of the controlled state solves dx = (a x - phi) dt + (x + sig) dW
+    with a = -(lam + p) from ``data.x0``, so m' = a m - phi and
+    S' = (2a + 1) S + 2 (sig - phi) m + sig^2.  S at the midpoints is a
+    collocation value, so Simpson sums against it are 4th order.
     """
-    grids = sorted({(r.data.grid.horizon, r.k_fine) for r in rics})
+    x0, phi, sig = riccati.data.x0, riccati.phi_half, riccati.sigma_eig_half
+    a = -(riccati.data.space.eigvals + riccati.p_half)
+    m = _hs_sweep(a, -phi, x0, riccati.dt)
+    return m, _hs_sweep(2.0 * a + 1.0, 2.0 * (sig - phi) * m + sig**2, x0**2, riccati.dt)
+
+
+def _pair_moments(ric_r, ric_c, partner, c):
+    """Moments of delta = x_r - c x_c, each fine mode against coarse mode ``partner``.
+
+    Both systems ride one Wiener process, so with a = -(lam + p),
+    dphi = phi_r - c phi_c and dsig = sig_r - c sig_c, delta solves
+    d delta = (a_r delta + (a_r - a_c) c x_c - dphi) dt + (delta + dsig) dW and
+
+        m_d'  = a_r m_d + (a_r - a_c) c m_c - dphi,
+        S_dc' = (a_r + a_c + 1) S_dc + (a_r - a_c) c S_cc + (sig_c - phi_c) m_d
+                + (dsig - dphi) m_c + dsig sig_c,   with S_dc = E delta x_c,
+        S_dd' = (2 a_r + 1) S_dd + 2 (a_r - a_c) c S_dc + 2 (dsig - dphi) m_d + dsig^2.
+
+    They are swept in turn after the coarse :func:`_closed_loop_moments`,
+    each fed by the half-grid values of the ones before: the joint Lobatto
+    IIIA step after a constant change of variables.  Raises ValueError
+    unless the solutions share one dense grid (one horizon and one k_fine).
+
+    Returns (m_d, S_dd, S_dc, m_c, S_cc), shape (2K+1, fine dim) each, the
+    coarse ones at the partners.
+    """
+    grids = sorted({(r.data.grid.horizon, r.k_fine) for r in (ric_r, ric_c)})
     if len(grids) != 1:
         raise ValueError(f"coupled solutions need one dense grid, got (horizon, k_fine) {grids}")
-    # the stack: each solution's columns, eigenvalues and x0 in turn
-    parts = [(r.p_half, r.phi_half, r.sigma_eig_half, r.data.space.eigvals, r.data.x0)
-             for r in rics]
-    p, phi, sig, lams, m0 = (np.concatenate(part, axis=-1) for part in zip(*parts))
-    dt = rics[0].dt
-    a = -(lams + p)
-    m = _hs_sweep(a, -phi, m0, dt)
-    source = -phi[:, rows] * m[:, cols]
-    source -= phi[:, cols] * m[:, rows]
-    source += m[:, rows] * sig[:, cols]
-    source += m[:, cols] * sig[:, rows]
-    source += sig[:, rows] * sig[:, cols]
-    return m, _hs_sweep(a[:, rows] + a[:, cols] + 1.0, source, m0[rows] * m0[cols], dt)
-
-
-def _control_sq(p, phi, m, S):
-    """E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2] of U = -(p x + phi), per row.
-
-    Rows are time points; m and S are the closed-loop mean and second
-    moments E x_i^2 of the modes that p and phi weigh.
-    """
-    return (p**2 * S).sum(axis=1) + 2.0 * (p * phi * m).sum(axis=1) + (phi**2).sum(axis=1)
+    m_c, S_cc = (v[:, partner] for v in _closed_loop_moments(ric_c))
+    a_r = -(ric_r.data.space.eigvals + ric_r.p_half)
+    a_c = -(ric_c.data.space.eigvals + ric_c.p_half)[:, partner]
+    phi_c, sig_c = ric_c.phi_half[:, partner], ric_c.sigma_eig_half[:, partner]
+    lift, d_phi = c * (a_r - a_c), ric_r.phi_half - c * phi_c
+    d_sig, x0_c = ric_r.sigma_eig_half - c * sig_c, ric_c.data.x0[partner]
+    d0, dt = ric_r.data.x0 - c * x0_c, ric_r.dt
+    m_d = _hs_sweep(a_r, lift * m_c - d_phi, d0, dt)
+    source = lift * S_cc + (sig_c - phi_c) * m_d + (d_sig - d_phi) * m_c + d_sig * sig_c
+    S_dc = _hs_sweep(a_r + a_c + 1.0, source, d0 * x0_c, dt)
+    source = 2.0 * (lift * S_dc + (d_sig - d_phi) * m_d) + d_sig**2
+    S_dd = _hs_sweep(2.0 * a_r + 1.0, source, d0**2, dt)
+    return m_d, S_dd, S_dc, m_c, S_cc
 
 
 def cost_from_moments(riccati):
     """Deterministic cost of the feedback-controlled system from ``riccati.data.x0``.
 
     cost = (1/2) int_0^T [tr S + E||U||^2] dt + (alpha/2) tr S(T),
-    E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2],
+    E||U||^2 = sum_i [p_i^2 S_ii + 2 p_i phi_i m_i + phi_i^2] of U = -(p x + phi),
 
     integrated by composite Simpson over the closed-loop mean and the
-    diagonal of the second moment on the half grid.
+    diagonal of the second moment on the half grid
+    (:func:`_closed_loop_moments`).
     """
-    data = riccati.data
-    diag = np.arange(data.space.dim)
-    m, S = _closed_loop_moments([riccati], diag, diag)
+    p, phi = riccati.p_half, riccati.phi_half
+    m, S = _closed_loop_moments(riccati)
     tr = S.sum(axis=1)
-    u_sq = _control_sq(riccati.p_half, riccati.phi_half, m, S)
+    u_sq = (p**2 * S + 2.0 * p * phi * m + phi**2).sum(axis=1)
     integral = _simpson_panel_values(tr + u_sq, riccati.dt).sum()
-    return float(0.5 * integral + 0.5 * data.alpha * tr[-1])
+    return float(0.5 * integral + 0.5 * riccati.data.alpha * tr[-1])

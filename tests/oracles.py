@@ -30,7 +30,10 @@ level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 the backward equation) and ``bsde_residual`` are library operators
 that only the tests use, as are ``mass`` and ``stiffness`` (the nodal
 mass and stiffness matrices M and A, which the library's closed-form
-spectrum does not assemble),
+spectrum does not assemble), the nodal helpers ``nodes``, ``to_eigen``
+(c = V^T M v) and ``prolongation_matrix`` that the library dropped when
+its mesh pairing became the closed-form ``alias_coefficients``, and
+``cross_gramian`` (the dense C = V_f^T M_f P V_c those give),
 ``nodal_ritz_project`` (the Ritz projection by a nodal solve, as the
 library computed it before the eigen-coordinate form), ``a0_apply`` (one
 implicit Euler step),
@@ -49,12 +52,19 @@ gain-pair form that ``solve_forward`` takes.  ``direct_solve``
 ``estimate_operator_norm`` (power iteration) reach
 the discrete optimum and the Hessian norm without the discrete Riccati
 recursion, which they cross-check.  ``full_closed_loop_stream`` and
-``full_joint_errors`` play the same part for the entry-indexed moment
-sweep, reading the mode-major record of stacked solutions that
-``mode_major`` builds (the layout the library stored before it went
-time-major), and ``solve_riccati_dense`` is an independent matrix
-Riccati integrator.  The ``slice_*`` functions condition and reduce one slice at a
-time, as the library did before it batched the regression solves and
+``entry_moments`` (the entry-indexed sweep of stacked solutions, as the
+library ran it before it swept one solution's diagonal and the
+difference of a mesh pair) play the same part for the moment sweeps:
+the full-matrix stream reads the mode-major record that ``mode_major``
+builds (the layout the library stored before it went time-major), and
+``panel_hs_sweep`` is the Hermite-Simpson sweep one panel at a time, as
+the library ran it before its panel coefficients became whole-array
+operations.  ``full_joint_errors`` sweeps the dense blocks of a mesh
+pair in the coordinates (x_r - C x_c, x_c) with the dense C; in
+``np.longdouble`` it is the accuracy reference of the spatial errors.
+``solve_riccati_dense`` is an independent matrix Riccati integrator.
+The ``slice_*`` functions condition and reduce one slice at a time, as
+the library did before it batched the regression solves and
 stacked ensemble processes into one (K, P, d) array; the kernel and
 backward-equation ones read ``backward_kernel``, the unconditioned
 generator the library's sweep streamed before it conditioned as it goes;
@@ -78,11 +88,9 @@ import numpy as np
 
 from slqheat.adjoint import _RIDGE, _regression_features, k_htau
 from slqheat.forward import AdaptedProcess, a0_scale, solve_forward, zeros_process
-from slqheat.mesh import _GAUSS_X, _quad_points, prolongation_matrix
+from slqheat.mesh import _GAUSS_X, _quad_points
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
-    _closed_loop_moments,
-    _hs_sweep,
     _simpson_panel_values,
     _stationary_roots,
     riccati_mode_values,
@@ -692,6 +700,35 @@ def stiffness(space):
     return (2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)) / space.h
 
 
+def nodes(space):
+    """Interior nodes h, 2h, ..., (n_elems - 1) h, shape (d,)."""
+    return space.h * np.arange(1, space.n_elems)
+
+
+def to_eigen(space, v):
+    """Eigen coordinates c = V^T M v of nodal values (single or batch)."""
+    return np.asarray(v) @ (mass(space) @ space.eigvecs)
+
+
+def prolongation_matrix(coarse, fine):
+    """Nodal interpolation matrix from a coarse space into a nested fine one.
+
+    Returns P, shape (fine.dim, coarse.dim), with (P v)_i = v_h-coarse
+    evaluated at the i-th fine node, exact for nested uniform meshes.
+    """
+    if fine.n_elems % coarse.n_elems != 0:
+        raise ValueError(
+            f"meshes are not nested: {coarse.n_elems} does not divide {fine.n_elems}"
+        )
+    # hat_j(x) = max(0, 1 - |x - j*hc| / hc) for coarse node j
+    return np.maximum(0.0, 1.0 - np.abs(nodes(fine)[:, None] - nodes(coarse)[None, :]) / coarse.h)
+
+
+def cross_gramian(coarse, fine):
+    """C = V_f^T M_f P V_c, shape (fine.dim, coarse.dim): the nodal prolongation P in eigen coordinates."""
+    return to_eigen(fine, (prolongation_matrix(coarse, fine) @ coarse.eigvecs).T).T
+
+
 def discrete_laplacian_apply(space, v):
     """Apply Laplace_h = -M^{-1} A to nodal coefficients (single or batch)."""
     v = np.asarray(v, dtype=float)
@@ -897,7 +934,7 @@ def regression_features(space, driver, state, n, n_modes=4):
     """
     cols = [np.ones(n_scenarios(driver, n))]
     m = min(n_modes, space.dim)
-    coords = space.to_eigen(state.at(n))[:, :m]
+    coords = to_eigen(space, state.at(n))[:, :m]
     cols.extend(coords.T)
     cols.append(driver.brownian(n))
     return np.column_stack(cols)
@@ -1142,20 +1179,83 @@ def closed_loop_moments(riccati):
 
     Returns a list of MomentState (length K_fine + 1) aligned with
     ``fine_grid(riccati)``, started from ``riccati.data.x0``, with S the
-    full d x d second moment: the library's entry-indexed sweep run on
-    all pairs (i, j).
+    full d x d second moment: the entry-indexed sweep
+    :func:`entry_moments` run on all pairs (i, j).
     """
     data = riccati.data
     if data.noise != "linear":
         raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
     d = data.space.dim
-    m, S = _closed_loop_moments([riccati], *all_pairs(d))
+    m, S = entry_moments([riccati], *all_pairs(d))
     return [MomentState(m=m_k, S=S_k.reshape(d, d)) for m_k, S_k in zip(m[::2], S[::2])]
 
 
-# The full-matrix moment sweep and the joint errors evaluated on it, as the
-# library had them before it swept only requested entries: the equivalence
-# oracle of riccati._closed_loop_moments and experiments._joint_errors.
+def panel_hs_sweep(a_half, g_half, y0, dt):
+    """Hermite-Simpson sweep of componentwise y' = a(t) y + g(t), one panel at a time.
+
+    The library's ``_hs_sweep`` as it stood before its panel coefficients
+    became whole-array operations: the collocation stages are eliminated
+    per panel,
+
+        f0 = a0 y0 + g0
+        ym = c1 + c2 y1,  c1 = y0/2 + (dt/8)(f0 - g1),  c2 = 1/2 - (dt/8) a1
+        y1 = [y0 + (dt/6)(f0 + 4(am c1 + gm) + g1)] / [1 - (dt/6)(4 am c2 + a1)]
+
+    It runs in the dtype of its inputs, so ``np.longdouble`` inputs give an
+    extended-precision sweep.
+    """
+    dtype = np.result_type(a_half, g_half, y0)
+    y = np.empty((len(a_half),) + np.shape(y0), dtype=dtype)
+    y[0] = y0
+    for k in range(0, len(a_half) - 1, 2):
+        a0, am, a1 = a_half[k : k + 3]
+        g0, gm, g1 = g_half[k : k + 3]
+        f0 = a0 * y[k] + g0
+        c1 = 0.5 * y[k] + (dt / 8.0) * (f0 - g1)
+        c2 = 0.5 - (dt / 8.0) * a1
+        y[k + 2] = (y[k] + (dt / 6.0) * (f0 + 4.0 * (am * c1 + gm) + g1)) / (
+            1.0 - (dt / 6.0) * (4.0 * am * c2 + a1)
+        )
+        y[k + 1] = c1 + c2 * y[k + 2]
+    return y
+
+
+def entry_moments(rics, rows, cols):
+    """Closed-loop mean and second-moment entries of coupled solutions on the half grid.
+
+    The library's entry-indexed moment sweep as it stood before it swept
+    one solution's diagonal only.  The solutions in ``rics`` ride one
+    scalar Wiener process, so their stacked eigen coordinates (those of
+    rics[0] first) solve one linear SDE with diagonal drift.  Its mean
+    solves m' = -(lam + p) m - phi (componentwise); each second-moment
+    entry solves its own scalar ODE
+
+        S_ij' = (a_i + a_j + 1) S_ij + b_ij,
+        b_ij = -phi_i m_j - phi_j m_i + m_i sig_j + m_j sig_i + sig_i sig_j,
+
+    with a_i = -(lam_i + p_i), from S_ij(0) = m0_i m0_j.  Only the entries
+    (rows[e], cols[e]) of the stack are swept.
+
+    Returns
+    -------
+    (m, S) of shapes (2K+1, n) and (2K+1, len(rows)).
+    """
+    parts = [(r.p_half, r.phi_half, r.sigma_eig_half, r.data.space.eigvals, r.data.x0)
+             for r in rics]
+    p, phi, sig, lams, m0 = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    dt = rics[0].dt
+    a = -(lams + p)
+    m = panel_hs_sweep(a, -phi, m0, dt)
+    source = -phi[:, rows] * m[:, cols]
+    source -= phi[:, cols] * m[:, rows]
+    source += m[:, rows] * sig[:, cols]
+    source += m[:, cols] * sig[:, rows]
+    source += sig[:, rows] * sig[:, cols]
+    return m, panel_hs_sweep(a[:, rows] + a[:, cols] + 1.0, source, m0[rows] * m0[cols], dt)
+
+
+# The full-matrix moment sweep, as the library had it before it swept only
+# requested entries: the equivalence oracle of riccati._closed_loop_moments.
 
 
 def mode_major(rics):
@@ -1193,7 +1293,7 @@ def full_closed_loop_stream(riccati, m0, S0):
     """
     dt = riccati.dt
     a = -(riccati.lams[:, None] + riccati.p_half)  # (d, 2K+1)
-    m_half = _hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
+    m_half = panel_hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
 
     def b_at(idx):
         m = m_half[idx]
@@ -1223,56 +1323,63 @@ def full_closed_loop_stream(riccati, m0, S0):
         S = S1
 
 
-def full_joint_errors(ric_r, ric_c):
-    """Squared control and state-gradient errors between two meshes.
+def full_joint_errors(ric_r, ric_c, dtype=float):
+    """Squared control and state-gradient errors between two meshes, by dense blocks.
 
-    Both closed-loop systems ride the same scalar Wiener process, so the
-    stacked eigen-coordinate vector (x_ref, x_coarse) solves a linear SDE
-    whose drift stays diagonal and whose noise part is (z + sigma) dW.
-    The stacked system is therefore exactly the componentwise moment
-    sweep already used for a single mesh, with concatenated coefficient
-    trajectories; the error integrands couple the blocks through the
-    cross Gramians C = V_r^T M_r P V_c (control, L2 pairing) and
-    C_A = V_r^T A_r P V_c (state, gradient pairing) of the nodal
-    prolongation P.
+    Both closed-loop systems ride the same scalar Wiener process.  In the
+    coordinates (delta, x_c) with delta = x_r - C x_c and the dense cross
+    Gramian C = V_r^T M_r P V_c of the nodal prolongation P, the pair
+    solves a linear SDE whose second block is the coarse system and whose
+    first reads
+
+        d delta = (A_r delta + L x_c - dphi) dt + (delta + dsig) dW,
+        L = A_r C - C A_c,   dphi = phi_r - C phi_c,   dsig = sig_r - C sig_c,
+
+    with A = -diag(lam + p).  The coarse mean and full second moment S_cc,
+    then the mean of delta and the full cross moment S_dc = E delta x_c^T,
+    then the diagonal of S_dd = E delta delta^T (all that the errors read)
+    are swept by :func:`panel_hs_sweep`, each fed by the half-grid values
+    of the ones before.  The errors subtract no moments of order one:
+
+        E ||grad(X_r - P X_c)||^2 = sum_i lam_r,i S_dd,ii,
+        E ||U_r - P U_c||^2 = E ||P_r delta + Q x_c + dphi||^2,  Q = P_r C - C P_c.
+
+    Every input is cast to ``dtype`` first, so ``np.longdouble`` gives an
+    extended-precision reference.
 
     Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
     """
     space_r, space_c = ric_r.data.space, ric_c.data.space
-    D, d = space_r.dim, space_c.dim
-    prolong = prolongation_matrix(space_c, space_r)
-    C = space_r.to_eigen((prolong @ space_c.eigvecs).T).T  # (D, d)
-    CA = space_r.eigvecs.T @ (stiffness(space_r) @ (prolong @ space_c.eigvecs))
+    cast = lambda v: np.asarray(v, dtype=dtype)
+    C = cast(cross_gramian(space_c, space_r))  # (D, d)
+    lam_r, p_r, phi_r, sig_r, x0_r = (cast(v) for v in (
+        space_r.eigvals, ric_r.p_half, ric_r.phi_half, ric_r.sigma_eig_half, ric_r.data.x0))
+    lam_c, p_c, phi_c, sig_c, x0_c = (cast(v) for v in (
+        space_c.eigvals, ric_c.p_half, ric_c.phi_half, ric_c.sigma_eig_half, ric_c.data.x0))
+    dt = cast(ric_r.dt)
+    a_r, a_c = -(lam_r + p_r), -(lam_c + p_c)  # (2K+1, D), (2K+1, d)
+    outer = lambda u, v: u[:, :, None] * v[:, None, :]
+    apply = lambda M, v: np.einsum("tij,tj->ti", M, v)
 
-    # the stacked system, mode-major as the full-matrix stream reads it
-    joint = mode_major([ric_r, ric_c])
-    m0 = np.concatenate((ric_r.data.x0, ric_c.data.x0))
-    S0 = np.outer(m0, m0)
-    dt = joint.dt
-    lam_r, lam_c = space_r.eigvals, space_c.eigvals
+    m_c = panel_hs_sweep(a_c, -phi_c, x0_c, dt)
+    source = outer(sig_c - phi_c, m_c) + outer(m_c, sig_c - phi_c) + outer(sig_c, sig_c)
+    S_cc = panel_hs_sweep(a_c[:, :, None] + a_c[:, None, :] + 1, source, np.outer(x0_c, x0_c), dt)
 
-    ctrl_vals = np.empty(2 * joint.k_fine + 1)
-    grad_vals = np.empty(2 * joint.k_fine + 1)
-    for idx, m, S in full_closed_loop_stream(joint, m0, S0):
-        pr, pc = joint.p_half[:D, idx], joint.p_half[D:, idx]
-        fr, fc = joint.phi_half[:D, idx], joint.phi_half[D:, idx]
-        mr, mc = m[:D], m[D:]
-        Srr, Scc, Src = np.diagonal(S[:D, :D]), np.diagonal(S[D:, D:]), S[:D, D:]
-        wr_sq = (pr**2 * Srr).sum() + 2.0 * (pr * fr * mr).sum() + (fr**2).sum()
-        wc_sq = (pc**2 * Scc).sum() + 2.0 * (pc * fc * mc).sum() + (fc**2).sum()
-        wrc = (
-            pr[:, None] * Src * pc[None, :]
-            + np.outer(pr * mr, fc)
-            + np.outer(fr, pc * mc)
-            + np.outer(fr, fc)
-        )
-        ctrl_vals[idx] = wr_sq + wc_sq - 2.0 * (C * wrc).sum()
-        grad_vals[idx] = (
-            (lam_r * Srr).sum() + (lam_c * Scc).sum() - 2.0 * (CA * Src).sum()
-        )
-    ctrl_sq = float(_simpson_panel_values(ctrl_vals, dt).sum())
-    grad_sq = float(_simpson_panel_values(grad_vals, dt).sum())
-    return ctrl_sq, grad_sq
+    L = a_r[:, :, None] * C - C * a_c[:, None, :]
+    d_phi, d_sig = phi_r - phi_c @ C.T, sig_r - sig_c @ C.T
+    d0 = x0_r - C @ x0_c
+    m_d = panel_hs_sweep(a_r, apply(L, m_c) - d_phi, d0, dt)
+    source = L @ S_cc + outer(m_d, sig_c - phi_c) + outer(d_sig - d_phi, m_c) + outer(d_sig, sig_c)
+    S_dc = panel_hs_sweep(a_r[:, :, None] + a_c[:, None, :] + 1, source, np.outer(d0, x0_c), dt)
+    source = 2 * (L * S_dc).sum(axis=2) + 2 * (d_sig - d_phi) * m_d + d_sig**2
+    S_dd = panel_hs_sweep(2 * a_r + 1, source, d0**2, dt)
+
+    Q = p_r[:, :, None] * C - C * p_c[:, None, :]
+    ctrl = (p_r**2 * S_dd).sum(axis=1) + 2 * (p_r[:, :, None] * Q * S_dc).sum(axis=(1, 2))
+    ctrl += np.einsum("tij,tjk,tik->t", Q, S_cc, Q)
+    ctrl += 2 * (d_phi * (p_r * m_d + apply(Q, m_c))).sum(axis=1) + (d_phi**2).sum(axis=1)
+    grad = (lam_r * S_dd).sum(axis=1)
+    return tuple(float(_simpson_panel_values(v, dt).sum()) for v in (ctrl, grad))
 
 
 def solve_riccati_dense(space, horizon, alpha, k_fine=1024):

@@ -75,7 +75,7 @@ def test_l2_projection_mode_differs_from_ritz():
     l2_x0 = oracles.l2_project(space, lambda x: np.sin(np.pi * x))  # the default x0
     assert np.abs(ritz_x0 - l2_x0).max() > 1e-8
     # both are second-order accurate samplings of sin(pi x)
-    assert np.abs(ritz_x0 - np.sin(np.pi * space.nodes)).max() < 5e-2
+    assert np.abs(ritz_x0 - np.sin(np.pi * oracles.nodes(space))).max() < 5e-2
 
 
 def test_a0_apply_matches_dense():
@@ -83,7 +83,7 @@ def test_a0_apply_matches_dense():
     tau = 0.2
     rng = np.random.default_rng(0)
     v = rng.standard_normal((3, space.dim))
-    step = space.from_eigen(oracles.a0_apply(space, tau, space.to_eigen(v)))
+    step = space.from_eigen(oracles.a0_apply(space, tau, oracles.to_eigen(space, v)))
     assert_allclose(step, v @ oracles.dense_a0(space, tau).T, atol=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_feedback_gains_match_nodal_callable_oracle(kind, noise):
 
     def nodal_law(t, x):
         n = int(round(t / grid.tau))
-        return space.from_eigen(-(g[n] * space.to_eigen(x) + h[n]))
+        return space.from_eigen(-(g[n] * oracles.to_eigen(space, x) + h[n]))
 
     X, U = (oracles.bit_reverse(p) for p in solve_forward(data, drv, (g, h)))
     x_ref, u_ref = oracles.nodal_forward(

@@ -335,8 +335,8 @@ def test_forward_reads_no_driver_kind():
 
 def test_experiments_stacks_and_relays_no_arrays():
     # the Riccati record is time-major, as every sweep reads it, and
-    # riccati._closed_loop_moments stacks the solutions it couples, so the
-    # studies neither stack nor re-lay its arrays
+    # riccati._pair_moments pairs a fine and a coarse solution by indexing
+    # the coarse columns, so the studies neither stack nor re-lay its arrays
     source = (ROOT / "src" / "slqheat" / "experiments.py").read_text(encoding="utf-8")
     names = ("vstack", "hstack", "ascontiguousarray")
     assert {name: attribute_reads(source, name) for name in names} == {name: [] for name in names}

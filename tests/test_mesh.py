@@ -8,6 +8,7 @@ from scipy.linalg import eigh
 
 from oracles import (
     a0_apply,
+    cross_gramian,
     dense_a0,
     discrete_laplacian_apply,
     eval_fem,
@@ -18,14 +19,17 @@ from oracles import (
     l2_project,
     mass,
     nodal_ritz_project,
+    nodes,
+    prolongation_matrix,
     stiffness,
+    to_eigen,
 )
-from slqheat.mesh import build_fem_space, prolongation_matrix, ritz_project
+from slqheat.mesh import alias_coefficients, build_fem_space, ritz_project
 
 
 def hat(space, j, x):
     """Reference evaluation of the j-th interior hat function (0-based)."""
-    xj = space.nodes[j]
+    xj = nodes(space)[j]
     return np.maximum(0.0, 1.0 - np.abs(x - xj) / space.h)
 
 
@@ -72,7 +76,7 @@ def test_closed_form_eigenpairs_solve_the_pencil(n):
     assert np.abs(V.T @ mass(space) @ V - np.eye(space.dim)).max() <= 2e-13
     residual = stiffness(space) @ V - (mass(space) @ V) * lam
     assert np.abs(residual).max() <= 1e-12 * lam.max()
-    assert_allclose(space.to_eigen(V.T), np.eye(space.dim), rtol=0, atol=2e-13)
+    assert_allclose(to_eigen(space, V.T), np.eye(space.dim), rtol=0, atol=2e-13)
 
 
 @pytest.mark.parametrize("n", CLOSED_FORM_MESHES)
@@ -91,7 +95,7 @@ def test_closed_form_agrees_with_eigh(n):
     space = build_fem_space(n)
     lam, U = eigh(stiffness(space), mass(space))
     assert_allclose(space.eigvals, lam, rtol=0, atol=1e-13 * lam.max())
-    overlap = space.to_eigen(U.T)
+    overlap = to_eigen(space, U.T)
     assert_allclose(np.abs(overlap), np.eye(space.dim), rtol=0, atol=1e-11)
 
 
@@ -100,7 +104,7 @@ def test_ritz_project_in_eigen_coordinates_matches_nodal_solve(n):
     space = build_fem_space(n)
     fp = lambda x: 0.7 * np.pi * np.cos(np.pi * x) + 0.3 * np.exp(x)
     assert_allclose(
-        ritz_project(space, fp), space.to_eigen(nodal_ritz_project(space, fp)), rtol=0, atol=1e-11
+        ritz_project(space, fp), to_eigen(space, nodal_ritz_project(space, fp)), rtol=0, atol=1e-11
     )
 
 
@@ -115,11 +119,11 @@ def test_eigen_transforms_round_trip():
     space = build_fem_space(16)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(space.dim)
-    assert_allclose(space.from_eigen(space.to_eigen(v)), v, atol=1e-12)
+    assert_allclose(space.from_eigen(to_eigen(space, v)), v, atol=1e-12)
     batch = rng.standard_normal((5, space.dim))
-    assert_allclose(space.from_eigen(space.to_eigen(batch)), batch, atol=1e-12)
+    assert_allclose(space.from_eigen(to_eigen(space, batch)), batch, atol=1e-12)
     # Parseval: the M-norm equals the euclidean norm of eigen coefficients
-    assert_allclose(l2_norm(space, v), np.linalg.norm(space.to_eigen(v)), rtol=1e-12)
+    assert_allclose(l2_norm(space, v), np.linalg.norm(to_eigen(space, v)), rtol=1e-12)
 
 
 def test_l2_project_against_quad_loads():
@@ -177,14 +181,15 @@ def test_ritz_galerkin_orthogonality():
     space = build_fem_space(8)
     fp = lambda x: np.pi * np.cos(np.pi * x)
     c = space.from_eigen(ritz_project(space, fp))
+    xs = nodes(space)
     load = np.array(
         [
-            quad(lambda x: fp(x) * dhat, space.nodes[j] - space.h, space.nodes[j], epsabs=1e-14)[0]
+            quad(lambda x: fp(x) * dhat, xs[j] - space.h, xs[j], epsabs=1e-14)[0]
             for j, dhat in ((j, 1.0 / space.h) for j in range(space.dim))
         ]
     ) + np.array(
         [
-            quad(lambda x: fp(x) * (-1.0 / space.h), space.nodes[j], space.nodes[j] + space.h, epsabs=1e-14)[0]
+            quad(lambda x: fp(x) * (-1.0 / space.h), xs[j], xs[j] + space.h, epsabs=1e-14)[0]
             for j in range(space.dim)
         ]
     )
@@ -225,12 +230,14 @@ def test_prolongation_exact_on_nested_meshes():
     P = prolongation_matrix(coarse, fine)
     rng = np.random.default_rng(6)
     c = rng.standard_normal(coarse.dim)
-    assert_allclose(P @ c, eval_fem(coarse, c, fine.nodes), atol=1e-12)
+    assert_allclose(P @ c, eval_fem(coarse, c, nodes(fine)), atol=1e-12)
 
 
 def test_prolongation_rejects_non_nested():
     with pytest.raises(ValueError):
         prolongation_matrix(build_fem_space(6), build_fem_space(8))
+    with pytest.raises(ValueError, match="not nested"):
+        alias_coefficients(build_fem_space(6), build_fem_space(8))
 
 
 @pytest.mark.parametrize(
@@ -241,7 +248,7 @@ def test_cross_gramian_pairs_each_fine_mode_with_its_alias(n_fine, n_coarse):
     # k = +-r (mod 2 n_coarse) that it matches at the coarse nodes; a fine
     # mode whose r is a multiple of n_coarse vanishes there and has no partner
     fine, coarse = build_fem_space(n_fine), build_fem_space(n_coarse)
-    C = fine.eigvecs.T @ mass(fine) @ prolongation_matrix(coarse, fine) @ coarse.eigvecs
+    C = cross_gramian(coarse, fine)
     r = np.arange(1, n_fine)
     q = r % (2 * n_coarse)
     alias = np.minimum(q, 2 * n_coarse - q)
@@ -250,6 +257,14 @@ def test_cross_gramian_pairs_each_fine_mode_with_its_alias(n_fine, n_coarse):
     assert np.abs(C[partner]).min() > 1e-9
     assert partner.sum() == fine.dim - np.isin(q, (0, n_coarse)).sum()
     assert np.abs(C.T @ C - np.eye(coarse.dim)).max() <= 1e-13
+    # the closed form is that one entry per row; per coarse mode, P keeps the
+    # L2 norm (sum c^2 = 1) and the H1 seminorm (sum lambda_f c^2 = lambda_c)
+    k, c = alias_coefficients(coarse, fine)
+    closed = np.zeros_like(C)
+    closed[np.arange(fine.dim), k] = c
+    assert np.abs(closed - C).max() <= 1e-13
+    assert_allclose(np.bincount(k, c**2, coarse.dim), 1.0, rtol=1e-13)
+    assert_allclose(np.bincount(k, fine.eigvals * c**2, coarse.dim), coarse.eigvals, rtol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -263,7 +278,7 @@ def test_eigen_step_matches_dense_a0(n, tau, rows, seed):
     # the elementwise step on eigen coordinates is (M + tau A)^{-1} M on nodal values
     space = build_fem_space(n)
     v = np.random.default_rng(seed).standard_normal((rows, space.dim))
-    w = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
+    w = space.from_eigen(a0_apply(space, tau, to_eigen(space, v)))
     assert_allclose(w, v @ dense_a0(space, tau).T, rtol=0, atol=1e-12)
 
 
@@ -278,5 +293,5 @@ def test_eigen_step_is_m_contraction(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.dim)
     tau = 0.1
-    w = space.from_eigen(a0_apply(space, tau, space.to_eigen(v)))
+    w = space.from_eigen(a0_apply(space, tau, to_eigen(space, v)))
     assert l2_norm(space, w) <= l2_norm(space, v) * (1 + 1e-12)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,17 +13,19 @@ from oracles import (
     closed_loop_moments,
     dense_to_nodal,
     direct_solve,
+    entry_moments,
     feedback_control,
     fine_grid,
     full_closed_loop_stream,
     l2_norm,
     mass,
     mode_major,
+    panel_hs_sweep,
     phi_at,
     riccati_mode_derivative,
     solve_riccati_dense,
 )
-from slqheat.mesh import build_fem_space
+from slqheat.mesh import alias_coefficients, build_fem_space
 from slqheat.noise import TreeDriver, make_time_grid
 from slqheat.optimizer import cost
 from slqheat.riccati import (
@@ -30,6 +33,7 @@ from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_moments,
     _hs_sweep,
+    _pair_moments,
     _phi_sweep,
     _stationary_roots,
     cost_from_moments,
@@ -173,6 +177,17 @@ def test_bounds_and_monotonicity_in_lambda():
     assert (np.diff(p, axis=0) <= 1e-12).all()
 
 
+def test_stationary_roots_warn_at_no_mesh_size():
+    # at n_elems >= 2816 one of the two expressions per sign of b would
+    # divide by zero where the other is picked
+    lams = build_fem_space(4096).eigvals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_plus, r_minus, _ = _stationary_roots(lams)
+    assert np.isfinite(r_plus).all() and np.isfinite(r_minus).all()
+    assert (r_minus < 0.0).all() and (0.0 < r_plus).all()
+
+
 def test_max_p_non_increasing_under_mesh_refinement():
     maxima = []
     for n in (8, 16, 32, 64):
@@ -225,6 +240,28 @@ def test_hs_sweep_stable_and_monotone_for_stiff_decay():
     z = -1e6 / K
     R = (12.0 + 6.0 * z + z * z) / (12.0 - 6.0 * z + z * z)
     assert abs(y[-1] - (1.0 + R**K)) < 1e-12
+
+
+@pytest.mark.parametrize("lam_max", [1.0, 2e8], ids=["mild", "stiff"])
+def test_hs_sweep_matches_panel_loop(lam_max):
+    # the whole-array panel coefficients against the per-panel elimination,
+    # on time-varying decay rates up to lam_max and an oscillating source.
+    # The nodes agree to 1e-12 of each column's max.  A midpoint sums terms
+    # of size |a| dt |y| in both forms (1e-10 of |y| at lam = 2e8), so there
+    # the two are held equally close to the per-panel loop in long double
+    K = 32
+    t = np.linspace(0.0, 1.0, 2 * K + 1)[:, None]
+    lams = np.geomspace(1e-2, lam_max, 12)
+    a = -lams * (1.0 + 0.5 * np.sin(3 * t)) + 0.3
+    g = np.cos(5 * t + lams) * (1.0 + lams) ** 0.5
+    y0 = np.linspace(-1.0, 2.0, len(lams))
+    y, ref = _hs_sweep(a, g, y0, 1.0 / K), panel_hs_sweep(a, g, y0, 1.0 / K)
+    scale = np.abs(ref).max(axis=0)
+    assert (np.abs(y - ref)[::2] <= 1e-12 * scale).all()
+    wide = lambda v: np.asarray(v, dtype=np.longdouble)
+    exact = panel_hs_sweep(wide(a), wide(g), wide(y0), wide(1.0 / K))
+    err = lambda v: (np.abs(v - exact).max(axis=0) / scale).astype(float)
+    assert (err(y) <= 2.0 * err(ref) + 4.0 * np.finfo(float).eps).all()
 
 
 def test_hs_sweep_reduces_to_simpson_quadrature():
@@ -507,36 +544,42 @@ _SMALL_FULL = _full_trajectory(_SMALL[1], _SMALL[2])
 _SMALL_DIM = _SMALL[0].dim
 
 
-def _assert_entries_match(rows, cols):
-    m, S = _closed_loop_moments([_SMALL[1]], rows, cols)
+def _assert_matches_full_sweep(m, S, rows, cols):
     assert [idx for idx, _, _ in _SMALL_FULL] == list(range(len(m))) == list(range(len(S)))
     for idx, m_ref, S_ref in _SMALL_FULL:
         assert_allclose(m[idx], m_ref, rtol=1e-12, atol=0)
         assert_allclose(S[idx], S_ref[rows, cols], rtol=1e-12, atol=0)
 
 
-def test_coupled_moment_sweep_stacks_solutions_on_one_dense_grid():
+def _assert_entries_match(rows, cols):
+    _assert_matches_full_sweep(*entry_moments([_SMALL[1]], rows, cols), rows, cols)
+
+
+def test_pair_moment_sweep_couples_solutions_on_one_dense_grid():
     space, ric, _ = _SMALL
-    d, diag = space.dim, np.arange(space.dim)
-    m, S = _closed_loop_moments([ric], diag, diag)
-    # a solution coupled with itself sweeps two identical blocks
-    m2, S2 = _closed_loop_moments([ric, ric], np.arange(2 * d), np.arange(2 * d))
-    for block in (slice(0, d), slice(d, 2 * d)):
-        np.testing.assert_array_equal(m2[:, block], m)
-        np.testing.assert_array_equal(S2[:, block], S)
-    # the rows of a stack are common time points: another k_fine or another
+    m, S = _closed_loop_moments(ric)
+    # a solution paired with itself: every mode is its own alias with c = 1,
+    # the coarse block is its own sweep, and the difference process is zero
+    partner, c = alias_coefficients(space, space)
+    m_d, S_dd, S_dc, m_c, S_cc = _pair_moments(ric, ric, partner, c)
+    np.testing.assert_array_equal(m_c, m)
+    np.testing.assert_array_equal(S_cc, S)
+    assert not (m_d.any() or S_dd.any() or S_dc.any())
+    # the rows of a pair are common time points: another k_fine or another
     # horizon (here with the same node spacing) samples another grid
     finer = solve_riccati(ric.data, 2 * ric.k_fine)
     longer = solve_riccati(make_problem(space, make_time_grid(2.0, 4), alpha=1.0), ric.k_fine)
     longer_same_dt = solve_riccati(longer.data, 2 * ric.k_fine)
     for other in (finer, longer, longer_same_dt):
         with pytest.raises(ValueError, match="one dense grid"):
-            _closed_loop_moments([ric, other], np.arange(2 * d), np.arange(2 * d))
+            _pair_moments(ric, other, partner, c)
 
 
 def test_entry_stream_matches_full_sweep_on_diagonal_block_and_all_pairs():
     d = _SMALL_DIM
     diag = np.arange(d)
+    # the library sweeps one solution's diagonal, the oracle any entries
+    _assert_matches_full_sweep(*_closed_loop_moments(_SMALL[1]), diag, diag)
     _assert_entries_match(diag, diag)
     # a 3 x (d - 3) off-diagonal block, row-major, as the joint study reads it
     _assert_entries_match(np.repeat(np.arange(3), d - 3), np.tile(np.arange(3, d), 3))
