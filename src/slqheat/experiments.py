@@ -129,22 +129,25 @@ def resolve_config(cfg):
     if unread:
         raise ValueError(f"{cfg.study} does not read {', '.join(unread)}")
     cfg = replace(cfg, **{k: v for k, v in table.items() if getattr(cfg, k) is None})
-    for name in ("mesh_levels", "time_levels"):
-        levels = getattr(cfg, name)
-        if levels is not None:
-            levels = tuple(int(v) for v in levels)
-            if not levels:
-                raise ValueError(f"{name} must list at least one level")
-            if any(a >= b for a, b in zip(levels, levels[1:])):
-                raise ValueError(f"{name} must be sorted strictly ascending, got {levels}")
-            cfg = replace(cfg, **{name: levels})
     # element counts need an interior node, step counts one step, sample errors two paths
     sizes = dict(n_elems=2, mesh_ref=2, mesh_levels=2, time_steps=1, n_ref=1, time_levels=1)
     sizes.update(k_fine=1, n_paths=2, max_iters=1)
     for name, least in sizes.items():
-        value = getattr(cfg, name)
-        if value is not None and min(np.atleast_1d(value)) < least:
+        if (value := getattr(cfg, name)) is None:
+            continue
+        many = name.endswith("_levels")
+        entries = tuple(value) if many else (value,)
+        # a float is neither truncated (8.7 to level 8) nor left to fail mid-run
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+            raise ValueError(f"{name} must hold integers only, got {value!r}")
+        entries = tuple(map(int, entries))
+        if not entries:
+            raise ValueError(f"{name} must list at least one level")
+        if any(a >= b for a, b in zip(entries, entries[1:])):
+            raise ValueError(f"{name} must be sorted strictly ascending, got {entries}")
+        if min(entries) < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+        cfg = replace(cfg, **{name: entries if many else entries[0]})
     # the path generator takes the seed as its Philox key
     if cfg.seed is not None and not 0 <= cfg.seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {cfg.seed}")

@@ -12,6 +12,9 @@ s_k = sin^2(theta_k / 2),
     lambda_k = (12 / h^2) s_k / (3 - 2 s_k),
     V_jk = sin(j theta_k) / sqrt((h / 6)(6 - 4 s_k)(n_elems / 2)).
 
+V is not formed either: it is a sine transform (DST-I) with scaled columns,
+one real FFT in O(d log d) (Van Loan, *Computational Frameworks for the FFT*, 1992).
+
 A function in the FE space V_h has two coefficient vectors of length
 d = n_elems - 1: its interior nodal values v (boundary values are
 identically zero) and its coordinates c = V^T M v in the M-orthonormal
@@ -26,10 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# 5-point Gauss-Legendre rule on [0, 1]
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
-_GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
+# 5-point Gauss-Legendre rule on [0, 1], ascending, from its closed form on [-1, 1]
+_GAUSS_X = np.sqrt(5.0 + np.array([2.0, -2.0]) * np.sqrt(10.0 / 7.0)) / 3.0  # outer, inner
+_GAUSS_X = 0.5 * (np.concatenate([-_GAUSS_X, [0.0], _GAUSS_X[::-1]]) + 1.0)
+_GAUSS_W = (322.0 + np.array([-13.0, 13.0]) * np.sqrt(70.0)) / 900.0  # outer, inner
+_GAUSS_W = 0.5 * np.concatenate([_GAUSS_W, [128.0 / 225.0], _GAUSS_W[::-1]])
+
+
+def _sine_transform(x):
+    """S(x)_k = sum_j x_j sin(pi j k / n), j, k = 1..n - 1, over the last axis: the real FFT
+    of [0, x, 0, -x reversed] is -2i S(x) at 1..n - 1 (Van Loan, 1992)."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(ext).imag[..., 1:-1]
 
 
 @dataclass
@@ -45,31 +57,32 @@ class FemSpace:
     eigvals : ndarray, shape (d,)
         Generalized eigenvalues of A v = lambda M v in closed form,
         ascending.  These are the eigenvalues of -Laplace_h.
-    eigvecs : ndarray, shape (d, d)
-        Columns are the M-orthonormal sine eigenvectors in closed form.
+    norms : ndarray, shape (d,)
+        M-norms of the sine vectors (sin(j theta_k))_j, so that
+        V_jk = sin(j theta_k) / norms[k]; V itself is never formed.
     """
 
     n_elems: int
     h: float
     eigvals: np.ndarray
-    eigvecs: np.ndarray
+    norms: np.ndarray
 
     @property
     def dim(self):
         return self.n_elems - 1
 
     def from_eigen(self, c):
-        """Nodal coefficients from eigenbasis coefficients: v = V c."""
-        return np.asarray(c) @ self.eigvecs.T
+        """Nodal coefficients from eigenbasis coefficients: v = V c = S(c / norms)."""
+        return _sine_transform(np.asarray(c) / self.norms)
 
 
 def build_fem_space(n_elems):
     """Assemble the interior P1 space on a uniform mesh with n_elems elements.
 
     The eigenpairs of the pencil (A, M) come from the closed form in the
-    module docstring; the columns of ``eigvecs`` satisfy V^T M V = I, so
-    the discrete Laplacian acts as multiplication by -eigvals on eigenbasis
-    coefficients.
+    module docstring; ``norms`` scales the sine vectors so that V^T M V = I,
+    and the discrete Laplacian acts as multiplication by -eigvals on
+    eigenbasis coefficients.
 
     Parameters
     ----------
@@ -84,15 +97,13 @@ def build_fem_space(n_elems):
         raise ValueError(f"need n_elems >= 2 for a nonempty interior space, got {n_elems}")
     h = 1.0 / n_elems
 
-    # A and M act on sin(j theta_k) as multiplication by (4 / h) s_k and mass_k
+    # A and M act on sin(j theta_k) as multiplication by (4 / h) s_k and mass_k,
+    # and sum_j sin^2(j theta_k) = n_elems / 2
     k = np.arange(1, n_elems)
     s = np.sin(np.pi * k / (2 * n_elems)) ** 2
     mass_k = (h / 6.0) * (6.0 - 4.0 * s)
     eigvals = 12.0 * n_elems**2 * s / (3.0 - 2.0 * s)
-    # sin(j theta_k) with j k reduced mod 2 n_elems, so no argument exceeds 2 pi
-    phase = np.outer(k, k) % (2 * n_elems)
-    eigvecs = np.sin(np.pi * phase / n_elems) / np.sqrt(mass_k * (0.5 * n_elems))
-    return FemSpace(n_elems, h, eigvals, eigvecs)
+    return FemSpace(n_elems, h, eigvals, np.sqrt(mass_k * (0.5 * n_elems)))
 
 
 def _quad_points(space):
@@ -111,7 +122,7 @@ def ritz_project(space, f_prime):
     Solves A v = b with b_j = (f', phi_j'); only the derivative of the
     projected function enters.  Exact for functions already in V_h and
     stable in the H1 seminorm.  Since A^{-1} = V Lambda^{-1} V^T, the
-    eigen coordinates of the solution are c = V^T M v = (V^T b) / lambda.
+    eigen coordinates of the solution are c = V^T M v = S(b) / (norms lambda).
 
     Parameters
     ----------
@@ -129,7 +140,7 @@ def ritz_project(space, f_prime):
     # phi_j' = +1/h on element j-1 and -1/h on element j (node j = right
     # endpoint of element j-1)
     b = (per_elem[:-1] - per_elem[1:]) / space.h
-    return (b @ space.eigvecs) / space.eigvals
+    return _sine_transform(b) / (space.norms * space.eigvals)
 
 
 def alias_coefficients(coarse, fine):

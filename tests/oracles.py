@@ -30,10 +30,13 @@ level-collapsing sweep replaced.  ``apply_Gamma``, ``apply_L``,
 the backward equation) and ``bsde_residual`` are library operators
 that only the tests use, as are ``mass`` and ``stiffness`` (the nodal
 mass and stiffness matrices M and A, which the library's closed-form
-spectrum does not assemble), the nodal helpers ``nodes``, ``to_eigen``
-(c = V^T M v) and ``prolongation_matrix`` that the library dropped when
-its mesh pairing became the closed-form ``alias_coefficients``, and
+spectrum does not assemble), ``eigvecs`` (the dense sine eigenvector
+matrix V, which the library applies as a sine transform), the nodal
+helpers ``nodes``, ``to_eigen`` (c = V^T M v) and
+``prolongation_matrix`` that the library dropped when its mesh pairing
+became the closed-form ``alias_coefficients``, and
 ``cross_gramian`` (the dense C = V_f^T M_f P V_c those give),
+``ritz_load`` (the load b_j = (f', phi_j') of the Ritz projection),
 ``nodal_ritz_project`` (the Ritz projection by a nodal solve, as the
 library computed it before the eigen-coordinate form), ``a0_apply`` (one
 implicit Euler step),
@@ -705,9 +708,19 @@ def nodes(space):
     return space.h * np.arange(1, space.n_elems)
 
 
+def eigvecs(space):
+    """Dense V, shape (d, d), from the closed form in the mesh module docstring: its columns
+    are the M-orthonormal sine eigenvectors, which the library applies as a sine transform."""
+    n, k = space.n_elems, np.arange(1, space.n_elems)
+    s = np.sin(np.pi * k / (2 * n)) ** 2
+    # sin(j theta_k) with j k reduced mod 2 n_elems, so no argument exceeds 2 pi
+    phase = np.outer(k, k) % (2 * n)
+    return np.sin(np.pi * phase / n) / np.sqrt((space.h / 6) * (6 - 4 * s) * (n / 2))
+
+
 def to_eigen(space, v):
     """Eigen coordinates c = V^T M v of nodal values (single or batch)."""
-    return np.asarray(v) @ (mass(space) @ space.eigvecs)
+    return np.asarray(v) @ (mass(space) @ eigvecs(space))
 
 
 def prolongation_matrix(coarse, fine):
@@ -726,7 +739,7 @@ def prolongation_matrix(coarse, fine):
 
 def cross_gramian(coarse, fine):
     """C = V_f^T M_f P V_c, shape (fine.dim, coarse.dim): the nodal prolongation P in eigen coordinates."""
-    return to_eigen(fine, (prolongation_matrix(coarse, fine) @ coarse.eigvecs).T).T
+    return to_eigen(fine, (prolongation_matrix(coarse, fine) @ eigvecs(coarse)).T).T
 
 
 def discrete_laplacian_apply(space, v):
@@ -789,17 +802,21 @@ def l2_project(space, f):
     # n_elems are boundary and dropped
     b += contrib_left[1:]
     b += contrib_right[:-1]
-    return (b @ space.eigvecs) @ space.eigvecs.T
+    V = eigvecs(space)
+    return (b @ V) @ V.T
 
 
-def nodal_ritz_project(space, f_prime):
-    """Ritz projection as nodal values: the dense solve A v = b with the
-    load b_j = (f', phi_j') that ``ritz_project`` assembles."""
+def ritz_load(space, f_prime):
+    """The load b_j = (f', phi_j') that ``ritz_project`` assembles, shape (d,)."""
     pts, wts = _quad_points(space)
     per_elem = (f_prime(pts) * wts).sum(axis=1)
     # phi_j' = +1/h on element j-1 and -1/h on element j
-    b = (per_elem[:-1] - per_elem[1:]) / space.h
-    return np.linalg.solve(stiffness(space), b)
+    return (per_elem[:-1] - per_elem[1:]) / space.h
+
+
+def nodal_ritz_project(space, f_prime):
+    """Ritz projection as nodal values: the dense solve A v = b with the ``ritz_load`` b."""
+    return np.linalg.solve(stiffness(space), ritz_load(space, f_prime))
 
 
 def eval_fem(space, v, x):
@@ -1438,5 +1455,6 @@ def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
 
 def dense_to_nodal(space, P_eig):
     """Reassemble an eigenbasis Riccati matrix as the nodal-coefficient operator."""
-    return space.eigvecs @ P_eig @ space.eigvecs.T @ mass(space)
+    V = eigvecs(space)
+    return V @ P_eig @ V.T @ mass(space)
 

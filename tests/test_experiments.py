@@ -143,6 +143,26 @@ def test_resolve_config_rejects_bad_input(tmp_path):
     ):
         with pytest.raises(ValueError, match=message):
             make_config(study, **field)
+    # a non-integral size or level was truncated (time_levels=(8.7, 16.2) ran
+    # levels 8 and 16), passed unchanged (mesh_ref=256.0) or failed only mid-run
+    # with a TypeError (n_elems=8.0); a bool is no size either
+    for study, field in (
+        ("temporal_rate", dict(time_levels=(8.7, 16.2))),
+        ("spatial_rate", dict(mesh_levels=(8.9, 16))),
+        ("spatial_rate", dict(mesh_ref=256.0)),
+        ("gd_convergence", dict(n_elems=8.0)),
+        ("gd_convergence", dict(time_steps=4.0)),
+        ("temporal_rate", dict(n_paths=np.float64(32))),
+        ("gd_convergence", dict(max_iters=True)),
+        ("adjoint_gap", dict(time_levels=(4, True))),
+        ("spatial_rate", dict(mesh_levels="8")),
+    ):
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must hold integers only"):
+            make_config(study, **field)
+    # NumPy integers are integers, and resolve to Python ones
+    cfg = make_config("spatial_rate", mesh_levels=np.array([8, 16]), mesh_ref=np.int64(64))
+    assert (cfg.mesh_levels, cfg.mesh_ref) == ((8, 16), 64)
+    assert {type(v) for v in (*cfg.mesh_levels, cfg.mesh_ref)} == {int}
     # values the library rejects only mid-run, with a traceback
     for study, field, message in (
         ("adjoint_gap", dict(noise="quadratic"), "noise must be 'linear' or 'additive'"),

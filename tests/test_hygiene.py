@@ -404,10 +404,12 @@ def test_runners_do_no_io():
 
 
 def test_package_imports_no_scipy():
-    # the closed-form spectrum needs no SciPy, whose import dominated start-up
+    # the closed-form spectrum needs no SciPy, whose import dominated start-up,
+    # and the closed-form Gauss rule no numpy.polynomial
     code = (
         "import sys, slqheat.experiments\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.split('.')[:2] == ['numpy', 'polynomial']))"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)

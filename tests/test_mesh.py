@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from oracles import (
     cross_gramian,
     dense_a0,
     discrete_laplacian_apply,
+    eigvecs,
     eval_fem,
     h1_seminorm,
     l2_inner,
@@ -21,10 +24,11 @@ from oracles import (
     nodal_ritz_project,
     nodes,
     prolongation_matrix,
+    ritz_load,
     stiffness,
     to_eigen,
 )
-from slqheat.mesh import alias_coefficients, build_fem_space, ritz_project
+from slqheat.mesh import _GAUSS_W, _GAUSS_X, alias_coefficients, build_fem_space, ritz_project
 
 
 def hat(space, j, x):
@@ -72,7 +76,7 @@ CLOSED_FORM_MESHES = (2, 3, 8, 33, 256, 1024)
 @pytest.mark.parametrize("n", CLOSED_FORM_MESHES)
 def test_closed_form_eigenpairs_solve_the_pencil(n):
     space = build_fem_space(n)
-    V, lam = space.eigvecs, space.eigvals
+    V, lam = eigvecs(space), space.eigvals
     assert np.abs(V.T @ mass(space) @ V - np.eye(space.dim)).max() <= 2e-13
     residual = stiffness(space) @ V - (mass(space) @ V) * lam
     assert np.abs(residual).max() <= 1e-12 * lam.max()
@@ -108,9 +112,48 @@ def test_ritz_project_in_eigen_coordinates_matches_nodal_solve(n):
     )
 
 
+def test_gauss_rule_matches_leggauss():
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert_allclose(_GAUSS_X, 0.5 * (x + 1.0), rtol=0, atol=1e-15)
+    assert_allclose(_GAUSS_W, 0.5 * w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 9, 255, 256, 1024))
+def test_sine_transform_matches_dense_basis(n):
+    # ritz_project applies V^T and from_eigen V by one real FFT; the dense V is the oracle
+    space = build_fem_space(n)
+    V = eigvecs(space)
+    fp = lambda x: 0.7 * np.pi * np.cos(np.pi * x) + 0.3 * np.exp(x)
+    ref = (ritz_load(space, fp) @ V) / space.eigvals
+    assert np.abs(ritz_project(space, fp) - ref).max() <= 1e-13 * np.abs(ref).max()
+    rng = np.random.default_rng(n)
+    for c in (rng.standard_normal(space.dim), rng.standard_normal((6, space.dim)),
+              rng.standard_normal((2, 3, space.dim))):
+        ref = c @ V.T
+        assert space.from_eigen(c).shape == c.shape
+        assert np.abs(space.from_eigen(c) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert_allclose(to_eigen(space, space.from_eigen(c)), c, rtol=0, atol=1e-12)
+
+
+def test_space_and_projection_hold_no_dense_basis():
+    # a dense (4095, 4095) basis alone is 134 MB; the transform needs a few rows of scratch
+    fp = lambda x: np.pi * np.cos(np.pi * x)
+    build_fem_space(4).from_eigen(np.ones(3))  # import the FFT module outside the trace
+    rows = np.random.default_rng(0).standard_normal((4, 4095))
+    tracemalloc.start()
+    try:
+        space = build_fem_space(4096)
+        ritz_project(space, fp)
+        space.from_eigen(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_eigenvectors_m_orthonormal():
     space = build_fem_space(32)
-    V = space.eigvecs
+    V = eigvecs(space)
     gram = V.T @ mass(space) @ V
     assert np.abs(gram - np.eye(space.dim)).max() <= 1e-12
 
@@ -210,7 +253,7 @@ def test_laplacian_commutes_with_ritz():
 def test_discrete_laplacian_diagonal_in_eigenbasis():
     space = build_fem_space(12)
     for i in (0, 3, space.dim - 1):
-        v = space.eigvecs[:, i]
+        v = eigvecs(space)[:, i]
         assert_allclose(discrete_laplacian_apply(space, v), -space.eigvals[i] * v, rtol=1e-9, atol=1e-9)
 
 

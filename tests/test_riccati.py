@@ -13,6 +13,7 @@ from oracles import (
     closed_loop_moments,
     dense_to_nodal,
     direct_solve,
+    eigvecs,
     entry_moments,
     feedback_control,
     fine_grid,
@@ -84,7 +85,7 @@ def euler_phi_reference(lam, alpha, horizon, sigma_fn, n_steps):
 
 def eigmode_sigma_spec(space, mode, scale=1.0):
     """SigmaSpec whose Ritz projection is exactly one eigenvector."""
-    coeffs = space.eigvecs[:, mode]
+    coeffs = eigvecs(space)[:, mode]
     full = np.concatenate(([0.0], coeffs, [0.0]))
     slopes = np.diff(full) / space.h
 
