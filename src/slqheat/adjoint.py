@@ -23,7 +23,8 @@ and the object is E[G_n | F_n]:
   differ by O(tau) uniformly in time, which the adjoint-gap study
   measures.
 
-By the tower property the sweep :func:`_sweep` carries
+The sweep reads its driver from the state it adjoins, so no second driver
+can disagree with the state's.  By the tower property :func:`_sweep` carries
 H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
 V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
 (both the identity on ensembles), so a tree costs O(2^N d) instead of
@@ -41,7 +42,7 @@ is an elementwise scale and L2 norms are euclidean.
 
 import numpy as np
 
-from .forward import a0_scale, zeros_process
+from .forward import zeros_process
 
 
 # Ridge of the regression normal equations: keeps degenerate slices such as
@@ -49,7 +50,7 @@ from .forward import a0_scale, zeros_process
 _RIDGE = 1e-10
 
 
-def _regression_features(data, driver, state):
+def _regression_features(data, state):
     """Features [1, xhat_1, ..., xhat_m, W(t_n)] of every slice of ``state``, shape (K, P, m + 2).
 
     xhat_i are the leading m = min(4, d) eigenbasis coordinates of the
@@ -64,11 +65,11 @@ def _regression_features(data, driver, state):
     feats = np.empty(x.shape[:2] + (m + 2,))
     feats[:, :, 0] = 1.0
     feats[:, :, 1 : m + 1] = x[:, :, :m]
-    feats[:, :, m + 1] = driver.brownian(slice(len(x))).T
+    feats[:, :, m + 1] = state.driver.brownian(slice(len(x))).T
     return feats
 
 
-def _sweep(data, driver, state, product_offset, out):
+def _sweep(data, state, product_offset, out):
     """Write E[G_n | F_n] of the backward recursion into slot n of ``out``, n = N-1 down to 0.
 
     ``state`` is the process over 0..N that the recursion adjoins;
@@ -87,7 +88,7 @@ def _sweep(data, driver, state, product_offset, out):
     batched ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I)
     beta_n = F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
     """
-    N, tau = data.grid.n_steps, data.grid.tau
+    N, tau, driver = data.grid.n_steps, data.grid.tau, state.driver
     mult = data.multipliers(driver)
     out.check_fits(driver, data.space.dim, N - 1)
     state.check_fits(driver, data.space.dim, N)
@@ -95,10 +96,10 @@ def _sweep(data, driver, state, product_offset, out):
     if tree:
         held = [None] * N
     else:
-        feats = _regression_features(data, driver, state)[:N]
+        feats = _regression_features(data, state)[:N]
         rhs = np.empty((N, feats.shape[2], data.space.dim))
 
-    scale, *bufs = np.tile(a0_scale(data.space, tau), (4, len(state.values[N]), 1))
+    scale, *bufs = np.tile(data.a0, (4, len(state.values[N]), 1))
     H, level = -data.alpha * np.asarray(state.values[N]), N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:
@@ -129,7 +130,7 @@ def _sweep(data, driver, state, product_offset, out):
     np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)
 
 
-def k_htau(data, driver, state, out=None):
+def k_htau(data, state, out=None):
     """Gradient kernel K X as an adapted process over n = 0..N-1.
 
     Q_n = -E[ tau sum_{j>n} A0^{j-n} prod m (X_j) | F_n ]
@@ -141,12 +142,12 @@ def k_htau(data, driver, state, out=None):
     written.
     """
     N = data.grid.n_steps
-    out = zeros_process(driver, data.space.dim, N - 1) if out is None else out
-    _sweep(data, driver, state, 2, out)
+    out = zeros_process(state.driver, data.space.dim, N - 1) if out is None else out
+    _sweep(data, state, 2, out)
     return out
 
 
-def implicit_euler_bsde(data, driver, state):
+def implicit_euler_bsde(data, state):
     """Y0 of the implicit Euler discretization of the backward equation.
 
     Y0 satisfies Y0(t_N) = -alpha X(T) and, slice by slice,
@@ -162,19 +163,19 @@ def implicit_euler_bsde(data, driver, state):
     AdaptedProcess over 0..N.
     """
     N = data.grid.n_steps
-    y0 = zeros_process(driver, data.space.dim, N)
+    y0 = zeros_process(state.driver, data.space.dim, N)
     y0.at(N)[...] = -data.alpha * np.asarray(state.at(N))
-    _sweep(data, driver, state, 1, y0.head(N - 1))
+    _sweep(data, state, 1, y0.head(N - 1))
     return y0
 
 
-def adjoint_gap(data, driver, state):
+def adjoint_gap(data, state):
     """Gap sup_n (E ||Y0(t_n) - Q(t_n)||_M^2)^{1/2} between the two objects.
 
     First order in tau for admissible state processes, which the
     adjoint-gap study confirms empirically.
     """
-    y0 = implicit_euler_bsde(data, driver, state)
-    diff = y0.head(data.grid.n_steps - 1) - k_htau(data, driver, state)
+    y0 = implicit_euler_bsde(data, state)
+    diff = y0.head(data.grid.n_steps - 1) - k_htau(data, state)
     # scenario weights are uniform within a tree level and across paths
     return float(np.sqrt(diff.slice_means(diff).max()))

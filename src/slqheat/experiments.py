@@ -129,9 +129,12 @@ def resolve_config(cfg):
     if unread:
         raise ValueError(f"{cfg.study} does not read {', '.join(unread)}")
     cfg = replace(cfg, **{k: v for k, v in table.items() if getattr(cfg, k) is None})
+    # the path generator takes the seed as its Philox key
+    if cfg.seed is not None and not 0 <= cfg.seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {cfg.seed}")
     # element counts need an interior node, step counts one step, sample errors two paths
     sizes = dict(n_elems=2, mesh_ref=2, mesh_levels=2, time_steps=1, n_ref=1, time_levels=1)
-    sizes.update(k_fine=1, n_paths=2, max_iters=1)
+    sizes.update(k_fine=1, n_paths=2, max_iters=1, seed=0)
     for name, least in sizes.items():
         if (value := getattr(cfg, name)) is None:
             continue
@@ -148,9 +151,6 @@ def resolve_config(cfg):
         if min(entries) < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
         cfg = replace(cfg, **{name: entries if many else entries[0]})
-    # the path generator takes the seed as its Philox key
-    if cfg.seed is not None and not 0 <= cfg.seed < 2**128:
-        raise ValueError(f"seed must be in [0, 2**128), got {cfg.seed}")
     # NaN passes every sign check below, so non-finite values are rejected first
     for name in ("horizon", "alpha", "sigma_scale", "kappa", "tol_grad"):
         if (value := getattr(cfg, name)) is not None and not math.isfinite(value):
@@ -551,9 +551,7 @@ def run_adjoint_gap(cfg):
     rows = []
     for lvl in cfg.time_levels:
         data = _problem(cfg, cfg.n_elems, lvl)
-        driver = TreeDriver(data.grid)
-        state = solve_forward(data, driver)
-        gap = adjoint_gap(data, driver, state)
+        gap = adjoint_gap(data, solve_forward(data, TreeDriver(data.grid)))
         rows.append((lvl, cfg.horizon / lvl, gap * gap, None))
     table = RateTable(rows)
     summary = {"eoc": table.eocs()[1:], "positive": bool(min(r[2] for r in rows) > 0)}

@@ -27,15 +27,18 @@ pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
 mode by mode like the scheme, which :func:`solve_forward` applies in
 place.
 
-An :class:`AdaptedProcess` is one row array that its driver lays out
-(:mod:`slqheat.noise`), so nothing here tells trees from ensembles.
+A :class:`ProblemData` derives sigma and the A0 diagonal ``a0`` from its
+grid; its ``multipliers``, where both time loops meet a driver, refuse a
+driver on another grid.  An :class:`AdaptedProcess` is one row array that
+its driver lays out (:mod:`slqheat.noise`), so nothing here tells trees
+from ensembles.
 :func:`solve_forward` allocates it once (or takes the caller's) and
 fills it in place: a stored control enters before the loop, as tau U_n
 lifted onto slot n + 1 by the driver's ``lift_scaled``, and each step adds
 X_n m_n and sigma_n dW_{n+1}, scales by A0 and allocates nothing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,29 +121,41 @@ def default_sigma_spec(scale=1.0):
 class ProblemData:
     """Discretized problem: space, grid, cost weight and projected data.
 
-    ``x0``, ``sigma`` and ``profile`` hold eigen coordinates of the
-    Ritz-projected data.  ``sigma`` has N + 1 slots (slice n is
-    sigma(t_n)); the forward scheme reads slots 0..N-1 and the terminal
-    slot rides along for diagnostics.  ``profile`` is the scaled projected
-    noise profile, sigma(t_n) = time_factor(t_n) * profile.
+    ``x0`` and ``profile``, the scaled noise profile of sigma(t) =
+    time_factor(t) * profile, hold eigen coordinates of the Ritz-projected
+    data.  The grid fixes ``sigma``, sigma(t_n) in N + 1 slots (the scheme
+    reads 0..N-1; the terminal slot rides along for diagnostics), and
+    ``a0``, the diagonal 1 / (1 + tau lambda_i) of A0 = (M + tau A)^{-1} M.
     """
 
     space: object
     grid: object
     alpha: float
     x0: np.ndarray
-    sigma: np.ndarray
     profile: np.ndarray
     sigma_spec: SigmaSpec
     noise: str = "linear"
+    sigma: np.ndarray = field(init=False, repr=False)
+    a0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sigma = self.sigma_at(self.grid.nodes)
+        self.a0 = 1.0 / (1.0 + self.grid.tau * self.space.eigvals)
+
+    def sigma_at(self, times):
+        """sigma(t) = time_factor(t) * profile in eigen coordinates, one row per time."""
+        return np.outer([self.sigma_spec.time_factor(t) for t in times], self.profile)
 
     def with_grid(self, grid):
         """Same problem on another time grid (sigma re-sampled in time)."""
-        tf = np.array([self.sigma_spec.time_factor(t) for t in grid.nodes])
-        return replace(self, grid=grid, sigma=np.outer(tf, self.profile))
+        return replace(self, grid=grid)
 
     def multipliers(self, driver):
-        """Step multipliers m_n: the driver's 1 + dW_{n+1} for linear noise, ones for additive."""
+        """Step multipliers m_n of a driver on this grid (ValueError for one on another):
+        the driver's 1 + dW_{n+1} for linear noise, ones for additive."""
+        got, want = ((g.horizon, g.n_steps) for g in (driver.grid, self.grid))
+        if got != want:
+            raise ValueError(f"driver grid (horizon, steps) {got} is not the problem's {want}")
         return driver.mult if self.noise == "linear" else np.ones((self.grid.n_steps, 1, 1, 1))
 
 
@@ -170,16 +185,7 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
         sigma_spec = default_sigma_spec()
     x0 = ritz_project(space, sigma_spec.x0_dx)
     profile = sigma_spec.scale * ritz_project(space, sigma_spec.profile_dx)
-    # with_grid samples sigma, so a problem and its resampling on the same grid agree bitwise
-    return ProblemData(
-        space=space, grid=None, alpha=alpha, x0=x0, sigma=None,
-        profile=profile, sigma_spec=sigma_spec, noise=noise,
-    ).with_grid(grid)
-
-
-def a0_scale(space, tau):
-    """Diagonal of the implicit Euler step A0 = (M + tau A)^{-1} M in eigen coordinates."""
-    return 1.0 / (1.0 + tau * space.eigvals)
+    return ProblemData(space, grid, alpha, x0, profile, sigma_spec, noise)
 
 
 def solve_forward(data, driver, control=None, out=None):
@@ -188,7 +194,7 @@ def solve_forward(data, driver, control=None, out=None):
     Parameters
     ----------
     data : ProblemData
-    driver : TreeDriver or EnsembleDriver
+    driver : TreeDriver or EnsembleDriver on the problem's grid (``ValueError`` if not)
     control : None, AdaptedProcess, or pair of arrays (g, h)
         A stored control spans 0..N-1 (``ValueError`` if it does not
         fit) and is read slice by slice.  A gain pair of shape
@@ -206,9 +212,7 @@ def solve_forward(data, driver, control=None, out=None):
     AdaptedProcess over time indices 0..N; for a gain pair, the pair
     (state, realized control over 0..N-1).
     """
-    space, grid = data.space, data.grid
-    N, tau = grid.n_steps, grid.tau
-    d = space.dim
+    N, tau, d = data.grid.n_steps, data.grid.tau, data.space.dim
     mult = data.multipliers(driver)
 
     proc = zeros_process(driver, d, N) if out is None else out
@@ -224,7 +228,7 @@ def solve_forward(data, driver, control=None, out=None):
         driver.lift_scaled(tau, control.rows, proc.rows)
     proc.values[0][...] = data.x0
     # A0 and a scratch array as rows of the largest slice: A0 scales in one contiguous multiply
-    scale, tmp = np.tile(a0_scale(space, tau), (2, len(proc.values[N]), 1))
+    scale, tmp = np.tile(data.a0, (2, len(proc.values[N]), 1))
     sdw = np.empty(np.broadcast_shapes(data.sigma.shape[1:], driver.dw.shape[1:]))
     steps = zip(proc.values[:N], proc.values[1:], mult, data.sigma, driver.dw)
     for n, (xn, rows, mn, sn, dwn) in enumerate(steps):

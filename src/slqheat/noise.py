@@ -11,9 +11,10 @@ scheme:
   at a time by the sibling-pair average ``parent_mean``, so every
   quantity computed on the tree is free of sampling error.
 
-* ``EnsembleDriver`` -- Monte Carlo paths of Gaussian increments with a
-  counter-based generator, so path p is the same no matter how many paths
-  are drawn or in which chunks.
+* ``EnsembleDriver(horizon, increments)`` -- Monte Carlo paths of Gaussian
+  increments from a counter-based generator, so path p is the same however
+  many paths are drawn, in whatever chunks.  The grid has one step per
+  increment column, and the Wiener values W are computed at construction.
 
 Both expose the protocol of the forward and backward recursions:
 ``kind`` ("tree" or "ensemble": average subtrees or regress),
@@ -26,10 +27,10 @@ broadcast against it: one (2, 1, 1) column for every tree step,
 array: slice n starts at row ``offset(n)`` (2^n - 1 or n P), ``split``
 views its slices, ``slice_means`` averages row dots per slice and
 ``lift_scaled`` scales a process onto the children in the next slices of
-another.  Only ensembles regress on the Wiener values, so only they offer ``brownian``.
+another.  Only ensembles regress on W, so only they offer ``brownian``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,23 +121,28 @@ class TreeDriver:
 
 @dataclass
 class EnsembleDriver:
-    """Monte Carlo ensemble of Gaussian Wiener increments.
+    """Monte Carlo ensemble of Gaussian Wiener increments on [0, horizon].
 
     ``increments[p, k]`` is the step from t_k to t_{k+1} on path p, made
-    read-only at construction so the cached columns and W cannot go stale.
+    read-only at construction, which derives the grid, the cached columns and W from them.
     """
 
-    grid: TimeGrid
+    horizon: float
     increments: np.ndarray
-    _brownian: np.ndarray = field(repr=False, default=None)
     kind = "ensemble"
 
     def __post_init__(self):
         self.increments = np.asarray(self.increments, dtype=float)
+        if self.increments.ndim != 2 or len(self.increments) < 1:
+            raise ValueError(f"need (P >= 1, N) increments, got shape {self.increments.shape}")
         self.increments.flags.writeable = False
+        self.grid = make_time_grid(self.horizon, self.increments.shape[1])
         self.dw = self.increments.T[:, None, :, None]
         self.mult = np.add(1.0, self.dw, order="C")
         self.mult.flags.writeable = False
+        self.w = np.zeros((self.n_paths, self.grid.n_steps + 1))
+        np.cumsum(self.increments, axis=1, out=self.w[:, 1:])
+        self.w.flags.writeable = False
 
     @property
     def n_paths(self):
@@ -166,13 +172,8 @@ class EnsembleDriver:
         return values
 
     def brownian(self, level):
-        """W(t_level) per path: a view of the cached (P, N+1) array (``level`` may be a slice)."""
-        if self._brownian is None:
-            w = np.zeros((self.n_paths, self.grid.n_steps + 1))
-            np.cumsum(self.increments, axis=1, out=w[:, 1:])
-            w.flags.writeable = False
-            self._brownian = w
-        return self._brownian[:, level]
+        """W(t_level) per path: a view of the (P, N+1) array W (``level`` may be a slice)."""
+        return self.w[:, level]
 
 
 def gaussian_driver(grid, n_paths, seed):
@@ -194,7 +195,7 @@ def gaussian_driver(grid, n_paths, seed):
         gen = np.random.Generator(root.jumped(p))
         inc[p] = gen.standard_normal(grid.n_steps)
     inc *= np.sqrt(grid.tau)
-    return EnsembleDriver(grid=grid, increments=inc)
+    return EnsembleDriver(grid.horizon, inc)
 
 
 def refine_common_path(driver):
@@ -207,6 +208,5 @@ def refine_common_path(driver):
     n = driver.grid.n_steps
     if n % 2 != 0:
         raise ValueError(f"cannot halve an odd number of steps ({n})")
-    coarse_grid = make_time_grid(driver.grid.horizon, n // 2)
     inc = driver.increments[:, 0::2] + driver.increments[:, 1::2]
-    return EnsembleDriver(grid=coarse_grid, increments=inc)
+    return EnsembleDriver(driver.grid.horizon, inc)

@@ -176,7 +176,7 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
         else:
             increases = 0
 
-        g = k_htau(data, driver, state, out=state.head(grid.n_steps - 1))
+        g = k_htau(data, state, out=state.head(grid.n_steps - 1))
         np.subtract(u.rows, g.rows, out=g.rows)
         # builtin sum in the order the backward sweep visits the slices
         grad_norm = float(np.sqrt(sum(tau * g.slice_means(g)[::-1])))

@@ -50,8 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import a0_scale
-
 MODE_BOUND = 1e6  # bound on alpha = p_i(T), and so on the modes |p_i|
 
 
@@ -160,8 +158,7 @@ def solve_riccati(data, k_fine):
     space, horizon = data.space, data.grid.horizon
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
     p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
-    tf = np.array([data.sigma_spec.time_factor(t) for t in t_half])
-    sig = np.outer(tf, data.profile)
+    sig = data.sigma_at(t_half)
     phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
     return RiccatiSolution(
         data=data,
@@ -261,13 +258,11 @@ def _discrete_recursion(data):
 
     Returns (g, h, P_0, q_0, r_0): the gains, shape (N, d) each, and V_0's coefficients.
     """
-    space, grid = data.space, data.grid
-    N, tau = grid.n_steps, grid.tau
+    N, tau, d = data.grid.n_steps, data.grid.tau, data.space.dim
     linear = data.noise == "linear"
-    s, sigma = a0_scale(space, tau), data.sigma
-    g = np.empty((N, space.dim))
-    h = np.empty((N, space.dim))
-    P, q, r = np.full(space.dim, tau + data.alpha), np.zeros(space.dim), 0.0
+    s, sigma = data.a0, data.sigma
+    g, h = np.empty((N, d)), np.empty((N, d))
+    P, q, r = np.full(d, tau + data.alpha), np.zeros(d), 0.0
     for n in range(N - 1, -1, -1):
         a, b = P * s**2, q * s
         g[n], h[n] = a / (1.0 + tau * a), b / (1.0 + tau * a)

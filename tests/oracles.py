@@ -38,8 +38,9 @@ became the closed-form ``alias_coefficients``, and
 ``cross_gramian`` (the dense C = V_f^T M_f P V_c those give),
 ``ritz_load`` (the load b_j = (f', phi_j') of the Ritz projection),
 ``nodal_ritz_project`` (the Ritz projection by a nodal solve, as the
-library computed it before the eigen-coordinate form), ``a0_apply`` (one
-implicit Euler step),
+library computed it before the eigen-coordinate form), ``a0_scale`` (the
+diagonal of A0, which the library's problem data now hold as ``a0``) and
+``a0_apply`` (one implicit Euler step),
 ``tree_condexp`` (a subtree average over any number of levels, where the
 library applies the sibling-pair average level by level), ``l2_project``
 (the L2 projection the scheme does not use; the data are Ritz-projected)
@@ -90,7 +91,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from slqheat.adjoint import _RIDGE, _regression_features, k_htau
-from slqheat.forward import AdaptedProcess, a0_scale, solve_forward, zeros_process
+from slqheat.forward import AdaptedProcess, solve_forward, zeros_process
 from slqheat.mesh import _GAUSS_X, _quad_points
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
@@ -98,6 +99,11 @@ from slqheat.riccati import (
     _stationary_roots,
     riccati_mode_values,
 )
+
+
+def a0_scale(space, tau):
+    """Diagonal 1 / (1 + tau lambda_i) of the implicit Euler step A0 = (M + tau A)^{-1} M."""
+    return 1.0 / (1.0 + tau * space.eigvals)
 
 
 def a0_apply(space, tau, c):
@@ -220,12 +226,12 @@ def pathwise_increment(driver, step):
 def apply_Gamma(data, driver, x0=None):
     """Propagate an initial datum (eigen coordinates) with zero control and zero noise data."""
     x0 = data.x0 if x0 is None else x0
-    return solve_forward(replace(data, x0=x0, sigma=0.0 * data.sigma), driver)
+    return solve_forward(replace(data, x0=x0, profile=0.0 * data.profile), driver)
 
 
 def apply_L(data, driver, control):
     """Control-to-state map: zero initial datum, zero inhomogeneity."""
-    return solve_forward(replace(data, x0=0.0 * data.x0, sigma=0.0 * data.sigma), driver, control)
+    return solve_forward(replace(data, x0=0.0 * data.x0, profile=0.0 * data.profile), driver, control)
 
 
 def compute_f(data, driver):
@@ -239,7 +245,7 @@ def apply_L_adjoint(data, driver, xi):
     With alpha = 0 the gradient kernel K X is -L*(X); on a tree its sweep
     reads no X_0, so slice 0 of xi does not enter.
     """
-    out = k_htau(replace(data, alpha=0.0), driver, xi)
+    out = k_htau(replace(data, alpha=0.0), xi)
     np.negative(out.rows, out=out.rows)
     return out
 
@@ -252,7 +258,7 @@ def apply_Lhat_adjoint(data, driver, eta):
     """
     N, d = data.grid.n_steps, data.space.dim
     slices = [np.zeros((n_scenarios(driver, n), d)) for n in range(N)] + [eta]
-    out = k_htau(replace(data, alpha=0.0), driver, process(driver, slices))
+    out = k_htau(replace(data, alpha=0.0), process(driver, slices))
     out.rows /= -data.grid.tau
     return out
 
@@ -260,7 +266,7 @@ def apply_Lhat_adjoint(data, driver, eta):
 def gradient(data, driver, control):
     """DJ(U) = U - K X(U) as an adapted process over 0..N-1."""
     state = solve_forward(data, driver, control)
-    return control - k_htau(data, driver, state)
+    return control - k_htau(data, state)
 
 
 def direct_solve(data, driver, tol=1e-12):
@@ -285,10 +291,10 @@ def direct_solve(data, driver, tol=1e-12):
         raise ValueError(f"optimality system too large ({n_unknowns} unknowns)")
 
     def apply_n(v):
-        return add(v, k_htau(data, driver, apply_L(data, driver, v)), -1.0)
+        return add(v, k_htau(data, apply_L(data, driver, v)), -1.0)
 
     x0_state = solve_forward(data, driver, control=None)
-    rhs = k_htau(data, driver, x0_state)
+    rhs = k_htau(data, x0_state)
     rhs_norm = float(np.sqrt(control_norm_sq(data, rhs)))
     u = zeros_process(driver, data.space.dim, grid.n_steps - 1)
     if rhs_norm == 0.0:
@@ -325,7 +331,7 @@ def estimate_operator_norm(data, driver, n_iters=30, seed=0):
     v = process(driver, vals)
 
     def apply_n(w):
-        return add(w, k_htau(data, driver, apply_L(data, driver, w)), -1.0)
+        return add(w, k_htau(data, apply_L(data, driver, w)), -1.0)
 
     def normalized(w):
         scale = 1.0 / np.sqrt(control_norm_sq(data, w))
@@ -549,7 +555,7 @@ def copying_sweep(data, driver, state, product_offset, out):
     if tree:
         held = [None] * N
     else:
-        feats = _regression_features(data, driver, state)[:N]
+        feats = _regression_features(data, state)[:N]
         rhs = np.empty((N, feats.shape[2], data.space.dim))
 
     H, level = -data.alpha * np.asarray(state.at(N)), N

@@ -113,7 +113,7 @@ def test_a02_gradient_kernel_matches_brute_force():
         driver = TreeDriver(grid)
         state = solve_forward(data, driver)
         # the literal sums number the tree interleaved: compare through the bit reversal
-        q = oracles.bit_reverse(k_htau(data, driver, state))
+        q = oracles.bit_reverse(k_htau(data, state))
         ref = oracles.literal_k_htau(
             space, driver, alpha, oracles.nodal(space, oracles.bit_reverse(state)),
             linear=(noise == "linear"),

@@ -23,7 +23,7 @@ def tree_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
 def test_k_htau_matches_literal_sums():
     space, grid, data, drv = tree_setup(alpha=0.7)
     X = solve_forward(data, drv)
-    Q = oracles.bit_reverse(k_htau(data, drv, X))
+    Q = oracles.bit_reverse(k_htau(data, X))
     X_nodal = oracles.nodal(space, oracles.bit_reverse(X))
     ref = oracles.literal_k_htau(space, drv, data.alpha, X_nodal)
     assert len(Q.values) == grid.n_steps
@@ -35,7 +35,7 @@ def test_k_htau_matches_literal_sums():
 def test_k_htau_equals_combination_of_adjoints(noise):
     space, grid, data, drv = tree_setup(n_elems=7, n_steps=4, alpha=0.3, noise=noise)
     X = solve_forward(data, drv)
-    Q = k_htau(data, drv, X)
+    Q = k_htau(data, X)
     lstar = apply_L_adjoint(data, drv, X)
     lhat = apply_Lhat_adjoint(data, drv, X.at(grid.n_steps))
     for n in range(grid.n_steps):
@@ -60,13 +60,13 @@ def test_k_htau_into_state_slots_equals_fresh_storage(kind):
         for offset in (1, 2):
             X = solve_forward(data, drv, U)
             fresh = zeros_process(drv, space.dim, N - 1)
-            _sweep(data, drv, X, offset, fresh)
-            _sweep(data, drv, X, offset, X.head(N - 1))
+            _sweep(data, X, offset, fresh)
+            _sweep(data, X, offset, X.head(N - 1))
             for n in range(N):
                 assert_array_equal(X.at(n), fresh.at(n))
         X = solve_forward(data, drv, U)
         slots = X.head(N - 1)
-        assert k_htau(data, drv, X, out=slots) is slots
+        assert k_htau(data, X, out=slots) is slots
 
 
 def regressed(data, drv, state, targets):
@@ -80,13 +80,13 @@ def regressed(data, drv, state, targets):
     N, tau = data.grid.n_steps, data.grid.tau
     scale = a0_apply(data.space, tau, np.ones(data.space.dim))
     state.at(N)[...] = -targets / ((data.alpha + tau) * scale)
-    return implicit_euler_bsde(data, drv, state).at(N - 1)
+    return implicit_euler_bsde(data, state).at(N - 1)
 
 
 def test_bsde_terminal_condition_and_measurability():
     space, grid, data, drv = tree_setup(n_steps=4, alpha=0.9)
     X = solve_forward(data, drv)
-    y0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, X)
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     assert_allclose(y0.at(grid.n_steps), -data.alpha * X.at(grid.n_steps), atol=1e-14)
     for n in range(grid.n_steps + 1):
@@ -98,7 +98,7 @@ def test_bsde_terminal_condition_and_measurability():
 def test_bsde_martingale_identity_on_tree():
     space, grid, data, drv = tree_setup(n_elems=6, n_steps=5, alpha=1.0)
     X = solve_forward(data, drv)
-    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, X))
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     assert oracles.bsde_residual(data, drv, X, y0, zbar0) <= 1e-10
 
@@ -108,7 +108,7 @@ def test_bsde_slice_recursion_equivalence():
     space, grid, data, drv = tree_setup(n_elems=4, n_steps=4)
     tau = grid.tau
     X = solve_forward(data, drv)
-    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, X))
     for n in range(grid.n_steps):
         mult = 1.0 + oracles.increments_at(drv, n + 1)[:, None]
         inner = (y0.at(n + 1) - tau * X.at(n + 1)) * mult
@@ -125,7 +125,7 @@ def test_bsde_deterministic_driver_reduction():
     X = oracles.process(
         drv, [np.broadcast_to(det[n], (2**n, space.dim)) for n in range(grid.n_steps + 1)]
     )
-    y0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, X)
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     for n in range(grid.n_steps):
         assert np.abs(zbar0.at(n)).max() <= 1e-12
@@ -146,7 +146,7 @@ def test_adjoint_gap_positive_and_shrinking():
         data = make_problem(space, grid, alpha=0.0)
         drv = TreeDriver(grid)
         X = solve_forward(data, drv)
-        gaps[n_steps] = adjoint_gap(data, drv, X)
+        gaps[n_steps] = adjoint_gap(data, X)
     assert gaps[8] > 0
     ratio = gaps[4] / gaps[8]
     assert 1.25 < ratio < 1.7
@@ -158,7 +158,7 @@ def test_adjoint_gap_nonzero_with_terminal_weight():
     data = make_problem(space, grid, alpha=1.0)
     drv = TreeDriver(grid)
     X = solve_forward(data, drv)
-    assert adjoint_gap(data, drv, X) > 1e-8
+    assert adjoint_gap(data, X) > 1e-8
 
 
 def test_regression_condexp_recovers_affine_targets():
@@ -207,11 +207,11 @@ def test_k_htau_with_regression_close_to_exact_mean_at_time_zero():
     data = make_problem(space, grid, alpha=0.5)
     tree = TreeDriver(grid)
     Xt = solve_forward(data, tree)
-    q_tree = k_htau(data, tree, Xt).at(0)[0]
+    q_tree = k_htau(data, Xt).at(0)[0]
 
     drv = gaussian_driver(grid, 4000, seed=8)
     X = solve_forward(data, drv)
-    q_mc = k_htau(data, drv, X).at(0)
+    q_mc = k_htau(data, X).at(0)
     # the slice is constant across paths (features are degenerate at t_0)
     assert np.abs(q_mc - q_mc[0]).max() < 1e-8
     err = np.abs(q_mc[0] - q_tree).max()
@@ -229,7 +229,7 @@ def ensemble_setup(alpha=0.8, noise="linear"):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 def test_k_htau_on_ensemble_matches_regression_oracle(noise):
     space, grid, data, drv, X = ensemble_setup(noise=noise)
-    Q = k_htau(data, drv, X)
+    Q = k_htau(data, X)
     ref = oracles.nodal_k_htau(data, drv, oracles.nodal_solve_forward(data, drv))
     for n in range(grid.n_steps):
         assert_allclose(space.from_eigen(Q.at(n)), ref[n], rtol=0, atol=1e-12)
@@ -238,7 +238,7 @@ def test_k_htau_on_ensemble_matches_regression_oracle(noise):
 @pytest.mark.parametrize("noise", ["linear", "additive"])
 def test_k_htau_on_tree_matches_nodal_oracle(noise):
     space, grid, data, drv = tree_setup(n_elems=9, n_steps=6, alpha=0.8, noise=noise)
-    Q = oracles.bit_reverse(k_htau(data, drv, solve_forward(data, drv)))
+    Q = oracles.bit_reverse(k_htau(data, solve_forward(data, drv)))
     ref = oracles.nodal_k_htau(data, drv, oracles.nodal_solve_forward(data, drv))
     for n in range(grid.n_steps):
         assert_allclose(space.from_eigen(Q.at(n)), ref[n], rtol=0, atol=1e-12)
@@ -247,7 +247,7 @@ def test_k_htau_on_tree_matches_nodal_oracle(noise):
 def assert_bsde_matches_nodal_oracle(space, data, drv, X):
     """implicit_euler_bsde, bsde_martingale and bsde_residual against the nodal sweep oracle."""
     N = data.grid.n_steps
-    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, drv, X))
+    X, y0 = oracles.bit_reverse(X), oracles.bit_reverse(implicit_euler_bsde(data, X))
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     X_nodal = oracles.nodal_solve_forward(data, drv)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, X_nodal)
@@ -290,11 +290,11 @@ def test_tree_kernel_consumers_match_leafwise_oracle(depth, noise):
     rev = oracles.bit_reverse
     Xi = rev(X)
     Xn = oracles.nodal(space, Xi)
-    y0 = rev(implicit_euler_bsde(data, drv, X))
+    y0 = rev(implicit_euler_bsde(data, X))
     zbar0 = oracles.bsde_martingale(data, drv, Xi, y0)
     y_ref, z_ref = oracles.nodal_implicit_euler_bsde(data, drv, Xn)
     pairs = [
-        (rev(k_htau(data, drv, X)).values, oracles.nodal_k_htau(data, drv, Xn)),
+        (rev(k_htau(data, X)).values, oracles.nodal_k_htau(data, drv, Xn)),
         (rev(apply_L_adjoint(data, drv, X)).values, oracles.nodal_l_adjoint(data, drv, Xn)),
         (
             rev(apply_Lhat_adjoint(data, drv, X.at(depth))).values,
@@ -317,14 +317,14 @@ def test_k_htau_rejects_storage_of_another_grid(kind):
     X = solve_forward(data, drv)
     need = re.escape(f"need {(drv.offset(4), space.dim)} for 0..3")
     with pytest.raises(ValueError, match=need):
-        k_htau(data, drv, X, out=X)
+        k_htau(data, X, out=X)
     with pytest.raises(ValueError, match=need):
-        k_htau(data, drv, X, out=zeros_process(drv, space.dim + 1, 3))
+        k_htau(data, X, out=zeros_process(drv, space.dim + 1, 3))
     with pytest.raises(ValueError, match="shape"):
-        k_htau(data, drv, X, out=oracles.process(drv, [np.zeros((3, space.dim))] * 4))
+        k_htau(data, X, out=oracles.process(drv, [np.zeros((3, space.dim))] * 4))
     # the sweep reads the state's slots directly, so a state of another grid is refused
     with pytest.raises(ValueError, match=re.escape(f"need {(drv.offset(5), space.dim)} for 0..4")):
-        k_htau(data, drv, X.head(3))
+        k_htau(data, X.head(3))
 
 
 @dataclass
@@ -345,9 +345,9 @@ CONSUMERS = {2: k_htau, 1: implicit_euler_bsde}
 def spied_sweep(noise, offset):
     """The sibling averages one depth-10 tree sweep takes, as (rows, mean, copy)."""
     space, grid, data, _ = tree_setup(n_elems=16, n_steps=10, alpha=0.6, noise=noise)
-    X = solve_forward(data, TreeDriver(grid))
+    # the sweep reads the state's driver; the forward solve takes no sibling average
     drv = SpyTree(grid)
-    CONSUMERS[offset](data, drv, X)
+    CONSUMERS[offset](data, solve_forward(data, drv))
     return drv.averages
 
 
@@ -386,7 +386,7 @@ def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
     ])
     X = solve_forward(data, drv, U)
     got, ref = (zeros_process(drv, space.dim, grid.n_steps - 1) for _ in range(2))
-    _sweep(data, drv, X, offset, got)
+    _sweep(data, X, offset, got)
     oracles.copying_sweep(data, drv, oracles.bit_reverse(X), offset, ref)
     for g, r in zip(oracles.bit_reverse(got).values, ref.values, strict=True):
         assert_array_equal(g, r)

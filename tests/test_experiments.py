@@ -156,6 +156,9 @@ def test_resolve_config_rejects_bad_input(tmp_path):
         ("gd_convergence", dict(max_iters=True)),
         ("adjoint_gap", dict(time_levels=(4, True))),
         ("spatial_rate", dict(mesh_levels="8")),
+        # Philox took key 3 for seed 3.5, so the manifest named a seed the paths did not use
+        ("temporal_rate", dict(seed=3.5)),
+        ("riccati_crosscheck", dict(seed=True)),
     ):
         with pytest.raises(ValueError, match=f"{next(iter(field))} must hold integers only"):
             make_config(study, **field)
@@ -163,6 +166,8 @@ def test_resolve_config_rejects_bad_input(tmp_path):
     cfg = make_config("spatial_rate", mesh_levels=np.array([8, 16]), mesh_ref=np.int64(64))
     assert (cfg.mesh_levels, cfg.mesh_ref) == ((8, 16), 64)
     assert {type(v) for v in (*cfg.mesh_levels, cfg.mesh_ref)} == {int}
+    seed = make_config("temporal_rate", seed=np.int64(7)).seed
+    assert seed == 7 and type(seed) is int
     # values the library rejects only mid-run, with a traceback
     for study, field, message in (
         ("adjoint_gap", dict(noise="quadratic"), "noise must be 'linear' or 'additive'"),

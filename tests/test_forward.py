@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+from slqheat.adjoint import k_htau
 from slqheat.forward import (
     SigmaSpec,
     default_sigma_spec,
@@ -14,6 +15,7 @@ from slqheat.forward import (
 )
 from slqheat.mesh import build_fem_space, ritz_project
 from slqheat.noise import TreeDriver, gaussian_driver, make_time_grid
+from slqheat.optimizer import gradient_descent
 
 
 def small_setup(n_elems=5, n_steps=3, alpha=1.0, noise="linear"):
@@ -426,6 +428,27 @@ def test_solve_forward_rejects_a_stored_control_of_another_grid(kind):
         solve_forward(data, drv, zeros_process(drv, space.dim, 4))
     with pytest.raises(ValueError, match=need):
         solve_forward(data, drv, zeros_process(drv, space.dim + 1, 3))
+
+
+@pytest.mark.parametrize(
+    "kind, horizon, n_steps",
+    [("tree", 1.0, 10), ("tree", 2.0, 8), ("ensemble", 1.0, 16), ("ensemble", 2.0, 8)],
+)
+def test_a_driver_on_another_grid_is_refused(kind, horizon, n_steps):
+    # an 8-step problem on horizon 1 ran with each of these drivers, read
+    # their first 8 steps or took their longer steps, and raised nothing
+    _, _, data = small_setup(n_steps=8)
+    other = make_time_grid(horizon, n_steps)
+    drv = TreeDriver(other) if kind == "tree" else gaussian_driver(other, 20, seed=1)
+    # slices 0..8 of a state on the driver: the shape the 8-step kernel reads
+    state = solve_forward(data.with_grid(other), drv).head(8)
+    refused = re.escape(f"driver grid (horizon, steps) {(horizon, n_steps)} is not the problem's")
+    with pytest.raises(ValueError, match=refused):
+        solve_forward(data, drv)
+    with pytest.raises(ValueError, match=refused):
+        k_htau(data, state)
+    with pytest.raises(ValueError, match=refused):
+        gradient_descent(data, drv, 2)
 
 
 def test_tree_slice_means_match_row_sum_means():

@@ -333,6 +333,25 @@ def test_forward_reads_no_driver_kind():
     assert attribute_reads(source, "kind") == []
 
 
+def functions_with_parameter(source, name):
+    """Names of the functions and methods of ``source`` that take a parameter called ``name``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and name in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+
+
+def test_adjoint_takes_no_driver_argument():
+    # a state carries its driver, so a second one could only disagree with it
+    source = (ROOT / "src" / "slqheat" / "adjoint.py").read_text(encoding="utf-8")
+    assert functions_with_parameter(source, "driver") == []
+    planted = source.replace("def k_htau(data, state,", "def k_htau(data, driver, state,")
+    planted += "\n\ndef planted(data, *, driver=None):\n    return data\n"
+    assert functions_with_parameter(planted, "driver") == ["k_htau", "planted"]
+
+
 def test_experiments_stacks_and_relays_no_arrays():
     # the Riccati record is time-major, as every sweep reads it, and
     # riccati._pair_moments pairs a fine and a coarse solution by indexing

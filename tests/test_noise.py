@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.stats import kstest
 
 import oracles
 from slqheat.noise import (
+    EnsembleDriver,
     TreeDriver,
     gaussian_driver,
     make_time_grid,
@@ -156,6 +159,25 @@ def test_refine_common_path_rejects_odd():
     drv = gaussian_driver(grid, 2, seed=1)
     with pytest.raises(ValueError):
         refine_common_path(refine_common_path(drv))
+
+
+def test_ensemble_grid_and_wiener_values_come_from_its_increments():
+    inc = np.random.default_rng(0).standard_normal((5, 12)) / np.sqrt(12)
+    drv = EnsembleDriver(1.0, inc)
+    assert (drv.grid.horizon, drv.grid.n_steps) == (1.0, inc.shape[1])
+    assert_allclose(drv.grid.nodes, make_time_grid(1.0, 12).nodes, rtol=0, atol=0)
+    assert_array_equal(drv.brownian(0), 0.0)
+    assert_array_equal(drv.brownian(slice(1, None)), np.cumsum(inc, axis=1))
+    # halving two steps of 1 on horizon 2 would leave one step of 2
+    with pytest.raises(ValueError, match="exceeds 1"):
+        refine_common_path(EnsembleDriver(2.0, inc[:, :2]))
+    # one path's row raised an IndexError; no path at all failed only in a later split
+    for bad in (inc[0], inc[:0]):
+        refused = re.escape(f"need (P >= 1, N) increments, got shape {bad.shape}")
+        with pytest.raises(ValueError, match=refused):
+            EnsembleDriver(1.0, bad)
+    with pytest.raises(ValueError, match="at least one time step"):
+        EnsembleDriver(1.0, inc[:, :0])
 
 
 def test_ensemble_increments_are_frozen_and_step_columns_cached():

@@ -49,7 +49,7 @@ def random_control(driver, n_steps, dim, seed):
 
 def assert_kernel_matches_oracle(data, drv, X):
     ref = oracles.slice_k_htau(data, drv, X)
-    Q = k_htau(data, drv, X)
+    Q = k_htau(data, X)
     for n in range(data.grid.n_steps):
         assert_allclose(Q.at(n), ref[n], rtol=0, atol=1e-12)
 
@@ -65,7 +65,7 @@ def test_k_htau_matches_per_slice_regression(noise):
 def test_implicit_euler_bsde_matches_per_slice_regression(noise):
     data, drv = ensemble(noise)
     X = solve_forward(data, drv, random_control(drv, data.grid.n_steps, data.space.dim, seed=2))
-    y0 = implicit_euler_bsde(data, drv, X)
+    y0 = implicit_euler_bsde(data, X)
     zbar0 = oracles.bsde_martingale(data, drv, X, y0)
     y_ref, z_ref = oracles.slice_implicit_euler_bsde(data, drv, X)
     for n in range(data.grid.n_steps + 1):
@@ -201,7 +201,7 @@ def test_process_layout(kind):
     assert_layout(u, N - 1, d)
     assert_layout(x.head(N - 1), N - 1, d)
     assert_layout(solve_forward(data, drv, u), N, d)
-    assert_layout(k_htau(data, drv, x), N - 1, d)
+    assert_layout(k_htau(data, x), N - 1, d)
     u_gd, _ = gradient_descent(data, drv, 2)
     assert_layout(u_gd, N - 1, d)
     assert_layout(u_gd - u, N - 1, d)
