@@ -79,8 +79,8 @@ def _sweep(data, state, product_offset, out):
     (``ValueError`` if it or ``state`` does not fit) and may share
     ``state``'s slots: nothing is written to it before the sweep has read ``state``.
 
-    V, G (alternating between two, so H is never overwritten) and A0 take
-    the first rows of arrays of the largest slice, allocated once.  On a
+    V and G (alternating, so H is never overwritten) fill per-call arrays of
+    the largest slice, and A0 is ``data.a0_rows`` of that size.  On a
     tree the conditioned slices, fresh ``parent_mean`` results, are held
     until the loop ends and joined into ``out.rows`` by one ``np.concatenate``.
     On an ensemble each step writes F_n^T H_n into one (N, m + 2, d)
@@ -99,7 +99,8 @@ def _sweep(data, state, product_offset, out):
         feats = _regression_features(data, state)[:N]
         rhs = np.empty((N, feats.shape[2], data.space.dim))
 
-    scale, *bufs = np.tile(data.a0, (4, len(state.values[N]), 1))
+    scale = data.a0_rows(len(state.values[N]))
+    bufs = np.empty((3,) + scale.shape)
     H, level = -data.alpha * np.asarray(state.values[N]), N
     for n in range(N - 1, -1, -1):
         if n + product_offset < level:

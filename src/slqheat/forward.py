@@ -27,15 +27,15 @@ pair of (N, d) gain arrays (g, h) of U_n = -(g_n X_n + h_n), diagonal
 mode by mode like the scheme, which :func:`solve_forward` applies in
 place.
 
-A :class:`ProblemData` derives sigma and the A0 diagonal ``a0`` from its
-grid; its ``multipliers``, where both time loops meet a driver, refuse a
-driver on another grid.  An :class:`AdaptedProcess` is one row array that
-its driver lays out (:mod:`slqheat.noise`), so nothing here tells trees
-from ensembles.
+A :class:`ProblemData` derives sigma, the A0 diagonal ``a0`` and, once
+per row count, the A0 rows ``a0_rows`` from its grid; its ``multipliers``,
+where both time loops meet a driver, refuse a driver on another grid.
+An :class:`AdaptedProcess` is one row array that its driver lays out
+(:mod:`slqheat.noise`), so nothing here tells trees from ensembles.
 :func:`solve_forward` allocates it once (or takes the caller's) and
 fills it in place: a stored control enters before the loop, as tau U_n
 lifted onto slot n + 1 by the driver's ``lift_scaled``, and each step adds
-X_n m_n and sigma_n dW_{n+1}, scales by A0 and allocates nothing.
+X_n m_n and sigma_n dW_{n+1}, scales by the A0 rows and allocates nothing.
 """
 
 from dataclasses import dataclass, field, replace
@@ -137,6 +137,7 @@ class ProblemData:
     noise: str = "linear"
     sigma: np.ndarray = field(init=False, repr=False)
     a0: np.ndarray = field(init=False, repr=False)
+    _a0_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.sigma = self.sigma_at(self.grid.nodes)
@@ -145,6 +146,13 @@ class ProblemData:
     def sigma_at(self, times):
         """sigma(t) = time_factor(t) * profile in eigen coordinates, one row per time."""
         return np.outer([self.sigma_spec.time_factor(t) for t in times], self.profile)
+
+    def a0_rows(self, n_rows):
+        """A0's diagonal as n_rows read-only rows, built on the first call for that count."""
+        if (rows := self._a0_rows.get(n_rows)) is None:
+            rows = self._a0_rows[n_rows] = np.tile(self.a0, (n_rows, 1))
+            rows.flags.writeable = False
+        return rows
 
     def with_grid(self, grid):
         """Same problem on another time grid (sigma re-sampled in time)."""
@@ -193,7 +201,7 @@ def solve_forward(data, driver, control=None, out=None):
 
     Parameters
     ----------
-    data : ProblemData
+    data : ProblemData, whose ``a0_rows`` for the largest slice scale every step
     driver : TreeDriver or EnsembleDriver on the problem's grid (``ValueError`` if not)
     control : None, AdaptedProcess, or pair of arrays (g, h)
         A stored control spans 0..N-1 (``ValueError`` if it does not
@@ -228,7 +236,8 @@ def solve_forward(data, driver, control=None, out=None):
         driver.lift_scaled(tau, control.rows, proc.rows)
     proc.values[0][...] = data.x0
     # A0 and a scratch array as rows of the largest slice: A0 scales in one contiguous multiply
-    scale, tmp = np.tile(data.a0, (2, len(proc.values[N]), 1))
+    scale = data.a0_rows(len(proc.values[N]))
+    tmp = np.empty(scale.shape)
     sdw = np.empty(np.broadcast_shapes(data.sigma.shape[1:], driver.dw.shape[1:]))
     steps = zip(proc.values[:N], proc.values[1:], mult, data.sigma, driver.dw)
     for n, (xn, rows, mn, sn, dwn) in enumerate(steps):

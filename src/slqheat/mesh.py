@@ -87,12 +87,14 @@ def build_fem_space(n_elems):
     Parameters
     ----------
     n_elems : int
-        Number of mesh elements, at least 2.
+        Number of mesh elements, at least 2 (a NumPy integer is taken as an int).
 
     Returns
     -------
     FemSpace
     """
+    if isinstance(n_elems, bool) or not isinstance(n_elems, (int, np.integer)):
+        raise ValueError(f"n_elems must be an integer, got {n_elems!r}")
     if n_elems < 2:
         raise ValueError(f"need n_elems >= 2 for a nonempty interior space, got {n_elems}")
     h = 1.0 / n_elems
@@ -103,7 +105,7 @@ def build_fem_space(n_elems):
     s = np.sin(np.pi * k / (2 * n_elems)) ** 2
     mass_k = (h / 6.0) * (6.0 - 4.0 * s)
     eigvals = 12.0 * n_elems**2 * s / (3.0 - 2.0 * s)
-    return FemSpace(n_elems, h, eigvals, np.sqrt(mass_k * (0.5 * n_elems)))
+    return FemSpace(int(n_elems), h, eigvals, np.sqrt(mass_k * (0.5 * n_elems)))
 
 
 def _quad_points(space):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TREE_DEPTH_CAP = 16
+_LEVEL_STARTS = (1 << np.arange(63)) - 1  # tree level n starts at row 2^n - 1
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,12 @@ def make_time_grid(horizon, n_steps):
     Raises
     ------
     ValueError
-        If n_steps < 1, horizon <= 0, or the step size exceeds 1 (the
-        one-step scheme coefficients 1 + increment must stay well defined
-        in mean square).
+        If n_steps is not an integer (NumPy integers count) of at least 1,
+        horizon <= 0, or the step size exceeds 1 (the one-step scheme
+        coefficients 1 + increment must stay well defined in mean square).
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError(f"need at least one time step, got {n_steps}")
     if horizon <= 0:
@@ -64,7 +67,7 @@ def make_time_grid(horizon, n_steps):
     tau = horizon / n_steps
     if tau > 1.0:
         raise ValueError(f"step size tau = {tau} exceeds 1; refine the time grid")
-    return TimeGrid(horizon=float(horizon), n_steps=n_steps, tau=tau, nodes=tau * np.arange(n_steps + 1))
+    return TimeGrid(horizon=float(horizon), n_steps=int(n_steps), tau=tau, nodes=tau * np.arange(n_steps + 1))
 
 
 def _slice_count(driver, rows, k):
@@ -100,7 +103,7 @@ class TreeDriver:
 
     def slice_means(self, a, b):
         """Per-level means of the row dots <a_r, b_r>: one einsum and one reduceat."""
-        starts = (1 << np.arange(len(a).bit_length())) - 1
+        starts = _LEVEL_STARTS[: len(a).bit_length()]
         return np.add.reduceat(np.einsum("rd,rd->r", a, b), starts) / (starts + 1)
 
     def siblings(self, values):
@@ -108,8 +111,10 @@ class TreeDriver:
         return values.reshape(2, -1, values.shape[-1])
 
     def lift_scaled(self, factor, rows, out):
-        for level, children in zip(self.split(rows), self.split(out)[1:]):
-            np.multiply(factor, level, out=self.siblings(children))
+        for n in range(len(rows).bit_length()):
+            child, size = self.offset(n + 1), 1 << n
+            minus = np.multiply(factor, rows[size - 1 : child], out=out[child : child + size])
+            out[child + size : child + 2 * size] = minus  # the plus-children copy the minus-children
 
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""

@@ -121,10 +121,10 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
     Hessian norm.  The loop runs at most ``max_iters`` iterations and
     stops early once the gradient norm is at most ``tol_grad``, if given.
 
-    Holds no process besides u and the state: each forward solve
-    overwrites the previous state, and the kernel Q, then the gradient
-    u - Q, take the state's slots 0..N-1 before u is updated in place,
-    each step one array operation on the processes' row arrays.
+    Allocates u, the state and, given a ``reference``, u - reference before
+    the loop: each forward solve overwrites the state, and the kernel Q,
+    then the gradient u - Q, take the state's slots 0..N-1 before u is
+    updated in place, each step one array operation on the row arrays.
     Records cost, gradient norm, and, when ``reference`` is given, the
     squared control distance to it, all at the pre-update iterate.
 
@@ -151,17 +151,20 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
         raise ValueError("tol_grad must be nonnegative")
 
     u = zeros_process(driver, space.dim, grid.n_steps - 1)
+    state = zeros_process(driver, space.dim, grid.n_steps)
+    g = state.head(grid.n_steps - 1)
+    diff = None if reference is None else zeros_process(driver, space.dim, grid.n_steps - 1)
     trace = GdTrace(kappa=kappa)
     tau, step = grid.tau, 1.0 / kappa
     increases = 0
     warned = False
-    state = None
     for _ in range(max_iters):
-        state = solve_forward(data, driver, u, out=state)
+        solve_forward(data, driver, u, out=state)
         j = cost(data, state, u)
         trace.cost.append(j)
         if reference is not None:
-            trace.err_to_ref.append(control_norm_sq(data, u - reference))
+            np.subtract(u.rows, reference.rows, out=diff.rows)
+            trace.err_to_ref.append(control_norm_sq(data, diff))
         if len(trace.cost) > 1 and j > trace.cost[-2]:
             increases += 1
             # estimated gradients jitter the cost at their noise floor, so
@@ -176,7 +179,7 @@ def gradient_descent(data, driver, max_iters, kappa=None, tol_grad=None, referen
         else:
             increases = 0
 
-        g = k_htau(data, state, out=state.head(grid.n_steps - 1))
+        k_htau(data, state, out=g)
         np.subtract(u.rows, g.rows, out=g.rows)
         # builtin sum in the order the backward sweep visits the slices
         grad_norm = float(np.sqrt(sum(tau * g.slice_means(g)[::-1])))

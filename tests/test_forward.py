@@ -467,3 +467,32 @@ def test_tree_slice_means_match_row_sum_means():
         for u, v in [(X, X), (U, U), (X, U)] + [(h, h) for h, _ in heads]:
             got, want = u.slice_means(v), oracles.einsum_slice_means(u, v)
             assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_a0_rows_are_built_once_per_problem_and_row_count(monkeypatch):
+    # both time loops scale by the problem's A0 rows instead of tiling A0 per call
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8)
+    tree, ens = TreeDriver(grid), pinned_driver("ensemble", grid)
+    seen = []
+    derive = data.a0_rows
+    monkeypatch.setattr(data, "a0_rows", lambda n_rows: seen.append(derive(n_rows)) or seen[-1])
+    state = solve_forward(data, tree, random_control(tree, space.dim))
+    solve_forward(data, tree, random_control(tree, space.dim), out=state)
+    k_htau(data, state)
+    assert len(seen) == 3 and all(rows is seen[0] for rows in seen)
+    assert seen[0].shape == (2**grid.n_steps, space.dim)
+    solve_forward(data, ens)
+    assert seen[-1].shape == (ens.n_paths, space.dim) and ens.n_paths != 2**grid.n_steps
+    for rows in seen[0], seen[-1]:
+        assert_array_equal(rows, np.broadcast_to(data.a0, rows.shape))
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+
+
+def test_a0_rows_follow_the_grid_of_with_grid():
+    space, grid, data = small_setup(n_elems=12, n_steps=6)
+    old = data.a0_rows(4)
+    coarse = make_time_grid(1.0, 3)
+    rows = data.with_grid(coarse).a0_rows(4)
+    assert rows is not old and not np.array_equal(rows, old)
+    assert_array_equal(rows, np.tile(1.0 / (1.0 + coarse.tau * space.eigvals), (4, 1)))

@@ -42,6 +42,19 @@ def test_build_rejects_degenerate_mesh():
         build_fem_space(1)
 
 
+@pytest.mark.parametrize("n_elems", [2.5, True, 4.0])
+def test_build_refuses_an_element_count_that_is_not_an_integer(n_elems):
+    # 4.0 built a space of dim 3.0, on which the forward solve died with a TypeError
+    with pytest.raises(ValueError, match="n_elems must be an integer"):
+        build_fem_space(n_elems)
+
+
+def test_build_resolves_a_numpy_element_count_to_int():
+    space, ref = build_fem_space(np.int64(4)), build_fem_space(4)
+    assert type(space.n_elems) is int and space.dim == 3
+    assert_allclose(space.eigvals, ref.eigvals, rtol=0, atol=0)
+
+
 def test_matrices_match_stencils():
     space = build_fem_space(8)
     h = 1.0 / 8.0

@@ -32,6 +32,19 @@ def test_time_grid_rejects_bad_input():
         make_time_grid(3.0, 2)  # tau = 1.5 > 1
 
 
+@pytest.mark.parametrize("n_steps", [2.5, True, 4.0])
+def test_time_grid_refuses_a_step_count_that_is_not_an_integer(n_steps):
+    # 2.5 built a grid of 4 nodes and True a 1-step grid
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        make_time_grid(1.0, n_steps)
+
+
+def test_time_grid_resolves_a_numpy_step_count_to_int():
+    grid = make_time_grid(1.0, np.int64(4))
+    assert type(grid.n_steps) is int and grid.n_steps == 4
+    assert_array_equal(grid.nodes, make_time_grid(1.0, 4).nodes)
+
+
 def test_tree_step_k_sign_is_bit_k_minus_1():
     # W built level by level as solve_forward builds the state: parent rows
     # lifted to both sign blocks of the children, plus the step column

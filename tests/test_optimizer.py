@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slqheat.forward import (
+    AdaptedProcess,
     SigmaSpec,
     default_sigma_spec,
     make_problem,
@@ -447,3 +448,19 @@ def test_estimated_norm_tightens_kappa():
     assert sup_diff(u, u_star) <= 1e-7
     # tighter kappa contracts at least as fast as the bound would
     assert len(trace.cost) <= 200
+
+
+def test_gd_builds_its_processes_before_the_loop(monkeypatch):
+    # the descent allocates u, the state and u - reference once: a process
+    # built per iteration (a head view, a difference) would grow the count
+    data, driver = tiny_problem(n_steps=8)
+    reference = random_control(driver, data.space.dim, np.random.default_rng(4))
+    built = []
+    post_init = AdaptedProcess.__post_init__
+    monkeypatch.setattr(AdaptedProcess, "__post_init__", lambda self: built.append(post_init(self)))
+    counts = []
+    for iters in (2, 4):
+        built.clear()
+        gradient_descent(data, driver, iters, reference=reference)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
