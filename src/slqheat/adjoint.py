@@ -28,14 +28,14 @@ can disagree with the state's.  By the tower property :func:`_sweep` carries
 H_n = E[G_n | F_l] at level l = min(n + offset, N): its update needs only
 V_{n+1} lifted to level l and the sibling-pair average E[H_{n+1} | F_l]
 (both the identity on ensembles), so a tree costs O(2^N d) instead of
-O(N 2^N d); V and G fill per-call buffers, the lift is the broadcast view
-``V[None]`` and the m_k are the driver's cached columns (:mod:`slqheat.noise`).
+O(N 2^N d); the lift is the broadcast view ``V[None]`` and the m_k are
+the driver's cached columns (:mod:`slqheat.noise`).
 It conditions as it goes: on the tree E[H_n | F_n] is the exact subtree average,
 ``driver.parent_mean`` applied l - n <= 2 times, whose first application
 is also where step n - 1 starts after a level drop; on Monte Carlo
 ensembles it is a ridge-regularized least squares fit (features:
 constant, leading eigenbasis coordinates of the state, and the Brownian
-value at t_n), batched over all slices.
+value at t_n), batched over blocks of slices.
 Processes hold eigen coordinates (see :mod:`slqheat.forward`), where A0
 is an elementwise scale and L2 norms are euclidean.
 """
@@ -75,60 +75,80 @@ def _sweep(data, state, product_offset, out):
     ``state`` is the process over 0..N that the recursion adjoins;
     ``product_offset`` is 2 for the gradient kernel and 1 for the
     backward equation; steps keep the recursion's order of operations but
-    for one exact commuted sum, m H + V.  ``out`` is storage over 0..N-1
+    for exact commuted sums such as m H + V.  ``out`` is storage over 0..N-1
     (``ValueError`` if it or ``state`` does not fit) and may share
-    ``state``'s slots: nothing is written to it before the sweep has read ``state``.
+    ``state``'s slots: no slot n is written before X_n has been read.
 
-    V and G (alternating, so H is never overwritten) fill per-call arrays of
-    the largest slice, and A0 is ``data.a0_rows`` of that size.  On a
-    tree the conditioned slices, fresh ``parent_mean`` results, are held
-    until the loop ends and joined into ``out.rows`` by one ``np.concatenate``.
-    On an ensemble each step writes F_n^T H_n into one (N, m + 2, d)
-    right-hand side; one batched product forms the grams F_n^T F_n, one
-    batched ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I)
-    beta_n = F_n^T H_n, and one batched product writes F_n beta_n into ``out``.
+    On a tree V and G (alternating, so H is never overwritten) fill per-call
+    arrays of the largest slice, A0 is ``data.a0_rows`` of that size, and the
+    conditioned slices, fresh ``parent_mean`` results, are held until the
+    loop ends and joined into ``out.rows`` by one ``np.concatenate``.  An
+    ensemble step takes -tau X_n for step n - 1, then writes the pathwise G_n
+    into slot n of ``out`` through views built once per ``out``, problem and
+    state.  After the loop, per block of 64 slices, one stacked product forms
+    the right-hand sides F_n^T G_n, one the grams F_n^T F_n, one batched
+    ``np.linalg.solve`` the ridge systems (F_n^T F_n + 1e-10 I) beta_n =
+    F_n^T G_n, and one product writes F_n beta_n into ``out``.
     """
-    N, tau, driver = data.grid.n_steps, data.grid.tau, state.driver
+    N, tau, driver, x = data.grid.n_steps, data.grid.tau, state.driver, state.values
     mult = data.multipliers(driver)
     out.check_fits(driver, data.space.dim, N - 1)
     state.check_fits(driver, data.space.dim, N)
-    tree = driver.kind == "tree"
-    if tree:
+    if driver.kind == "tree":
         held = [None] * N
-    else:
-        feats = _regression_features(data, state)[:N]
-        rhs = np.empty((N, feats.shape[2], data.space.dim))
-
-    scale = data.a0_rows(len(state.values[N]))
-    bufs = np.empty((3,) + scale.shape)
-    H, level = -data.alpha * np.asarray(state.values[N]), N
-    for n in range(N - 1, -1, -1):
-        if n + product_offset < level:
-            H, level = up, level - 1
-        xs, G = state.values[n + 1], bufs[n % 2][: len(H)]
-        sG = driver.siblings(G)
-        if level > n + 1:
-            # offset 2 below N - 1: V lifts to H's level as a broadcast view
-            V = np.multiply(-tau, xs, out=bufs[2][: len(xs)])
-            np.multiply(driver.siblings(H), mult[n + 1], out=sG)
-            sG += V[None]
-        else:
-            np.multiply(-tau, xs, out=G)
-            G += H
-            if product_offset == 1:
-                sG *= mult[n]
-        G *= scale[: len(G)]
-        H = G
-        up = driver.parent_mean(H)
-        if tree:
+        scale = data.a0_rows(len(x[N]))
+        bufs = np.empty((3,) + scale.shape)
+        H, level = -data.alpha * x[N], N
+        for n in range(N - 1, -1, -1):
+            if n + product_offset < level:
+                H, level = up, level - 1
+            G = bufs[n % 2][: len(H)]
+            sG = driver.siblings(G)
+            if level > n + 1:
+                # offset 2 below N - 1: V lifts to H's level as a broadcast view
+                V = np.multiply(-tau, x[n + 1], out=bufs[2][: len(x[n + 1])])
+                np.multiply(driver.siblings(H), mult[n + 1], out=sG)
+                sG += V[None]
+            else:
+                np.multiply(-tau, x[n + 1], out=G)
+                G += H
+                if product_offset == 1:
+                    sG *= mult[n]
+            G *= scale[: len(G)]
+            H = G
+            up = driver.parent_mean(H)
             held[n] = up if level == n + 1 else driver.parent_mean(up)
-        else:
-            np.matmul(feats[n].T, H, out=rhs[n])
-    if tree:
         np.concatenate(held, out=out.rows)
         return
-    gram = np.matmul(feats.transpose(0, 2, 1), feats) + _RIDGE * np.eye(feats.shape[2])
-    np.matmul(feats, np.linalg.solve(gram, rhs), out=out.values)
+
+    def views():
+        # n = 0..N: X_n, the buffer of -tau X_n, and G_n (slot n of out; G_N = -alpha X_N)
+        v = list(np.empty((2,) + x.shape[1:]))
+        xs, vs, gs = list(x), [v[n % 2] for n in range(N + 1)], [*out.values, np.empty(x.shape[1:])]
+        ms = list(mult[:, 0]) if product_offset == 1 else [*mult[1:, 0], 1.0]
+        # step n = N-1 down to 0 reads X_n, -tau X_n, -tau X_{n+1}, G_{n+1}, G_n, multiplier
+        n, n1 = slice(N - 1, None, -1), slice(N, 0, -1)
+        steps = xs[n], vs[n], vs[n1], gs[n1], gs[n], ms[::-1]
+        return steps, xs[N], vs[N], gs[N], data.a0_rows(len(x[N]))
+
+    feats = _regression_features(data, state)[:N]
+    steps, x_end, v_end, h_end, scale = out.step_views(product_offset, data, state, views)
+    np.multiply(-tau, x_end, out=v_end)
+    np.multiply(-data.alpha, x_end, out=h_end)
+    for xn, v_new, v, h, g_n, m in zip(*steps):
+        np.multiply(-tau, xn, out=v_new)
+        if product_offset == 2:
+            np.multiply(h, m, out=g_n)
+            g_n += v
+        else:
+            np.add(v, h, out=g_n)
+            g_n *= m
+        g_n *= scale
+    ridge = _RIDGE * np.eye(feats.shape[2])
+    for k in range(0, N, 64):  # blocks bound the fit's temporaries and stay in cache
+        f, g = feats[k : k + 64], out.values[k : k + 64]
+        ft = f.transpose(0, 2, 1)
+        np.matmul(f, np.linalg.solve(np.matmul(ft, f) + ridge, np.matmul(ft, g)), out=g)
 
 
 def k_htau(data, state, out=None):

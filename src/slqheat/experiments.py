@@ -391,9 +391,9 @@ def _temporal_errors(u_ref, x_ref, u_lvl, x_lvl):
     """
     n_paths, tau_ref = x_ref.driver.n_paths, x_ref.driver.grid.tau
     stride = (len(x_ref.values) - 1) // (len(x_lvl.values) - 1)
-    ctrl_sq = np.zeros(n_paths)
+    ctrl_sq, diff = np.zeros(n_paths), np.empty((stride,) + u_lvl.values.shape[1:])
     for j, u_j in enumerate(u_lvl.values):
-        diff = u_ref.values[j * stride : (j + 1) * stride] - u_j
+        np.subtract(u_ref.values[j * stride : (j + 1) * stride], u_j, out=diff)
         ctrl_sq += tau_ref * np.einsum("kpd,kpd->p", diff, diff)
     err_ctrl = float(np.sqrt(ctrl_sq.mean()))
     se_ctrl = float(ctrl_sq.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_ctrl, 1e-300))
@@ -424,13 +424,15 @@ def run_temporal_rate(cfg):
     fine_driver = gaussian_driver(data_ref.grid, cfg.n_paths, cfg.seed)
     u_ref, x_ref, gd_ref = _solve_on_paths(cfg, data_ref, fine_driver)
 
-    ctrl_rows, state_rows, gd_levels = [], [], [gd_ref]
-    for lvl in cfg.time_levels:
-        sub = fine_driver
+    drivers, sub = {}, fine_driver  # halved downward once; the levels ascend
+    for lvl in reversed(cfg.time_levels):
         while sub.grid.n_steps > lvl:
             sub = refine_common_path(sub)
-        data_lvl = data_ref.with_grid(sub.grid)
-        u_lvl, x_lvl, gd = _solve_on_paths(cfg, data_lvl, sub)
+        drivers[lvl] = sub
+    ctrl_rows, state_rows, gd_levels = [], [], [gd_ref]
+    for lvl in cfg.time_levels:
+        data_lvl = data_ref.with_grid(drivers[lvl].grid)
+        u_lvl, x_lvl, gd = _solve_on_paths(cfg, data_lvl, drivers[lvl])
         gd_levels.append(gd)
         err_ctrl, se_ctrl, err_state, se_state = _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
         tau_lvl = cfg.horizon / lvl

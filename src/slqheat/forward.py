@@ -35,10 +35,15 @@ An :class:`AdaptedProcess` is one row array that its driver lays out
 :func:`solve_forward` allocates it once (or takes the caller's) and
 fills it in place: a stored control enters before the loop, as tau U_n
 lifted onto slot n + 1 by the driver's ``lift_scaled``, and each step adds
-X_n m_n and sigma_n dW_{n+1}, scales by the A0 rows and allocates nothing.
+X_n m_n and the driver's ``noise_terms`` sigma_n dW_{n+1} and scales by
+the A0 rows.  The views a step reads are built on the first solve into
+storage that a caller hands in and kept with it until a solve brings
+another problem or driver (``AdaptedProcess.step_views``), so a step is
+only its NumPy calls; a solve into fresh storage keeps none.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,10 +64,18 @@ class AdaptedProcess:
 
     driver: object
     rows: np.ndarray
+    _views: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.rows = np.ascontiguousarray(self.rows, dtype=float)
         self.values = self.driver.split(self.rows)
+
+    def step_views(self, loop, data, other, build):
+        """``build()``, a time ``loop``'s step views here, kept per problem and operand."""
+        got = self._views.get(loop)
+        if got is None or got[0] is not data or got[1] is not other:
+            got = self._views[loop] = (data, other, build())
+        return got[2]
 
     def at(self, n):
         """Slice at time index n."""
@@ -196,6 +209,21 @@ def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):
     return ProblemData(space, grid, alpha, x0, profile, sigma_spec, noise)
 
 
+def _solve_views(data, driver, proc, mult):
+    """Per step n of a solve into ``proc``: slot n, slot n + 1 and its sign blocks, scratch
+    sign blocks, A0 rows, m_n and the driver's sigma_n dW_{n+1} term (``noise_terms``)."""
+    x = list(proc.values)
+    # X_{n+1} as its sign blocks, which the parent rows X_n and m_n broadcast against; A0 and
+    # the scratch as rows of the largest slice: A0 scales in one contiguous multiply, and
+    # slices of one size share one scratch block and one A0 block
+    scale = data.a0_rows(len(x[-1]))
+    tmp = np.empty(scale.shape)
+    blocks = {len(r): (driver.siblings(tmp[: len(r)]), scale[: len(r)]) for r in x[1:]}
+    parts, scales = zip(*(blocks[len(r)] for r in x[1:]))
+    terms = driver.noise_terms(data.sigma[: len(mult)])
+    return x[:-1], x[1:], [driver.siblings(r) for r in x[1:]], parts, scales, list(mult), *terms
+
+
 def solve_forward(data, driver, control=None, out=None):
     """Run the full state recursion from the problem's initial datum.
 
@@ -213,7 +241,8 @@ def solve_forward(data, driver, control=None, out=None):
     out : AdaptedProcess over 0..N, optional
         Storage to overwrite with the new state (``ValueError`` if it
         does not fit), such as the previous iterate's state in gradient
-        descent: a long ensemble then reuses its pages.  Its values are never read.
+        descent: a long ensemble then reuses its pages, and later solves its
+        step views.  Its values are never read.
 
     Returns
     -------
@@ -235,14 +264,10 @@ def solve_forward(data, driver, control=None, out=None):
         control.check_fits(driver, d, N - 1)
         driver.lift_scaled(tau, control.rows, proc.rows)
     proc.values[0][...] = data.x0
-    # A0 and a scratch array as rows of the largest slice: A0 scales in one contiguous multiply
-    scale = data.a0_rows(len(proc.values[N]))
-    tmp = np.empty(scale.shape)
-    sdw = np.empty(np.broadcast_shapes(data.sigma.shape[1:], driver.dw.shape[1:]))
-    steps = zip(proc.values[:N], proc.values[1:], mult, data.sigma, driver.dw)
-    for n, (xn, rows, mn, sn, dwn) in enumerate(steps):
-        # X_{n+1} as its sign blocks, which the parent rows xn and mn broadcast against
-        nxt = driver.siblings(rows)
+    # views stay only with storage that a caller hands in, and so may hand in again
+    build = partial(_solve_views, data, driver, proc, mult)
+    steps = build() if out is None else proc.step_views("forward", data, driver, build)
+    for n, (xn, rows, nxt, part, scale, mn, noise, sn, dwn) in enumerate(zip(*steps)):
         if gains is not None:
             un = control.values[n]
             np.multiply(gains[0][n], xn, out=un)
@@ -254,7 +279,9 @@ def solve_forward(data, driver, control=None, out=None):
             np.multiply(xn, mn, out=nxt)
         else:
             # tau U_n + X_n m_n: the commuted sum is bitwise X_n m_n + tau U_n
-            nxt += np.multiply(xn, mn, out=driver.siblings(tmp[: len(rows)]))
-        nxt += np.multiply(sn, dwn, out=sdw)
-        rows *= scale[: len(rows)]
+            nxt += np.multiply(xn, mn, out=part)
+        if sn is not None:
+            np.multiply(sn, dwn, out=noise)
+        nxt += noise
+        rows *= scale
     return proc if gains is None else (proc, control)

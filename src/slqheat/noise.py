@@ -27,7 +27,9 @@ broadcast against it: one (2, 1, 1) column for every tree step,
 array: slice n starts at row ``offset(n)`` (2^n - 1 or n P), ``split``
 views its slices, ``slice_means`` averages row dots per slice and
 ``lift_scaled`` scales a process onto the children in the next slices of
-another.  Only ensembles regress on W, so only they offer ``brownian``.
+another.  ``noise_terms`` gives each step's sigma_n dW_{n+1}: contiguous
+rows on a tree, the factors of a per-step product on an ensemble.  Only
+ensembles regress on W, so only they offer ``brownian``.
 """
 
 from dataclasses import dataclass
@@ -116,6 +118,13 @@ class TreeDriver:
             minus = np.multiply(factor, rows[size - 1 : child], out=out[child : child + size])
             out[child + size : child + 2 * size] = minus  # the plus-children copy the minus-children
 
+    def noise_terms(self, sigma):
+        """sigma_n dW_{n+1} of every step, with None for its factors: contiguous (2, 2^n, d)
+        blocks of one process of rows, which a step adds faster than it broadcasts (2, 1, d)."""
+        levels = self.split(np.empty((self.offset(len(sigma) + 1), sigma.shape[1])))[1:]
+        terms = [np.multiply(s, w, out=self.siblings(v)) for s, w, v in zip(sigma, self.dw, levels)]
+        return terms, [None] * len(terms), [None] * len(terms)
+
     def parent_mean(self, values):
         """Average sibling pairs: level-k node values conditioned on level k - 1."""
         half = len(values) // 2
@@ -173,6 +182,12 @@ class EnsembleDriver:
     def lift_scaled(self, factor, rows, out):
         np.multiply(factor, rows, out=out[self.offset(1) :])
 
+    def noise_terms(self, sigma):
+        """One (1, P, d) scratch per step, with the factors sigma_n and dW_{n+1} that the step
+        multiplies into it: the whole term would fill a process."""
+        scratch = np.empty((1, self.n_paths, sigma.shape[1]))
+        return [scratch] * len(sigma), list(sigma), list(self.dw)
+
     def parent_mean(self, values):
         return values
 
@@ -190,8 +205,10 @@ def gaussian_driver(grid, n_paths, seed):
 
     Returns
     -------
-    EnsembleDriver
+    EnsembleDriver; ValueError unless n_paths is an integer (NumPy integers count) of at least 1
     """
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
     root = np.random.Philox(key=seed)

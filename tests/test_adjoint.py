@@ -390,3 +390,32 @@ def test_sweep_is_bitwise_the_copying_loop(kind, noise, offset):
     oracles.copying_sweep(data, drv, oracles.bit_reverse(X), offset, ref)
     for g, r in zip(oracles.bit_reverse(got).values, ref.values, strict=True):
         assert_array_equal(g, r)
+
+
+@pytest.mark.parametrize("paths", [32, 1])
+def test_stacked_right_hand_sides_are_bitwise_the_per_slice_products(paths):
+    # the ensemble sweep forms F_n^T G_n of a block of slices in one stacked
+    # product, where it formed one product per step; at the benchmark's
+    # shape (512 steps, 32 paths, 31 modes) and for a single path
+    rng = np.random.default_rng(paths)
+    feats, G = rng.standard_normal((512, paths, 6)), rng.standard_normal((512, paths, 31))
+    stacked = np.matmul(feats.transpose(0, 2, 1), G)
+    block = np.matmul(feats[64:128].transpose(0, 2, 1), G[64:128])
+    for n in range(512):
+        assert_array_equal(stacked[n], np.matmul(feats[n].T, G[n]))
+    assert_array_equal(block, stacked[64:128])
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_ensemble_sweep_over_several_regression_blocks_is_bitwise_the_copying_loop(offset):
+    # 150 steps regress in blocks of 64, 64 and 22 slices; the oracle fits
+    # all slices in one batch and forms each right-hand side per step
+    space, grid = build_fem_space(6), make_time_grid(1.0, 150)
+    data, drv = make_problem(space, grid, alpha=0.6), gaussian_driver(grid, 8, seed=9)
+    X = solve_forward(data, drv, oracles.process(drv, [
+        np.random.default_rng(n).standard_normal((8, space.dim)) for n in range(grid.n_steps)
+    ]))
+    got, ref = (zeros_process(drv, space.dim, grid.n_steps - 1) for _ in range(2))
+    _sweep(data, X, offset, got)
+    oracles.copying_sweep(data, drv, X, offset, ref)
+    assert_array_equal(got.rows, ref.rows)

@@ -974,3 +974,19 @@ def test_cli_rejects_nonpositive_kappa(tmp_path, capsys):
         assert exc.value.code == 2
         assert "kappa must be positive" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
+
+
+def test_temporal_rate_halves_the_fine_driver_once(monkeypatch, tmp_path):
+    # every level halved from the fine driver anew: 1 + 2 + 3 calls at these
+    # levels; halving downward once passes each coarse grid on the way
+    halved, refine = [], experiments.refine_common_path
+    monkeypatch.setattr(
+        experiments, "refine_common_path", lambda d: halved.append(d.grid.n_steps) or refine(d)
+    )
+    cfg = make_config(
+        "temporal_rate", n_elems=4, n_ref=16, time_levels=(2, 4, 8), n_paths=4, max_iters=1,
+        out=str(tmp_path),
+    )
+    _, _, _, profile = RUNNERS["temporal_rate"](cfg)
+    assert halved == [16, 8, 4]
+    assert [level["n_steps"] for level in profile["gd"]] == [16, 2, 4, 8]

@@ -496,3 +496,79 @@ def test_a0_rows_follow_the_grid_of_with_grid():
     rows = data.with_grid(coarse).a0_rows(4)
     assert rows is not old and not np.array_equal(rows, old)
     assert_array_equal(rows, np.tile(1.0 / (1.0 + coarse.tau * space.eigvals), (4, 1)))
+
+
+def count_view_builds(driver):
+    """The driver, with its ``siblings`` and ``split`` calls counted in ``driver.view_builds``."""
+    driver.view_builds = 0
+    for name in ("siblings", "split"):
+        def counted(*args, _method=getattr(driver, name)):
+            driver.view_builds += 1
+            return _method(*args)
+        setattr(driver, name, counted)
+    return driver
+
+
+def count_a0_rows(monkeypatch, data):
+    """A list that grows by one entry per ``data.a0_rows`` call."""
+    calls, derive = [], data.a0_rows
+    monkeypatch.setattr(data, "a0_rows", lambda n_rows: calls.append(n_rows) or derive(n_rows))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("control", ["stored", "none"])
+def test_a_second_solve_into_the_same_storage_builds_no_view(monkeypatch, kind, control):
+    # gradient descent solves into one state on every iteration: its step
+    # views, A0 rows and a tree's noise rows are built on the first solve
+    # into it; a solve into fresh storage keeps none with the process it returns
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8)
+    drv = count_view_builds(pinned_driver(kind, grid))
+    ctrl = random_control(drv, space.dim, seed=2) if control == "stored" else None
+    state = solve_forward(data, drv, ctrl)
+    first, made, a0_calls = state.rows.copy(), drv.view_builds, count_a0_rows(monkeypatch, data)
+    solve_forward(data, drv, ctrl, out=state)
+    built = drv.view_builds
+    assert built > made and len(a0_calls) == 1
+    state.rows[...] = np.nan
+    assert solve_forward(data, drv, ctrl, out=state) is state
+    assert (drv.view_builds, len(a0_calls)) == (built, 1)
+    assert_array_equal(state.rows, first)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_a_solve_for_another_problem_or_driver_rebuilds_the_step_views(kind):
+    # the views hold the problem's A0 rows and multipliers and the driver's
+    # columns: storage reused across problems or drivers must not keep them
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8)
+    drv = pinned_driver(kind, grid)
+    ctrl = random_control(drv, space.dim, seed=2)
+    state = solve_forward(data, drv, ctrl, out=zeros_process(drv, space.dim, grid.n_steps))
+    additive = make_problem(space, make_time_grid(1.0, 6), alpha=0.8, noise="additive")
+    other = TreeDriver(grid) if kind == "tree" else gaussian_driver(grid, 40, seed=6)
+    for problem, driver in [(additive, drv), (data, other), (data, drv)]:
+        solve_forward(problem, driver, ctrl, out=state)
+        assert_array_equal(state.rows, solve_forward(problem, driver, ctrl).rows)
+
+
+def test_a_second_ensemble_kernel_on_the_same_state_and_out_builds_no_view(monkeypatch):
+    # gradient descent takes the kernel into the state's slots 0..N-1 on every
+    # iteration; the sweep's views are built once for that state and storage
+    space, grid, data = small_setup(n_elems=12, n_steps=6, alpha=0.8)
+    drv = count_view_builds(pinned_driver("ensemble", grid))
+    ctrl = random_control(drv, space.dim, seed=2)
+    state = solve_forward(data, drv, ctrl, out=zeros_process(drv, space.dim, grid.n_steps))
+    slots, fresh = state.head(grid.n_steps - 1), state.head(grid.n_steps - 1)
+    built, a0_calls = drv.view_builds, count_a0_rows(monkeypatch, data)
+    want = k_htau(data, state)
+    k_htau(data, state, out=slots)
+    assert len(a0_calls) == 2
+    assert_array_equal(slots.rows, want.rows)
+    state.rows[: len(slots.rows)] = np.nan
+    solve_forward(data, drv, ctrl, out=state)
+    k_htau(data, state, out=slots)
+    # the one new view is the split of want's storage
+    assert len(a0_calls) == 2 and drv.view_builds == built + 1
+    assert_array_equal(slots.rows, want.rows)
+    k_htau(data, solve_forward(data, drv), out=fresh)
+    assert_array_equal(fresh.rows, k_htau(data, solve_forward(data, drv)).rows)

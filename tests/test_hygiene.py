@@ -333,6 +333,39 @@ def test_forward_reads_no_driver_kind():
     assert attribute_reads(source, "kind") == []
 
 
+def loop_body_calls(source, func):
+    """Callees, as source text, of the calls in the ``for`` bodies of the function ``func``."""
+    fn = next(node for node in ast.parse(source).body if getattr(node, "name", None) == func)
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+    return [
+        ast.unparse(node.func)
+        for loop in loops
+        for stmt in loop.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_loop_body_call_detection():
+    source = (
+        "def step(driver, steps):\n"
+        "    for x, y in zip(steps, range(len(steps))):\n"
+        "        x += np.multiply(y, 2.0, out=driver.siblings(x))\n"
+        "        if len(x):\n"
+        "            np.negative(x, out=x)\n"
+    )
+    want = ["np.multiply", "driver.siblings", "len", "np.negative"]
+    assert loop_body_calls(source, "step") == want
+
+
+def test_forward_step_calls_only_numpy():
+    # the forward step's views are built once per storage: a driver method,
+    # len or any other Python-level call back in the loop costs every step
+    source = (ROOT / "src" / "slqheat" / "forward.py").read_text(encoding="utf-8")
+    calls = loop_body_calls(source, "solve_forward")
+    assert calls and [call for call in calls if not call.startswith("np.")] == []
+
+
 def functions_with_parameter(source, name):
     """Names of the functions and methods of ``source`` that take a parameter called ``name``."""
     return [

@@ -257,3 +257,43 @@ def test_bit_reverse_rows_is_an_involution():
     assert_array_equal(oracles.bit_reverse_rows(oracles.bit_reverse_rows(values, 5), 5), values)
     with pytest.raises(ValueError, match="level 3 data need 8 rows, got 4"):
         oracles.bit_reverse_rows(np.ones(4), 3)
+
+
+def test_tree_noise_terms_are_contiguous_rows_of_the_broadcast_product():
+    # a tree step adds sigma_n dW_{n+1} from two contiguous sign blocks,
+    # where it broadcast a (2, 1, d) product over the level
+    drv = TreeDriver(make_time_grid(1.0, 6))
+    sigma = np.random.default_rng(4).standard_normal((6, 7))
+    terms, factors, columns = drv.noise_terms(sigma)
+    rows = terms[0].base
+    assert rows.shape == (drv.offset(7), 7)  # one process of rows
+    assert factors == columns == [None] * 6
+    for n, term in enumerate(terms):
+        assert term.base is rows and term.shape == (2, 1 << n, 7) and term.flags.c_contiguous
+        assert_array_equal(term, np.broadcast_to(np.multiply(sigma[n], drv.dw[n]), term.shape))
+
+
+def test_ensemble_noise_terms_share_one_scratch_and_keep_the_per_step_factors():
+    # a whole ensemble term would fill a process, so each step forms its product
+    drv = gaussian_driver(make_time_grid(1.0, 5), 6, seed=2)
+    sigma = np.random.default_rng(4).standard_normal((5, 7))
+    scratch, factors, columns = drv.noise_terms(sigma)
+    assert len(scratch) == 5 and all(term is scratch[0] for term in scratch)
+    assert scratch[0].shape == (1, 6, 7)
+    for n in range(5):
+        assert_array_equal(factors[n], sigma[n])
+        assert_array_equal(columns[n], drv.dw[n])
+
+
+@pytest.mark.parametrize("n_paths", [True, 2.0, 2.5])
+def test_gaussian_driver_refuses_a_path_count_that_is_not_an_integer(n_paths):
+    # each died with a bare TypeError from NumPy or from the Philox jump
+    grid = make_time_grid(1.0, 4)
+    with pytest.raises(ValueError, match=re.escape(f"n_paths must be an integer, got {n_paths!r}")):
+        gaussian_driver(grid, n_paths, seed=1)
+
+
+def test_gaussian_driver_takes_a_numpy_path_count():
+    grid = make_time_grid(1.0, 4)
+    drv = gaussian_driver(grid, np.int64(3), seed=1)
+    assert_array_equal(drv.increments, gaussian_driver(grid, 3, seed=1).increments)
