@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -66,21 +67,18 @@ def load_config(path):
 
 
 def build_parser():
+    """The study, --config, and one flag per other field, read as in a config file."""
     parser = argparse.ArgumentParser(
         prog="slq",
         description="Convergence studies for the stochastic linear-quadratic heat control problem.",
     )
     parser.add_argument("study", choices=list(_DEFAULTS), help="which study to run")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--n-elems", type=int, dest="n_elems", help="spatial elements")
-    parser.add_argument("--time-steps", type=int, dest="time_steps", help="time steps")
-    parser.add_argument("--paths", type=int, dest="n_paths", help="Monte Carlo paths")
-    parser.add_argument("--seed", type=int, help="Gaussian path seed (path studies only)")
-    parser.add_argument("--alpha", type=float, help="terminal cost weight")
-    parser.add_argument("--horizon", type=float, help="time horizon T")
-    parser.add_argument("--kappa", type=float, help="descent curvature constant (used as given)")
-    parser.add_argument("--max-iters", type=int, dest="max_iters", help="descent iteration cap")
-    parser.add_argument("--out", help="output directory (default: results)")
+    for key in (k for k in _FIELD_TYPES if k != "study"):
+        coerce = partial(_coerce, key)
+        coerce.__name__ = _FIELD_TYPES[key].__name__  # argparse names it in "invalid ... value"
+        flags = ["--" + key.replace("_", "-")] + (["--paths"] if key == "n_paths" else [])
+        parser.add_argument(*flags, dest=key, type=coerce, help=f"config key {key}")
     return parser
 
 

@@ -37,16 +37,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, riccati
 from .adjoint import adjoint_gap
 from .forward import default_sigma_spec, make_problem, solve_forward
-from .mesh import alias_coefficients, build_fem_space
+from .mesh import build_fem_space
 from .noise import TREE_DEPTH_CAP, TreeDriver, gaussian_driver, make_time_grid, refine_common_path
 from .optimizer import cost, cost_with_stderr, gradient_descent
 from .riccati import (
     MODE_BOUND,
-    _pair_moments,
-    _simpson_panel_values,
     cost_from_moments,
     discrete_feedback,
     discrete_value,
@@ -308,33 +306,6 @@ def _feedback_solution(n_elems, cfg):
     return solve_riccati(_problem(cfg, n_elems, cfg.k_fine), cfg.k_fine)
 
 
-def _joint_errors(ric_r, ric_c):
-    """Squared control and state-gradient errors between two meshes.
-
-    The nodal prolongation P pairs each fine mode with one coarse mode
-    through the alias coefficient c (:func:`slqheat.mesh.alias_coefficients`),
-    so both errors are per-mode sums over the moments of delta = x_r - c x_c
-    (:func:`slqheat.riccati._pair_moments`), with no moments of order one
-    subtracted, integrated by composite Simpson:
-
-        E ||grad(X_r - P X_c)||^2 = sum_i lam_r S_dd,
-        E ||U_r - P U_c||^2 = sum_i E (p_r delta + (p_r - p_c) c x_c + phi_r - c phi_c)^2.
-
-    Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
-    """
-    partner, c = alias_coefficients(ric_c.data.space, ric_r.data.space)
-    m_d, S_dd, S_dc, m_c, S_cc = _pair_moments(ric_r, ric_c, partner, c)
-    p = ric_r.p_half
-    q = c * (p - ric_c.p_half[:, partner])
-    d_phi = ric_r.phi_half - c * ric_c.phi_half[:, partner]
-    ctrl = p**2 * S_dd + 2.0 * p * q * S_dc + q**2 * S_cc
-    ctrl += 2.0 * d_phi * (p * m_d + q * m_c) + d_phi**2
-    grad = ric_r.data.space.eigvals * S_dd
-    ctrl_sq = float(_simpson_panel_values(ctrl.sum(axis=1), ric_r.dt).sum())
-    grad_sq = float(_simpson_panel_values(grad.sum(axis=1), ric_r.dt).sum())
-    return ctrl_sq, grad_sq
-
-
 def run_spatial_rate(cfg):
     """Deterministic control- and state-error rates under mesh refinement.
 
@@ -360,7 +331,7 @@ def run_spatial_rate(cfg):
         if lvl == cfg.mesh_ref:
             ctrl_sq, grad_sq = 0.0, 0.0
         else:
-            ctrl_sq, grad_sq = _joint_errors(ric_r, _feedback_solution(lvl, cfg))
+            ctrl_sq, grad_sq = riccati._joint_errors(ric_r, _feedback_solution(lvl, cfg))
         ctrl_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(ctrl_sq, 0.0))), None))
         state_rows.append((lvl, 1.0 / lvl, float(np.sqrt(max(grad_sq, 0.0))), None))
     return (*_rate_tables(ctrl_rows, state_rows), {})
@@ -382,24 +353,27 @@ def _temporal_errors(u_ref, x_ref, u_lvl, x_lvl):
     All four processes live on the same ensemble paths; the coarse level
     has stride = N_ref / N_lvl reference steps per step.  The control
     error (tau_ref sum_k E||U_ref(t_k) - U_lvl(t_{k // stride})||^2)^{1/2}
-    is summed one coarse step at a time, so no temporary the size of a
-    process is built; the state error is max_j (E||X_ref(t_{j stride}) -
-    X_lvl(t_j)||^2)^{1/2}.  Standard errors are those of the per-path
-    squared errors, carried through the square root by the delta method.
+    and the state error max_j (E||X_ref(t_{j stride}) - X_lvl(t_j)||^2)^{1/2}
+    are summed one coarse node at a time in one buffer of stride slices,
+    so no temporary the size of a process is built.  Standard errors are
+    those of the per-path squared errors, carried through the square root
+    by the delta method.
 
     Returns (err_ctrl, se_ctrl, err_state, se_state).
     """
     n_paths, tau_ref = x_ref.driver.n_paths, x_ref.driver.grid.tau
     stride = (len(x_ref.values) - 1) // (len(x_lvl.values) - 1)
     ctrl_sq, diff = np.zeros(n_paths), np.empty((stride,) + u_lvl.values.shape[1:])
-    for j, u_j in enumerate(u_lvl.values):
-        np.subtract(u_ref.values[j * stride : (j + 1) * stride], u_j, out=diff)
-        ctrl_sq += tau_ref * np.einsum("kpd,kpd->p", diff, diff)
+    rows = np.empty((len(x_lvl.values), n_paths))
+    for j, x_j in enumerate(x_lvl.values):
+        np.subtract(x_ref.values[j * stride], x_j, out=diff[0])
+        rows[j] = np.einsum("pd,pd->p", diff[0], diff[0])
+        if j < len(u_lvl.values):
+            np.subtract(u_ref.values[j * stride : (j + 1) * stride], u_lvl.values[j], out=diff)
+            ctrl_sq += tau_ref * np.einsum("kpd,kpd->p", diff, diff)
     err_ctrl = float(np.sqrt(ctrl_sq.mean()))
     se_ctrl = float(ctrl_sq.std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_ctrl, 1e-300))
 
-    diff = x_ref.values[::stride] - x_lvl.values
-    rows = np.einsum("kpd,kpd->kp", diff, diff)
     worst = int(np.argmax(rows.mean(axis=1)))
     err_state = float(np.sqrt(rows[worst].mean()))
     se_state = float(rows[worst].std(ddof=1) / np.sqrt(n_paths) / max(2.0 * err_state, 1e-300))

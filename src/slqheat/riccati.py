@@ -36,9 +36,10 @@ integral), reading the noise from the data's projected profile.  Its
 trajectories are time-major, one row per half-grid point, as every sweep
 reads them.  :func:`_closed_loop_moments` sweeps the closed-loop mean
 and diagonal second moment of one solution for :func:`cost_from_moments`,
-and :func:`_pair_moments` those of the difference of a fine and a coarse
-solution for the spatial-rate study.  The data already hold eigen
-coordinates, so every function here reads them as they are.
+and :func:`_joint_errors` those of a fine solution less its coarse
+alias, summed into the spatial-rate study's squared errors.  The data
+already hold eigen coordinates, so every function here reads them as
+they are.
 ``discrete_feedback(data)`` and ``discrete_value(data)`` read one
 backward pass of the exact Riccati recursion of the time-discrete
 problem: its optimal feedback gains (g, h), which
@@ -49,6 +50,8 @@ and its optimal cost.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mesh import alias_coefficients
 
 MODE_BOUND = 1e6  # bound on alpha = p_i(T), and so on the modes |p_i|
 
@@ -197,8 +200,10 @@ def _hs_sweep(a_half, g_half, y0, dt):
     B = (dt / 6.0) * (g0 + 4.0 * gm + g1 + (dt / 2.0) * am * (g0 - g1)) / den
     y = np.empty((len(a_half),) + np.shape(y0))
     y[0] = y0
-    for k in range(len(A)):
-        y[2 * k + 2] = A[k] * y[2 * k] + B[k]
+    nodes = y.reshape(len(y), -1)[::2]  # writable node rows, also for a scalar y0
+    for A_k, B_k, y_k, y_k1 in zip(A.reshape(len(A), -1), B.reshape(len(B), -1), nodes, nodes[1:]):
+        np.multiply(A_k, y_k, out=y_k1)
+        y_k1 += B_k
     y[1::2] = e * y[:-1:2] + c2 * y[2::2] + (dt / 8.0) * (g0 - g1)
     return y
 
@@ -325,11 +330,14 @@ def _closed_loop_moments(riccati):
     return m, _hs_sweep(2.0 * a + 1.0, 2.0 * (sig - phi) * m + sig**2, x0**2, riccati.dt)
 
 
-def _pair_moments(ric_r, ric_c, partner, c):
-    """Moments of delta = x_r - c x_c, each fine mode against coarse mode ``partner``.
+def _joint_errors(ric_r, ric_c):
+    """Squared control and state-gradient errors between a fine and a coarse mesh.
 
-    Both systems ride one Wiener process, so with a = -(lam + p),
-    dphi = phi_r - c phi_c and dsig = sig_r - c sig_c, delta solves
+    The nodal prolongation P pairs each fine mode with the coarse mode
+    ``partner`` it aliases onto, with coefficient c
+    (:func:`slqheat.mesh.alias_coefficients`).  Both systems ride one
+    Wiener process, so with a = -(lam + p), dphi = phi_r - c phi_c and
+    dsig = sig_r - c sig_c, delta = x_r - c x_c solves
     d delta = (a_r delta + (a_r - a_c) c x_c - dphi) dt + (delta + dsig) dW and
 
         m_d'  = a_r m_d + (a_r - a_c) c m_c - dphi,
@@ -339,18 +347,23 @@ def _pair_moments(ric_r, ric_c, partner, c):
 
     They are swept in turn after the coarse :func:`_closed_loop_moments`,
     each fed by the half-grid values of the ones before: the joint Lobatto
-    IIIA step after a constant change of variables.  Raises ValueError
-    unless the solutions share one dense grid (one horizon and one k_fine).
+    IIIA step after a constant change of variables.  The errors are
+    per-mode sums of these uncentred moments, integrated by composite Simpson:
 
-    Returns (m_d, S_dd, S_dc, m_c, S_cc), shape (2K+1, fine dim) each, the
-    coarse ones at the partners.
+        E ||grad(X_r - P X_c)||^2 = sum_i lam_r S_dd,
+        E ||U_r - P U_c||^2 = sum_i E (p_r delta + (p_r - p_c) c x_c + dphi)^2.
+
+    Raises ValueError unless the solutions share one dense grid (one
+    horizon and one k_fine).  Returns (E int ||U_r - U_c||^2 dt,
+    E int ||grad(X_r - X_c)||^2 dt).
     """
     grids = sorted({(r.data.grid.horizon, r.k_fine) for r in (ric_r, ric_c)})
     if len(grids) != 1:
         raise ValueError(f"coupled solutions need one dense grid, got (horizon, k_fine) {grids}")
+    partner, c = alias_coefficients(ric_c.data.space, ric_r.data.space)
     m_c, S_cc = (v[:, partner] for v in _closed_loop_moments(ric_c))
-    a_r = -(ric_r.data.space.eigvals + ric_r.p_half)
-    a_c = -(ric_c.data.space.eigvals + ric_c.p_half)[:, partner]
+    lam_r, p_r, p_c = ric_r.data.space.eigvals, ric_r.p_half, ric_c.p_half[:, partner]
+    a_r, a_c = -(lam_r + p_r), -(ric_c.data.space.eigvals[partner] + p_c)
     phi_c, sig_c = ric_c.phi_half[:, partner], ric_c.sigma_eig_half[:, partner]
     lift, d_phi = c * (a_r - a_c), ric_r.phi_half - c * phi_c
     d_sig, x0_c = ric_r.sigma_eig_half - c * sig_c, ric_c.data.x0[partner]
@@ -360,7 +373,14 @@ def _pair_moments(ric_r, ric_c, partner, c):
     S_dc = _hs_sweep(a_r + a_c + 1.0, source, d0 * x0_c, dt)
     source = 2.0 * (lift * S_dc + (d_sig - d_phi) * m_d) + d_sig**2
     S_dd = _hs_sweep(2.0 * a_r + 1.0, source, d0**2, dt)
-    return m_d, S_dd, S_dc, m_c, S_cc
+    # freed first, so the sums reuse their pages instead of faulting in fresh ones
+    del a_r, a_c, phi_c, sig_c, lift, d_sig, source
+    q = c * (p_r - p_c)
+    ctrl = p_r**2 * S_dd + 2.0 * p_r * q * S_dc + q**2 * S_cc
+    ctrl += 2.0 * d_phi * (p_r * m_d + q * m_c) + d_phi**2
+    ctrl_sq = float(_simpson_panel_values(ctrl.sum(axis=1), dt).sum())
+    grad_sq = float(_simpson_panel_values((lam_r * S_dd).sum(axis=1), dt).sum())
+    return ctrl_sq, grad_sq
 
 
 def cost_from_moments(riccati):

@@ -66,6 +66,11 @@ the library ran it before its panel coefficients became whole-array
 operations.  ``full_joint_errors`` sweeps the dense blocks of a mesh
 pair in the coordinates (x_r - C x_c, x_c) with the dense C; in
 ``np.longdouble`` it is the accuracy reference of the spatial errors.
+``pair_moments`` and ``pair_joint_errors`` are the difference sweep and
+the spatial errors as the library computed them before one function
+derived the alias pairing itself: the caller paired the modes, the sweep
+returned five moment arrays, and the errors gathered the coarse columns
+again.
 ``solve_riccati_dense`` is an independent matrix Riccati integrator.
 The ``slice_*`` functions condition and reduce one slice at a time, as
 the library did before it batched the regression solves and
@@ -92,9 +97,11 @@ import numpy as np
 
 from slqheat.adjoint import _RIDGE, _regression_features, k_htau
 from slqheat.forward import AdaptedProcess, solve_forward, zeros_process
-from slqheat.mesh import _GAUSS_X, _quad_points
+from slqheat.mesh import _GAUSS_X, _quad_points, alias_coefficients
 from slqheat.optimizer import GdTrace, control_inner, control_norm_sq, cost, kappa_bound
 from slqheat.riccati import (
+    _closed_loop_moments,
+    _hs_sweep,
     _simpson_panel_values,
     _stationary_roots,
     riccati_mode_values,
@@ -1403,6 +1410,71 @@ def full_joint_errors(ric_r, ric_c, dtype=float):
     ctrl += 2 * (d_phi * (p_r * m_d + apply(Q, m_c))).sum(axis=1) + (d_phi**2).sum(axis=1)
     grad = (lam_r * S_dd).sum(axis=1)
     return tuple(float(_simpson_panel_values(v, dt).sum()) for v in (ctrl, grad))
+
+
+def pair_moments(ric_r, ric_c, partner, c):
+    """Moments of delta = x_r - c x_c, each fine mode against coarse mode ``partner``.
+
+    Both systems ride one Wiener process, so with a = -(lam + p),
+    dphi = phi_r - c phi_c and dsig = sig_r - c sig_c, delta solves
+    d delta = (a_r delta + (a_r - a_c) c x_c - dphi) dt + (delta + dsig) dW and
+
+        m_d'  = a_r m_d + (a_r - a_c) c m_c - dphi,
+        S_dc' = (a_r + a_c + 1) S_dc + (a_r - a_c) c S_cc + (sig_c - phi_c) m_d
+                + (dsig - dphi) m_c + dsig sig_c,   with S_dc = E delta x_c,
+        S_dd' = (2 a_r + 1) S_dd + 2 (a_r - a_c) c S_dc + 2 (dsig - dphi) m_d + dsig^2.
+
+    They are swept in turn after the coarse :func:`_closed_loop_moments`,
+    each fed by the half-grid values of the ones before: the joint Lobatto
+    IIIA step after a constant change of variables.  Raises ValueError
+    unless the solutions share one dense grid (one horizon and one k_fine).
+
+    Returns (m_d, S_dd, S_dc, m_c, S_cc), shape (2K+1, fine dim) each, the
+    coarse ones at the partners.
+    """
+    grids = sorted({(r.data.grid.horizon, r.k_fine) for r in (ric_r, ric_c)})
+    if len(grids) != 1:
+        raise ValueError(f"coupled solutions need one dense grid, got (horizon, k_fine) {grids}")
+    m_c, S_cc = (v[:, partner] for v in _closed_loop_moments(ric_c))
+    a_r = -(ric_r.data.space.eigvals + ric_r.p_half)
+    a_c = -(ric_c.data.space.eigvals + ric_c.p_half)[:, partner]
+    phi_c, sig_c = ric_c.phi_half[:, partner], ric_c.sigma_eig_half[:, partner]
+    lift, d_phi = c * (a_r - a_c), ric_r.phi_half - c * phi_c
+    d_sig, x0_c = ric_r.sigma_eig_half - c * sig_c, ric_c.data.x0[partner]
+    d0, dt = ric_r.data.x0 - c * x0_c, ric_r.dt
+    m_d = _hs_sweep(a_r, lift * m_c - d_phi, d0, dt)
+    source = lift * S_cc + (sig_c - phi_c) * m_d + (d_sig - d_phi) * m_c + d_sig * sig_c
+    S_dc = _hs_sweep(a_r + a_c + 1.0, source, d0 * x0_c, dt)
+    source = 2.0 * (lift * S_dc + (d_sig - d_phi) * m_d) + d_sig**2
+    S_dd = _hs_sweep(2.0 * a_r + 1.0, source, d0**2, dt)
+    return m_d, S_dd, S_dc, m_c, S_cc
+
+
+def pair_joint_errors(ric_r, ric_c):
+    """Squared control and state-gradient errors between two meshes.
+
+    The nodal prolongation P pairs each fine mode with one coarse mode
+    through the alias coefficient c (:func:`slqheat.mesh.alias_coefficients`),
+    so both errors are per-mode sums over the moments of delta = x_r - c x_c
+    (:func:`pair_moments`), with no moments of order one
+    subtracted, integrated by composite Simpson:
+
+        E ||grad(X_r - P X_c)||^2 = sum_i lam_r S_dd,
+        E ||U_r - P U_c||^2 = sum_i E (p_r delta + (p_r - p_c) c x_c + phi_r - c phi_c)^2.
+
+    Returns (E int ||U_r - U_c||^2 dt, E int ||grad(X_r - X_c)||^2 dt).
+    """
+    partner, c = alias_coefficients(ric_c.data.space, ric_r.data.space)
+    m_d, S_dd, S_dc, m_c, S_cc = pair_moments(ric_r, ric_c, partner, c)
+    p = ric_r.p_half
+    q = c * (p - ric_c.p_half[:, partner])
+    d_phi = ric_r.phi_half - c * ric_c.phi_half[:, partner]
+    ctrl = p**2 * S_dd + 2.0 * p * q * S_dc + q**2 * S_cc
+    ctrl += 2.0 * d_phi * (p * m_d + q * m_c) + d_phi**2
+    grad = ric_r.data.space.eigvals * S_dd
+    ctrl_sq = float(_simpson_panel_values(ctrl.sum(axis=1), ric_r.dt).sum())
+    grad_sq = float(_simpson_panel_values(grad.sum(axis=1), ric_r.dt).sum())
+    return ctrl_sq, grad_sq
 
 
 def solve_riccati_dense(space, horizon, alpha, k_fine=1024):

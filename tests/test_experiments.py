@@ -23,16 +23,21 @@ from slqheat.experiments import (
     ExperimentConfig,
     RateTable,
     _feedback_solution,
-    _joint_errors,
     _problem,
     make_config,
     resolve_config,
     run_study,
 )
 from slqheat.forward import make_problem, default_sigma_spec, solve_forward
-from oracles import feedback_control, full_joint_errors, l2_norm_sq_batch, prolongation_matrix
+from oracles import (
+    feedback_control,
+    full_joint_errors,
+    l2_norm_sq_batch,
+    pair_joint_errors,
+    prolongation_matrix,
+)
 from slqheat.noise import gaussian_driver, make_time_grid
-from slqheat.riccati import MODE_BOUND, discrete_value
+from slqheat.riccati import MODE_BOUND, _joint_errors, discrete_value
 
 
 # ------------------------------------------------------------------ config
@@ -468,6 +473,18 @@ def test_joint_errors_match_full_matrix_oracle(n_ref, n_coarse):
     assert_allclose(_joint_errors(ref, coarse), full_joint_errors(ref, coarse), rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n_ref, n_coarse, k_fine",
+    [(256, 8, 32), (256, 16, 32), (256, 32, 32), (256, 64, 32), (32, 8, 64), (64, 16, 64)],
+)
+def test_joint_errors_are_exactly_the_caller_paired_sweep(n_ref, n_coarse, k_fine):
+    # the function that pairs the modes itself keeps every operation of the
+    # caller-paired sweep in its order, so it returns the same bits
+    cfg = make_config("spatial_rate", k_fine=k_fine)
+    ref, coarse = _feedback_solution(n_ref, cfg), _feedback_solution(n_coarse, cfg)
+    assert _joint_errors(ref, coarse) == pair_joint_errors(ref, coarse)
+
+
 def test_joint_errors_match_extended_precision_at_the_finest_study_pair():
     # A6's finest pair, against the dense oracle in long double.  The squared
     # control error is 1.2e-7 of the squared controls, so a difference of
@@ -814,6 +831,22 @@ def test_cli_runs_config_with_overrides(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == f"study gd_convergence: results in {tmp_path / 'res'}/"
     assert lines[1:] == [f"  {key}: {value}" for key, value in manifest["summary"].items()]
+
+
+def test_cli_has_a_flag_for_every_config_field(tmp_path):
+    # each flag is the field name with dashes and parses like its config value
+    parser = build_parser()
+    samples = {int: ("3", 3), float: ("0.5", 0.5), str: ("linear", "linear"), tuple: ("4,8", (4, 8))}
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name == "study":
+            continue
+        raw, value = samples[field.type]
+        args = parser.parse_args(["gd_convergence", "--" + field.name.replace("_", "-"), raw])
+        assert getattr(args, field.name) == value, field.name
+    argv = ["spatial_rate", "--mesh-levels", "8", "--mesh-ref", "16", "--k-fine", "64"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert (config["mesh_levels"], config["mesh_ref"], config["k_fine"]) == ([8], 16, 64)
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):

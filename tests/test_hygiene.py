@@ -387,11 +387,34 @@ def test_adjoint_takes_no_driver_argument():
 
 def test_experiments_stacks_and_relays_no_arrays():
     # the Riccati record is time-major, as every sweep reads it, and
-    # riccati._pair_moments pairs a fine and a coarse solution by indexing
+    # riccati._joint_errors pairs a fine and a coarse solution by indexing
     # the coarse columns, so the studies neither stack nor re-lay its arrays
     source = (ROOT / "src" / "slqheat" / "experiments.py").read_text(encoding="utf-8")
     names = ("vstack", "hstack", "ascontiguousarray")
     assert {name: attribute_reads(source, name) for name in names} == {name: [] for name in names}
+
+
+def imported_names(source, module):
+    """Names that ``source`` imports from ``module`` (relative or absolute)."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+        for alias in node.names
+    ]
+
+
+def test_only_mesh_and_riccati_know_the_alias_pairing():
+    # riccati._joint_errors derives the pairing of fine and coarse modes
+    # from the two spaces, so the studies pass no pairing and read none of
+    # the Riccati module's sweeps
+    source = (ROOT / "src" / "slqheat" / "experiments.py").read_text(encoding="utf-8")
+    assert [name for name in imported_names(source, "riccati") if name.startswith("_")] == []
+    assert "alias_coefficients" not in imported_names(source, "mesh")
+    planted = "from .riccati import (\n    MODE_BOUND,\n    _pair_moments,\n)\n"
+    planted += "from slqheat.mesh import alias_coefficients, build_fem_space\n"
+    assert imported_names(planted, "riccati") == ["MODE_BOUND", "_pair_moments"]
+    assert imported_names(planted, "mesh") == ["alias_coefficients", "build_fem_space"]
 
 
 # what run_study alone does: resolve the config, time the run, and write

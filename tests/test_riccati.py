@@ -26,7 +26,7 @@ from oracles import (
     riccati_mode_derivative,
     solve_riccati_dense,
 )
-from slqheat.mesh import alias_coefficients, build_fem_space
+from slqheat.mesh import build_fem_space
 from slqheat.noise import TreeDriver, make_time_grid
 from slqheat.optimizer import cost
 from slqheat.riccati import (
@@ -34,7 +34,7 @@ from slqheat.riccati import (
     RiccatiSolution,
     _closed_loop_moments,
     _hs_sweep,
-    _pair_moments,
+    _joint_errors,
     _phi_sweep,
     _stationary_roots,
     cost_from_moments,
@@ -558,14 +558,9 @@ def _assert_entries_match(rows, cols):
 
 def test_pair_moment_sweep_couples_solutions_on_one_dense_grid():
     space, ric, _ = _SMALL
-    m, S = _closed_loop_moments(ric)
     # a solution paired with itself: every mode is its own alias with c = 1,
-    # the coarse block is its own sweep, and the difference process is zero
-    partner, c = alias_coefficients(space, space)
-    m_d, S_dd, S_dc, m_c, S_cc = _pair_moments(ric, ric, partner, c)
-    np.testing.assert_array_equal(m_c, m)
-    np.testing.assert_array_equal(S_cc, S)
-    assert not (m_d.any() or S_dd.any() or S_dc.any())
+    # so the difference process and both errors are zero
+    assert _joint_errors(ric, ric) == (0.0, 0.0)
     # the rows of a pair are common time points: another k_fine or another
     # horizon (here with the same node spacing) samples another grid
     finer = solve_riccati(ric.data, 2 * ric.k_fine)
@@ -573,7 +568,7 @@ def test_pair_moment_sweep_couples_solutions_on_one_dense_grid():
     longer_same_dt = solve_riccati(longer.data, 2 * ric.k_fine)
     for other in (finer, longer, longer_same_dt):
         with pytest.raises(ValueError, match="one dense grid"):
-            _pair_moments(ric, other, partner, c)
+            _joint_errors(ric, other)
 
 
 def test_entry_stream_matches_full_sweep_on_diagonal_block_and_all_pairs():

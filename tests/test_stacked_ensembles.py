@@ -103,6 +103,25 @@ def test_temporal_errors_match_per_slice_loops(noise):
     assert_allclose(got, want, rtol=1e-12)
 
 
+def test_temporal_errors_build_no_temporary_the_size_of_the_coarse_state():
+    # 16 reference steps against level 8: a stride of 2 slices, below the 9
+    # coarse nodes, so a whole-process state difference would pass the bound
+    data_ref, fine = ensemble("linear", n_paths=2000, n_steps=16, n_elems=16)
+    coarse = refine_common_path(fine)
+    d = data_ref.space.dim
+    u_ref, u_lvl = random_control(fine, 16, d, seed=7), random_control(coarse, 8, d, seed=8)
+    x_ref = solve_forward(data_ref, fine, u_ref)
+    x_lvl = solve_forward(data_ref.with_grid(coarse.grid), coarse, u_lvl)
+    state_bytes = x_lvl.values.nbytes
+    tracemalloc.start()
+    try:
+        _temporal_errors(u_ref, x_ref, u_lvl, x_lvl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state_bytes, f"peak {peak / state_bytes:.2f} coarse states"
+
+
 def assert_descent_matches_per_slice_loop(data, drv, max_iters, tol_grad=None):
     u, trace = gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
     u_ref, trace_ref = oracles.slice_gradient_descent(data, drv, max_iters, tol_grad=tol_grad)
