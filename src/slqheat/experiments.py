@@ -160,9 +160,6 @@ def resolve_config(cfg):
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if cfg.noise not in ("linear", "additive"):
         raise ValueError(f"noise must be 'linear' or 'additive', got {cfg.noise!r}")
-    # k_fine is the step count of the Riccati solver, which models linear noise only
-    if cfg.noise == "additive" and cfg.k_fine is not None:
-        raise ValueError(f"{cfg.study} solves the Riccati equation, which needs noise='linear'")
     if cfg.alpha >= MODE_BOUND and cfg.k_fine is not None:
         raise ValueError(f"alpha must be below {MODE_BOUND:g} to solve the Riccati equation")
     if cfg.horizon <= 0:

@@ -139,6 +139,7 @@ class ProblemData:
     data.  The grid fixes ``sigma``, sigma(t_n) in N + 1 slots (the scheme
     reads 0..N-1; the terminal slot rides along for diagnostics), and
     ``a0``, the diagonal 1 / (1 + tau lambda_i) of A0 = (M + tau A)^{-1} M.
+    The noise fixes ``eps`` of (eps X + sigma) dW: 1.0 if linear, 0.0 if additive.
     """
 
     space: object
@@ -150,11 +151,13 @@ class ProblemData:
     noise: str = "linear"
     sigma: np.ndarray = field(init=False, repr=False)
     a0: np.ndarray = field(init=False, repr=False)
+    eps: float = field(init=False, repr=False)
     _a0_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.sigma = self.sigma_at(self.grid.nodes)
         self.a0 = 1.0 / (1.0 + self.grid.tau * self.space.eigvals)
+        self.eps = 1.0 if self.noise == "linear" else 0.0
 
     def sigma_at(self, times):
         """sigma(t) = time_factor(t) * profile in eigen coordinates, one row per time."""
@@ -177,7 +180,7 @@ class ProblemData:
         got, want = ((g.horizon, g.n_steps) for g in (driver.grid, self.grid))
         if got != want:
             raise ValueError(f"driver grid (horizon, steps) {got} is not the problem's {want}")
-        return driver.mult if self.noise == "linear" else np.ones((self.grid.n_steps, 1, 1, 1))
+        return driver.mult if self.eps else np.ones((self.grid.n_steps, 1, 1, 1))
 
 
 def make_problem(space, grid, alpha=1.0, sigma_spec=None, noise="linear"):

@@ -2,13 +2,17 @@
 
 In the M-orthonormal eigenbasis the operator Riccati equation
 
-    P' + P Laplace_h + Laplace_h P + P + I - P^2 = 0,   P(T) = alpha I,
+    P' + P Laplace_h + Laplace_h P + eps P + I - P^2 = 0,   P(T) = alpha I,
 
-decouples into the scalar backward ODEs
+with eps = 1 for the linear noise (X + sigma) dW and eps = 0 for the
+additive sigma dW (``ProblemData.eps``), decouples into the scalar
+backward ODEs
 
-    p_i' = 2 lambda_i p_i - p_i - 1 + p_i^2,   p_i(T) = alpha,
+    p_i' = 2 lambda_i p_i - eps p_i - 1 + p_i^2,   p_i(T) = alpha,
 
-whose coefficients are constant, so p_i has a closed form: with
+those of linear noise with lambda_i shifted by (1 - eps)/2, the form that
+:func:`riccati_mode_values` takes.  Their coefficients are constant, so
+p_i has a closed form: with
 b = 1 - 2 lambda, the stationary equation p^2 - b p - 1 = 0 has roots
 r+- = (b +- sqrt(b^2 + 4)) / 2 with r- < 0 < r+, and in reversed time
 s = T - t
@@ -27,7 +31,8 @@ first and second moments) are integrated by one Hermite-Simpson sweep,
 closed-form stage elimination for the componentwise-diagonal systems
 used here.  It returns whole (2K+1, .) half-grid trajectories, and the
 cost integrals are composite Simpson sums of their rows, all on the same
-fine half-grid sampling.
+fine half-grid sampling.  The noise enters each of them through eps
+alone: phi's source -eps p sigma and the second moments' (eps x + sigma)^2.
 
 ``solve_riccati(data, k_fine)`` is the one constructor: from a
 :class:`slqheat.forward.ProblemData` it builds the complete
@@ -145,24 +150,19 @@ def solve_riccati(data, k_fine):
     Raises
     ------
     ValueError
-        For additive noise: the mode equations carry the +P term and the
-        moment sweeps the (X + sigma) noise of the linear-noise problem.
+        For k_fine not an integer (NumPy integers count) of at least 1.
         For alpha outside [0, MODE_BOUND): each p_i runs monotonically between
         alpha and its stationary root r+ < 1.62, so this bounds every mode.
     """
-    if data.noise != "linear":
-        raise ValueError(
-            f"the Riccati feedback covers the linear-noise problem only, got noise={data.noise!r}"
-        )
-    if k_fine < 1:
-        raise ValueError(f"need k_fine >= 1, got {k_fine}")
+    if isinstance(k_fine, bool) or not isinstance(k_fine, (int, np.integer)) or k_fine < 1:
+        raise ValueError(f"k_fine must be an integer of at least 1, got {k_fine!r}")
     if not 0 <= data.alpha < MODE_BOUND:
         raise ValueError(f"need 0 <= alpha < {MODE_BOUND:g}, got {data.alpha}")
-    space, horizon = data.space, data.grid.horizon
+    space, horizon, eps = data.space, data.grid.horizon, data.eps
     t_half = np.linspace(0.0, horizon, 2 * k_fine + 1)
-    p_half = riccati_mode_values(space.eigvals, data.alpha, horizon, t_half)
+    p_half = riccati_mode_values(space.eigvals + 0.5 * (1.0 - eps), data.alpha, horizon, t_half)
     sig = data.sigma_at(t_half)
-    phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, horizon / k_fine)
+    phi_half, value_integral = _phi_sweep(space.eigvals, p_half, sig, eps, horizon / k_fine)
     return RiccatiSolution(
         data=data,
         k_fine=k_fine,
@@ -213,12 +213,12 @@ def _simpson_panel_values(f_half, dt):
     return (dt / 6.0) * (f_half[:-1:2] + 4.0 * f_half[1::2] + f_half[2::2])
 
 
-def _phi_sweep(lams, p_half, sig, dt):
+def _phi_sweep(lams, p_half, sig, eps, dt):
     """Offset trajectories phi_i and the running value integral.
 
     Integrates, backward from phi_i(T) = 0,
 
-        phi_i' = (lambda_i + p_i(t)) phi_i - p_i(t) sigma_i(t),
+        phi_i' = (lambda_i + p_i(t)) phi_i - eps p_i(t) sigma_i(t),
 
     by the Hermite-Simpson sweep in reversed time, and accumulates
 
@@ -235,9 +235,9 @@ def _phi_sweep(lams, p_half, sig, dt):
     (phi on the half grid, time-major like p_half and sig: shape (2K+1, d);
      value_integral, shape (K+1,))
     """
-    # reversed time: psi(s) = phi(T - s) solves psi' = -(lam + p~) psi + p~ sig~
+    # reversed time: psi(s) = phi(T - s) solves psi' = -(lam + p~) psi + eps p~ sig~
     p_rev = p_half[::-1]
-    phi_half = _hs_sweep(-(lams + p_rev), p_rev * sig[::-1], np.zeros(len(lams)), dt)[::-1]
+    phi_half = _hs_sweep(-(lams + p_rev), eps * p_rev * sig[::-1], np.zeros(len(lams)), dt)[::-1]
 
     integrand = (p_half * sig**2).sum(axis=1) - (phi_half**2).sum(axis=1)
     panels = _simpson_panel_values(integrand, dt)
@@ -264,7 +264,6 @@ def _discrete_recursion(data):
     Returns (g, h, P_0, q_0, r_0): the gains, shape (N, d) each, and V_0's coefficients.
     """
     N, tau, d = data.grid.n_steps, data.grid.tau, data.space.dim
-    linear = data.noise == "linear"
     s, sigma = data.a0, data.sigma
     g, h = np.empty((N, d)), np.empty((N, d))
     P, q, r = np.full(d, tau + data.alpha), np.zeros(d), 0.0
@@ -272,7 +271,7 @@ def _discrete_recursion(data):
         a, b = P * s**2, q * s
         g[n], h[n] = a / (1.0 + tau * a), b / (1.0 + tau * a)
         r += 0.5 * tau * (a * sigma[n] ** 2 - b * h[n]).sum()
-        noise = tau * a if linear else 0.0
+        noise = data.eps * tau * a
         P, q = g[n] + noise + tau * (n >= 1), h[n] + noise * sigma[n]
     return g, h, P, q, r
 
@@ -280,7 +279,7 @@ def _discrete_recursion(data):
 def discrete_feedback(data):
     """Exact optimal feedback of the time-discrete control problem.
 
-    Mode i of the scheme reads X_{n+1} = s_i [(1 + dW) X_n + tau U_n +
+    Mode i of the scheme reads X_{n+1} = s_i [(1 + eps dW) X_n + tau U_n +
     sigma_{n,i} dW] with s_i = 1 / (1 + tau lambda_i); the modes share
     only the increment, so dynamic programming is exact mode by mode.
     The cost-to-go from step n is V_n(c) = (1/2) sum_i P_{n,i} c_i^2 +
@@ -288,10 +287,9 @@ def discrete_feedback(data):
     n = N-1, ..., 0 sets a = P_{n+1} s^2, b = q_{n+1} s and
 
         g_n = a / (1 + tau a),   h_n = b / (1 + tau a),
-        P_n = g_n + tau a + tau [n >= 1],   q_n = h_n + tau a sigma_n,
-        r_n = r_{n+1} + (tau / 2) sum_i (a sigma_{n,i}^2 - b h_n),
+        P_n = g_n + eps tau a + tau [n >= 1],   q_n = h_n + eps tau a sigma_n,
+        r_n = r_{n+1} + (tau / 2) sum_i (a sigma_{n,i}^2 - b h_n)
 
-    where additive noise drops the noise terms tau a and tau a sigma_n
     (Kleinman 1969; Ait Rami, Chen, Moore and Zhou 2001).  Only the mean 0
     and variance tau of the increments enter, so it holds on trees and
     ensembles alike.
@@ -319,15 +317,15 @@ def discrete_value(data):
 def _closed_loop_moments(riccati):
     """Closed-loop mean m and second moment S = E x^2 of each mode, shape (2K+1, d) each.
 
-    Mode i of the controlled state solves dx = (a x - phi) dt + (x + sig) dW
+    Mode i of the controlled state solves dx = (a x - phi) dt + (eps x + sig) dW
     with a = -(lam + p) from ``data.x0``, so m' = a m - phi and
-    S' = (2a + 1) S + 2 (sig - phi) m + sig^2.  S at the midpoints is a
+    S' = (2a + eps) S + 2 (eps sig - phi) m + sig^2.  S at the midpoints is a
     collocation value, so Simpson sums against it are 4th order.
     """
-    x0, phi, sig = riccati.data.x0, riccati.phi_half, riccati.sigma_eig_half
+    x0, eps, phi, sig = riccati.data.x0, riccati.data.eps, riccati.phi_half, riccati.sigma_eig_half
     a = -(riccati.data.space.eigvals + riccati.p_half)
     m = _hs_sweep(a, -phi, x0, riccati.dt)
-    return m, _hs_sweep(2.0 * a + 1.0, 2.0 * (sig - phi) * m + sig**2, x0**2, riccati.dt)
+    return m, _hs_sweep(2.0 * a + eps, 2.0 * (eps * sig - phi) * m + sig**2, x0**2, riccati.dt)
 
 
 def _joint_errors(ric_r, ric_c):
@@ -338,12 +336,12 @@ def _joint_errors(ric_r, ric_c):
     (:func:`slqheat.mesh.alias_coefficients`).  Both systems ride one
     Wiener process, so with a = -(lam + p), dphi = phi_r - c phi_c and
     dsig = sig_r - c sig_c, delta = x_r - c x_c solves
-    d delta = (a_r delta + (a_r - a_c) c x_c - dphi) dt + (delta + dsig) dW and
+    d delta = (a_r delta + (a_r - a_c) c x_c - dphi) dt + (eps delta + dsig) dW and
 
         m_d'  = a_r m_d + (a_r - a_c) c m_c - dphi,
-        S_dc' = (a_r + a_c + 1) S_dc + (a_r - a_c) c S_cc + (sig_c - phi_c) m_d
-                + (dsig - dphi) m_c + dsig sig_c,   with S_dc = E delta x_c,
-        S_dd' = (2 a_r + 1) S_dd + 2 (a_r - a_c) c S_dc + 2 (dsig - dphi) m_d + dsig^2.
+        S_dc' = (a_r + a_c + eps) S_dc + (a_r - a_c) c S_cc + (eps sig_c - phi_c) m_d
+                + (eps dsig - dphi) m_c + dsig sig_c,   with S_dc = E delta x_c,
+        S_dd' = (2 a_r + eps) S_dd + 2 (a_r - a_c) c S_dc + 2 (eps dsig - dphi) m_d + dsig^2.
 
     They are swept in turn after the coarse :func:`_closed_loop_moments`,
     each fed by the half-grid values of the ones before: the joint Lobatto
@@ -354,12 +352,12 @@ def _joint_errors(ric_r, ric_c):
         E ||U_r - P U_c||^2 = sum_i E (p_r delta + (p_r - p_c) c x_c + dphi)^2.
 
     Raises ValueError unless the solutions share one dense grid (one
-    horizon and one k_fine).  Returns (E int ||U_r - U_c||^2 dt,
+    horizon and one k_fine) and one noise.  Returns (E int ||U_r - U_c||^2 dt,
     E int ||grad(X_r - X_c)||^2 dt).
     """
-    grids = sorted({(r.data.grid.horizon, r.k_fine) for r in (ric_r, ric_c)})
+    grids = sorted({(r.data.grid.horizon, r.k_fine, r.data.eps) for r in (ric_r, ric_c)})
     if len(grids) != 1:
-        raise ValueError(f"coupled solutions need one dense grid, got (horizon, k_fine) {grids}")
+        raise ValueError(f"coupled solutions need one dense grid and noise, got {grids}")
     partner, c = alias_coefficients(ric_c.data.space, ric_r.data.space)
     m_c, S_cc = (v[:, partner] for v in _closed_loop_moments(ric_c))
     lam_r, p_r, p_c = ric_r.data.space.eigvals, ric_r.p_half, ric_c.p_half[:, partner]
@@ -367,12 +365,12 @@ def _joint_errors(ric_r, ric_c):
     phi_c, sig_c = ric_c.phi_half[:, partner], ric_c.sigma_eig_half[:, partner]
     lift, d_phi = c * (a_r - a_c), ric_r.phi_half - c * phi_c
     d_sig, x0_c = ric_r.sigma_eig_half - c * sig_c, ric_c.data.x0[partner]
-    d0, dt = ric_r.data.x0 - c * x0_c, ric_r.dt
+    d0, dt, eps = ric_r.data.x0 - c * x0_c, ric_r.dt, ric_r.data.eps
     m_d = _hs_sweep(a_r, lift * m_c - d_phi, d0, dt)
-    source = lift * S_cc + (sig_c - phi_c) * m_d + (d_sig - d_phi) * m_c + d_sig * sig_c
-    S_dc = _hs_sweep(a_r + a_c + 1.0, source, d0 * x0_c, dt)
-    source = 2.0 * (lift * S_dc + (d_sig - d_phi) * m_d) + d_sig**2
-    S_dd = _hs_sweep(2.0 * a_r + 1.0, source, d0**2, dt)
+    source = lift * S_cc + (eps * sig_c - phi_c) * m_d + (eps * d_sig - d_phi) * m_c + d_sig * sig_c
+    S_dc = _hs_sweep(a_r + a_c + eps, source, d0 * x0_c, dt)
+    source = 2.0 * (lift * S_dc + (eps * d_sig - d_phi) * m_d) + d_sig**2
+    S_dd = _hs_sweep(2.0 * a_r + eps, source, d0**2, dt)
     # freed first, so the sums reuse their pages instead of faulting in fresh ones
     del a_r, a_c, phi_c, sig_c, lift, d_sig, source
     q = c * (p_r - p_c)

@@ -72,6 +72,8 @@ derived the alias pairing itself: the caller paired the modes, the sweep
 returned five moment arrays, and the errors gathered the coarse columns
 again.
 ``solve_riccati_dense`` is an independent matrix Riccati integrator.
+Every Riccati and moment oracle reads the noise through eps, the factor
+that ``ProblemData`` derives (1 for linear noise, 0 for additive).
 The ``slice_*`` functions condition and reduce one slice at a time, as
 the library did before it batched the regression solves and
 stacked ensemble processes into one (K, P, d) array; the kernel and
@@ -1151,13 +1153,13 @@ class MomentState:
     S: np.ndarray
 
 
-def riccati_mode_derivative(lams, alpha, horizon, t):
-    """Exact time derivative p_i'(t) of ``riccati_mode_values``, shape (d, n_t).
+def riccati_mode_derivative(lams, alpha, horizon, t, eps=1.0):
+    """Exact time derivative p_i'(t) of the modes of p' = 2 lam p - eps p - 1 + p^2, shape (d, n_t).
 
     p(t) = q(T - t) with q'(s) = -D^2 c0 E / (1 - c0 E)^2 and E = e^{-D s},
-    so p'(t) = D^2 c0 E / (1 - c0 E)^2.
+    so p'(t) = D^2 c0 E / (1 - c0 E)^2, with the roots of lam + (1 - eps)/2.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = np.atleast_1d(np.asarray(lams, dtype=float)) + 0.5 * (1.0 - eps)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r_plus, r_minus, D = _stationary_roots(lams)
     c0 = (alpha - r_plus) / (alpha - r_minus)
@@ -1171,9 +1173,10 @@ def fine_grid(riccati):
 
 
 def p_at(riccati, t):
-    """Exact p_i(t), shape (d,) for scalar t."""
+    """Exact p_i(t) of the data's noise, shape (d,) for scalar t."""
     data = riccati.data
-    return riccati_mode_values(data.space.eigvals, data.alpha, data.grid.horizon, [t])[0]
+    lams = data.space.eigvals + 0.5 * (1.0 - data.eps)
+    return riccati_mode_values(lams, data.alpha, data.grid.horizon, [t])[0]
 
 
 def phi_at(riccati, t):
@@ -1212,10 +1215,7 @@ def closed_loop_moments(riccati):
     full d x d second moment: the entry-indexed sweep
     :func:`entry_moments` run on all pairs (i, j).
     """
-    data = riccati.data
-    if data.noise != "linear":
-        raise ValueError("closed-loop moment oracle covers the linear-noise problem only")
-    d = data.space.dim
+    d = riccati.data.space.dim
     m, S = entry_moments([riccati], *all_pairs(d))
     return [MomentState(m=m_k, S=S_k.reshape(d, d)) for m_k, S_k in zip(m[::2], S[::2])]
 
@@ -1256,12 +1256,13 @@ def entry_moments(rics, rows, cols):
     The library's entry-indexed moment sweep as it stood before it swept
     one solution's diagonal only.  The solutions in ``rics`` ride one
     scalar Wiener process, so their stacked eigen coordinates (those of
-    rics[0] first) solve one linear SDE with diagonal drift.  Its mean
+    rics[0] first) solve one linear SDE with diagonal drift and noise
+    (eps x + sig) dW, eps that of rics[0].  Its mean
     solves m' = -(lam + p) m - phi (componentwise); each second-moment
     entry solves its own scalar ODE
 
-        S_ij' = (a_i + a_j + 1) S_ij + b_ij,
-        b_ij = -phi_i m_j - phi_j m_i + m_i sig_j + m_j sig_i + sig_i sig_j,
+        S_ij' = (a_i + a_j + eps) S_ij + b_ij,
+        b_ij = -phi_i m_j - phi_j m_i + eps (m_i sig_j + m_j sig_i) + sig_i sig_j,
 
     with a_i = -(lam_i + p_i), from S_ij(0) = m0_i m0_j.  Only the entries
     (rows[e], cols[e]) of the stack are swept.
@@ -1273,15 +1274,15 @@ def entry_moments(rics, rows, cols):
     parts = [(r.p_half, r.phi_half, r.sigma_eig_half, r.data.space.eigvals, r.data.x0)
              for r in rics]
     p, phi, sig, lams, m0 = (np.concatenate(part, axis=-1) for part in zip(*parts))
-    dt = rics[0].dt
+    dt, eps = rics[0].dt, rics[0].data.eps
     a = -(lams + p)
     m = panel_hs_sweep(a, -phi, m0, dt)
     source = -phi[:, rows] * m[:, cols]
     source -= phi[:, cols] * m[:, rows]
-    source += m[:, rows] * sig[:, cols]
-    source += m[:, cols] * sig[:, rows]
+    source += eps * m[:, rows] * sig[:, cols]
+    source += eps * m[:, cols] * sig[:, rows]
     source += sig[:, rows] * sig[:, cols]
-    return m, panel_hs_sweep(a[:, rows] + a[:, cols] + 1.0, source, m0[rows] * m0[cols], dt)
+    return m, panel_hs_sweep(a[:, rows] + a[:, cols] + eps, source, m0[rows] * m0[cols], dt)
 
 
 # The full-matrix moment sweep, as the library had it before it swept only
@@ -1291,7 +1292,7 @@ def entry_moments(rics, rows, cols):
 def mode_major(rics):
     """The Riccati solutions ``rics`` stacked into one record of the former layout.
 
-    Fields ``k_fine``, ``dt``, ``lams`` (the stacked eigenvalues) and the
+    Fields ``k_fine``, ``dt``, ``eps`` (that of rics[0]), ``lams`` (the stacked eigenvalues) and the
     half-grid arrays ``p_half``, ``phi_half`` and ``sigma_eig_half``
     mode-major, shape (n, 2K+1): one row per stacked mode, as the library
     stored them before its record became time-major.  The full-matrix
@@ -1300,6 +1301,7 @@ def mode_major(rics):
     return SimpleNamespace(
         k_fine=rics[0].k_fine,
         dt=rics[0].dt,
+        eps=rics[0].data.eps,
         lams=np.concatenate([ric.data.space.eigvals for ric in rics]),
         p_half=np.vstack([ric.p_half.T for ric in rics]),
         phi_half=np.vstack([ric.phi_half.T for ric in rics]),
@@ -1313,15 +1315,15 @@ def full_closed_loop_stream(riccati, m0, S0):
     The mean solves m' = -(lam + p) m - phi (componentwise); the second
     moment solves, componentwise in the eigenbasis,
 
-        S_ij' = (a_i + a_j + 1) S_ij + b_ij,
-        b = -phi m^T - m phi^T + m sig^T + sig m^T + sig sig^T,
+        S_ij' = (a_i + a_j + eps) S_ij + b_ij,
+        b = -phi m^T - m phi^T + eps (m sig^T + sig m^T) + sig sig^T,
 
-    with a_i = -(lam_i + p_i).  The +1 and the sig terms come from the
-    multiplicative noise second moment E (X + sig)(X + sig)^T.  S values
+    with a_i = -(lam_i + p_i).  The +eps and the sig terms come from the
+    noise second moment E (eps X + sig)(eps X + sig)^T.  S values
     at midpoints are collocation values, accurate to the scheme's order,
     so Simpson accumulation against this stream is 4th order.
     """
-    dt = riccati.dt
+    dt, eps = riccati.dt, riccati.eps
     a = -(riccati.lams[:, None] + riccati.p_half)  # (d, 2K+1)
     m_half = panel_hs_sweep(a.T, -riccati.phi_half.T, m0, dt)  # (2K+1, d)
 
@@ -1330,16 +1332,16 @@ def full_closed_loop_stream(riccati, m0, S0):
         phi = riccati.phi_half[:, idx]
         sig = riccati.sigma_eig_half[:, idx]
         pm = np.outer(phi, m)
-        ms = np.outer(m, sig)
+        ms = eps * np.outer(m, sig)
         return -pm - pm.T + ms + ms.T + np.outer(sig, sig)
 
     S = np.array(S0, dtype=float)
     yield 0, m_half[0], S
     for k in range(riccati.k_fine):
         i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        A0 = a[:, i0][:, None] + a[:, i0][None, :] + 1.0
-        Am = a[:, i1][:, None] + a[:, i1][None, :] + 1.0
-        A1 = a[:, i2][:, None] + a[:, i2][None, :] + 1.0
+        A0 = a[:, i0][:, None] + a[:, i0][None, :] + eps
+        Am = a[:, i1][:, None] + a[:, i1][None, :] + eps
+        A1 = a[:, i2][:, None] + a[:, i2][None, :] + eps
         g0, gm, g1 = b_at(i0), b_at(i1), b_at(i2)
         f0 = A0 * S + g0
         c1 = 0.5 * S + (dt / 8.0) * (f0 - g1)
@@ -1362,7 +1364,7 @@ def full_joint_errors(ric_r, ric_c, dtype=float):
     solves a linear SDE whose second block is the coarse system and whose
     first reads
 
-        d delta = (A_r delta + L x_c - dphi) dt + (delta + dsig) dW,
+        d delta = (A_r delta + L x_c - dphi) dt + (eps delta + dsig) dW,
         L = A_r C - C A_c,   dphi = phi_r - C phi_c,   dsig = sig_r - C sig_c,
 
     with A = -diag(lam + p).  The coarse mean and full second moment S_cc,
@@ -1386,23 +1388,25 @@ def full_joint_errors(ric_r, ric_c, dtype=float):
         space_r.eigvals, ric_r.p_half, ric_r.phi_half, ric_r.sigma_eig_half, ric_r.data.x0))
     lam_c, p_c, phi_c, sig_c, x0_c = (cast(v) for v in (
         space_c.eigvals, ric_c.p_half, ric_c.phi_half, ric_c.sigma_eig_half, ric_c.data.x0))
-    dt = cast(ric_r.dt)
+    dt, eps = cast(ric_r.dt), cast(ric_r.data.eps)
     a_r, a_c = -(lam_r + p_r), -(lam_c + p_c)  # (2K+1, D), (2K+1, d)
     outer = lambda u, v: u[:, :, None] * v[:, None, :]
     apply = lambda M, v: np.einsum("tij,tj->ti", M, v)
 
     m_c = panel_hs_sweep(a_c, -phi_c, x0_c, dt)
-    source = outer(sig_c - phi_c, m_c) + outer(m_c, sig_c - phi_c) + outer(sig_c, sig_c)
-    S_cc = panel_hs_sweep(a_c[:, :, None] + a_c[:, None, :] + 1, source, np.outer(x0_c, x0_c), dt)
+    drive_c = eps * sig_c - phi_c
+    source = outer(drive_c, m_c) + outer(m_c, drive_c) + outer(sig_c, sig_c)
+    S_cc = panel_hs_sweep(a_c[:, :, None] + a_c[:, None, :] + eps, source, np.outer(x0_c, x0_c), dt)
 
     L = a_r[:, :, None] * C - C * a_c[:, None, :]
     d_phi, d_sig = phi_r - phi_c @ C.T, sig_r - sig_c @ C.T
     d0 = x0_r - C @ x0_c
     m_d = panel_hs_sweep(a_r, apply(L, m_c) - d_phi, d0, dt)
-    source = L @ S_cc + outer(m_d, sig_c - phi_c) + outer(d_sig - d_phi, m_c) + outer(d_sig, sig_c)
-    S_dc = panel_hs_sweep(a_r[:, :, None] + a_c[:, None, :] + 1, source, np.outer(d0, x0_c), dt)
-    source = 2 * (L * S_dc).sum(axis=2) + 2 * (d_sig - d_phi) * m_d + d_sig**2
-    S_dd = panel_hs_sweep(2 * a_r + 1, source, d0**2, dt)
+    drive_d = eps * d_sig - d_phi
+    source = L @ S_cc + outer(m_d, drive_c) + outer(drive_d, m_c) + outer(d_sig, sig_c)
+    S_dc = panel_hs_sweep(a_r[:, :, None] + a_c[:, None, :] + eps, source, np.outer(d0, x0_c), dt)
+    source = 2 * (L * S_dc).sum(axis=2) + 2 * drive_d * m_d + d_sig**2
+    S_dd = panel_hs_sweep(2 * a_r + eps, source, d0**2, dt)
 
     Q = p_r[:, :, None] * C - C * p_c[:, None, :]
     ctrl = (p_r**2 * S_dd).sum(axis=1) + 2 * (p_r[:, :, None] * Q * S_dc).sum(axis=(1, 2))
@@ -1477,14 +1481,16 @@ def pair_joint_errors(ric_r, ric_c):
     return ctrl_sq, grad_sq
 
 
-def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
+def solve_riccati_dense(space, horizon, alpha, k_fine=1024, eps=1.0):
     """Independent dense-matrix Riccati oracle (test scale, d <= 64).
 
-    Integrates the full matrix ODE in the eigenbasis coordinates (where
-    the discrete Laplacian is -diag(lambda)) backward in time by classical
-    RK4, making no use of the diagonal structure of the solution.  The
-    returned trajectory lets tests confirm that the flow really preserves
-    diagonality and matches the per-mode closed form.
+    Integrates the full matrix ODE P' + P Laplace_h + Laplace_h P + eps P
+    + I - P^2 = 0 in the eigenbasis coordinates (where the discrete
+    Laplacian is -diag(lambda)) backward in time by classical RK4, making
+    no use of the diagonal structure of the solution.  The returned
+    trajectory lets tests confirm that the flow really preserves
+    diagonality and matches the per-mode closed form.  An array ``eps``
+    of shape (n,) integrates n problems side by side in one run.
 
     Explicit RK4 needs lambda_max * (T / k_fine) inside its stability
     region, so callers must resolve the stiffest mode (a warning is
@@ -1492,8 +1498,8 @@ def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
 
     Returns
     -------
-    (t_nodes, P) with P of shape (k_fine + 1, d, d); P[k] acts on
-    eigenbasis coordinates at time t_nodes[k].
+    (t_nodes, P) with P of shape (k_fine + 1, d, d), or (k_fine + 1, n, d, d)
+    for n values of eps; P[k] acts on eigenbasis coordinates at time t_nodes[k].
     """
     d = space.dim
     if d > 64:
@@ -1506,15 +1512,16 @@ def solve_riccati_dense(space, horizon, alpha, k_fine=1024):
             "increase k_fine",
             RuntimeWarning,
         )
-    L = np.diag(lam)
     eye = np.eye(d)
+    # Q L + L Q - eps Q for the diagonal L = diag(lambda) is Q scaled entrywise
+    shift = np.asarray(eps, dtype=float)[..., None, None] - lam[:, None] - lam
 
     def rhs(Q):
         # reversed time: Q(s) = P(T - s)
-        return -(Q @ L) - (L @ Q) + Q + eye - Q @ Q
+        return shift * Q + eye - Q @ Q
 
-    traj = np.empty((k_fine + 1, d, d))
-    Q = alpha * eye
+    Q = np.broadcast_to(alpha * eye, shift.shape)
+    traj = np.empty((k_fine + 1,) + Q.shape)
     traj[k_fine] = Q
     for k in range(k_fine):
         k1 = rhs(Q)

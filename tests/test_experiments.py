@@ -70,6 +70,16 @@ def test_resolve_config_keeps_explicit_values():
     assert make_config("gd_convergence").seed is None
 
 
+def test_riccati_studies_take_additive_noise():
+    # one Riccati route serves both noises, so the two Riccati studies keep
+    # additive noise and their k_fine, and the mode bound on alpha still holds
+    for study in ("spatial_rate", "riccati_crosscheck"):
+        cfg = make_config(study, noise="additive")
+        assert (cfg.noise, cfg.k_fine) == ("additive", _DEFAULTS[study]["k_fine"])
+        with pytest.raises(ValueError, match="alpha must be below"):
+            make_config(study, noise="additive", alpha=MODE_BOUND)
+
+
 def test_resolve_config_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="unknown study"):
         resolve_config(ExperimentConfig(study="nope"))
@@ -176,8 +186,6 @@ def test_resolve_config_rejects_bad_input(tmp_path):
     # values the library rejects only mid-run, with a traceback
     for study, field, message in (
         ("adjoint_gap", dict(noise="quadratic"), "noise must be 'linear' or 'additive'"),
-        ("spatial_rate", dict(noise="additive"), "spatial_rate solves the Riccati equation"),
-        ("riccati_crosscheck", dict(noise="additive"), "riccati_crosscheck solves the Riccati"),
         ("gd_convergence", dict(alpha=-1.0), "alpha must be nonnegative"),
         ("temporal_rate", dict(horizon=0.0), "horizon must be positive"),
         ("adjoint_gap", dict(horizon=-1.0), "horizon must be positive"),
@@ -485,6 +493,29 @@ def test_joint_errors_are_exactly_the_caller_paired_sweep(n_ref, n_coarse, k_fin
     assert _joint_errors(ref, coarse) == pair_joint_errors(ref, coarse)
 
 
+@pytest.mark.parametrize("n_ref, n_coarse", [(32, 8), (64, 16)])
+def test_additive_joint_errors_match_full_matrix_oracle(n_ref, n_coarse):
+    # the dense oracle weighs the noise's X by eps as the alias sweep does
+    cfg = make_config("spatial_rate", k_fine=64, noise="additive")
+    ref, coarse = _feedback_solution(n_ref, cfg), _feedback_solution(n_coarse, cfg)
+    assert (ref.data.eps, coarse.data.eps) == (0.0, 0.0)
+    ctrl_sq, grad_sq = _joint_errors(ref, coarse)
+    assert_allclose((ctrl_sq, grad_sq), full_joint_errors(ref, coarse), rtol=1e-12)
+    # and the additive errors are not the linear ones
+    linear = make_config("spatial_rate", k_fine=64)
+    lin = _joint_errors(_feedback_solution(n_ref, linear), _feedback_solution(n_coarse, linear))
+    assert min(abs(a - b) / b for a, b in zip((ctrl_sq, grad_sq), lin)) > 1e-3
+
+
+def test_joint_errors_refuse_a_pair_of_two_noises():
+    # delta = x_r - c x_c carries one noise factor eps, so a pair must share it
+    cfg = make_config("spatial_rate", k_fine=16)
+    ref = _feedback_solution(8, cfg)
+    coarse = _feedback_solution(4, make_config("spatial_rate", k_fine=16, noise="additive"))
+    with pytest.raises(ValueError, match="one dense grid and noise"):
+        _joint_errors(ref, coarse)
+
+
 def test_joint_errors_match_extended_precision_at_the_finest_study_pair():
     # A6's finest pair, against the dense oracle in long double.  The squared
     # control error is 1.2e-7 of the squared controls, so a difference of
@@ -514,21 +545,32 @@ def test_spatial_requires_nested_reference(tmp_path):
         run_study(ExperimentConfig(study="spatial_rate", **fields))
 
 
-def test_spatial_rate_rejects_additive_noise(tmp_path):
-    # the moment sweep models (X + sigma) dW; additive data must not get its tables
-    fields = dict(mesh_levels=(4,), mesh_ref=8, k_fine=16, noise="additive", out=str(tmp_path))
-    with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
-        make_config("spatial_rate", **fields)
-    with pytest.raises(ValueError, match="spatial_rate solves the Riccati equation"):
-        run_study(ExperimentConfig(study="spatial_rate", **fields))
-    assert not (tmp_path / "rates.csv").exists()
+def test_spatial_rate_runs_additive_noise(tmp_path):
+    # the moment sweeps read the noise through eps, so additive data get
+    # their own tables: finite, nonzero off the reference level, and not
+    # the linear-noise ones
+    fields = dict(mesh_levels=(2, 4), mesh_ref=8, k_fine=16)
+    tables = {}
+    for noise in ("linear", "additive"):
+        out = tmp_path / noise
+        ctrl, state = run_study(make_config("spatial_rate", noise=noise, out=str(out), **fields))
+        for name in ("rates.csv", "rates_state.csv"):
+            assert (out / name).exists()
+        assert all(np.isfinite(row[2]) and row[2] > 0.0 for row in ctrl.rows + state.rows)
+        tables[noise] = (out / "rates.csv").read_text(encoding="utf-8")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["noise"] == noise
+    assert tables["linear"] != tables["additive"]
 
 
-def test_spatial_control_error_matches_monte_carlo(tmp_path):
+@pytest.mark.parametrize("noise", ["linear", "additive"])
+def test_spatial_control_error_matches_monte_carlo(tmp_path, noise):
     # independent oracle: simulate both feedback-controlled systems on the
     # same Brownian paths with a fine time discretization and compare the
     # sampled control error with the deterministic moment-stream value
-    cfg = make_config("spatial_rate", mesh_levels=(2,), mesh_ref=4, k_fine=256, out=str(tmp_path))
+    cfg = make_config(
+        "spatial_rate", mesh_levels=(2,), mesh_ref=4, k_fine=256, noise=noise, out=str(tmp_path)
+    )
     ric_r, ric_c = _feedback_solution(4, cfg), _feedback_solution(2, cfg)
     space_r, space_c = ric_r.data.space, ric_c.data.space
     ctrl_sq, grad_sq = _joint_errors(ric_r, ric_c)
@@ -536,8 +578,8 @@ def test_spatial_control_error_matches_monte_carlo(tmp_path):
     n_steps, n_paths = 256, 4000
     grid = make_time_grid(cfg.horizon, n_steps)
     spec = default_sigma_spec(scale=cfg.sigma_scale)
-    data_r = make_problem(space_r, grid, alpha=cfg.alpha, sigma_spec=spec)
-    data_c = make_problem(space_c, grid, alpha=cfg.alpha, sigma_spec=spec)
+    data_r = make_problem(space_r, grid, alpha=cfg.alpha, sigma_spec=spec, noise=noise)
+    data_c = make_problem(space_c, grid, alpha=cfg.alpha, sigma_spec=spec, noise=noise)
     driver = gaussian_driver(grid, n_paths, seed=1234)
     _, u_r = solve_forward(data_r, driver, feedback_control(ric_r, grid.nodes[:-1]))
     _, u_c = solve_forward(data_c, driver, feedback_control(ric_c, grid.nodes[:-1]))
@@ -744,6 +786,23 @@ def test_riccati_crosscheck_flags_a_gap_that_grows(tmp_path):
     assert summary["gap_monotone"] is False
 
 
+def test_additive_riccati_crosscheck_gaps_shrink_monotonically(tmp_path):
+    # the additive problem through the one Riccati route: the value function
+    # equals the moment cost (the A8 identity), and the exact discrete value
+    # closes on it at first order, from 6.6e-3 at 8 steps to 1.7e-4 at 512
+    levels = (8, 16, 32, 64, 128, 256, 512)
+    cfg = make_config(
+        "riccati_crosscheck", noise="additive", time_levels=levels, n_paths=400, out=str(tmp_path)
+    )
+    report = run_study(cfg)
+    assert report["rel_diff_value_vs_moments"] <= 1e-10
+    gaps = [report[f"cost_gap_N{lvl}"] for lvl in levels]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    assert all(1.5 < a / b < 2.5 for a, b in zip(gaps, gaps[1:]))
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["gap_monotone"] is True
+
+
 # -------------------------------------------------------- adjoint-gap study
 
 
@@ -892,8 +951,9 @@ def test_cli_rejects_reference_not_nested_over_levels(tmp_path, capsys):
         (["spatial_rate", "--n-elems", "16"], "", "spatial_rate does not read n_elems"),
         (["temporal_rate", "--time-steps", "8"], "", "temporal_rate does not read time_steps"),
         (["adjoint_gap"], "noise = quadratic", "noise must be 'linear' or 'additive'"),
-        (["spatial_rate"], "noise = additive", "spatial_rate solves the Riccati equation"),
-        (["riccati_crosscheck"], "noise = additive", "riccati_crosscheck solves the Riccati"),
+        # additive noise passes, and the Riccati studies' own checks still hold for it
+        (["spatial_rate", "--alpha", "1e6"], "noise = additive", "alpha must be below 1e+06"),
+        (["riccati_crosscheck", "--k-fine", "0"], "noise = additive", "k_fine must be at least 1"),
         (["gd_convergence", "--alpha", "-1"], "", "alpha must be nonnegative"),
         (["gd_convergence", "--horizon", "0"], "", "horizon must be positive"),
         (["temporal_rate", "--horizon", "10"], "", "step 10.0 / 8 exceeds 1"),
@@ -923,6 +983,18 @@ def test_cli_rejects_unread_fields_and_unrunnable_values(tmp_path, capsys, argv,
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
     assert (tmp_path / "taken").read_text() == ""
+
+
+def test_cli_runs_spatial_rate_with_additive_noise(tmp_path):
+    out = tmp_path / "out"
+    argv = ["spatial_rate", "--noise", "additive", "--mesh-levels", "4", "--mesh-ref", "8"]
+    assert main([*argv, "--k-fine", "16", "--out", str(out)]) == 0
+    for name in ("rates.csv", "rates_state.csv"):
+        rows = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+        errors = [float(row.split(",")[2]) for row in rows]
+        assert len(errors) == 1 and math.isfinite(errors[0]) and errors[0] > 0.0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["noise"] == "additive"
 
 
 def test_cli_reports_non_finite_results(tmp_path, capsys):

@@ -417,6 +417,59 @@ def test_only_mesh_and_riccati_know_the_alias_pairing():
     assert imported_names(planted, "mesh") == ["alias_coefficients", "build_fem_space"]
 
 
+def noise_comparisons(source):
+    """Labels (``function`` or ``Class.method``; ``<module>`` at top level) of the
+    comparisons in ``source`` with the noise name "linear" or "additive", in order."""
+    found = []
+
+    def visit(node, label):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{label}.{child.name}" if label else child.name)
+                continue
+            if isinstance(child, ast.Compare):
+                nodes = [n for op in (child.left, *child.comparators) for n in ast.walk(op)]
+                values = {n.value for n in nodes if isinstance(n, ast.Constant)}
+                if values & {"linear", "additive"}:
+                    found.append(label or "<module>")
+            visit(child, label)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_noise_comparison_detection():
+    source = (
+        "NOISE = 'linear'\n"
+        "def f(data):\n    return 1.0 if data.noise == 'linear' else 0.0\n"
+        "class C:\n    def g(self, cfg):\n"
+        "        if cfg.noise not in ('linear', 'additive'):\n            raise ValueError\n"
+        "        return cfg.noise == 'quadratic'\n"
+        "assert 'additive' != NOISE\n"
+    )
+    assert noise_comparisons(source) == ["f", "C.g", "<module>"]
+
+
+# where the noise name is read: the two input checks and ProblemData's eps
+NOISE_DECISIONS = {
+    ("forward.py", "make_problem"),
+    ("forward.py", "ProblemData.__post_init__"),
+    ("experiments.py", "resolve_config"),
+}
+
+
+def test_one_place_decides_the_noise():
+    # every noise-dependent formula and the step multipliers read
+    # ProblemData.eps (1 for linear noise, 0 for additive), so no solver
+    # branches on, or refuses, a noise name
+    found = {
+        (path.name, label)
+        for path in SRC
+        for label in noise_comparisons(path.read_text(encoding="utf-8"))
+    }
+    assert found <= NOISE_DECISIONS, sorted(found - NOISE_DECISIONS)
+
+
 # what run_study alone does: resolve the config, time the run, and write
 RUN_STUDY_ONLY = {
     "resolve_config", "perf_counter", "makedirs", "_write_text_atomic", "_write_manifest"

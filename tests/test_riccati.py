@@ -145,6 +145,23 @@ def test_exact_ode_residual_all_modes():
     assert (np.abs(dp - rhs) / scale).max() < 1e-10
 
 
+def test_additive_modes_solve_their_own_ode():
+    # eps = 0 drops the -p term: p' = 2 lam p - 1 + p^2, which the library
+    # reaches by shifting lambda by 1/2 in the linear closed form
+    space = build_fem_space(64)
+    ric = riccati_for(space, k_fine=64, noise="additive")
+    t = np.linspace(0.0, 1.0, 129)
+    p = ric.p_half.T
+    dp = riccati_mode_derivative(space.eigvals, 1.0, 1.0, t, eps=0.0)
+    rhs = 2.0 * space.eigvals[:, None] * p - 1.0 + p * p
+    assert (np.abs(dp - rhs) / (1.0 + np.abs(rhs))).max() < 1e-10
+    # positive, below the linear modes (whose +p term lowers lambda by 1/2)
+    # before T, and alpha at T
+    linear = riccati_for(space, k_fine=64)
+    assert (p > 0.0).all() and (ric.p_half[:-1] < linear.p_half[:-1]).all()
+    assert_allclose(ric.p_half[-1], 1.0, rtol=0, atol=1e-13)
+
+
 def test_midpoint_residual_on_resolving_grids():
     # |p_{k+1} - p_k - dt f(p_mid)| <= 1e-8 once the grid resolves p''';
     # on the default grid this holds outside the terminal layer, and a
@@ -195,6 +212,21 @@ def test_max_p_non_increasing_under_mesh_refinement():
         ric = riccati_for(build_fem_space(n), k_fine=128)
         maxima.append(ric.p_half.max())
     assert all(b <= a + 1e-12 for a, b in zip(maxima, maxima[1:]))
+
+
+@pytest.mark.parametrize("k_fine", [True, 32.0, 2.5, "32", np.float64(32)])
+def test_solve_riccati_refuses_a_k_fine_that_is_no_integer(k_fine):
+    # True ran one panel silently, and 32.0 or 2.5 failed in np.linspace with a TypeError
+    data = make_problem(build_fem_space(4), make_time_grid(1.0, 4))
+    with pytest.raises(ValueError, match="k_fine must be an integer"):
+        solve_riccati(data, k_fine)
+
+
+def test_solve_riccati_takes_numpy_integers():
+    data = make_problem(build_fem_space(4), make_time_grid(1.0, 4))
+    ric = solve_riccati(data, np.int64(16))
+    assert ric.p_half.shape == (33, 3)
+    assert (ric.p_half == solve_riccati(data, 16).p_half).all()
 
 
 def test_solve_riccati_validates_input():
@@ -285,12 +317,29 @@ def test_phi_zero_for_zero_sigma():
 
 
 def test_phi_zero_when_p_forced_zero():
-    # the source is p * sigma, so zero p kills phi regardless of sigma
+    # the source is eps * p * sigma, so zero p kills phi regardless of sigma
     ric = riccati_for(build_fem_space(8), alpha=0.0, k_fine=128)
     assert np.abs(ric.sigma_eig_half).max() > 0.1
     lams, zero_p = ric.data.space.eigvals, np.zeros_like(ric.p_half)
-    phi_half, _ = _phi_sweep(lams, zero_p, ric.sigma_eig_half, ric.dt)
+    phi_half, _ = _phi_sweep(lams, zero_p, ric.sigma_eig_half, ric.data.eps, ric.dt)
     assert np.abs(phi_half).max() <= 1e-15
+
+
+def test_phi_is_exactly_zero_for_additive_noise():
+    # additive noise puts no sigma x term in the value function: the source
+    # eps * p * sigma is exactly zero, so phi is, and the value integral is
+    # (1/2) int sum p sigma^2 alone
+    ric = riccati_for(build_fem_space(8), k_fine=128, noise="additive")
+    assert ric.data.eps == 0.0
+    assert np.abs(ric.sigma_eig_half).max() > 0.1 and ric.p_half.min() > 0.0
+    assert (ric.phi_half == 0.0).all()
+    lams, p, sig = ric.data.space.eigvals, ric.p_half, ric.sigma_eig_half
+    phi_half, integral = _phi_sweep(lams, p, sig, 0.0, ric.dt)
+    assert (phi_half == 0.0).all()
+    f = (p * sig**2).sum(axis=1)
+    simpson = (ric.dt / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]).sum()
+    assert_allclose(integral[0], 0.5 * simpson, rtol=1e-13)
+    assert_allclose(ric.value_integral, integral, rtol=0, atol=0)
 
 
 def test_phi_single_mode_against_euler_oracle():
@@ -378,23 +427,29 @@ def test_value_function_small_horizon_taylor():
 
 
 def test_dense_oracle_agrees_with_mode_solver():
-    # cross-check on d in {1, 3, 7}; the oracle's own RK4 truncation error
-    # in the terminal layer is the binding constraint, so the step count
-    # grows with the stiffest eigenvalue
+    # cross-check on d in {1, 3, 7} for both noises, eps = 1 (linear) and
+    # eps = 0 (additive) side by side in one RK4 run; the oracle's own RK4
+    # truncation error in the terminal layer is the binding constraint, so
+    # the step count grows with the stiffest eigenvalue
     for n_elems, k_fine in ((2, 32768), (4, 32768), (8, 65536)):
         space = build_fem_space(n_elems)
-        t_nodes, P = solve_riccati_dense(space, 1.0, 1.0, k_fine=k_fine)
-        p_ref = riccati_mode_values(space.eigvals, 1.0, 1.0, t_nodes).T
-        diag = np.einsum("kii->ik", P)
-        assert np.abs(diag - p_ref).max() <= 1e-9
-        # off-diagonal entries stay numerically zero: the flow preserves
-        # commutativity with the Laplacian
-        mask = ~np.eye(space.dim, dtype=bool)
-        if mask.any():
-            assert np.abs(P[:, mask]).max() <= 1e-9
-        # symmetry and exact terminal value
-        assert np.abs(P - np.transpose(P, (0, 2, 1))).max() <= 1e-10
-        assert np.abs(P[-1] - np.eye(space.dim)).max() == 0.0
+        t_nodes, P_both = solve_riccati_dense(space, 1.0, 1.0, k_fine=k_fine, eps=[1.0, 0.0])
+        for eps, noise, P in zip((1.0, 0.0), ("linear", "additive"), np.moveaxis(P_both, 1, 0)):
+            lams = space.eigvals + 0.5 * (1.0 - eps)
+            p_ref = riccati_mode_values(lams, 1.0, 1.0, t_nodes).T
+            diag = np.einsum("kii->ik", P)
+            assert np.abs(diag - p_ref).max() <= 1e-9
+            # the library's modes on 64 panels, whose nodes are every (k_fine / 64)-th here
+            ric = riccati_for(space, k_fine=64, noise=noise)
+            assert np.abs(diag[:, :: k_fine // 64] - ric.p_half[::2].T).max() <= 1e-9
+            # off-diagonal entries stay numerically zero: the flow preserves
+            # commutativity with the Laplacian
+            mask = ~np.eye(space.dim, dtype=bool)
+            if mask.any():
+                assert np.abs(P[:, mask]).max() <= 1e-9
+            # symmetry and exact terminal value
+            assert np.abs(P - np.transpose(P, (0, 2, 1))).max() <= 1e-10
+            assert np.abs(P[-1] - np.eye(space.dim)).max() == 0.0
 
 
 def test_dense_oracle_warns_outside_stability_region():
@@ -504,13 +559,46 @@ def test_cost_from_moments_matches_value_function_where_phi_squared_weighs():
     assert abs(v - c) <= 1e-9 * abs(v), (v, c)
 
 
-def test_moment_oracle_rejects_additive_noise():
-    # the Riccati route covers linear noise only, so the one constructor
-    # refuses additive data before any moment is swept
-    space = build_fem_space(4)
-    grid = make_time_grid(1.0, 4)
-    with pytest.raises(ValueError, match="noise='additive'"):
-        solve_riccati(make_problem(space, grid, noise="additive"), 64)
+def test_cost_from_moments_matches_value_function_for_additive_noise():
+    # the A8 identity through the one Riccati route with eps = 0
+    space = build_fem_space(8)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        alpha = float(rng.uniform(0.0, 2.0))
+        horizon = float(rng.uniform(0.3, 1.5))
+        spec = default_sigma_spec(scale=float(rng.uniform(0.0, 1.5)))
+        data = make_problem(space, make_time_grid(horizon, 4), alpha, spec, noise="additive")
+        ric = solve_riccati(data, 1024)
+        v, c = value_function(ric), cost_from_moments(ric)
+        assert abs(v - c) <= 1e-10 * abs(v), (alpha, horizon, v, c)
+
+
+def test_moment_sweep_takes_additive_noise():
+    # with p, phi and sigma forced to zero, additive noise leaves the second
+    # moment undriven: S_ii' = -2 lam_i S_ii, where linear noise has 1 - 2 lam_i
+    space, grid = build_fem_space(4), make_time_grid(1.0, 4)
+    spec = default_sigma_spec(scale=0.0)
+    data = make_problem(space, grid, alpha=0.0, sigma_spec=spec, noise="additive")
+    base = solve_riccati(data, 1024)
+    zero = np.zeros_like(base.p_half)
+    zeroed = replace(base, p_half=zero, phi_half=zero, sigma_eig_half=zero)
+    traj = closed_loop_moments(zeroed)
+    t = fine_grid(zeroed)
+    for i in range(space.dim):
+        ref = data.x0[i] ** 2 * np.exp(-2.0 * space.eigvals[i] * t)
+        got = np.array([ms.S[i, i] for ms in traj])
+        keep = ref > 1e-10 * ref[0]
+        assert_allclose(got[keep], ref[keep], rtol=2e-3)
+    # on the full solution the library's diagonal sweep is the full-matrix
+    # stream's diagonal, and the oracle's covariance stays PSD
+    ric = solve_riccati(make_problem(build_fem_space(8), grid, noise="additive"), 256)
+    m, S = _closed_loop_moments(ric)
+    m0 = ric.data.x0
+    for idx, m_ref, S_ref in full_closed_loop_stream(mode_major([ric]), m0, np.outer(m0, m0)):
+        assert_allclose(m[idx], m_ref, rtol=1e-12, atol=0)
+        assert_allclose(S[idx], np.diagonal(S_ref), rtol=1e-12, atol=0)
+    for ms in closed_loop_moments(ric)[::32]:
+        assert np.linalg.eigvalsh(ms.S - np.outer(ms.m, ms.m)).min() > -1e-10
 
 
 def test_solve_riccati_takes_alpha_up_to_the_mode_bound():
